@@ -19,6 +19,11 @@ functional.
 
 Partitions are shared: every pair divided at the same event sees the same
 interval and the same classes, so one record per event serves them all.
+``PairHistory`` keeps a registry from each live record to the divided pairs
+that share it.  A transversal crossing then walks each record it can reach
+once: prefix sums of the contained-class strength give every pair of the
+record its increment in O(1), so the pi update of one crossing costs
+O(classes + pairs) of the records it touches instead of O(all pairs x classes).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "PairRec",
     "PairHistory",
     "m_value",
+    "contained_prefix",
     "cancellation_amount",
 ]
 
@@ -58,19 +64,19 @@ class FunctionalSnapshot:
     sum_abs_dsigma: float
 
 
-@dataclass
+@dataclass(eq=False)
 class PartitionRecord:
     """Shared interval-of-waves and partition for pairs divided at one event.
 
     ``interval`` and every class are id ranges whose live content is the
     range cut to currently alive waves; classes stay contiguous because
-    cancellations remove contiguous id runs.
+    cancellations remove contiguous id runs.  Records compare and hash by
+    identity, so they key the pair registry.
     """
 
     key: int                       # creating event index (0 = initial datum)
     interval: IdRange
     classes: list[IdRange]
-    pi_table: dict | None = None   # full (p, p') -> pi map, small runs only
 
     def class_members(self, state: FieldState) -> list[list[int]]:
         return [c.members(state) for c in self.classes]
@@ -110,6 +116,21 @@ def m_value(class_members: list[list[int]], part_lo: int, part_hi: int,
     return total * eps
 
 
+def contained_prefix(class_members: list[list[int]], part_lo: int,
+                     part_hi: int) -> list[int]:
+    """Prefix sums of the class sizes counted by ``m_value``: entry k is the
+    number of waves in classes 0..k-1 that lie entirely inside
+    [part_lo, part_hi].  For p in class ki and p' in class kj >= ki,
+    m_value(p, p') is (prefix[kj + 1] - prefix[ki]) * eps."""
+    prefix = [0]
+    total = 0
+    for members in class_members:
+        if members and part_lo <= members[0] and members[-1] <= part_hi:
+            total += len(members)
+        prefix.append(total)
+    return prefix
+
+
 def cancellation_amount(event: "Event") -> float:
     """Total-variation drop at a cancellation event."""
     from .simulator import EventKind
@@ -122,13 +143,28 @@ def cancellation_amount(event: "Event") -> float:
 class PairHistory:
     """Incrementally maintained pair statuses, partitions and functionals."""
 
-    def __init__(self, spec: FluxSpec, eps: float, bounds: DerivativeBounds,
-                 track_full_pi: bool = False):
+    def __init__(self, spec: FluxSpec, eps: float, bounds: DerivativeBounds):
         self.spec = spec
         self.eps = eps
         self.bounds = bounds
-        self.track_full_pi = track_full_pi
         self.pairs: dict[tuple[int, int], PairRec] = {}
+        # live record -> the divided pairs that share it
+        self.records: dict[PartitionRecord, dict[tuple[int, int], PairRec]] = {}
+
+    def _set_pair(self, key: tuple[int, int], pair: PairRec) -> None:
+        """Store ``pair`` under ``key``, moving it between registry entries."""
+        old = self.pairs.get(key)
+        if old is not None and old.record is not None:
+            self._unlink(key, old.record)
+        self.pairs[key] = pair
+        if pair.record is not None:
+            self.records.setdefault(pair.record, {})[key] = pair
+
+    def _unlink(self, key: tuple[int, int], record: PartitionRecord) -> None:
+        sharing = self.records[record]
+        del sharing[key]
+        if not sharing:
+            del self.records[record]
 
     # -- construction ------------------------------------------------------
 
@@ -143,25 +179,20 @@ class PairHistory:
                     key=0,
                     interval=IdRange(min(ids), max(ids)),
                     classes=[IdRange(members[0], members[-1]) for members, _ in groups],
-                    pi_table=self._fresh_table(ids) if self.track_full_pi else None,
                 )
             for i, s in enumerate(ids):
                 for s2 in ids[i + 1:]:
                     a, b = min(s, s2), max(s, s2)
                     joined = group_of[a] == group_of[b]
-                    self.pairs[(a, b)] = PairRec(
+                    self._set_pair((a, b), PairRec(
                         status="joined" if joined else "divided",
                         record=None if joined else record,
                         pi=0.0,
                         last_meet_time=0.0,
                         last_meet_x=x,
                         last_meet_event=0,
-                    )
+                    ))
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
-
-    def _fresh_table(self, ids) -> dict:
-        alive = sorted(ids)
-        return {(a, b): 0.0 for i, a in enumerate(alive) for b in alive[i + 1:]}
 
     # -- event update ------------------------------------------------------
 
@@ -187,45 +218,39 @@ class PairHistory:
     def _apply_deaths(self, canceled: tuple[int, ...]) -> None:
         dead = set(canceled)
         for key in [k for k in self.pairs if k[0] in dead or k[1] in dead]:
-            del self.pairs[key]
-        for rec in self._live_records():
-            if rec.pi_table is not None:
-                for key in [k for k in rec.pi_table if k[0] in dead or k[1] in dead]:
-                    del rec.pi_table[key]
-
-    def _live_records(self) -> list[PartitionRecord]:
-        seen: dict[int, PartitionRecord] = {}
-        for pair in self.pairs.values():
+            pair = self.pairs.pop(key)
             if pair.record is not None:
-                seen[id(pair.record)] = pair.record
-        return list(seen.values())
+                self._unlink(key, pair.record)
 
     def _apply_transversal_pi(self, event: "Event", state: FieldState) -> None:
-        """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided."""
+        """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided.
+
+        M is ``m_value``: one prefix-sum table per record gives it for every
+        pair of the record, from the same integer count.
+        """
         part = event.participants
         factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
         if factor == 0.0 or part is None:
             return
-        members_cache: dict[int, list[list[int]]] = {}
-        for (s, s2), pair in self.pairs.items():
-            if pair.status != "divided":
+        eps = self.eps
+        for rec, sharing in self.records.items():
+            if rec.interval.hi < part.lo or part.hi < rec.interval.lo:
+                continue  # no class of the record can lie inside the crossing
+            members = rec.class_members(state)
+            prefix = contained_prefix(members, part.lo, part.hi)
+            if prefix[-1] == 0:
                 continue
-            rec = pair.record
-            members = members_cache.get(id(rec))
-            if members is None:
-                members = rec.class_members(state)
-                members_cache[id(rec)] = members
-            m = m_value(members, part.lo, part.hi, s, s2, self.eps)
-            if m > 0.0:
-                pair.pi += factor * m
-        for rec in self._live_records():
-            if rec.pi_table is None:
-                continue
-            members = members_cache.get(id(rec)) or rec.class_members(state)
-            for (p, p2) in rec.pi_table:
-                m = m_value(members, part.lo, part.hi, p, p2, self.eps)
-                if m > 0.0:
-                    rec.pi_table[(p, p2)] += factor * m
+            class_of = {s: k for k, ids in enumerate(members) for s in ids}
+            for (s, s2), pair in sharing.items():
+                ki = class_of.get(s)
+                kj = class_of.get(s2)
+                if ki is None or kj is None:
+                    raise ValueError("p, p' must belong to the partitioned interval")
+                if ki > kj:
+                    ki, kj = kj, ki
+                count = prefix[kj + 1] - prefix[ki]
+                if count:
+                    pair.pi += factor * (count * eps)
 
     def _refine_records(self, event: "Event", state: FieldState) -> None:
         """Clip intervals to the alive set and split classes the current
@@ -233,7 +258,9 @@ class PairHistory:
 
         The effective flux changes only on cells whose waves crossed the
         first-family front, and class membership changes only through deaths,
-        so only classes touched by this event can actually split.
+        so only classes touched by this event can actually split.  A record
+        whose interval holds no dead wave and misses the crossing set is
+        already clipped and split, and is left as it is.
         """
         from .simulator import EventKind
 
@@ -248,8 +275,13 @@ class PairHistory:
             for s in range(blk.lo, blk.hi + 1):
                 block_of[s] = blk
 
-        for rec in self._live_records():
-            live = rec.interval.members(state)
+        for rec in self.records:
+            span = rec.interval
+            if not any(span.lo <= d <= span.hi for d in dead) and (
+                touched is None or span.hi < touched.lo or touched.hi < span.lo
+            ):
+                continue
+            live = span.members(state)
             if not live:
                 continue
             rec.interval = IdRange(live[0], live[-1])
@@ -322,7 +354,6 @@ class PairHistory:
                     key=event.index,
                     interval=IdRange(ids[0], ids[-1]),
                     classes=classes,
-                    pi_table=self._fresh_table(ids) if self.track_full_pi else None,
                 )
             return fresh
 
@@ -337,14 +368,14 @@ class PairHistory:
                     )
                 if old is not None and old.status == "divided" and joined:
                     log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
-                self.pairs[(s, s2)] = PairRec(
+                self._set_pair((s, s2), PairRec(
                     status="joined" if joined else "divided",
                     record=None if joined else fresh_record(),
                     pi=0.0,
                     last_meet_time=event.time,
                     last_meet_x=event.x,
                     last_meet_event=event.index,
-                )
+                ))
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
@@ -418,11 +449,25 @@ class PairHistory:
 
     def q_trans(self, state: FieldState) -> float:
         """Transversal Glimm functional: strength of every first-family front
-        times the strength of the waves still ahead (to its left)."""
+        times the strength of the waves still ahead (to its left).
+
+        Recomputed from the state on every call, in O(waves + fronts): alive
+        waves are counted per ``crossed`` value once, and the waves ahead of
+        front h are those with ``crossed < h``.
+        """
+        if not state.v_fronts:
+            return 0.0
+        top = max(vf.id for vf in state.v_fronts)
+        per_crossed = [0] * (top + 1)
+        for w in state.waves:
+            if w.alive:
+                per_crossed[min(w.crossed, top)] += 1
+        ahead = [0]
+        for n in per_crossed:
+            ahead.append(ahead[-1] + n)
         total = 0.0
         for vf in state.v_fronts:
-            n_ahead = sum(1 for w in state.waves if w.alive and w.crossed < vf.id)
-            total += vf.strength_ticks * self.eps * n_ahead * self.eps
+            total += vf.strength_ticks * self.eps * ahead[vf.id] * self.eps
         return total
 
     def snapshot(self, state: FieldState, index: int, sum_abs_dsigma: float) -> FunctionalSnapshot:

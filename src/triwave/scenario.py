@@ -14,7 +14,7 @@ import logging
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,13 @@ class ScenarioConfig:
     @staticmethod
     def from_json(path) -> "ScenarioConfig":
         with open(path) as fh:
-            return ScenarioConfig(**json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: a scenario config is a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(ScenarioConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
+        return ScenarioConfig(**doc)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -152,8 +158,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
                 f"check level small_n needs at most {MAX_REPLAY_WAVES} initial waves, "
                 f"got {w0.tv_ticks()}; shrink the datum (e.g. max_waves in the w0 spec)"
             )
-    history = PairHistory(spec=spec, eps=config.eps, bounds=bounds,
-                          track_full_pi=(config.check_level == "small_n"))
+    history = PairHistory(spec=spec, eps=config.eps, bounds=bounds)
     traj = run(
         w0, v0, spec, config.eps,
         bounds=bounds,
@@ -229,16 +234,27 @@ def _write_functionals(fh, traj: Trajectory) -> None:
         ])
 
 
-def _batch_child(args: tuple) -> tuple[int, bool, dict]:
+def _batch_child(args: tuple) -> tuple[int, bool, dict, str | None]:
+    """One seed of a batch; an exception becomes a failed seed with its message."""
     config_dict, seed, out = args
-    config = ScenarioConfig(**{**config_dict, "seed": seed, "out_dir": None})
-    result = run_scenario(config, out_dir=out)
-    return seed, result.passed, summarize(result.checks)
+    try:
+        config = ScenarioConfig(**{**config_dict, "seed": seed, "out_dir": None})
+        result = run_scenario(config, out_dir=out)
+    except Exception as exc:
+        log.exception("seed %s raised", seed)
+        return seed, False, {}, f"{type(exc).__name__}: {exc}"
+    return seed, result.passed, summarize(result.checks), None
 
 
 def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
           workers: int = 1) -> dict:
-    """Run one scenario across many seeds; aggregate min slack per check name."""
+    """Run one scenario across many seeds; aggregate min slack per check name.
+
+    A seed that raises counts as failed and its message is kept under
+    ``errors``; the other seeds still run and ``summary.json`` is written.
+    """
+    if not seeds:
+        raise ValueError("batch needs at least one seed")
     base = asdict(config)
     jobs = [
         (base, seed, str(Path(out_dir) / f"seed_{seed}") if out_dir else None)
@@ -252,7 +268,7 @@ def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
 
     aggregate: dict[str, dict] = {}
     all_passed = True
-    for seed, passed, summary in rows:
+    for seed, passed, summary, _ in rows:
         all_passed = all_passed and passed
         for name, agg in summary.items():
             slot = aggregate.setdefault(name, {"count": 0, "min_slack": None, "passed": True})
@@ -266,7 +282,8 @@ def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
     out = {
         "seeds": list(seeds),
         "passed": all_passed,
-        "per_seed": {str(seed): passed for seed, passed, _ in rows},
+        "per_seed": {str(seed): passed for seed, passed, _, _ in rows},
+        "errors": {str(seed): error for seed, _, _, error in rows if error is not None},
         "checks": aggregate,
     }
     if out_dir is not None:

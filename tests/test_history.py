@@ -1,10 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triwave.history import PairHistory, cancellation_amount, m_value
+from triwave.flux import derivative_bounds, make_flux
+from triwave.history import (
+    PairHistory,
+    PairRec,
+    PartitionRecord,
+    cancellation_amount,
+    contained_prefix,
+    m_value,
+)
 from triwave.replay import Replay, pi_full_table
 from triwave.scenario import ScenarioConfig, build_initial_data
 from triwave.simulator import EventKind, run
-from triwave.wavefield import StepFunction
+from triwave.wavefield import IdRange, StepFunction
 
 EPS = 0.05
 
@@ -34,6 +43,100 @@ class TestMValue:
     def test_endpoints_must_be_covered(self):
         with pytest.raises(ValueError):
             m_value([[1], [2]], 1, 2, 1, 7, EPS)
+
+
+# a partition of an id interval: per class, its run length and the ids after
+# it that are dead (absent from every class)
+layouts = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1, max_size=8)
+
+
+@given(layouts, st.integers(0, 30), st.integers(0, 30))
+@settings(max_examples=300, deadline=None)
+def test_prefix_increment_equals_m_value(layout, lo, width):
+    class_members, next_id = [], 1
+    for size, gap in layout:
+        class_members.append(list(range(next_id, next_id + size)))
+        next_id += size + gap
+    part_lo, part_hi = lo, lo + width
+    prefix = contained_prefix(class_members, part_lo, part_hi)
+    class_of = {s: k for k, ids in enumerate(class_members) for s in ids}
+    ids = sorted(class_of)
+    for i, p in enumerate(ids):
+        for p2 in ids[i + 1:]:
+            ki, kj = class_of[p], class_of[p2]
+            got = (prefix[kj + 1] - prefix[ki]) * EPS
+            assert got == m_value(class_members, part_lo, part_hi, p, p2, EPS)
+
+
+class LoopHistory(PairHistory):
+    """The pi update as one ``m_value`` call per divided pair."""
+
+    increments = 0
+
+    def _apply_transversal_pi(self, event, state):
+        part = event.participants
+        factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
+        if factor == 0.0 or part is None:
+            return
+        for (s, s2), pair in self.pairs.items():
+            if pair.status != "divided":
+                continue
+            members = pair.record.class_members(state)
+            m = m_value(members, part.lo, part.hi, s, s2, self.eps)
+            if m > 0.0:
+                pair.pi += factor * m
+                self.increments += 1
+
+
+class TestPrefixPiMatchesLoop:
+    CASES = [
+        ("quadratic_coupled", 0.05, seed, 40) for seed in (0, 3, 7)
+    ] + [
+        ("quartic", 0.05, 2, 40),
+        ("quadratic_coupled", 0.02, 1, 60),
+    ]
+
+    @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
+    def test_every_pair_and_snapshot_equal(self, flux, eps, seed, max_waves):
+        spec = make_flux(flux, {"c": 0.1})
+        bounds = derivative_bounds(spec)
+        cfg = ScenarioConfig(
+            eps=eps, seed=seed,
+            w0={"random": {"jumps": 6, "max_amplitude": 0.4, "max_waves": max_waves}},
+            v0={"random": {"jumps": 5, "max_amplitude": 0.3, "max_fronts": 6}},
+        )
+        w0, v0 = build_initial_data(cfg, spec)
+        fast = PairHistory(spec=spec, eps=eps, bounds=bounds)
+        loop = LoopHistory(spec=spec, eps=eps, bounds=bounds)
+        traj = run(w0, v0, spec, eps, bounds=bounds, history=fast)
+        ref = run(w0, v0, spec, eps, bounds=bounds, history=loop)
+        assert traj.snapshots == ref.snapshots
+        assert fast.pairs.keys() == loop.pairs.keys()
+        for key, pair in fast.pairs.items():
+            assert (pair.status, pair.pi) == (loop.pairs[key].status, loop.pairs[key].pi), key
+        assert loop.increments > 0
+        # the registry holds exactly the divided pairs, grouped by record
+        grouped: dict = {}
+        for key, pair in fast.pairs.items():
+            if pair.status == "divided":
+                grouped.setdefault(pair.record, set()).add(key)
+        assert {rec: set(keys) for rec, keys in fast.records.items()} == grouped
+
+
+class TestRecordRegistry:
+    def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        rec = PartitionRecord(key=0, interval=IdRange(1, 3),
+                              classes=[IdRange(1, 1), IdRange(2, 3)])
+        for key in ((1, 2), (1, 3)):
+            history._set_pair(key, PairRec("divided", rec, 0.0, 0.0, 0.0, 0))
+        assert history.records == {rec: {(1, 2): history.pairs[(1, 2)],
+                                         (1, 3): history.pairs[(1, 3)]}}
+        # a divided pair that meets again joined drops out of its record
+        history._set_pair((1, 2), PairRec("joined", None, 0.0, 1.0, 0.0, 1))
+        assert list(history.records[rec]) == [(1, 3)]
+        history._apply_deaths((3,))
+        assert history.records == {} and list(history.pairs) == [(1, 2)]
 
 
 class TestQTrans:
@@ -117,7 +220,7 @@ class TestPiRecursion:
         state = initial_enumeration(w0, v0, EPS)
         table = FluxTable(spec, EPS)
         groups = assign_initial_speeds(state, table)
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds, track_full_pi=True)
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         history.initialize(state, groups)
         events = []
         for j in range(1, n_events + 1):
@@ -189,7 +292,7 @@ class TestPiFullTable:
     def test_single_crossing_matches_m_formula(self, spec, bounds):
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         v0 = StepFunction.from_jumps([(5.0, 2), (9.0, 0)])
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds, track_full_pi=True)
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         traj = run(w0, v0, spec, EPS, bounds=bounds, history=history)
         first_cross = next(ev for ev in traj.events
                            if ev.kind == EventKind.TRANSVERSAL and ev.colliding.lo in (1, 2))
@@ -240,7 +343,7 @@ class TestReplayAgreement:
                 v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
             )
             w0, v0 = build_initial_data(cfg, spec)
-            history = PairHistory(spec=spec, eps=EPS, bounds=bounds, track_full_pi=True)
+            history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
             traj = run(w0, v0, spec, EPS, bounds=bounds, history=history)
             steps = Replay(traj).run()
             assert len(steps) == len(traj.snapshots)
@@ -252,5 +355,5 @@ class TestReplayAgreement:
                 if pair.status == "divided":
                     assert final.pairs[key].status == "divided"
                     assert pair.pi == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
-                    rec_table = pair.record.pi_table
-                    assert rec_table[key] == pytest.approx(pair.pi, abs=1e-15)
+                    classes = [c.members(traj.final_state) for c in pair.record.classes]
+                    assert [c for c in classes if c] == final.pairs[key].classes

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from triwave.scenario import (
 )
 
 EPS = 0.05
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
 class TestGenerateInitialData:
@@ -125,6 +127,27 @@ class TestBatch:
         for name, agg in summary["checks"].items():
             assert agg["passed"], name
 
+    def test_failing_seed_is_recorded_not_raised(self, tmp_path):
+        # at level small_n the demo datum draws more waves than replay allows
+        # for seeds 0-3 (16-20), and run_scenario raises; seed 40 draws 10
+        doc = json.loads(DEMO.read_text())
+        doc["check_level"] = "small_n"
+        doc["w0"]["random"]["max_waves"] = 20
+        cfg = ScenarioConfig(**doc)
+        summary = batch(cfg, seeds=[0, 1, 2, 3, 40], out_dir=tmp_path, workers=2)
+        assert summary["passed"] is False
+        assert summary["per_seed"] == {"0": False, "1": False, "2": False, "3": False,
+                                       "40": True}
+        assert set(summary["errors"]) == {"0", "1", "2", "3"}
+        assert "small_n" in summary["errors"]["0"]
+        assert (tmp_path / "seed_40" / "report.json").exists()
+        on_disk = json.loads((tmp_path / "summary.json").read_text())
+        assert on_disk["errors"] == summary["errors"]
+
+    def test_empty_seed_list_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            batch(ScenarioConfig(), seeds=[])
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg = ScenarioConfig(
             check_level="fast",
@@ -189,3 +212,19 @@ class TestCli:
         proc = self.run_cli("batch", "--config", str(cfg_path), "--seeds", "0..2")
         assert proc.returncode == 0, proc.stderr
         assert "seeds=3 PASS" in proc.stdout
+
+    def test_unknown_config_key_is_a_clean_error(self, tmp_path):
+        doc = json.loads(DEMO.read_text())
+        doc["bogus"] = 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        proc = self.run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "bogus" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_empty_seed_range_is_a_clean_error(self):
+        proc = self.run_cli("batch", "--config", str(DEMO), "--seeds", "5..3")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "seed" in proc.stderr
+        assert "PASS" not in proc.stdout

@@ -24,8 +24,8 @@ from triwave.wavefield import StepFunction
 EPS = 0.05
 
 
-def make_traj(spec, bounds, w_jumps, v_jumps, track=False):
-    history = PairHistory(spec=spec, eps=EPS, bounds=bounds, track_full_pi=track)
+def make_traj(spec, bounds, w_jumps, v_jumps):
+    history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
     traj = run(
         StepFunction.from_jumps(w_jumps),
         StepFunction.from_jumps(v_jumps),
@@ -145,8 +145,7 @@ class TestGlobalChecks:
 class TestSmallNLemmas:
     def test_lemma_suite_on_transversal_scenario(self, spec, bounds):
         traj, history = make_traj(
-            spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (7.0, 4), (9.0, 0)],
-            track=True,
+            spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (7.0, 4), (9.0, 0)]
         )
         results = check_small_n_lemmas(traj, history)
         assert results and all(r.passed for r in results)

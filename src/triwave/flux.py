@@ -67,8 +67,13 @@ class FluxSpec:
     """A smooth flux f(w, v) together with its analytic partial derivatives.
 
     ``eval`` is the flux itself; the derivative evaluators must agree with
-    finite differences of ``eval`` (see :func:`validate_flux`).  Hyperbolicity
-    requires d_w > -1 throughout the box.
+    finite differences of ``eval``.  Hyperbolicity requires d_w > -1
+    throughout the box (see :func:`validate_flux`).
+
+    Every evaluator must also broadcast over numpy arrays, as the built-in
+    lambdas do: :func:`derivative_bounds` and :func:`validate_flux` call it
+    once on a whole meshgrid of the box.  An evaluator that returns a scalar
+    (a constant derivative) is broadcast to the grid.
     """
 
     name: str
@@ -222,6 +227,18 @@ def interpolate(spec: FluxSpec, v: float, eps: float, lo: int, hi: int) -> Piece
     return PiecewiseAffineFlux(eps=eps, base_index=lo, values=values)
 
 
+def _grid(spec: FluxSpec, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (grid_n+1)^2 meshgrid of the flux box, w along rows, v down columns."""
+    ws = np.linspace(spec.box.w_min, spec.box.w_max, grid_n + 1)
+    vs = np.linspace(spec.box.v_min, spec.box.v_max, grid_n + 1)
+    return np.meshgrid(ws, vs)
+
+
+def _on_grid(fn: Real2, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``fn`` on the whole grid; a constant evaluator returns a scalar."""
+    return np.broadcast_to(fn(w, v), w.shape)
+
+
 def derivative_bounds(spec: FluxSpec, grid_n: int = 256) -> DerivativeBounds:
     """Sup norms of |d2_ww|, |d2_wv|, |d3_wwv| sampled on a (grid_n+1)^2 grid.
 
@@ -230,27 +247,17 @@ def derivative_bounds(spec: FluxSpec, grid_n: int = 256) -> DerivativeBounds:
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
-    ws = np.linspace(spec.box.w_min, spec.box.w_max, grid_n + 1)
-    vs = np.linspace(spec.box.v_min, spec.box.v_max, grid_n + 1)
-    m_ww = m_wv = m_wwv = 0.0
-    for v in vs:
-        for w in ws:
-            m_ww = max(m_ww, abs(spec.d2_ww(w, v)))
-            m_wv = max(m_wv, abs(spec.d2_wv(w, v)))
-            m_wwv = max(m_wwv, abs(spec.d3_wwv(w, v)))
+    w, v = _grid(spec, grid_n)
+    m_ww, m_wv, m_wwv = (float(np.max(np.abs(_on_grid(fn, w, v))))
+                         for fn in (spec.d2_ww, spec.d2_wv, spec.d3_wwv))
     return DerivativeBounds(float(1.01 * m_ww), float(1.01 * m_wv), float(1.01 * m_wwv))
 
 
 def validate_flux(spec: FluxSpec, eps: float, grid_n: int = 64) -> list[str]:
     """Check hyperbolicity (d_w > -1) on the grid; return violations."""
-    problems = []
-    ws = np.linspace(spec.box.w_min, spec.box.w_max, grid_n + 1)
-    vs = np.linspace(spec.box.v_min, spec.box.v_max, grid_n + 1)
-    for v in vs:
-        for w in ws:
-            if spec.d_w(w, v) <= -1.0:
-                problems.append(f"d_w({w}, {v}) = {spec.d_w(w, v)} <= -1")
-    return problems
+    w, v = _grid(spec, grid_n)
+    d_w = _on_grid(spec.d_w, w, v)
+    return [f"d_w({w[k]}, {v[k]}) = {d_w[k]} <= -1" for k in zip(*np.nonzero(d_w <= -1.0))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -269,11 +269,7 @@ class PairHistory:
         dead = set(event.canceled)
         touched = event.participants if event.kind == EventKind.TRANSVERSAL else None
         eff_cache: dict[int, EffectiveFlux] = {}
-        blocks = state.blocks()
-        block_of: dict[int, IdRange] = {}
-        for blk in blocks:
-            for s in range(blk.lo, blk.hi + 1):
-                block_of[s] = blk
+        block_of: dict[int, IdRange] = {}  # filled by the first split
 
         for rec in self.records:
             span = rec.interval
@@ -303,7 +299,15 @@ class PairHistory:
     def _split_class(self, members: list[int], state: FieldState, eff_cache,
                      block_of) -> list[IdRange]:
         """Split one class by the Riemann problem it spans under the current
-        effective flux; classes are runs of equal entropic speed."""
+        effective flux; classes are runs of equal entropic speed.
+
+        ``block_of`` maps wave ids to their homogeneous block; it is built
+        here on the first split of an event, since most events split nothing.
+        """
+        if not block_of:
+            for blk in state.blocks():
+                for s in range(blk.lo, blk.hi + 1):
+                    block_of[s] = blk
         blk = block_of[members[0]]
         if block_of[members[-1]].lo != blk.lo:
             raise ValueError("partition class spans two homogeneous blocks")

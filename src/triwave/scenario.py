@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flux import FluxSpec, derivative_bounds, make_flux
+from .flux import FluxSpec, derivative_bounds, make_flux, validate_flux
 from .history import PairHistory
 from .simulator import Trajectory, run
 from .verifier import CheckResult, run_verifier, summarize, write_report
@@ -148,6 +148,9 @@ def build_initial_data(config: ScenarioConfig, spec: FluxSpec) -> tuple[StepFunc
 def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
     """Run one scenario end to end and write its artifacts."""
     spec = make_flux(config.flux["name"], config.flux.get("params"))
+    problems = validate_flux(spec, config.eps)
+    if problems:
+        raise ValueError(f"flux {spec.name} is not hyperbolic on its box: {problems[0]}")
     bounds = derivative_bounds(spec)
     w0, v0 = build_initial_data(config, spec)
     if config.check_level == "small_n":

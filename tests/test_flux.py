@@ -6,6 +6,7 @@ from scipy import integrate
 
 from triwave.flux import (
     Box,
+    DerivativeBounds,
     FluxSpec,
     FluxTable,
     build_effective_flux,
@@ -122,11 +123,11 @@ def test_derivative_bounds_examples():
 
     wavy = FluxSpec(
         "sin_coupled",
-        eval=lambda w, v: 0.5 * w * w + 0.1 * math.sin(v) * w * w,
-        d_w=lambda w, v: w + 0.2 * math.sin(v) * w,
-        d2_ww=lambda w, v: 1.0 + 0.2 * math.sin(v),
-        d2_wv=lambda w, v: 0.2 * math.cos(v) * w,
-        d3_wwv=lambda w, v: 0.2 * math.cos(v),
+        eval=lambda w, v: 0.5 * w * w + 0.1 * np.sin(v) * w * w,
+        d_w=lambda w, v: w + 0.2 * np.sin(v) * w,
+        d2_ww=lambda w, v: 1.0 + 0.2 * np.sin(v),
+        d2_wv=lambda w, v: 0.2 * np.cos(v) * w,
+        d3_wwv=lambda w, v: 0.2 * np.cos(v),
         box=box,
     )
     b = derivative_bounds(wavy)
@@ -134,6 +135,41 @@ def test_derivative_bounds_examples():
     dense = max(abs(0.2 * math.cos(v)) for v in np.linspace(-0.5, 0.5, 2001))
     assert b.norm_d3_wwv == pytest.approx(1.01 * dense, rel=1e-9)
     assert b.norm_d3_wwv == pytest.approx(0.202, rel=1e-9)
+
+
+def loop_derivative_bounds(spec, grid_n=256):
+    """Point-by-point oracle: the sup norms sampled one grid point at a time."""
+    ws = np.linspace(spec.box.w_min, spec.box.w_max, grid_n + 1)
+    vs = np.linspace(spec.box.v_min, spec.box.v_max, grid_n + 1)
+    m_ww = m_wv = m_wwv = 0.0
+    for v in vs:
+        for w in ws:
+            m_ww = max(m_ww, abs(spec.d2_ww(w, v)))
+            m_wv = max(m_wv, abs(spec.d2_wv(w, v)))
+            m_wwv = max(m_wwv, abs(spec.d3_wwv(w, v)))
+    return DerivativeBounds(float(1.01 * m_ww), float(1.01 * m_wv), float(1.01 * m_wwv))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("quadratic_coupled", {"c": 0.1}),
+    ("quartic", {"c": 0.1}),
+    ("custom_poly", {"coeffs": [[2, 0, 0.5], [2, 1, 0.1], [3, 0, 0.1]]}),
+    ("quadratic_coupled", {"c": 0.37}),
+    ("quartic", {"c": -0.23, "box": (-0.7, 0.9, -0.45, 0.6)}),
+    ("custom_poly", {"coeffs": [[2, 0, 0.5], [2, 1, 0.4], [3, 0, 0.3], [4, 1, 0.5]]}),
+])
+def test_derivative_bounds_equal_point_loop(name, params):
+    spec = make_flux(name, params)
+    assert derivative_bounds(spec) == loop_derivative_bounds(spec)
+
+
+@pytest.mark.parametrize("coeffs", [[[2, 0, 2.0]], [[2, 0, 0.5]], [[2, 0, 0.5], [2, 1, 2.0]]])
+def test_validate_flux_equals_point_loop(coeffs):
+    spec = make_flux("custom_poly", {"coeffs": coeffs})
+    grid = np.linspace(-0.8, 0.8, 65), np.linspace(-0.5, 0.5, 65)
+    loop = [f"d_w({w}, {v}) = {spec.d_w(w, v)} <= -1"
+            for v in grid[1] for w in grid[0] if spec.d_w(w, v) <= -1.0]
+    assert validate_flux(spec, EPS) == loop
 
 
 def test_derivative_bounds_rejects_small_grid(spec):

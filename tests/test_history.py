@@ -357,3 +357,49 @@ class TestReplayAgreement:
                     assert pair.pi == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
                     classes = [c.members(traj.final_state) for c in pair.record.classes]
                     assert [c for c in classes if c] == final.pairs[key].classes
+
+
+class JoinedClassHistory(PairHistory):
+    """Asserts after every event that each class of each live record is
+    joined: its alive members share one position and one speed.  Also counts
+    the splits that cut a class."""
+
+    splits = 0
+
+    def on_event(self, event, state):
+        out = super().on_event(event, state)
+        for rec in self.records:
+            for members in rec.class_members(state):
+                assert len({state.wave(s).pos for s in members}) <= 1, (event.index, members)
+                assert len({state.wave(s).speed for s in members}) <= 1, (event.index, members)
+        return out
+
+    def _split_class(self, members, state, eff_cache, block_of):
+        out = super()._split_class(members, state, eff_cache, block_of)
+        if len(out) > 1:
+            self.splits += 1
+        return out
+
+
+class TestClassSplitting:
+    """A coupled quartic polynomial on a narrow box: crossings change the
+    effective flux enough to cut classes apart."""
+
+    FLUX = {"name": "custom_poly", "params": {
+        "coeffs": [[2, 0, 0.5], [2, 1, 0.4], [3, 0, 0.3], [4, 1, 0.5]],
+        "box": [-0.6, 0.6, -0.5, 0.5],
+    }}
+
+    @pytest.mark.parametrize("seed", [2, 7, 9])
+    def test_split_classes_stay_joined(self, seed):
+        spec = make_flux(self.FLUX["name"], self.FLUX["params"])
+        bounds = derivative_bounds(spec)
+        cfg = ScenarioConfig(
+            flux=self.FLUX, eps=0.05, seed=seed,
+            w0={"random": {"jumps": 6, "max_amplitude": 0.5}},
+            v0={"random": {"jumps": 6, "max_amplitude": 0.45}},
+        )
+        w0, v0 = build_initial_data(cfg, spec)
+        history = JoinedClassHistory(spec=spec, eps=0.05, bounds=bounds)
+        run(w0, v0, spec, 0.05, bounds=bounds, history=history)
+        assert history.splits > 0

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,12 @@ class TestRunScenario:
         run_scenario(cfg, out_dir=tmp_path / "b")
         for name in ("events.csv", "functionals.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_non_hyperbolic_flux_fails_fast(self, tmp_path):
+        cfg = ScenarioConfig(flux={"name": "custom_poly", "params": {"coeffs": [[2, 0, 2.0]]}})
+        with pytest.raises(ValueError, match=r"d_w\(-0\.8, -0\.5\) = -3\.2 <= -1"):
+            run_scenario(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_datum_trivial_report(self, tmp_path):
         cfg = ScenarioConfig(w0={"jumps": []}, v0={"jumps": []})
@@ -223,8 +230,29 @@ class TestCli:
         assert "error:" in proc.stderr and "bogus" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_hyperbolic_flux_is_a_clean_error(self, tmp_path):
+        doc = json.loads(DEMO.read_text())
+        doc["flux"] = {"name": "custom_poly", "params": {"coeffs": [[2, 0, 2.0]]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        proc = self.run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "d_w(-0.8, -0.5) = -3.2 <= -1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_empty_seed_range_is_a_clean_error(self):
         proc = self.run_cli("batch", "--config", str(DEMO), "--seeds", "5..3")
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "seed" in proc.stderr
         assert "PASS" not in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the runtime must not pay for importing it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, triwave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

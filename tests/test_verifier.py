@@ -8,6 +8,7 @@ from triwave.history import PairHistory
 from triwave.simulator import EventKind, run
 from triwave.verifier import (
     CheckResult,
+    _kernel_integral,
     check_interaction_decrease,
     check_log2_kernel,
     check_main_theorem,
@@ -82,6 +83,23 @@ class TestLog2Kernel:
 
     def test_random_cases_all_pass(self):
         assert all(r.passed for r in check_log2_kernel())
+
+    def test_closed_form_matches_quadrature(self):
+        from scipy import integrate
+
+        results = check_log2_kernel()
+        assert len(results) == 50
+        for r in results:
+            a, xi, b = r.context["a"], r.context["xi"], r.context["b"]
+            inner = lambda w: math.log(b - w) - math.log(xi - w)
+            value, _ = integrate.quad(inner, a, xi, points=[xi - 1e-12], limit=200)
+            assert r.lhs == pytest.approx(value, rel=1e-7)
+            assert r.rhs == math.log(2) * (b - a) + 1e-6
+
+    @pytest.mark.parametrize("a,b", [(-1.0, 3.0), (-2.0, -1.8), (0.3, 1.0), (-0.7, 2.2)])
+    def test_closed_form_midpoint_is_the_equality_case(self, a, b):
+        value = _kernel_integral(a, 0.5 * (a + b), b)
+        assert value == pytest.approx(math.log(2) * (b - a), rel=1e-12)
 
 
 class TestZeroCouplingFlux:

@@ -1,36 +1,10 @@
 """Wavefront tracking for a 2x2 triangular system with runtime verification
 of the transversal and quadratic interaction functionals."""
 
-from .flux import (
-    Box,
-    DerivativeBounds,
-    EffectiveFlux,
-    FluxSpec,
-    FluxTable,
-    PiecewiseAffineFlux,
-    derivative_bounds,
-    interpolate,
-    make_flux,
-)
-from .envelopes import concave_envelope, convex_envelope, divides, entropic_speed, rh_speed
-from .riemann import RiemannFan, solve_scalar, solve_triangular
-from .wavefield import (
-    FieldState,
-    IdRange,
-    StepFunction,
-    VFront,
-    WaveRecord,
-    assign_initial_speeds,
-    assign_speeds,
-    effective_flux,
-    initial_enumeration,
-    reconstruct_profile,
-    validate_enumeration,
-)
-from .simulator import Event, EventKind, Trajectory, next_collision, resolve, run
-from .history import FunctionalSnapshot, PairHistory, cancellation_amount, m_value
-from .replay import Replay, pi_full_table
-from .verifier import CheckResult, run_verifier, write_report
-from .scenario import ScenarioConfig, batch, generate_initial_data, run_scenario
+from .flux import make_flux
+from .wavefield import StepFunction
+from .simulator import run
+from .verifier import run_verifier
+from .scenario import ScenarioConfig, batch, run_scenario
 
 __version__ = "0.1.0"

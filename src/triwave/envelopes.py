@@ -26,7 +26,6 @@ __all__ = [
     "concave_envelope",
     "rh_speed",
     "entropic_speed",
-    "divides",
     "SLOPE_TOL",
 ]
 
@@ -147,16 +146,3 @@ def entropic_speed(g: PiecewiseAffineFlux, lo: int, hi: int, cell: int, sign: in
     env = convex_envelope(g, lo, hi) if sign > 0 else concave_envelope(g, lo, hi)
     return env.cell_slope(cell)
 
-
-def divides(
-    g: PiecewiseAffineFlux,
-    lo: int,
-    hi: int,
-    cell_a: int,
-    cell_b: int,
-    sign: int,
-    tol: float = SLOPE_TOL,
-) -> bool:
-    """Whether the Riemann problem [lo, hi] gives the two cells distinct speeds."""
-    env = convex_envelope(g, lo, hi) if sign > 0 else concave_envelope(g, lo, hi)
-    return abs(env.cell_slope(cell_a) - env.cell_slope(cell_b)) > tol

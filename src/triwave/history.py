@@ -30,14 +30,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from .flux import DerivativeBounds, EffectiveFlux, FluxSpec
-from .wavefield import FieldState, IdRange, effective_flux
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simulator import Event
+from .wavefield import Event, EventKind, FieldState, IdRange, effective_flux
 
 __all__ = [
     "FunctionalSnapshot",
@@ -46,7 +42,6 @@ __all__ = [
     "PairHistory",
     "m_value",
     "contained_prefix",
-    "cancellation_amount",
 ]
 
 log = logging.getLogger("triwave.history")
@@ -74,7 +69,6 @@ class PartitionRecord:
     identity, so they key the pair registry.
     """
 
-    key: int                       # creating event index (0 = initial datum)
     interval: IdRange
     classes: list[IdRange]
 
@@ -89,9 +83,6 @@ class PairRec:
     status: str                    # "joined" or "divided"
     record: PartitionRecord | None
     pi: float
-    last_meet_time: float
-    last_meet_x: float
-    last_meet_event: int
 
 
 def m_value(class_members: list[list[int]], part_lo: int, part_hi: int,
@@ -131,15 +122,6 @@ def contained_prefix(class_members: list[list[int]], part_lo: int,
     return prefix
 
 
-def cancellation_amount(event: "Event") -> float:
-    """Total-variation drop at a cancellation event."""
-    from .simulator import EventKind
-
-    if event.kind != EventKind.CANCELLATION:
-        raise ValueError("cancellation_amount requires a cancellation event")
-    return event.cancellation
-
-
 class PairHistory:
     """Incrementally maintained pair statuses, partitions and functionals."""
 
@@ -170,13 +152,12 @@ class PairHistory:
 
     def initialize(self, state: FieldState, initial_groups) -> FunctionalSnapshot:
         """Record the pair relations created by the initial Riemann problems."""
-        for x, groups in initial_groups:
+        for _, groups in initial_groups:
             ids = [s for members, _ in groups for s in members]
             group_of = {s: k for k, (members, _) in enumerate(groups) for s in members}
             record = None
             if len(groups) > 1:
                 record = PartitionRecord(
-                    key=0,
                     interval=IdRange(min(ids), max(ids)),
                     classes=[IdRange(members[0], members[-1]) for members, _ in groups],
                 )
@@ -188,18 +169,13 @@ class PairHistory:
                         status="joined" if joined else "divided",
                         record=None if joined else record,
                         pi=0.0,
-                        last_meet_time=0.0,
-                        last_meet_x=x,
-                        last_meet_event=0,
                     ))
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
 
-    def on_event(self, event: "Event", state: FieldState):
+    def on_event(self, event: Event, state: FieldState):
         """Advance all histories across one event; returns (snapshot, detail)."""
-        from .simulator import EventKind
-
         detail = None
         if event.kind.is_interaction:
             detail = self._interaction_detail(event, state)
@@ -222,7 +198,7 @@ class PairHistory:
             if pair.record is not None:
                 self._unlink(key, pair.record)
 
-    def _apply_transversal_pi(self, event: "Event", state: FieldState) -> None:
+    def _apply_transversal_pi(self, event: Event, state: FieldState) -> None:
         """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided.
 
         M is ``m_value``: one prefix-sum table per record gives it for every
@@ -252,7 +228,7 @@ class PairHistory:
                 if count:
                     pair.pi += factor * (count * eps)
 
-    def _refine_records(self, event: "Event", state: FieldState) -> None:
+    def _refine_records(self, event: Event, state: FieldState) -> None:
         """Clip intervals to the alive set and split classes the current
         effective flux tells apart.
 
@@ -262,8 +238,6 @@ class PairHistory:
         whose interval holds no dead wave and misses the crossing set is
         already clipped and split, and is left as it is.
         """
-        from .simulator import EventKind
-
         if event.kind.is_interaction:
             return  # nothing changed: same flux, same members
         dead = set(event.canceled)
@@ -330,7 +304,7 @@ class PairHistory:
         out.append(IdRange(members[start], members[-1]))
         return out
 
-    def _update_meeting_pairs(self, event: "Event", state: FieldState) -> None:
+    def _update_meeting_pairs(self, event: Event, state: FieldState) -> None:
         """Pairs meeting at (t_j, x_j): recompute joined/divided from the
         post-event state; newly divided pairs share a fresh partition."""
         part = event.participants
@@ -355,7 +329,6 @@ class PairHistory:
                         start = k
                 classes.append(IdRange(ids[start], ids[-1]))
                 fresh = PartitionRecord(
-                    key=event.index,
                     interval=IdRange(ids[0], ids[-1]),
                     classes=classes,
                 )
@@ -376,14 +349,11 @@ class PairHistory:
                     status="joined" if joined else "divided",
                     record=None if joined else fresh_record(),
                     pi=0.0,
-                    last_meet_time=event.time,
-                    last_meet_x=event.x,
-                    last_meet_event=event.index,
                 ))
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
-    def _interaction_detail(self, event: "Event", state: FieldState) -> dict:
+    def _interaction_detail(self, event: Event, state: FieldState) -> dict:
         """Both sides of the pre-event wavefront inequality at an interaction.
 
         Uses the effective flux of the block containing both fronts; at an

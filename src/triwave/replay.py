@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from .flux import EffectiveFlux
 from .history import m_value
-from .simulator import Event, EventKind, Trajectory
-from .wavefield import FieldState, effective_flux
+from .simulator import Trajectory
+from .wavefield import Event, EventKind, FieldState, effective_flux
 
 __all__ = ["ReplayPair", "ReplayStep", "Replay", "pi_full_table", "MAX_REPLAY_WAVES"]
 

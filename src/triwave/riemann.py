@@ -4,6 +4,9 @@ The solution of ((w-, v-), (w+, v+)) is a first-family front carrying the v
 jump at speed exactly -1, followed by the scalar fan of (w-, w+) computed with
 the flux f_eps(., v+): convex-envelope cell slopes for an upward jump, concave
 for a downward one, grouped into fronts of equal speed.
+
+``solve_scalar`` is the only place where an envelope becomes fronts; the
+simulator reaches it through ``wavefield.speed_groups``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ class RiemannFan:
 
 def solve_scalar(w_minus: int, w_plus: int, g: PiecewiseAffineFlux,
                  v_tick: int = 0) -> RiemannFan:
-    """Scalar fan of the jump w_minus -> w_plus (ticks) under the flux g."""
+    """Scalar fan of the jump w_minus -> w_plus (ticks) under the flux g.
+
+    Hull segments whose slopes agree within SLOPE_TOL merge into one front
+    moving at the chord slope of the merged stretch.  A speed outside
+    (-1, 1) means the flux is not hyperbolic there and raises ValueError.
+    """
     if w_minus == w_plus:
         return RiemannFan(fronts=())
     upward = w_plus > w_minus
@@ -61,7 +69,7 @@ def solve_scalar(w_minus: int, w_plus: int, g: PiecewiseAffineFlux,
     fronts: list[FanFront] = []
     for a, b, speed in segments:
         if not -1.0 < speed < 1.0:
-            raise ValueError(f"second-family speed {speed} outside (-1, 1)")
+            raise ValueError(f"second-family speed {speed} outside (-1, 1): hyperbolicity violated")
         if upward:
             fronts.append(FanFront(2, speed, a, b, v_tick, v_tick, tuple(range(a, b))))
         else:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .flux import FluxSpec, derivative_bounds, make_flux, validate_flux
 from .history import PairHistory
+from .replay import MAX_REPLAY_WAVES
 from .simulator import Trajectory, run
 from .verifier import CheckResult, run_verifier, summarize, write_report
 from .wavefield import StepFunction, snapshot
@@ -154,8 +155,6 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
     bounds = derivative_bounds(spec)
     w0, v0 = build_initial_data(config, spec)
     if config.check_level == "small_n":
-        from .replay import MAX_REPLAY_WAVES
-
         if w0.tv_ticks() > MAX_REPLAY_WAVES:
             raise ValueError(
                 f"check level small_n needs at most {MAX_REPLAY_WAVES} initial waves, "

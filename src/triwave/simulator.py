@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .flux import DerivativeBounds, FluxSpec, FluxTable, derivative_bounds
+from .history import PairHistory
 from .wavefield import (
+    Event,
+    EventKind,
     FieldState,
     Front,
     IdRange,
@@ -31,8 +33,6 @@ from .wavefield import (
 )
 
 __all__ = [
-    "EventKind",
-    "Event",
     "CollisionCandidate",
     "Trajectory",
     "next_collision",
@@ -44,47 +44,10 @@ __all__ = [
 log = logging.getLogger("triwave.simulator")
 
 TIME_TOL = 1e-10      # candidates within this of the earliest are one cluster
-SPEED_BOUND = 1.0     # all second-family speeds must stay in (-1, 1)
 
 
 class EventGuardExceeded(RuntimeError):
     pass
-
-
-class EventKind(str, Enum):
-    INTERACTION_POSITIVE = "interaction_positive"
-    INTERACTION_NEGATIVE = "interaction_negative"
-    CANCELLATION = "cancellation"
-    TRANSVERSAL = "transversal"
-
-    @property
-    def is_interaction(self) -> bool:
-        return self in (EventKind.INTERACTION_POSITIVE, EventKind.INTERACTION_NEGATIVE)
-
-
-@dataclass
-class Event:
-    """One resolved binary collision."""
-
-    index: int
-    time: float
-    x: float
-    kind: EventKind
-    colliding: IdRange                 # second-family waves arriving at (t, x)
-    participants: IdRange | None      # the same waves minus the cancelled ones
-    left_ids: IdRange | None          # the two colliding w-fronts (None for transversal)
-    right_ids: IdRange | None
-    v_front_id: int | None            # transversal only
-    v_strength: float                 # |v_h| (0 unless transversal)
-    v_label: int                      # v tick seen at (t, x) after the event
-    canceled: tuple[int, ...]
-    pre_speeds: dict[int, float]
-    post_speeds: dict[int, float]
-    sum_abs_dsigma: float             # sum over surviving waves of |speed change| * eps
-    cancellation: float               # total-variation drop (0 unless cancellation)
-
-    def n_participants(self) -> int:
-        return len(self.post_speeds)
 
 
 @dataclass(frozen=True)
@@ -334,8 +297,6 @@ def _outer_states(state: FieldState, front: Front) -> tuple[int, int]:
 def _apply_groups(state: FieldState, groups) -> dict[int, float]:
     post: dict[int, float] = {}
     for members, speed in groups:
-        if not -SPEED_BOUND < speed < SPEED_BOUND:
-            raise ValueError(f"speed {speed} outside (-1, 1): hyperbolicity violated")
         for s in members:
             state.wave(s).speed = speed
             post[s] = speed
@@ -353,7 +314,7 @@ def run(
     eps: float,
     *,
     bounds: DerivativeBounds | None = None,
-    history=None,
+    history: PairHistory | None = None,
     event_guard: int = 10**6,
     validate_each_event: bool = False,
 ) -> Trajectory:
@@ -362,8 +323,6 @@ def run(
     ``history`` (a PairHistory) is created on demand; it is consulted after
     every event and its snapshots are stored on the trajectory.
     """
-    from .history import PairHistory  # deferred: history imports this module's types
-
     if bounds is None:
         bounds = derivative_bounds(spec)
     state = initial_enumeration(w0, v0, eps)

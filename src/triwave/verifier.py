@@ -35,7 +35,8 @@ import numpy as np
 
 from .history import PairHistory
 from .replay import MAX_REPLAY_WAVES, Replay
-from .simulator import Event, EventKind, Trajectory
+from .simulator import Trajectory
+from .wavefield import Event, EventKind, effective_flux
 
 __all__ = [
     "CheckResult",
@@ -359,8 +360,6 @@ def _state_at(traj: Trajectory, step) -> object:
 
 
 def _class_rh(state, members: list[int], traj: Trajectory, eff_cache: dict) -> float:
-    from .wavefield import effective_flux
-
     blk = next(b for b in state.blocks() if b.contains(members[0]))
     eff = eff_cache.get(blk.lo)
     if eff is None:

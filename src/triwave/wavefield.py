@@ -5,7 +5,9 @@ a permanent 1-based id, a permanent sign and a permanent right state ``w_hat``
 (stored as an integer tick).  The field state tracks, per wave, its current
 position and speed (None once cancelled), the v value at its position and how
 many first-family fronts it has crossed.  First-family fronts all travel at
-speed -1 and are stored separately.
+speed -1 and are stored separately.  An ``Event`` records one resolved
+collision in terms of this enumeration: the id ranges of the waves involved
+and their speeds before and after.
 
 State arithmetic is exact: w values, right states and v labels are integer
 ticks; only positions, speeds and times are floats.
@@ -14,10 +16,11 @@ ticks; only positions, speeds and times are floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Sequence
 
-from .envelopes import SLOPE_TOL, convex_envelope, concave_envelope
 from .flux import EffectiveFlux, FluxSpec, FluxTable, build_effective_flux
+from .riemann import solve_scalar
 
 __all__ = [
     "StepFunction",
@@ -25,9 +28,10 @@ __all__ = [
     "VFront",
     "Front",
     "IdRange",
+    "EventKind",
+    "Event",
     "FieldState",
     "initial_enumeration",
-    "assign_speeds",
     "assign_initial_speeds",
     "speed_groups",
     "validate_enumeration",
@@ -109,7 +113,6 @@ class WaveRecord:
     v_label: int            # v tick at the wave's position
     crossed: int            # first-family fronts with index <= crossed are behind
     death_time: float | None = None
-    front_id: int | None = None  # refreshed after each event, purely diagnostic
 
     @property
     def alive(self) -> bool:
@@ -180,6 +183,42 @@ class IdRange:
         return self.lo <= s <= self.hi
 
 
+class EventKind(str, Enum):
+    INTERACTION_POSITIVE = "interaction_positive"
+    INTERACTION_NEGATIVE = "interaction_negative"
+    CANCELLATION = "cancellation"
+    TRANSVERSAL = "transversal"
+
+    @property
+    def is_interaction(self) -> bool:
+        return self in (EventKind.INTERACTION_POSITIVE, EventKind.INTERACTION_NEGATIVE)
+
+
+@dataclass
+class Event:
+    """One resolved binary collision."""
+
+    index: int
+    time: float
+    x: float
+    kind: EventKind
+    colliding: IdRange                 # second-family waves arriving at (t, x)
+    participants: IdRange | None      # the same waves minus the cancelled ones
+    left_ids: IdRange | None          # the two colliding w-fronts (None for transversal)
+    right_ids: IdRange | None
+    v_front_id: int | None            # transversal only
+    v_strength: float                 # |v_h| (0 unless transversal)
+    v_label: int                      # v tick seen at (t, x) after the event
+    canceled: tuple[int, ...]
+    pre_speeds: dict[int, float]
+    post_speeds: dict[int, float]
+    sum_abs_dsigma: float             # sum over surviving waves of |speed change| * eps
+    cancellation: float               # total-variation drop (0 unless cancellation)
+
+    def n_participants(self) -> int:
+        return len(self.post_speeds)
+
+
 class FieldState:
     """Full simulation state: wave records plus first-family fronts."""
 
@@ -213,9 +252,6 @@ class FieldState:
             run.append(w)
         if run:
             out.append(self._front_from(run))
-        for k, fr in enumerate(out):
-            for s in fr.ids:
-                self.wave(s).front_id = k
         return out
 
     def _front_from(self, run: list[WaveRecord]) -> Front:
@@ -295,17 +331,16 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
     return FieldState(eps=eps, waves=waves, v_fronts=v_fronts, w_base=w0.base)
 
 
-def _stack_range(state: FieldState, ids: Sequence[int]) -> tuple[int, int, int]:
-    """(w left state, w right state, sign) in ticks for the stack of waves ``ids``."""
+def _stack_range(state: FieldState, ids: Sequence[int]) -> tuple[int, int]:
+    """(w left state, w right state) in ticks for the stack of waves ``ids``."""
     recs = [state.wave(s) for s in ids]
     signs = {w.sign for w in recs}
     if len(signs) != 1:
         raise ValueError("mixed-sign stack")
-    sign = signs.pop()
     hats = [w.w_hat for w in recs]
-    if sign > 0:
-        return min(hats) - 1, max(hats), sign
-    return max(hats) + 1, min(hats), sign
+    if signs.pop() > 0:
+        return min(hats) - 1, max(hats)
+    return max(hats) + 1, min(hats)
 
 
 def speed_groups(
@@ -316,9 +351,9 @@ def speed_groups(
 ) -> list[tuple[tuple[int, ...], float]]:
     """Solve the Riemann problem of a stack of waves; group them by speed.
 
-    Returns ``[(ids, speed), ...]`` ordered left to right in the fan (speeds
-    strictly increasing after tolerance grouping).  Positive stacks read the
-    convex envelope over [w(x-), w(x)], negative stacks the concave one.
+    Returns ``[(ids, speed), ...]``, one entry per front of the scalar fan
+    :func:`~triwave.riemann.solve_scalar` builds over [w(x-), w(x)] with the
+    flux at ``v_tick``, ordered left to right (speeds strictly increasing).
     """
     if not ids:
         return []
@@ -328,46 +363,10 @@ def speed_groups(
         if len(labels) != 1:
             raise ValueError("stack with non-uniform v label")
         v_tick = labels.pop()
-    w_left, w_right, sign = _stack_range(state, ids)
-    lo, hi = (w_left, w_right) if sign > 0 else (w_right, w_left)
-    g = flux_table.flux_for_v(v_tick)
-    env = convex_envelope(g, lo, hi) if sign > 0 else concave_envelope(g, lo, hi)
-
-    # one raw group per hull segment: those cells share the slope float
-    raw: list[tuple[int, int, float]] = []  # (vertex tick a, vertex tick b, slope)
-    for a, b in zip(env.vertices, env.vertices[1:]):
-        raw.append((a, b, float(env.cell_slopes[a - env.lo])))
-    merged: list[tuple[int, int, float]] = []
-    for a, b, slope in raw:
-        if merged and abs(slope - merged[-1][2]) <= SLOPE_TOL:
-            a0, _, _ = merged[-1]
-            chord = (env.node_values[b - env.lo] - env.node_values[a0 - env.lo]) / ((b - a0) * g.eps)
-            merged[-1] = (a0, b, float(chord))
-        else:
-            merged.append((a, b, slope))
-
+    w_left, w_right = _stack_range(state, ids)
+    fan = solve_scalar(w_left, w_right, flux_table.flux_for_v(v_tick), v_tick)
     by_cell = {w.cell(): w.id for w in recs}
-    groups: list[tuple[tuple[int, ...], float]] = []
-    for a, b, slope in merged:
-        members = sorted(by_cell[c] for c in range(a, b))
-        groups.append((tuple(members), slope))
-    if sign < 0:
-        groups.reverse()  # ascending wave id == ascending speed for negative stacks
-    return groups
-
-
-def assign_speeds(
-    state: FieldState,
-    ids: Sequence[int],
-    flux_table: FluxTable,
-    v_tick: int | None = None,
-) -> dict[int, float]:
-    """Per-wave speeds given to one discontinuity by the Riemann solver."""
-    out: dict[int, float] = {}
-    for members, speed in speed_groups(state, ids, flux_table, v_tick):
-        for s in members:
-            out[s] = speed
-    return out
+    return [(tuple(sorted(by_cell[c] for c in f.cells)), f.speed) for f in fan.fronts]
 
 
 def assign_initial_speeds(state: FieldState, flux_table: FluxTable):

@@ -2,7 +2,9 @@
 
 The main ensemble (100 seeds, eps = 0.05, at most 40 waves and 6 first-family
 fronts, default flux) is run once per session at the full check level; the
-criteria read it.  Run with ``pytest tests/test_acceptance.py -v -s``.
+criteria read it.  Criterion 9 runs the same data generators on the
+non-convex ``quartic`` flux and on a coupled ``custom_poly`` flux.  Run with
+``pytest tests/test_acceptance.py -v -s``.
 """
 
 import time
@@ -19,14 +21,24 @@ from triwave.wavefield import reconstruct_profile, validate_enumeration
 ENSEMBLE_SEEDS = range(100)
 SCALAR_SEEDS = range(30)
 SMALL_N_SEEDS = range(30)
+NON_CONVEX_SEEDS = range(20)
+NON_CONVEX_FLUXES = {
+    "quartic": {"name": "quartic", "params": {}},
+    # the coupled quartic polynomial of test_history.TestClassSplitting
+    "custom_poly": {"name": "custom_poly", "params": {
+        "coeffs": [[2, 0, 0.5], [2, 1, 0.4], [3, 0, 0.3], [4, 1, 0.5]],
+        "box": [-0.6, 0.6, -0.5, 0.5],
+    }},
+}
 
 
 def report(criterion: int, text: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS - {text}")
 
 
-def ensemble_config(seed: int) -> ScenarioConfig:
+def ensemble_config(seed: int, flux: dict | None = None) -> ScenarioConfig:
     return ScenarioConfig(
+        flux=flux or {"name": "quadratic_coupled", "params": {}},
         seed=seed,
         check_level="full",
         w0={"random": {"jumps": 6, "max_amplitude": 0.4, "max_waves": 40}},
@@ -193,3 +205,17 @@ def test_criterion_8_termination_and_determinism(ensemble, tmp_path):
         assert a == b
     report(8, f"all runs terminate (slowest {slowest:.2f}s); "
               f"events.csv byte-identical on re-runs")
+
+
+def test_criterion_9_non_convex_and_custom_fluxes():
+    start = time.perf_counter()
+    n_events = 0
+    for name, flux in NON_CONVEX_FLUXES.items():
+        for seed in NON_CONVEX_SEEDS:
+            res = run_scenario(ensemble_config(seed, flux))
+            assert res.passed, (name, seed, [c for c in res.checks if not c.passed][:3])
+            n_events += len(res.trajectory.events)
+    elapsed = time.perf_counter() - start
+    report(9, f"every check passes on {len(NON_CONVEX_SEEDS)} seeds each of "
+              f"{' and '.join(NON_CONVEX_FLUXES)} at level full, "
+              f"{n_events} events, {elapsed:.1f}s")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from triwave.envelopes import (
+    SLOPE_TOL,
     concave_envelope,
     convex_envelope,
-    divides,
     entropic_speed,
     rh_speed,
 )
@@ -118,17 +118,21 @@ class TestExamples:
             entropic_speed(g, 0, 19, 19, +1)
 
     def test_divides_examples(self):
-        hump = paf([1.0, 1.3, 1.5, 1.1, 0.2], eps=1.0)
+        # two cells are divided when their envelope slopes differ by more than SLOPE_TOL
+        def divided(env, c1, c2):
+            return abs(env.cell_slope(c1) - env.cell_slope(c2)) > SLOPE_TOL
+
+        hump = convex_envelope(paf([1.0, 1.3, 1.5, 1.1, 0.2], eps=1.0), 0, 4)
         for c1 in range(4):
             for c2 in range(c1 + 1, 4):
-                assert not divides(hump, 0, 4, c1, c2, +1)
-        sq = paf([k * k for k in range(6)], eps=1.0)
+                assert not divided(hump, c1, c2)
+        sq = convex_envelope(paf([k * k for k in range(6)], eps=1.0), 0, 5)
         for c1 in range(5):
             for c2 in range(c1 + 1, 5):
-                assert divides(sq, 0, 5, c1, c2, +1)
-        w = paf([0.0, -0.1875, 0.0, -0.1875, 0.0], eps=0.5, base=-2)
-        assert divides(w, -2, 2, -2, -1, +1)       # slopes -0.375 vs 0
-        assert not divides(w, -2, 2, -1, 0, +1)    # both on the flat hull stretch
+                assert divided(sq, c1, c2)
+        w = convex_envelope(paf([0.0, -0.1875, 0.0, -0.1875, 0.0], eps=0.5, base=-2), -2, 2)
+        assert divided(w, -2, -1)       # slopes -0.375 vs 0
+        assert not divided(w, -1, 0)    # both on the flat hull stretch
 
     def test_degenerate_interval_rejected(self):
         g = paf([0.0, 1.0, 2.0])

@@ -6,14 +6,13 @@ from triwave.history import (
     PairHistory,
     PairRec,
     PartitionRecord,
-    cancellation_amount,
     contained_prefix,
     m_value,
 )
 from triwave.replay import Replay, pi_full_table
 from triwave.scenario import ScenarioConfig, build_initial_data
-from triwave.simulator import EventKind, run
-from triwave.wavefield import IdRange, StepFunction
+from triwave.simulator import run
+from triwave.wavefield import EventKind, IdRange, StepFunction
 
 EPS = 0.05
 
@@ -126,14 +125,14 @@ class TestPrefixPiMatchesLoop:
 class TestRecordRegistry:
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
         history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
-        rec = PartitionRecord(key=0, interval=IdRange(1, 3),
+        rec = PartitionRecord(interval=IdRange(1, 3),
                               classes=[IdRange(1, 1), IdRange(2, 3)])
         for key in ((1, 2), (1, 3)):
-            history._set_pair(key, PairRec("divided", rec, 0.0, 0.0, 0.0, 0))
+            history._set_pair(key, PairRec("divided", rec, 0.0))
         assert history.records == {rec: {(1, 2): history.pairs[(1, 2)],
                                          (1, 3): history.pairs[(1, 3)]}}
         # a divided pair that meets again joined drops out of its record
-        history._set_pair((1, 2), PairRec("joined", None, 0.0, 1.0, 0.0, 1))
+        history._set_pair((1, 2), PairRec("joined", None, 0.0))
         assert list(history.records[rec]) == [(1, 3)]
         history._apply_deaths((3,))
         assert history.records == {} and list(history.pairs) == [(1, 2)]
@@ -314,10 +313,9 @@ class TestCancellationAmount:
         w0 = StepFunction.from_jumps([(0.0, 3), (1.0, 2), (5.0, 0)])
         traj = run(w0, StepFunction((), (), 0), spec, EPS, bounds=bounds)
         canc = [ev for ev in traj.events if ev.kind == EventKind.CANCELLATION]
-        assert canc and cancellation_amount(canc[0]) == pytest.approx(2 * EPS)
+        assert canc and canc[0].cancellation == pytest.approx(2 * EPS)
         other = [ev for ev in traj.events if not ev.kind == EventKind.CANCELLATION]
-        with pytest.raises(ValueError):
-            cancellation_amount(other[0])
+        assert other and all(ev.cancellation == 0.0 for ev in other)
 
     def test_matches_profile_tv_drop(self, spec, bounds):
         cfg = ScenarioConfig(
@@ -331,7 +329,7 @@ class TestCancellationAmount:
             if ev.kind == EventKind.CANCELLATION:
                 before = traj.snapshots[ev.index - 1].tv_w
                 after = traj.snapshots[ev.index].tv_w
-                assert cancellation_amount(ev) == pytest.approx(before - after)
+                assert ev.cancellation == pytest.approx(before - after)
 
 
 class TestReplayAgreement:

@@ -256,3 +256,20 @@ def test_cli_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_lower_layer_imports_no_simulator():
+    # history and wavefield sit below the simulator in an acyclic module graph;
+    # an empty package object stands in for triwave/__init__.py, which imports
+    # every layer, so only the two modules and their own imports load
+    pkg = Path(__file__).resolve().parents[1] / "src" / "triwave"
+    code = ("import sys, types; "
+            "pkg = types.ModuleType('triwave'); "
+            f"pkg.__path__ = [{str(pkg)!r}]; "
+            "sys.modules['triwave'] = pkg; "
+            "import triwave.history, triwave.wavefield; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('triwave.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["triwave.envelopes", "triwave.flux", "triwave.history",
+                                   "triwave.riemann", "triwave.wavefield"]

@@ -2,8 +2,9 @@ import pytest
 
 from triwave.flux import FluxTable, make_flux
 from triwave.scenario import ScenarioConfig, build_initial_data
-from triwave.simulator import EventKind, _objects, next_collision, resolve, run
+from triwave.simulator import _objects, next_collision, resolve, run
 from triwave.wavefield import (
+    EventKind,
     StepFunction,
     assign_initial_speeds,
     initial_enumeration,
@@ -188,6 +189,13 @@ class TestRun:
     def test_empty_datum(self, spec):
         traj = run(StepFunction((), (), 0), StepFunction((), (), 0), spec, EPS)
         assert traj.events == []
+
+    def test_rejects_initial_speeds_outside_hyperbolic_range(self):
+        # f = 2 w^2: the rarefaction cells of an upward jump to w = 0.4 reach speed 1.5
+        steep = make_flux("custom_poly", {"coeffs": [[2, 0, 2.0]]})
+        w0 = StepFunction.from_jumps([(0.0, 8), (1.0, 0)])
+        with pytest.raises(ValueError, match=r"outside \(-1, 1\)"):
+            run(w0, StepFunction((), (), 0), steep, EPS)
 
     def test_golden_event_count_seed_42(self, spec):
         # frozen after the invariant suite first passed on this scenario

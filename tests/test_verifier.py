@@ -5,7 +5,7 @@ import pytest
 
 from triwave.flux import derivative_bounds, make_flux
 from triwave.history import PairHistory
-from triwave.simulator import EventKind, run
+from triwave.simulator import run
 from triwave.verifier import (
     CheckResult,
     _kernel_integral,
@@ -20,7 +20,7 @@ from triwave.verifier import (
     summarize,
     write_report,
 )
-from triwave.wavefield import StepFunction
+from triwave.wavefield import EventKind, StepFunction
 
 EPS = 0.05
 
@@ -47,39 +47,9 @@ class TestCheckResultSemantics:
 
 
 class TestLog2Kernel:
-    def test_symmetric_split_is_the_equality_case(self):
-        # closed form: (b-a) log(b-a) - A log A - B log B with A = B gives
-        # exactly log 2 (b-a)
-        a, b = -1.0, 3.0
-        xi = 0.5 * (a + b)
-        from scipy import integrate
-
-        inner = lambda w: math.log(b - w) - math.log(xi - w)
-        value, _ = integrate.quad(inner, a, xi, points=[xi - 1e-12], limit=200)
-        assert value == pytest.approx(math.log(2) * (b - a), rel=1e-9)
-
-    def test_closed_form_oracle(self, rng):
-        for _ in range(20):
-            a = rng.uniform(-2, 1)
-            b = a + rng.uniform(0.5, 2)
-            xi = rng.uniform(a + 0.05, b - 0.05)
-            A, B = xi - a, b - xi
-            closed = (b - a) * math.log(b - a) - A * math.log(A) - B * math.log(B)
-            from scipy import integrate
-
-            inner = lambda w: math.log(b - w) - math.log(xi - w)
-            value, _ = integrate.quad(inner, a, xi, points=[xi - 1e-12], limit=200)
-            assert value == pytest.approx(closed, rel=1e-8)
-            assert value <= math.log(2) * (b - a) + 1e-12
-
     def test_degenerate_split_vanishes(self):
-        a, b = 0.0, 1.0
-        xi = a + 1e-6
-        from scipy import integrate
-
-        inner = lambda w: math.log(b - w) - math.log(xi - w)
-        value, _ = integrate.quad(inner, a, xi, points=[xi - 1e-12], limit=200)
-        assert value < 2e-5
+        # xi -> a: the integration domain shrinks to a sliver
+        assert _kernel_integral(0.0, 1e-6, 1.0) < 2e-5
 
     def test_random_cases_all_pass(self):
         assert all(r.passed for r in check_log2_kernel())

@@ -7,7 +7,6 @@ from triwave.wavefield import (
     IdRange,
     assign_initial_speeds,
     StepFunction,
-    assign_speeds,
     effective_flux,
     initial_enumeration,
     reconstruct_profile,
@@ -17,6 +16,11 @@ from triwave.wavefield import (
 )
 
 EPS = 0.05
+
+
+def speeds_of(groups):
+    """Per-wave speeds from ``speed_groups`` output."""
+    return {s: speed for members, speed in groups for s in members}
 
 
 class TestStepFunction:
@@ -93,7 +97,7 @@ class TestAssignSpeeds:
     def test_single_wave_chord(self, spec, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 1), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        speeds = assign_speeds(state, [1], flux_table)
+        speeds = speeds_of(speed_groups(state, [1], flux_table))
         g = flux_table.flux_for_v(0)
         assert speeds[1] == (g.value(1) - g.value(0)) / EPS
 
@@ -102,17 +106,17 @@ class TestAssignSpeeds:
         w0 = StepFunction.from_jumps([(0.0, 4), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         shock_ids = [5, 6, 7, 8]
-        speeds = assign_speeds(state, shock_ids, flux_table)
+        groups = speed_groups(state, shock_ids, flux_table)
+        assert len(groups) == 1
+        speeds = speeds_of(groups)
         g = flux_table.flux_for_v(0)
         want = (g.value(4) - g.value(0)) / (4 * EPS)
         assert all(speeds[s] == pytest.approx(want, abs=1e-15) for s in shock_ids)
-        groups = speed_groups(state, shock_ids, flux_table)
-        assert len(groups) == 1
 
     def test_upward_jump_of_convex_flux_fans_out(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 3), (9.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        speeds = assign_speeds(state, [1, 2, 3], flux_table)
+        speeds = speeds_of(speed_groups(state, [1, 2, 3], flux_table))
         g = flux_table.flux_for_v(0)
         cells = [(g.value(k + 1) - g.value(k)) / EPS for k in range(3)]
         assert [speeds[s] for s in (1, 2, 3)] == pytest.approx(cells, abs=1e-15)
@@ -122,7 +126,7 @@ class TestAssignSpeeds:
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         with pytest.raises(ValueError):
-            assign_speeds(state, [1, 2, 3], flux_table)
+            speed_groups(state, [1, 2, 3], flux_table)
 
 
 class TestValidateEnumeration:

@@ -55,11 +55,11 @@ class Box:
     v_min: float
     v_max: float
 
-    def contains_w(self, w: float, slack: float = 1e-12) -> bool:
-        return self.w_min - slack <= w <= self.w_max + slack
+    def contains_w(self, w: float) -> bool:
+        return self.w_min - 1e-12 <= w <= self.w_max + 1e-12
 
-    def contains_v(self, v: float, slack: float = 1e-12) -> bool:
-        return self.v_min - slack <= v <= self.v_max + slack
+    def contains_v(self, v: float) -> bool:
+        return self.v_min - 1e-12 <= v <= self.v_max + 1e-12
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,18 @@ def make_flux(name: str, params: dict | None = None) -> FluxSpec:
     box_raw = params.pop("box", None)
     box = Box(*box_raw) if box_raw is not None else DEFAULT_BOX
     if name == "quadratic_coupled":
-        return _quadratic_coupled(float(params.pop("c", 0.1)), box)
-    if name == "quartic":
-        return _quartic(float(params.pop("c", 0.1)), box)
-    if name == "custom_poly":
-        return _custom_poly(params.pop("coeffs"), box)
-    raise ValueError(f"unknown flux {name!r}")
+        spec = _quadratic_coupled(float(params.pop("c", 0.1)), box)
+    elif name == "quartic":
+        spec = _quartic(float(params.pop("c", 0.1)), box)
+    elif name == "custom_poly":
+        if "coeffs" not in params:
+            raise ValueError("flux custom_poly needs coeffs")
+        spec = _custom_poly(params.pop("coeffs"), box)
+    else:
+        raise ValueError(f"unknown flux {name!r}")
+    if params:
+        raise ValueError(f"flux {name}: unknown params {', '.join(sorted(params))}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +245,21 @@ def _on_grid(fn: Real2, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.broadcast_to(fn(w, v), w.shape)
 
 
-def derivative_bounds(spec: FluxSpec, grid_n: int = 256) -> DerivativeBounds:
-    """Sup norms of |d2_ww|, |d2_wv|, |d3_wwv| sampled on a (grid_n+1)^2 grid.
+def derivative_bounds(spec: FluxSpec) -> DerivativeBounds:
+    """Sup norms of |d2_ww|, |d2_wv|, |d3_wwv| sampled on a 257^2 grid.
 
     The 1.01 inflation keeps every downstream inequality conservative with
     respect to the true (unsampled) sup norm.
     """
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
-    w, v = _grid(spec, grid_n)
+    w, v = _grid(spec, 256)
     m_ww, m_wv, m_wwv = (float(np.max(np.abs(_on_grid(fn, w, v))))
                          for fn in (spec.d2_ww, spec.d2_wv, spec.d3_wwv))
     return DerivativeBounds(float(1.01 * m_ww), float(1.01 * m_wv), float(1.01 * m_wwv))
 
 
-def validate_flux(spec: FluxSpec, eps: float, grid_n: int = 64) -> list[str]:
-    """Check hyperbolicity (d_w > -1) on the grid; return violations."""
-    w, v = _grid(spec, grid_n)
+def validate_flux(spec: FluxSpec) -> list[str]:
+    """Check hyperbolicity (d_w > -1) on a 65^2 grid; return violations."""
+    w, v = _grid(spec, 64)
     d_w = _on_grid(spec.d_w, w, v)
     return [f"d_w({w[k]}, {v[k]}) = {d_w[k]} <= -1" for k in zip(*np.nonzero(d_w <= -1.0))]
 
@@ -274,7 +278,6 @@ class EffectiveFlux:
     base_index: int
     values: np.ndarray   # node values, len n
     deriv: np.ndarray    # first derivative at nodes, len n
-    v_labels: tuple      # per-cell v tick, len n-1
 
     @property
     def last_index(self) -> int:
@@ -319,13 +322,7 @@ def build_effective_flux(cells: list[tuple[int, int]], spec: FluxSpec, eps: floa
         incr_v = float(np.dot(wts, (a + eps - x) * g))
         deriv[k + 1] = deriv[k] + incr_d
         values[k + 1] = values[k] + deriv[k] * eps + incr_v
-    return EffectiveFlux(
-        eps=eps,
-        base_index=lo,
-        values=values,
-        deriv=deriv,
-        v_labels=tuple(v for _, v in cells),
-    )
+    return EffectiveFlux(eps=eps, base_index=lo, values=values, deriv=deriv)
 
 
 class FluxTable:

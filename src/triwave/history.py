@@ -399,16 +399,6 @@ class PairHistory:
 
     # -- functionals ---------------------------------------------------------
 
-    def pair_weight(self, state: FieldState, s: int, s2: int) -> float:
-        """The weight q of one pair (s < s2), both alive."""
-        pair = self.pairs.get((s, s2))
-        if pair is None:
-            return self.bounds.norm_d2_ww
-        if pair.status == "joined":
-            return 0.0
-        gap = abs(state.wave(s2).w_hat - state.wave(s).w_hat) + 1
-        return pair.pi / (gap * self.eps)
-
     def q_quadratic(self, state: FieldState) -> float:
         """Q = sum over alive pairs of q * eps^2, never-met pairs in closed form."""
         alive = state.alive_ids()

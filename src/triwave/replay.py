@@ -20,7 +20,7 @@ from .history import m_value
 from .simulator import Trajectory
 from .wavefield import Event, EventKind, FieldState, effective_flux
 
-__all__ = ["ReplayPair", "ReplayStep", "Replay", "pi_full_table", "MAX_REPLAY_WAVES"]
+__all__ = ["ReplayPair", "ReplayStep", "Replay", "MAX_REPLAY_WAVES"]
 
 MAX_REPLAY_WAVES = 12
 
@@ -42,18 +42,17 @@ class ReplayStep:
     index: int
     time: float
     pairs: dict[tuple[int, int], ReplayPair]
-    positions: dict[int, float]                  # alive waves only
-    speeds: dict[int, float]
+    state: FieldState                            # the replayed field state
     q_quadratic: float
 
 
 class Replay:
     """Steps through a trajectory rebuilding every pair history from scratch."""
 
-    def __init__(self, traj: Trajectory, max_waves: int = MAX_REPLAY_WAVES):
+    def __init__(self, traj: Trajectory):
         n = len(traj.initial_state.waves)
-        if n > max_waves:
-            raise ValueError(f"replay limited to {max_waves} initial waves, got {n}")
+        if n > MAX_REPLAY_WAVES:
+            raise ValueError(f"replay limited to {MAX_REPLAY_WAVES} initial waves, got {n}")
         self.traj = traj
         self.state: FieldState = traj.initial_state.copy()
         self.steps: list[ReplayStep] = []
@@ -197,14 +196,12 @@ class Replay:
     # -- bookkeeping -----------------------------------------------------------
 
     def _record(self, index: int, time: float) -> None:
-        state = self.state
         self.steps.append(
             ReplayStep(
                 index=index,
                 time=time,
                 pairs=copy.deepcopy(self.pairs),
-                positions={w.id: w.pos for w in state.waves if w.alive},
-                speeds={w.id: w.speed for w in state.waves if w.alive},
+                state=self.state.copy(),
                 q_quadratic=self._q_quadratic(),
             )
         )
@@ -223,22 +220,3 @@ class Replay:
                     gap = abs(state.wave(b).w_hat - state.wave(a).w_hat) + 1
                     q += pair.pi[(a, b)] / (gap * eps)
         return q * eps**2
-
-
-def pi_full_table(traj: Trajectory, pair: tuple[int, int],
-                  event_index: int | None = None) -> dict[tuple[int, int], float]:
-    """Full pi map of one pair at one event time (default: final event).
-
-    Small runs only: raises beyond MAX_REPLAY_WAVES initial waves.  Returns an
-    empty map while the pair is not divided.
-    """
-    replay = Replay(traj)
-    steps = replay.run()
-    if event_index is None:
-        event_index = steps[-1].index
-    step = next(st for st in steps if st.index == event_index)
-    s, s2 = min(pair), max(pair)
-    rec = step.pairs[(s, s2)]
-    if rec.status != "divided":
-        return {}
-    return dict(rec.pi)

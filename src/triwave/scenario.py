@@ -57,8 +57,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.check_level not in CHECK_LEVELS:
             raise ValueError(f"check_level must be one of {CHECK_LEVELS}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float)) or not self.eps > 0:
+            raise ValueError(f"eps must be a positive number, got {self.eps!r}")
+        for name in ("seed", "event_guard"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
 
     @staticmethod
     def from_json(path) -> "ScenarioConfig":
@@ -149,7 +152,7 @@ def build_initial_data(config: ScenarioConfig, spec: FluxSpec) -> tuple[StepFunc
 def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
     """Run one scenario end to end and write its artifacts."""
     spec = make_flux(config.flux["name"], config.flux.get("params"))
-    problems = validate_flux(spec, config.eps)
+    problems = validate_flux(spec)
     if problems:
         raise ValueError(f"flux {spec.name} is not hyperbolic on its box: {problems[0]}")
     bounds = derivative_bounds(spec)
@@ -178,9 +181,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
         target.mkdir(parents=True, exist_ok=True)
         _atomic_write(target / "events.csv", lambda fh: _write_events(fh, traj))
         _atomic_write(target / "functionals.csv", lambda fh: _write_functionals(fh, traj))
-        tmp = target / "report.json.tmp"
-        write_report(checks, tmp)
-        os.replace(tmp, target / "report.json")
+        _atomic_write(target / "report.json", lambda fh: write_report(checks, fh))
         if config.write_snapshots:
             payload = {
                 "initial": snapshot(traj.initial_state),

@@ -321,7 +321,9 @@ def run(
     """Run the full wavefront evolution of (w0, v0) until no fronts meet.
 
     ``history`` (a PairHistory) is created on demand; it is consulted after
-    every event and its snapshots are stored on the trajectory.
+    every event and its snapshots are stored on the trajectory.  The final
+    state is validated once at every check level, so a run that leaves the
+    enumeration corrupt raises ``ValueError`` instead of returning.
     """
     if bounds is None:
         bounds = derivative_bounds(spec)
@@ -366,5 +368,8 @@ def run(
                     f"enumeration invalid after event {index} "
                     f"({event.kind.value} at t={event.time}): " + "; ".join(problems)
                 )
+    problems = validate_enumeration(state)
+    if problems:
+        raise ValueError("final enumeration invalid: " + "; ".join(problems))
     traj.final_state = state
     return traj

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .history import PairHistory
-from .replay import MAX_REPLAY_WAVES, Replay
+from .replay import Replay
 from .simulator import Trajectory
 from .wavefield import Event, EventKind, effective_flux
 
@@ -57,6 +57,8 @@ __all__ = [
 
 REL_TOL = 1e-9
 LOG2 = math.log(2.0)
+LOG2_CASES = 50     # random (a, xi, b) draws of the log-2 kernel check
+LEMMA_TOL = 1e-9    # absolute slack on pi in the class-gap lemma
 
 
 @dataclass(frozen=True)
@@ -230,12 +232,12 @@ def _kernel_integral(a: float, xi: float, b: float) -> float:
     return F(b - a) - F(b - xi) - F(xi - a)
 
 
-def check_log2_kernel(n_cases: int = 50, seed: int = 0) -> list[CheckResult]:
+def check_log2_kernel() -> list[CheckResult]:
     """Verify the kernel bound behind the weight estimates: the integral of
     1/(w'-w) over [a, xi] x [xi, b] never exceeds log2 (b-a)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     out = []
-    for k in range(n_cases):
+    for k in range(LOG2_CASES):
         a = float(rng.uniform(-2.0, 1.0))
         b = float(a + rng.uniform(0.2, 3.0))
         xi = float(rng.uniform(a + 1e-3, b - 1e-3))
@@ -248,8 +250,8 @@ def check_log2_kernel(n_cases: int = 50, seed: int = 0) -> list[CheckResult]:
 # lemma-level suite (small runs)
 
 
-def check_small_n_lemmas(traj: Trajectory, history: PairHistory | None = None,
-                         tol: float = 1e-9) -> list[CheckResult]:
+def check_small_n_lemmas(traj: Trajectory,
+                         history: PairHistory | None = None) -> list[CheckResult]:
     """Replay the run per pair and verify the partition/pi lemmas at every event.
 
     Checks, for every time and every divided pair: partition classes are
@@ -259,15 +261,14 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory | None = None,
     the replayed quadratic functional (and, when available, the production pi
     values) against the incremental history.
     """
-    replay = Replay(traj, max_waves=MAX_REPLAY_WAVES)
-    steps = replay.run()
+    steps = Replay(traj).run()
     out: list[CheckResult] = []
     joined_violations = 0
     restrict_violations = 0
 
     for step in steps:
         scope = f"event:{step.index}"
-        state = _state_at(traj, step)
+        state = step.state
         # compare replayed Q against the production snapshot
         out.append(_equality("replay_q_quadratic", scope,
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
@@ -278,8 +279,8 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory | None = None,
         for (s, s2), pair in divided.items():
             # every class must be joined in the real solution
             for cls in pair.classes:
-                if len({step.positions[p] for p in cls}) > 1 or \
-                   len({step.speeds[p] for p in cls}) > 1:
+                if len({state.wave(p).pos for p in cls}) > 1 or \
+                   len({state.wave(p).speed for p in cls}) > 1:
                     joined_violations += 1
             # class-gap lemma: sigma_rh gap between classes bounded by pi
             sigmas = [_class_rh(state, cls, traj, eff_cache) for cls in pair.classes]
@@ -289,7 +290,7 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory | None = None,
                     for p in pair.classes[i]:
                         for p2 in pair.classes[j]:
                             cand = _check("class_gap_lemma", scope, gap,
-                                          pair.pi[(p, p2)] + tol,
+                                          pair.pi[(p, p2)] + LEMMA_TOL,
                                           pair=(s, s2), p=p, p2=p2)
                             if worst_gap is None or cand.slack < worst_gap.slack:
                                 worst_gap = cand
@@ -337,26 +338,6 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory | None = None,
         if worst is not None:
             out.append(worst)
     return out
-
-
-def _state_at(traj: Trajectory, step) -> object:
-    """A field state matching one replay step (signs, cells, labels, alive)."""
-    state = traj.initial_state.copy()
-    for ev in traj.events:
-        if ev.index > step.index:
-            break
-        for s in ev.canceled:
-            state.wave(s).pos = None
-            state.wave(s).speed = None
-        if ev.kind == EventKind.TRANSVERSAL:
-            for s in ev.post_speeds:
-                state.wave(s).v_label = ev.v_label
-                state.wave(s).crossed = ev.v_front_id
-    for s, pos in step.positions.items():
-        state.wave(s).pos = pos
-    for s, spd in step.speeds.items():
-        state.wave(s).speed = spd
-    return state
 
 
 def _class_rh(state, members: list[int], traj: Trajectory, eff_cache: dict) -> float:
@@ -412,21 +393,15 @@ def summarize(results: list[CheckResult]) -> dict:
     return summary
 
 
-def write_report(results: list[CheckResult], path) -> bool:
-    """Serialize all checks plus a per-name min-slack summary; True if all passed."""
+def write_report(results: list[CheckResult], fh) -> bool:
+    """Serialize all checks plus a per-name min-slack summary to the text
+    stream ``fh``; True if all passed."""
     passed = all(r.passed for r in results)
     payload = {
         "passed": passed,
         "summary": summarize(results),
         "checks": [r.as_dict() for r in results],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, default=_json_default)
-        fh.write("\n")
+    json.dump(payload, fh, indent=1)
+    fh.write("\n")
     return passed
-
-
-def _json_default(obj):
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")

@@ -364,9 +364,9 @@ def speed_groups(
             raise ValueError("stack with non-uniform v label")
         v_tick = labels.pop()
     w_left, w_right = _stack_range(state, ids)
-    fan = solve_scalar(w_left, w_right, flux_table.flux_for_v(v_tick), v_tick)
+    fronts = solve_scalar(w_left, w_right, flux_table.flux_for_v(v_tick))
     by_cell = {w.cell(): w.id for w in recs}
-    return [(tuple(sorted(by_cell[c] for c in f.cells)), f.speed) for f in fan.fronts]
+    return [(tuple(sorted(by_cell[c] for c in f.cells)), f.speed) for f in fronts]
 
 
 def assign_initial_speeds(state: FieldState, flux_table: FluxTable):

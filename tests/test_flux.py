@@ -52,8 +52,8 @@ def test_analytic_derivatives_match_finite_differences(name, params, rng):
 
 
 def test_default_flux_is_hyperbolic(spec):
-    assert validate_flux(spec, EPS) == []
-    assert validate_flux(make_flux("quartic"), EPS) == []
+    assert validate_flux(spec) == []
+    assert validate_flux(make_flux("quartic")) == []
 
 
 def test_interpolate_exact_on_affine():
@@ -169,12 +169,7 @@ def test_validate_flux_equals_point_loop(coeffs):
     grid = np.linspace(-0.8, 0.8, 65), np.linspace(-0.5, 0.5, 65)
     loop = [f"d_w({w}, {v}) = {spec.d_w(w, v)} <= -1"
             for v in grid[1] for w in grid[0] if spec.d_w(w, v) <= -1.0]
-    assert validate_flux(spec, EPS) == loop
-
-
-def test_derivative_bounds_rejects_small_grid(spec):
-    with pytest.raises(ValueError):
-        derivative_bounds(spec, grid_n=32)
+    assert validate_flux(spec) == loop
 
 
 class TestEffectiveFlux:
@@ -238,3 +233,12 @@ def test_flux_table_caches(spec):
 def test_make_flux_unknown_name():
     with pytest.raises(ValueError):
         make_flux("nope")
+
+
+def test_make_flux_rejects_unknown_and_missing_params():
+    with pytest.raises(ValueError, match="unknown params k$"):
+        make_flux("quartic", {"k": 1})
+    with pytest.raises(ValueError, match="unknown params cc, d$"):
+        make_flux("quadratic_coupled", {"c": 0.2, "cc": 0.2, "d": 1})
+    with pytest.raises(ValueError, match="needs coeffs"):
+        make_flux("custom_poly", {"box": [-0.8, 0.8, -0.5, 0.5]})

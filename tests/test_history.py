@@ -9,7 +9,7 @@ from triwave.history import (
     contained_prefix,
     m_value,
 )
-from triwave.replay import Replay, pi_full_table
+from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data
 from triwave.simulator import run
 from triwave.wavefield import EventKind, IdRange, StepFunction
@@ -263,28 +263,36 @@ class TestPiRecursion:
             assert pair.pi == 0.0  # no transversal event ever happened
 
     def test_pair_weight_cases(self, spec, bounds):
+        # Q of four alive waves: one divided pair, one joined, four never met
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         v0 = StepFunction.from_jumps([(5.0, 2), (9.0, 0)])
         state, history, _ = self.drive(spec, bounds, w0, v0, 2)
-        assert history.pair_weight(state, 1, 3) == bounds.norm_d2_ww  # never met
-        assert history.pair_weight(state, 3, 4) == 0.0                # joined shock
+        assert state.alive_ids() == [1, 2, 3, 4]
+        assert set(history.pairs) == {(1, 2), (3, 4)}
+        assert history.pairs[(3, 4)].status == "joined"      # weight 0
         pair = history.pairs[(1, 2)]
-        want = pair.pi / ((abs(state.wave(2).w_hat - state.wave(1).w_hat) + 1) * EPS)
-        assert history.pair_weight(state, 1, 2) == pytest.approx(want)
-        assert want > 0.0
+        assert pair.status == "divided"
+        divided = pair.pi / ((abs(state.wave(2).w_hat - state.wave(1).w_hat) + 1) * EPS)
+        assert divided > 0.0
+        want = (4 * bounds.norm_d2_ww + divided) * EPS**2
+        assert history.q_quadratic(state) == pytest.approx(want)
 
 
 class TestPiFullTable:
+    # the replay's full per-pair pi maps; step k holds the state after event k
+
     def test_empty_before_division(self, spec, bounds):
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         traj = run(w0, StepFunction((), (), 0), spec, EPS, bounds=bounds)
         # the two shock waves of the downward jump never divide
-        assert pi_full_table(traj, (3, 4)) == {}
+        for step in Replay(traj).run():
+            pair = step.pairs[(3, 4)]
+            assert pair.status != "divided" and pair.pi == {}
 
     def test_zero_without_transversal_events(self, spec, bounds):
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         traj = run(w0, StepFunction((), (), 0), spec, EPS, bounds=bounds)
-        table = pi_full_table(traj, (1, 2), event_index=0)
+        table = Replay(traj).run()[0].pairs[(1, 2)].pi
         assert set(table) == {(1, 2)}
         assert table[(1, 2)] == 0.0
 
@@ -295,7 +303,9 @@ class TestPiFullTable:
         traj = run(w0, v0, spec, EPS, bounds=bounds, history=history)
         first_cross = next(ev for ev in traj.events
                            if ev.kind == EventKind.TRANSVERSAL and ev.colliding.lo in (1, 2))
-        table = pi_full_table(traj, (1, 2), event_index=first_cross.index)
+        step = Replay(traj).run()[first_cross.index]
+        assert step.index == first_cross.index
+        table = step.pairs[(1, 2)].pi
         m = m_value([[1], [2]], first_cross.participants.lo,
                     first_cross.participants.hi, 1, 2, EPS)
         assert table[(1, 2)] == pytest.approx(2.0 * bounds.norm_d3_wwv
@@ -305,7 +315,7 @@ class TestPiFullTable:
         w0 = StepFunction.from_jumps([(0.0, 13), (9.5, 0)])
         traj = run(w0, StepFunction((), (), 0), spec, EPS, bounds=bounds)
         with pytest.raises(ValueError):
-            pi_full_table(traj, (1, 2))
+            Replay(traj)
 
 
 class TestCancellationAmount:
@@ -349,6 +359,8 @@ class TestReplayAgreement:
                 assert step.q_quadratic == pytest.approx(snap.q_quadratic, abs=1e-12)
             # the production per-pair pi values agree with the replayed tables
             final = steps[-1]
+            assert [(w.pos, w.speed, w.v_label) for w in final.state.waves] == \
+                [(w.pos, w.speed, w.v_label) for w in traj.final_state.waves]
             for key, pair in history.pairs.items():
                 if pair.status == "divided":
                     assert final.pairs[key].status == "divided"

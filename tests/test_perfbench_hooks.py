@@ -1,0 +1,44 @@
+"""The benchmark's per-layer tracer names triwave functions by string.
+
+A name that no longer resolves only shows up as a ``trace_missing`` entry of a
+traced benchmark run, and its layer silently reads 0.  These tests resolve
+every name the tracer hooks against the package.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """perfbench/tracing.py as a module, loaded by path without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+tracing = load_tracing()
+
+
+@pytest.mark.parametrize("module,attr", [(m, a) for m, a, _ in tracing.TRACED])
+def test_traced_name_resolves(module, attr):
+    owner_name, _, method = attr.partition(".")
+    owner = getattr(importlib.import_module(f"triwave.{module}"), owner_name)
+    # the tracer rebinds a method in the class that defines it, not a base class
+    target = vars(owner)[method] if method else owner
+    assert callable(target)
+
+
+def test_fronts_hook_resolves():
+    module, attr = tracing.FRONTS_HOOK
+    assert callable(getattr(importlib.import_module(f"triwave.{module}"), attr))

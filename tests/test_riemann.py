@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from triwave.envelopes import entropic_speed
-from triwave.flux import PiecewiseAffineFlux
-from triwave.riemann import solve_scalar, solve_triangular
-
-EPS = 0.05
+from triwave.flux import FluxTable, PiecewiseAffineFlux
+from triwave.riemann import solve_scalar
 
 
 def paf(values, eps=1.0, base=0):
@@ -14,15 +12,14 @@ def paf(values, eps=1.0, base=0):
 
 def test_equal_states_empty_fan():
     g = paf([0.0, 1.0, 4.0])
-    assert solve_scalar(1, 1, g).fronts == ()
+    assert solve_scalar(1, 1, g) == ()
 
 
 def test_downward_jump_of_convex_flux_is_single_shock():
     g = paf([0.5 * (0.2 * k) ** 2 for k in range(5)], eps=0.2)
     fan = solve_scalar(4, 0, g)
-    assert len(fan.fronts) == 1
-    front = fan.fronts[0]
-    assert front.family == 2
+    assert len(fan) == 1
+    front = fan[0]
     assert front.w_left == 4 and front.w_right == 0
     assert front.speed == pytest.approx((g.value(4) - g.value(0)) / (4 * 0.2))
     assert front.cells == (3, 2, 1, 0)
@@ -31,11 +28,11 @@ def test_downward_jump_of_convex_flux_is_single_shock():
 def test_w_shape_fan_groups():
     g = paf([0.0, -0.1875, 0.0, -0.1875, 0.0], eps=0.5, base=-2)
     fan = solve_scalar(-2, 2, g)
-    assert [f.speed for f in fan.fronts] == pytest.approx([-0.375, 0.0, 0.375])
-    assert [len(f.cells) for f in fan.fronts] == [1, 2, 1]
+    assert [f.speed for f in fan] == pytest.approx([-0.375, 0.0, 0.375])
+    assert [len(f.cells) for f in fan] == [1, 2, 1]
     # telescoping
-    assert fan.fronts[0].w_left == -2
-    assert fan.fronts[-1].w_right == 2
+    assert fan[0].w_left == -2
+    assert fan[-1].w_right == 2
 
 
 def test_fan_speeds_match_entropic_speed_of_every_member_cell(rng):
@@ -50,57 +47,34 @@ def test_fan_speeds_match_entropic_speed_of_every_member_cell(rng):
         fan = solve_scalar(a, b, g) if up else solve_scalar(b, a, g)
         lo, hi = a, b
         sign = +1 if up else -1
-        for front in fan.fronts:
+        for front in fan:
             for cell in front.cells:
                 want = entropic_speed(g, lo, hi, cell, sign)
                 assert front.speed == pytest.approx(want, abs=1e-12)
-        speeds = [f.speed for f in fan.fronts]
+        speeds = [f.speed for f in fan]
         assert all(y > x for x, y in zip(speeds, speeds[1:]))
-
-
-def test_triangular_v_jump_only(spec):
-    fan = solve_triangular((2, -2), (2, 3), spec, EPS)
-    assert len(fan.fronts) == 1
-    f = fan.fronts[0]
-    assert f.family == 1 and f.speed == -1.0
-    assert (f.v_left, f.v_right) == (-2, 3)
-
-
-def test_triangular_reduces_to_scalar_when_v_constant(spec, flux_table):
-    fan = solve_triangular((-4, 2), (4, 2), spec, EPS)
-    scalar = solve_scalar(-4, 4, flux_table.flux_for_v(2), v_tick=2)
-    assert fan.fronts == scalar.fronts
 
 
 def test_triangular_hand_example(spec):
-    # left (0, -0.2), right (0.2, 0.2) at eps = 0.1:
+    # w jumps 0 -> 0.2 at v+ = 0.2, eps = 0.1:
     # f(w, 0.2) = 0.52 w^2 gives rarefaction cell slopes 0.052 and 0.156
-    fan = solve_triangular((0, -2), (2, 2), spec, 0.1)
-    assert fan.fronts[0].family == 1 and fan.fronts[0].speed == -1.0
-    assert [f.speed for f in fan.fronts[1:]] == pytest.approx([0.052, 0.156])
+    table = FluxTable(spec, 0.1)
+    fan = solve_scalar(0, 2, table.flux_for_v(2))
+    assert [f.speed for f in fan] == pytest.approx([0.052, 0.156])
 
 
-def test_triangular_speeds_in_hyperbolic_range(spec, rng):
+def test_triangular_speeds_in_hyperbolic_range(flux_table, rng):
     for _ in range(100):
-        w1, w2 = rng.integers(-16, 17, size=2)
-        v1, v2 = rng.integers(-10, 11, size=2)
-        fan = solve_triangular((int(w1), int(v1)), (int(w2), int(v2)), spec, EPS)
-        speeds = fan.speeds()
-        assert all(-1.0 <= s < 1.0 for s in speeds)
+        w1, w2 = (int(x) for x in rng.integers(-16, 17, size=2))
+        v = int(rng.integers(-10, 11))
+        speeds = [f.speed for f in solve_scalar(w1, w2, flux_table.flux_for_v(v))]
+        assert all(-1.0 < s < 1.0 for s in speeds)
         assert all(y > x for x, y in zip(speeds, speeds[1:]))
-        if speeds and fan.fronts[0].family == 1:
-            assert all(s > -1.0 for s in speeds[1:])
 
 
-def test_triangular_idempotent(spec, rng):
+def test_triangular_idempotent(flux_table, rng):
     for _ in range(50):
         w1, w2 = (int(x) for x in rng.integers(-16, 17, size=2))
-        v1, v2 = (int(x) for x in rng.integers(-10, 11, size=2))
-        fan = solve_triangular((w1, v1), (w2, v2), spec, EPS)
-        again = solve_triangular((w1, v1), (w2, v2), spec, EPS)
-        assert fan == again
-
-
-def test_triangular_rejects_out_of_box(spec):
-    with pytest.raises(ValueError):
-        solve_triangular((0, 0), (100, 0), spec, EPS)
+        v = int(rng.integers(-10, 11))
+        g = flux_table.flux_for_v(v)
+        assert solve_scalar(w1, w2, g) == solve_scalar(w1, w2, g)

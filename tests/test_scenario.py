@@ -240,6 +240,36 @@ class TestCli:
         assert "error:" in proc.stderr and "d_w(-0.8, -0.5) = -3.2 <= -1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("eps", "0.05", "eps must be a positive number, got '0.05'"),
+        ("eps", True, "eps must be a positive number, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("event_guard", "10", "event_guard must be an integer, got '10'"),
+        ("flux", {"name": "quartic", "params": {"k": 1}}, "flux quartic: unknown params k"),
+    ])
+    def test_bad_value_is_a_clean_error(self, tmp_path, key, value, message):
+        doc = json.loads(DEMO.read_text())
+        doc[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        proc = self.run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert f"error: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_corrupt_final_state_is_a_clean_error(self, tmp_path):
+        # a level-fast run whose final state breaks the enumeration
+        cfg_path = tmp_path / "cfg.json"
+        ScenarioConfig(
+            check_level="fast",
+            w0={"jumps": [[7.0, -6], [9.0, 2], [10.0, 0]]},
+            v0={"jumps": [[3.5, 1], [4.0, 0]]},
+        ).to_json(cfg_path)
+        proc = self.run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert "error: final enumeration invalid" in proc.stderr
+        assert "PASS" not in proc.stdout
+
     def test_empty_seed_range_is_a_clean_error(self):
         proc = self.run_cli("batch", "--config", str(DEMO), "--seeds", "5..3")
         assert proc.returncode == 2

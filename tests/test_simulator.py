@@ -1,7 +1,7 @@
 import pytest
 
 from triwave.flux import FluxTable, make_flux
-from triwave.scenario import ScenarioConfig, build_initial_data
+from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
 from triwave.simulator import _objects, next_collision, resolve, run
 from triwave.wavefield import (
     EventKind,
@@ -249,3 +249,38 @@ class TestRun:
         assert len(traj.events) < 10**6
         with pytest.raises(EventGuardExceeded):
             run(w0, v0, spec, EPS, event_guard=1)
+
+
+# Lattice-aligned data, (x, ticks) at eps 0.05 under quadratic_coupled (c 0.1),
+# whose exactly simultaneous collisions leave fronts in the wrong float order:
+# the fronts are sorted by rounded position, not by the enumeration.
+ORDERING_REPROS = [
+    pytest.param([(7.0, -6), (9.0, 2), (10.0, 0)], [(3.5, 1), (4.0, 0)],
+                 id="positions_out_of_order"),
+    pytest.param([(1.0, 4), (1.5, -2), (4.0, -5), (7.0, 7), (7.5, -8), (8.5, 0)],
+                 [(0.0, 3), (6.5, 0), (9.5, 0)], id="colliding_not_contiguous"),
+    pytest.param([(3.0, -3), (6.0, -2), (6.5, 5), (7.5, 0)],
+                 [(2.5, 2), (3.5, 0), (6.5, 2), (7.0, 0)], id="different_v_values"),
+]
+
+
+def ordering_config(w_jumps, v_jumps, level):
+    return ScenarioConfig(
+        flux={"name": "quadratic_coupled", "params": {"c": 0.1}}, eps=EPS,
+        w0={"jumps": w_jumps}, v0={"jumps": v_jumps}, check_level=level,
+    )
+
+
+class TestFrontOrdering:
+    def test_fast_run_rejects_a_corrupt_final_state(self):
+        # without per-event validation the run reaches its end, where wave 14
+        # sits right of wave 15
+        cfg = ordering_config(*ORDERING_REPROS[0].values, "fast")
+        with pytest.raises(ValueError, match="final enumeration invalid: positions out of order"):
+            run_scenario(cfg)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="fronts are ordered by float position, not by the enumeration")
+    @pytest.mark.parametrize("w_jumps,v_jumps", ORDERING_REPROS)
+    def test_runs_at_full_and_passes(self, w_jumps, v_jumps):
+        assert run_scenario(ordering_config(w_jumps, v_jumps, "full")).passed

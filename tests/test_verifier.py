@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -41,8 +42,7 @@ def make_traj(spec, bounds, w_jumps, v_jumps):
 
 class TestCheckResultSemantics:
     def test_pass_rule_is_relative(self):
-        results = check_log2_kernel(n_cases=1)
-        r = results[0]
+        r = check_log2_kernel()[0]
         assert r.passed == (r.slack >= -1e-9 * max(1.0, abs(r.rhs)))
 
 
@@ -151,23 +151,23 @@ class TestSmallNLemmas:
 
 
 class TestReport:
-    def test_write_report_and_summary(self, tmp_path, spec, bounds):
+    def test_write_report_and_summary(self, spec, bounds):
         traj, history = make_traj(spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (9.0, 0)])
         results = run_verifier(traj, "full", history)
-        path = tmp_path / "report.json"
-        assert write_report(results, path) is True
-        data = json.loads(path.read_text())
+        out = io.StringIO()
+        assert write_report(results, out) is True
+        data = json.loads(out.getvalue())
         assert data["passed"] is True
         assert set(data["summary"]) == {r.name for r in results}
         for agg in data["summary"].values():
             assert agg["min_slack"] >= -1e-9
 
-    def test_failed_check_reported(self, tmp_path):
+    def test_failed_check_reported(self):
         bad = CheckResult(name="x", scope="global", lhs=2.0, rhs=1.0,
                           slack=-1.0, passed=False, context={})
-        path = tmp_path / "report.json"
-        assert write_report([bad], path) is False
-        data = json.loads(path.read_text())
+        out = io.StringIO()
+        assert write_report([bad], out) is False
+        data = json.loads(out.getvalue())
         assert data["passed"] is False
         assert data["summary"]["x"]["passed"] is False
 

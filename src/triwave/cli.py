@@ -14,7 +14,8 @@ import logging
 import os
 import sys
 
-from .scenario import CHECK_LEVELS, ScenarioConfig, batch, run_scenario
+from .scenario import ScenarioConfig, batch, run_scenario
+from .verifier import CHECK_LEVELS
 
 
 def _setup_logging() -> None:

@@ -7,7 +7,7 @@ across nested intervals.
 
 The hull is computed with an Andrew monotone chain over the grid nodes.
 Collinear nodes are kept as hull vertices, so a node touches the envelope if
-and only if it is a vertex; this makes contact flags exact.  Cells covered by
+and only if it is a vertex; this makes contact exact.  Cells covered by
 one hull segment share the same slope float, which is what lets wavefronts be
 grouped by exact speed equality downstream.
 """
@@ -38,18 +38,16 @@ class EnvelopeResult:
     """Envelope of a piecewise affine function over ticks [lo, hi].
 
     ``cell_slopes[k]`` is the envelope derivative on cell (lo+k, lo+k+1); all
-    cells under one hull segment share the same float.  ``contact_flags[k]``
-    marks nodes where the envelope equals the input exactly (rarefaction
-    points); interior nodes of a shock interval are strictly off the input.
+    cells under one hull segment share the same float.  ``vertices`` are the
+    nodes where the envelope equals the input exactly (rarefaction points);
+    interior nodes of a shock interval are strictly off the input.
     """
 
     eps: float
     lo: int
     hi: int
-    convex: bool
     node_values: np.ndarray
     cell_slopes: np.ndarray
-    contact_flags: np.ndarray
     vertices: tuple[int, ...]  # ticks of hull vertices, lo and hi included
 
     def cell_slope(self, cell: int) -> float:
@@ -76,58 +74,50 @@ def _lower_hull(ticks: np.ndarray, ys: np.ndarray) -> list[int]:
     return hull
 
 
-def _envelope(g: PiecewiseAffineFlux, lo: int, hi: int, convex: bool) -> EnvelopeResult:
+def _envelope(g: PiecewiseAffineFlux, lo: int, hi: int, sign: float) -> EnvelopeResult:
+    """sign times the lower convex hull of sign * g: convex for +1, concave for -1.
+
+    Multiplying by +-1 is exact, so the concave envelope is exactly the
+    negated convex envelope of -g.
+    """
     if lo >= hi:
         raise ValueError("degenerate interval")
-    ys = np.asarray(g.node_slice(lo, hi), dtype=float)
-    if not convex:
-        ys = -ys
+    ys = sign * np.asarray(g.node_slice(lo, hi), dtype=float)
     n = hi - lo + 1
     ticks = np.arange(n)
     hull = _lower_hull(ticks, ys)
 
     node_values = np.empty(n)
     cell_slopes = np.empty(n - 1)
-    contact = np.zeros(n, dtype=bool)
     for idx in hull:
-        contact[idx] = True
         node_values[idx] = ys[idx]
     for a, b in zip(hull, hull[1:]):
         slope = (ys[b] - ys[a]) / ((b - a) * g.eps)
         cell_slopes[a:b] = slope
         for k in range(a + 1, b):
             node_values[k] = ys[a] + slope * (k - a) * g.eps
-    if not convex:
-        node_values = -node_values
-        cell_slopes = -cell_slopes
     return EnvelopeResult(
         eps=g.eps,
         lo=lo,
         hi=hi,
-        convex=convex,
-        node_values=node_values,
-        cell_slopes=cell_slopes,
-        contact_flags=contact,
+        node_values=sign * node_values,
+        cell_slopes=sign * cell_slopes,
         vertices=tuple(lo + int(i) for i in hull),
     )
 
 
 def convex_envelope(g: PiecewiseAffineFlux, lo: int, hi: int) -> EnvelopeResult:
     """Lower convex hull of the nodes of g over ticks [lo, hi]."""
-    return _envelope(g, lo, hi, convex=True)
+    return _envelope(g, lo, hi, 1.0)
 
 
 def concave_envelope(g: PiecewiseAffineFlux, lo: int, hi: int) -> EnvelopeResult:
     """Upper concave hull; equals -convex_envelope(-g) exactly."""
-    return _envelope(g, lo, hi, convex=False)
+    return _envelope(g, lo, hi, -1.0)
 
 
-def rh_speed(g, lo: int, hi: int) -> float:
-    """Rankine-Hugoniot speed: chord slope of g over ticks [lo, hi].
-
-    Accepts anything with ``value(tick)`` and ``eps`` (piecewise affine or
-    effective fluxes).
-    """
+def rh_speed(g: PiecewiseAffineFlux, lo: int, hi: int) -> float:
+    """Rankine-Hugoniot speed: chord slope of g over ticks [lo, hi]."""
     if lo == hi:
         raise ValueError("degenerate interval")
     if lo > hi:

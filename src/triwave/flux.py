@@ -10,9 +10,10 @@ module owns:
 - ``PiecewiseAffineFlux``: node samples of f(., v) on eps*Z;
 - ``DerivativeBounds``: sampled sup norms of the second/third derivatives,
   used as the constants of every runtime inequality check;
-- ``EffectiveFlux``: the per-block flux whose second w-derivative equals
-  d2f/dw2(., v_label) cell by cell, anchored to value 0 / slope 0 at its left
-  node (it is only ever used through differences, which are affine-invariant).
+- ``EffectiveFlux``: a ``PiecewiseAffineFlux`` per block whose second
+  w-derivative equals d2f/dw2(., v_label) cell by cell, anchored to value 0 /
+  slope 0 at its left node (it is only ever used through differences, which
+  are affine-invariant).
 
 All grid coordinates in this package are integer "ticks": node i sits at
 ``i * eps``.
@@ -193,11 +194,22 @@ def _custom_poly(coeffs: list, box: Box) -> FluxSpec:
 DEFAULT_BOX = Box(-0.8, 0.8, -0.5, 0.5)
 
 
+def _parse_box(raw) -> Box:
+    """``[w_min, w_max, v_min, v_max]`` from a config, checked before use."""
+    if (not isinstance(raw, (list, tuple)) or len(raw) != 4
+            or any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in raw)):
+        raise ValueError(f"flux box must be 4 numbers [w_min, w_max, v_min, v_max], got {raw!r}")
+    box = Box(*raw)
+    if not (box.w_min < box.w_max and box.v_min < box.v_max):
+        raise ValueError(f"flux box {raw!r} needs w_min < w_max and v_min < v_max")
+    return box
+
+
 def make_flux(name: str, params: dict | None = None) -> FluxSpec:
     """Build a flux from the registry: quadratic_coupled, quartic, custom_poly."""
     params = dict(params or {})
     box_raw = params.pop("box", None)
-    box = Box(*box_raw) if box_raw is not None else DEFAULT_BOX
+    box = _parse_box(box_raw) if box_raw is not None else DEFAULT_BOX
     if name == "quadratic_coupled":
         spec = _quadratic_coupled(float(params.pop("c", 0.1)), box)
     elif name == "quartic":
@@ -265,7 +277,7 @@ def validate_flux(spec: FluxSpec) -> list[str]:
 
 
 @dataclass(frozen=True, eq=False)
-class EffectiveFlux:
+class EffectiveFlux(PiecewiseAffineFlux):
     """Flux with d2/dw2 = d2f/dw2(., v_label) on each wave cell of a block.
 
     Built by integrating the per-cell second derivative twice with 16-point
@@ -274,24 +286,7 @@ class EffectiveFlux:
     defined up to affine terms).
     """
 
-    eps: float
-    base_index: int
-    values: np.ndarray   # node values, len n
-    deriv: np.ndarray    # first derivative at nodes, len n
-
-    @property
-    def last_index(self) -> int:
-        return self.base_index + len(self.values) - 1
-
-    def as_flux(self) -> PiecewiseAffineFlux:
-        return PiecewiseAffineFlux(eps=self.eps, base_index=self.base_index, values=self.values)
-
-    def rh_speed(self, lo: int, hi: int) -> float:
-        """Chord slope of the node values over ticks [lo, hi]."""
-        if not (self.base_index <= lo < hi <= self.last_index):
-            raise ValueError("interval outside effective flux range")
-        i0, i1 = lo - self.base_index, hi - self.base_index
-        return (float(self.values[i1]) - float(self.values[i0])) / ((hi - lo) * self.eps)
+    deriv: np.ndarray    # first derivative at the nodes, one per entry of values
 
 
 def build_effective_flux(cells: list[tuple[int, int]], spec: FluxSpec, eps: float) -> EffectiveFlux:

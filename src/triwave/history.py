@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
+from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope, rh_speed
 from .flux import DerivativeBounds, EffectiveFlux, FluxSpec
 from .wavefield import Event, EventKind, FieldState, IdRange, effective_flux
 
@@ -78,9 +78,9 @@ class PartitionRecord:
 
 @dataclass
 class PairRec:
-    """History of one pair that has met: status, shared partition, pi budget."""
+    """History of one pair that has met: its shared partition, None while the
+    pair is joined, and its pi budget."""
 
-    status: str                    # "joined" or "divided"
     record: PartitionRecord | None
     pi: float
 
@@ -123,7 +123,7 @@ def contained_prefix(class_members: list[list[int]], part_lo: int,
 
 
 class PairHistory:
-    """Incrementally maintained pair statuses, partitions and functionals."""
+    """Incrementally maintained pair histories, partitions and functionals."""
 
     def __init__(self, spec: FluxSpec, eps: float, bounds: DerivativeBounds):
         self.spec = spec
@@ -165,11 +165,7 @@ class PairHistory:
                 for s2 in ids[i + 1:]:
                     a, b = min(s, s2), max(s, s2)
                     joined = group_of[a] == group_of[b]
-                    self._set_pair((a, b), PairRec(
-                        status="joined" if joined else "divided",
-                        record=None if joined else record,
-                        pi=0.0,
-                    ))
+                    self._set_pair((a, b), PairRec(record=None if joined else record, pi=0.0))
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
@@ -292,8 +288,7 @@ class PairHistory:
         sign = state.wave(members[0]).sign
         cells = [state.wave(s).cell() for s in members]
         lo, hi = min(cells), max(cells) + 1
-        g = eff.as_flux()
-        env = convex_envelope(g, lo, hi) if sign > 0 else concave_envelope(g, lo, hi)
+        env = convex_envelope(eff, lo, hi) if sign > 0 else concave_envelope(eff, lo, hi)
         slopes = [env.cell_slope(c) for c in cells]
         out: list[IdRange] = []
         start = 0
@@ -338,18 +333,15 @@ class PairHistory:
             for s2 in ids[i + 1:]:
                 joined = speeds[s] == speeds[s2]
                 old = self.pairs.get((s, s2))
-                if old is not None and old.status == "divided" and not joined:
-                    # re-meeting pairs were on one front, hence joined, before
-                    raise ValueError(
-                        f"pair ({s}, {s2}) met again while divided at event {event.index}"
-                    )
-                if old is not None and old.status == "divided" and joined:
+                if old is not None and old.record is not None:
+                    if not joined:
+                        # re-meeting pairs were on one front, hence joined, before
+                        raise ValueError(
+                            f"pair ({s}, {s2}) met again while divided at event {event.index}"
+                        )
                     log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
                 self._set_pair((s, s2), PairRec(
-                    status="joined" if joined else "divided",
-                    record=None if joined else fresh_record(),
-                    pi=0.0,
-                ))
+                    record=None if joined else fresh_record(), pi=0.0))
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
@@ -395,7 +387,7 @@ class PairHistory:
 
     def _eff_rh(self, eff: EffectiveFlux, state: FieldState, rng: IdRange) -> float:
         cells = [state.wave(s).cell() for s in rng.members(state)]
-        return eff.rh_speed(min(cells), max(cells) + 1)
+        return rh_speed(eff, min(cells), max(cells) + 1)
 
     # -- functionals ---------------------------------------------------------
 
@@ -406,7 +398,7 @@ class PairHistory:
         total_pairs = n * (n - 1) // 2
         q = self.bounds.norm_d2_ww * (total_pairs - len(self.pairs))
         for (s, s2), pair in self.pairs.items():
-            if pair.status == "divided" and pair.pi != 0.0:
+            if pair.record is not None and pair.pi != 0.0:
                 gap = abs(state.wave(s2).w_hat - state.wave(s).w_hat) + 1
                 q += pair.pi / (gap * self.eps)
         return q * self.eps**2

@@ -181,8 +181,7 @@ class Replay:
             eff_cache[blk.lo] = eff
         sign = state.wave(members[0]).sign
         cells = [state.wave(s).cell() for s in members]
-        g = eff.as_flux()
-        env = (convex_envelope if sign > 0 else concave_envelope)(g, min(cells), max(cells) + 1)
+        env = (convex_envelope if sign > 0 else concave_envelope)(eff, min(cells), max(cells) + 1)
         out: list[list[int]] = [[members[0]]]
         for prev, cur in zip(members, members[1:]):
             gap = abs(env.cell_slope(state.wave(cur).cell()) -

@@ -23,7 +23,7 @@ from .flux import FluxSpec, derivative_bounds, make_flux, validate_flux
 from .history import PairHistory
 from .replay import MAX_REPLAY_WAVES
 from .simulator import Trajectory, run
-from .verifier import CheckResult, run_verifier, summarize, write_report
+from .verifier import CHECK_LEVELS, CheckResult, run_verifier, summarize, write_report
 from .wavefield import StepFunction, snapshot
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("triwave.scenario")
-
-CHECK_LEVELS = ("fast", "full", "small_n")
 
 
 @dataclass
@@ -82,11 +80,9 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    config: ScenarioConfig
     trajectory: Trajectory
     checks: list[CheckResult]
     passed: bool
-    out_dir: Path | None
 
 
 def generate_initial_data(rand_spec: dict, rng: np.random.Generator, eps: float,
@@ -108,7 +104,6 @@ def generate_initial_data(rand_spec: dict, rng: np.random.Generator, eps: float,
         raise ValueError("amplitude below one grid step")
     max_waves = rand_spec.get("max_waves")
     max_fronts = rand_spec.get("max_fronts")
-    x_lo, x_hi = rand_spec.get("x_range", (0.0, 10.0))
 
     for _ in range(1000):
         values, prev = [], 0
@@ -118,7 +113,7 @@ def generate_initial_data(rand_spec: dict, rng: np.random.Generator, eps: float,
             values.append(prev)
         if values[-1] != 0:
             values.append(0)
-        xs = np.sort(rng.uniform(x_lo, x_hi, size=len(values)))
+        xs = np.sort(rng.uniform(0.0, 10.0, size=len(values)))
         if len(np.unique(xs)) != len(xs):
             continue
         step = StepFunction(tuple(float(x) for x in xs), tuple(values), 0)
@@ -193,8 +188,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
         failed = [c for c in checks if not c.passed]
         log.error("scenario seed=%s failed %d checks; first: %s",
                   config.seed, len(failed), failed[0].as_dict())
-    return ScenarioResult(config=config, trajectory=traj, checks=checks,
-                          passed=passed, out_dir=target)
+    return ScenarioResult(trajectory=traj, checks=checks, passed=passed)
 
 
 def _atomic_write(path: Path, writer) -> None:

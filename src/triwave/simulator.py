@@ -26,9 +26,11 @@ from .wavefield import (
     IdRange,
     StepFunction,
     VFront,
+    apply_groups,
     assign_initial_speeds,
     initial_enumeration,
     speed_groups,
+    stack_range,
     validate_enumeration,
 )
 
@@ -46,18 +48,16 @@ log = logging.getLogger("triwave.simulator")
 TIME_TOL = 1e-10      # candidates within this of the earliest are one cluster
 
 
-class EventGuardExceeded(RuntimeError):
-    pass
+class EventGuardExceeded(ValueError):
+    """A run needed more events than its ``event_guard`` allows."""
 
 
 @dataclass(frozen=True)
 class CollisionCandidate:
     time: float
     x: float
-    left_kind: str                 # "w" or "v"
-    left: object                   # Front or VFront
-    right_kind: str
-    right: object
+    left: Front
+    right: Front | VFront
 
 
 @dataclass
@@ -85,46 +85,31 @@ class Trajectory:
         return self.v0.tv_ticks() * self.eps
 
 
-def _objects(state: FieldState) -> list[tuple[str, object, float, float]]:
-    """All moving fronts as (kind, ref, pos, speed), sorted left to right.
+def _objects(state: FieldState) -> list[Front | VFront]:
+    """All moving fronts, sorted left to right.
 
     Co-located objects (which only happens at just-resolved events, where
     positions were snapped to the same float) order by speed: the slower one
     ends up left, matching the immediate future.
     """
-    objs: list[tuple[str, object, float, float]] = []
-    for fr in state.fronts():
-        objs.append(("w", fr, fr.pos, fr.speed))
-    for vf in state.v_fronts:
-        objs.append(("v", vf, vf.pos, -1.0))
-    objs.sort(key=lambda o: (o[2], o[3]))
+    objs: list[Front | VFront] = [*state.fronts(), *state.v_fronts]
+    objs.sort(key=lambda o: (o.pos, o.speed))
     return objs
 
 
-def _pair_candidate(state, lk, l, lx, ls, rk, r, rx, rs) -> CollisionCandidate | None:
-    if lk == "v" and rk == "v":
-        return None
-    if lk == "v":
+def _pair_candidate(state: FieldState, l: Front | VFront,
+                    r: Front | VFront) -> CollisionCandidate | None:
+    if isinstance(l, VFront):
         # first-family fronts move left relative to everything: never caught from behind
         return None
-    if rk == "v":
+    if isinstance(r, VFront):
         # a w-front meets each v-front at most once; the crossing counter is exact
         if state.wave(l.ids[0]).crossed >= r.id:
             return None
-        tau = (rx - lx) / (ls + 1.0)
-    else:
-        if ls <= rs:
-            return None
-        tau = (rx - lx) / (ls - rs)
-    tau = max(tau, 0.0)
-    return CollisionCandidate(
-        time=state.time + tau,
-        x=lx + ls * tau,
-        left_kind=lk,
-        left=l,
-        right_kind=rk,
-        right=r,
-    )
+    elif l.speed <= r.speed:
+        return None
+    tau = max((r.pos - l.pos) / (l.speed - r.speed), 0.0)
+    return CollisionCandidate(time=state.time + tau, x=l.pos + l.speed * tau, left=l, right=r)
 
 
 def next_collision(state: FieldState) -> CollisionCandidate | None:
@@ -136,9 +121,7 @@ def next_collision(state: FieldState) -> CollisionCandidate | None:
     objs = _objects(state)
     cands: list[tuple[CollisionCandidate, int]] = []
     for i in range(len(objs) - 1):
-        lk, l, lx, ls = objs[i]
-        rk, r, rx, rs = objs[i + 1]
-        cand = _pair_candidate(state, lk, l, lx, ls, rk, r, rx, rs)
+        cand = _pair_candidate(state, objs[i], objs[i + 1])
         if cand is not None:
             cands.append((cand, i))
     if not cands:
@@ -171,9 +154,8 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
     state.time = t_j
     x_j = cand.x
 
-    if cand.left_kind == "v" or cand.right_kind == "v":
-        vf: VFront = cand.left if cand.left_kind == "v" else cand.right
-        front: Front = cand.right if cand.left_kind == "v" else cand.left
+    if isinstance(cand.right, VFront):
+        vf, front = cand.right, cand.left
         vf.pos = x_j
         ids = list(front.ids)
         colliding = _contiguous_alive(state, ids)
@@ -185,8 +167,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
             w.pos = x_j
             w.crossed = vf.id
             w.v_label = vf.v_right
-        groups = speed_groups(state, ids, flux_table, v_tick=vf.v_right)
-        post = _apply_groups(state, groups)
+        post = apply_groups(state, speed_groups(state, ids, flux_table, v_tick=vf.v_right))
         return Event(
             index=index,
             time=t_j,
@@ -194,20 +175,15 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
             kind=EventKind.TRANSVERSAL,
             colliding=colliding,
             participants=colliding,
-            left_ids=None,
-            right_ids=None,
-            v_front_id=vf.id,
-            v_strength=vf.strength_ticks * state.eps,
             v_label=vf.v_right,
-            canceled=(),
             pre_speeds=pre,
             post_speeds=post,
             sum_abs_dsigma=_dsigma(pre, post, state.eps),
-            cancellation=0.0,
+            v_front_id=vf.id,
+            v_strength=vf.strength_ticks * state.eps,
         )
 
-    left: Front = cand.left
-    right: Front = cand.right
+    left, right = cand.left, cand.right
     ids = list(left.ids) + list(right.ids)
     colliding = _contiguous_alive(state, ids)
     if left.v_label != right.v_label:
@@ -222,7 +198,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         groups = speed_groups(state, ids, flux_table, v_tick=v_tick)
         if len(groups) != 1:
             raise ValueError(f"interaction at ({t_j}, {x_j}) did not merge into one front")
-        post = _apply_groups(state, groups)
+        post = apply_groups(state, groups)
         return Event(
             index=index,
             time=t_j,
@@ -230,21 +206,17 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
             kind=kind,
             colliding=colliding,
             participants=colliding,
-            left_ids=IdRange(left.lo, left.hi),
-            right_ids=IdRange(right.lo, right.hi),
-            v_front_id=None,
-            v_strength=0.0,
             v_label=v_tick,
-            canceled=(),
             pre_speeds=pre,
             post_speeds=post,
             sum_abs_dsigma=_dsigma(pre, post, state.eps),
-            cancellation=0.0,
+            left_ids=IdRange(left.lo, left.hi),
+            right_ids=IdRange(right.lo, right.hi),
         )
 
     # cancellation: opposite signs annihilate pairwise from the middle state
-    w_ll, w_lr = _outer_states(state, left)
-    w_rl, w_rr = _outer_states(state, right)
+    w_ll, w_lr = stack_range(state, left.ids)
+    w_rl, w_rr = stack_range(state, right.ids)
     if w_lr != w_rl:
         raise ValueError("cancellation fronts do not share the middle state")
     w_a, w_c = w_ll, w_rr
@@ -265,8 +237,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         w.death_time = t_j
     post: dict[int, float] = {}
     if survivors:
-        groups = speed_groups(state, survivors, flux_table, v_tick=v_tick)
-        post = _apply_groups(state, groups)
+        post = apply_groups(state, speed_groups(state, survivors, flux_table, v_tick=v_tick))
     return Event(
         index=index,
         time=t_j,
@@ -274,33 +245,15 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         kind=EventKind.CANCELLATION,
         colliding=colliding,
         participants=_contiguous_alive(state, survivors) if survivors else None,
-        left_ids=IdRange(left.lo, left.hi),
-        right_ids=IdRange(right.lo, right.hi),
-        v_front_id=None,
-        v_strength=0.0,
         v_label=v_tick,
-        canceled=tuple(canceled),
         pre_speeds=pre,
         post_speeds=post,
         sum_abs_dsigma=_dsigma(pre, post, state.eps),
+        left_ids=IdRange(left.lo, left.hi),
+        right_ids=IdRange(right.lo, right.hi),
+        canceled=tuple(canceled),
         cancellation=len(canceled) * state.eps,
     )
-
-
-def _outer_states(state: FieldState, front: Front) -> tuple[int, int]:
-    hats = [state.wave(s).w_hat for s in front.ids]
-    if front.sign > 0:
-        return min(hats) - 1, max(hats)
-    return max(hats) + 1, min(hats)
-
-
-def _apply_groups(state: FieldState, groups) -> dict[int, float]:
-    post: dict[int, float] = {}
-    for members, speed in groups:
-        for s in members:
-            state.wave(s).speed = speed
-            post[s] = speed
-    return post
 
 
 def _dsigma(pre: dict[int, float], post: dict[int, float], eps: float) -> float:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envelopes import rh_speed
 from .history import PairHistory
 from .replay import Replay
 from .simulator import Trajectory
@@ -40,6 +41,7 @@ from .wavefield import Event, EventKind, effective_flux
 
 __all__ = [
     "CheckResult",
+    "CHECK_LEVELS",
     "REL_TOL",
     "check_transversal_speed",
     "check_cancellation",
@@ -55,6 +57,7 @@ __all__ = [
     "write_report",
 ]
 
+CHECK_LEVELS = ("fast", "full", "small_n")
 REL_TOL = 1e-9
 LOG2 = math.log(2.0)
 LOG2_CASES = 50     # random (a, xi, b) draws of the log-2 kernel check
@@ -326,7 +329,7 @@ def check_small_n_lemmas(traj: Trajectory,
         final = steps[-1]
         worst: CheckResult | None = None
         for key, pair in history.pairs.items():
-            if pair.status != "divided":
+            if pair.record is None:
                 continue
             rep = final.pairs.get(key)
             if rep is None or rep.status != "divided":
@@ -347,7 +350,7 @@ def _class_rh(state, members: list[int], traj: Trajectory, eff_cache: dict) -> f
         eff = effective_flux(state, blk, traj.spec)
         eff_cache[blk.lo] = eff
     cells = [state.wave(s).cell() for s in members]
-    return eff.rh_speed(min(cells), max(cells) + 1)
+    return rh_speed(eff, min(cells), max(cells) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +360,7 @@ def _class_rh(state, members: list[int], traj: Trajectory, eff_cache: dict) -> f
 def run_verifier(traj: Trajectory, level: str = "full",
                  history: PairHistory | None = None) -> list[CheckResult]:
     """All checks appropriate for the level: fast, full or small_n."""
-    if level not in ("fast", "full", "small_n"):
+    if level not in CHECK_LEVELS:
         raise ValueError(f"unknown check level {level!r}")
     out: list[CheckResult] = []
     for event in traj.events:

@@ -32,8 +32,10 @@ __all__ = [
     "Event",
     "FieldState",
     "initial_enumeration",
+    "apply_groups",
     "assign_initial_speeds",
     "speed_groups",
+    "stack_range",
     "validate_enumeration",
     "reconstruct_profile",
     "effective_flux",
@@ -131,6 +133,8 @@ class VFront:
     wave positions, so that co-located objects compare equal exactly.
     """
 
+    speed = -1.0            # a class attribute, not a field: every v-front moves at -1
+
     id: int
     x0: float
     v_left: int
@@ -204,16 +208,16 @@ class Event:
     kind: EventKind
     colliding: IdRange                 # second-family waves arriving at (t, x)
     participants: IdRange | None      # the same waves minus the cancelled ones
-    left_ids: IdRange | None          # the two colliding w-fronts (None for transversal)
-    right_ids: IdRange | None
-    v_front_id: int | None            # transversal only
-    v_strength: float                 # |v_h| (0 unless transversal)
     v_label: int                      # v tick seen at (t, x) after the event
-    canceled: tuple[int, ...]
     pre_speeds: dict[int, float]
     post_speeds: dict[int, float]
     sum_abs_dsigma: float             # sum over surviving waves of |speed change| * eps
-    cancellation: float               # total-variation drop (0 unless cancellation)
+    left_ids: IdRange | None = None   # the two colliding w-fronts (None for transversal)
+    right_ids: IdRange | None = None
+    v_front_id: int | None = None     # transversal only
+    v_strength: float = 0.0           # |v_h| (0 unless transversal)
+    canceled: tuple[int, ...] = ()
+    cancellation: float = 0.0         # total-variation drop (0 unless cancellation)
 
     def n_participants(self) -> int:
         return len(self.post_speeds)
@@ -331,7 +335,7 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
     return FieldState(eps=eps, waves=waves, v_fronts=v_fronts, w_base=w0.base)
 
 
-def _stack_range(state: FieldState, ids: Sequence[int]) -> tuple[int, int]:
+def stack_range(state: FieldState, ids: Sequence[int]) -> tuple[int, int]:
     """(w left state, w right state) in ticks for the stack of waves ``ids``."""
     recs = [state.wave(s) for s in ids]
     signs = {w.sign for w in recs}
@@ -363,10 +367,21 @@ def speed_groups(
         if len(labels) != 1:
             raise ValueError("stack with non-uniform v label")
         v_tick = labels.pop()
-    w_left, w_right = _stack_range(state, ids)
+    w_left, w_right = stack_range(state, ids)
     fronts = solve_scalar(w_left, w_right, flux_table.flux_for_v(v_tick))
     by_cell = {w.cell(): w.id for w in recs}
     return [(tuple(sorted(by_cell[c] for c in f.cells)), f.speed) for f in fronts]
+
+
+def apply_groups(state: FieldState, groups) -> dict[int, float]:
+    """Set the speed of every wave of ``groups`` (as :func:`speed_groups`
+    returns them); returns the new speed per wave id."""
+    post: dict[int, float] = {}
+    for members, speed in groups:
+        for s in members:
+            state.wave(s).speed = speed
+            post[s] = speed
+    return post
 
 
 def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
@@ -380,9 +395,7 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
 
     def flush() -> None:
         groups = speed_groups(state, stack, flux_table)
-        for members, speed in groups:
-            for s in members:
-                state.wave(s).speed = speed
+        apply_groups(state, groups)
         out.append((state.wave(stack[0]).pos, groups))
 
     for w in state.waves:

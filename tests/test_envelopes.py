@@ -17,6 +17,13 @@ def paf(values, eps=1.0, base=0):
     return PiecewiseAffineFlux(eps=eps, base_index=base, values=np.asarray(values, float))
 
 
+def contact(env):
+    """Per node of [lo, hi]: does the envelope touch the input there (is it a vertex)?"""
+    flags = np.zeros(env.hi - env.lo + 1, dtype=bool)
+    flags[[v - env.lo for v in env.vertices]] = True
+    return flags
+
+
 def oracle_lower_hull_values(xs, ys):
     """Gift-wrapping lower hull, O(n^2): the independent envelope oracle."""
     n = len(xs)
@@ -60,7 +67,7 @@ class TestAgainstOracle:
             neg = convex_envelope(paf(-ys), 0, n - 1)
             assert np.array_equal(env.node_values, -neg.node_values)
             assert np.array_equal(env.cell_slopes, -neg.cell_slopes)
-            assert np.array_equal(env.contact_flags, neg.contact_flags)
+            assert np.array_equal(contact(env), contact(neg))
 
 
 class TestExamples:
@@ -68,14 +75,14 @@ class TestExamples:
         ys = [(0.5 * k) ** 2 for k in range(-4, 5)]
         env = convex_envelope(paf(ys, eps=0.5, base=-4), -4, 4)
         assert np.array_equal(env.node_values, np.asarray(ys))
-        assert env.contact_flags.all()
+        assert contact(env).all()
 
     def test_concave_data_gives_the_chord(self):
         ys = [-((0.5 * k) ** 2) for k in range(-2, 3)]
         env = convex_envelope(paf(ys, eps=0.5, base=-2), -2, 2)
         assert np.allclose(env.cell_slopes, 0.0)
         assert env.node_values[0] == ys[0] and env.node_values[-1] == ys[-1]
-        assert list(env.contact_flags) == [True, False, False, False, True]
+        assert list(contact(env)) == [True, False, False, False, True]
 
     def test_w_shape_hull(self):
         # samples of w^4 - w^2 at eps = 0.5 on [-1, 1]
@@ -107,7 +114,7 @@ class TestExamples:
         # one shock interval: every cell gets the chord speed
         hump = paf([1.0, 1.3, 1.5, 1.1, 0.2], eps=1.0)
         env = convex_envelope(hump, 0, 4)
-        assert [bool(f) for f in env.contact_flags] == [True, False, False, False, True]
+        assert [bool(f) for f in contact(env)] == [True, False, False, False, True]
         for c in range(4):
             assert entropic_speed(hump, 0, 4, c, +1) == rh_speed(hump, 0, 4)
         ys = rng.uniform(-1, 1, 20)
@@ -163,7 +170,8 @@ def test_prop_split_at_contact(rng):
     while done < N_PROPERTY_CASES:
         g, hi = random_case(rng)
         env = convex_envelope(g, 0, hi)
-        interior = [k for k in range(1, hi) if env.contact_flags[k]]
+        flags = contact(env)
+        interior = [k for k in range(1, hi) if flags[k]]
         if not interior:
             continue
         u = interior[rng.integers(0, len(interior))]
@@ -204,7 +212,8 @@ def test_prop_restriction_raises_slope_gaps(rng):
 
 def same_shock(env, c1, c2):
     """Cells c1 < c2 lie in one shock interval: no contact node in between."""
-    return not any(env.contact_flags[k - env.lo] for k in range(c1 + 1, c2 + 1))
+    flags = contact(env)
+    return not any(flags[k - env.lo] for k in range(c1 + 1, c2 + 1))
 
 
 def test_prop_shock_intervals_persist(rng):
@@ -280,4 +289,4 @@ def test_prop_affine_equivariance(rng):
         env_shifted = convex_envelope(shifted, 0, hi)
         want = env.node_values + m * (np.arange(hi + 1) * g.eps) + q
         assert np.max(np.abs(env_shifted.node_values - want)) <= 1e-12
-        assert np.array_equal(env.contact_flags, env_shifted.contact_flags)
+        assert np.array_equal(contact(env), contact(env_shifted))

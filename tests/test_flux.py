@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from triwave.envelopes import rh_speed
 from triwave.flux import (
     Box,
     DerivativeBounds,
@@ -213,7 +214,7 @@ class TestEffectiveFlux:
 
         for (a1, b1) in [(-5, -2), (-3, 6), (0, 2)]:
             for (a2, b2) in [(-5, 6), (-4, 0)]:
-                diff_eff = eff.rh_speed(a1, b1) - eff.rh_speed(a2, b2)
+                diff_eff = rh_speed(eff, a1, b1) - rh_speed(eff, a2, b2)
                 diff_g = chord(g, a1, b1) - chord(g, a2, b2)
                 assert diff_eff == pytest.approx(diff_g, abs=1e-9)
 

@@ -78,7 +78,7 @@ class LoopHistory(PairHistory):
         if factor == 0.0 or part is None:
             return
         for (s, s2), pair in self.pairs.items():
-            if pair.status != "divided":
+            if pair.record is None:
                 continue
             members = pair.record.class_members(state)
             m = m_value(members, part.lo, part.hi, s, s2, self.eps)
@@ -112,12 +112,13 @@ class TestPrefixPiMatchesLoop:
         assert traj.snapshots == ref.snapshots
         assert fast.pairs.keys() == loop.pairs.keys()
         for key, pair in fast.pairs.items():
-            assert (pair.status, pair.pi) == (loop.pairs[key].status, loop.pairs[key].pi), key
+            other = loop.pairs[key]
+            assert (pair.record is None, pair.pi) == (other.record is None, other.pi), key
         assert loop.increments > 0
         # the registry holds exactly the divided pairs, grouped by record
         grouped: dict = {}
         for key, pair in fast.pairs.items():
-            if pair.status == "divided":
+            if pair.record is not None:
                 grouped.setdefault(pair.record, set()).add(key)
         assert {rec: set(keys) for rec, keys in fast.records.items()} == grouped
 
@@ -128,11 +129,11 @@ class TestRecordRegistry:
         rec = PartitionRecord(interval=IdRange(1, 3),
                               classes=[IdRange(1, 1), IdRange(2, 3)])
         for key in ((1, 2), (1, 3)):
-            history._set_pair(key, PairRec("divided", rec, 0.0))
+            history._set_pair(key, PairRec(rec, 0.0))
         assert history.records == {rec: {(1, 2): history.pairs[(1, 2)],
                                          (1, 3): history.pairs[(1, 3)]}}
         # a divided pair that meets again joined drops out of its record
-        history._set_pair((1, 2), PairRec("joined", None, 0.0))
+        history._set_pair((1, 2), PairRec(None, 0.0))
         assert list(history.records[rec]) == [(1, 3)]
         history._apply_deaths((3,))
         assert history.records == {} and list(history.pairs) == [(1, 2)]
@@ -235,10 +236,10 @@ class TestPiRecursion:
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         state, history, _ = self.drive(spec, bounds, w0, StepFunction((), (), 0), 0)
         pair = history.pairs[(1, 2)]
-        assert pair.status == "divided"  # the rarefaction fan splits at t=0
+        assert pair.record is not None  # the rarefaction fan splits at t=0
         assert pair.pi == 0.0
         assert pair.record.classes[0].lo == 1 and pair.record.classes[1].hi == 2
-        assert history.pairs[(3, 4)].status == "joined"
+        assert history.pairs[(3, 4)].record is None  # joined
 
     def test_transversal_crossings_accumulate_pi(self, spec, bounds):
         # one v-front overtakes the two rarefaction waves in two events; each
@@ -269,9 +270,9 @@ class TestPiRecursion:
         state, history, _ = self.drive(spec, bounds, w0, v0, 2)
         assert state.alive_ids() == [1, 2, 3, 4]
         assert set(history.pairs) == {(1, 2), (3, 4)}
-        assert history.pairs[(3, 4)].status == "joined"      # weight 0
+        assert history.pairs[(3, 4)].record is None      # joined: weight 0
         pair = history.pairs[(1, 2)]
-        assert pair.status == "divided"
+        assert pair.record is not None                   # divided
         divided = pair.pi / ((abs(state.wave(2).w_hat - state.wave(1).w_hat) + 1) * EPS)
         assert divided > 0.0
         want = (4 * bounds.norm_d2_ww + divided) * EPS**2
@@ -362,7 +363,7 @@ class TestReplayAgreement:
             assert [(w.pos, w.speed, w.v_label) for w in final.state.waves] == \
                 [(w.pos, w.speed, w.v_label) for w in traj.final_state.waves]
             for key, pair in history.pairs.items():
-                if pair.status == "divided":
+                if pair.record is not None:
                     assert final.pairs[key].status == "divided"
                     assert pair.pi == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
                     classes = [c.members(traj.final_state) for c in pair.record.classes]

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from test_envelopes import contact
 from triwave.envelopes import concave_envelope, convex_envelope, rh_speed
 from triwave.flux import PiecewiseAffineFlux
 from triwave.wavefield import StepFunction
@@ -33,7 +34,8 @@ def test_envelope_below_input_with_increasing_slopes(values):
     env = convex_envelope(g, 0, len(values) - 1)
     assert np.all(env.node_values <= np.asarray(values) + 1e-12)
     assert np.all(np.diff(env.cell_slopes) >= -1e-12)
-    assert env.contact_flags[0] and env.contact_flags[-1]
+    flags = contact(env)
+    assert flags[0] and flags[-1]
     conc = concave_envelope(g, 0, len(values) - 1)
     assert np.all(conc.node_values >= np.asarray(values) - 1e-12)
 

@@ -17,6 +17,7 @@ from triwave.scenario import (
 
 EPS = 0.05
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestGenerateInitialData:
@@ -105,6 +106,14 @@ class TestRunScenario:
         run_scenario(cfg, out_dir=tmp_path / "b")
         for name in ("events.csv", "functionals.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_golden_artifacts_seed_42(self, tmp_path):
+        # configs/demo.json as shipped (seed 42, level full); a change that
+        # alters these bytes on purpose regenerates tests/golden and says so
+        res = run_scenario(ScenarioConfig.from_json(DEMO), out_dir=tmp_path)
+        assert res.passed
+        for name in ("events.csv", "functionals.csv"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_non_hyperbolic_flux_fails_fast(self, tmp_path):
         cfg = ScenarioConfig(flux={"name": "custom_poly", "params": {"coeffs": [[2, 0, 2.0]]}})
@@ -246,6 +255,15 @@ class TestCli:
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("event_guard", "10", "event_guard must be an integer, got '10'"),
         ("flux", {"name": "quartic", "params": {"k": 1}}, "flux quartic: unknown params k"),
+        ("flux", {"name": "quadratic_coupled", "params": {"box": [-0.8, 0.8]}},
+         "flux box must be 4 numbers [w_min, w_max, v_min, v_max], got [-0.8, 0.8]"),
+        ("flux", {"name": "quadratic_coupled", "params": {"box": [-0.8, "0.8", -0.5, 0.5]}},
+         "flux box must be 4 numbers [w_min, w_max, v_min, v_max], got [-0.8, '0.8', -0.5, 0.5]"),
+        ("flux", {"name": "quadratic_coupled", "params": {"box": [0.8, -0.8, -0.5, 0.5]}},
+         "flux box [0.8, -0.8, -0.5, 0.5] needs w_min < w_max and v_min < v_max"),
+        ("flux", {"name": "quadratic_coupled", "params": {"box": [-0.8, 0.8, 0.5, 0.5]}},
+         "flux box [-0.8, 0.8, 0.5, 0.5] needs w_min < w_max and v_min < v_max"),
+        ("event_guard", 3, "more than 3 events"),
     ])
     def test_bad_value_is_a_clean_error(self, tmp_path, key, value, message):
         doc = json.loads(DEMO.read_text())

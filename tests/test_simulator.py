@@ -6,6 +6,7 @@ from triwave.simulator import _objects, next_collision, resolve, run
 from triwave.wavefield import (
     EventKind,
     StepFunction,
+    VFront,
     assign_initial_speeds,
     initial_enumeration,
     validate_enumeration,
@@ -30,20 +31,17 @@ def brute_force_earliest(state):
     best = None
     for i in range(len(objs)):
         for j in range(i + 1, len(objs)):
-            lk, l, lx, ls = objs[i]
-            rk, r, rx, rs = objs[j]
-            if lk == "v" and rk == "v":
+            l, r = objs[i], objs[j]
+            if isinstance(l, VFront):
                 continue
-            if lk == "v":
-                continue
-            if rk == "v":
+            if isinstance(r, VFront):
                 if state.wave(l.ids[0]).crossed >= r.id:
                     continue
-                tau = (rx - lx) / (ls + 1.0)
+                tau = (r.pos - l.pos) / (l.speed + 1.0)
             else:
-                if ls <= rs:
+                if l.speed <= r.speed:
                     continue
-                tau = (rx - lx) / (ls - rs)
+                tau = (r.pos - l.pos) / (l.speed - r.speed)
             t = state.time + max(tau, 0.0)
             if best is None or t < best:
                 best = t
@@ -99,6 +97,8 @@ class TestNextCollision:
             )
             cand = next_collision(state)
             want = brute_force_earliest(state)
+            # a first-family front is never caught from behind
+            assert cand is None or not isinstance(cand.left, VFront)
             if cand is None:
                 assert want is None
             else:

@@ -10,10 +10,10 @@ module owns:
 - ``PiecewiseAffineFlux``: node samples of f(., v) on eps*Z;
 - ``DerivativeBounds``: sampled sup norms of the second/third derivatives,
   used as the constants of every runtime inequality check;
-- ``EffectiveFlux``: a ``PiecewiseAffineFlux`` per block whose second
-  w-derivative equals d2f/dw2(., v_label) cell by cell, anchored to value 0 /
-  slope 0 at its left node (it is only ever used through differences, which
-  are affine-invariant).
+- ``build_effective_flux``: the effective flux of a block, a
+  ``PiecewiseAffineFlux`` whose second w-derivative equals d2f/dw2(., v_label)
+  cell by cell, anchored to value 0 / slope 0 at its left node (it is only
+  ever used through differences, which are affine-invariant).
 
 All grid coordinates in this package are integer "ticks": node i sits at
 ``i * eps``.
@@ -32,7 +32,6 @@ __all__ = [
     "FluxSpec",
     "DerivativeBounds",
     "PiecewiseAffineFlux",
-    "EffectiveFlux",
     "make_flux",
     "interpolate",
     "derivative_bounds",
@@ -43,7 +42,7 @@ __all__ = [
 
 Real2 = Callable[[float, float], float]
 
-# nodes and weights for the per-cell quadrature used by EffectiveFlux
+# nodes and weights for the per-cell quadrature of build_effective_flux
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -276,25 +275,14 @@ def validate_flux(spec: FluxSpec) -> list[str]:
     return [f"d_w({w[k]}, {v[k]}) = {d_w[k]} <= -1" for k in zip(*np.nonzero(d_w <= -1.0))]
 
 
-@dataclass(frozen=True, eq=False)
-class EffectiveFlux(PiecewiseAffineFlux):
-    """Flux with d2/dw2 = d2f/dw2(., v_label) on each wave cell of a block.
-
-    Built by integrating the per-cell second derivative twice with 16-point
-    Gauss-Legendre quadrature, anchored to value 0 and slope 0 at the left
-    node.  Only differences of values/slopes are meaningful (the function is
-    defined up to affine terms).
-    """
-
-    deriv: np.ndarray    # first derivative at the nodes, one per entry of values
-
-
-def build_effective_flux(cells: list[tuple[int, int]], spec: FluxSpec, eps: float) -> EffectiveFlux:
+def build_effective_flux(cells: list[tuple[int, int]], spec: FluxSpec,
+                         eps: float) -> PiecewiseAffineFlux:
     """Construct the effective flux from ``cells = [(cell_tick, v_tick), ...]``.
 
     ``cell_tick`` is the left node of the cell; cells must be contiguous and
     ascending.  The v label of each cell selects which d2f/dw2(., v) profile
-    is integrated across it.
+    is integrated across it twice, with 16-point Gauss-Legendre quadrature,
+    from value 0 and slope 0 at the left node.
     """
     if not cells:
         raise ValueError("empty cell list")
@@ -302,9 +290,8 @@ def build_effective_flux(cells: list[tuple[int, int]], spec: FluxSpec, eps: floa
     if any(b != a + 1 for a, b in zip(ticks, ticks[1:])):
         raise ValueError("cells must be contiguous and ascending")
     lo = ticks[0]
-    n = len(cells) + 1
-    values = np.zeros(n)
-    deriv = np.zeros(n)
+    values = np.zeros(len(cells) + 1)
+    slope = 0.0    # first derivative at the left node of the current cell
     for k, (tick, v_tick) in enumerate(cells):
         a = tick * eps
         v = v_tick * eps
@@ -313,11 +300,11 @@ def build_effective_flux(cells: list[tuple[int, int]], spec: FluxSpec, eps: floa
         wts = 0.5 * eps * _GL_WEIGHTS
         g = np.array([spec.d2_ww(xi, v) for xi in x])
         incr_d = float(np.dot(wts, g))
-        # value(b) = value(a) + deriv(a)*eps + int_a^b (b - x) g(x) dx
+        # value(b) = value(a) + slope(a)*eps + int_a^b (b - x) g(x) dx
         incr_v = float(np.dot(wts, (a + eps - x) * g))
-        deriv[k + 1] = deriv[k] + incr_d
-        values[k + 1] = values[k] + deriv[k] * eps + incr_v
-    return EffectiveFlux(eps=eps, base_index=lo, values=values, deriv=deriv)
+        values[k + 1] = values[k] + slope * eps + incr_v
+        slope += incr_d
+    return PiecewiseAffineFlux(eps=eps, base_index=lo, values=values)
 
 
 class FluxTable:

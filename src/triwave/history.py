@@ -32,7 +32,7 @@ import logging
 from dataclasses import dataclass
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope, rh_speed
-from .flux import DerivativeBounds, EffectiveFlux, FluxSpec
+from .flux import DerivativeBounds, FluxSpec, PiecewiseAffineFlux
 from .wavefield import Event, EventKind, FieldState, IdRange, effective_flux
 
 __all__ = [
@@ -238,7 +238,7 @@ class PairHistory:
             return  # nothing changed: same flux, same members
         dead = set(event.canceled)
         touched = event.participants if event.kind == EventKind.TRANSVERSAL else None
-        eff_cache: dict[int, EffectiveFlux] = {}
+        eff_cache: dict[int, PiecewiseAffineFlux] = {}
         block_of: dict[int, IdRange] = {}  # filled by the first split
 
         for rec in self.records:
@@ -385,7 +385,7 @@ class PairHistory:
             "rhs": rhs,
         }
 
-    def _eff_rh(self, eff: EffectiveFlux, state: FieldState, rng: IdRange) -> float:
+    def _eff_rh(self, eff: PiecewiseAffineFlux, state: FieldState, rng: IdRange) -> float:
         cells = [state.wave(s).cell() for s in rng.members(state)]
         return rh_speed(eff, min(cells), max(cells) + 1)
 

@@ -11,23 +11,26 @@ literal, per-pair reading of the definitions on small runs.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
-from .flux import EffectiveFlux
+from .flux import PiecewiseAffineFlux
 from .history import m_value
 from .simulator import Trajectory
-from .wavefield import Event, EventKind, FieldState, effective_flux
+from .wavefield import Event, EventKind, FieldState, apply_event, effective_flux
 
 __all__ = ["ReplayPair", "ReplayStep", "Replay", "MAX_REPLAY_WAVES"]
 
 MAX_REPLAY_WAVES = 12
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayPair:
-    """One pair's reconstructed history at a fixed event time."""
+    """One pair's reconstructed history at a fixed event time.
+
+    Never edited in place: a step that changes a pair replaces it, so pairs
+    may share their lists and steps share the pairs they leave as is.
+    """
 
     status: str                                  # "never", "joined", "divided", "dead"
     interval: list[int] = field(default_factory=list)   # alive ids, divided only
@@ -63,8 +66,7 @@ class Replay:
         }
         for _, groups in traj.initial_groups:
             ids = sorted(s for members, _ in groups for s in members)
-            self._meet(ids, {s: sp for members, sp in groups for s in members},
-                       event_index=0)
+            self._meet(ids, {s: sp for members, sp in groups for s in members})
         self._record(index=0, time=0.0)
 
     # -- driving -------------------------------------------------------------
@@ -76,31 +78,10 @@ class Replay:
 
     def _step(self, event: Event) -> None:
         state = self.state
-        dt = event.time - state.time
-        for w in state.waves:
-            if w.alive:
-                w.pos += w.speed * dt
-        state.time = event.time
-        for s in range(event.colliding.lo, event.colliding.hi + 1):
-            w = state.wave(s)
-            if w.alive:
-                w.pos = event.x
-        for s in event.canceled:
-            w = state.wave(s)
-            w.pos = None
-            w.speed = None
-            w.death_time = event.time
-        for s, speed in event.post_speeds.items():
-            state.wave(s).speed = speed
-        if event.kind == EventKind.TRANSVERSAL:
-            for s in event.post_speeds:
-                w = state.wave(s)
-                w.crossed = event.v_front_id
-                w.v_label = event.v_label
-
+        apply_event(state, event)
         dead = set(event.canceled)
         meeting_ids = set(event.participants.members(state)) if event.participants else set()
-        eff_cache: dict[int, EffectiveFlux] = {}
+        eff_cache: dict[int, PiecewiseAffineFlux] = {}
         for key, pair in self.pairs.items():
             s, s2 = key
             if s in dead or s2 in dead:
@@ -110,33 +91,32 @@ class Replay:
                 continue
             if s in meeting_ids and s2 in meeting_ids:
                 raise ValueError(f"pair {key} met again while divided (event {event.index})")
-            pre_classes = pair.classes
+            interval, classes, pi = pair.interval, pair.classes, pair.pi
             if event.kind == EventKind.TRANSVERSAL and event.participants is not None:
                 factor = 2.0 * self.traj.bounds.norm_d3_wwv * event.v_strength
-                for pp in pair.pi:
-                    m = m_value(pre_classes, event.participants.lo,
+                pi = {}
+                for pp, val in pair.pi.items():
+                    m = m_value(classes, event.participants.lo,
                                 event.participants.hi, pp[0], pp[1], self.traj.eps)
-                    if m > 0.0:
-                        pair.pi[pp] += factor * m
+                    pi[pp] = val + factor * m if m > 0.0 else val
             if dead:
-                pair.interval = [p for p in pair.interval if p not in dead]
-                pair.classes = [[p for p in c if p not in dead] for c in pair.classes]
-                pair.classes = [c for c in pair.classes if c]
-                pair.pi = {pp: val for pp, val in pair.pi.items()
-                           if pp[0] not in dead and pp[1] not in dead}
-            pair.classes = [
-                piece
-                for cls in pair.classes
-                for piece in self._split(cls, eff_cache, event)
-            ]
+                interval = [p for p in interval if p not in dead]
+                classes = [[p for p in c if p not in dead] for c in classes]
+                classes = [c for c in classes if c]
+                pi = {pp: val for pp, val in pi.items()
+                      if pp[0] not in dead and pp[1] not in dead}
+            classes = [piece for cls in classes for piece in self._split(cls, eff_cache, event)]
+            new = ReplayPair("divided", interval, classes, pi)
+            if new != pair:
+                self.pairs[key] = new
         if event.participants is not None:
             ids = event.participants.members(state)
-            self._meet(ids, event.post_speeds, event_index=event.index)
+            self._meet(ids, event.post_speeds)
         self._record(index=event.index, time=event.time)
 
     # -- meeting pairs ---------------------------------------------------------
 
-    def _meet(self, ids: list[int], speeds: dict[int, float], event_index: int) -> None:
+    def _meet(self, ids: list[int], speeds: dict[int, float]) -> None:
         """Pairs sharing the event position: joined or freshly divided."""
         if len(ids) < 2:
             return
@@ -153,12 +133,7 @@ class Replay:
                 if group_of[a] == group_of[b]:
                     self.pairs[(a, b)] = ReplayPair(status="joined")
                 else:
-                    self.pairs[(a, b)] = ReplayPair(
-                        status="divided",
-                        interval=list(ids),
-                        classes=[list(c) for c in classes],
-                        pi=dict(table),
-                    )
+                    self.pairs[(a, b)] = ReplayPair("divided", ids, classes, table)
 
     # -- partition refinement ----------------------------------------------------
 
@@ -199,7 +174,7 @@ class Replay:
             ReplayStep(
                 index=index,
                 time=time,
-                pairs=copy.deepcopy(self.pairs),
+                pairs=dict(self.pairs),
                 state=self.state.copy(),
                 q_quadratic=self._q_quadratic(),
             )

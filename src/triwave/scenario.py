@@ -37,6 +37,8 @@ __all__ = [
 
 log = logging.getLogger("triwave.scenario")
 
+_RANDOM_KEYS = ("jumps", "max_amplitude", "max_waves", "max_fronts")
+
 
 @dataclass
 class ScenarioConfig:
@@ -60,6 +62,8 @@ class ScenarioConfig:
         for name in ("seed", "event_guard"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("w0", "v0"):
+            _check_datum(name, getattr(self, name))
 
     @staticmethod
     def from_json(path) -> "ScenarioConfig":
@@ -74,8 +78,20 @@ class ScenarioConfig:
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=1)
-            fh.write("\n")
+            _write_json(fh, asdict(self))
+
+
+def _check_datum(name: str, part) -> None:
+    """A datum spec is ``{"jumps": [[x, tick], ...]}`` or ``{"random": {...}}``."""
+    if not isinstance(part, dict) or list(part) not in (["jumps"], ["random"]):
+        raise ValueError(f"{name} takes exactly one key, jumps or random, got {part!r}")
+    rand = part.get("random", {})
+    if not isinstance(rand, dict):
+        raise ValueError(f"{name} random spec must be an object, got {rand!r}")
+    unknown = sorted(set(rand) - set(_RANDOM_KEYS))
+    if unknown:
+        raise ValueError(f"{name} random spec: unknown keys {', '.join(unknown)} "
+                         f"(allowed: {', '.join(_RANDOM_KEYS)})")
 
 
 @dataclass
@@ -130,14 +146,11 @@ def build_initial_data(config: ScenarioConfig, spec: FluxSpec) -> tuple[StepFunc
     rng_w, rng_v = (np.random.default_rng(s) for s in seq.spawn(2))
 
     def build(part: dict, rng, amp_limit: float) -> StepFunction:
-        if "jumps" in part and "random" not in part:
+        if "jumps" in part:
             return StepFunction.from_jumps([(float(x), int(t)) for x, t in part["jumps"]])
-        if "random" in part:
-            rand = part["random"]
-            if not rand:
-                return StepFunction((), (), 0)
-            return generate_initial_data(rand, rng, config.eps, amp_limit)
-        return StepFunction((), (), 0)
+        if not part["random"]:
+            return StepFunction((), (), 0)
+        return generate_initial_data(part["random"], rng, config.eps, amp_limit)
 
     w_amp = min(abs(spec.box.w_min), abs(spec.box.w_max))
     v_amp = min(abs(spec.box.v_min), abs(spec.box.v_max))
@@ -200,6 +213,11 @@ def _atomic_write(path: Path, writer) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_json(fh, doc: dict) -> None:
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")
 
 
 def _write_events(fh, traj: Trajectory) -> None:
@@ -285,7 +303,5 @@ def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
     }
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        with open(Path(out_dir) / "summary.json", "w") as fh:
-            json.dump(out, fh, indent=1)
-            fh.write("\n")
+        _atomic_write(Path(out_dir) / "summary.json", lambda fh: _write_json(fh, out))
     return out

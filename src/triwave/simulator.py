@@ -26,7 +26,7 @@ from .wavefield import (
     IdRange,
     StepFunction,
     VFront,
-    apply_groups,
+    apply_event,
     assign_initial_speeds,
     initial_enumeration,
     speed_groups,
@@ -141,119 +141,71 @@ def _contiguous_alive(state: FieldState, ids: list[int]) -> IdRange:
 
 def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
             index: int) -> Event:
-    """Advance the state to the candidate and resolve the local Riemann problem."""
+    """Check the candidate, solve the local Riemann problem and move the state
+    across the resulting event."""
     if cand.time < state.time - TIME_TOL:
         raise ValueError(f"stale event: t={cand.time} but state is at {state.time}")
     t_j = max(cand.time, state.time)
-    dt = t_j - state.time
-    for w in state.waves:
-        if w.alive:
-            w.pos += w.speed * dt
-    for vf in state.v_fronts:
-        vf.pos -= dt
-    state.time = t_j
     x_j = cand.x
-
-    if isinstance(cand.right, VFront):
-        vf, front = cand.right, cand.left
-        vf.pos = x_j
-        ids = list(front.ids)
-        colliding = _contiguous_alive(state, ids)
-        pre = {s: state.wave(s).speed for s in ids}
-        for s in ids:
-            w = state.wave(s)
-            if w.crossed != vf.id - 1:
-                raise ValueError(f"wave {s} crossing front {vf.id} out of order")
-            w.pos = x_j
-            w.crossed = vf.id
-            w.v_label = vf.v_right
-        post = apply_groups(state, speed_groups(state, ids, flux_table, v_tick=vf.v_right))
-        return Event(
-            index=index,
-            time=t_j,
-            x=x_j,
-            kind=EventKind.TRANSVERSAL,
-            colliding=colliding,
-            participants=colliding,
-            v_label=vf.v_right,
-            pre_speeds=pre,
-            post_speeds=post,
-            sum_abs_dsigma=_dsigma(pre, post, state.eps),
-            v_front_id=vf.id,
-            v_strength=vf.strength_ticks * state.eps,
-        )
-
     left, right = cand.left, cand.right
-    ids = list(left.ids) + list(right.ids)
+    crossing = isinstance(right, VFront)
+    ids = list(left.ids) if crossing else list(left.ids) + list(right.ids)
     colliding = _contiguous_alive(state, ids)
-    if left.v_label != right.v_label:
-        raise ValueError("colliding w-fronts see different v values")
-    v_tick = left.v_label
     pre = {s: state.wave(s).speed for s in ids}
-    for s in ids:
-        state.wave(s).pos = x_j
-
-    if left.sign == right.sign:
-        kind = EventKind.INTERACTION_POSITIVE if left.sign > 0 else EventKind.INTERACTION_NEGATIVE
-        groups = speed_groups(state, ids, flux_table, v_tick=v_tick)
-        if len(groups) != 1:
-            raise ValueError(f"interaction at ({t_j}, {x_j}) did not merge into one front")
-        post = apply_groups(state, groups)
-        return Event(
-            index=index,
-            time=t_j,
-            x=x_j,
-            kind=kind,
-            colliding=colliding,
-            participants=colliding,
-            v_label=v_tick,
-            pre_speeds=pre,
-            post_speeds=post,
-            sum_abs_dsigma=_dsigma(pre, post, state.eps),
-            left_ids=IdRange(left.lo, left.hi),
-            right_ids=IdRange(right.lo, right.hi),
-        )
-
-    # cancellation: opposite signs annihilate pairwise from the middle state
-    w_ll, w_lr = stack_range(state, left.ids)
-    w_rl, w_rr = stack_range(state, right.ids)
-    if w_lr != w_rl:
-        raise ValueError("cancellation fronts do not share the middle state")
-    w_a, w_c = w_ll, w_rr
-    survivors: list[int] = []
-    canceled: list[int] = []
-    for s in ids:
-        w = state.wave(s)
-        keep = (
-            w_a != w_c
-            and w.sign == (1 if w_c > w_a else -1)
-            and (w_a + 1 <= w.w_hat <= w_c if w_c > w_a else w_c <= w.w_hat <= w_a - 1)
-        )
-        (survivors if keep else canceled).append(s)
-    for s in canceled:
-        w = state.wave(s)
-        w.pos = None
-        w.speed = None
-        w.death_time = t_j
-    post: dict[int, float] = {}
-    if survivors:
-        post = apply_groups(state, speed_groups(state, survivors, flux_table, v_tick=v_tick))
-    return Event(
+    survivors, canceled = ids, []
+    if crossing:
+        for s in ids:
+            if state.wave(s).crossed != right.id - 1:
+                raise ValueError(f"wave {s} crossing front {right.id} out of order")
+        kind, v_tick = EventKind.TRANSVERSAL, right.v_right
+    else:
+        if left.v_label != right.v_label:
+            raise ValueError("colliding w-fronts see different v values")
+        v_tick = left.v_label
+        if left.sign == right.sign:
+            kind = EventKind.INTERACTION_POSITIVE if left.sign > 0 else EventKind.INTERACTION_NEGATIVE
+        else:
+            # cancellation: opposite signs annihilate pairwise from the middle state
+            kind = EventKind.CANCELLATION
+            w_a, w_lr = stack_range(state, left.ids)
+            w_rl, w_c = stack_range(state, right.ids)
+            if w_lr != w_rl:
+                raise ValueError("cancellation fronts do not share the middle state")
+            survivors = []
+            for s in ids:
+                w = state.wave(s)
+                keep = (
+                    w_a != w_c
+                    and w.sign == (1 if w_c > w_a else -1)
+                    and (w_a + 1 <= w.w_hat <= w_c if w_c > w_a else w_c <= w.w_hat <= w_a - 1)
+                )
+                (survivors if keep else canceled).append(s)
+    groups = speed_groups(state, survivors, flux_table, v_tick=v_tick)
+    if kind.is_interaction and len(groups) != 1:
+        raise ValueError(f"interaction at ({t_j}, {x_j}) did not merge into one front")
+    post = {s: speed for members, speed in groups for s in members}
+    event = Event(
         index=index,
         time=t_j,
         x=x_j,
-        kind=EventKind.CANCELLATION,
+        kind=kind,
         colliding=colliding,
-        participants=_contiguous_alive(state, survivors) if survivors else None,
+        participants=IdRange(min(survivors), max(survivors)) if survivors else None,
         v_label=v_tick,
         pre_speeds=pre,
         post_speeds=post,
         sum_abs_dsigma=_dsigma(pre, post, state.eps),
-        left_ids=IdRange(left.lo, left.hi),
-        right_ids=IdRange(right.lo, right.hi),
+        left_ids=None if crossing else IdRange(left.lo, left.hi),
+        right_ids=None if crossing else IdRange(right.lo, right.hi),
+        v_front_id=right.id if crossing else None,
+        v_strength=right.strength_ticks * state.eps if crossing else 0.0,
         canceled=tuple(canceled),
         cancellation=len(canceled) * state.eps,
     )
+    apply_event(state, event)
+    if canceled and survivors:    # the cancelled waves must not split the survivors
+        _contiguous_alive(state, survivors)
+    return event
 
 
 def _dsigma(pre: dict[int, float], post: dict[int, float], eps: float) -> float:

@@ -7,7 +7,8 @@ position and speed (None once cancelled), the v value at its position and how
 many first-family fronts it has crossed.  First-family fronts all travel at
 speed -1 and are stored separately.  An ``Event`` records one resolved
 collision in terms of this enumeration: the id ranges of the waves involved
-and their speeds before and after.
+and their speeds before and after.  :func:`apply_event` is the one place that
+moves a state across an event; the simulator and the replay both call it.
 
 State arithmetic is exact: w values, right states and v labels are integer
 ticks; only positions, speeds and times are floats.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .flux import EffectiveFlux, FluxSpec, FluxTable, build_effective_flux
+from .flux import FluxSpec, FluxTable, PiecewiseAffineFlux, build_effective_flux
 from .riemann import solve_scalar
 
 __all__ = [
@@ -30,9 +31,9 @@ __all__ = [
     "IdRange",
     "EventKind",
     "Event",
+    "apply_event",
     "FieldState",
     "initial_enumeration",
-    "apply_groups",
     "assign_initial_speeds",
     "speed_groups",
     "stack_range",
@@ -223,6 +224,37 @@ class Event:
         return len(self.post_speeds)
 
 
+def apply_event(state: FieldState, event: Event) -> None:
+    """Move ``state`` across ``event``: advance every front to the event time,
+    gather the colliding waves at the event position, kill the cancelled
+    ones, set the new speeds and, at a crossing, snap the v-front and relabel
+    the waves that crossed it."""
+    dt = event.time - state.time
+    for w in state.waves:
+        if w.alive:
+            w.pos += w.speed * dt
+    for vf in state.v_fronts:
+        vf.pos -= dt
+    state.time = event.time
+    for s in range(event.colliding.lo, event.colliding.hi + 1):
+        w = state.wave(s)
+        if w.alive:
+            w.pos = event.x
+    for s in event.canceled:
+        w = state.wave(s)
+        w.pos = None
+        w.speed = None
+        w.death_time = event.time
+    for s, speed in event.post_speeds.items():
+        state.wave(s).speed = speed
+    if event.v_front_id is not None:
+        state.v_fronts[event.v_front_id - 1].pos = event.x
+        for s in event.post_speeds:
+            w = state.wave(s)
+            w.crossed = event.v_front_id
+            w.v_label = event.v_label
+
+
 class FieldState:
     """Full simulation state: wave records plus first-family fronts."""
 
@@ -373,17 +405,6 @@ def speed_groups(
     return [(tuple(sorted(by_cell[c] for c in f.cells)), f.speed) for f in fronts]
 
 
-def apply_groups(state: FieldState, groups) -> dict[int, float]:
-    """Set the speed of every wave of ``groups`` (as :func:`speed_groups`
-    returns them); returns the new speed per wave id."""
-    post: dict[int, float] = {}
-    for members, speed in groups:
-        for s in members:
-            state.wave(s).speed = speed
-            post[s] = speed
-    return post
-
-
 def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
     """Solve every initial discontinuity and set the wave speeds in place.
 
@@ -395,7 +416,9 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
 
     def flush() -> None:
         groups = speed_groups(state, stack, flux_table)
-        apply_groups(state, groups)
+        for members, speed in groups:
+            for s in members:
+                state.wave(s).speed = speed
         out.append((state.wave(stack[0]).pos, groups))
 
     for w in state.waves:
@@ -475,7 +498,7 @@ def validate_enumeration(state: FieldState) -> list[str]:
     return problems
 
 
-def effective_flux(state: FieldState, block: IdRange, spec: FluxSpec) -> EffectiveFlux:
+def effective_flux(state: FieldState, block: IdRange, spec: FluxSpec) -> PiecewiseAffineFlux:
     """Effective flux of one maximal homogeneous block of alive waves.
 
     On each wave cell its second derivative is d2f/dw2(., v label of the

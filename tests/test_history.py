@@ -358,10 +358,16 @@ class TestReplayAgreement:
             assert len(steps) == len(traj.snapshots)
             for step, snap in zip(steps, traj.snapshots):
                 assert step.q_quadratic == pytest.approx(snap.q_quadratic, abs=1e-12)
-            # the production per-pair pi values agree with the replayed tables
+            # the replayed final state equals the simulated one field for field
             final = steps[-1]
-            assert [(w.pos, w.speed, w.v_label) for w in final.state.waves] == \
-                [(w.pos, w.speed, w.v_label) for w in traj.final_state.waves]
+            assert final.state.time == traj.final_state.time
+            assert [(w.pos, w.speed, w.v_label, w.crossed, w.death_time)
+                    for w in final.state.waves] == \
+                [(w.pos, w.speed, w.v_label, w.crossed, w.death_time)
+                 for w in traj.final_state.waves]
+            assert [vf.pos for vf in final.state.v_fronts] == \
+                [vf.pos for vf in traj.final_state.v_fronts]
+            # the production per-pair pi values agree with the replayed tables
             for key, pair in history.pairs.items():
                 if pair.record is not None:
                     assert final.pairs[key].status == "divided"

@@ -160,6 +160,24 @@ class TestBatch:
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk["errors"] == summary["errors"]
 
+    def test_summary_is_written_atomically(self, tmp_path, monkeypatch):
+        # a summary dump that fails midway leaves no partial summary.json
+        real_dump = json.dump
+
+        def dump(doc, fh, **kwargs):
+            if "per_seed" in doc:
+                fh.write('{"seeds": [')
+                raise OSError("disk full")
+            real_dump(doc, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump)
+        cfg = ScenarioConfig(check_level="fast", w0={"jumps": [[1.0, 2], [3.0, 0]]},
+                             v0={"jumps": []})
+        with pytest.raises(OSError, match="disk full"):
+            batch(cfg, seeds=[0], out_dir=tmp_path)
+        assert (tmp_path / "seed_0" / "report.json").exists()
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == []
+
     def test_empty_seed_list_is_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):
             batch(ScenarioConfig(), seeds=[])
@@ -264,6 +282,10 @@ class TestCli:
         ("flux", {"name": "quadratic_coupled", "params": {"box": [-0.8, 0.8, 0.5, 0.5]}},
          "flux box [-0.8, 0.8, 0.5, 0.5] needs w_min < w_max and v_min < v_max"),
         ("event_guard", 3, "more than 3 events"),
+        ("w0", {"jump": [[1.0, 2], [2.0, 0]]},
+         "w0 takes exactly one key, jumps or random, got {'jump': [[1.0, 2], [2.0, 0]]}"),
+        ("w0", {"random": {"jumps": 5, "max_amplitude": 0.4, "max_wave": 20}},
+         "w0 random spec: unknown keys max_wave"),
     ])
     def test_bad_value_is_a_clean_error(self, tmp_path, key, value, message):
         doc = json.loads(DEMO.read_text())

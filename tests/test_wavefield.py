@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +181,17 @@ def test_snapshot_is_json_ready(flux_table):
     data = json.loads(text)
     assert len(data["waves"]) == 2
     assert len(data["v_fronts"]) == 2
+
+
+def test_only_wavefield_moves_the_state():
+    # apply_event is the one code path that moves a state across an event
+    moved = {"pos", "speed", "crossed", "v_label", "death_time", "time"}
+    pkg = Path(__file__).resolve().parents[1] / "src" / "triwave"
+    writers = {
+        path.stem
+        for path in pkg.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in moved
+    }
+    assert writers == {"wavefield"}

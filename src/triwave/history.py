@@ -31,9 +31,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope, rh_speed
-from .flux import DerivativeBounds, FluxSpec, PiecewiseAffineFlux
-from .wavefield import Event, EventKind, FieldState, IdRange, effective_flux
+from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
+from .flux import DerivativeBounds, FluxSpec
+from .wavefield import BlockFluxes, Event, EventKind, FieldState, IdRange
 
 __all__ = [
     "FunctionalSnapshot",
@@ -41,6 +41,7 @@ __all__ = [
     "PairRec",
     "PairHistory",
     "m_value",
+    "pair_weight",
     "contained_prefix",
 ]
 
@@ -107,6 +108,11 @@ def m_value(class_members: list[list[int]], part_lo: int, part_hi: int,
     return total * eps
 
 
+def pair_weight(pi: float, w_hat: int, w_hat2: int, eps: float) -> float:
+    """q of a divided pair with right states ``w_hat``, ``w_hat2`` (ticks)."""
+    return pi / ((abs(w_hat2 - w_hat) + 1) * eps)
+
+
 def contained_prefix(class_members: list[list[int]], part_lo: int,
                      part_hi: int) -> list[int]:
     """Prefix sums of the class sizes counted by ``m_value``: entry k is the
@@ -152,20 +158,9 @@ class PairHistory:
 
     def initialize(self, state: FieldState, initial_groups) -> FunctionalSnapshot:
         """Record the pair relations created by the initial Riemann problems."""
-        for _, groups in initial_groups:
+        for groups in initial_groups:
             ids = [s for members, _ in groups for s in members]
-            group_of = {s: k for k, (members, _) in enumerate(groups) for s in members}
-            record = None
-            if len(groups) > 1:
-                record = PartitionRecord(
-                    interval=IdRange(min(ids), max(ids)),
-                    classes=[IdRange(members[0], members[-1]) for members, _ in groups],
-                )
-            for i, s in enumerate(ids):
-                for s2 in ids[i + 1:]:
-                    a, b = min(s, s2), max(s, s2)
-                    joined = group_of[a] == group_of[b]
-                    self._set_pair((a, b), PairRec(record=None if joined else record, pi=0.0))
+            self._meet(ids, {s: speed for members, speed in groups for s in members}, 0)
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
@@ -181,7 +176,11 @@ class PairHistory:
         if event.kind == EventKind.TRANSVERSAL:
             self._apply_transversal_pi(event, state)
         self._refine_records(event, state)
-        self._update_meeting_pairs(event, state)
+        if event.participants is not None:
+            ids = event.participants.members(state)
+            if len({state.wave(s).sign for s in ids}) != 1:
+                raise ValueError("meeting waves of opposite sign survived one event")
+            self._meet(ids, event.post_speeds, event.index)
 
         snap = self.snapshot(state, index=event.index,
                              sum_abs_dsigma=event.sum_abs_dsigma)
@@ -238,8 +237,7 @@ class PairHistory:
             return  # nothing changed: same flux, same members
         dead = set(event.canceled)
         touched = event.participants if event.kind == EventKind.TRANSVERSAL else None
-        eff_cache: dict[int, PiecewiseAffineFlux] = {}
-        block_of: dict[int, IdRange] = {}  # filled by the first split
+        fluxes = BlockFluxes(state, self.spec)
 
         for rec in self.records:
             span = rec.interval
@@ -263,28 +261,14 @@ class PairHistory:
                 if len(members) == 1 or not (lost or crossed):
                     new_classes.append(IdRange(members[0], members[-1]))
                     continue
-                new_classes.extend(self._split_class(members, state, eff_cache, block_of))
+                new_classes.extend(self._split_class(members, state, fluxes))
             rec.classes = new_classes
 
-    def _split_class(self, members: list[int], state: FieldState, eff_cache,
-                     block_of) -> list[IdRange]:
+    def _split_class(self, members: list[int], state: FieldState,
+                     fluxes: BlockFluxes) -> list[IdRange]:
         """Split one class by the Riemann problem it spans under the current
-        effective flux; classes are runs of equal entropic speed.
-
-        ``block_of`` maps wave ids to their homogeneous block; it is built
-        here on the first split of an event, since most events split nothing.
-        """
-        if not block_of:
-            for blk in state.blocks():
-                for s in range(blk.lo, blk.hi + 1):
-                    block_of[s] = blk
-        blk = block_of[members[0]]
-        if block_of[members[-1]].lo != blk.lo:
-            raise ValueError("partition class spans two homogeneous blocks")
-        eff = eff_cache.get(blk.lo)
-        if eff is None:
-            eff = effective_flux(state, blk, self.spec)
-            eff_cache[blk.lo] = eff
+        effective flux; classes are runs of equal entropic speed."""
+        eff = fluxes.flux(members)
         sign = state.wave(members[0]).sign
         cells = [state.wave(s).cell() for s in members]
         lo, hi = min(cells), max(cells) + 1
@@ -299,36 +283,20 @@ class PairHistory:
         out.append(IdRange(members[start], members[-1]))
         return out
 
-    def _update_meeting_pairs(self, event: Event, state: FieldState) -> None:
-        """Pairs meeting at (t_j, x_j): recompute joined/divided from the
-        post-event state; newly divided pairs share a fresh partition."""
-        part = event.participants
-        if part is None:
-            return
-        ids = part.members(state)
-        if len(ids) < 2:
-            return
-        if len({state.wave(s).sign for s in ids}) != 1:
-            raise ValueError("meeting waves of opposite sign survived one event")
-        speeds = {s: event.post_speeds[s] for s in ids}
-        fresh: PartitionRecord | None = None
-
-        def fresh_record() -> PartitionRecord:
-            nonlocal fresh
-            if fresh is None:
-                classes: list[IdRange] = []
-                start = 0
-                for k in range(1, len(ids)):
-                    if speeds[ids[k]] != speeds[ids[k - 1]]:
-                        classes.append(IdRange(ids[start], ids[k - 1]))
-                        start = k
-                classes.append(IdRange(ids[start], ids[-1]))
-                fresh = PartitionRecord(
-                    interval=IdRange(ids[0], ids[-1]),
-                    classes=classes,
-                )
-            return fresh
-
+    def _meet(self, ids: list[int], speeds: dict[int, float], index: int) -> None:
+        """Pairs of ``ids`` meeting at one point after event ``index``: joined
+        where the speeds agree, else divided and sharing one fresh partition
+        whose classes are the runs of equal speed."""
+        classes: list[IdRange] = []
+        start = 0
+        for k in range(1, len(ids)):
+            if speeds[ids[k]] != speeds[ids[k - 1]]:
+                classes.append(IdRange(ids[start], ids[k - 1]))
+                start = k
+        classes.append(IdRange(ids[start], ids[-1]))
+        record = None
+        if len(classes) > 1:
+            record = PartitionRecord(interval=IdRange(ids[0], ids[-1]), classes=classes)
         for i, s in enumerate(ids):
             for s2 in ids[i + 1:]:
                 joined = speeds[s] == speeds[s2]
@@ -337,11 +305,10 @@ class PairHistory:
                     if not joined:
                         # re-meeting pairs were on one front, hence joined, before
                         raise ValueError(
-                            f"pair ({s}, {s2}) met again while divided at event {event.index}"
+                            f"pair ({s}, {s2}) met again while divided at event {index}"
                         )
-                    log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
-                self._set_pair((s, s2), PairRec(
-                    record=None if joined else fresh_record(), pi=0.0))
+                    log.debug("pair (%d, %d) re-joined at event %d", s, s2, index)
+                self._set_pair((s, s2), PairRec(record=None if joined else record, pi=0.0))
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
@@ -352,42 +319,26 @@ class PairHistory:
         interaction it is unchanged from the previous event, so the post-event
         state provides it.
         """
-        left, right = event.left_ids, event.right_ids
-        blk = next(b for b in state.blocks() if b.contains(left.lo))
-        if not blk.contains(right.hi):
-            raise ValueError("interacting fronts not in one homogeneous block")
-        eff = effective_flux(state, blk, self.spec)
-        sig_l = self._eff_rh(eff, state, left)
-        sig_r = self._eff_rh(eff, state, right)
-        size_l = len(left.members(state)) * self.eps
-        size_r = len(right.members(state)) * self.eps
+        fluxes = BlockFluxes(state, self.spec)
+        left = event.left_ids.members(state)
+        right = event.right_ids.members(state)
+        fluxes.flux(left + right)  # raises unless both fronts lie in one block
+        size_l = len(left) * self.eps
+        size_r = len(right) * self.eps
         sum_pi = 0.0
         n_never = 0
-        for s in left.members(state):
-            for s2 in right.members(state):
+        for s in left:
+            for s2 in right:
                 pair = self.pairs.get((s, s2))
                 if pair is None:
                     n_never += 1
                 else:
                     sum_pi += pair.pi
-        lhs = (sig_l - sig_r) * size_l * size_r
+        lhs = (fluxes.rh_speed(left) - fluxes.rh_speed(right)) * size_l * size_r
         rhs = sum_pi * self.eps**2 + n_never * self.bounds.norm_d2_ww * (
             size_l + size_r
         ) * self.eps**2
-        return {
-            "sigma_rh_left": sig_l,
-            "sigma_rh_right": sig_r,
-            "strength_left": size_l,
-            "strength_right": size_r,
-            "sum_pi_met": sum_pi,
-            "n_never": n_never,
-            "lhs": lhs,
-            "rhs": rhs,
-        }
-
-    def _eff_rh(self, eff: PiecewiseAffineFlux, state: FieldState, rng: IdRange) -> float:
-        cells = [state.wave(s).cell() for s in rng.members(state)]
-        return rh_speed(eff, min(cells), max(cells) + 1)
+        return {"sum_pi_met": sum_pi, "n_never": n_never, "lhs": lhs, "rhs": rhs}
 
     # -- functionals ---------------------------------------------------------
 
@@ -399,8 +350,7 @@ class PairHistory:
         q = self.bounds.norm_d2_ww * (total_pairs - len(self.pairs))
         for (s, s2), pair in self.pairs.items():
             if pair.record is not None and pair.pi != 0.0:
-                gap = abs(state.wave(s2).w_hat - state.wave(s).w_hat) + 1
-                q += pair.pi / (gap * self.eps)
+                q += pair_weight(pair.pi, state.wave(s).w_hat, state.wave(s2).w_hat, self.eps)
         return q * self.eps**2
 
     def q_trans(self, state: FieldState) -> float:

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
-from .flux import PiecewiseAffineFlux
-from .history import m_value
+from .history import m_value, pair_weight
 from .simulator import Trajectory
-from .wavefield import Event, EventKind, FieldState, apply_event, effective_flux
+from .wavefield import BlockFluxes, Event, EventKind, FieldState, apply_event
 
 __all__ = ["ReplayPair", "ReplayStep", "Replay", "MAX_REPLAY_WAVES"]
 
@@ -64,7 +63,7 @@ class Replay:
             for a in range(1, n + 1)
             for b in range(a + 1, n + 1)
         }
-        for _, groups in traj.initial_groups:
+        for groups in traj.initial_groups:
             ids = sorted(s for members, _ in groups for s in members)
             self._meet(ids, {s: sp for members, sp in groups for s in members})
         self._record(index=0, time=0.0)
@@ -81,7 +80,7 @@ class Replay:
         apply_event(state, event)
         dead = set(event.canceled)
         meeting_ids = set(event.participants.members(state)) if event.participants else set()
-        eff_cache: dict[int, PiecewiseAffineFlux] = {}
+        fluxes = BlockFluxes(state, self.traj.spec)
         for key, pair in self.pairs.items():
             s, s2 = key
             if s in dead or s2 in dead:
@@ -105,7 +104,7 @@ class Replay:
                 classes = [c for c in classes if c]
                 pi = {pp: val for pp, val in pi.items()
                       if pp[0] not in dead and pp[1] not in dead}
-            classes = [piece for cls in classes for piece in self._split(cls, eff_cache, event)]
+            classes = [piece for cls in classes for piece in self._split(cls, fluxes, event)]
             new = ReplayPair("divided", interval, classes, pi)
             if new != pair:
                 self.pairs[key] = new
@@ -137,7 +136,7 @@ class Replay:
 
     # -- partition refinement ----------------------------------------------------
 
-    def _split(self, members: list[int], eff_cache: dict, event: Event) -> list[list[int]]:
+    def _split(self, members: list[int], fluxes: BlockFluxes, event: Event) -> list[list[int]]:
         """Re-solve one class under the current effective flux; split where the
         Riemann problem tells members apart."""
         state = self.state
@@ -149,11 +148,7 @@ class Replay:
             part = event.participants
             if part is None or members[-1] < part.lo or part.hi < members[0]:
                 return [members]  # no member changed its v label
-        blk = next(b for b in state.blocks() if b.contains(members[0]))
-        eff = eff_cache.get(blk.lo)
-        if eff is None:
-            eff = effective_flux(state, blk, self.traj.spec)
-            eff_cache[blk.lo] = eff
+        eff = fluxes.flux(members)
         sign = state.wave(members[0]).sign
         cells = [state.wave(s).cell() for s in members]
         env = (convex_envelope if sign > 0 else concave_envelope)(eff, min(cells), max(cells) + 1)
@@ -191,6 +186,6 @@ class Replay:
                 if pair.status == "never":
                     q += self.traj.bounds.norm_d2_ww
                 elif pair.status == "divided":
-                    gap = abs(state.wave(b).w_hat - state.wave(a).w_hat) + 1
-                    q += pair.pi[(a, b)] / (gap * eps)
+                    q += pair_weight(pair.pi[(a, b)], state.wave(a).w_hat,
+                                     state.wave(b).w_hat, eps)
         return q * eps**2

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -85,13 +86,35 @@ def _check_datum(name: str, part) -> None:
     """A datum spec is ``{"jumps": [[x, tick], ...]}`` or ``{"random": {...}}``."""
     if not isinstance(part, dict) or list(part) not in (["jumps"], ["random"]):
         raise ValueError(f"{name} takes exactly one key, jumps or random, got {part!r}")
-    rand = part.get("random", {})
+    if "jumps" in part:
+        jumps = part["jumps"]
+        if not isinstance(jumps, (list, tuple)) or not all(
+            isinstance(j, (list, tuple)) and len(j) == 2
+            and _is_number(j[0]) and _is_int(j[1]) for j in jumps
+        ):
+            raise ValueError(f"{name} jumps must be a list of [x, tick] pairs, x a number "
+                             f"and tick an integer, got {jumps!r}")
+        return
+    rand = part["random"]
     if not isinstance(rand, dict):
         raise ValueError(f"{name} random spec must be an object, got {rand!r}")
     unknown = sorted(set(rand) - set(_RANDOM_KEYS))
     if unknown:
         raise ValueError(f"{name} random spec: unknown keys {', '.join(unknown)} "
                          f"(allowed: {', '.join(_RANDOM_KEYS)})")
+    for key, value in rand.items():
+        if key == "max_amplitude" and not _is_number(value):
+            raise ValueError(f"{name} random spec: {key} must be a number, got {value!r}")
+        if key != "max_amplitude" and not _is_int(value):
+            raise ValueError(f"{name} random spec: {key} must be an integer, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -267,9 +290,13 @@ def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
 
     A seed that raises counts as failed and its message is kept under
     ``errors``; the other seeds still run and ``summary.json`` is written.
+    At most one worker process per seed is started.
     """
     if not seeds:
         raise ValueError("batch needs at least one seed")
+    if workers < 1:
+        raise ValueError(f"batch needs at least one worker, got {workers}")
+    workers = min(workers, len(seeds))
     base = asdict(config)
     jobs = [
         (base, seed, str(Path(out_dir) / f"seed_{seed}") if out_dir else None)

@@ -70,7 +70,7 @@ class Trajectory:
     w0: StepFunction
     v0: StepFunction
     initial_state: FieldState
-    initial_groups: list[tuple[float, list[tuple[tuple[int, ...], float]]]]
+    initial_groups: list[list[tuple[tuple[int, ...], float]]]
     events: list[Event] = field(default_factory=list)
     snapshots: list = field(default_factory=list)          # FunctionalSnapshot, index j
     interaction_details: dict = field(default_factory=dict)  # event index -> dict
@@ -86,14 +86,22 @@ class Trajectory:
 
 
 def _objects(state: FieldState) -> list[Front | VFront]:
-    """All moving fronts, sorted left to right.
+    """All moving fronts, left to right in the enumeration.
 
-    Co-located objects (which only happens at just-resolved events, where
-    positions were snapped to the same float) order by speed: the slower one
-    ends up left, matching the immediate future.
+    Fronts come in wave-id order, and v-front h sits just before the first
+    front whose waves have crossed it (``crossed >= h``).  Float positions
+    play no part: after simultaneous collisions they may round out of order.
     """
-    objs: list[Front | VFront] = [*state.fronts(), *state.v_fronts]
-    objs.sort(key=lambda o: (o.pos, o.speed))
+    v_fronts = state.v_fronts
+    objs: list[Front | VFront] = []
+    h = 0
+    for front in state.fronts():
+        crossed = state.wave(front.lo).crossed
+        while h < len(v_fronts) and v_fronts[h].id <= crossed:
+            objs.append(v_fronts[h])
+            h += 1
+        objs.append(front)
+    objs.extend(v_fronts[h:])
     return objs
 
 
@@ -228,16 +236,18 @@ def run(
     ``history`` (a PairHistory) is created on demand; it is consulted after
     every event and its snapshots are stored on the trajectory.  The final
     state is validated once at every check level, so a run that leaves the
-    enumeration corrupt raises ``ValueError`` instead of returning.
+    enumeration corrupt raises ``ValueError`` instead of returning.  With
+    ``validate_each_event`` the state is also validated at the end of each
+    group of simultaneous events: once no further collision is due within
+    ``TIME_TOL`` of the last one, since inside a group a stack may still hold
+    a collision due at the same t.
     """
     if bounds is None:
         bounds = derivative_bounds(spec)
     state = initial_enumeration(w0, v0, eps)
     flux_table = FluxTable(spec, eps)
     initial_groups = assign_initial_speeds(state, flux_table)
-    problems = validate_enumeration(state)
-    if problems:
-        raise ValueError("initial enumeration invalid: " + "; ".join(problems))
+    _require_valid(state, "initial enumeration invalid")
 
     if history is None:
         history = PairHistory(spec=spec, eps=eps, bounds=bounds)
@@ -252,8 +262,13 @@ def run(
     )
     traj.snapshots.append(history.initialize(state, initial_groups))
 
+    unchecked: Event | None = None   # last event of the group not yet validated
     while True:
         cand = next_collision(state)
+        if unchecked is not None and (cand is None or cand.time > state.time + TIME_TOL):
+            _require_valid(state, f"enumeration invalid after event {unchecked.index} "
+                                  f"({unchecked.kind.value} at t={unchecked.time})")
+            unchecked = None
         if cand is None:
             break
         index = len(traj.events) + 1
@@ -267,14 +282,13 @@ def run(
         if detail:
             traj.interaction_details[index] = detail
         if validate_each_event:
-            problems = validate_enumeration(state)
-            if problems:
-                raise ValueError(
-                    f"enumeration invalid after event {index} "
-                    f"({event.kind.value} at t={event.time}): " + "; ".join(problems)
-                )
-    problems = validate_enumeration(state)
-    if problems:
-        raise ValueError("final enumeration invalid: " + "; ".join(problems))
+            unchecked = event
+    _require_valid(state, "final enumeration invalid")
     traj.final_state = state
     return traj
+
+
+def _require_valid(state: FieldState, what: str) -> None:
+    problems = validate_enumeration(state)
+    if problems:
+        raise ValueError(f"{what}: " + "; ".join(problems))

@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelopes import rh_speed
 from .history import PairHistory
 from .replay import Replay
 from .simulator import Trajectory
-from .wavefield import Event, EventKind, effective_flux
+from .wavefield import BlockFluxes, Event, EventKind
 
 __all__ = [
     "CheckResult",
@@ -253,16 +252,15 @@ def check_log2_kernel() -> list[CheckResult]:
 # lemma-level suite (small runs)
 
 
-def check_small_n_lemmas(traj: Trajectory,
-                         history: PairHistory | None = None) -> list[CheckResult]:
+def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckResult]:
     """Replay the run per pair and verify the partition/pi lemmas at every event.
 
     Checks, for every time and every divided pair: partition classes are
     joined in the real solution; the chord-speed gap between classes is
     bounded by pi; pi maps of nested pairs with the same interval agree; the
     partition of an outer pair restricts to inner intervals.  Also cross-checks
-    the replayed quadratic functional (and, when available, the production pi
-    values) against the incremental history.
+    the replayed quadratic functional and the production pi values against
+    the incremental history.
     """
     steps = Replay(traj).run()
     out: list[CheckResult] = []
@@ -275,7 +273,7 @@ def check_small_n_lemmas(traj: Trajectory,
         # compare replayed Q against the production snapshot
         out.append(_equality("replay_q_quadratic", scope,
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
-        eff_cache: dict[int, object] = {}
+        fluxes = BlockFluxes(state, traj.spec)
         divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
         worst_gap: CheckResult | None = None
         worst_agree: CheckResult | None = None
@@ -286,7 +284,7 @@ def check_small_n_lemmas(traj: Trajectory,
                    len({state.wave(p).speed for p in cls}) > 1:
                     joined_violations += 1
             # class-gap lemma: sigma_rh gap between classes bounded by pi
-            sigmas = [_class_rh(state, cls, traj, eff_cache) for cls in pair.classes]
+            sigmas = [fluxes.rh_speed(cls) for cls in pair.classes]
             for i in range(len(pair.classes)):
                 for j in range(i + 1, len(pair.classes)):
                     gap = sigmas[i] - sigmas[j]
@@ -325,40 +323,28 @@ def check_small_n_lemmas(traj: Trajectory,
             out.append(worst_agree)
     out.append(_check("partition_classes_joined", "global", float(joined_violations), 0.0))
     out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
-    if history is not None:
-        final = steps[-1]
-        worst: CheckResult | None = None
-        for key, pair in history.pairs.items():
-            if pair.record is None:
-                continue
-            rep = final.pairs.get(key)
-            if rep is None or rep.status != "divided":
-                worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
-                break
-            cand = _equality("replay_pi_match", "global", pair.pi, rep.pi[key], pair=key)
-            if worst is None or cand.slack < worst.slack:
-                worst = cand
-        if worst is not None:
-            out.append(worst)
+    final = steps[-1]
+    worst: CheckResult | None = None
+    for key, pair in history.pairs.items():
+        if pair.record is None:
+            continue
+        rep = final.pairs.get(key)
+        if rep is None or rep.status != "divided":
+            worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
+            break
+        cand = _equality("replay_pi_match", "global", pair.pi, rep.pi[key], pair=key)
+        if worst is None or cand.slack < worst.slack:
+            worst = cand
+    if worst is not None:
+        out.append(worst)
     return out
-
-
-def _class_rh(state, members: list[int], traj: Trajectory, eff_cache: dict) -> float:
-    blk = next(b for b in state.blocks() if b.contains(members[0]))
-    eff = eff_cache.get(blk.lo)
-    if eff is None:
-        eff = effective_flux(state, blk, traj.spec)
-        eff_cache[blk.lo] = eff
-    cells = [state.wave(s).cell() for s in members]
-    return rh_speed(eff, min(cells), max(cells) + 1)
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
 
-def run_verifier(traj: Trajectory, level: str = "full",
-                 history: PairHistory | None = None) -> list[CheckResult]:
+def run_verifier(traj: Trajectory, level: str, history: PairHistory) -> list[CheckResult]:
     """All checks appropriate for the level: fast, full or small_n."""
     if level not in CHECK_LEVELS:
         raise ValueError(f"unknown check level {level!r}")

@@ -9,6 +9,8 @@ speed -1 and are stored separately.  An ``Event`` records one resolved
 collision in terms of this enumeration: the id ranges of the waves involved
 and their speeds before and after.  :func:`apply_event` is the one place that
 moves a state across an event; the simulator and the replay both call it.
+:class:`BlockFluxes` is the one lookup from a run of waves to the effective
+flux of its homogeneous block.
 
 State arithmetic is exact: w values, right states and v labels are integer
 ticks; only positions, speeds and times are floats.
@@ -20,6 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
+from .envelopes import rh_speed
 from .flux import FluxSpec, FluxTable, PiecewiseAffineFlux, build_effective_flux
 from .riemann import solve_scalar
 
@@ -40,6 +43,7 @@ __all__ = [
     "validate_enumeration",
     "reconstruct_profile",
     "effective_flux",
+    "BlockFluxes",
     "snapshot",
 ]
 
@@ -408,8 +412,8 @@ def speed_groups(
 def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
     """Solve every initial discontinuity and set the wave speeds in place.
 
-    Returns ``[(position, groups), ...]``, one entry per discontinuity, with
-    groups as produced by :func:`speed_groups`.
+    Returns the groups of each discontinuity, left to right, as produced by
+    :func:`speed_groups`.
     """
     out = []
     stack: list[int] = []
@@ -419,7 +423,7 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
         for members, speed in groups:
             for s in members:
                 state.wave(s).speed = speed
-        out.append((state.wave(stack[0]).pos, groups))
+        out.append(groups)
 
     for w in state.waves:
         if stack and state.wave(stack[-1]).pos != w.pos:
@@ -513,6 +517,34 @@ def effective_flux(state: FieldState, block: IdRange, spec: FluxSpec) -> Piecewi
         raise ValueError("block is not homogeneous")
     cells = sorted((state.wave(s).cell(), state.wave(s).v_label) for s in members)
     return build_effective_flux(cells, spec, state.eps)
+
+
+class BlockFluxes:
+    """The effective flux of each homogeneous block of one state, built once,
+    on first use, for the runs of waves that ask for it."""
+
+    def __init__(self, state: FieldState, spec: FluxSpec):
+        self.state = state
+        self.spec = spec
+        self._blocks: list[IdRange] | None = None
+        self._fluxes: dict[int, PiecewiseAffineFlux] = {}
+
+    def flux(self, members: Sequence[int]) -> PiecewiseAffineFlux:
+        """Effective flux of the block holding the run of waves ``members``."""
+        if self._blocks is None:
+            self._blocks = self.state.blocks()
+        blk = next(b for b in self._blocks if b.contains(members[0]))
+        if not blk.contains(members[-1]):
+            raise ValueError(f"waves {members[0]}..{members[-1]} span two homogeneous blocks")
+        eff = self._fluxes.get(blk.lo)
+        if eff is None:
+            eff = self._fluxes[blk.lo] = effective_flux(self.state, blk, self.spec)
+        return eff
+
+    def rh_speed(self, members: Sequence[int]) -> float:
+        """Chord speed of the run ``members`` under its block's effective flux."""
+        cells = [self.state.wave(s).cell() for s in members]
+        return rh_speed(self.flux(members), min(cells), max(cells) + 1)
 
 
 def snapshot(state: FieldState) -> dict:

@@ -391,8 +391,8 @@ class JoinedClassHistory(PairHistory):
                 assert len({state.wave(s).speed for s in members}) <= 1, (event.index, members)
         return out
 
-    def _split_class(self, members, state, eff_cache, block_of):
-        out = super()._split_class(members, state, eff_cache, block_of)
+    def _split_class(self, members, state, fluxes):
+        out = super()._split_class(members, state, fluxes)
         if len(out) > 1:
             self.splits += 1
         return out

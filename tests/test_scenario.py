@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from triwave import scenario
 from triwave.scenario import (
     ScenarioConfig,
     batch,
@@ -66,6 +68,20 @@ class TestConfig:
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
             ScenarioConfig(check_level="nope")
+
+    @pytest.mark.parametrize("w0,message", [
+        ({"jumps": [[1.0, True], [2.0, 0]]}, "w0 jumps must be a list of [x, tick] pairs"),
+        ({"jumps": [["1.0", 2], [2.0, 0]]}, "w0 jumps must be a list of [x, tick] pairs"),
+        ({"jumps": [[1.0, 2, 3]]}, "w0 jumps must be a list of [x, tick] pairs"),
+        ({"random": {"jumps": 5.0}}, "w0 random spec: jumps must be an integer, got 5.0"),
+        ({"random": {"jumps": 3, "max_fronts": False}},
+         "w0 random spec: max_fronts must be an integer, got False"),
+        ({"random": {"jumps": 3, "max_amplitude": "0.3"}},
+         "w0 random spec: max_amplitude must be a number, got '0.3'"),
+    ])
+    def test_rejects_bad_datum_values(self, w0, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioConfig(w0=w0)
 
     def test_explicit_jump_lists(self, spec):
         cfg = ScenarioConfig(w0={"jumps": [[1.0, 2], [3.0, 0]]},
@@ -182,6 +198,34 @@ class TestBatch:
         with pytest.raises(ValueError, match="at least one seed"):
             batch(ScenarioConfig(), seeds=[])
 
+    def test_workers_are_capped_at_the_seed_count(self, monkeypatch):
+        # a stand-in pool runs the jobs in this process and records its size
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(scenario, "ProcessPoolExecutor", InlinePool)
+        cfg = ScenarioConfig(check_level="fast", w0={"jumps": [[1.0, 2], [3.0, 0]]},
+                             v0={"jumps": []})
+        summary = batch(cfg, seeds=[0, 1, 2], workers=5000)
+        assert sizes == [3]
+        assert summary["per_seed"] == {"0": True, "1": True, "2": True}
+
+    def test_zero_workers_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one worker, got 0"):
+            batch(ScenarioConfig(), seeds=[0], workers=0)
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg = ScenarioConfig(
             check_level="fast",
@@ -286,6 +330,13 @@ class TestCli:
          "w0 takes exactly one key, jumps or random, got {'jump': [[1.0, 2], [2.0, 0]]}"),
         ("w0", {"random": {"jumps": 5, "max_amplitude": 0.4, "max_wave": 20}},
          "w0 random spec: unknown keys max_wave"),
+        ("v0", {"jumps": 5},
+         "v0 jumps must be a list of [x, tick] pairs, x a number and tick an integer, got 5"),
+        ("w0", {"jumps": [[1.0, 2.5], [2.0, 0]]},
+         "w0 jumps must be a list of [x, tick] pairs, x a number and tick an integer, "
+         "got [[1.0, 2.5], [2.0, 0]]"),
+        ("w0", {"random": {"jumps": 5, "max_amplitude": 0.4, "max_waves": "20"}},
+         "w0 random spec: max_waves must be an integer, got '20'"),
     ])
     def test_bad_value_is_a_clean_error(self, tmp_path, key, value, message):
         doc = json.loads(DEMO.read_text())
@@ -298,17 +349,32 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
     def test_corrupt_final_state_is_a_clean_error(self, tmp_path):
-        # a level-fast run whose final state breaks the enumeration
+        # a level-fast run whose final state breaks the enumeration: the CLI
+        # runs with a collision search that corrupts the state after event 1
         cfg_path = tmp_path / "cfg.json"
         ScenarioConfig(
             check_level="fast",
             w0={"jumps": [[7.0, -6], [9.0, 2], [10.0, 0]]},
             v0={"jumps": [[3.5, 1], [4.0, 0]]},
         ).to_json(cfg_path)
-        proc = self.run_cli("run", "--config", str(cfg_path))
-        assert proc.returncode == 2
-        assert "error: final enumeration invalid" in proc.stderr
+        code = ("import sys, doubles, triwave.simulator as sim; "
+                "sim.next_collision = doubles.CorruptAfterFirstEvent(sim.next_collision); "
+                "from triwave.cli import main; sys.exit(main(sys.argv[1:]))")
+        tests, src = Path(__file__).resolve().parent, Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", "--config", str(cfg_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: final enumeration invalid: positions out of order" in proc.stderr
         assert "PASS" not in proc.stdout
+
+    def test_zero_workers_is_a_clean_error(self):
+        proc = self.run_cli("batch", "--config", str(DEMO), "--seeds", "0..2", "--workers", "0")
+        assert proc.returncode == 2
+        assert "error: batch needs at least one worker, got 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_empty_seed_range_is_a_clean_error(self):
         proc = self.run_cli("batch", "--config", str(DEMO), "--seeds", "5..3")

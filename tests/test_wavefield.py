@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from triwave.wavefield import (
+    BlockFluxes,
     IdRange,
     assign_initial_speeds,
     StepFunction,
@@ -170,6 +171,46 @@ class TestEffectiveFlux:
         # cells of the negative waves: hats 1, 0, -1 -> cells [1,2), [0,1), [-1,0)
         assert eff.base_index == -1
         assert len(eff.values) == 4
+
+
+class TestBlockFluxes:
+    def test_classes_of_one_block_share_its_flux(self, spec):
+        # one positive block of five waves (ids 1-5), then a negative one (6-7)
+        w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
+        state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        fluxes = BlockFluxes(state, spec)
+        assert fluxes.flux([1, 2]) is fluxes.flux([3, 4, 5])
+        assert fluxes.flux([6]) is not fluxes.flux([1])
+        want = effective_flux(state, IdRange(1, 5), spec)
+        assert np.array_equal(fluxes.flux([4]).values, want.values)
+
+    def test_rh_speed_is_the_chord_of_the_block_flux(self, spec):
+        w0 = StepFunction.from_jumps([(0.0, 3), (1.0, 0)])
+        state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        fluxes = BlockFluxes(state, spec)
+        g = fluxes.flux([1, 2, 3])
+        assert fluxes.rh_speed([1, 2, 3]) == (g.value(3) - g.value(0)) / (3 * EPS)
+
+    def test_run_spanning_two_blocks_raises(self, spec):
+        w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
+        state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        with pytest.raises(ValueError, match="span two homogeneous blocks"):
+            BlockFluxes(state, spec).flux([2, 3])
+
+
+def test_only_wavefield_reads_the_blocks():
+    # BlockFluxes is the one lookup from a run of waves to its block's flux
+    pkg = Path(__file__).resolve().parents[1] / "src" / "triwave"
+    callers = {
+        path.stem
+        for path in pkg.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "effective_flux")
+            or (isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("effective_flux", "blocks")))
+    }
+    assert callers == {"wavefield"}
 
 
 def test_snapshot_is_json_ready(flux_table):

@@ -4,7 +4,9 @@ Between events every front moves on a straight line; the loop repeatedly
 finds the earliest meeting of two adjacent fronts, classifies it (interaction
 of same-sign second-family fronts, cancellation of opposite-sign ones, or a
 transversal crossing by a first-family front), re-solves the local Riemann
-problem and updates the enumeration.
+problem and updates the enumeration.  The search scans the fronts the state
+keeps across events (``FieldState.fronts``), computes only the meeting time
+of each adjacent pair and builds one candidate, for the winner.
 
 Simultaneous collisions are resolved sequentially at the same time
 coordinate, leftmost first, so every resolved event is binary and the
@@ -96,28 +98,13 @@ def _objects(state: FieldState) -> list[Front | VFront]:
     objs: list[Front | VFront] = []
     h = 0
     for front in state.fronts():
-        crossed = state.wave(front.lo).crossed
+        crossed = front.lead.crossed
         while h < len(v_fronts) and v_fronts[h].id <= crossed:
             objs.append(v_fronts[h])
             h += 1
         objs.append(front)
     objs.extend(v_fronts[h:])
     return objs
-
-
-def _pair_candidate(state: FieldState, l: Front | VFront,
-                    r: Front | VFront) -> CollisionCandidate | None:
-    if isinstance(l, VFront):
-        # first-family fronts move left relative to everything: never caught from behind
-        return None
-    if isinstance(r, VFront):
-        # a w-front meets each v-front at most once; the crossing counter is exact
-        if state.wave(l.ids[0]).crossed >= r.id:
-            return None
-    elif l.speed <= r.speed:
-        return None
-    tau = max((r.pos - l.pos) / (l.speed - r.speed), 0.0)
-    return CollisionCandidate(time=state.time + tau, x=l.pos + l.speed * tau, left=l, right=r)
 
 
 def next_collision(state: FieldState) -> CollisionCandidate | None:
@@ -127,17 +114,30 @@ def next_collision(state: FieldState) -> CollisionCandidate | None:
     leftmost-position pair wins, ties broken by list order.
     """
     objs = _objects(state)
-    cands: list[tuple[CollisionCandidate, int]] = []
+    now = state.time
+    found: list[tuple[float, float, int]] = []    # (time, tau, index of the left front)
     for i in range(len(objs) - 1):
-        cand = _pair_candidate(state, objs[i], objs[i + 1])
-        if cand is not None:
-            cands.append((cand, i))
-    if not cands:
+        l, r = objs[i], objs[i + 1]
+        if isinstance(l, VFront):
+            # first-family fronts move left relative to everything: never caught from behind
+            continue
+        if isinstance(r, VFront):
+            # a w-front meets each v-front at most once; the crossing counter is exact
+            if l.lead.crossed >= r.id:
+                continue
+        elif l.speed <= r.speed:
+            # apart or diverging: only a zero-width pulse of opposite signs meets, at once
+            if l.pos == r.pos and l.sign != r.sign:
+                found.append((now, 0.0, i))
+            continue
+        tau = max((r.pos - l.pos) / (l.speed - r.speed), 0.0)
+        found.append((now + tau, tau, i))
+    if not found:
         return None
-    t_min = min(c.time for c, _ in cands)
-    cluster = [(c, i) for c, i in cands if c.time <= t_min + TIME_TOL]
-    cluster.sort(key=lambda ci: (ci[0].x, ci[1]))
-    return cluster[0][0]
+    t_min = min(t for t, _, _ in found)
+    x, i, t = min((objs[i].pos + objs[i].speed * tau, i, t)
+                  for t, tau, i in found if t <= t_min + TIME_TOL)
+    return CollisionCandidate(time=t, x=x, left=objs[i], right=objs[i + 1])
 
 
 def _contiguous_alive(state: FieldState, ids: list[int]) -> IdRange:

@@ -9,8 +9,13 @@ speed -1 and are stored separately.  An ``Event`` records one resolved
 collision in terms of this enumeration: the id ranges of the waves involved
 and their speeds before and after.  :func:`apply_event` is the one place that
 moves a state across an event; the simulator and the replay both call it.
-:class:`BlockFluxes` is the one lookup from a run of waves to the effective
-flux of its homogeneous block.
+
+The second-family fronts are kept on the state across events.  The first call
+of :meth:`FieldState.fronts` builds them from one-wave fronts by the merge
+rule; after that :func:`apply_event` edits them around the event site only.
+:func:`group_fronts` derives the same runs anew from the waves, and
+:func:`validate_enumeration` compares the two.  :class:`BlockFluxes` is the one
+lookup from a run of waves to the effective flux of its homogeneous block.
 
 State arithmetic is exact: w values, right states and v labels are integer
 ticks; only positions, speeds and times are floats.
@@ -18,9 +23,11 @@ ticks; only positions, speeds and times are floats.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
 from .envelopes import rh_speed
 from .flux import FluxSpec, FluxTable, PiecewiseAffineFlux, build_effective_flux
@@ -36,6 +43,7 @@ __all__ = [
     "Event",
     "apply_event",
     "FieldState",
+    "group_fronts",
     "initial_enumeration",
     "assign_initial_speeds",
     "speed_groups",
@@ -155,15 +163,32 @@ class VFront:
         return abs(self.v_right - self.v_left)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Front:
-    """Maximal contiguous run of alive waves sharing position and speed."""
+    """Maximal contiguous run of alive waves sharing position, speed and sign.
+
+    Only the ids and the lead wave are stored: position, speed, sign and v
+    label are read from the lead, so positions live only in the wave records.
+    """
 
     ids: tuple[int, ...]
-    pos: float
-    speed: float
-    sign: int
-    v_label: int
+    lead: WaveRecord
+
+    @property
+    def pos(self) -> float:
+        return self.lead.pos
+
+    @property
+    def speed(self) -> float:
+        return self.lead.speed
+
+    @property
+    def sign(self) -> int:
+        return self.lead.sign
+
+    @property
+    def v_label(self) -> int:
+        return self.lead.v_label
 
     @property
     def lo(self) -> int:
@@ -172,6 +197,25 @@ class Front:
     @property
     def hi(self) -> int:
         return self.ids[-1]
+
+
+def _merge_fronts(fronts: Iterable[Front]) -> list[Front]:
+    """Join every two adjacent fronts that share position, speed and sign.
+
+    Raises ``ValueError`` if the joined waves disagree on v label or on the
+    v-fronts they have crossed."""
+    out: list[Front] = []
+    for f in fronts:
+        if out:
+            a, b = out[-1].lead, f.lead
+            if a.pos == b.pos and a.speed == b.speed and a.sign == b.sign:
+                if a.v_label != b.v_label or a.crossed != b.crossed:
+                    raise ValueError(f"mixed front at x={a.pos}: labels={ {a.v_label, b.v_label} } "
+                                     f"crossed={ {a.crossed, b.crossed} }")
+                out[-1] = Front(out[-1].ids + f.ids, a)
+                continue
+        out.append(f)
+    return out
 
 
 @dataclass(frozen=True)
@@ -232,7 +276,9 @@ def apply_event(state: FieldState, event: Event) -> None:
     """Move ``state`` across ``event``: advance every front to the event time,
     gather the colliding waves at the event position, kill the cancelled
     ones, set the new speeds and, at a crossing, snap the v-front and relabel
-    the waves that crossed it."""
+    the waves that crossed it.  If the state keeps its fronts, the fronts that
+    met are replaced by the survivors and equal neighbours are merged; the
+    old list is left as it was."""
     dt = event.time - state.time
     for w in state.waves:
         if w.alive:
@@ -257,6 +303,13 @@ def apply_event(state: FieldState, event: Event) -> None:
             w = state.wave(s)
             w.crossed = event.v_front_id
             w.v_label = event.v_label
+    fronts = state._fronts
+    if fronts is not None:
+        # replace the fronts that meet the colliding range by the survivors
+        lo = bisect_left(fronts, event.colliding.lo, key=lambda f: f.hi)
+        hi = bisect_right(fronts, event.colliding.hi, key=lambda f: f.lo)
+        site = [Front((s,), state.wave(s)) for s in sorted(event.post_speeds)]
+        state._fronts = _merge_fronts(fronts[:lo] + site + fronts[hi:])
 
 
 class FieldState:
@@ -269,6 +322,7 @@ class FieldState:
         self.w_base = w_base
         self.waves = waves
         self.v_fronts = v_fronts
+        self._fronts: list[Front] | None = None   # kept by apply_event once built
 
     def wave(self, s: int) -> WaveRecord:
         return self.waves[s - 1]
@@ -280,54 +334,17 @@ class FieldState:
         return sum(1 for w in self.waves if w.alive)
 
     def fronts(self) -> list[Front]:
-        """Second-family fronts, re-derived from scratch by exact grouping."""
-        out: list[Front] = []
-        run: list[WaveRecord] = []
-        for w in self.waves:
-            if not w.alive:
-                continue
-            if run and (w.pos != run[-1].pos or w.speed != run[-1].speed):
-                out.append(self._front_from(run))
-                run = []
-            run.append(w)
-        if run:
-            out.append(self._front_from(run))
-        return out
+        """Second-family fronts, left to right in wave-id order.
 
-    def _front_from(self, run: list[WaveRecord]) -> Front:
-        signs = {w.sign for w in run}
-        labels = {w.v_label for w in run}
-        crossed = {w.crossed for w in run}
-        if len(signs) != 1 or len(labels) != 1 or len(crossed) != 1:
-            raise ValueError(
-                f"mixed front at x={run[0].pos}: signs={signs} labels={labels} crossed={crossed}"
-            )
-        return Front(
-            ids=tuple(w.id for w in run),
-            pos=run[0].pos,
-            speed=run[0].speed,
-            sign=run[0].sign,
-            v_label=run[0].v_label,
-        )
-
-    def blocks(self) -> list[IdRange]:
-        """Maximal homogeneous intervals of alive waves (same sign, gap-free)."""
-        out: list[IdRange] = []
-        start = prev = None
-        sign = 0
-        for w in self.waves:
-            if not w.alive:
-                continue
-            if start is None or w.sign != sign:
-                if start is not None:
-                    out.append(IdRange(start, prev))
-                start, sign = w.id, w.sign
-            prev = w.id
-        if start is not None:
-            out.append(IdRange(start, prev))
-        return out
+        Built on first use by merging one-wave fronts, then kept: each event
+        replaces the list instead of editing it, so a list once returned
+        never changes.  Callers must not edit it either."""
+        if self._fronts is None:
+            self._fronts = _merge_fronts(Front((w.id,), w) for w in self.waves if w.alive)
+        return self._fronts
 
     def copy(self) -> "FieldState":
+        """A deep copy of the waves and v-fronts; it rebuilds its fronts on first use."""
         return FieldState(
             eps=self.eps,
             waves=[replace(w) for w in self.waves],
@@ -335,6 +352,34 @@ class FieldState:
             time=self.time,
             w_base=self.w_base,
         )
+
+
+def group_fronts(state: FieldState) -> list[tuple[int, ...]]:
+    """The ids of every second-family front, derived anew from the waves: maximal
+    runs of alive waves, in id order, that share position, speed and sign.
+
+    The independent side of the check on the kept fronts.  Raises
+    ``ValueError`` if a run mixes v labels or crossing counts."""
+    out: list[tuple[int, ...]] = []
+    run: list[WaveRecord] = []
+    for w in state.waves:
+        if not w.alive:
+            continue
+        if run and (w.pos != run[-1].pos or w.speed != run[-1].speed or w.sign != run[-1].sign):
+            out.append(_run_ids(run))
+            run = []
+        run.append(w)
+    if run:
+        out.append(_run_ids(run))
+    return out
+
+
+def _run_ids(run: list[WaveRecord]) -> tuple[int, ...]:
+    labels = {w.v_label for w in run}
+    crossed = {w.crossed for w in run}
+    if len(labels) != 1 or len(crossed) != 1:
+        raise ValueError(f"mixed front at x={run[0].pos}: labels={labels} crossed={crossed}")
+    return tuple(w.id for w in run)
 
 
 def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> FieldState:
@@ -413,8 +458,9 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
     """Solve every initial discontinuity and set the wave speeds in place.
 
     Returns the groups of each discontinuity, left to right, as produced by
-    :func:`speed_groups`.
+    :func:`speed_groups`.  Any kept fronts are dropped.
     """
+    state._fronts = None
     out = []
     stack: list[int] = []
 
@@ -458,7 +504,9 @@ def validate_enumeration(state: FieldState) -> list[str]:
     Verified: positions nondecreasing in id over alive waves; every stack of
     co-located waves fills (w(x-), w(x)] (or the mirrored range) bijectively
     and monotonically in the right order; signs match the jump direction; the
-    signed wave measure telescopes back to the base value (push-forward).
+    signed wave measure telescopes back to the base value (push-forward);
+    if the state keeps its fronts, they are the runs :func:`group_fronts`
+    derives anew from the waves.
     """
     problems: list[str] = []
     alive = [w for w in state.waves if w.alive]
@@ -499,6 +547,17 @@ def validate_enumeration(state: FieldState) -> list[str]:
     for w in state.waves:
         if not w.alive and w.death_time is None:
             problems.append(f"dead wave {w.id} without death time")
+    if state._fronts is not None:
+        try:
+            regrouped = group_fronts(state)
+        except ValueError as exc:
+            problems.append(str(exc))
+        else:
+            kept = [f.ids for f in state._fronts]
+            for k, (a, b) in enumerate(zip_longest(kept, regrouped)):
+                if a != b:
+                    problems.append(f"kept front {k} is {a}, regrouped {b}")
+                    break
     return problems
 
 
@@ -526,20 +585,35 @@ class BlockFluxes:
     def __init__(self, state: FieldState, spec: FluxSpec):
         self.state = state
         self.spec = spec
-        self._blocks: list[IdRange] | None = None
-        self._fluxes: dict[int, PiecewiseAffineFlux] = {}
+        self._fluxes: dict[IdRange, PiecewiseAffineFlux] = {}
 
     def flux(self, members: Sequence[int]) -> PiecewiseAffineFlux:
         """Effective flux of the block holding the run of waves ``members``."""
-        if self._blocks is None:
-            self._blocks = self.state.blocks()
-        blk = next(b for b in self._blocks if b.contains(members[0]))
-        if not blk.contains(members[-1]):
-            raise ValueError(f"waves {members[0]}..{members[-1]} span two homogeneous blocks")
-        eff = self._fluxes.get(blk.lo)
+        first, last = members[0], members[-1]
+        blk = next((b for b in self._fluxes if b.contains(first)), None) or self._block(first)
+        if not blk.contains(last):
+            raise ValueError(f"waves {first}..{last} span two homogeneous blocks")
+        eff = self._fluxes.get(blk)
         if eff is None:
-            eff = self._fluxes[blk.lo] = effective_flux(self.state, blk, self.spec)
+            eff = self._fluxes[blk] = effective_flux(self.state, blk, self.spec)
         return eff
+
+    def _block(self, s: int) -> IdRange:
+        """The maximal homogeneous block around alive wave ``s``: walk out both
+        ways over dead waves, up to the first alive wave of the other sign."""
+        waves = self.state.waves
+        sign = waves[s - 1].sign
+        ends = []
+        for ids in (range(s - 1, 0, -1), range(s + 1, len(waves) + 1)):
+            end = s
+            for t in ids:
+                w = waves[t - 1]
+                if w.alive:
+                    if w.sign != sign:
+                        break
+                    end = t
+            ends.append(end)
+        return IdRange(*ends)
 
     def rh_speed(self, members: Sequence[int]) -> float:
         """Chord speed of the run ``members`` under its block's effective flux."""

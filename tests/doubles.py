@@ -3,21 +3,38 @@
 A CLI run imports this module with ``tests`` on ``PYTHONPATH``.
 """
 
+from triwave.wavefield import Front
+
+
+def swap_end_positions(state):
+    """Swap the positions of the first and last alive waves."""
+    alive = [w for w in state.waves if w.alive]
+    alive[0].pos, alive[-1].pos = alive[-1].pos, alive[0].pos
+
+
+def swap_kept_ids(state):
+    """Swap the last id of the first kept front with the first id of the
+    second: positions stay as they are, only the kept fronts go wrong."""
+    fronts = state.fronts()
+    a, b = fronts[0], fronts[1]
+    fronts[0] = Front(a.ids[:-1] + b.ids[:1], a.lead)
+    fronts[1] = Front(a.ids[-1:] + b.ids[1:], b.lead)
+
 
 class CorruptAfterFirstEvent:
     """Stands in for ``simulator.next_collision``: the first search is the
-    real one; the second swaps the positions of the first and last alive
-    waves and reports that nothing meets, so the run ends on a state whose
-    enumeration is out of order."""
+    real one; the second corrupts the state with ``corrupt`` (by default it
+    puts the enumeration out of order) and reports that nothing meets, so
+    the run ends on the corrupt state."""
 
-    def __init__(self, real):
+    def __init__(self, real, corrupt=swap_end_positions):
         self.real = real
+        self.corrupt = corrupt
         self.calls = 0
 
     def __call__(self, state):
         self.calls += 1
         if self.calls == 1:
             return self.real(state)
-        alive = [w for w in state.waves if w.alive]
-        alive[0].pos, alive[-1].pos = alive[-1].pos, alive[0].pos
+        self.corrupt(state)
         return None

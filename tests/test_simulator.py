@@ -1,6 +1,6 @@
 import pytest
 
-from doubles import CorruptAfterFirstEvent
+from doubles import CorruptAfterFirstEvent, swap_kept_ids
 from triwave import simulator
 from triwave.flux import FluxTable, make_flux
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
@@ -10,6 +10,7 @@ from triwave.wavefield import (
     StepFunction,
     VFront,
     assign_initial_speeds,
+    group_fronts,
     initial_enumeration,
     validate_enumeration,
 )
@@ -160,6 +161,29 @@ class TestResolve:
         # profile unchanged by re-speeding
         assert validate_enumeration(state) == []
 
+    @pytest.mark.parametrize("right_speed", [None, 0.2], ids=["equal_speeds", "diverging"])
+    def test_zero_width_pulse_cancels_at_once(self, flux_table, right_speed):
+        # a one-tick box of zero width: opposite signs at one x meet at tau = 0
+        # even where their speeds say they do not approach
+        state = prepared_state([(0.0, 1), (1.0, 0)], [], flux_table)
+        state.wave(2).pos = 0.0
+        if right_speed is not None:
+            state.wave(2).speed = right_speed
+        cand = next_collision(state)
+        assert (cand.time, cand.x) == (0.0, 0.0)
+        event = resolve(cand, state, flux_table, index=1)
+        assert event.kind == EventKind.CANCELLATION
+        assert event.canceled == (1, 2)
+        assert state.alive_ids() == []
+
+    def test_returned_fronts_are_not_edited_by_later_events(self, flux_table):
+        state = prepared_state([(0.0, 4), (1.0, 2), (2.0, 0)], [], flux_table)
+        before = state.fronts()
+        held = [(f, f.ids) for f in before]
+        resolve(next_collision(state), state, flux_table, index=1)
+        assert [(f, f.ids) for f in before] == held
+        assert state.fronts() is not before
+
     def test_stale_event_rejected(self, flux_table):
         state = prepared_state([(0.0, 2), (1.0, 0)], [], flux_table)
         cand = next_collision(state)
@@ -267,14 +291,12 @@ ORDERING_REPROS = [
     pytest.param([(3.0, -3), (6.0, -2), (6.5, 5), (7.5, 0)],
                  [(2.5, 2), (3.5, 0), (6.5, 2), (7.0, 0)], id="different_v_values"),
     pytest.param([(1.5, -3), (5.5, 3), (6.5, -6), (7.0, 0)], [(3.0, -2), (5.0, 0)],
-                 id="mixed_front",
-                 marks=pytest.mark.xfail(
-                     strict=True, raises=ValueError,
-                     reason="waves of both signs share one front at x=6.25")),
+                 id="mixed_front"),
 ]
 
 # Lattice data (flux, w0, v0) from a seeded fuzz at eps 0.05 that raised while
-# the collision search sorted fronts by float position.
+# the collision search sorted fronts by float position (the first six) or
+# grouped two waves of opposite sign into one front (the last).
 LATTICE_DATA = [
     ("quadratic_coupled", [(2.0, 1), (2.5, -7), (3.0, -6), (4.0, -5), (5.5, 8), (9.0, 0)],
      [(6.5, 4), (8.0, -4), (8.5, 0)]),
@@ -288,6 +310,8 @@ LATTICE_DATA = [
      [(0.5, -1), (2.5, -3), (4.0, 0)]),
     ("quartic", [(1.0, -3), (1.5, -4), (3.5, -2), (5.0, -4), (7.5, 0)],
      [(2.5, 1), (4.5, 0), (6.0, -2), (6.5, 0)]),
+    ("quartic", [(3.0, -6), (4.5, 4), (6.5, -1), (7.0, 1), (7.5, -3), (8.0, 0)],
+     [(1.5, -3), (3.0, -4), (5.5, 0)]),
 ]
 
 
@@ -308,6 +332,17 @@ class TestFrontOrdering:
         with pytest.raises(ValueError, match="final enumeration invalid: positions out of order"):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize("level,what", [("full", r"enumeration invalid after event 1 "),
+                                            ("fast", "final enumeration invalid: ")])
+    def test_run_rejects_corrupt_kept_fronts(self, monkeypatch, level, what):
+        # the double swaps two ids between the first two kept fronts; only the
+        # comparison with group_fronts can tell, since positions are untouched
+        monkeypatch.setattr(simulator, "next_collision",
+                            CorruptAfterFirstEvent(simulator.next_collision, swap_kept_ids))
+        cfg = ordering_config(*ORDERING_REPROS[0].values, level)
+        with pytest.raises(ValueError, match=what + r".*kept front 0 is"):
+            run_scenario(cfg)
+
     @pytest.mark.parametrize("w_jumps,v_jumps", ORDERING_REPROS)
     def test_runs_at_full_and_passes(self, w_jumps, v_jumps):
         assert run_scenario(ordering_config(w_jumps, v_jumps, "full")).passed
@@ -323,3 +358,38 @@ class TestFrontOrdering:
         state.wave(1).pos = 3.0
         objs = _objects(state)
         assert [o.id if isinstance(o, VFront) else o.ids for o in objs] == [(1,), 1, (2,), 2]
+
+
+def acceptance_data(seed, flux):
+    """The acceptance ensemble's random datum for ``seed`` under ``flux``."""
+    cfg = ScenarioConfig(
+        seed=seed, flux=flux,
+        w0={"random": {"jumps": 6, "max_amplitude": 0.4, "max_waves": 40}},
+        v0={"random": {"jumps": 5, "max_amplitude": 0.3, "max_fronts": 6}},
+    )
+    w0, v0 = build_initial_data(cfg, make_flux(flux["name"], flux["params"]))
+    return flux, list(zip(w0.positions, w0.values)), list(zip(v0.positions, v0.values))
+
+
+KEPT_FRONT_DATA = [
+    pytest.param(*acceptance_data(seed, {"name": "quadratic_coupled", "params": {}}),
+                 id=f"acceptance_seed_{seed}")
+    for seed in (0, 3, 7)
+] + [
+    pytest.param(*acceptance_data(1, {"name": "quartic", "params": {}}), id="quartic_seed_1"),
+] + [
+    pytest.param({"name": flux, "params": {"c": 0.1}}, w_jumps, v_jumps, id=f"lattice_{k}")
+    for k, (flux, w_jumps, v_jumps) in enumerate(LATTICE_DATA)
+]
+
+
+@pytest.mark.parametrize("flux,w_jumps,v_jumps", KEPT_FRONT_DATA)
+def test_kept_fronts_match_the_regrouping_after_every_event(flux, w_jumps, v_jumps):
+    table = FluxTable(make_flux(flux["name"], flux["params"]), EPS)
+    state = prepared_state(w_jumps, v_jumps, table)
+    index = 0
+    while (cand := next_collision(state)) is not None:
+        index += 1
+        resolve(cand, state, table, index)
+        assert [f.ids for f in state.fronts()] == group_fronts(state), f"after event {index}"
+    assert index > 0

@@ -26,6 +26,32 @@ def speeds_of(groups):
     return {s: speed for members, speed in groups for s in members}
 
 
+def blocks(state):
+    """Maximal homogeneous intervals of alive waves (same sign, gap-free):
+    the oracle for the block ``BlockFluxes`` walks out to."""
+    out = []
+    start = prev = None
+    sign = 0
+    for w in state.waves:
+        if not w.alive:
+            continue
+        if start is None or w.sign != sign:
+            if start is not None:
+                out.append(IdRange(start, prev))
+            start, sign = w.id, w.sign
+        prev = w.id
+    if start is not None:
+        out.append(IdRange(start, prev))
+    return out
+
+
+def kill(state, ids):
+    for s in ids:
+        w = state.wave(s)
+        w.pos = w.speed = None
+        w.death_time = 1.0
+
+
 class TestStepFunction:
     def test_from_jumps_drops_zero_jumps(self):
         sf = StepFunction.from_jumps([(1.0, 2), (2.0, 2), (3.0, 0)])
@@ -161,8 +187,7 @@ class TestEffectiveFlux:
     def test_blocks_partition_alive_waves(self):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        blocks = state.blocks()
-        assert [(b.lo, b.hi) for b in blocks] == [(1, 2), (3, 5), (6, 6)]
+        assert [(b.lo, b.hi) for b in blocks(state)] == [(1, 2), (3, 5), (6, 6)]
 
     def test_negative_block_flux(self, spec):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
@@ -190,6 +215,25 @@ class TestBlockFluxes:
         fluxes = BlockFluxes(state, spec)
         g = fluxes.flux([1, 2, 3])
         assert fluxes.rh_speed([1, 2, 3]) == (g.value(3) - g.value(0)) / (3 * EPS)
+
+    @pytest.mark.parametrize("dead", [(), (2, 3), (1, 2, 3, 4), (5, 6), (4, 5, 6, 7), (7, 8)])
+    def test_finds_the_block_of_the_oracle(self, spec, dead):
+        # signs + + - - - + + -, cancelled in pairs from a shared middle
+        # state; after (4, 5, 6, 7) the negative waves 3 and 8 form one block
+        w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 1), (3.0, 0)])
+        state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        kill(state, dead)
+        fluxes = BlockFluxes(state, spec)
+        for blk in blocks(state):
+            members = blk.members(state)
+            want = effective_flux(state, blk, spec)
+            for s in members:
+                assert np.array_equal(fluxes.flux([s]).values, want.values)
+                assert fluxes.flux([s]) is fluxes.flux(members)
+            beyond = [s for s in state.alive_ids() if s > blk.hi]
+            if beyond:
+                with pytest.raises(ValueError, match="span two homogeneous blocks"):
+                    fluxes.flux([members[-1], beyond[0]])
 
     def test_run_spanning_two_blocks_raises(self, spec):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])

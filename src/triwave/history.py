@@ -17,6 +17,23 @@ at interactions dominates the speed-change sum there; its increase at
 transversal crossings is controlled by the decay of the transversal Glimm
 functional.
 
+Budgets are exact integers.  A crossing of v-front h adds
+2 ||d3f/dw2dv|| |v_h| M to pi, with |v_h| = ticks_h * eps and M = count * eps
+(``m_value``), so every pi is ``K * P``: K = 2 ||d3f/dw2dv|| eps^2, and P is
+the integer sum of ticks_h * count over the pair's crossings.  Each pair
+stores P and its denominator d = |w_hat(s') - w_hat(s)| + 1 in ticks, fixed
+when the pair meets; the history keeps ``S[d]``, the sum of P over the
+divided pairs with denominator d, as Python ints.  Then
+
+    Q = eps^2 (||d2f/dw2|| (n(n-1)/2 - stored pairs)
+               + 2 ||d3f/dw2dv|| eps sum_d S[d] / d),
+
+n the alive count, the sum over d taken by ``math.fsum`` in sorted order:
+O(distinct denominators) per event, and independent of summation order.
+``S`` changes in three places only: a crossing grows P, and a divided pair
+that dies or meets again takes its P out.  ``PairHistory.validate`` recounts
+``S`` from the pairs.
+
 Partitions are shared: every pair divided at the same event sees the same
 interval and the same classes, so one record per event serves them all.
 ``PairHistory`` keeps a registry from each live record to the divided pairs
@@ -29,6 +46,7 @@ O(classes + pairs) of the records it touches instead of O(all pairs x classes).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
@@ -77,13 +95,15 @@ class PartitionRecord:
         return [c.members(state) for c in self.classes]
 
 
-@dataclass
+@dataclass(slots=True)
 class PairRec:
     """History of one pair that has met: its shared partition, None while the
-    pair is joined, and its pi budget."""
+    pair is joined; its integer budget P (pi = K * P, 0 while joined); and
+    its denominator d = |w_hat' - w_hat| + 1, fixed when the pair meets."""
 
     record: PartitionRecord | None
-    pi: float
+    P: int
+    d: int
 
 
 def m_value(class_members: list[list[int]], part_lo: int, part_hi: int,
@@ -135,24 +155,61 @@ class PairHistory:
         self.spec = spec
         self.eps = eps
         self.bounds = bounds
+        self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P
         self.pairs: dict[tuple[int, int], PairRec] = {}
         # live record -> the divided pairs that share it
         self.records: dict[PartitionRecord, dict[tuple[int, int], PairRec]] = {}
+        # wave id -> the waves it has a stored pair with
+        self.partners: dict[int, set[int]] = {}
+        # d -> sum of P over the divided pairs with denominator d; no zero sums
+        self.S: dict[int, int] = {}
 
     def _set_pair(self, key: tuple[int, int], pair: PairRec) -> None:
-        """Store ``pair`` under ``key``, moving it between registry entries."""
+        """Store the fresh (P = 0) ``pair`` under ``key``; a divided pair it
+        replaces leaves its registry entry and takes its P out of ``S``."""
         old = self.pairs.get(key)
-        if old is not None and old.record is not None:
-            self._unlink(key, old.record)
+        if old is None:
+            s, s2 = key
+            self.partners.setdefault(s, set()).add(s2)
+            self.partners.setdefault(s2, set()).add(s)
+        elif old.record is not None:
+            self._release(key, old)
         self.pairs[key] = pair
         if pair.record is not None:
             self.records.setdefault(pair.record, {})[key] = pair
 
-    def _unlink(self, key: tuple[int, int], record: PartitionRecord) -> None:
-        sharing = self.records[record]
+    def _release(self, key: tuple[int, int], pair: PairRec) -> None:
+        """Take the divided ``pair`` out of its record's entry and its P out of S."""
+        sharing = self.records[pair.record]
         del sharing[key]
         if not sharing:
-            del self.records[record]
+            del self.records[pair.record]
+        if pair.P:
+            # a P changed behind S's back may leave a negative sum: validate reports it
+            left = self.S.get(pair.d, 0) - pair.P
+            if left:
+                self.S[pair.d] = left
+            else:
+                del self.S[pair.d]
+
+    def _grow(self, pair: PairRec, amount: int) -> None:
+        """Add ``amount`` > 0 to the budget of a divided pair and to its S[d]."""
+        pair.P += amount
+        self.S[pair.d] = self.S.get(pair.d, 0) + amount
+
+    def validate(self) -> list[str]:
+        """Recount ``S`` from the pairs' budgets; returns the first kept sum
+        that differs (empty = ok).  Joined pairs hold P = 0, so the recount
+        runs over every stored pair."""
+        recount: dict[int, int] = {}
+        for pair in self.pairs.values():
+            if pair.P:
+                recount[pair.d] = recount.get(pair.d, 0) + pair.P
+        if recount == self.S:
+            return []
+        d = min(d for d in recount.keys() | self.S.keys()
+                if recount.get(d, 0) != self.S.get(d, 0))
+        return [f"kept budget sum S[{d}] = {self.S.get(d, 0)}, recounted {recount.get(d, 0)}"]
 
     # -- construction ------------------------------------------------------
 
@@ -160,7 +217,7 @@ class PairHistory:
         """Record the pair relations created by the initial Riemann problems."""
         for groups in initial_groups:
             ids = [s for members, _ in groups for s in members]
-            self._meet(ids, {s: speed for members, speed in groups for s in members}, 0)
+            self._meet(ids, {s: speed for members, speed in groups for s in members}, 0, state)
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
@@ -180,30 +237,34 @@ class PairHistory:
             ids = event.participants.members(state)
             if len({state.wave(s).sign for s in ids}) != 1:
                 raise ValueError("meeting waves of opposite sign survived one event")
-            self._meet(ids, event.post_speeds, event.index)
+            self._meet(ids, event.post_speeds, event.index, state)
 
         snap = self.snapshot(state, index=event.index,
                              sum_abs_dsigma=event.sum_abs_dsigma)
         return snap, detail
 
     def _apply_deaths(self, canceled: tuple[int, ...]) -> None:
-        dead = set(canceled)
-        for key in [k for k in self.pairs if k[0] in dead or k[1] in dead]:
-            pair = self.pairs.pop(key)
-            if pair.record is not None:
-                self._unlink(key, pair.record)
+        """Drop the pairs of the dead waves, found through ``partners``."""
+        for s in canceled:
+            for s2 in self.partners.pop(s, ()):
+                self.partners[s2].discard(s)
+                key = (s, s2) if s < s2 else (s2, s)
+                pair = self.pairs.pop(key)
+                if pair.record is not None:
+                    self._release(key, pair)
 
     def _apply_transversal_pi(self, event: Event, state: FieldState) -> None:
-        """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided.
+        """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided,
+        so P grows by ticks_h * count.
 
-        M is ``m_value``: one prefix-sum table per record gives it for every
-        pair of the record, from the same integer count.
+        count is the integer of ``m_value`` (M = count * eps): one prefix-sum
+        table per record gives it for every pair of the record.  With K = 0
+        every pi is 0 whatever P holds, and P is left as it is.
         """
-        part = event.participants
-        factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
-        if factor == 0.0 or part is None:
+        if self.K == 0.0:
             return
-        eps = self.eps
+        part = event.participants
+        ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         for rec, sharing in self.records.items():
             if rec.interval.hi < part.lo or part.hi < rec.interval.lo:
                 continue  # no class of the record can lie inside the crossing
@@ -221,7 +282,7 @@ class PairHistory:
                     ki, kj = kj, ki
                 count = prefix[kj + 1] - prefix[ki]
                 if count:
-                    pair.pi += factor * (count * eps)
+                    self._grow(pair, ticks * count)
 
     def _refine_records(self, event: Event, state: FieldState) -> None:
         """Clip intervals to the alive set and split classes the current
@@ -283,10 +344,12 @@ class PairHistory:
         out.append(IdRange(members[start], members[-1]))
         return out
 
-    def _meet(self, ids: list[int], speeds: dict[int, float], index: int) -> None:
+    def _meet(self, ids: list[int], speeds: dict[int, float], index: int,
+              state: FieldState) -> None:
         """Pairs of ``ids`` meeting at one point after event ``index``: joined
         where the speeds agree, else divided and sharing one fresh partition
-        whose classes are the runs of equal speed."""
+        whose classes are the runs of equal speed.  Every pair starts with
+        P = 0 and the denominator of its right states."""
         classes: list[IdRange] = []
         start = 0
         for k in range(1, len(ids)):
@@ -297,8 +360,10 @@ class PairHistory:
         record = None
         if len(classes) > 1:
             record = PartitionRecord(interval=IdRange(ids[0], ids[-1]), classes=classes)
+        hats = [state.wave(s).w_hat for s in ids]
         for i, s in enumerate(ids):
-            for s2 in ids[i + 1:]:
+            for j in range(i + 1, len(ids)):
+                s2 = ids[j]
                 joined = speeds[s] == speeds[s2]
                 old = self.pairs.get((s, s2))
                 if old is not None and old.record is not None:
@@ -308,7 +373,8 @@ class PairHistory:
                             f"pair ({s}, {s2}) met again while divided at event {index}"
                         )
                     log.debug("pair (%d, %d) re-joined at event %d", s, s2, index)
-                self._set_pair((s, s2), PairRec(record=None if joined else record, pi=0.0))
+                self._set_pair((s, s2), PairRec(None if joined else record, 0,
+                                                abs(hats[j] - hats[i]) + 1))
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
@@ -325,7 +391,7 @@ class PairHistory:
         fluxes.flux(left + right)  # raises unless both fronts lie in one block
         size_l = len(left) * self.eps
         size_r = len(right) * self.eps
-        sum_pi = 0.0
+        sum_P = 0
         n_never = 0
         for s in left:
             for s2 in right:
@@ -333,7 +399,8 @@ class PairHistory:
                 if pair is None:
                     n_never += 1
                 else:
-                    sum_pi += pair.pi
+                    sum_P += pair.P
+        sum_pi = self.K * sum_P
         lhs = (fluxes.rh_speed(left) - fluxes.rh_speed(right)) * size_l * size_r
         rhs = sum_pi * self.eps**2 + n_never * self.bounds.norm_d2_ww * (
             size_l + size_r
@@ -343,33 +410,27 @@ class PairHistory:
     # -- functionals ---------------------------------------------------------
 
     def q_quadratic(self, state: FieldState) -> float:
-        """Q = sum over alive pairs of q * eps^2, never-met pairs in closed form."""
-        alive = state.alive_ids()
-        n = len(alive)
-        total_pairs = n * (n - 1) // 2
-        q = self.bounds.norm_d2_ww * (total_pairs - len(self.pairs))
-        for (s, s2), pair in self.pairs.items():
-            if pair.record is not None and pair.pi != 0.0:
-                q += pair_weight(pair.pi, state.wave(s).w_hat, state.wave(s2).w_hat, self.eps)
-        return q * self.eps**2
+        """Q = sum over alive pairs of q * eps^2, from the counts alone:
+        never-met pairs are all alive pairs but the stored ones, and the
+        divided pairs enter through S (the ``pair_weight`` of pi = K * P is
+        2 ||d3f/dw2dv|| eps P / d).  O(distinct denominators)."""
+        n = state.n_alive
+        never = n * (n - 1) // 2 - len(self.pairs)
+        divided = math.fsum(self.S[d] / d for d in sorted(self.S))
+        b = self.bounds
+        return self.eps**2 * (b.norm_d2_ww * never + 2.0 * b.norm_d3_wwv * self.eps * divided)
 
     def q_trans(self, state: FieldState) -> float:
         """Transversal Glimm functional: strength of every first-family front
         times the strength of the waves still ahead (to its left).
 
-        Recomputed from the state on every call, in O(waves + fronts): alive
-        waves are counted per ``crossed`` value once, and the waves ahead of
-        front h are those with ``crossed < h``.
+        Read from the state's kept alive counts per ``crossed`` value in
+        O(v-fronts): the waves ahead of front h are those with ``crossed < h``.
         """
         if not state.v_fronts:
             return 0.0
-        top = max(vf.id for vf in state.v_fronts)
-        per_crossed = [0] * (top + 1)
-        for w in state.waves:
-            if w.alive:
-                per_crossed[min(w.crossed, top)] += 1
         ahead = [0]
-        for n in per_crossed:
+        for n in state.per_crossed:
             ahead.append(ahead[-1] + n)
         total = 0.0
         for vf in state.v_fronts:

@@ -73,18 +73,12 @@ class Trajectory:
     v0: StepFunction
     initial_state: FieldState
     initial_groups: list[list[tuple[tuple[int, ...], float]]]
+    tv_w0: float                                            # TV(w0), set once by run
+    tv_v0: float
     events: list[Event] = field(default_factory=list)
     snapshots: list = field(default_factory=list)          # FunctionalSnapshot, index j
     interaction_details: dict = field(default_factory=dict)  # event index -> dict
     final_state: FieldState | None = None
-
-    @property
-    def tv_w0(self) -> float:
-        return self.w0.tv_ticks() * self.eps
-
-    @property
-    def tv_v0(self) -> float:
-        return self.v0.tv_ticks() * self.eps
 
 
 def _objects(state: FieldState) -> list[Front | VFront]:
@@ -200,7 +194,6 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         colliding=colliding,
         participants=IdRange(min(survivors), max(survivors)) if survivors else None,
         v_label=v_tick,
-        pre_speeds=pre,
         post_speeds=post,
         sum_abs_dsigma=_dsigma(pre, post, state.eps),
         left_ids=None if crossing else IdRange(left.lo, left.hi),
@@ -235,9 +228,10 @@ def run(
 
     ``history`` (a PairHistory) is created on demand; it is consulted after
     every event and its snapshots are stored on the trajectory.  The final
-    state is validated once at every check level, so a run that leaves the
-    enumeration corrupt raises ``ValueError`` instead of returning.  With
-    ``validate_each_event`` the state is also validated at the end of each
+    state and the history are validated once at every check level, so a run
+    that leaves the enumeration or the kept budget sums corrupt raises
+    ``ValueError`` instead of returning.  With
+    ``validate_each_event`` both are also validated at the end of each
     group of simultaneous events: once no further collision is due within
     ``TIME_TOL`` of the last one, since inside a group a stack may still hold
     a collision due at the same t.
@@ -259,6 +253,8 @@ def run(
         v0=v0,
         initial_state=state.copy(),
         initial_groups=initial_groups,
+        tv_w0=w0.tv_ticks() * eps,
+        tv_v0=v0.tv_ticks() * eps,
     )
     traj.snapshots.append(history.initialize(state, initial_groups))
 
@@ -267,7 +263,7 @@ def run(
         cand = next_collision(state)
         if unchecked is not None and (cand is None or cand.time > state.time + TIME_TOL):
             _require_valid(state, f"enumeration invalid after event {unchecked.index} "
-                                  f"({unchecked.kind.value} at t={unchecked.time})")
+                                  f"({unchecked.kind.value} at t={unchecked.time})", history)
             unchecked = None
         if cand is None:
             break
@@ -283,12 +279,16 @@ def run(
             traj.interaction_details[index] = detail
         if validate_each_event:
             unchecked = event
-    _require_valid(state, "final enumeration invalid")
+    _require_valid(state, "final enumeration invalid", history)
     traj.final_state = state
     return traj
 
 
-def _require_valid(state: FieldState, what: str) -> None:
+def _require_valid(state: FieldState, what: str, history: PairHistory | None = None) -> None:
+    """Raise unless the state, and the history's kept budget sums, pass their
+    recounts."""
     problems = validate_enumeration(state)
+    if history is not None:
+        problems += history.validate()
     if problems:
         raise ValueError(f"{what}: " + "; ".join(problems))

@@ -332,7 +332,8 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         if rep is None or rep.status != "divided":
             worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
             break
-        cand = _equality("replay_pi_match", "global", pair.pi, rep.pi[key], pair=key)
+        cand = _equality("replay_pi_match", "global", history.K * pair.P, rep.pi[key],
+                         pair=key)
         if worst is None or cand.slack < worst.slack:
             worst = cand
     if worst is not None:

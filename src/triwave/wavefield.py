@@ -258,7 +258,6 @@ class Event:
     colliding: IdRange                 # second-family waves arriving at (t, x)
     participants: IdRange | None      # the same waves minus the cancelled ones
     v_label: int                      # v tick seen at (t, x) after the event
-    pre_speeds: dict[int, float]
     post_speeds: dict[int, float]
     sum_abs_dsigma: float             # sum over surviving waves of |speed change| * eps
     left_ids: IdRange | None = None   # the two colliding w-fronts (None for transversal)
@@ -276,9 +275,11 @@ def apply_event(state: FieldState, event: Event) -> None:
     """Move ``state`` across ``event``: advance every front to the event time,
     gather the colliding waves at the event position, kill the cancelled
     ones, set the new speeds and, at a crossing, snap the v-front and relabel
-    the waves that crossed it.  If the state keeps its fronts, the fronts that
-    met are replaced by the survivors and equal neighbours are merged; the
-    old list is left as it was."""
+    the waves that crossed it.  The alive counts follow: each cancelled wave
+    leaves ``n_alive`` and its ``per_crossed`` slot, and each crossing wave
+    moves to the slot of the v-front it crossed.  If the state keeps its
+    fronts, the fronts that met are replaced by the survivors and equal
+    neighbours are merged; the old list is left as it was."""
     dt = event.time - state.time
     for w in state.waves:
         if w.alive:
@@ -290,17 +291,23 @@ def apply_event(state: FieldState, event: Event) -> None:
         w = state.wave(s)
         if w.alive:
             w.pos = event.x
+    per_crossed = state.per_crossed
+    top = len(per_crossed) - 1
     for s in event.canceled:
         w = state.wave(s)
         w.pos = None
         w.speed = None
         w.death_time = event.time
+        state.n_alive -= 1
+        per_crossed[min(w.crossed, top)] -= 1
     for s, speed in event.post_speeds.items():
         state.wave(s).speed = speed
     if event.v_front_id is not None:
         state.v_fronts[event.v_front_id - 1].pos = event.x
         for s in event.post_speeds:
             w = state.wave(s)
+            per_crossed[min(w.crossed, top)] -= 1
+            per_crossed[event.v_front_id] += 1
             w.crossed = event.v_front_id
             w.v_label = event.v_label
     fronts = state._fronts
@@ -313,7 +320,12 @@ def apply_event(state: FieldState, event: Event) -> None:
 
 
 class FieldState:
-    """Full simulation state: wave records plus first-family fronts."""
+    """Full simulation state: wave records plus first-family fronts.
+
+    Two counts are kept across events by :func:`apply_event`: ``n_alive``,
+    the number of alive waves, and ``per_crossed``, the alive waves per
+    ``crossed`` value, capped at the top v-front id.  A new state (and so a
+    copy) counts them from its waves."""
 
     def __init__(self, eps: float, waves: list[WaveRecord], v_fronts: list[VFront],
                  time: float = 0.0, w_base: int = 0):
@@ -323,6 +335,7 @@ class FieldState:
         self.waves = waves
         self.v_fronts = v_fronts
         self._fronts: list[Front] | None = None   # kept by apply_event once built
+        self.n_alive, self.per_crossed = _count_alive(waves, v_fronts)
 
     def wave(self, s: int) -> WaveRecord:
         return self.waves[s - 1]
@@ -331,7 +344,7 @@ class FieldState:
         return [w.id for w in self.waves if w.alive]
 
     def tv_ticks(self) -> int:
-        return sum(1 for w in self.waves if w.alive)
+        return self.n_alive
 
     def fronts(self) -> list[Front]:
         """Second-family fronts, left to right in wave-id order.
@@ -352,6 +365,19 @@ class FieldState:
             time=self.time,
             w_base=self.w_base,
         )
+
+
+def _count_alive(waves: Sequence[WaveRecord], v_fronts: Sequence[VFront]) -> tuple[int, list[int]]:
+    """The alive waves, and the alive waves per ``crossed`` value (slot
+    ``min(crossed, top)``, ``top`` the largest v-front id), counted anew."""
+    top = max((vf.id for vf in v_fronts), default=0)
+    per_crossed = [0] * (top + 1)
+    n_alive = 0
+    for w in waves:
+        if w.alive:
+            n_alive += 1
+            per_crossed[min(w.crossed, top)] += 1
+    return n_alive, per_crossed
 
 
 def group_fronts(state: FieldState) -> list[tuple[int, ...]]:
@@ -505,8 +531,9 @@ def validate_enumeration(state: FieldState) -> list[str]:
     co-located waves fills (w(x-), w(x)] (or the mirrored range) bijectively
     and monotonically in the right order; signs match the jump direction; the
     signed wave measure telescopes back to the base value (push-forward);
-    if the state keeps its fronts, they are the runs :func:`group_fronts`
-    derives anew from the waves.
+    the kept ``n_alive`` and ``per_crossed`` equal a recount by
+    :func:`_count_alive`; if the state keeps its fronts, they are the runs
+    :func:`group_fronts` derives anew from the waves.
     """
     problems: list[str] = []
     alive = [w for w in state.waves if w.alive]
@@ -547,6 +574,12 @@ def validate_enumeration(state: FieldState) -> list[str]:
     for w in state.waves:
         if not w.alive and w.death_time is None:
             problems.append(f"dead wave {w.id} without death time")
+    n_alive, per_crossed = _count_alive(alive, state.v_fronts)
+    if state.n_alive != n_alive:
+        problems.append(f"kept alive count {state.n_alive}, recounted {n_alive}")
+    if state.per_crossed != per_crossed:
+        problems.append(f"kept alive counts per crossed value {state.per_crossed}, "
+                        f"recounted {per_crossed}")
     if state._fronts is not None:
         try:
             regrouped = group_fronts(state)

@@ -3,6 +3,7 @@
 A CLI run imports this module with ``tests`` on ``PYTHONPATH``.
 """
 
+from triwave.history import PairHistory
 from triwave.wavefield import Front
 
 
@@ -38,3 +39,18 @@ class CorruptAfterFirstEvent:
             return self.real(state)
         self.corrupt(state)
         return None
+
+
+def bump_one_budget(at):
+    """A ``PairHistory`` class whose ``on_event`` adds 1 to the P of its first
+    divided pair after event ``at``, without touching ``S``: only the
+    recount of the kept budget sums can tell."""
+
+    class BumpOneBudget(PairHistory):
+        def on_event(self, event, state):
+            out = super().on_event(event, state)
+            if event.index == at:
+                next(p for p in self.pairs.values() if p.record is not None).P += 1
+            return out
+
+    return BumpOneBudget

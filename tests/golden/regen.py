@@ -1,0 +1,104 @@
+"""Regenerate the golden artifacts under ``tests/golden`` from the current tree.
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+runs every golden case with ``run_scenario`` and rewrites its
+``events.csv`` and ``functionals.csv``:
+
+- ``configs/demo.json`` as shipped (seed 42, level ``full``), at the top;
+- a 58-jump scalar datum at level ``fast``, under ``scalar_fast/``.
+
+For each file it prints whether the bytes changed and, per changed column,
+the worst relative change.  Run it only in a change that alters these bytes
+on purpose, and copy what it prints into CHANGES.md (README, "Golden
+artifacts").  ``tests/test_scenario.py`` reads the same cases.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from triwave.scenario import ScenarioConfig, run_scenario
+
+GOLDEN = Path(__file__).resolve().parent
+ROOT = GOLDEN.parents[1]
+DEMO = ROOT / "configs" / "demo.json"
+NAMES = ("events.csv", "functionals.csv")
+# (x, ticks): a walk of single-tick jumps within 6 ticks, then back to 0
+SCALAR_FAST_JUMPS = [
+    [0.042, -1], [0.075, 0], [0.53, 1], [0.942, 0], [1.199, -1], [1.449, 0], [1.694, 1],
+    [1.792, 2], [2.245, 1], [2.474, 0], [2.487, 1], [2.495, 2], [2.677, 1], [3.621, 0],
+    [3.682, 1], [4.121, 0], [4.791, 1], [4.975, 0], [5.214, 1], [5.613, 2], [5.859, 3],
+    [6.017, 4], [6.211, 5], [6.228, 6], [6.307, 5], [6.498, 6], [6.521, 5], [6.62, 4],
+    [6.721, 5], [6.836, 4], [6.922, 5], [7.202, 6], [7.341, 5], [7.348, 4], [7.802, 3],
+    [7.88, 2], [8.002, 1], [8.08, 2], [8.509, 3], [8.743, 2], [8.774, 3], [9.02, 4],
+    [9.032, 5], [9.259, 6], [9.731, 5], [9.868, 6], [10.1, 5], [10.689, 4], [11.633, 5],
+    [11.663, 4], [12.112, 3], [12.27, 2], [12.316, 3], [12.827, 4], [13.043, 3],
+    [13.658, 2], [14.215, 1], [14.53, 0],
+]
+
+
+def golden_cases() -> dict[Path, ScenarioConfig]:
+    """The directory of each golden case and the config that produces it."""
+    return {
+        GOLDEN: ScenarioConfig.from_json(DEMO),
+        GOLDEN / "scalar_fast": ScenarioConfig(
+            flux={"name": "quadratic_coupled", "params": {"c": 0.1}}, eps=0.05,
+            w0={"jumps": SCALAR_FAST_JUMPS}, v0={"jumps": []}, check_level="fast",
+        ),
+    }
+
+
+def column_changes(old: bytes, new: bytes) -> dict[str, float | str]:
+    """Per column that differs: the worst relative change of its values, or a
+    note when the two files do not line up row for row."""
+    rows_old = list(csv.reader(io.StringIO(old.decode())))
+    rows_new = list(csv.reader(io.StringIO(new.decode())))
+    if len(rows_old) != len(rows_new) or rows_old[:1] != rows_new[:1]:
+        return {"*": f"{len(rows_old)} rows -> {len(rows_new)} rows or a new header"}
+    out: dict[str, float | str] = {}
+    for a_row, b_row in zip(rows_old[1:], rows_new[1:]):
+        for name, a, b in zip(rows_old[0], a_row, b_row):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                out[name] = "non-numeric change"
+                continue
+            rel = abs(x - y) / max(abs(x), abs(y))
+            if not isinstance(out.get(name), str):
+                out[name] = max(out.get(name, 0.0), rel)
+    return out
+
+
+def main() -> int:
+    for target, config in golden_cases().items():
+        with tempfile.TemporaryDirectory() as tmp:
+            result = run_scenario(config, out_dir=tmp)
+            if not result.passed:
+                print(f"error: {target.relative_to(ROOT)} fails its checks; nothing written",
+                      file=sys.stderr)
+                return 1
+            for name in NAMES:
+                path = target / name
+                old = path.read_bytes() if path.exists() else b""
+                new = (Path(tmp) / name).read_bytes()
+                path.write_bytes(new)
+                label = path.relative_to(ROOT)
+                if old == new:
+                    print(f"{label}: unchanged")
+                    continue
+                changes = column_changes(old, new) if old else {"*": "new file"}
+                print(f"{label}: rewritten; " + ", ".join(
+                    f"{col} {val:.3g} relative" if isinstance(val, float) else f"{col}: {val}"
+                    for col, val in changes.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

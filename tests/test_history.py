@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from triwave.history import (
     PartitionRecord,
     contained_prefix,
     m_value,
+    pair_weight,
 )
 from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data
@@ -68,23 +71,82 @@ def test_prefix_increment_equals_m_value(layout, lo, width):
 
 
 class LoopHistory(PairHistory):
-    """The pi update as one ``m_value`` call per divided pair."""
+    """The pi update as one ``m_value`` call per divided pair, added to P
+    through the production budget bookkeeping."""
 
     increments = 0
 
     def _apply_transversal_pi(self, event, state):
         part = event.participants
-        factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
-        if factor == 0.0 or part is None:
-            return
+        ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         for (s, s2), pair in self.pairs.items():
             if pair.record is None:
                 continue
             members = pair.record.class_members(state)
             m = m_value(members, part.lo, part.hi, s, s2, self.eps)
             if m > 0.0:
-                pair.pi += factor * m
+                self._grow(pair, ticks * round(m / self.eps))
                 self.increments += 1
+
+
+class FloatPiHistory(PairHistory):
+    """The production history, checked after every event against oracles kept
+    here: each divided pair's float pi, grown by ``2 ||d3f|| |v_h| m_value``
+    at every crossing, summed by the float pair loop of Q; ``S`` and every
+    pair's denominator, recounted; and the state's alive counts, recounted
+    from the waves."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.pi: dict = {}          # pair key -> float pi, while the pair is divided
+        self.snapshots_checked = 0
+        self.denominators_peak = 0
+
+    def _set_pair(self, key, pair):
+        super()._set_pair(key, pair)
+        self.pi.pop(key, None)
+
+    def _apply_transversal_pi(self, event, state):
+        super()._apply_transversal_pi(event, state)
+        part = event.participants
+        factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
+        for key, pair in self.pairs.items():
+            if pair.record is not None:
+                m = m_value(pair.record.class_members(state), part.lo, part.hi, *key, self.eps)
+                if m > 0.0:
+                    self.pi[key] = self.pi.get(key, 0.0) + factor * m
+
+    def float_q(self, state):
+        alive = state.alive_ids()
+        n = len(alive)
+        q = self.bounds.norm_d2_ww * (n * (n - 1) // 2 - len(self.pairs))
+        for (s, s2), pair in self.pairs.items():
+            pi = self.pi.get((s, s2), 0.0)
+            if pair.record is not None and pi != 0.0:
+                q += pair_weight(pi, state.wave(s).w_hat, state.wave(s2).w_hat, self.eps)
+        return q * self.eps**2
+
+    def snapshot(self, state, index, sum_abs_dsigma):
+        snap = super().snapshot(state, index, sum_abs_dsigma)
+        want = self.float_q(state)
+        assert math.isclose(snap.q_quadratic, want, rel_tol=1e-12), (index, snap.q_quadratic, want)
+        recount: dict = {}
+        for (s, s2), pair in self.pairs.items():
+            assert pair.d == abs(state.wave(s2).w_hat - state.wave(s).w_hat) + 1, (index, s, s2)
+            if pair.record is not None and pair.P:
+                recount[pair.d] = recount.get(pair.d, 0) + pair.P
+            if pair.record is None:
+                assert pair.P == 0, (index, s, s2)
+        assert self.S == recount, index
+        top = max((vf.id for vf in state.v_fronts), default=0)
+        per_crossed = [0] * (top + 1)
+        for w in state.waves:
+            if w.alive:
+                per_crossed[min(w.crossed, top)] += 1
+        assert (state.n_alive, state.per_crossed) == (sum(per_crossed), per_crossed), index
+        self.snapshots_checked += 1
+        self.denominators_peak = max(self.denominators_peak, len(self.S))
+        return snap
 
 
 class TestPrefixPiMatchesLoop:
@@ -95,16 +157,19 @@ class TestPrefixPiMatchesLoop:
         ("quadratic_coupled", 0.02, 1, 60),
     ]
 
-    @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
-    def test_every_pair_and_snapshot_equal(self, flux, eps, seed, max_waves):
+    @staticmethod
+    def case_data(flux, eps, seed, max_waves):
         spec = make_flux(flux, {"c": 0.1})
-        bounds = derivative_bounds(spec)
         cfg = ScenarioConfig(
             eps=eps, seed=seed,
             w0={"random": {"jumps": 6, "max_amplitude": 0.4, "max_waves": max_waves}},
             v0={"random": {"jumps": 5, "max_amplitude": 0.3, "max_fronts": 6}},
         )
-        w0, v0 = build_initial_data(cfg, spec)
+        return (spec, derivative_bounds(spec)) + build_initial_data(cfg, spec)
+
+    @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
+    def test_every_pair_and_snapshot_equal(self, flux, eps, seed, max_waves):
+        spec, bounds, w0, v0 = self.case_data(flux, eps, seed, max_waves)
         fast = PairHistory(spec=spec, eps=eps, bounds=bounds)
         loop = LoopHistory(spec=spec, eps=eps, bounds=bounds)
         traj = run(w0, v0, spec, eps, bounds=bounds, history=fast)
@@ -113,7 +178,9 @@ class TestPrefixPiMatchesLoop:
         assert fast.pairs.keys() == loop.pairs.keys()
         for key, pair in fast.pairs.items():
             other = loop.pairs[key]
-            assert (pair.record is None, pair.pi) == (other.record is None, other.pi), key
+            assert (pair.record is None, pair.P, pair.d) == \
+                (other.record is None, other.P, other.d), key
+        assert fast.S == loop.S
         assert loop.increments > 0
         # the registry holds exactly the divided pairs, grouped by record
         grouped: dict = {}
@@ -122,6 +189,14 @@ class TestPrefixPiMatchesLoop:
                 grouped.setdefault(pair.record, set()).add(key)
         assert {rec: set(keys) for rec, keys in fast.records.items()} == grouped
 
+    @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
+    def test_integer_q_matches_the_float_pair_loop(self, flux, eps, seed, max_waves):
+        spec, bounds, w0, v0 = self.case_data(flux, eps, seed, max_waves)
+        history = FloatPiHistory(spec=spec, eps=eps, bounds=bounds)
+        traj = run(w0, v0, spec, eps, bounds=bounds, history=history)
+        assert history.snapshots_checked == len(traj.snapshots)
+        assert history.denominators_peak > 0   # crossings grew some budgets
+
 
 class TestRecordRegistry:
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
@@ -129,14 +204,21 @@ class TestRecordRegistry:
         rec = PartitionRecord(interval=IdRange(1, 3),
                               classes=[IdRange(1, 1), IdRange(2, 3)])
         for key in ((1, 2), (1, 3)):
-            history._set_pair(key, PairRec(rec, 0.0))
+            history._set_pair(key, PairRec(rec, 0, 2))
+            history._grow(history.pairs[key], 5)
         assert history.records == {rec: {(1, 2): history.pairs[(1, 2)],
                                          (1, 3): history.pairs[(1, 3)]}}
-        # a divided pair that meets again joined drops out of its record
-        history._set_pair((1, 2), PairRec(None, 0.0))
+        assert history.S == {2: 10} and history.validate() == []
+        # a divided pair that meets again joined drops out of its record and S
+        history._set_pair((1, 2), PairRec(None, 0, 2))
         assert list(history.records[rec]) == [(1, 3)]
+        assert history.S == {2: 5}
         history._apply_deaths((3,))
         assert history.records == {} and list(history.pairs) == [(1, 2)]
+        assert history.S == {} and history.partners == {1: {2}, 2: {1}}
+        # a budget changed behind the bookkeeping's back fails the recount
+        history.pairs[(1, 2)].P += 1
+        assert history.validate() == ["kept budget sum S[2] = 0, recounted 1"]
 
 
 class TestQTrans:
@@ -237,7 +319,7 @@ class TestPiRecursion:
         state, history, _ = self.drive(spec, bounds, w0, StepFunction((), (), 0), 0)
         pair = history.pairs[(1, 2)]
         assert pair.record is not None  # the rarefaction fan splits at t=0
-        assert pair.pi == 0.0
+        assert pair.P == 0
         assert pair.record.classes[0].lo == 1 and pair.record.classes[1].hi == 2
         assert history.pairs[(3, 4)].record is None  # joined
 
@@ -253,7 +335,8 @@ class TestPiRecursion:
         v_strength = 2 * EPS
         assert all(ev.v_strength == pytest.approx(v_strength) for ev in events)
         pair = history.pairs[(1, 2)]
-        assert pair.pi == pytest.approx(2.0 * bounds.norm_d3_wwv * v_strength * 2 * EPS)
+        assert pair.P == 2 * 1 + 2 * 1          # ticks * count, once per crossing
+        assert history.K * pair.P == pytest.approx(2.0 * bounds.norm_d3_wwv * v_strength * 2 * EPS)
 
     def test_pi_unchanged_at_interactions_and_cancellations(self, spec, bounds):
         w0 = StepFunction.from_jumps([(0.0, 4), (1.0, 2), (2.0, 0)])
@@ -261,7 +344,7 @@ class TestPiRecursion:
         traj = run(w0, StepFunction((), (), 0), spec, EPS, bounds=bounds, history=history)
         assert any(ev.kind.is_interaction for ev in traj.events)
         for pair in history.pairs.values():
-            assert pair.pi == 0.0  # no transversal event ever happened
+            assert pair.P == 0  # no transversal event ever happened
 
     def test_pair_weight_cases(self, spec, bounds):
         # Q of four alive waves: one divided pair, one joined, four never met
@@ -273,7 +356,7 @@ class TestPiRecursion:
         assert history.pairs[(3, 4)].record is None      # joined: weight 0
         pair = history.pairs[(1, 2)]
         assert pair.record is not None                   # divided
-        divided = pair.pi / ((abs(state.wave(2).w_hat - state.wave(1).w_hat) + 1) * EPS)
+        divided = history.K * pair.P / ((abs(state.wave(2).w_hat - state.wave(1).w_hat) + 1) * EPS)
         assert divided > 0.0
         want = (4 * bounds.norm_d2_ww + divided) * EPS**2
         assert history.q_quadratic(state) == pytest.approx(want)
@@ -371,7 +454,8 @@ class TestReplayAgreement:
             for key, pair in history.pairs.items():
                 if pair.record is not None:
                     assert final.pairs[key].status == "divided"
-                    assert pair.pi == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
+                    assert history.K * pair.P == pytest.approx(final.pairs[key].pi[key],
+                                                               abs=1e-12)
                     classes = [c.members(traj.final_state) for c in pair.record.classes]
                     assert [c for c in classes if c] == final.pairs[key].classes
 

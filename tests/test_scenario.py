@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden.regen import GOLDEN, column_changes, golden_cases
 from triwave import scenario
 from triwave.scenario import (
     ScenarioConfig,
@@ -19,19 +20,6 @@ from triwave.scenario import (
 
 EPS = 0.05
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
-GOLDEN = Path(__file__).resolve().parent / "golden"
-# (x, ticks): a walk of single-tick jumps within 6 ticks, then back to 0
-SCALAR_FAST_JUMPS = [
-    [0.042, -1], [0.075, 0], [0.53, 1], [0.942, 0], [1.199, -1], [1.449, 0], [1.694, 1],
-    [1.792, 2], [2.245, 1], [2.474, 0], [2.487, 1], [2.495, 2], [2.677, 1], [3.621, 0],
-    [3.682, 1], [4.121, 0], [4.791, 1], [4.975, 0], [5.214, 1], [5.613, 2], [5.859, 3],
-    [6.017, 4], [6.211, 5], [6.228, 6], [6.307, 5], [6.498, 6], [6.521, 5], [6.62, 4],
-    [6.721, 5], [6.836, 4], [6.922, 5], [7.202, 6], [7.341, 5], [7.348, 4], [7.802, 3],
-    [7.88, 2], [8.002, 1], [8.08, 2], [8.509, 3], [8.743, 2], [8.774, 3], [9.02, 4],
-    [9.032, 5], [9.259, 6], [9.731, 5], [9.868, 6], [10.1, 5], [10.689, 4], [11.633, 5],
-    [11.663, 4], [12.112, 3], [12.27, 2], [12.316, 3], [12.827, 4], [13.043, 3],
-    [13.658, 2], [14.215, 1], [14.53, 0],
-]
 
 
 class TestGenerateInitialData:
@@ -137,8 +125,9 @@ class TestRunScenario:
 
     def test_golden_artifacts_seed_42(self, tmp_path):
         # configs/demo.json as shipped (seed 42, level full); a change that
-        # alters these bytes on purpose regenerates tests/golden and says so
-        res = run_scenario(ScenarioConfig.from_json(DEMO), out_dir=tmp_path)
+        # alters these bytes on purpose regenerates tests/golden with
+        # tests/golden/regen.py and says so
+        res = run_scenario(golden_cases()[GOLDEN], out_dir=tmp_path)
         assert res.passed
         for name in ("events.csv", "functionals.csv"):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
@@ -146,17 +135,21 @@ class TestRunScenario:
     def test_golden_artifacts_scalar_fast(self, tmp_path):
         # 58 single-tick jumps, no v: 48 events at level fast, where only the
         # final state is validated; a change that alters these bytes on
-        # purpose regenerates tests/golden/scalar_fast and says so
-        cfg = ScenarioConfig(
-            flux={"name": "quadratic_coupled", "params": {"c": 0.1}}, eps=EPS,
-            w0={"jumps": SCALAR_FAST_JUMPS}, v0={"jumps": []}, check_level="fast",
-        )
-        res = run_scenario(cfg, out_dir=tmp_path)
+        # purpose regenerates tests/golden/scalar_fast with
+        # tests/golden/regen.py and says so
+        res = run_scenario(golden_cases()[GOLDEN / "scalar_fast"], out_dir=tmp_path)
         assert res.passed
         assert len(res.trajectory.events) == 48
         for name in ("events.csv", "functionals.csv"):
             want = (GOLDEN / "scalar_fast" / name).read_bytes()
             assert (tmp_path / name).read_bytes() == want, name
+
+    def test_regen_reports_the_changed_columns(self):
+        old = b"j,q_quadratic\r\n0,1.0\r\n1,2.0\r\n"
+        new = b"j,q_quadratic\r\n0,1.0\r\n1,2.000000002\r\n"
+        assert column_changes(old, old) == {}
+        assert column_changes(old, new) == {"q_quadratic": pytest.approx(1e-9)}
+        assert list(column_changes(old, old + b"2,3.0\r\n")) == ["*"]
 
     def test_non_hyperbolic_flux_fails_fast(self, tmp_path):
         cfg = ScenarioConfig(flux={"name": "custom_poly", "params": {"coeffs": [[2, 0, 2.0]]}})

@@ -1,7 +1,7 @@
 import pytest
 
-from doubles import CorruptAfterFirstEvent, swap_kept_ids
-from triwave import simulator
+from doubles import CorruptAfterFirstEvent, bump_one_budget, swap_kept_ids
+from triwave import scenario, simulator
 from triwave.flux import FluxTable, make_flux
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
 from triwave.simulator import _objects, next_collision, resolve, run
@@ -154,10 +154,12 @@ class TestResolve:
         state = prepared_state([(0.0, 3), (1.0, 0)], [(2.0, 4), (9.0, 0)], flux_table)
         # first event: the v-front meets the negative shock
         cand = next_collision(state)
+        pre = {s: state.wave(s).speed for s in cand.left.ids}
         event = resolve(cand, state, flux_table, index=1)
         assert event.kind == EventKind.TRANSVERSAL
+        assert set(event.post_speeds) == set(pre)
         for s, post in event.post_speeds.items():
-            assert abs(post - event.pre_speeds[s]) <= bounds.norm_d2_wv * event.v_strength
+            assert abs(post - pre[s]) <= bounds.norm_d2_wv * event.v_strength
         # profile unchanged by re-speeding
         assert validate_enumeration(state) == []
 
@@ -240,19 +242,27 @@ class TestRun:
         assert kinds.count("cancellation") == 7
         assert kinds.count("interaction_negative") == 1
 
-    def test_profile_conserved_at_transversal_events(self, spec):
+    def test_profile_conserved_at_transversal_events(self, spec, monkeypatch):
         cfg = ScenarioConfig(
             seed=7,
             w0={"random": {"jumps": 4, "max_amplitude": 0.3, "max_waves": 16}},
             v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
         )
         w0, v0 = build_initial_data(cfg, spec)
+        arriving = {}     # event index -> the waves of the left front, before resolve
+        real = simulator.resolve
+
+        def capture(cand, state, flux_table, index):
+            arriving[index] = set(cand.left.ids)
+            return real(cand, state, flux_table, index)
+
+        monkeypatch.setattr(simulator, "resolve", capture)
         traj = run(w0, v0, spec, EPS)
         for ev in traj.events:
             if ev.kind == EventKind.TRANSVERSAL:
                 assert ev.canceled == ()
                 # same waves, same states: the w-profile is untouched
-                assert set(ev.post_speeds) == set(ev.pre_speeds)
+                assert set(ev.post_speeds) == arriving[ev.index]
         # total variation only drops at cancellations
         for ev in traj.events:
             before = traj.snapshots[ev.index - 1].tv_w
@@ -341,6 +351,16 @@ class TestFrontOrdering:
                             CorruptAfterFirstEvent(simulator.next_collision, swap_kept_ids))
         cfg = ordering_config(*ORDERING_REPROS[0].values, level)
         with pytest.raises(ValueError, match=what + r".*kept front 0 is"):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize("level,what", [("full", r"enumeration invalid after event 2 "),
+                                            ("fast", "final enumeration invalid: ")])
+    def test_run_rejects_a_budget_outside_its_sum(self, monkeypatch, level, what):
+        # the double adds 1 to one divided pair's P after event 2 and leaves S
+        # as it is; only the recount of S can tell
+        monkeypatch.setattr(scenario, "PairHistory", bump_one_budget(2))
+        cfg = ordering_config(*ORDERING_REPROS[0].values, level)
+        with pytest.raises(ValueError, match=what + r".*kept budget sum S\[2\] = -?\d+, recounted"):
             run_scenario(cfg)
 
     @pytest.mark.parametrize("w_jumps,v_jumps", ORDERING_REPROS)

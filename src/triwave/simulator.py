@@ -4,9 +4,15 @@ Between events every front moves on a straight line; the loop repeatedly
 finds the earliest meeting of two adjacent fronts, classifies it (interaction
 of same-sign second-family fronts, cancellation of opposite-sign ones, or a
 transversal crossing by a first-family front), re-solves the local Riemann
-problem and updates the enumeration.  The search scans the fronts the state
-keeps across events (``FieldState.fronts``), computes only the meeting time
-of each adjacent pair and builds one candidate, for the winner.
+problem and updates the enumeration.
+
+The search keeps the meeting of every adjacent pair of fronts in a heap on
+the state (Holden–Risebro's front tracking).  A pair's meeting time and x
+come from the anchors of its two fronts alone (``wavefield.position``), so
+they do not depend on when they are computed.  The heap is built from a full
+scan of the fronts (:func:`_objects`) on the first search; after that each
+event hands it the fronts it changed, their pairs get fresh entries, and
+entries that no longer hold are dropped when they reach the top.
 
 Simultaneous collisions are resolved sequentially at the same time
 coordinate, leftmost first, so every resolved event is binary and the
@@ -15,8 +21,11 @@ per-event estimates apply verbatim.
 
 from __future__ import annotations
 
+import heapq
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import count
 
 from .flux import DerivativeBounds, FluxSpec, FluxTable, derivative_bounds
 from .history import PairHistory
@@ -31,6 +40,7 @@ from .wavefield import (
     apply_event,
     assign_initial_speeds,
     initial_enumeration,
+    position,
     speed_groups,
     stack_range,
     validate_enumeration,
@@ -101,37 +111,127 @@ def _objects(state: FieldState) -> list[Front | VFront]:
     return objs
 
 
+def _meeting(l: Front, r: Front | VFront) -> tuple[float, float] | None:
+    """(t, x) where the adjacent fronts ``l`` and ``r`` meet, from their
+    anchors alone; None when they never do."""
+    if isinstance(r, VFront):
+        # a w-front meets each v-front at most once; the crossing counter is exact
+        if l.lead.crossed >= r.id:
+            return None
+    elif l.speed <= r.speed:
+        # apart or diverging: only a zero-width pulse of opposite signs meets, at once
+        if l.sign == r.sign:
+            return None
+        t0 = max(l.t_a, r.t_a)
+        x = position(l, t0)
+        return (t0, x) if x == position(r, t0) else None
+    t0 = max(l.t_a, r.t_a)
+    x = position(l, t0)
+    tau = max((position(r, t0) - x) / (l.speed - r.speed), 0.0)
+    return t0 + tau, x + l.speed * tau
+
+
+def _lo(front: Front) -> int:
+    return front.lo
+
+
+class CollisionQueue:
+    """The meetings of adjacent fronts, earliest first.
+
+    Each pair that meets has one live entry ``(t, x, lo, seq, left, right)``,
+    found in ``live`` by ``lo``, the first id of its left front.
+    :func:`~triwave.wavefield.apply_event` appends to ``site`` the fronts
+    whose right-hand neighbour may have changed; :meth:`repair` gives each
+    of them a fresh entry, or none.  An entry stays live while ``live``
+    holds it and its left front is still kept; the others are dropped when
+    they reach the top of the heap.
+    """
+
+    def __init__(self, objs: list[Front | VFront]):
+        self.heap: list[tuple] = []
+        self.live: dict[int, tuple] = {}
+        self.site: list[Front] = []
+        self._seq = count()
+        for l, r in zip(objs, objs[1:]):
+            if isinstance(l, Front):   # a v-front is never caught from behind
+                self._push(l, r)
+
+    def _push(self, l: Front, r: Front | VFront | None) -> None:
+        met = None if r is None else _meeting(l, r)
+        if met is None:
+            self.live.pop(l.lo, None)
+            return
+        item = (*met, l.lo, next(self._seq), l, r)
+        self.live[l.lo] = item
+        heapq.heappush(self.heap, item)
+
+    def repair(self, state: FieldState) -> None:
+        """New entries for the pairs right of the fronts in ``site``.
+
+        The right-hand neighbour in :func:`_objects` order is v-front
+        ``crossed + 1`` if it sits before the next front, else that front."""
+        fronts, v_fronts = state.fronts(), state.v_fronts
+        for f in self.site:
+            k = bisect_left(fronts, f.lo, key=_lo)
+            if k == len(fronts) or fronts[k] is not f:
+                continue     # replaced by a later event, whose site lists its successor
+            nxt = fronts[k + 1] if k + 1 < len(fronts) else None
+            c = f.lead.crossed
+            if c < len(v_fronts) and (nxt is None or nxt.lead.crossed > c):
+                self._push(f, v_fronts[c])
+            else:
+                self._push(f, nxt)
+        self.site.clear()
+
+    def _holds(self, item: tuple, fronts: list[Front]) -> bool:
+        """Whether ``item`` is live; it forgets a live entry whose left
+        front is no longer kept."""
+        if self.live.get(item[2]) is not item:
+            return False
+        k = bisect_left(fronts, item[2], key=_lo)
+        if k < len(fronts) and fronts[k] is item[4]:
+            return True
+        del self.live[item[2]]
+        return False
+
+    def earliest(self, state: FieldState) -> CollisionCandidate | None:
+        """The winner of the earliest cluster: every live entry due within
+        ``TIME_TOL`` of the earliest (a time before the state's counts as the
+        state's), then the leftmost x, then the leftmost pair."""
+        heap, fronts = self.heap, state.fronts()
+        while heap and not self._holds(heap[0], fronts):
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        limit = max(heap[0][0], state.time) + TIME_TOL
+        # the entries due by the limit form a subtree at the top of the heap
+        best, todo = None, [0]
+        while todo:
+            i = todo.pop()
+            if i >= len(heap) or heap[i][0] > limit:
+                continue
+            item = heap[i]
+            if (best is None or item[1:3] < best[1:3]) and self._holds(item, fronts):
+                best = item
+            todo += (2 * i + 1, 2 * i + 2)
+        t, x, _, _, left, right = best
+        return CollisionCandidate(time=t, x=x, left=left, right=right)
+
+
 def next_collision(state: FieldState) -> CollisionCandidate | None:
     """Earliest meeting of two adjacent fronts; None when nothing ever meets.
 
     Simultaneous candidates (within TIME_TOL) are clustered and the
-    leftmost-position pair wins, ties broken by list order.
+    leftmost-position pair wins, ties broken by list order.  The state's
+    collision queue is built on the first call and repaired at the sites of
+    the events since the last one.
     """
-    objs = _objects(state)
-    now = state.time
-    found: list[tuple[float, float, int]] = []    # (time, tau, index of the left front)
-    for i in range(len(objs) - 1):
-        l, r = objs[i], objs[i + 1]
-        if isinstance(l, VFront):
-            # first-family fronts move left relative to everything: never caught from behind
-            continue
-        if isinstance(r, VFront):
-            # a w-front meets each v-front at most once; the crossing counter is exact
-            if l.lead.crossed >= r.id:
-                continue
-        elif l.speed <= r.speed:
-            # apart or diverging: only a zero-width pulse of opposite signs meets, at once
-            if l.pos == r.pos and l.sign != r.sign:
-                found.append((now, 0.0, i))
-            continue
-        tau = max((r.pos - l.pos) / (l.speed - r.speed), 0.0)
-        found.append((now + tau, tau, i))
-    if not found:
-        return None
-    t_min = min(t for t, _, _ in found)
-    x, i, t = min((objs[i].pos + objs[i].speed * tau, i, t)
-                  for t, tau, i in found if t <= t_min + TIME_TOL)
-    return CollisionCandidate(time=t, x=x, left=objs[i], right=objs[i + 1])
+    queue = state._queue
+    if queue is None:
+        queue = state._queue = CollisionQueue(_objects(state))
+    else:
+        queue.repair(state)
+    return queue.earliest(state)
 
 
 def _contiguous_alive(state: FieldState, ids: list[int]) -> IdRange:

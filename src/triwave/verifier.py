@@ -36,7 +36,7 @@ import numpy as np
 from .history import PairHistory
 from .replay import Replay
 from .simulator import Trajectory
-from .wavefield import BlockFluxes, Event, EventKind
+from .wavefield import BlockFluxes, Event, EventKind, position
 
 __all__ = [
     "CheckResult",
@@ -280,7 +280,7 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         for (s, s2), pair in divided.items():
             # every class must be joined in the real solution
             for cls in pair.classes:
-                if len({state.wave(p).pos for p in cls}) > 1 or \
+                if len({position(state.wave(p), state.time) for p in cls}) > 1 or \
                    len({state.wave(p).speed for p in cls}) > 1:
                     joined_violations += 1
             # class-gap lemma: sigma_rh gap between classes bounded by pi

@@ -2,20 +2,28 @@
 
 Every elementary jump of size eps in the transported field w is a *wave* with
 a permanent 1-based id, a permanent sign and a permanent right state ``w_hat``
-(stored as an integer tick).  The field state tracks, per wave, its current
-position and speed (None once cancelled), the v value at its position and how
-many first-family fronts it has crossed.  First-family fronts all travel at
-speed -1 and are stored separately.  An ``Event`` records one resolved
-collision in terms of this enumeration: the id ranges of the waves involved
-and their speeds before and after.  :func:`apply_event` is the one place that
-moves a state across an event; the simulator and the replay both call it.
+(stored as an integer tick).  The field state tracks, per wave, its anchor and
+speed (None once cancelled), the v value at its position and how many
+first-family fronts it has crossed.  First-family fronts all travel at speed
+-1 and are stored separately.  An ``Event`` records one resolved collision in
+terms of this enumeration: the id ranges of the waves involved and their
+speeds before and after.  :func:`apply_event` is the one place that moves a
+state across an event; the simulator and the replay both call it.
+
+Positions are anchored: every wave and first-family front keeps the position
+``x_a`` it had at time ``t_a``, when an event last moved it, and
+:func:`position` alone computes where it is at a later time.  An event moves
+only the objects at its site, never the others.  The waves of one front share
+one anchor, so they stay at one position exactly.
 
 The second-family fronts are kept on the state across events.  The first call
 of :meth:`FieldState.fronts` builds them from one-wave fronts by the merge
-rule; after that :func:`apply_event` edits them around the event site only.
-:func:`group_fronts` derives the same runs anew from the waves, and
-:func:`validate_enumeration` compares the two.  :class:`BlockFluxes` is the one
-lookup from a run of waves to the effective flux of its homogeneous block.
+rule; after that :func:`apply_event` edits them around the event site only,
+and tells the simulator's collision queue (if the state has one) which fronts
+it changed.  :func:`group_fronts` derives the same runs anew from each wave's
+own position, and :func:`validate_enumeration` compares the two.
+:class:`BlockFluxes` is the one lookup from a run of waves to the effective
+flux of its homogeneous block.
 
 State arithmetic is exact: w values, right states and v labels are integer
 ticks; only positions, speeds and times are floats.
@@ -42,6 +50,7 @@ __all__ = [
     "EventKind",
     "Event",
     "apply_event",
+    "position",
     "FieldState",
     "group_fronts",
     "initial_enumeration",
@@ -123,15 +132,16 @@ class WaveRecord:
     id: int
     sign: int
     w_hat: int              # right state, ticks
-    pos: float | None       # None encodes the +infinity of cancelled waves
+    x_a: float | None       # anchor: position at time t_a; None encodes the +infinity of cancelled waves
     speed: float | None
     v_label: int            # v tick at the wave's position
     crossed: int            # first-family fronts with index <= crossed are behind
+    t_a: float = 0.0
     death_time: float | None = None
 
     @property
     def alive(self) -> bool:
-        return self.pos is not None
+        return self.x_a is not None
 
     def cell(self) -> int:
         """Left tick of the wave's cell: (w_hat-1, w_hat) if positive, (w_hat, w_hat+1) if negative."""
@@ -142,21 +152,17 @@ class WaveRecord:
 class VFront:
     """First-family front: carries the v jump leftward at speed -1.
 
-    The position is advanced (and snapped at crossings) together with the
-    wave positions, so that co-located objects compare equal exactly.
+    Its anchor is its initial position at time 0 until a crossing snaps it to
+    the event point.
     """
 
     speed = -1.0            # a class attribute, not a field: every v-front moves at -1
 
     id: int
-    x0: float
+    x_a: float              # anchor: position at time t_a
     v_left: int
     v_right: int
-    pos: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.pos is None:
-            self.pos = self.x0
+    t_a: float = 0.0
 
     @property
     def strength_ticks(self) -> int:
@@ -167,16 +173,20 @@ class VFront:
 class Front:
     """Maximal contiguous run of alive waves sharing position, speed and sign.
 
-    Only the ids and the lead wave are stored: position, speed, sign and v
-    label are read from the lead, so positions live only in the wave records.
+    Only the ids and the lead wave are stored: anchor, speed, sign and v label
+    are read from the lead, whose anchor every wave of the front shares.
     """
 
     ids: tuple[int, ...]
     lead: WaveRecord
 
     @property
-    def pos(self) -> float:
-        return self.lead.pos
+    def x_a(self) -> float:
+        return self.lead.x_a
+
+    @property
+    def t_a(self) -> float:
+        return self.lead.t_a
 
     @property
     def speed(self) -> float:
@@ -199,8 +209,16 @@ class Front:
         return self.ids[-1]
 
 
-def _merge_fronts(fronts: Iterable[Front]) -> list[Front]:
-    """Join every two adjacent fronts that share position, speed and sign.
+def position(obj: WaveRecord | VFront | Front, t: float) -> float:
+    """Position of an alive wave, a front or a v-front at time ``t``, from its
+    anchor: ``x_a + speed (t - t_a)``."""
+    return obj.x_a + obj.speed * (t - obj.t_a)
+
+
+def _merge_fronts(fronts: Iterable[Front], waves: Sequence[WaveRecord], t: float) -> list[Front]:
+    """Join every two adjacent fronts that share position at time ``t``,
+    speed and sign; the waves of a joined front take the anchor of its first
+    wave.
 
     Raises ``ValueError`` if the joined waves disagree on v label or on the
     v-fronts they have crossed."""
@@ -208,10 +226,14 @@ def _merge_fronts(fronts: Iterable[Front]) -> list[Front]:
     for f in fronts:
         if out:
             a, b = out[-1].lead, f.lead
-            if a.pos == b.pos and a.speed == b.speed and a.sign == b.sign:
+            if a.speed == b.speed and a.sign == b.sign and position(a, t) == position(b, t):
                 if a.v_label != b.v_label or a.crossed != b.crossed:
-                    raise ValueError(f"mixed front at x={a.pos}: labels={ {a.v_label, b.v_label} } "
+                    raise ValueError(f"mixed front at x={position(a, t)}: "
+                                     f"labels={ {a.v_label, b.v_label} } "
                                      f"crossed={ {a.crossed, b.crossed} }")
+                if (b.x_a, b.t_a) != (a.x_a, a.t_a):
+                    for s in f.ids:
+                        waves[s - 1].x_a, waves[s - 1].t_a = a.x_a, a.t_a
                 out[-1] = Front(out[-1].ids + f.ids, a)
                 continue
         out.append(f)
@@ -230,7 +252,8 @@ class IdRange:
             raise ValueError("empty id range")
 
     def members(self, state: "FieldState") -> list[int]:
-        return [s for s in range(self.lo, self.hi + 1) if state.wave(s).alive]
+        waves = state.waves
+        return [s for s in range(self.lo, self.hi + 1) if waves[s - 1].alive]
 
     def contains(self, s: int) -> bool:
         return self.lo <= s <= self.hi
@@ -272,51 +295,56 @@ class Event:
 
 
 def apply_event(state: FieldState, event: Event) -> None:
-    """Move ``state`` across ``event``: advance every front to the event time,
-    gather the colliding waves at the event position, kill the cancelled
-    ones, set the new speeds and, at a crossing, snap the v-front and relabel
-    the waves that crossed it.  The alive counts follow: each cancelled wave
-    leaves ``n_alive`` and its ``per_crossed`` slot, and each crossing wave
-    moves to the slot of the v-front it crossed.  If the state keeps its
-    fronts, the fronts that met are replaced by the survivors and equal
-    neighbours are merged; the old list is left as it was."""
-    dt = event.time - state.time
-    for w in state.waves:
-        if w.alive:
-            w.pos += w.speed * dt
-    for vf in state.v_fronts:
-        vf.pos -= dt
-    state.time = event.time
+    """Move ``state`` across ``event``: anchor the colliding waves at the
+    event point, kill the cancelled ones, set the new speeds and, at a
+    crossing, snap the v-front and relabel the waves that crossed it.  No
+    other wave or v-front is touched: their anchors still give their
+    positions.  The alive counts follow: each cancelled wave leaves
+    ``n_alive`` and its ``per_crossed`` slot, and each crossing wave moves to
+    the slot of the v-front it crossed.  The state's fronts (built here if it
+    has none yet) are edited at the site: the fronts that met are replaced by
+    the survivors, which merge with a neighbour on either side where equal
+    and then share its anchor; the old list is left as it was, and the
+    collision queue (if any) is told which fronts may have a new right-hand
+    neighbour."""
+    fronts = state.fronts()
+    t, x = event.time, event.x
+    state.time = t
     for s in range(event.colliding.lo, event.colliding.hi + 1):
         w = state.wave(s)
         if w.alive:
-            w.pos = event.x
+            w.x_a, w.t_a = x, t
     per_crossed = state.per_crossed
     top = len(per_crossed) - 1
     for s in event.canceled:
         w = state.wave(s)
-        w.pos = None
+        w.x_a = None
         w.speed = None
-        w.death_time = event.time
+        w.death_time = t
         state.n_alive -= 1
         per_crossed[min(w.crossed, top)] -= 1
     for s, speed in event.post_speeds.items():
         state.wave(s).speed = speed
     if event.v_front_id is not None:
-        state.v_fronts[event.v_front_id - 1].pos = event.x
+        vf = state.v_fronts[event.v_front_id - 1]
+        vf.x_a, vf.t_a = x, t
         for s in event.post_speeds:
             w = state.wave(s)
             per_crossed[min(w.crossed, top)] -= 1
             per_crossed[event.v_front_id] += 1
             w.crossed = event.v_front_id
             w.v_label = event.v_label
-    fronts = state._fronts
-    if fronts is not None:
-        # replace the fronts that meet the colliding range by the survivors
-        lo = bisect_left(fronts, event.colliding.lo, key=lambda f: f.hi)
-        hi = bisect_right(fronts, event.colliding.hi, key=lambda f: f.lo)
-        site = [Front((s,), state.wave(s)) for s in sorted(event.post_speeds)]
-        state._fronts = _merge_fronts(fronts[:lo] + site + fronts[hi:])
+    # replace the fronts that meet the colliding range by the survivors, then
+    # merge them with the neighbour on either side
+    lo = bisect_left(fronts, event.colliding.lo, key=lambda f: f.hi)
+    hi = bisect_right(fronts, event.colliding.hi, key=lambda f: f.lo)
+    a, b = max(lo - 1, 0), hi + 1
+    site = [Front((s,), state.wave(s)) for s in sorted(event.post_speeds)]
+    window = _merge_fronts(fronts[a:lo] + site + fronts[hi:b], state.waves, t)
+    state._fronts = fronts[:a] + window + fronts[b:]
+    if state._queue is not None:
+        # a merge with the left neighbour also changes the pair left of it
+        state._queue.site.extend(state._fronts[max(a - 1, 0):a + len(window)])
 
 
 class FieldState:
@@ -325,7 +353,10 @@ class FieldState:
     Two counts are kept across events by :func:`apply_event`: ``n_alive``,
     the number of alive waves, and ``per_crossed``, the alive waves per
     ``crossed`` value, capped at the top v-front id.  A new state (and so a
-    copy) counts them from its waves."""
+    copy) counts them from its waves.
+
+    ``_queue`` is the simulator's collision queue once it has built one;
+    :func:`apply_event` appends the fronts it changes to its ``site`` list."""
 
     def __init__(self, eps: float, waves: list[WaveRecord], v_fronts: list[VFront],
                  time: float = 0.0, w_base: int = 0):
@@ -335,6 +366,7 @@ class FieldState:
         self.waves = waves
         self.v_fronts = v_fronts
         self._fronts: list[Front] | None = None   # kept by apply_event once built
+        self._queue = None                          # the simulator's, built on first use
         self.n_alive, self.per_crossed = _count_alive(waves, v_fronts)
 
     def wave(self, s: int) -> WaveRecord:
@@ -353,11 +385,13 @@ class FieldState:
         replaces the list instead of editing it, so a list once returned
         never changes.  Callers must not edit it either."""
         if self._fronts is None:
-            self._fronts = _merge_fronts(Front((w.id,), w) for w in self.waves if w.alive)
+            self._fronts = _merge_fronts((Front((w.id,), w) for w in self.waves if w.alive),
+                                         self.waves, self.time)
         return self._fronts
 
     def copy(self) -> "FieldState":
-        """A deep copy of the waves and v-fronts; it rebuilds its fronts on first use."""
+        """A deep copy of the waves and v-fronts; it rebuilds its fronts, and a
+        simulator its queue, on first use."""
         return FieldState(
             eps=self.eps,
             waves=[replace(w) for w in self.waves],
@@ -386,26 +420,34 @@ def group_fronts(state: FieldState) -> list[tuple[int, ...]]:
 
     The independent side of the check on the kept fronts.  Raises
     ``ValueError`` if a run mixes v labels or crossing counts."""
+    alive = [w for w in state.waves if w.alive]
+    return _group_runs(alive, [position(w, state.time) for w in alive])
+
+
+def _group_runs(alive: list[WaveRecord], pos: list[float]) -> list[tuple[int, ...]]:
+    """:func:`group_fronts` over the alive waves and their positions."""
     out: list[tuple[int, ...]] = []
-    run: list[WaveRecord] = []
-    for w in state.waves:
-        if not w.alive:
-            continue
-        if run and (w.pos != run[-1].pos or w.speed != run[-1].speed or w.sign != run[-1].sign):
-            out.append(_run_ids(run))
-            run = []
-        run.append(w)
-    if run:
-        out.append(_run_ids(run))
+    start = 0
+    for k in range(1, len(alive)):
+        a, b = alive[k - 1], alive[k]
+        if pos[k] != pos[k - 1] or a.speed != b.speed or a.sign != b.sign:
+            out.append(_run_ids(alive[start:k], pos[start]))
+            start = k
+    if alive:
+        out.append(_run_ids(alive[start:], pos[start]))
     return out
 
 
-def _run_ids(run: list[WaveRecord]) -> tuple[int, ...]:
-    labels = {w.v_label for w in run}
-    crossed = {w.crossed for w in run}
-    if len(labels) != 1 or len(crossed) != 1:
-        raise ValueError(f"mixed front at x={run[0].pos}: labels={labels} crossed={crossed}")
-    return tuple(w.id for w in run)
+def _run_ids(run: list[WaveRecord], x: float) -> tuple[int, ...]:
+    """The ids of one run; raises unless every wave has the v label and the
+    crossing count of the first."""
+    first = run[0]
+    for w in run:
+        if w.v_label != first.v_label or w.crossed != first.crossed:
+            labels = {w.v_label for w in run}
+            crossed = {w.crossed for w in run}
+            raise ValueError(f"mixed front at x={x}: labels={labels} crossed={crossed}")
+    return tuple([w.id for w in run])
 
 
 def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> FieldState:
@@ -418,14 +460,14 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
     if w0.final_value != w0.base or (v0.values and v0.final_value != v0.base):
         raise ValueError("initial data must return to the base value (compact support)")
     v_fronts = [
-        VFront(id=h + 1, x0=x, v_left=before, v_right=after)
+        VFront(id=h + 1, x_a=x, v_left=before, v_right=after)
         for h, (x, before, after) in enumerate(v0.jumps())
     ]
     waves: list[WaveRecord] = []
     for x, before, after in w0.jumps():
         sign = 1 if after > before else -1
         label = v0.value_at(x)
-        crossed = sum(1 for vf in v_fronts if vf.x0 <= x)
+        crossed = sum(1 for vf in v_fronts if vf.x_a <= x)
         hats = range(before + 1, after + 1) if sign > 0 else range(before - 1, after - 1, -1)
         for hat in hats:
             waves.append(
@@ -433,7 +475,7 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
                     id=len(waves) + 1,
                     sign=sign,
                     w_hat=hat,
-                    pos=x,
+                    x_a=x,
                     speed=None,
                     v_label=label,
                     crossed=crossed,
@@ -484,9 +526,11 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
     """Solve every initial discontinuity and set the wave speeds in place.
 
     Returns the groups of each discontinuity, left to right, as produced by
-    :func:`speed_groups`.  Any kept fronts are dropped.
+    :func:`speed_groups`.  Any kept fronts, and any collision queue, are
+    dropped.
     """
     state._fronts = None
+    state._queue = None
     out = []
     stack: list[int] = []
 
@@ -498,7 +542,7 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
         out.append(groups)
 
     for w in state.waves:
-        if stack and state.wave(stack[-1]).pos != w.pos:
+        if stack and state.wave(stack[-1]).x_a != w.x_a:
             flush()
             stack = []
         stack.append(w.id)
@@ -512,7 +556,8 @@ def reconstruct_profile(state: FieldState) -> StepFunction:
     jumps: dict[float, int] = {}
     for w in state.waves:
         if w.alive:
-            jumps[w.pos] = jumps.get(w.pos, 0) + w.sign
+            x = position(w, state.time)
+            jumps[x] = jumps.get(x, 0) + w.sign
     level = state.w_base
     xs, vals = [], []
     for x in sorted(jumps):
@@ -533,35 +578,36 @@ def validate_enumeration(state: FieldState) -> list[str]:
     signed wave measure telescopes back to the base value (push-forward);
     the kept ``n_alive`` and ``per_crossed`` equal a recount by
     :func:`_count_alive`; if the state keeps its fronts, they are the runs
-    :func:`group_fronts` derives anew from the waves.
+    :func:`group_fronts` derives anew from the waves.  The positions are
+    computed once, and both the stacks and the regrouping read them.
     """
     problems: list[str] = []
     alive = [w for w in state.waves if w.alive]
-    for a, b in zip(alive, alive[1:]):
-        if a.pos > b.pos:
-            problems.append(f"positions out of order: wave {a.id} at {a.pos} after {b.id} at {b.pos}")
+    # a wave without speed (reported below) is taken to stay at its anchor
+    pos = [w.x_a if w.speed is None else position(w, state.time) for w in alive]
+    for k in range(len(alive) - 1):
+        if pos[k] > pos[k + 1]:
+            problems.append(f"positions out of order: wave {alive[k].id} at {pos[k]} "
+                            f"after {alive[k + 1].id} at {pos[k + 1]}")
 
-    # group into stacks by exact position
-    stacks: list[list[WaveRecord]] = []
-    for w in alive:
-        if stacks and stacks[-1][-1].pos == w.pos:
-            stacks[-1].append(w)
-        else:
-            stacks.append([w])
+    # stacks of co-located waves, by exact position
     level = state.w_base
-    for stack in stacks:
-        signs = {w.sign for w in stack}
-        if len(signs) != 1:
-            problems.append(f"mixed-sign stack at x={stack[0].pos}")
+    start = 0
+    for k in range(1, len(alive) + 1):
+        if k < len(alive) and pos[k] == pos[start]:
             continue
-        sign = signs.pop()
+        stack, x = alive[start:k], pos[start]
+        start = k
+        sign = stack[0].sign
+        if len(stack) > 1 and len({w.sign for w in stack}) != 1:
+            problems.append(f"mixed-sign stack at x={x}")
+            continue
         before = level
         after = before + sign * len(stack)
         hats = [w.w_hat for w in stack]
-        want = list(range(before + 1, after + 1)) if sign > 0 else list(range(before - 1, after - 1, -1))
-        if hats != want:
+        if hats != list(range(before + sign, after + sign, sign)):
             problems.append(
-                f"stack at x={stack[0].pos}: right states {hats} do not fill "
+                f"stack at x={x}: right states {hats} do not fill "
                 f"{'(' + str(before) + ', ' + str(after) + ']' if sign > 0 else '[' + str(after) + ', ' + str(before) + ')'}"
             )
         level = after
@@ -582,7 +628,7 @@ def validate_enumeration(state: FieldState) -> list[str]:
                         f"recounted {per_crossed}")
     if state._fronts is not None:
         try:
-            regrouped = group_fronts(state)
+            regrouped = _group_runs(alive, pos)
         except ValueError as exc:
             problems.append(str(exc))
         else:
@@ -664,7 +710,7 @@ def snapshot(state: FieldState) -> dict:
                 "id": w.id,
                 "sign": w.sign,
                 "w_hat": w.w_hat,
-                "position": w.pos,
+                "position": position(w, state.time) if w.alive else None,
                 "speed": w.speed,
                 "v_label": w.v_label,
             }
@@ -673,7 +719,7 @@ def snapshot(state: FieldState) -> dict:
         "v_fronts": [
             {
                 "id": vf.id,
-                "position": vf.pos,
+                "position": position(vf, state.time),
                 "v_left": vf.v_left,
                 "v_right": vf.v_right,
             }

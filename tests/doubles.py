@@ -8,14 +8,15 @@ from triwave.wavefield import Front
 
 
 def swap_end_positions(state):
-    """Swap the positions of the first and last alive waves."""
+    """Swap the anchors of the first and last alive waves."""
     alive = [w for w in state.waves if w.alive]
-    alive[0].pos, alive[-1].pos = alive[-1].pos, alive[0].pos
+    a, b = alive[0], alive[-1]
+    (a.x_a, a.t_a), (b.x_a, b.t_a) = (b.x_a, b.t_a), (a.x_a, a.t_a)
 
 
 def swap_kept_ids(state):
     """Swap the last id of the first kept front with the first id of the
-    second: positions stay as they are, only the kept fronts go wrong."""
+    second: anchors stay as they are, only the kept fronts go wrong."""
     fronts = state.fronts()
     a, b = fronts[0], fronts[1]
     fronts[0] = Front(a.ids[:-1] + b.ids[:1], a.lead)

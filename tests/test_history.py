@@ -15,7 +15,7 @@ from triwave.history import (
 from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data
 from triwave.simulator import run
-from triwave.wavefield import EventKind, IdRange, StepFunction
+from triwave.wavefield import EventKind, IdRange, StepFunction, position
 
 EPS = 0.05
 
@@ -250,7 +250,7 @@ class TestQTrans:
         want = 0.0
         for vf in state.v_fronts:
             for w in state.waves:
-                if w.alive and w.pos < vf.pos:
+                if w.alive and position(w, state.time) < position(vf, state.time):
                     want += vf.strength_ticks * EPS * EPS
         assert traj.snapshots[-1].q_trans == pytest.approx(want, abs=1e-12)
 
@@ -444,12 +444,12 @@ class TestReplayAgreement:
             # the replayed final state equals the simulated one field for field
             final = steps[-1]
             assert final.state.time == traj.final_state.time
-            assert [(w.pos, w.speed, w.v_label, w.crossed, w.death_time)
+            assert [(w.x_a, w.t_a, w.speed, w.v_label, w.crossed, w.death_time)
                     for w in final.state.waves] == \
-                [(w.pos, w.speed, w.v_label, w.crossed, w.death_time)
+                [(w.x_a, w.t_a, w.speed, w.v_label, w.crossed, w.death_time)
                  for w in traj.final_state.waves]
-            assert [vf.pos for vf in final.state.v_fronts] == \
-                [vf.pos for vf in traj.final_state.v_fronts]
+            assert [(vf.x_a, vf.t_a) for vf in final.state.v_fronts] == \
+                [(vf.x_a, vf.t_a) for vf in traj.final_state.v_fronts]
             # the production per-pair pi values agree with the replayed tables
             for key, pair in history.pairs.items():
                 if pair.record is not None:
@@ -471,7 +471,8 @@ class JoinedClassHistory(PairHistory):
         out = super().on_event(event, state)
         for rec in self.records:
             for members in rec.class_members(state):
-                assert len({state.wave(s).pos for s in members}) <= 1, (event.index, members)
+                assert len({position(state.wave(s), state.time) for s in members}) <= 1, \
+                    (event.index, members)
                 assert len({state.wave(s).speed for s in members}) <= 1, (event.index, members)
         return out
 

@@ -1,17 +1,22 @@
 import pytest
 
 from doubles import CorruptAfterFirstEvent, bump_one_budget, swap_kept_ids
+from golden.regen import SCALAR_FAST_JUMPS
 from triwave import scenario, simulator
 from triwave.flux import FluxTable, make_flux
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
-from triwave.simulator import _objects, next_collision, resolve, run
+from triwave.simulator import TIME_TOL, _meeting, _objects, next_collision, resolve, run
 from triwave.wavefield import (
+    Event,
     EventKind,
+    IdRange,
     StepFunction,
     VFront,
+    apply_event,
     assign_initial_speeds,
     group_fronts,
     initial_enumeration,
+    position,
     validate_enumeration,
 )
 
@@ -37,14 +42,15 @@ def brute_force_earliest(state):
             l, r = objs[i], objs[j]
             if isinstance(l, VFront):
                 continue
+            gap = position(r, state.time) - position(l, state.time)
             if isinstance(r, VFront):
                 if state.wave(l.ids[0]).crossed >= r.id:
                     continue
-                tau = (r.pos - l.pos) / (l.speed + 1.0)
+                tau = gap / (l.speed + 1.0)
             else:
                 if l.speed <= r.speed:
                     continue
-                tau = (r.pos - l.pos) / (l.speed - r.speed)
+                tau = gap / (l.speed - r.speed)
             t = state.time + max(tau, 0.0)
             if best is None or t < best:
                 best = t
@@ -58,10 +64,10 @@ class TestNextCollision:
         cand = next_collision(state)
         chaser = state.wave(2)
         shock = state.wave(3)
-        want_tau = (shock.pos - chaser.pos) / (chaser.speed - shock.speed)
+        want_tau = (shock.x_a - chaser.x_a) / (chaser.speed - shock.speed)
         assert cand is not None
         assert cand.time == pytest.approx(want_tau)
-        assert cand.x == pytest.approx(chaser.pos + chaser.speed * want_tau)
+        assert cand.x == pytest.approx(position(chaser, want_tau))
 
     def test_hand_set_speeds_halfway_meeting(self, flux_table):
         # fronts at x = 0 and 1 with speeds 0.5 and -0.5 meet at t = 1, x = 0.5
@@ -168,7 +174,7 @@ class TestResolve:
         # a one-tick box of zero width: opposite signs at one x meet at tau = 0
         # even where their speeds say they do not approach
         state = prepared_state([(0.0, 1), (1.0, 0)], [], flux_table)
-        state.wave(2).pos = 0.0
+        state.wave(2).x_a = 0.0
         if right_speed is not None:
             state.wave(2).speed = right_speed
         cand = next_collision(state)
@@ -297,7 +303,7 @@ ORDERING_REPROS = [
                  marks=pytest.mark.xfail(
                      strict=True, raises=ValueError,
                      reason="after event 24 wave 36 at 3.2499999999999982 sits after "
-                            "wave 45 at 3.249999999999997")),
+                            "wave 45 at 3.2499999999999973")),
     pytest.param([(3.0, -3), (6.0, -2), (6.5, 5), (7.5, 0)],
                  [(2.5, 2), (3.5, 0), (6.5, 2), (7.0, 0)], id="different_v_values"),
     pytest.param([(1.5, -3), (5.5, 3), (6.5, -6), (7.0, 0)], [(3.0, -2), (5.0, 0)],
@@ -346,7 +352,7 @@ class TestFrontOrdering:
                                             ("fast", "final enumeration invalid: ")])
     def test_run_rejects_corrupt_kept_fronts(self, monkeypatch, level, what):
         # the double swaps two ids between the first two kept fronts; only the
-        # comparison with group_fronts can tell, since positions are untouched
+        # comparison with group_fronts can tell, since anchors are untouched
         monkeypatch.setattr(simulator, "next_collision",
                             CorruptAfterFirstEvent(simulator.next_collision, swap_kept_ids))
         cfg = ordering_config(*ORDERING_REPROS[0].values, level)
@@ -375,7 +381,8 @@ class TestFrontOrdering:
         # v-front 1 starts at x=2: wave 1 (x=1) has not crossed it, wave 2 (x=4)
         # has; moving wave 1 right of the v-front leaves the order as it is
         state = prepared_state([(1.0, 1), (4.0, 0)], [(2.0, 3), (5.0, 0)], flux_table)
-        state.wave(1).pos = 3.0
+        state.wave(1).x_a = 3.0
+        assert position(state.wave(1), state.time) == 3.0
         objs = _objects(state)
         assert [o.id if isinstance(o, VFront) else o.ids for o in objs] == [(1,), 1, (2,), 2]
 
@@ -413,3 +420,58 @@ def test_kept_fronts_match_the_regrouping_after_every_event(flux, w_jumps, v_jum
         resolve(cand, state, table, index)
         assert [f.ids for f in state.fronts()] == group_fronts(state), f"after event {index}"
     assert index > 0
+
+
+def full_scan(state):
+    """The winner by the queue's rule over every adjacent pair of the full
+    ``_objects`` scan: (t, x, left ids, right)."""
+    objs = _objects(state)
+    found = [(*met, i) for i, (l, r) in enumerate(zip(objs, objs[1:]))
+             if not isinstance(l, VFront) and (met := _meeting(l, r)) is not None]
+    if not found:
+        return None
+    limit = max(min(t for t, _, _ in found), state.time) + TIME_TOL
+    t, x, i = min((c for c in found if c[0] <= limit), key=lambda c: (c[1], c[2]))
+    return t, x, objs[i].ids, objs[i + 1]
+
+
+@pytest.mark.parametrize("flux,w_jumps,v_jumps", KEPT_FRONT_DATA + [
+    pytest.param({"name": "quadratic_coupled", "params": {"c": 0.1}},
+                 [tuple(j) for j in SCALAR_FAST_JUMPS], [], id="single_tick_jumps"),
+])
+def test_queue_matches_a_full_scan_after_every_event(flux, w_jumps, v_jumps):
+    table = FluxTable(make_flux(flux["name"], flux["params"]), EPS)
+    state = prepared_state(w_jumps, v_jumps, table)
+    index = 0
+    while (cand := next_collision(state)) is not None:
+        # a Front compares by identity, so the right fronts must be one object
+        assert (cand.time, cand.x, cand.left.ids, cand.right) == full_scan(state), \
+            f"before event {index + 1}"
+        index += 1
+        resolve(cand, state, table, index)
+    assert full_scan(state) is None
+    assert index > 0
+
+
+@pytest.mark.parametrize("colliding,neighbour", [((3, 4), 2), ((2, 3), 4)], ids=["left", "right"])
+def test_site_merges_with_a_neighbour_arriving_at_the_same_point(flux_table, colliding, neighbour):
+    # waves 2, 3 and 4 all reach x = 1 at t = 2; two of them collide and leave
+    # the speed of the third, so the site joins it without a further event
+    state = prepared_state([(-1.0, 1), (0.0, 2), (1.5, 3), (2.0, 4), (3.0, 0)], [], flux_table)
+    for s, speed in zip(range(1, 9), (0.6, 0.5, -0.25, -0.5, 0.9, 0.9, 0.9, 0.9)):
+        state.wave(s).speed = speed
+    next_collision(state)    # builds the queue, which the event must repair
+    lo, hi = colliding
+    post = state.wave(neighbour).speed
+    apply_event(state, Event(
+        index=1, time=2.0, x=1.0, kind=EventKind.INTERACTION_POSITIVE,
+        colliding=IdRange(lo, hi), participants=IdRange(lo, hi), v_label=0,
+        post_speeds={lo: post, hi: post}, sum_abs_dsigma=0.0,
+        left_ids=IdRange(lo, lo), right_ids=IdRange(hi, hi)))
+    assert [f.ids for f in state.fronts()] == group_fronts(state) == [(1,), (2, 3, 4), (5, 6, 7, 8)]
+    assert len({(state.wave(s).x_a, state.wave(s).t_a) for s in (2, 3, 4)}) == 1
+    assert validate_enumeration(state) == []
+    # wave 1 now chases the joined front
+    cand = next_collision(state)
+    assert (cand.time, cand.x, cand.left.ids, cand.right) == full_scan(state)
+    assert cand.right is state.fronts()[1]

@@ -48,7 +48,7 @@ def blocks(state):
 def kill(state, ids):
     for s in ids:
         w = state.wave(s)
-        w.pos = w.speed = None
+        w.x_a = w.speed = None
         w.death_time = 1.0
 
 
@@ -77,13 +77,13 @@ class TestInitialEnumeration:
         state = initial_enumeration(w0, v0, EPS)
         assert [w.id for w in state.waves] == [1, 2]
         w1, w2 = state.waves
-        assert (w1.pos, w1.sign, w1.w_hat) == (0.0, 1, 1)
-        assert (w2.pos, w2.sign, w2.w_hat) == (1.0, -1, 0)
+        assert (w1.x_a, w1.sign, w1.w_hat) == (0.0, 1, 1)
+        assert (w2.x_a, w2.sign, w2.w_hat) == (1.0, -1, 0)
 
     def test_monotone_staircase_stacks(self):
         w0 = StepFunction.from_jumps([(0.0, 3), (5.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        stack = [w for w in state.waves if w.pos == 0.0]
+        stack = [w for w in state.waves if w.x_a == 0.0]
         assert [w.w_hat for w in stack] == [1, 2, 3]
         assert all(w.sign == 1 for w in stack)
 
@@ -172,7 +172,7 @@ class TestValidateEnumeration:
         w0 = StepFunction.from_jumps([(0.0, 1), (1.0, 2), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         assign_initial_speeds(state, flux_table)
-        state.wave(3).pos = -1.0
+        state.wave(3).x_a = -1.0
         problems = validate_enumeration(state)
         assert any("out of order" in p for p in problems)
 
@@ -270,7 +270,7 @@ def test_snapshot_is_json_ready(flux_table):
 
 def test_only_wavefield_moves_the_state():
     # apply_event is the one code path that moves a state across an event
-    moved = {"pos", "speed", "crossed", "v_label", "death_time", "time"}
+    moved = {"x_a", "t_a", "speed", "crossed", "v_label", "death_time", "time"}
     pkg = Path(__file__).resolve().parents[1] / "src" / "triwave"
     writers = {
         path.stem

@@ -77,7 +77,8 @@ def _dispatch(args) -> int:
                     workers=args.workers)
     for name, agg in sorted(summary["checks"].items()):
         slack = agg["min_slack"]
-        slack_txt = "n/a" if slack is None else f"{slack:.3e}"
+        slack_txt = ("n/a" if slack is None
+                     else f"{slack:.3e} worst={agg['worst']} worst_seed={agg['worst_seed']}")
         print(f"{name:36s} count={agg['count']:6d} min_slack={slack_txt} "
               f"{'PASS' if agg['passed'] else 'FAIL'}")
     print(f"seeds={len(summary['seeds'])} {'PASS' if summary['passed'] else 'FAIL'}")

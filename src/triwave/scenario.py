@@ -2,8 +2,9 @@
 
 A scenario is a single JSON document: flux selection, grid step, initial data
 (explicit jump lists or seeded random specs), check level and output options.
-Running a scenario produces events.csv, functionals.csv and report.json (and
-snapshots.json on demand); the exit status is nonzero iff any check fails.
+Running a scenario produces events.csv, functionals.csv, report.json and
+config.json (and snapshots.json on demand); the exit status is nonzero iff any
+check fails.  Every JSON artifact is one line of JSON.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class ScenarioConfig:
         return ScenarioConfig(**doc)
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            _write_json(fh, asdict(self))
+        _atomic_write(Path(path), lambda fh: _write_json(fh, vars(self)))
 
 
 def _check_datum(name: str, part) -> None:
@@ -213,13 +213,15 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
         _atomic_write(target / "events.csv", lambda fh: _write_events(fh, traj))
         _atomic_write(target / "functionals.csv", lambda fh: _write_functionals(fh, traj))
         _atomic_write(target / "report.json", lambda fh: write_report(checks, fh))
+        # out_dir null: a replay of config.json never writes over this run
+        resolved = {**vars(config), "out_dir": None}
+        _atomic_write(target / "config.json", lambda fh: _write_json(fh, resolved))
         if config.write_snapshots:
             payload = {
                 "initial": snapshot(traj.initial_state),
                 "final": snapshot(traj.final_state),
             }
-            _atomic_write(target / "snapshots.json",
-                          lambda fh: json.dump(payload, fh, indent=1))
+            _atomic_write(target / "snapshots.json", lambda fh: _write_json(fh, payload))
     if not passed:
         failed = [c for c in checks if not c.passed]
         log.error("scenario seed=%s failed %d checks; first: %s",
@@ -239,8 +241,7 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 def _write_json(fh, doc: dict) -> None:
-    json.dump(doc, fh, indent=1)
-    fh.write("\n")
+    fh.write(json.dumps(doc) + "\n")
 
 
 def _write_events(fh, traj: Trajectory) -> None:
@@ -286,7 +287,8 @@ def _batch_child(args: tuple) -> tuple[int, bool, dict, str | None]:
 
 def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
           workers: int = 1) -> dict:
-    """Run one scenario across many seeds; aggregate min slack per check name.
+    """Run one scenario across many seeds; aggregate min slack per check name,
+    with the scope (``worst``) and seed (``worst_seed``) of the check that set it.
 
     A seed that raises counts as failed and its message is kept under
     ``errors``; the other seeds still run and ``summary.json`` is written.
@@ -313,14 +315,13 @@ def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
     for seed, passed, summary, _ in rows:
         all_passed = all_passed and passed
         for name, agg in summary.items():
-            slot = aggregate.setdefault(name, {"count": 0, "min_slack": None, "passed": True})
+            slot = aggregate.setdefault(name, {"count": 0, "min_slack": None, "worst": None,
+                                               "worst_seed": None, "passed": True})
             slot["count"] += agg["count"]
             slot["passed"] = slot["passed"] and agg["passed"]
-            if agg["min_slack"] is not None:
-                slot["min_slack"] = (
-                    agg["min_slack"] if slot["min_slack"] is None
-                    else min(slot["min_slack"], agg["min_slack"])
-                )
+            if agg["min_slack"] is not None and (
+                    slot["min_slack"] is None or agg["min_slack"] < slot["min_slack"]):
+                slot.update(min_slack=agg["min_slack"], worst=agg["worst"], worst_seed=seed)
     out = {
         "seeds": list(seeds),
         "passed": all_passed,

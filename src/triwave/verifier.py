@@ -371,11 +371,16 @@ def run_verifier(traj: Trajectory, level: str, history: PairHistory) -> list[Che
 
 
 def summarize(results: list[CheckResult]) -> dict:
+    """Per check name: count, min slack, the scope of the first check that
+    set it (``worst``), and whether all passed."""
     summary: dict[str, dict] = {}
     for r in results:
-        agg = summary.setdefault(r.name, {"count": 0, "min_slack": math.inf, "passed": True})
+        agg = summary.setdefault(
+            r.name, {"count": 0, "min_slack": math.inf, "worst": None, "passed": True})
         agg["count"] += 1
-        agg["min_slack"] = min(agg["min_slack"], r.slack)
+        if r.slack < agg["min_slack"]:
+            agg["min_slack"] = r.slack
+            agg["worst"] = r.scope
         agg["passed"] = agg["passed"] and r.passed
     for agg in summary.values():
         if agg["min_slack"] is math.inf:
@@ -385,13 +390,12 @@ def summarize(results: list[CheckResult]) -> dict:
 
 def write_report(results: list[CheckResult], fh) -> bool:
     """Serialize all checks plus a per-name min-slack summary to the text
-    stream ``fh``; True if all passed."""
+    stream ``fh`` as one line of JSON; True if all passed."""
     passed = all(r.passed for r in results)
     payload = {
         "passed": passed,
         "summary": summarize(results),
         "checks": [r.as_dict() for r in results],
     }
-    json.dump(payload, fh, indent=1)
-    fh.write("\n")
+    fh.write(json.dumps(payload) + "\n")
     return passed

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -17,6 +18,8 @@ from triwave.scenario import (
     generate_initial_data,
     run_scenario,
 )
+from triwave.verifier import summarize
+from triwave.wavefield import snapshot
 
 EPS = 0.05
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
@@ -107,21 +110,52 @@ class TestRunScenario:
         assert len(events) == len(res.trajectory.events) + 1
         functionals = (tmp_path / "functionals.csv").read_text().splitlines()
         assert len(functionals) == len(res.trajectory.snapshots) + 1
+        # every JSON artifact is one line that parses to its document, floats exact
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["passed"] is True
+        assert report == {
+            "passed": True,
+            "summary": summarize(res.checks),
+            "checks": [c.as_dict() for c in res.checks],
+        }
         snaps = json.loads((tmp_path / "snapshots.json").read_text())
-        assert {"initial", "final"} <= set(snaps)
+        assert snaps == {
+            "initial": snapshot(res.trajectory.initial_state),
+            "final": snapshot(res.trajectory.final_state),
+        }
+        written = json.loads((tmp_path / "config.json").read_text())
+        assert written == {**vars(cfg), "out_dir": None}
+        for name in ("report.json", "snapshots.json", "config.json"):
+            assert (tmp_path / name).read_text().count("\n") == 1, name
 
     def test_byte_identical_reruns(self, tmp_path):
+        # the report too: check_log2_kernel draws its cases from default_rng(0)
         cfg = ScenarioConfig(
             seed=3,
+            write_snapshots=True,
             w0={"random": {"jumps": 5, "max_amplitude": 0.4, "max_waves": 30}},
             v0={"random": {"jumps": 3, "max_amplitude": 0.3}},
         )
         run_scenario(cfg, out_dir=tmp_path / "a")
         run_scenario(cfg, out_dir=tmp_path / "b")
+        for name in ("events.csv", "functionals.csv", "report.json", "snapshots.json",
+                     "config.json"):
+            a, b = ((tmp_path / side / name).read_bytes() for side in "ab")
+            assert a == b, name
+
+    def test_config_json_replays_the_run(self, tmp_path):
+        cfg = ScenarioConfig(
+            seed=5,
+            out_dir=str(tmp_path / "run"),
+            w0={"random": {"jumps": 5, "max_amplitude": 0.4, "max_waves": 30}},
+            v0={"random": {"jumps": 3, "max_amplitude": 0.3}},
+        )
+        run_scenario(cfg)
+        replayed = ScenarioConfig.from_json(tmp_path / "run" / "config.json")
+        assert replayed.out_dir is None
+        run_scenario(replayed, out_dir=tmp_path / "replay")
         for name in ("events.csv", "functionals.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            a, b = ((tmp_path / side / name).read_bytes() for side in ("run", "replay"))
+            assert a == b, name
 
     def test_golden_artifacts_seed_42(self, tmp_path):
         # configs/demo.json as shipped (seed 42, level full); a change that
@@ -197,22 +231,41 @@ class TestBatch:
         assert on_disk["errors"] == summary["errors"]
 
     def test_summary_is_written_atomically(self, tmp_path, monkeypatch):
-        # a summary dump that fails midway leaves no partial summary.json
-        real_dump = json.dump
+        # a summary write that fails midway leaves no partial summary.json
+        real_write = scenario._write_json
 
-        def dump(doc, fh, **kwargs):
+        def write_json(fh, doc):
             if "per_seed" in doc:
                 fh.write('{"seeds": [')
                 raise OSError("disk full")
-            real_dump(doc, fh, **kwargs)
+            real_write(fh, doc)
 
-        monkeypatch.setattr(json, "dump", dump)
+        monkeypatch.setattr(scenario, "_write_json", write_json)
         cfg = ScenarioConfig(check_level="fast", w0={"jumps": [[1.0, 2], [3.0, 0]]},
                              v0={"jumps": []})
         with pytest.raises(OSError, match="disk full"):
             batch(cfg, seeds=[0], out_dir=tmp_path)
         assert (tmp_path / "seed_0" / "report.json").exists()
         assert [p.name for p in tmp_path.iterdir() if p.is_file()] == []
+
+    def test_worst_points_at_the_minimum(self, tmp_path):
+        cfg = ScenarioConfig(
+            check_level="fast",
+            w0={"random": {"jumps": 4, "max_amplitude": 0.4, "max_waves": 20}},
+            v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
+        )
+        seeds = [0, 1, 2, 3]
+        summary = batch(cfg, seeds=seeds, out_dir=tmp_path)
+        checks = {
+            seed: json.loads((tmp_path / f"seed_{seed}" / "report.json").read_text())["checks"]
+            for seed in seeds
+        }
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        for name, agg in summary["checks"].items():
+            slack = {(seed, c["scope"]): c["slack"]
+                     for seed in seeds for c in checks[seed] if c["name"] == name}
+            assert agg["min_slack"] == min(slack.values()), name
+            assert slack[agg["worst_seed"], agg["worst"]] == agg["min_slack"], name
 
     def test_empty_seed_list_is_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):
@@ -307,9 +360,14 @@ class TestCli:
             w0={"random": {"jumps": 3, "max_amplitude": 0.3, "max_waves": 12}},
             v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
         ).to_json(cfg_path)
-        proc = self.run_cli("batch", "--config", str(cfg_path), "--seeds", "0..2")
+        proc = self.run_cli("batch", "--config", str(cfg_path), "--seeds", "0..2",
+                            "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert "seeds=3 PASS" in proc.stdout
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        agg = summary["checks"]["main_theorem"]
+        assert (f"worst={agg['worst']} worst_seed={agg['worst_seed']} PASS"
+                in proc.stdout)
 
     def test_unknown_config_key_is_a_clean_error(self, tmp_path):
         doc = json.loads(DEMO.read_text())
@@ -412,6 +470,21 @@ def test_cli_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_json_dump_in_the_package():
+    # json.dump(..., indent=1) runs the pure-Python encoder one token per
+    # write; every artifact goes through one json.dumps and one write instead
+    pkg = Path(__file__).resolve().parents[1] / "src" / "triwave"
+    callers = {
+        path.stem
+        for path in pkg.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "dump")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "dump"))
+    }
+    assert callers == set()
 
 
 def test_lower_layer_imports_no_simulator():

@@ -156,8 +156,14 @@ class TestReport:
         results = run_verifier(traj, "full", history)
         out = io.StringIO()
         assert write_report(results, out) is True
+        # one line of JSON that parses back to every check, floats exact
+        assert out.getvalue().count("\n") == 1
         data = json.loads(out.getvalue())
-        assert data["passed"] is True
+        assert data == {
+            "passed": True,
+            "summary": summarize(results),
+            "checks": [r.as_dict() for r in results],
+        }
         assert set(data["summary"]) == {r.name for r in results}
         for agg in data["summary"].values():
             assert agg["min_slack"] >= -1e-9
@@ -180,5 +186,21 @@ def test_summarize_min_slack():
     ]
     summary = summarize(rs)
     assert summary["a"]["min_slack"] == 0.5
+    assert summary["a"]["worst"] == "e2"
     assert summary["a"]["count"] == 2
     assert summary["b"]["passed"] is True
+    assert summary["b"]["worst"] == "e1"
+
+
+def test_summarize_worst_is_the_first_minimum():
+    rs = [
+        CheckResult("a", "event:3", 0.0, 1.0, 0.25, True, {}),
+        CheckResult("a", "event:7", 0.0, 1.0, 0.25, True, {}),
+        CheckResult("a", "global", 0.0, 1.0, 0.75, True, {}),
+        CheckResult("c", "global", 0.0, math.inf, math.inf, True, {}),
+    ]
+    summary = summarize(rs)
+    assert summary["a"]["worst"] == "event:3"
+    assert summary["c"]["min_slack"] is None
+    assert summary["c"]["worst"] is None
+

@@ -37,16 +37,22 @@ that dies or meets again takes its P out.  ``PairHistory.validate`` recounts
 Partitions are shared: every pair divided at the same event sees the same
 interval and the same classes, so one record per event serves them all.
 ``PairHistory`` keeps a registry from each live record to the divided pairs
-that share it.  A transversal crossing then walks each record it can reach
-once: prefix sums of the contained-class strength give every pair of the
-record its increment in O(1), so the pi update of one crossing costs
-O(classes + pairs) of the records it touches instead of O(all pairs x classes).
+that share it, in rows by lower id: ``records[rec][s][s2]``, rows and
+entries in ascending id order.  At a crossing the classes of a record that
+lie inside it form one run a..b, and a pair has a nonzero count exactly when
+its lower wave's class is at most b and its upper wave's at least a; prefix
+sums over the run give that count in O(1), so the walk stops at the first
+row past b and at the first entry of a row below a.  A crossing kills no
+wave, so only the classes it crosses can split.  One crossing then costs
+O(changed pairs + crossed classes) instead of O(classes + pairs) of every
+record it reaches.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
@@ -91,9 +97,6 @@ class PartitionRecord:
     interval: IdRange
     classes: list[IdRange]
 
-    def class_members(self, state: FieldState) -> list[list[int]]:
-        return [c.members(state) for c in self.classes]
-
 
 @dataclass(slots=True)
 class PairRec:
@@ -104,6 +107,39 @@ class PairRec:
     record: PartitionRecord | None
     P: int
     d: int
+
+
+def _lo(ids: IdRange) -> int:
+    return ids.lo
+
+
+def _hi(ids: IdRange) -> int:
+    return ids.hi
+
+
+def _ascending(ids) -> bool:
+    """True if the distinct ``ids`` (dict keys) come in ascending order."""
+    ids = list(ids)
+    return ids == sorted(ids)
+
+
+def _record_problem(rec: PartitionRecord, rows: dict[int, dict[int, PairRec]],
+                    waves: list) -> str | None:
+    """What a crossing takes for granted of a live record and ``rec`` fails:
+    its rows of pairs (``rows``) and each row in ascending id order, its
+    classes in ascending order, and its interval and classes starting and
+    ending on alive waves.  None if it holds."""
+    if not (_ascending(rows) and all(map(_ascending, rows.values()))):
+        return "pairs out of id order"
+    prev = 0
+    for r in rec.classes:
+        if r.lo <= prev:
+            return "classes out of id order"
+        prev = r.hi
+    for r in (rec.interval, *rec.classes):
+        if not (waves[r.lo - 1].alive and waves[r.hi - 1].alive):
+            return f"range {r.lo}..{r.hi} ends on a dead wave"
+    return None
 
 
 def m_value(class_members: list[list[int]], part_lo: int, part_hi: int,
@@ -157,8 +193,9 @@ class PairHistory:
         self.bounds = bounds
         self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P
         self.pairs: dict[tuple[int, int], PairRec] = {}
-        # live record -> the divided pairs that share it
-        self.records: dict[PartitionRecord, dict[tuple[int, int], PairRec]] = {}
+        # live record -> lower id s -> upper id s2 -> the divided pair (s, s2)
+        # sharing it; rows and entries in ascending id order
+        self.records: dict[PartitionRecord, dict[int, dict[int, PairRec]]] = {}
         # wave id -> the waves it has a stored pair with
         self.partners: dict[int, set[int]] = {}
         # d -> sum of P over the divided pairs with denominator d; no zero sums
@@ -176,14 +213,19 @@ class PairHistory:
             self._release(key, old)
         self.pairs[key] = pair
         if pair.record is not None:
-            self.records.setdefault(pair.record, {})[key] = pair
+            s, s2 = key
+            self.records.setdefault(pair.record, {}).setdefault(s, {})[s2] = pair
 
     def _release(self, key: tuple[int, int], pair: PairRec) -> None:
-        """Take the divided ``pair`` out of its record's entry and its P out of S."""
-        sharing = self.records[pair.record]
-        del sharing[key]
-        if not sharing:
-            del self.records[pair.record]
+        """Take the divided ``pair`` out of its record's row and its P out of S."""
+        s, s2 = key
+        rows = self.records[pair.record]
+        row = rows[s]
+        del row[s2]
+        if not row:
+            del rows[s]
+            if not rows:
+                del self.records[pair.record]
         if pair.P:
             # a P changed behind S's back may leave a negative sum: validate reports it
             left = self.S.get(pair.d, 0) - pair.P
@@ -192,24 +234,28 @@ class PairHistory:
             else:
                 del self.S[pair.d]
 
-    def _grow(self, pair: PairRec, amount: int) -> None:
-        """Add ``amount`` > 0 to the budget of a divided pair and to its S[d]."""
-        pair.P += amount
-        self.S[pair.d] = self.S.get(pair.d, 0) + amount
-
-    def validate(self) -> list[str]:
-        """Recount ``S`` from the pairs' budgets; returns the first kept sum
-        that differs (empty = ok).  Joined pairs hold P = 0, so the recount
-        runs over every stored pair."""
+    def validate(self, state: FieldState) -> list[str]:
+        """Recount ``S`` from the pairs' budgets, and check every live record
+        for what a crossing takes for granted (``_record_problem``).  Returns
+        the first kept sum that differs and the first record that fails
+        (empty = ok).  Joined pairs hold P = 0, so the recount runs over every
+        stored pair."""
+        problems = []
         recount: dict[int, int] = {}
         for pair in self.pairs.values():
             if pair.P:
                 recount[pair.d] = recount.get(pair.d, 0) + pair.P
-        if recount == self.S:
-            return []
-        d = min(d for d in recount.keys() | self.S.keys()
-                if recount.get(d, 0) != self.S.get(d, 0))
-        return [f"kept budget sum S[{d}] = {self.S.get(d, 0)}, recounted {recount.get(d, 0)}"]
+        if recount != self.S:
+            d = min(d for d in recount.keys() | self.S.keys()
+                    if recount.get(d, 0) != self.S.get(d, 0))
+            problems.append(f"kept budget sum S[{d}] = {self.S.get(d, 0)}, "
+                            f"recounted {recount.get(d, 0)}")
+        for rec, rows in self.records.items():
+            problem = _record_problem(rec, rows, state.waves)
+            if problem:
+                problems.append(f"record over ids {rec.interval.lo}..{rec.interval.hi}: {problem}")
+                break
+        return problems
 
     # -- construction ------------------------------------------------------
 
@@ -257,32 +303,42 @@ class PairHistory:
         """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided,
         so P grows by ticks_h * count.
 
-        count is the integer of ``m_value`` (M = count * eps): one prefix-sum
-        table per record gives it for every pair of the record.  With K = 0
-        every pi is 0 whatever P holds, and P is left as it is.
+        count is the integer of ``m_value`` (M = count * eps).  Per record,
+        the prefix sums over the classes a..b inside the crossing give it in
+        O(1), and only the pairs with count != 0 are visited: those whose
+        lower wave lies in a class up to b and upper wave in a class from a
+        on.  With K = 0 every pi is 0 whatever P holds, and P is left as it is.
         """
         if self.K == 0.0:
             return
         part = event.participants
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
-        for rec, sharing in self.records.items():
+        S = self.S
+        for rec, rows in self.records.items():
             if rec.interval.hi < part.lo or part.hi < rec.interval.lo:
                 continue  # no class of the record can lie inside the crossing
-            members = rec.class_members(state)
-            prefix = contained_prefix(members, part.lo, part.hi)
-            if prefix[-1] == 0:
+            # classes a..b lie inside the crossing; their ends are alive waves
+            classes = rec.classes
+            a = bisect_left(classes, part.lo, key=_lo)
+            b = bisect_right(classes, part.hi, key=_hi) - 1
+            if a > b:
                 continue
-            class_of = {s: k for k, ids in enumerate(members) for s in ids}
-            for (s, s2), pair in sharing.items():
-                ki = class_of.get(s)
-                kj = class_of.get(s2)
-                if ki is None or kj is None:
-                    raise ValueError("p, p' must belong to the partitioned interval")
-                if ki > kj:
-                    ki, kj = kj, ki
-                count = prefix[kj + 1] - prefix[ki]
-                if count:
-                    self._grow(pair, ticks * count)
+            members = [c.members(state) for c in classes[a:b + 1]]
+            prefix = contained_prefix(members, part.lo, part.hi)
+            # wave of classes a..b -> the count of those classes before its
+            # own, and through its own
+            counts = {s: (prefix[k], prefix[k + 1]) for k, ids in enumerate(members) for s in ids}
+            first_lo, last_hi, total = classes[a].lo, classes[b].hi, prefix[-1]
+            for s, row in rows.items():
+                if s > last_hi:
+                    break          # class(s) > b: this row and the rows after it
+                start = counts[s][0] if s >= first_lo else 0
+                for s2, pair in reversed(row.items()):
+                    if s2 < first_lo:
+                        break      # class(s2) < a: this entry and the ones before it
+                    amount = ticks * ((counts[s2][1] if s2 <= last_hi else total) - start)
+                    pair.P += amount
+                    S[pair.d] = S.get(pair.d, 0) + amount
 
     def _refine_records(self, event: Event, state: FieldState) -> None:
         """Clip intervals to the alive set and split classes the current
@@ -290,40 +346,48 @@ class PairHistory:
 
         The effective flux changes only on cells whose waves crossed the
         first-family front, and class membership changes only through deaths,
-        so only classes touched by this event can actually split.  A record
-        whose interval holds no dead wave and misses the crossing set is
-        already clipped and split, and is left as it is.
+        so only classes touched by this event can actually split.  A
+        cancellation crosses nothing: each record whose interval holds a dead
+        wave is clipped to its alive waves, and each class that lost a wave
+        is split again.  A crossing kills no wave (``simulator.resolve``), so
+        members stay as they are and only the classes of two or more waves
+        that it crosses are split again.  An interaction changes neither.
         """
-        if event.kind.is_interaction:
-            return  # nothing changed: same flux, same members
-        dead = set(event.canceled)
-        touched = event.participants if event.kind == EventKind.TRANSVERSAL else None
         fluxes = BlockFluxes(state, self.spec)
-
-        for rec in self.records:
-            span = rec.interval
-            if not any(span.lo <= d <= span.hi for d in dead) and (
-                touched is None or span.hi < touched.lo or touched.hi < span.lo
-            ):
-                continue
-            live = span.members(state)
-            if not live:
-                continue
-            rec.interval = IdRange(live[0], live[-1])
-            new_classes: list[IdRange] = []
-            for cls in rec.classes:
-                members = cls.members(state)
-                if not members:
+        if event.kind == EventKind.CANCELLATION:
+            dead = set(event.canceled)
+            for rec in self.records:
+                span = rec.interval
+                if not any(span.lo <= d <= span.hi for d in dead):
                     continue
-                lost = any(cls.lo <= d <= cls.hi for d in dead)
-                crossed = touched is not None and not (
-                    members[-1] < touched.lo or touched.hi < members[0]
-                )
-                if len(members) == 1 or not (lost or crossed):
-                    new_classes.append(IdRange(members[0], members[-1]))
+                live = span.members(state)
+                rec.interval = IdRange(live[0], live[-1])
+                new_classes: list[IdRange] = []
+                for cls in rec.classes:
+                    members = cls.members(state)
+                    if not members:
+                        continue
+                    if len(members) == 1 or not any(cls.lo <= d <= cls.hi for d in dead):
+                        new_classes.append(IdRange(members[0], members[-1]))
+                    else:
+                        new_classes.extend(self._split_class(members, state, fluxes))
+                rec.classes = new_classes
+        elif event.kind == EventKind.TRANSVERSAL:
+            touched = event.participants
+            for rec in self.records:
+                if rec.interval.hi < touched.lo or touched.hi < rec.interval.lo:
                     continue
-                new_classes.extend(self._split_class(members, state, fluxes))
-            rec.classes = new_classes
+                # classes lo..hi - 1 meet the crossing; their ends are alive waves
+                classes = rec.classes
+                lo = bisect_left(classes, touched.lo, key=_hi)
+                hi = bisect_right(classes, touched.hi, key=_lo)
+                new_classes = []
+                for cls in classes[lo:hi]:
+                    if cls.lo == cls.hi:
+                        new_classes.append(cls)
+                    else:
+                        new_classes.extend(self._split_class(cls.members(state), state, fluxes))
+                classes[lo:hi] = new_classes
 
     def _split_class(self, members: list[int], state: FieldState,
                      fluxes: BlockFluxes) -> list[IdRange]:

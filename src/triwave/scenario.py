@@ -122,6 +122,7 @@ class ScenarioResult:
     trajectory: Trajectory
     checks: list[CheckResult]
     passed: bool
+    summary: dict        # summarize(checks), as report.json holds it
 
 
 def generate_initial_data(rand_spec: dict, rng: np.random.Generator, eps: float,
@@ -204,6 +205,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
     )
     checks = run_verifier(traj, level=config.check_level, history=history)
     passed = all(c.passed for c in checks)
+    summary = summarize(checks)
 
     target = Path(out_dir) if out_dir is not None else (
         Path(config.out_dir) if config.out_dir else None
@@ -212,7 +214,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
         target.mkdir(parents=True, exist_ok=True)
         _atomic_write(target / "events.csv", lambda fh: _write_events(fh, traj))
         _atomic_write(target / "functionals.csv", lambda fh: _write_functionals(fh, traj))
-        _atomic_write(target / "report.json", lambda fh: write_report(checks, fh))
+        _atomic_write(target / "report.json", lambda fh: write_report(checks, summary, fh))
         # out_dir null: a replay of config.json never writes over this run
         resolved = {**vars(config), "out_dir": None}
         _atomic_write(target / "config.json", lambda fh: _write_json(fh, resolved))
@@ -226,7 +228,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
         failed = [c for c in checks if not c.passed]
         log.error("scenario seed=%s failed %d checks; first: %s",
                   config.seed, len(failed), failed[0].as_dict())
-    return ScenarioResult(trajectory=traj, checks=checks, passed=passed)
+    return ScenarioResult(trajectory=traj, checks=checks, passed=passed, summary=summary)
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -282,7 +284,7 @@ def _batch_child(args: tuple) -> tuple[int, bool, dict, str | None]:
     except Exception as exc:
         log.exception("seed %s raised", seed)
         return seed, False, {}, f"{type(exc).__name__}: {exc}"
-    return seed, result.passed, summarize(result.checks), None
+    return seed, result.passed, result.summary, None
 
 
 def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,

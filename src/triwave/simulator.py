@@ -389,6 +389,6 @@ def _require_valid(state: FieldState, what: str, history: PairHistory | None = N
     recounts."""
     problems = validate_enumeration(state)
     if history is not None:
-        problems += history.validate()
+        problems += history.validate(state)
     if problems:
         raise ValueError(f"{what}: " + "; ".join(problems))

@@ -388,13 +388,14 @@ def summarize(results: list[CheckResult]) -> dict:
     return summary
 
 
-def write_report(results: list[CheckResult], fh) -> bool:
-    """Serialize all checks plus a per-name min-slack summary to the text
-    stream ``fh`` as one line of JSON; True if all passed."""
+def write_report(results: list[CheckResult], summary: dict, fh) -> bool:
+    """Serialize all checks plus their per-name min-slack ``summary`` (from
+    ``summarize(results)``) to the text stream ``fh`` as one line of JSON;
+    True if all passed."""
     passed = all(r.passed for r in results)
     payload = {
         "passed": passed,
-        "summary": summarize(results),
+        "summary": summary,
         "checks": [r.as_dict() for r in results],
     }
     fh.write(json.dumps(payload) + "\n")

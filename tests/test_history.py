@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -15,7 +16,14 @@ from triwave.history import (
 from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data
 from triwave.simulator import run
-from triwave.wavefield import EventKind, IdRange, StepFunction, position
+from triwave.wavefield import (
+    BlockFluxes,
+    EventKind,
+    IdRange,
+    StepFunction,
+    initial_enumeration,
+    position,
+)
 
 EPS = 0.05
 
@@ -70,9 +78,26 @@ def test_prefix_increment_equals_m_value(layout, lo, width):
             assert got == m_value(class_members, part_lo, part_hi, p, p2, EPS)
 
 
+def grow(history, pair, amount):
+    """Add ``amount`` to the budget of a divided pair and to its S[d]."""
+    pair.P += amount
+    history.S[pair.d] = history.S.get(pair.d, 0) + amount
+
+
+def class_members(rec, state):
+    """The alive waves of each class of ``rec``."""
+    return [c.members(state) for c in rec.classes]
+
+
+def flat_registry(history):
+    """The registry as record -> set of pair keys."""
+    return {rec: {(s, s2) for s, row in rows.items() for s2 in row}
+            for rec, rows in history.records.items()}
+
+
 class LoopHistory(PairHistory):
     """The pi update as one ``m_value`` call per divided pair, added to P
-    through the production budget bookkeeping."""
+    and to S pair by pair."""
 
     increments = 0
 
@@ -82,10 +107,10 @@ class LoopHistory(PairHistory):
         for (s, s2), pair in self.pairs.items():
             if pair.record is None:
                 continue
-            members = pair.record.class_members(state)
+            members = class_members(pair.record, state)
             m = m_value(members, part.lo, part.hi, s, s2, self.eps)
             if m > 0.0:
-                self._grow(pair, ticks * round(m / self.eps))
+                grow(self, pair, ticks * round(m / self.eps))
                 self.increments += 1
 
 
@@ -112,7 +137,7 @@ class FloatPiHistory(PairHistory):
         factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
         for key, pair in self.pairs.items():
             if pair.record is not None:
-                m = m_value(pair.record.class_members(state), part.lo, part.hi, *key, self.eps)
+                m = m_value(class_members(pair.record, state), part.lo, part.hi, *key, self.eps)
                 if m > 0.0:
                     self.pi[key] = self.pi.get(key, 0.0) + factor * m
 
@@ -187,7 +212,7 @@ class TestPrefixPiMatchesLoop:
         for key, pair in fast.pairs.items():
             if pair.record is not None:
                 grouped.setdefault(pair.record, set()).add(key)
-        assert {rec: set(keys) for rec, keys in fast.records.items()} == grouped
+        assert flat_registry(fast) == grouped
 
     @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
     def test_integer_q_matches_the_float_pair_loop(self, flux, eps, seed, max_waves):
@@ -199,26 +224,60 @@ class TestPrefixPiMatchesLoop:
 
 
 class TestRecordRegistry:
-    def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+    @staticmethod
+    def three_waves():
+        """A state of three alive waves, ids 1..3, and a record over them."""
+        state = initial_enumeration(StepFunction.from_jumps([(0.0, 3), (1.0, 0)]),
+                                    StepFunction((), (), 0), EPS)
         rec = PartitionRecord(interval=IdRange(1, 3),
                               classes=[IdRange(1, 1), IdRange(2, 3)])
+        return state, rec
+
+    def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
+        state, rec = self.three_waves()
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         for key in ((1, 2), (1, 3)):
             history._set_pair(key, PairRec(rec, 0, 2))
-            history._grow(history.pairs[key], 5)
-        assert history.records == {rec: {(1, 2): history.pairs[(1, 2)],
-                                         (1, 3): history.pairs[(1, 3)]}}
-        assert history.S == {2: 10} and history.validate() == []
+            grow(history, history.pairs[key], 5)
+        assert history.records == {rec: {1: {2: history.pairs[(1, 2)],
+                                             3: history.pairs[(1, 3)]}}}
+        assert history.S == {2: 10} and history.validate(state) == []
         # a divided pair that meets again joined drops out of its record and S
         history._set_pair((1, 2), PairRec(None, 0, 2))
-        assert list(history.records[rec]) == [(1, 3)]
+        assert flat_registry(history) == {rec: {(1, 3)}}
         assert history.S == {2: 5}
         history._apply_deaths((3,))
         assert history.records == {} and list(history.pairs) == [(1, 2)]
         assert history.S == {} and history.partners == {1: {2}, 2: {1}}
         # a budget changed behind the bookkeeping's back fails the recount
         history.pairs[(1, 2)].P += 1
-        assert history.validate() == ["kept budget sum S[2] = 0, recounted 1"]
+        assert history.validate(state) == ["kept budget sum S[2] = 0, recounted 1"]
+
+    def test_rows_or_classes_out_of_id_order_fail_validation(self, spec, bounds):
+        state, rec = self.three_waves()
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        for key in ((1, 2), (1, 3)):
+            history._set_pair(key, PairRec(rec, 0, 2))
+        assert history.validate(state) == []
+        row = history.records[rec][1]
+        row[2] = row.pop(2)           # the row now reads 3, 2
+        assert history.validate(state) == ["record over ids 1..3: pairs out of id order"]
+        row[3] = row.pop(3)
+        rec.classes.reverse()
+        assert history.validate(state) == ["record over ids 1..3: classes out of id order"]
+
+    def test_class_unclipped_over_a_dead_wave_fails_validation(self, spec, bounds):
+        state, rec = self.three_waves()
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history._set_pair((1, 2), PairRec(rec, 0, 2))
+        assert history.validate(state) == []
+        # wave 3 dies, but the record keeps its interval and last class
+        state.wave(3).x_a = None
+        assert history.validate(state) == [
+            "record over ids 1..3: range 1..3 ends on a dead wave"]
+        rec.interval = IdRange(1, 2)
+        assert history.validate(state) == [
+            "record over ids 1..2: range 2..3 ends on a dead wave"]
 
 
 class TestQTrans:
@@ -470,7 +529,7 @@ class JoinedClassHistory(PairHistory):
     def on_event(self, event, state):
         out = super().on_event(event, state)
         for rec in self.records:
-            for members in rec.class_members(state):
+            for members in class_members(rec, state):
                 assert len({position(state.wave(s), state.time) for s in members}) <= 1, \
                     (event.index, members)
                 assert len({state.wave(s).speed for s in members}) <= 1, (event.index, members)
@@ -505,3 +564,79 @@ class TestClassSplitting:
         history = JoinedClassHistory(spec=spec, eps=0.05, bounds=bounds)
         run(w0, v0, spec, 0.05, bounds=bounds, history=history)
         assert history.splits > 0
+
+
+def full_clip_and_split(history, records, event, state):
+    """The refinement as one pass over every record the event touches: clip
+    its interval and classes to the alive waves, and split again each class
+    of two or more waves that lost a wave or meets the crossing."""
+    if event.kind.is_interaction:
+        return
+    dead = set(event.canceled)
+    touched = event.participants if event.kind == EventKind.TRANSVERSAL else None
+    fluxes = BlockFluxes(state, history.spec)
+    for rec in records:
+        span = rec.interval
+        if not any(span.lo <= d <= span.hi for d in dead) and (
+            touched is None or span.hi < touched.lo or touched.hi < span.lo
+        ):
+            continue
+        live = span.members(state)
+        rec.interval = IdRange(live[0], live[-1])
+        new_classes = []
+        for cls in rec.classes:
+            members = cls.members(state)
+            if not members:
+                continue
+            lost = any(cls.lo <= d <= cls.hi for d in dead)
+            crossed = touched is not None and not (
+                members[-1] < touched.lo or touched.hi < members[0]
+            )
+            if len(members) == 1 or not (lost or crossed):
+                new_classes.append(IdRange(members[0], members[-1]))
+                continue
+            new_classes.extend(history._split_class(members, state, fluxes))
+        rec.classes = new_classes
+
+
+class FullSplitHistory(PairHistory):
+    """After every event, re-runs the full clip-and-split on a deep copy of
+    each live record and asserts that it keeps the same interval and classes
+    as the production refinement.  Counts the crossings at which the
+    production refinement cut a class."""
+
+    crossing_splits = 0
+
+    def _refine_records(self, event, state):
+        copies = {rec: copy.deepcopy(rec) for rec in self.records}
+        super()._refine_records(event, state)
+        if event.kind == EventKind.TRANSVERSAL:
+            self.crossing_splits += sum(len(rec.classes) > len(copies[rec].classes)
+                                        for rec in self.records)
+        full_clip_and_split(self, copies.values(), event, state)
+        for rec, want in copies.items():
+            assert (rec.interval, rec.classes) == (want.interval, want.classes), event.index
+
+
+class TestResplitMatchesFullPass:
+    @pytest.mark.parametrize("flux,eps,seed,max_waves", TestPrefixPiMatchesLoop.CASES)
+    def test_cases_keep_the_full_pass_classes(self, flux, eps, seed, max_waves):
+        spec, bounds, w0, v0 = TestPrefixPiMatchesLoop.case_data(flux, eps, seed, max_waves)
+        history = FullSplitHistory(spec=spec, eps=eps, bounds=bounds)
+        traj = run(w0, v0, spec, eps, bounds=bounds, history=history)
+        assert any(ev.kind == EventKind.TRANSVERSAL for ev in traj.events)
+
+    @pytest.mark.parametrize("seed", [2, 7, 9])
+    def test_crossings_that_cut_classes_keep_the_full_pass_classes(self, seed):
+        flux = TestClassSplitting.FLUX
+        spec = make_flux(flux["name"], flux["params"])
+        bounds = derivative_bounds(spec)
+        cfg = ScenarioConfig(
+            flux=flux, eps=0.05, seed=seed,
+            w0={"random": {"jumps": 6, "max_amplitude": 0.5}},
+            v0={"random": {"jumps": 6, "max_amplitude": 0.45}},
+        )
+        w0, v0 = build_initial_data(cfg, spec)
+        history = FullSplitHistory(spec=spec, eps=0.05, bounds=bounds)
+        run(w0, v0, spec, 0.05, bounds=bounds, history=history)
+        assert history.crossing_splits > 0

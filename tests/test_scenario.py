@@ -117,6 +117,7 @@ class TestRunScenario:
             "summary": summarize(res.checks),
             "checks": [c.as_dict() for c in res.checks],
         }
+        assert res.summary == report["summary"]   # the summary the run wrote
         snaps = json.loads((tmp_path / "snapshots.json").read_text())
         assert snaps == {
             "initial": snapshot(res.trajectory.initial_state),

@@ -155,7 +155,7 @@ class TestReport:
         traj, history = make_traj(spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (9.0, 0)])
         results = run_verifier(traj, "full", history)
         out = io.StringIO()
-        assert write_report(results, out) is True
+        assert write_report(results, summarize(results), out) is True
         # one line of JSON that parses back to every check, floats exact
         assert out.getvalue().count("\n") == 1
         data = json.loads(out.getvalue())
@@ -172,7 +172,7 @@ class TestReport:
         bad = CheckResult(name="x", scope="global", lhs=2.0, rhs=1.0,
                           slack=-1.0, passed=False, context={})
         out = io.StringIO()
-        assert write_report([bad], out) is False
+        assert write_report([bad], summarize([bad]), out) is False
         data = json.loads(out.getvalue())
         assert data["passed"] is False
         assert data["summary"]["x"]["passed"] is False

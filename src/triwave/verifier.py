@@ -21,14 +21,25 @@ Global checks:
   aggregate_transversal   summed transversal lhs <= ||d2f/dwdv|| TV(w0) TV(v0)
   aggregate_cancellation  summed cancellation lhs <= ||d2f/dw2|| TV(w0)^2
   log2_kernel             the double integral of 1/(w'-w) obeys the log 2 bound
-  small-N lemma suite     per-pair partitions/pi tables (replayed) obey the
-                          class-gap and restriction lemmas
+
+Small-N lemma suite (``check_small_n_lemmas``), against a per-pair replay:
+  replay_q_quadratic        replayed Q equals the production Q, per event
+  class_gap_lemma           sigma_rh gap between two classes of a divided pair
+                            <= pi + LEMMA_TOL; one entry per event, that
+                            event's worst candidate
+  outer_pair_pi_agreement   nested pairs with equal intervals share pi; one
+                            entry per event, that event's worst candidate
+  partition_classes_joined  count of classes not joined in the solution is 0
+  partition_restriction     count of outer partitions that do not restrict
+                            to a nested inner interval is 0
+  replay_pi_match           final K * P equals the replayed pi: worst pair
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,12 +266,29 @@ def check_log2_kernel() -> list[CheckResult]:
 def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckResult]:
     """Replay the run per pair and verify the partition/pi lemmas at every event.
 
-    Checks, for every time and every divided pair: partition classes are
-    joined in the real solution; the chord-speed gap between classes is
-    bounded by pi; pi maps of nested pairs with the same interval agree; the
-    partition of an outer pair restricts to inner intervals.  Also cross-checks
-    the replayed quadratic functional and the production pi values against
-    the incremental history.
+    Emits six checks:
+
+    - ``replay_q_quadratic``, per step: the replayed quadratic functional
+      equals the production snapshot;
+    - ``class_gap_lemma``, per step with a divided pair: for every divided
+      pair, classes i < j and members p of i, p2 of j, the chord-speed gap
+      sigma_i - sigma_j is at most pi(p, p2) + ``LEMMA_TOL``;
+    - ``outer_pair_pi_agreement``, per step with a nested pair of equal
+      intervals: the outer pair's pi map agrees with the inner pair's on
+      every entry of the inner one;
+    - ``partition_classes_joined``, global: the number of (pair, class) at
+      some step whose members are not joined in the real solution (two
+      positions or two speeds) is 0;
+    - ``partition_restriction``, global: the number of nested divided pairs
+      whose outer partition does not restrict to the inner interval, or
+      whose intervals coincide with different classes, is 0;
+    - ``replay_pi_match``, global: every divided pair of the final history
+      is divided in the final replayed step with the same pi, ``K * P``.
+
+    Each per-step ``class_gap_lemma`` and ``outer_pair_pi_agreement`` entry
+    and the ``replay_pi_match`` entry is the worst candidate: the first one
+    of least slack in iteration order.  The scan keeps only the running
+    least slack and its arguments and builds one ``CheckResult`` from them.
     """
     steps = Replay(traj).run()
     out: list[CheckResult] = []
@@ -275,69 +303,89 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
         fluxes = BlockFluxes(state, traj.spec)
         divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
-        worst_gap: CheckResult | None = None
-        worst_agree: CheckResult | None = None
-        for (s, s2), pair in divided.items():
-            # every class must be joined in the real solution
-            for cls in pair.classes:
-                if len({position(state.wave(p), state.time) for p in cls}) > 1 or \
-                   len({state.wave(p).speed for p in cls}) > 1:
+        # whether a class is joined, and its chord speed, whichever pair holds it
+        class_of: dict[tuple[int, ...], tuple[bool, float]] = {}
+        gap_at = None      # (gap, pi + LEMMA_TOL, pair, p, p2) of the least slack
+        gap_slack = 0.0
+        for key, pair in divided.items():
+            classes = pair.classes
+            sigmas = []
+            for cls in classes:
+                tag = tuple(cls)
+                seen = class_of.get(tag)
+                if seen is None:
+                    joined = (len({position(state.wave(p), state.time) for p in cls}) == 1
+                              and len({state.wave(p).speed for p in cls}) == 1)
+                    seen = class_of[tag] = (joined, fluxes.rh_speed(cls))
+                if not seen[0]:
                     joined_violations += 1
+                sigmas.append(seen[1])
             # class-gap lemma: sigma_rh gap between classes bounded by pi
-            sigmas = [fluxes.rh_speed(cls) for cls in pair.classes]
-            for i in range(len(pair.classes)):
-                for j in range(i + 1, len(pair.classes)):
+            pi = pair.pi
+            for i, ci in enumerate(classes):
+                for j in range(i + 1, len(classes)):
                     gap = sigmas[i] - sigmas[j]
-                    for p in pair.classes[i]:
-                        for p2 in pair.classes[j]:
-                            cand = _check("class_gap_lemma", scope, gap,
-                                          pair.pi[(p, p2)] + LEMMA_TOL,
-                                          pair=(s, s2), p=p, p2=p2)
-                            if worst_gap is None or cand.slack < worst_gap.slack:
-                                worst_gap = cand
-        # restriction and outer-pair agreement between nested divided pairs
+                    for p in ci:
+                        for p2 in classes[j]:
+                            rhs = pi[(p, p2)] + LEMMA_TOL
+                            slack = rhs - gap
+                            if gap_at is None or slack < gap_slack:
+                                gap_slack = slack
+                                gap_at = (gap, rhs, key, p, p2)
+        # restriction and outer-pair agreement between nested divided pairs:
+        # the inner pairs (s, s2) of (p, p2) have p <= s < p2 and s2 <= p2
+        agree_at = None    # (actual, expected, inner, outer) of the least slack
+        agree_slack = 0.0
         keys = sorted(divided)
-        for (p, p2) in keys:
-            for (s, s2) in keys:
-                if (p, p2) == (s, s2) or not (p <= s < s2 <= p2):
+        for outer_key in keys:
+            p, p2 = outer_key
+            outer = divided[outer_key]
+            outer_sets = [set(cls) for cls in outer.classes]
+            for inner_key in keys[bisect_left(keys, (p,)):bisect_left(keys, (p2,))]:
+                if inner_key == outer_key or inner_key[1] > p2:
                     continue
-                outer, inner = divided[(p, p2)], divided[(s, s2)]
+                inner = divided[inner_key]
                 inner_set = set(inner.interval)
-                for cls in outer.classes:
-                    members = set(cls)
+                for members in outer_sets:
                     if members & inner_set and not members <= inner_set:
                         restrict_violations += 1
                 if p in inner_set and p2 in inner_set:
                     if outer.interval != inner.interval or outer.classes != inner.classes:
                         restrict_violations += 1
                     else:
-                        for key, val in inner.pi.items():
-                            cand = _equality("outer_pair_pi_agreement", scope,
-                                             outer.pi[key], val,
-                                             inner=(s, s2), outer=(p, p2))
-                            if worst_agree is None or cand.slack < worst_agree.slack:
-                                worst_agree = cand
-        if worst_gap is not None:
-            out.append(worst_gap)
-        if worst_agree is not None:
-            out.append(worst_agree)
+                        for pp, val in inner.pi.items():
+                            actual = outer.pi[pp]
+                            slack = 0.0 - abs(actual - val)
+                            if agree_at is None or slack < agree_slack:
+                                agree_slack = slack
+                                agree_at = (actual, val, inner_key, outer_key)
+        if gap_at is not None:
+            gap, rhs, key, p, p2 = gap_at
+            out.append(_check("class_gap_lemma", scope, gap, rhs, pair=key, p=p, p2=p2))
+        if agree_at is not None:
+            actual, val, inner_key, outer_key = agree_at
+            out.append(_equality("outer_pair_pi_agreement", scope, actual, val,
+                                 inner=inner_key, outer=outer_key))
     out.append(_check("partition_classes_joined", "global", float(joined_violations), 0.0))
     out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
     final = steps[-1]
-    worst: CheckResult | None = None
+    match_at = None        # (actual, expected, pair) of the least slack
+    match_slack = 0.0
     for key, pair in history.pairs.items():
         if pair.record is None:
             continue
         rep = final.pairs.get(key)
         if rep is None or rep.status != "divided":
-            worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
-            break
-        cand = _equality("replay_pi_match", "global", history.K * pair.P, rep.pi[key],
-                         pair=key)
-        if worst is None or cand.slack < worst.slack:
-            worst = cand
-    if worst is not None:
-        out.append(worst)
+            out.append(_check("replay_pi_match", "global", 1.0, 0.0, pair=key))
+            return out
+        actual, expected = history.K * pair.P, rep.pi[key]
+        slack = 0.0 - abs(actual - expected)
+        if match_at is None or slack < match_slack:
+            match_slack = slack
+            match_at = (actual, expected, key)
+    if match_at is not None:
+        actual, expected, key = match_at
+        out.append(_equality("replay_pi_match", "global", actual, expected, pair=key))
     return out
 
 

@@ -1,6 +1,6 @@
 """Regenerate the golden artifacts under ``tests/golden`` from the current tree.
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [--check]
 
 runs every golden case with ``run_scenario`` and rewrites its
 ``events.csv`` and ``functionals.csv``:
@@ -11,11 +11,14 @@ runs every golden case with ``run_scenario`` and rewrites its
 For each file it prints whether the bytes changed and, per changed column,
 the worst relative change.  Run it only in a change that alters these bytes
 on purpose, and copy what it prints into CHANGES.md (README, "Golden
-artifacts").  ``tests/test_scenario.py`` reads the same cases.
+artifacts").  With ``--check`` it prints the same report, writes nothing and
+exits 1 if any byte would change.  ``tests/test_scenario.py`` reads the same
+cases.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import sys
@@ -76,28 +79,40 @@ def column_changes(old: bytes, new: bytes) -> dict[str, float | str]:
     return out
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden artifacts.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any golden file would change")
+    check = parser.parse_args(argv).check
+    changed = False
     for target, config in golden_cases().items():
         with tempfile.TemporaryDirectory() as tmp:
             result = run_scenario(config, out_dir=tmp)
             if not result.passed:
-                print(f"error: {target.relative_to(ROOT)} fails its checks; nothing written",
+                print(f"error: {label_of(target)} fails its checks; nothing written",
                       file=sys.stderr)
                 return 1
             for name in NAMES:
                 path = target / name
                 old = path.read_bytes() if path.exists() else b""
                 new = (Path(tmp) / name).read_bytes()
-                path.write_bytes(new)
-                label = path.relative_to(ROOT)
                 if old == new:
-                    print(f"{label}: unchanged")
+                    print(f"{label_of(path)}: unchanged")
                     continue
+                changed = True
+                if not check:
+                    path.write_bytes(new)
                 changes = column_changes(old, new) if old else {"*": "new file"}
-                print(f"{label}: rewritten; " + ", ".join(
-                    f"{col} {val:.3g} relative" if isinstance(val, float) else f"{col}: {val}"
-                    for col, val in changes.items()))
-    return 0
+                print(f"{label_of(path)}: {'would change' if check else 'rewritten'}; "
+                      + ", ".join(
+                          f"{col} {val:.3g} relative" if isinstance(val, float)
+                          else f"{col}: {val}"
+                          for col, val in changes.items()))
+    return 1 if check and changed else 0
+
+
+def label_of(path: Path) -> Path:
+    return path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
 
 
 if __name__ == "__main__":

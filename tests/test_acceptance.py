@@ -46,6 +46,16 @@ def ensemble_config(seed: int, flux: dict | None = None) -> ScenarioConfig:
     )
 
 
+def small_n_config(seed: int) -> ScenarioConfig:
+    """The data of the small-N lemma suite: at most 12 waves and 4 fronts."""
+    return ScenarioConfig(
+        seed=seed,
+        check_level="small_n",
+        w0={"random": {"jumps": 3, "max_amplitude": 0.3, "max_waves": 12}},
+        v0={"random": {"jumps": 3, "max_amplitude": 0.3, "max_fronts": 4}},
+    )
+
+
 @pytest.fixture(scope="session")
 def ensemble():
     out = []
@@ -170,20 +180,19 @@ def test_criterion_6_global_bound(ensemble, scalar_ensemble):
 
 def test_criterion_7_small_n_lemmas():
     start = time.perf_counter()
+    lemma_names = {"class_gap_lemma", "outer_pair_pi_agreement", "replay_q_quadratic",
+                   "replay_pi_match", "partition_classes_joined", "partition_restriction"}
     n_checks = 0
+    seen: set[str] = set()
     for seed in SMALL_N_SEEDS:
-        cfg = ScenarioConfig(
-            seed=seed,
-            check_level="small_n",
-            w0={"random": {"jumps": 3, "max_amplitude": 0.3, "max_waves": 12}},
-            v0={"random": {"jumps": 3, "max_amplitude": 0.3, "max_fronts": 4}},
-        )
-        res = run_scenario(cfg)
+        res = run_scenario(small_n_config(seed))
         assert res.passed, [c for c in res.checks if not c.passed][:3]
-        lemma_names = {"class_gap_lemma", "replay_q_quadratic",
-                       "partition_classes_joined", "partition_restriction"}
-        n_checks += sum(1 for c in res.checks if c.name in lemma_names)
+        names = [c.name for c in res.checks if c.name in lemma_names]
+        n_checks += len(names)
+        seen.update(names)
     elapsed = time.perf_counter() - start
+    # a lemma suite that stops emitting one of its checks fails here
+    assert seen == lemma_names
     assert elapsed < 60.0
     report(7, f"lemma suite on {len(SMALL_N_SEEDS)} small runs, "
               f"{n_checks} lemma checks, {elapsed:.1f}s")

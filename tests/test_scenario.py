@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden.regen as regen
 from golden.regen import GOLDEN, column_changes, golden_cases
 from triwave import scenario
 from triwave.scenario import (
@@ -185,6 +186,23 @@ class TestRunScenario:
         assert column_changes(old, old) == {}
         assert column_changes(old, new) == {"q_quadratic": pytest.approx(1e-9)}
         assert list(column_changes(old, old + b"2,3.0\r\n")) == ["*"]
+
+    def test_regen_check_finds_the_committed_goldens_unchanged(self):
+        assert regen.main(["--check"]) == 0
+
+    def test_regen_check_writes_nothing_and_fails_on_a_change(self, tmp_path, monkeypatch,
+                                                              capsys):
+        case = golden_cases()[GOLDEN / "scalar_fast"]
+        for name in regen.NAMES:
+            (tmp_path / name).write_bytes((GOLDEN / "scalar_fast" / name).read_bytes())
+        stale = (tmp_path / "events.csv").read_bytes() + b"stale\r\n"
+        (tmp_path / "events.csv").write_bytes(stale)
+        monkeypatch.setattr(regen, "golden_cases", lambda: {tmp_path: case})
+        assert regen.main(["--check"]) == 1
+        assert (tmp_path / "events.csv").read_bytes() == stale
+        out = capsys.readouterr().out
+        assert f"{tmp_path / 'events.csv'}: would change" in out
+        assert f"{tmp_path / 'functionals.csv'}: unchanged" in out
 
     def test_non_hyperbolic_flux_fails_fast(self, tmp_path):
         cfg = ScenarioConfig(flux={"name": "custom_poly", "params": {"coeffs": [[2, 0, 2.0]]}})

@@ -2,13 +2,21 @@ import io
 import json
 import math
 
+from dataclasses import replace
+
 import pytest
 
+from test_acceptance import small_n_config
 from triwave.flux import derivative_bounds, make_flux
 from triwave.history import PairHistory
+from triwave.replay import Replay
+from triwave.scenario import build_initial_data
 from triwave.simulator import run
 from triwave.verifier import (
+    LEMMA_TOL,
     CheckResult,
+    _check,
+    _equality,
     _kernel_integral,
     check_interaction_decrease,
     check_log2_kernel,
@@ -21,7 +29,7 @@ from triwave.verifier import (
     summarize,
     write_report,
 )
-from triwave.wavefield import EventKind, StepFunction
+from triwave.wavefield import BlockFluxes, EventKind, StepFunction, position
 
 EPS = 0.05
 
@@ -130,6 +138,121 @@ class TestGlobalChecks:
         assert r.passed
 
 
+def per_candidate_lemmas(traj, history):
+    """The small-N lemma suite as one ``CheckResult`` per candidate, keeping
+    the first of least slack per step: the oracle of ``check_small_n_lemmas``."""
+    steps = Replay(traj).run()
+    out = []
+    joined_violations = 0
+    restrict_violations = 0
+
+    for step in steps:
+        scope = f"event:{step.index}"
+        state = step.state
+        out.append(_equality("replay_q_quadratic", scope,
+                             step.q_quadratic, traj.snapshots[step.index].q_quadratic))
+        fluxes = BlockFluxes(state, traj.spec)
+        divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
+        worst_gap = None
+        worst_agree = None
+        for (s, s2), pair in divided.items():
+            for cls in pair.classes:
+                if len({position(state.wave(p), state.time) for p in cls}) > 1 or \
+                   len({state.wave(p).speed for p in cls}) > 1:
+                    joined_violations += 1
+            sigmas = [fluxes.rh_speed(cls) for cls in pair.classes]
+            for i in range(len(pair.classes)):
+                for j in range(i + 1, len(pair.classes)):
+                    gap = sigmas[i] - sigmas[j]
+                    for p in pair.classes[i]:
+                        for p2 in pair.classes[j]:
+                            cand = _check("class_gap_lemma", scope, gap,
+                                          pair.pi[(p, p2)] + LEMMA_TOL,
+                                          pair=(s, s2), p=p, p2=p2)
+                            if worst_gap is None or cand.slack < worst_gap.slack:
+                                worst_gap = cand
+        keys = sorted(divided)
+        for (p, p2) in keys:
+            for (s, s2) in keys:
+                if (p, p2) == (s, s2) or not (p <= s < s2 <= p2):
+                    continue
+                outer, inner = divided[(p, p2)], divided[(s, s2)]
+                inner_set = set(inner.interval)
+                for cls in outer.classes:
+                    members = set(cls)
+                    if members & inner_set and not members <= inner_set:
+                        restrict_violations += 1
+                if p in inner_set and p2 in inner_set:
+                    if outer.interval != inner.interval or outer.classes != inner.classes:
+                        restrict_violations += 1
+                    else:
+                        for key, val in inner.pi.items():
+                            cand = _equality("outer_pair_pi_agreement", scope,
+                                             outer.pi[key], val,
+                                             inner=(s, s2), outer=(p, p2))
+                            if worst_agree is None or cand.slack < worst_agree.slack:
+                                worst_agree = cand
+        if worst_gap is not None:
+            out.append(worst_gap)
+        if worst_agree is not None:
+            out.append(worst_agree)
+    out.append(_check("partition_classes_joined", "global", float(joined_violations), 0.0))
+    out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
+    final = steps[-1]
+    worst = None
+    for key, pair in history.pairs.items():
+        if pair.record is None:
+            continue
+        rep = final.pairs.get(key)
+        if rep is None or rep.status != "divided":
+            worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
+            break
+        cand = _equality("replay_pi_match", "global", history.K * pair.P, rep.pi[key],
+                         pair=key)
+        if worst is None or cand.slack < worst.slack:
+            worst = cand
+    if worst is not None:
+        out.append(worst)
+    return out
+
+
+# f = w^3 + 0.4 w^2 v: f'' changes sign at w = 0, so the jump from -1 to 3
+# ticks opens into a shock of two waves beside a fan, and the divided pairs
+# it leaves hold a class of two waves and nest with equal intervals.
+CUBIC = {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}}
+CUBIC_W = [(1.0, -1), (3.0, 3), (6.0, 0)]
+CUBIC_V = [(4.0, 2), (8.0, 0)]
+
+
+@pytest.fixture(scope="module")
+def cubic_run():
+    spec = make_flux(CUBIC["name"], CUBIC["params"])
+    return make_traj(spec, derivative_bounds(spec), CUBIC_W, CUBIC_V)
+
+
+def corrupt_replay(monkeypatch, corrupt):
+    """Hand ``check_small_n_lemmas`` the replayed steps after ``corrupt(steps)``."""
+    real = Replay.run
+
+    def run_corrupted(self):
+        steps = real(self)
+        corrupt(steps)
+        return steps
+
+    monkeypatch.setattr(Replay, "run", run_corrupted)
+
+
+def divided_pairs(step):
+    return {k: p for k, p in step.pairs.items() if p.status == "divided"}
+
+
+def only_failure(results, name):
+    """The one failed check; it must be of check ``name``."""
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == [name]
+    return failed[0]
+
+
 class TestSmallNLemmas:
     def test_lemma_suite_on_transversal_scenario(self, spec, bounds):
         traj, history = make_traj(
@@ -148,6 +271,129 @@ class TestSmallNLemmas:
         traj, history = make_traj(spec, bounds, [(0.0, 13), (9.5, 0)], [])
         with pytest.raises(ValueError):
             check_small_n_lemmas(traj, history)
+
+    def test_every_check_on_the_cubic_datum(self, cubic_run):
+        results = check_small_n_lemmas(*cubic_run)
+        assert all(r.passed for r in results)
+        assert {r.name for r in results} == {
+            "replay_q_quadratic", "class_gap_lemma", "outer_pair_pi_agreement",
+            "partition_classes_joined", "partition_restriction", "replay_pi_match"}
+
+
+class TestSmallNLemmasMatchOracle:
+    """One ``CheckResult`` per emitted check gives the same checks, context
+    included, as one per candidate."""
+
+    def test_transversal_datum(self, spec, bounds):
+        traj, history = make_traj(
+            spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (7.0, 4), (9.0, 0)]
+        )
+        assert check_small_n_lemmas(traj, history) == per_candidate_lemmas(traj, history)
+
+    def test_cubic_datum(self, cubic_run):
+        assert check_small_n_lemmas(*cubic_run) == per_candidate_lemmas(*cubic_run)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_acceptance_small_n_seeds(self, seed, spec, bounds):
+        cfg = small_n_config(seed)
+        w0, v0 = build_initial_data(cfg, spec)
+        history = PairHistory(spec=spec, eps=cfg.eps, bounds=bounds)
+        traj = run(w0, v0, spec, cfg.eps, bounds=bounds, history=history,
+                   validate_each_event=True)
+        assert check_small_n_lemmas(traj, history) == per_candidate_lemmas(traj, history)
+
+
+class TestSmallNLemmasFail:
+    """Each lemma check fails on a replay with one corrupted step, and names
+    what was corrupted.  At step 1, a crossing, the pairs of waves 2 to 5
+    that the jump at x = 3 divided share the interval [2, 3, 4, 5] and the
+    classes [2, 3], [4], [5]; from step 3 on, (2, 3) is divided on its own
+    interval [2, 3]."""
+
+    STEP = 1
+
+    def test_pi_below_class_gap(self, cubic_run, monkeypatch):
+        # (2, 3) alone on its interval: no other pair reads its pi
+        at, key = 3, (2, 3)
+
+        def corrupt(steps):
+            pair = steps[at].pairs[key]
+            assert pair.interval == [2, 3]
+            steps[at].pairs[key] = replace(pair, pi={key: -10.0})
+
+        corrupt_replay(monkeypatch, corrupt)
+        r = only_failure(check_small_n_lemmas(*cubic_run), "class_gap_lemma")
+        assert r.scope == f"event:{at}"
+        assert r.context == {"pair": key, "p": 2, "p2": 3}
+        assert r.rhs == -10.0 + LEMMA_TOL
+
+    def test_perturbed_outer_pi(self, cubic_run, monkeypatch):
+        outer_key, entry = (2, 5), (3, 4)
+
+        def corrupt(steps):
+            outer = steps[self.STEP].pairs[outer_key]
+            bumped = {**outer.pi, entry: outer.pi[entry] + 1.0}
+            steps[self.STEP].pairs[outer_key] = replace(outer, pi=bumped)
+
+        corrupt_replay(monkeypatch, corrupt)
+        r = only_failure(check_small_n_lemmas(*cubic_run), "outer_pair_pi_agreement")
+        assert r.scope == f"event:{self.STEP}"
+        assert r.context["outer"] == outer_key
+        s, s2 = r.context["inner"]
+        assert 2 <= s < s2 <= 5 and (s, s2) != outer_key
+        assert r.lhs == pytest.approx(1.0)
+
+    def test_class_split_across_two_positions(self, cubic_run, monkeypatch):
+        moved = 3
+        held = []
+
+        def corrupt(steps):
+            step = steps[self.STEP]
+            step.state.wave(moved).x_a += 1.0
+            held.extend(c for pair in divided_pairs(step).values() for c in pair.classes
+                        if moved in c and len(c) > 1)
+
+        corrupt_replay(monkeypatch, corrupt)
+        r = only_failure(check_small_n_lemmas(*cubic_run), "partition_classes_joined")
+        # one violation per divided pair that holds the class of the moved wave
+        assert held and r.lhs == float(len(held))
+
+    def test_nested_pair_with_another_interval(self, cubic_run, monkeypatch):
+        inner_key = (3, 4)
+
+        def corrupt(steps):
+            inner = steps[self.STEP].pairs[inner_key]
+            assert inner.interval == [2, 3, 4, 5]
+            assert sorted(divided_pairs(steps[self.STEP])) == [
+                (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+            steps[self.STEP].pairs[inner_key] = replace(inner, interval=[3, 4, 5])
+
+        corrupt_replay(monkeypatch, corrupt)
+        r = only_failure(check_small_n_lemmas(*cubic_run), "partition_restriction")
+        # the outer pairs (2, 4), (2, 5) and (3, 5) each hold the class [2, 3],
+        # which the new interval cuts; (3, 5) also has both ends in it but
+        # another interval
+        assert r.lhs == 4.0
+
+    def test_final_pair_dropped(self, cubic_run, monkeypatch):
+        traj, history = cubic_run
+        key = next(k for k, p in history.pairs.items() if p.record is not None)
+        corrupt_replay(monkeypatch, lambda steps: steps[-1].pairs.pop(key))
+        r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
+        assert r.context == {"pair": key}
+
+    def test_final_pi_perturbed(self, cubic_run, monkeypatch):
+        traj, history = cubic_run
+        key = next(k for k, p in history.pairs.items() if p.record is not None)
+
+        def corrupt(steps):
+            rep = steps[-1].pairs[key]
+            steps[-1].pairs[key] = replace(rep, pi={**rep.pi, key: rep.pi[key] + 1.0})
+
+        corrupt_replay(monkeypatch, corrupt)
+        r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
+        assert r.context["pair"] == key
+        assert r.lhs == pytest.approx(1.0)
 
 
 class TestReport:

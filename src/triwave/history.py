@@ -1,10 +1,13 @@
 """Pairwise interaction history and the quadratic interaction functional.
 
-For every pair of waves that has shared a position at least once, this module
-tracks whether the pair is currently joined (same position and speed) or
-divided, the interval of waves present at their last meeting, a partition of
-that interval into classes that have never been told apart since, and an
-accumulated budget ``pi`` that grows only at transversal crossings.
+A pair of waves that has shared a position at least once is either joined
+(same position and speed) or divided.  Joined pairs are exactly the pairs of
+waves on one front, so the state's kept fronts tell them: the history stores
+none of them, and reads their number as ``FieldState.n_joined``.  For every
+divided pair it stores the interval of waves present at their last meeting,
+a partition of that interval into classes that have never been told apart
+since, and an accumulated budget ``pi`` that grows only at transversal
+crossings.
 
 The pair weight is
 
@@ -25,14 +28,17 @@ stores P and its denominator d = |w_hat(s') - w_hat(s)| + 1 in ticks, fixed
 when the pair meets; the history keeps ``S[d]``, the sum of P over the
 divided pairs with denominator d, as Python ints.  Then
 
-    Q = eps^2 (||d2f/dw2|| (n(n-1)/2 - stored pairs)
+    Q = eps^2 (||d2f/dw2|| (n(n-1)/2 - joined pairs - stored pairs)
                + 2 ||d3f/dw2dv|| eps sum_d S[d] / d),
 
-n the alive count, the sum over d taken by ``math.fsum`` in sorted order:
-O(distinct denominators) per event, and independent of summation order.
-``S`` changes in three places only: a crossing grows P, and a divided pair
-that dies or meets again takes its P out.  ``PairHistory.validate`` recounts
-``S`` from the pairs.
+n the alive count, the joined pairs those on one kept front, the stored
+pairs the divided ones, the sum over d taken by ``math.fsum`` in sorted
+order: O(distinct denominators) per event, and independent of summation
+order.  ``S`` changes in three places only: a crossing grows P, and a
+divided pair that dies or meets again takes its P out.  A divided pair that
+meets again joined leaves the store; one that meets again and stays divided
+is an error.  ``PairHistory.validate`` recounts ``S`` from the pairs and
+reports a stored pair on one kept front, which would be counted twice.
 
 Partitions are shared: every pair divided at the same event sees the same
 interval and the same classes, so one record per event serves them all.
@@ -100,11 +106,11 @@ class PartitionRecord:
 
 @dataclass(slots=True)
 class PairRec:
-    """History of one pair that has met: its shared partition, None while the
-    pair is joined; its integer budget P (pi = K * P, 0 while joined); and
-    its denominator d = |w_hat' - w_hat| + 1, fixed when the pair meets."""
+    """History of one divided pair: its shared partition; its integer budget
+    P (pi = K * P, 0 when the pair divides); and its denominator
+    d = |w_hat' - w_hat| + 1, fixed when the pair divides."""
 
-    record: PartitionRecord | None
+    record: PartitionRecord
     P: int
     d: int
 
@@ -192,33 +198,37 @@ class PairHistory:
         self.eps = eps
         self.bounds = bounds
         self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P
+        # (s, s2), s < s2 -> the divided pair; joined pairs are never stored
         self.pairs: dict[tuple[int, int], PairRec] = {}
         # live record -> lower id s -> upper id s2 -> the divided pair (s, s2)
         # sharing it; rows and entries in ascending id order
         self.records: dict[PartitionRecord, dict[int, dict[int, PairRec]]] = {}
-        # wave id -> the waves it has a stored pair with
+        # wave id -> the waves it has a stored pair with; no empty sets
         self.partners: dict[int, set[int]] = {}
         # d -> sum of P over the divided pairs with denominator d; no zero sums
         self.S: dict[int, int] = {}
 
     def _set_pair(self, key: tuple[int, int], pair: PairRec) -> None:
-        """Store the fresh (P = 0) ``pair`` under ``key``; a divided pair it
-        replaces leaves its registry entry and takes its P out of ``S``."""
-        old = self.pairs.get(key)
-        if old is None:
-            s, s2 = key
-            self.partners.setdefault(s, set()).add(s2)
-            self.partners.setdefault(s2, set()).add(s)
-        elif old.record is not None:
-            self._release(key, old)
-        self.pairs[key] = pair
-        if pair.record is not None:
-            s, s2 = key
-            self.records.setdefault(pair.record, {}).setdefault(s, {})[s2] = pair
-
-    def _release(self, key: tuple[int, int], pair: PairRec) -> None:
-        """Take the divided ``pair`` out of its record's row and its P out of S."""
+        """Store the fresh (P = 0) divided ``pair`` under ``key``: in
+        ``pairs``, ``partners`` and its record's row."""
         s, s2 = key
+        self.pairs[key] = pair
+        self.partners.setdefault(s, set()).add(s2)
+        self.partners.setdefault(s2, set()).add(s)
+        self.records.setdefault(pair.record, {}).setdefault(s, {})[s2] = pair
+
+    def _drop(self, s: int, s2: int) -> None:
+        """Forget the divided pair of waves ``s`` and ``s2`` (either order):
+        it leaves ``pairs``, ``partners`` and its record's row, and takes its
+        P out of ``S``."""
+        if s > s2:
+            s, s2 = s2, s
+        pair = self.pairs.pop((s, s2))
+        for a, b in ((s, s2), (s2, s)):
+            mates = self.partners[a]
+            mates.discard(b)
+            if not mates:
+                del self.partners[a]
         rows = self.records[pair.record]
         row = rows[s]
         del row[s2]
@@ -235,11 +245,12 @@ class PairHistory:
                 del self.S[pair.d]
 
     def validate(self, state: FieldState) -> list[str]:
-        """Recount ``S`` from the pairs' budgets, and check every live record
+        """Recount ``S`` from the pairs' budgets, check that no stored pair
+        has both waves on one kept front (``q_quadratic`` counts those pairs
+        as joined through ``state.n_joined``), and check every live record
         for what a crossing takes for granted (``_record_problem``).  Returns
-        the first kept sum that differs and the first record that fails
-        (empty = ok).  Joined pairs hold P = 0, so the recount runs over every
-        stored pair."""
+        the first kept sum that differs, the first such pair and the first
+        record that fails (empty = ok)."""
         problems = []
         recount: dict[int, int] = {}
         for pair in self.pairs.values():
@@ -250,12 +261,27 @@ class PairHistory:
                     if recount.get(d, 0) != self.S.get(d, 0))
             problems.append(f"kept budget sum S[{d}] = {self.S.get(d, 0)}, "
                             f"recounted {recount.get(d, 0)}")
+        pair = self._pair_on_one_front(state)
+        if pair is not None:
+            problems.append(f"stored pair {pair} lies on one kept front")
         for rec, rows in self.records.items():
             problem = _record_problem(rec, rows, state.waves)
             if problem:
                 problems.append(f"record over ids {rec.interval.lo}..{rec.interval.hi}: {problem}")
                 break
         return problems
+
+    def _pair_on_one_front(self, state: FieldState) -> tuple[int, int] | None:
+        """The first stored pair whose waves share a kept front, found through
+        ``partners``, or None."""
+        for f in state.fronts():
+            ids = f.ids
+            if len(ids) > 1:
+                for s in ids:
+                    mates = self.partners.get(s)
+                    if mates and not mates.isdisjoint(ids):
+                        return s, min(mates.intersection(ids))
+        return None
 
     # -- construction ------------------------------------------------------
 
@@ -292,12 +318,8 @@ class PairHistory:
     def _apply_deaths(self, canceled: tuple[int, ...]) -> None:
         """Drop the pairs of the dead waves, found through ``partners``."""
         for s in canceled:
-            for s2 in self.partners.pop(s, ()):
-                self.partners[s2].discard(s)
-                key = (s, s2) if s < s2 else (s2, s)
-                pair = self.pairs.pop(key)
-                if pair.record is not None:
-                    self._release(key, pair)
+            for s2 in list(self.partners.get(s, ())):
+                self._drop(s, s2)
 
     def _apply_transversal_pi(self, event: Event, state: FieldState) -> None:
         """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided,
@@ -412,33 +434,38 @@ class PairHistory:
               state: FieldState) -> None:
         """Pairs of ``ids`` meeting at one point after event ``index``: joined
         where the speeds agree, else divided and sharing one fresh partition
-        whose classes are the runs of equal speed.  Every pair starts with
-        P = 0 and the denominator of its right states."""
-        classes: list[IdRange] = []
-        start = 0
-        for k in range(1, len(ids)):
-            if speeds[ids[k]] != speeds[ids[k - 1]]:
-                classes.append(IdRange(ids[start], ids[k - 1]))
-                start = k
-        classes.append(IdRange(ids[start], ids[-1]))
-        record = None
-        if len(classes) > 1:
-            record = PartitionRecord(interval=IdRange(ids[0], ids[-1]), classes=classes)
+        whose classes are the runs of equal speed.  Joined pairs are not
+        stored, so a stored pair that meets here joined is dropped; one that
+        meets here divided raises.  Every divided pair starts with P = 0 and
+        the denominator of its right states."""
+        meeting = set(ids)
+        for s in ids:
+            mates = self.partners.get(s)
+            if not mates:
+                continue
+            for s2 in mates & meeting:   # s2 > s: the pairs of earlier ids are gone
+                if speeds[s] != speeds[s2]:
+                    raise ValueError(f"pair ({s}, {s2}) met again while divided at event {index}")
+                log.debug("pair (%d, %d) re-joined at event %d", s, s2, index)
+                self._drop(s, s2)
+        runs = [[ids[0]]]
+        for prev, s in zip(ids, ids[1:]):
+            if speeds[s] == speeds[prev]:
+                runs[-1].append(s)
+            else:
+                runs.append([s])
+        if len(runs) == 1:
+            return
+        record = PartitionRecord(interval=IdRange(ids[0], ids[-1]),
+                                 classes=[IdRange(run[0], run[-1]) for run in runs])
         hats = [state.wave(s).w_hat for s in ids]
-        for i, s in enumerate(ids):
-            for j in range(i + 1, len(ids)):
-                s2 = ids[j]
-                joined = speeds[s] == speeds[s2]
-                old = self.pairs.get((s, s2))
-                if old is not None and old.record is not None:
-                    if not joined:
-                        # re-meeting pairs were on one front, hence joined, before
-                        raise ValueError(
-                            f"pair ({s}, {s2}) met again while divided at event {index}"
-                        )
-                    log.debug("pair (%d, %d) re-joined at event %d", s, s2, index)
-                self._set_pair((s, s2), PairRec(None if joined else record, 0,
-                                                abs(hats[j] - hats[i]) + 1))
+        end = 0
+        for run in runs[:-1]:
+            end += len(run)
+            for i in range(end - len(run), end):
+                s, hat = ids[i], hats[i]
+                for j in range(end, len(ids)):
+                    self._set_pair((s, ids[j]), PairRec(record, 0, abs(hats[j] - hat) + 1))
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
@@ -475,11 +502,12 @@ class PairHistory:
 
     def q_quadratic(self, state: FieldState) -> float:
         """Q = sum over alive pairs of q * eps^2, from the counts alone:
-        never-met pairs are all alive pairs but the stored ones, and the
+        never-met pairs are all alive pairs but the joined ones (the pairs on
+        one front, ``state.n_joined``) and the stored divided ones, and the
         divided pairs enter through S (the ``pair_weight`` of pi = K * P is
         2 ||d3f/dw2dv|| eps P / d).  O(distinct denominators)."""
         n = state.n_alive
-        never = n * (n - 1) // 2 - len(self.pairs)
+        never = n * (n - 1) // 2 - state.n_joined - len(self.pairs)
         divided = math.fsum(self.S[d] / d for d in sorted(self.S))
         b = self.bounds
         return self.eps**2 * (b.norm_d2_ww * never + 2.0 * b.norm_d3_wwv * self.eps * divided)

@@ -89,6 +89,8 @@ class Replay:
             if pair.status != "divided":
                 continue
             if s in meeting_ids and s2 in meeting_ids:
+                if event.post_speeds[s] == event.post_speeds[s2]:
+                    continue  # met again joined: _meet marks it so
                 raise ValueError(f"pair {key} met again while divided (event {event.index})")
             interval, classes, pi = pair.interval, pair.classes, pair.pi
             if event.kind == EventKind.TRANSVERSAL and event.participants is not None:

@@ -372,8 +372,6 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     match_at = None        # (actual, expected, pair) of the least slack
     match_slack = 0.0
     for key, pair in history.pairs.items():
-        if pair.record is None:
-            continue
         rep = final.pairs.get(key)
         if rep is None or rep.status != "divided":
             out.append(_check("replay_pi_match", "global", 1.0, 0.0, pair=key))

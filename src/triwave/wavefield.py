@@ -21,7 +21,9 @@ of :meth:`FieldState.fronts` builds them from one-wave fronts by the merge
 rule; after that :func:`apply_event` edits them around the event site only,
 and tells the simulator's collision queue (if the state has one) which fronts
 it changed.  :func:`group_fronts` derives the same runs anew from each wave's
-own position, and :func:`validate_enumeration` compares the two.
+own position, and :func:`validate_enumeration` compares the two.  The state
+also keeps ``n_joined``, the pairs of waves on one front: the joined pairs
+of the pair history, which stores none of them.
 :class:`BlockFluxes` is the one lookup from a run of waves to the effective
 flux of its homogeneous block.
 
@@ -304,8 +306,9 @@ def apply_event(state: FieldState, event: Event) -> None:
     the slot of the v-front it crossed.  The state's fronts (built here if it
     has none yet) are edited at the site: the fronts that met are replaced by
     the survivors, which merge with a neighbour on either side where equal
-    and then share its anchor; the old list is left as it was, and the
-    collision queue (if any) is told which fronts may have a new right-hand
+    and then share its anchor; the old list is left as it was, the pairs on
+    one front are recounted over the fronts replaced, and the collision
+    queue (if any) is told which fronts may have a new right-hand
     neighbour."""
     fronts = state.fronts()
     t, x = event.time, event.x
@@ -342,6 +345,7 @@ def apply_event(state: FieldState, event: Event) -> None:
     site = [Front((s,), state.wave(s)) for s in sorted(event.post_speeds)]
     window = _merge_fronts(fronts[a:lo] + site + fronts[hi:b], state.waves, t)
     state._fronts = fronts[:a] + window + fronts[b:]
+    state._n_joined += _count_joined(window) - _count_joined(fronts[a:b])
     if state._queue is not None:
         # a merge with the left neighbour also changes the pair left of it
         state._queue.site.extend(state._fronts[max(a - 1, 0):a + len(window)])
@@ -350,10 +354,11 @@ def apply_event(state: FieldState, event: Event) -> None:
 class FieldState:
     """Full simulation state: wave records plus first-family fronts.
 
-    Two counts are kept across events by :func:`apply_event`: ``n_alive``,
-    the number of alive waves, and ``per_crossed``, the alive waves per
-    ``crossed`` value, capped at the top v-front id.  A new state (and so a
-    copy) counts them from its waves.
+    Three counts are kept across events by :func:`apply_event`:
+    ``n_alive``, the number of alive waves; ``per_crossed``, the alive waves
+    per ``crossed`` value, capped at the top v-front id; and ``n_joined``,
+    the pairs of waves on one front.  A new state (and so a copy) counts the
+    first two from its waves, and ``n_joined`` when it builds its fronts.
 
     ``_queue`` is the simulator's collision queue once it has built one;
     :func:`apply_event` appends the fronts it changes to its ``site`` list."""
@@ -366,6 +371,7 @@ class FieldState:
         self.waves = waves
         self.v_fronts = v_fronts
         self._fronts: list[Front] | None = None   # kept by apply_event once built
+        self._n_joined = 0                          # counted with the fronts
         self._queue = None                          # the simulator's, built on first use
         self.n_alive, self.per_crossed = _count_alive(waves, v_fronts)
 
@@ -387,7 +393,15 @@ class FieldState:
         if self._fronts is None:
             self._fronts = _merge_fronts((Front((w.id,), w) for w in self.waves if w.alive),
                                          self.waves, self.time)
+            self._n_joined = _count_joined(self._fronts)
         return self._fronts
+
+    @property
+    def n_joined(self) -> int:
+        """The pairs of alive waves on one front: the sum over the fronts of
+        k(k-1)/2, k the front's wave count.  Builds the fronts on first use."""
+        self.fronts()
+        return self._n_joined
 
     def copy(self) -> "FieldState":
         """A deep copy of the waves and v-fronts; it rebuilds its fronts, and a
@@ -412,6 +426,16 @@ def _count_alive(waves: Sequence[WaveRecord], v_fronts: Sequence[VFront]) -> tup
             n_alive += 1
             per_crossed[min(w.crossed, top)] += 1
     return n_alive, per_crossed
+
+
+def _count_joined(fronts: Iterable[Front]) -> int:
+    """The pairs of waves that share a front: the sum of k(k-1)/2 over the
+    fronts, k a front's wave count."""
+    twice = 0
+    for f in fronts:
+        k = len(f.ids)
+        twice += k * (k - 1)
+    return twice // 2
 
 
 def group_fronts(state: FieldState) -> list[tuple[int, ...]]:
@@ -578,7 +602,8 @@ def validate_enumeration(state: FieldState) -> list[str]:
     signed wave measure telescopes back to the base value (push-forward);
     the kept ``n_alive`` and ``per_crossed`` equal a recount by
     :func:`_count_alive`; if the state keeps its fronts, they are the runs
-    :func:`group_fronts` derives anew from the waves.  The positions are
+    :func:`group_fronts` derives anew from the waves, and the kept
+    ``n_joined`` is the pairs those runs hold.  The positions are
     computed once, and both the stacks and the regrouping read them.
     """
     problems: list[str] = []
@@ -637,6 +662,10 @@ def validate_enumeration(state: FieldState) -> list[str]:
                 if a != b:
                     problems.append(f"kept front {k} is {a}, regrouped {b}")
                     break
+            n_joined = sum(len(ids) * (len(ids) - 1) // 2 for ids in regrouped)
+            if state._n_joined != n_joined:
+                problems.append(f"kept count of pairs on one front {state._n_joined}, "
+                                f"recounted {n_joined}")
     return problems
 
 

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triwave.flux import derivative_bounds, make_flux
+from triwave.flux import FluxTable, derivative_bounds, make_flux
 from triwave.history import (
     PairHistory,
     PairRec,
@@ -15,12 +15,14 @@ from triwave.history import (
 )
 from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data
-from triwave.simulator import run
+from triwave.simulator import next_collision, resolve, run
 from triwave.wavefield import (
     BlockFluxes,
     EventKind,
     IdRange,
     StepFunction,
+    assign_initial_speeds,
+    group_fronts,
     initial_enumeration,
     position,
 )
@@ -105,8 +107,6 @@ class LoopHistory(PairHistory):
         part = event.participants
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         for (s, s2), pair in self.pairs.items():
-            if pair.record is None:
-                continue
             members = class_members(pair.record, state)
             m = m_value(members, part.lo, part.hi, s, s2, self.eps)
             if m > 0.0:
@@ -117,9 +117,10 @@ class LoopHistory(PairHistory):
 class FloatPiHistory(PairHistory):
     """The production history, checked after every event against oracles kept
     here: each divided pair's float pi, grown by ``2 ||d3f|| |v_h| m_value``
-    at every crossing, summed by the float pair loop of Q; ``S`` and every
-    pair's denominator, recounted; and the state's alive counts, recounted
-    from the waves."""
+    at every crossing, summed by the float pair loop of Q, with the joined
+    pairs counted over the fronts ``group_fronts`` derives anew; ``S`` and
+    every pair's denominator, recounted; no stored pair on one regrouped
+    front; and the state's alive counts, recounted from the waves."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -127,27 +128,26 @@ class FloatPiHistory(PairHistory):
         self.snapshots_checked = 0
         self.denominators_peak = 0
 
-    def _set_pair(self, key, pair):
-        super()._set_pair(key, pair)
-        self.pi.pop(key, None)
+    def _drop(self, s, s2):
+        super()._drop(s, s2)
+        self.pi.pop((min(s, s2), max(s, s2)), None)
 
     def _apply_transversal_pi(self, event, state):
         super()._apply_transversal_pi(event, state)
         part = event.participants
         factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
         for key, pair in self.pairs.items():
-            if pair.record is not None:
-                m = m_value(class_members(pair.record, state), part.lo, part.hi, *key, self.eps)
-                if m > 0.0:
-                    self.pi[key] = self.pi.get(key, 0.0) + factor * m
+            m = m_value(class_members(pair.record, state), part.lo, part.hi, *key, self.eps)
+            if m > 0.0:
+                self.pi[key] = self.pi.get(key, 0.0) + factor * m
 
     def float_q(self, state):
-        alive = state.alive_ids()
-        n = len(alive)
-        q = self.bounds.norm_d2_ww * (n * (n - 1) // 2 - len(self.pairs))
-        for (s, s2), pair in self.pairs.items():
+        n = len(state.alive_ids())
+        joined = sum(len(ids) * (len(ids) - 1) // 2 for ids in group_fronts(state))
+        q = self.bounds.norm_d2_ww * (n * (n - 1) // 2 - joined - len(self.pairs))
+        for s, s2 in self.pairs:
             pi = self.pi.get((s, s2), 0.0)
-            if pair.record is not None and pi != 0.0:
+            if pi != 0.0:
                 q += pair_weight(pi, state.wave(s).w_hat, state.wave(s2).w_hat, self.eps)
         return q * self.eps**2
 
@@ -156,12 +156,12 @@ class FloatPiHistory(PairHistory):
         want = self.float_q(state)
         assert math.isclose(snap.q_quadratic, want, rel_tol=1e-12), (index, snap.q_quadratic, want)
         recount: dict = {}
+        front_of = {s: k for k, ids in enumerate(group_fronts(state)) for s in ids}
         for (s, s2), pair in self.pairs.items():
             assert pair.d == abs(state.wave(s2).w_hat - state.wave(s).w_hat) + 1, (index, s, s2)
-            if pair.record is not None and pair.P:
+            assert front_of[s] != front_of[s2], (index, s, s2)
+            if pair.P:
                 recount[pair.d] = recount.get(pair.d, 0) + pair.P
-            if pair.record is None:
-                assert pair.P == 0, (index, s, s2)
         assert self.S == recount, index
         top = max((vf.id for vf in state.v_fronts), default=0)
         per_crossed = [0] * (top + 1)
@@ -203,15 +203,13 @@ class TestPrefixPiMatchesLoop:
         assert fast.pairs.keys() == loop.pairs.keys()
         for key, pair in fast.pairs.items():
             other = loop.pairs[key]
-            assert (pair.record is None, pair.P, pair.d) == \
-                (other.record is None, other.P, other.d), key
+            assert (pair.P, pair.d) == (other.P, other.d), key
         assert fast.S == loop.S
         assert loop.increments > 0
-        # the registry holds exactly the divided pairs, grouped by record
+        # the registry holds exactly the stored pairs, grouped by record
         grouped: dict = {}
         for key, pair in fast.pairs.items():
-            if pair.record is not None:
-                grouped.setdefault(pair.record, set()).add(key)
+            grouped.setdefault(pair.record, set()).add(key)
         assert flat_registry(fast) == grouped
 
     @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
@@ -226,9 +224,12 @@ class TestPrefixPiMatchesLoop:
 class TestRecordRegistry:
     @staticmethod
     def three_waves():
-        """A state of three alive waves, ids 1..3, and a record over them."""
+        """A state of three alive waves, ids 1..3, at one point, each with a
+        speed of its own (so on a front of its own), and a record over them."""
         state = initial_enumeration(StepFunction.from_jumps([(0.0, 3), (1.0, 0)]),
                                     StepFunction((), (), 0), EPS)
+        for w in state.waves:
+            w.speed = float(w.id)
         rec = PartitionRecord(interval=IdRange(1, 3),
                               classes=[IdRange(1, 1), IdRange(2, 3)])
         return state, rec
@@ -242,16 +243,32 @@ class TestRecordRegistry:
         assert history.records == {rec: {1: {2: history.pairs[(1, 2)],
                                              3: history.pairs[(1, 3)]}}}
         assert history.S == {2: 10} and history.validate(state) == []
-        # a divided pair that meets again joined drops out of its record and S
-        history._set_pair((1, 2), PairRec(None, 0, 2))
+        # a divided pair that meets again joined leaves pairs, partners, its
+        # record and S
+        history._meet([1, 2], {1: 0.5, 2: 0.5}, 7, state)
+        assert list(history.pairs) == [(1, 3)] and history.partners == {1: {3}, 3: {1}}
         assert flat_registry(history) == {rec: {(1, 3)}}
         assert history.S == {2: 5}
-        history._apply_deaths((3,))
-        assert history.records == {} and list(history.pairs) == [(1, 2)]
-        assert history.S == {} and history.partners == {1: {2}, 2: {1}}
+        # one that meets again divided is an error
+        with pytest.raises(ValueError, match=r"pair \(1, 3\) met again while divided at event 8"):
+            history._meet([1, 3], {1: 0.5, 3: 0.75}, 8, state)
         # a budget changed behind the bookkeeping's back fails the recount
-        history.pairs[(1, 2)].P += 1
-        assert history.validate(state) == ["kept budget sum S[2] = 0, recounted 1"]
+        history.pairs[(1, 3)].P += 1
+        assert history.validate(state) == ["kept budget sum S[2] = 5, recounted 6"]
+        history.pairs[(1, 3)].P -= 1
+        history._apply_deaths((3,))
+        assert history.pairs == history.records == history.partners == history.S == {}
+
+    def test_stored_pair_on_one_kept_front_fails_validation(self, spec, bounds):
+        state, rec = self.three_waves()
+        state.wave(3).speed = state.wave(2).speed     # waves 2 and 3 share a front
+        assert [f.ids for f in state.fronts()][:2] == [(1,), (2, 3)]
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history._set_pair((1, 2), PairRec(rec, 0, 2))
+        assert history.validate(state) == []
+        # counted once as joined through n_joined and once as stored
+        history._set_pair((2, 3), PairRec(rec, 0, 2))
+        assert history.validate(state) == ["stored pair (2, 3) lies on one kept front"]
 
     def test_rows_or_classes_out_of_id_order_fail_validation(self, spec, bounds):
         state, rec = self.three_waves()
@@ -354,10 +371,6 @@ class TestQQuadratic:
 class TestPiRecursion:
     def drive(self, spec, bounds, w0, v0, n_events):
         """Step the event loop by hand so histories can be read mid-run."""
-        from triwave.flux import FluxTable
-        from triwave.simulator import next_collision, resolve
-        from triwave.wavefield import assign_initial_speeds, initial_enumeration
-
         state = initial_enumeration(w0, v0, EPS)
         table = FluxTable(spec, EPS)
         groups = assign_initial_speeds(state, table)
@@ -376,11 +389,12 @@ class TestPiRecursion:
     def test_first_division_starts_at_zero(self, spec, bounds):
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         state, history, _ = self.drive(spec, bounds, w0, StepFunction((), (), 0), 0)
-        pair = history.pairs[(1, 2)]
-        assert pair.record is not None  # the rarefaction fan splits at t=0
+        pair = history.pairs[(1, 2)]   # the rarefaction fan splits at t=0
         assert pair.P == 0
         assert pair.record.classes[0].lo == 1 and pair.record.classes[1].hi == 2
-        assert history.pairs[(3, 4)].record is None  # joined
+        # the shock's pair is joined: not stored, and on one kept front
+        assert (3, 4) not in history.pairs
+        assert (3, 4) in [f.ids for f in state.fronts()]
 
     def test_transversal_crossings_accumulate_pi(self, spec, bounds):
         # one v-front overtakes the two rarefaction waves in two events; each
@@ -411,10 +425,12 @@ class TestPiRecursion:
         v0 = StepFunction.from_jumps([(5.0, 2), (9.0, 0)])
         state, history, _ = self.drive(spec, bounds, w0, v0, 2)
         assert state.alive_ids() == [1, 2, 3, 4]
-        assert set(history.pairs) == {(1, 2), (3, 4)}
-        assert history.pairs[(3, 4)].record is None      # joined: weight 0
+        # only the divided pair is stored; the joined one (weight 0) sits on
+        # one kept front
+        assert set(history.pairs) == {(1, 2)}
+        assert [f.ids for f in state.fronts()] == [(1,), (2,), (3, 4)]
+        assert state.n_joined == 1
         pair = history.pairs[(1, 2)]
-        assert pair.record is not None                   # divided
         divided = history.K * pair.P / ((abs(state.wave(2).w_hat - state.wave(1).w_hat) + 1) * EPS)
         assert divided > 0.0
         want = (4 * bounds.norm_d2_ww + divided) * EPS**2
@@ -511,12 +527,10 @@ class TestReplayAgreement:
                 [(vf.x_a, vf.t_a) for vf in traj.final_state.v_fronts]
             # the production per-pair pi values agree with the replayed tables
             for key, pair in history.pairs.items():
-                if pair.record is not None:
-                    assert final.pairs[key].status == "divided"
-                    assert history.K * pair.P == pytest.approx(final.pairs[key].pi[key],
-                                                               abs=1e-12)
-                    classes = [c.members(traj.final_state) for c in pair.record.classes]
-                    assert [c for c in classes if c] == final.pairs[key].classes
+                assert final.pairs[key].status == "divided"
+                assert history.K * pair.P == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
+                classes = [c.members(traj.final_state) for c in pair.record.classes]
+                assert [c for c in classes if c] == final.pairs[key].classes
 
 
 class JoinedClassHistory(PairHistory):

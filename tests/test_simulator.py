@@ -418,7 +418,10 @@ def test_kept_fronts_match_the_regrouping_after_every_event(flux, w_jumps, v_jum
     while (cand := next_collision(state)) is not None:
         index += 1
         resolve(cand, state, table, index)
-        assert [f.ids for f in state.fronts()] == group_fronts(state), f"after event {index}"
+        regrouped = group_fronts(state)
+        assert [f.ids for f in state.fronts()] == regrouped, f"after event {index}"
+        assert state.n_joined == sum(len(ids) * (len(ids) - 1) // 2 for ids in regrouped), \
+            f"after event {index}"
     assert index > 0
 
 

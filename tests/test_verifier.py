@@ -10,7 +10,7 @@ from test_acceptance import small_n_config
 from triwave.flux import derivative_bounds, make_flux
 from triwave.history import PairHistory
 from triwave.replay import Replay
-from triwave.scenario import build_initial_data
+from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
 from triwave.simulator import run
 from triwave.verifier import (
     LEMMA_TOL,
@@ -201,8 +201,6 @@ def per_candidate_lemmas(traj, history):
     final = steps[-1]
     worst = None
     for key, pair in history.pairs.items():
-        if pair.record is None:
-            continue
         rep = final.pairs.get(key)
         if rep is None or rep.status != "divided":
             worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
@@ -222,6 +220,12 @@ def per_candidate_lemmas(traj, history):
 CUBIC = {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}}
 CUBIC_W = [(1.0, -1), (3.0, 3), (6.0, 0)]
 CUBIC_V = [(4.0, 2), (8.0, 0)]
+
+
+# The same flux: a crossing at event 1 divides waves 3 and 4 from wave 5,
+# and at event 4 {3, 4} catches {5} and all three join again.
+REJOIN = ScenarioConfig(flux=CUBIC, eps=0.05, w0={"jumps": [[1, -2], [3, 1], [6, 0]]},
+                        v0={"jumps": [[4.5, 4], [5.5, 0]]}, check_level="small_n")
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +275,17 @@ class TestSmallNLemmas:
         traj, history = make_traj(spec, bounds, [(0.0, 13), (9.5, 0)], [])
         with pytest.raises(ValueError):
             check_small_n_lemmas(traj, history)
+
+    def test_divided_pair_that_joins_again(self):
+        res = run_scenario(REJOIN)
+        assert res.passed
+        steps = Replay(res.trajectory).run()
+        assert steps[3].pairs[(3, 5)].status == "divided"
+        assert steps[4].pairs[(3, 5)].status == "joined"
+        # the replay's own Q checks that the history let the pair go
+        (at_join,) = [r for r in res.checks
+                      if r.name == "replay_q_quadratic" and r.scope == "event:4"]
+        assert at_join.passed
 
     def test_every_check_on_the_cubic_datum(self, cubic_run):
         results = check_small_n_lemmas(*cubic_run)
@@ -377,14 +392,14 @@ class TestSmallNLemmasFail:
 
     def test_final_pair_dropped(self, cubic_run, monkeypatch):
         traj, history = cubic_run
-        key = next(k for k, p in history.pairs.items() if p.record is not None)
+        key = next(iter(history.pairs))
         corrupt_replay(monkeypatch, lambda steps: steps[-1].pairs.pop(key))
         r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
         assert r.context == {"pair": key}
 
     def test_final_pi_perturbed(self, cubic_run, monkeypatch):
         traj, history = cubic_run
-        key = next(k for k, p in history.pairs.items() if p.record is not None)
+        key = next(iter(history.pairs))
 
         def corrupt(steps):
             rep = steps[-1].pairs[key]

@@ -168,6 +168,16 @@ class TestValidateEnumeration:
         problems = validate_enumeration(state)
         assert any("right states" in p for p in problems)
 
+    def test_detects_a_kept_joined_count_off_its_recount(self, flux_table):
+        w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 0)])
+        state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        assign_initial_speeds(state, flux_table)
+        # the fan is two fronts of one wave, the shock one front of two
+        assert state.n_joined == 1 and validate_enumeration(state) == []
+        state._n_joined += 1
+        assert validate_enumeration(state) == [
+            "kept count of pairs on one front 2, recounted 1"]
+
     def test_detects_position_disorder(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 1), (1.0, 2), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)

@@ -4,10 +4,9 @@ A pair of waves that has shared a position at least once is either joined
 (same position and speed) or divided.  Joined pairs are exactly the pairs of
 waves on one front, so the state's kept fronts tell them: the history stores
 none of them, and reads their number as ``FieldState.n_joined``.  For every
-divided pair it stores the interval of waves present at their last meeting,
-a partition of that interval into classes that have never been told apart
-since, and an accumulated budget ``pi`` that grows only at transversal
-crossings.
+divided pair it stores a partition of the waves present at their last
+meeting into classes that have never been told apart since, and an
+accumulated budget ``pi`` that grows only at transversal crossings.
 
 The pair weight is
 
@@ -41,17 +40,17 @@ is an error.  ``PairHistory.validate`` recounts ``S`` from the pairs and
 reports a stored pair on one kept front, which would be counted twice.
 
 Partitions are shared: every pair divided at the same event sees the same
-interval and the same classes, so one record per event serves them all.
+classes, so one record per event serves them all.
 ``PairHistory`` keeps a registry from each live record to the divided pairs
 that share it, in rows by lower id: ``records[rec][s][s2]``, rows and
 entries in ascending id order.  At a crossing the classes of a record that
 lie inside it form one run a..b, and a pair has a nonzero count exactly when
 its lower wave's class is at most b and its upper wave's at least a; prefix
 sums over the run give that count in O(1), so the walk stops at the first
-row past b and at the first entry of a row below a.  A crossing kills no
-wave, so only the classes it crosses can split.  One crossing then costs
-O(changed pairs + crossed classes) instead of O(classes + pairs) of every
-record it reaches.
+row past b and at the first entry of a row below a.  A crossing or a
+cancellation changes only the classes that meet its colliding waves, and one
+rule re-splits them for both.  One crossing then costs O(changed pairs +
+crossed classes) instead of O(classes + pairs) of every record it reaches.
 """
 
 from __future__ import annotations
@@ -92,15 +91,14 @@ class FunctionalSnapshot:
 
 @dataclass(eq=False)
 class PartitionRecord:
-    """Shared interval-of-waves and partition for pairs divided at one event.
-
-    ``interval`` and every class are id ranges whose live content is the
-    range cut to currently alive waves; classes stay contiguous because
-    cancellations remove contiguous id runs.  Records compare and hash by
-    identity, so they key the pair registry.
+    """Shared partition for the pairs divided at one event: its classes, in
+    ascending id order, each an id range whose live content is the range cut
+    to currently alive waves.  The waves present at that meeting are the
+    classes' union, from the first class's ``lo`` to the last one's ``hi``.
+    Classes stay contiguous because cancellations remove contiguous id runs.
+    Records compare and hash by identity, so they key the pair registry.
     """
 
-    interval: IdRange
     classes: list[IdRange]
 
 
@@ -131,10 +129,10 @@ def _ascending(ids) -> bool:
 
 def _record_problem(rec: PartitionRecord, rows: dict[int, dict[int, PairRec]],
                     waves: list) -> str | None:
-    """What a crossing takes for granted of a live record and ``rec`` fails:
-    its rows of pairs (``rows``) and each row in ascending id order, its
-    classes in ascending order, and its interval and classes starting and
-    ending on alive waves.  None if it holds."""
+    """What a refinement takes for granted of a live record and ``rec``
+    fails: its rows of pairs (``rows``) and each row in ascending id order,
+    its classes in ascending order, and each class starting and ending on
+    alive waves.  None if it holds."""
     if not (_ascending(rows) and all(map(_ascending, rows.values()))):
         return "pairs out of id order"
     prev = 0
@@ -142,7 +140,7 @@ def _record_problem(rec: PartitionRecord, rows: dict[int, dict[int, PairRec]],
         if r.lo <= prev:
             return "classes out of id order"
         prev = r.hi
-    for r in (rec.interval, *rec.classes):
+    for r in rec.classes:
         if not (waves[r.lo - 1].alive and waves[r.hi - 1].alive):
             return f"range {r.lo}..{r.hi} ends on a dead wave"
     return None
@@ -267,7 +265,9 @@ class PairHistory:
         for rec, rows in self.records.items():
             problem = _record_problem(rec, rows, state.waves)
             if problem:
-                problems.append(f"record over ids {rec.interval.lo}..{rec.interval.hi}: {problem}")
+                lo = min(c.lo for c in rec.classes)
+                hi = max(c.hi for c in rec.classes)
+                problems.append(f"record over ids {lo}..{hi}: {problem}")
                 break
         return problems
 
@@ -337,10 +337,10 @@ class PairHistory:
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         S = self.S
         for rec, rows in self.records.items():
-            if rec.interval.hi < part.lo or part.hi < rec.interval.lo:
+            classes = rec.classes
+            if classes[-1].hi < part.lo or part.hi < classes[0].lo:
                 continue  # no class of the record can lie inside the crossing
             # classes a..b lie inside the crossing; their ends are alive waves
-            classes = rec.classes
             a = bisect_left(classes, part.lo, key=_lo)
             b = bisect_right(classes, part.hi, key=_hi) - 1
             if a > b:
@@ -363,53 +363,42 @@ class PairHistory:
                     S[pair.d] = S.get(pair.d, 0) + amount
 
     def _refine_records(self, event: Event, state: FieldState) -> None:
-        """Clip intervals to the alive set and split classes the current
-        effective flux tells apart.
+        """Split again the classes this event may change, by one rule for a
+        crossing and a cancellation; an interaction changes none.
 
-        The effective flux changes only on cells whose waves crossed the
-        first-family front, and class membership changes only through deaths,
-        so only classes touched by this event can actually split.  A
-        cancellation crosses nothing: each record whose interval holds a dead
-        wave is clipped to its alive waves, and each class that lost a wave
-        is split again.  A crossing kills no wave (``simulator.resolve``), so
-        members stay as they are and only the classes of two or more waves
-        that it crosses are split again.  An interaction changes neither.
+        A class changes only if the event crossed it (the effective flux
+        changes only on cells whose waves crossed the first-family front) or
+        killed one of its waves, and every crossed or dead wave lies in
+        ``event.colliding``.  So per record only the classes that meet that
+        range are visited.  Each is kept as it is, unless the event crossed it
+        and it holds two or more waves, or killed one of its waves: then it
+        is cut to its alive waves, dropped if none is left, and split again if
+        two or more are.  A crossing kills no wave (``simulator.resolve``).
         """
+        if event.kind.is_interaction:
+            return
+        hit, dead = event.colliding, event.canceled
+        crossing = event.kind == EventKind.TRANSVERSAL
         fluxes = BlockFluxes(state, self.spec)
-        if event.kind == EventKind.CANCELLATION:
-            dead = set(event.canceled)
-            for rec in self.records:
-                span = rec.interval
-                if not any(span.lo <= d <= span.hi for d in dead):
+        for rec in self.records:
+            classes = rec.classes
+            if classes[-1].hi < hit.lo or hit.hi < classes[0].lo:
+                continue
+            # classes lo..hi - 1 meet the colliding range
+            lo = bisect_left(classes, hit.lo, key=_hi)
+            hi = bisect_right(classes, hit.hi, key=_lo)
+            new_classes: list[IdRange] = []
+            for cls in classes[lo:hi]:
+                if not ((crossing and cls.lo < cls.hi)
+                        or (dead and any(cls.lo <= d <= cls.hi for d in dead))):
+                    new_classes.append(cls)
                     continue
-                live = span.members(state)
-                rec.interval = IdRange(live[0], live[-1])
-                new_classes: list[IdRange] = []
-                for cls in rec.classes:
-                    members = cls.members(state)
-                    if not members:
-                        continue
-                    if len(members) == 1 or not any(cls.lo <= d <= cls.hi for d in dead):
-                        new_classes.append(IdRange(members[0], members[-1]))
-                    else:
-                        new_classes.extend(self._split_class(members, state, fluxes))
-                rec.classes = new_classes
-        elif event.kind == EventKind.TRANSVERSAL:
-            touched = event.participants
-            for rec in self.records:
-                if rec.interval.hi < touched.lo or touched.hi < rec.interval.lo:
-                    continue
-                # classes lo..hi - 1 meet the crossing; their ends are alive waves
-                classes = rec.classes
-                lo = bisect_left(classes, touched.lo, key=_hi)
-                hi = bisect_right(classes, touched.hi, key=_lo)
-                new_classes = []
-                for cls in classes[lo:hi]:
-                    if cls.lo == cls.hi:
-                        new_classes.append(cls)
-                    else:
-                        new_classes.extend(self._split_class(cls.members(state), state, fluxes))
-                classes[lo:hi] = new_classes
+                members = cls.members(state)
+                if len(members) > 1:
+                    new_classes.extend(self._split_class(members, state, fluxes))
+                elif members:
+                    new_classes.append(IdRange(members[0], members[0]))
+            classes[lo:hi] = new_classes
 
     def _split_class(self, members: list[int], state: FieldState,
                      fluxes: BlockFluxes) -> list[IdRange]:
@@ -456,8 +445,7 @@ class PairHistory:
                 runs.append([s])
         if len(runs) == 1:
             return
-        record = PartitionRecord(interval=IdRange(ids[0], ids[-1]),
-                                 classes=[IdRange(run[0], run[-1]) for run in runs])
+        record = PartitionRecord([IdRange(run[0], run[-1]) for run in runs])
         hats = [state.wave(s).w_hat for s in ids]
         end = 0
         for run in runs[:-1]:

@@ -79,8 +79,6 @@ class Trajectory:
     eps: float
     spec: FluxSpec
     bounds: DerivativeBounds
-    w0: StepFunction
-    v0: StepFunction
     initial_state: FieldState
     initial_groups: list[list[tuple[tuple[int, ...], float]]]
     tv_w0: float                                            # TV(w0), set once by run
@@ -349,8 +347,6 @@ def run(
         eps=eps,
         spec=spec,
         bounds=bounds,
-        w0=w0,
-        v0=v0,
         initial_state=state.copy(),
         initial_groups=initial_groups,
         tv_w0=w0.tv_ticks() * eps,

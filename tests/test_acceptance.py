@@ -3,7 +3,8 @@
 The main ensemble (100 seeds, eps = 0.05, at most 40 waves and 6 first-family
 fronts, default flux) is run once per session at the full check level; the
 criteria read it.  Criterion 9 runs the same data generators on the
-non-convex ``quartic`` flux and on a coupled ``custom_poly`` flux.  Run with
+non-convex ``quartic`` flux and on a coupled ``custom_poly`` flux, and
+criterion 7 runs the small-N data on a cubic ``custom_poly`` flux too.  Run with
 ``pytest tests/test_acceptance.py -v -s``.
 """
 
@@ -15,6 +16,7 @@ import pytest
 import test_envelopes as env_props
 from triwave.envelopes import convex_envelope
 from triwave.flux import PiecewiseAffineFlux
+from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, run_scenario
 from triwave.wavefield import reconstruct_profile, validate_enumeration
 
@@ -46,9 +48,15 @@ def ensemble_config(seed: int, flux: dict | None = None) -> ScenarioConfig:
     )
 
 
-def small_n_config(seed: int) -> ScenarioConfig:
+# a cubic flux whose small-N runs hold classes of two or more waves, which
+# the default flux never forms
+SMALL_N_CUBIC = {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}}
+
+
+def small_n_config(seed: int, flux: dict | None = None) -> ScenarioConfig:
     """The data of the small-N lemma suite: at most 12 waves and 4 fronts."""
     return ScenarioConfig(
+        flux=flux or {"name": "quadratic_coupled", "params": {}},
         seed=seed,
         check_level="small_n",
         w0={"random": {"jumps": 3, "max_amplitude": 0.3, "max_waves": 12}},
@@ -184,18 +192,30 @@ def test_criterion_7_small_n_lemmas():
                    "replay_pi_match", "partition_classes_joined", "partition_restriction"}
     n_checks = 0
     seen: set[str] = set()
-    for seed in SMALL_N_SEEDS:
-        res = run_scenario(small_n_config(seed))
-        assert res.passed, [c for c in res.checks if not c.passed][:3]
-        names = [c.name for c in res.checks if c.name in lemma_names]
-        n_checks += len(names)
-        seen.update(names)
+    wide_class_seed = None    # a cubic seed with a class of two or more waves
+    for flux in (None, SMALL_N_CUBIC):
+        for seed in SMALL_N_SEEDS:
+            res = run_scenario(small_n_config(seed, flux))
+            assert res.passed, (flux, seed, [c for c in res.checks if not c.passed][:3])
+            names = [c.name for c in res.checks if c.name in lemma_names]
+            n_checks += len(names)
+            seen.update(names)
+            if flux and wide_class_seed is None and any(
+                len(cls) > 1 for step in Replay(res.trajectory).run()
+                for pair in step.pairs.values() if pair.status == "divided"
+                for cls in pair.classes
+            ):
+                wide_class_seed = seed
     elapsed = time.perf_counter() - start
     # a lemma suite that stops emitting one of its checks fails here
     assert seen == lemma_names
+    # the class checks see a class they could fail on
+    assert wide_class_seed is not None
     assert elapsed < 60.0
-    report(7, f"lemma suite on {len(SMALL_N_SEEDS)} small runs, "
-              f"{n_checks} lemma checks, {elapsed:.1f}s")
+    report(7, f"lemma suite on {len(SMALL_N_SEEDS)} small runs each of "
+              f"quadratic_coupled and a cubic custom_poly, {n_checks} lemma checks, "
+              f"a class of two or more waves at cubic seed {wide_class_seed}, "
+              f"{elapsed:.1f}s")
 
 
 def test_criterion_8_termination_and_determinism(ensemble, tmp_path):

@@ -230,8 +230,7 @@ class TestRecordRegistry:
                                     StepFunction((), (), 0), EPS)
         for w in state.waves:
             w.speed = float(w.id)
-        rec = PartitionRecord(interval=IdRange(1, 3),
-                              classes=[IdRange(1, 1), IdRange(2, 3)])
+        rec = PartitionRecord([IdRange(1, 1), IdRange(2, 3)])
         return state, rec
 
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
@@ -288,13 +287,12 @@ class TestRecordRegistry:
         history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         history._set_pair((1, 2), PairRec(rec, 0, 2))
         assert history.validate(state) == []
-        # wave 3 dies, but the record keeps its interval and last class
+        # wave 3 dies, but the record keeps its last class
         state.wave(3).x_a = None
         assert history.validate(state) == [
-            "record over ids 1..3: range 1..3 ends on a dead wave"]
-        rec.interval = IdRange(1, 2)
-        assert history.validate(state) == [
-            "record over ids 1..2: range 2..3 ends on a dead wave"]
+            "record over ids 1..3: range 2..3 ends on a dead wave"]
+        rec.classes[-1] = IdRange(2, 2)
+        assert history.validate(state) == []
 
 
 class TestQTrans:
@@ -581,22 +579,21 @@ class TestClassSplitting:
 
 
 def full_clip_and_split(history, records, event, state):
-    """The refinement as one pass over every record the event touches: clip
-    its interval and classes to the alive waves, and split again each class
-    of two or more waves that lost a wave or meets the crossing."""
+    """The refinement as one pass over every record the event touches (one
+    that holds a dead wave or meets the crossing): cut each class to the
+    alive waves, drop it if none is left, and split again each class of two
+    or more waves that lost a wave or meets the crossing."""
     if event.kind.is_interaction:
         return
     dead = set(event.canceled)
     touched = event.participants if event.kind == EventKind.TRANSVERSAL else None
     fluxes = BlockFluxes(state, history.spec)
     for rec in records:
-        span = rec.interval
-        if not any(span.lo <= d <= span.hi for d in dead) and (
-            touched is None or span.hi < touched.lo or touched.hi < span.lo
+        lo, hi = rec.classes[0].lo, rec.classes[-1].hi
+        if not any(lo <= d <= hi for d in dead) and (
+            touched is None or hi < touched.lo or touched.hi < lo
         ):
             continue
-        live = span.members(state)
-        rec.interval = IdRange(live[0], live[-1])
         new_classes = []
         for cls in rec.classes:
             members = cls.members(state)
@@ -615,11 +612,13 @@ def full_clip_and_split(history, records, event, state):
 
 class FullSplitHistory(PairHistory):
     """After every event, re-runs the full clip-and-split on a deep copy of
-    each live record and asserts that it keeps the same interval and classes
-    as the production refinement.  Counts the crossings at which the
-    production refinement cut a class."""
+    each live record and asserts that it keeps the same classes as the
+    production refinement.  Counts the crossings at which the production
+    refinement cut a class apart, and the classes a cancellation cut: those
+    that lost some of their waves but not all."""
 
     crossing_splits = 0
+    cancellation_cuts = 0
 
     def _refine_records(self, event, state):
         copies = {rec: copy.deepcopy(rec) for rec in self.records}
@@ -627,12 +626,19 @@ class FullSplitHistory(PairHistory):
         if event.kind == EventKind.TRANSVERSAL:
             self.crossing_splits += sum(len(rec.classes) > len(copies[rec].classes)
                                         for rec in self.records)
+        elif event.kind == EventKind.CANCELLATION:
+            self.cancellation_cuts += sum(
+                any(cls.contains(d) for d in event.canceled) and bool(cls.members(state))
+                for rec in copies.values() for cls in rec.classes)
         full_clip_and_split(self, copies.values(), event, state)
         for rec, want in copies.items():
-            assert (rec.interval, rec.classes) == (want.interval, want.classes), event.index
+            assert rec.classes == want.classes, event.index
 
 
 class TestResplitMatchesFullPass:
+    # a cubic flux whose cancellations cut classes of two or more waves
+    CUBIC = {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}}
+
     @pytest.mark.parametrize("flux,eps,seed,max_waves", TestPrefixPiMatchesLoop.CASES)
     def test_cases_keep_the_full_pass_classes(self, flux, eps, seed, max_waves):
         spec, bounds, w0, v0 = TestPrefixPiMatchesLoop.case_data(flux, eps, seed, max_waves)
@@ -640,17 +646,26 @@ class TestResplitMatchesFullPass:
         traj = run(w0, v0, spec, eps, bounds=bounds, history=history)
         assert any(ev.kind == EventKind.TRANSVERSAL for ev in traj.events)
 
-    @pytest.mark.parametrize("seed", [2, 7, 9])
-    def test_crossings_that_cut_classes_keep_the_full_pass_classes(self, seed):
-        flux = TestClassSplitting.FLUX
+    @staticmethod
+    def run_full_split(flux, seed, w_amplitude, v_amplitude):
         spec = make_flux(flux["name"], flux["params"])
         bounds = derivative_bounds(spec)
         cfg = ScenarioConfig(
             flux=flux, eps=0.05, seed=seed,
-            w0={"random": {"jumps": 6, "max_amplitude": 0.5}},
-            v0={"random": {"jumps": 6, "max_amplitude": 0.45}},
+            w0={"random": {"jumps": 6, "max_amplitude": w_amplitude}},
+            v0={"random": {"jumps": 6, "max_amplitude": v_amplitude}},
         )
         w0, v0 = build_initial_data(cfg, spec)
         history = FullSplitHistory(spec=spec, eps=0.05, bounds=bounds)
         run(w0, v0, spec, 0.05, bounds=bounds, history=history)
+        return history
+
+    @pytest.mark.parametrize("seed", [2, 7, 9])
+    def test_crossings_that_cut_classes_keep_the_full_pass_classes(self, seed):
+        history = self.run_full_split(TestClassSplitting.FLUX, seed, 0.5, 0.45)
         assert history.crossing_splits > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cancellations_that_cut_classes_keep_the_full_pass_classes(self, seed):
+        history = self.run_full_split(self.CUBIC, seed, 0.4, 0.3)
+        assert history.cancellation_cuts > 0

@@ -10,6 +10,9 @@ module owns:
 - ``PiecewiseAffineFlux``: node samples of f(., v) on eps*Z;
 - ``DerivativeBounds``: sampled sup norms of the second/third derivatives,
   used as the constants of every runtime inequality check;
+- ``FluxTable``: the per-run cache of one flux at one eps, keyed by integer
+  ticks: the interpolants f_eps(., v), the scalar fans of the Riemann
+  problems solved so far, and the quadrature increments of each cell;
 - ``build_effective_flux``: the effective flux of a block, a
   ``PiecewiseAffineFlux`` whose second w-derivative equals d2f/dw2(., v_label)
   cell by cell, anchored to value 0 / slope 0 at its left node (it is only
@@ -161,7 +164,11 @@ def _quartic(c: float, box: Box) -> FluxSpec:
 
 def _custom_poly(coeffs: list, box: Box) -> FluxSpec:
     """Polynomial flux sum a * w^i * v^j from a list of [i, j, a] triples."""
-    terms = [(int(i), int(j), float(a)) for i, j, a in coeffs]
+    if not isinstance(coeffs, (list, tuple)) or not all(
+            isinstance(t, (list, tuple)) and len(t) == 3 for t in coeffs):
+        raise ValueError(f"flux custom_poly: coeffs must be a list of [i, j, a] triples, "
+                         f"got {coeffs!r}")
+    terms = [(int(i), int(j), _finite("custom_poly", "coefficient", a)) for i, j, a in coeffs]
 
     def df(di: int, dj: int) -> Real2:
         def g(w: float, v: float) -> float:
@@ -196,12 +203,24 @@ DEFAULT_BOX = Box(-0.8, 0.8, -0.5, 0.5)
 def _parse_box(raw) -> Box:
     """``[w_min, w_max, v_min, v_max]`` from a config, checked before use."""
     if (not isinstance(raw, (list, tuple)) or len(raw) != 4
-            or any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in raw)):
+            or any(isinstance(b, bool) or not isinstance(b, (int, float)) or not math.isfinite(b)
+                   for b in raw)):
         raise ValueError(f"flux box must be 4 numbers [w_min, w_max, v_min, v_max], got {raw!r}")
     box = Box(*raw)
     if not (box.w_min < box.w_max and box.v_min < box.v_max):
         raise ValueError(f"flux box {raw!r} needs w_min < w_max and v_min < v_max")
     return box
+
+
+def _finite(flux: str, what: str, raw) -> float:
+    """``raw`` as a float; raises unless it is a finite number."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"flux {flux}: {what} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"flux {flux}: {what} must be finite, got {raw!r}")
+    return value
 
 
 def make_flux(name: str, params: dict | None = None) -> FluxSpec:
@@ -210,9 +229,9 @@ def make_flux(name: str, params: dict | None = None) -> FluxSpec:
     box_raw = params.pop("box", None)
     box = _parse_box(box_raw) if box_raw is not None else DEFAULT_BOX
     if name == "quadratic_coupled":
-        spec = _quadratic_coupled(float(params.pop("c", 0.1)), box)
+        spec = _quadratic_coupled(_finite(name, "c", params.pop("c", 0.1)), box)
     elif name == "quartic":
-        spec = _quartic(float(params.pop("c", 0.1)), box)
+        spec = _quartic(_finite(name, "c", params.pop("c", 0.1)), box)
     elif name == "custom_poly":
         if "coeffs" not in params:
             raise ValueError("flux custom_poly needs coeffs")
@@ -269,46 +288,56 @@ def derivative_bounds(spec: FluxSpec) -> DerivativeBounds:
 
 
 def validate_flux(spec: FluxSpec) -> list[str]:
-    """Check hyperbolicity (d_w > -1) on a 65^2 grid; return violations."""
+    """Check hyperbolicity (d_w > -1) on a 65^2 grid; return violations.
+    A value that is not a number (NaN) is a violation too."""
     w, v = _grid(spec, 64)
     d_w = _on_grid(spec.d_w, w, v)
-    return [f"d_w({w[k]}, {v[k]}) = {d_w[k]} <= -1" for k in zip(*np.nonzero(d_w <= -1.0))]
+    return [f"d_w({w[k]}, {v[k]}) = {d_w[k]} <= -1" if d_w[k] <= -1.0
+            else f"d_w({w[k]}, {v[k]}) = {d_w[k]} is not a number"
+            for k in zip(*np.nonzero(~(d_w > -1.0)))]
 
 
-def build_effective_flux(cells: list[tuple[int, int]], spec: FluxSpec,
-                         eps: float) -> PiecewiseAffineFlux:
+def build_effective_flux(cells: list[tuple[int, int]], table: FluxTable) -> PiecewiseAffineFlux:
     """Construct the effective flux from ``cells = [(cell_tick, v_tick), ...]``.
 
     ``cell_tick`` is the left node of the cell; cells must be contiguous and
     ascending.  The v label of each cell selects which d2f/dw2(., v) profile
-    is integrated across it twice, with 16-point Gauss-Legendre quadrature,
-    from value 0 and slope 0 at the left node.
+    is integrated across it twice (:meth:`FluxTable.cell_increments`), from
+    value 0 and slope 0 at the left node.
     """
     if not cells:
         raise ValueError("empty cell list")
     ticks = [c for c, _ in cells]
     if any(b != a + 1 for a, b in zip(ticks, ticks[1:])):
         raise ValueError("cells must be contiguous and ascending")
-    lo = ticks[0]
+    eps = table.eps
     values = np.zeros(len(cells) + 1)
     slope = 0.0    # first derivative at the left node of the current cell
     for k, (tick, v_tick) in enumerate(cells):
-        a = tick * eps
-        v = v_tick * eps
-        # map Gauss nodes to [a, a+eps]
-        x = a + 0.5 * eps * (_GL_NODES + 1.0)
-        wts = 0.5 * eps * _GL_WEIGHTS
-        g = np.array([spec.d2_ww(xi, v) for xi in x])
-        incr_d = float(np.dot(wts, g))
+        incr_d, incr_v = table.cell_increments(tick, v_tick)
         # value(b) = value(a) + slope(a)*eps + int_a^b (b - x) g(x) dx
-        incr_v = float(np.dot(wts, (a + eps - x) * g))
         values[k + 1] = values[k] + slope * eps + incr_v
         slope += incr_d
-    return PiecewiseAffineFlux(eps=eps, base_index=lo, values=values)
+    return PiecewiseAffineFlux(eps=eps, base_index=ticks[0], values=values)
 
 
 class FluxTable:
-    """Caches the grid interpolants f_eps(., v) of one flux over its box."""
+    """The per-run cache of one flux at one eps, keyed by integer ticks.
+
+    Three kernels are computed once per key and kept for the run:
+
+    - :meth:`flux_for_v`: the interpolant f_eps(., v) over the box, per v tick;
+    - ``fans``: the scalar fan of the jump ``w_left -> w_right`` under
+      f_eps(., v), per ``(w_left, w_right, v_tick)``, as the tuple of frozen
+      ``FanFront`` that ``riemann.solve_scalar`` returns.  The solver imports
+      this module, so ``wavefield.speed_groups``, its one caller, fills the
+      dict; a jump whose solve raises is not stored;
+    - :meth:`cell_increments`: the two quadrature increments of one cell
+      under one v label, per ``(cell_tick, v_tick)``.
+
+    A table belongs to whoever builds it: the simulator, the pair history and
+    the replay each build their own, so no run reads another's entries.
+    """
 
     def __init__(self, spec: FluxSpec, eps: float):
         self.spec = spec
@@ -317,11 +346,32 @@ class FluxTable:
         self.hi = math.floor(spec.box.w_max / eps + 1e-9)
         if self.hi - self.lo < 1:
             raise ValueError("box too small for the grid step")
-        self._cache: dict[int, PiecewiseAffineFlux] = {}
+        self._interpolants: dict[int, PiecewiseAffineFlux] = {}
+        self.fans: dict[tuple[int, int, int], tuple] = {}
+        self._cells: dict[tuple[int, int], tuple[float, float]] = {}
 
     def flux_for_v(self, v_tick: int) -> PiecewiseAffineFlux:
-        got = self._cache.get(v_tick)
+        got = self._interpolants.get(v_tick)
         if got is None:
             got = interpolate(self.spec, v_tick * self.eps, self.eps, self.lo, self.hi)
-            self._cache[v_tick] = got
+            self._interpolants[v_tick] = got
+        return got
+
+    def cell_increments(self, tick: int, v_tick: int) -> tuple[float, float]:
+        """``(slope increment, value increment)`` across the cell
+        [tick, tick + 1] under d2f/dw2(., v_tick * eps): the integrals of g
+        and of (b - x) g over the cell [a, b], by 16-point Gauss-Legendre
+        quadrature."""
+        key = (tick, v_tick)
+        got = self._cells.get(key)
+        if got is None:
+            eps = self.eps
+            a = tick * eps
+            v = v_tick * eps
+            # map Gauss nodes to [a, a+eps]
+            x = a + 0.5 * eps * (_GL_NODES + 1.0)
+            wts = 0.5 * eps * _GL_WEIGHTS
+            g = np.array([self.spec.d2_ww(xi, v) for xi in x])
+            got = self._cells[key] = (float(np.dot(wts, g)),
+                                      float(np.dot(wts, (a + eps - x) * g)))
         return got

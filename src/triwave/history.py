@@ -61,7 +61,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
-from .flux import DerivativeBounds, FluxSpec
+from .flux import DerivativeBounds, FluxSpec, FluxTable
 from .wavefield import BlockFluxes, Event, EventKind, FieldState, IdRange
 
 __all__ = [
@@ -192,7 +192,7 @@ class PairHistory:
     """Incrementally maintained pair histories, partitions and functionals."""
 
     def __init__(self, spec: FluxSpec, eps: float, bounds: DerivativeBounds):
-        self.spec = spec
+        self.table = FluxTable(spec, eps)   # the history's own, for its block fluxes
         self.eps = eps
         self.bounds = bounds
         self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P
@@ -379,7 +379,7 @@ class PairHistory:
             return
         hit, dead = event.colliding, event.canceled
         crossing = event.kind == EventKind.TRANSVERSAL
-        fluxes = BlockFluxes(state, self.spec)
+        fluxes = BlockFluxes(state, self.table)
         for rec in self.records:
             classes = rec.classes
             if classes[-1].hi < hit.lo or hit.hi < classes[0].lo:
@@ -464,7 +464,7 @@ class PairHistory:
         interaction it is unchanged from the previous event, so the post-event
         state provides it.
         """
-        fluxes = BlockFluxes(state, self.spec)
+        fluxes = BlockFluxes(state, self.table)
         left = event.left_ids.members(state)
         right = event.right_ids.members(state)
         fluxes.flux(left + right)  # raises unless both fronts lie in one block

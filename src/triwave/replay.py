@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
+from .flux import FluxTable
 from .history import m_value, pair_weight
 from .simulator import Trajectory
 from .wavefield import BlockFluxes, Event, EventKind, FieldState, apply_event
@@ -56,6 +57,8 @@ class Replay:
         if n > MAX_REPLAY_WAVES:
             raise ValueError(f"replay limited to {MAX_REPLAY_WAVES} initial waves, got {n}")
         self.traj = traj
+        # the replay's own table: the oracle never reads the run's cached kernels
+        self.table = FluxTable(traj.spec, traj.eps)
         self.state: FieldState = traj.initial_state.copy()
         self.steps: list[ReplayStep] = []
         self.pairs: dict[tuple[int, int], ReplayPair] = {
@@ -80,7 +83,7 @@ class Replay:
         apply_event(state, event)
         dead = set(event.canceled)
         meeting_ids = set(event.participants.members(state)) if event.participants else set()
-        fluxes = BlockFluxes(state, self.traj.spec)
+        fluxes = BlockFluxes(state, self.table)
         for key, pair in self.pairs.items():
             s, s2 = key
             if s in dead or s2 in dead:

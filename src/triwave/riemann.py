@@ -6,7 +6,10 @@ the flux f_eps(., v+): convex-envelope cell slopes for an upward jump, concave
 for a downward one, grouped into fronts of equal speed.
 
 ``solve_scalar`` builds that fan, the only place where an envelope becomes
-fronts; the simulator reaches it through ``wavefield.speed_groups``.
+fronts.  Its one caller is ``wavefield.speed_groups``, which solves each
+``(w-, w+, v tick)`` once per run and keeps the fan in the run's
+``flux.FluxTable``: every stack that meets that jump shares one tuple of
+frozen fronts.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import numbers
 import os
 import tempfile
@@ -61,9 +62,16 @@ class ScenarioConfig:
             raise ValueError(f"check_level must be one of {CHECK_LEVELS}")
         if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float)) or not self.eps > 0:
             raise ValueError(f"eps must be a positive number, got {self.eps!r}")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps!r}")
         for name in ("seed", "event_guard"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.event_guard < 1:
+            raise ValueError(f"event_guard must be at least 1, got {self.event_guard}")
+        if type(self.write_snapshots) is not bool:
+            raise ValueError(f"write_snapshots must be true or false, got {self.write_snapshots!r}")
+        _check_flux(self.flux)
         for name in ("w0", "v0"):
             _check_datum(name, getattr(self, name))
 
@@ -82,6 +90,17 @@ class ScenarioConfig:
         _atomic_write(Path(path), lambda fh: _write_json(fh, vars(self)))
 
 
+def _check_flux(flux) -> None:
+    """A flux selection is ``{"name": str, "params": {...}}``, params optional;
+    ``make_flux`` checks the params themselves."""
+    if not isinstance(flux, dict) or not isinstance(flux.get("name"), str) or \
+            not set(flux) <= {"name", "params"}:
+        raise ValueError(f"flux takes a name and optional params, got {flux!r}")
+    params = flux.get("params")
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"flux params must be an object, got {params!r}")
+
+
 def _check_datum(name: str, part) -> None:
     """A datum spec is ``{"jumps": [[x, tick], ...]}`` or ``{"random": {...}}``."""
     if not isinstance(part, dict) or list(part) not in (["jumps"], ["random"]):
@@ -94,6 +113,9 @@ def _check_datum(name: str, part) -> None:
         ):
             raise ValueError(f"{name} jumps must be a list of [x, tick] pairs, x a number "
                              f"and tick an integer, got {jumps!r}")
+        for x, _ in jumps:
+            if not math.isfinite(x):
+                raise ValueError(f"{name} jump positions must be finite, got {x!r}")
         return
     rand = part["random"]
     if not isinstance(rand, dict):
@@ -105,6 +127,8 @@ def _check_datum(name: str, part) -> None:
     for key, value in rand.items():
         if key == "max_amplitude" and not _is_number(value):
             raise ValueError(f"{name} random spec: {key} must be a number, got {value!r}")
+        if key == "max_amplitude" and not math.isfinite(value):
+            raise ValueError(f"{name} random spec: {key} must be finite, got {value!r}")
         if key != "max_amplitude" and not _is_int(value):
             raise ValueError(f"{name} random spec: {key} must be an integer, got {value!r}")
 

@@ -289,8 +289,11 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     and the ``replay_pi_match`` entry is the worst candidate: the first one
     of least slack in iteration order.  The scan keeps only the running
     least slack and its arguments and builds one ``CheckResult`` from them.
+    The block fluxes come from the replay's own ``FluxTable``, never from
+    the one the run's history filled.
     """
-    steps = Replay(traj).run()
+    replay = Replay(traj)
+    steps = replay.run()
     out: list[CheckResult] = []
     joined_violations = 0
     restrict_violations = 0
@@ -301,7 +304,7 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         # compare replayed Q against the production snapshot
         out.append(_equality("replay_q_quadratic", scope,
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
-        fluxes = BlockFluxes(state, traj.spec)
+        fluxes = BlockFluxes(state, replay.table)
         divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
         # whether a class is joined, and its chord speed, whichever pair holds it
         class_of: dict[tuple[int, ...], tuple[bool, float]] = {}

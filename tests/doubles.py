@@ -3,8 +3,13 @@
 A CLI run imports this module with ``tests`` on ``PYTHONPATH``.
 """
 
+import numpy as np
+
+from triwave.flux import PiecewiseAffineFlux
 from triwave.history import PairHistory
 from triwave.wavefield import Front
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def swap_end_positions(state):
@@ -55,3 +60,23 @@ def bump_one_budget(at):
             return out
 
     return BumpOneBudget
+
+
+def reference_effective_flux(cells, spec, eps):
+    """The effective flux of ``cells = [(cell_tick, v_tick), ...]`` with every
+    cell integrated anew, by 16-point Gauss-Legendre quadrature, as one build
+    did before a ``FluxTable`` kept the increments: the oracle of
+    ``flux.build_effective_flux``."""
+    values = np.zeros(len(cells) + 1)
+    slope = 0.0
+    for k, (tick, v_tick) in enumerate(cells):
+        a = tick * eps
+        v = v_tick * eps
+        x = a + 0.5 * eps * (_GL_NODES + 1.0)
+        wts = 0.5 * eps * _GL_WEIGHTS
+        g = np.array([spec.d2_ww(xi, v) for xi in x])
+        incr_d = float(np.dot(wts, g))
+        incr_v = float(np.dot(wts, (a + eps - x) * g))
+        values[k + 1] = values[k] + slope * eps + incr_v
+        slope += incr_d
+    return PiecewiseAffineFlux(eps=eps, base_index=cells[0][0], values=values)

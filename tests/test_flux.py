@@ -1,9 +1,12 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from doubles import reference_effective_flux
 from triwave.envelopes import rh_speed
 from triwave.flux import (
     Box,
@@ -173,9 +176,16 @@ def test_validate_flux_equals_point_loop(coeffs):
     assert validate_flux(spec) == loop
 
 
+def test_validate_flux_reports_a_speed_that_is_not_a_number():
+    spec = replace(make_flux("quadratic_coupled"), d_w=lambda w, v: w * math.nan)
+    problems = validate_flux(spec)
+    assert len(problems) == 65 * 65
+    assert problems[0] == "d_w(-0.8, -0.5) = nan is not a number"
+
+
 class TestEffectiveFlux:
     def test_single_cell_normalization(self, spec):
-        eff = build_effective_flux([(0, 2)], spec, EPS)
+        eff = build_effective_flux([(0, 2)], FluxTable(spec, EPS))
         assert eff.values[0] == 0.0
         assert eff.values[1] > 0.0
 
@@ -183,7 +193,7 @@ class TestEffectiveFlux:
         # the second difference at each interior node is the hat-weighted
         # average of d2f/dw2 over the two cells that meet there
         cells = [(k, int(rng.integers(-4, 5))) for k in range(-3, 5)]
-        eff = build_effective_flux(cells, spec, EPS)
+        eff = build_effective_flux(cells, FluxTable(spec, EPS))
         for k in range(1, len(cells)):
             (t_l, v_l), (t_r, v_r) = cells[k - 1], cells[k]
             fd = (eff.values[k + 1] - 2 * eff.values[k] + eff.values[k - 1]) / EPS**2
@@ -197,7 +207,7 @@ class TestEffectiveFlux:
     def test_second_difference_matches_quadrature(self, spec):
         # adjacent cells with different v labels
         cells = [(0, -4), (1, 4)]
-        eff = build_effective_flux(cells, spec, EPS)
+        eff = build_effective_flux(cells, FluxTable(spec, EPS))
         fd = (eff.values[2] - 2 * eff.values[1] + eff.values[0]) / EPS**2
         # independent oracle: the hat-weighted average of the second derivative
         left, _ = integrate.quad(
@@ -210,7 +220,7 @@ class TestEffectiveFlux:
         # chord-slope differences of the effective flux equal those of f(., v)
         v_tick = 3
         cells = [(k, v_tick) for k in range(-5, 6)]
-        eff = build_effective_flux(cells, spec, EPS)
+        eff = build_effective_flux(cells, FluxTable(spec, EPS))
         g = interpolate(spec, v_tick * EPS, EPS, -5, 6)
 
         def chord(fn, a, b):
@@ -224,7 +234,41 @@ class TestEffectiveFlux:
 
     def test_rejects_non_contiguous_cells(self, spec):
         with pytest.raises(ValueError):
-            build_effective_flux([(0, 0), (2, 0)], spec, EPS)
+            build_effective_flux([(0, 0), (2, 0)], FluxTable(spec, EPS))
+
+
+BUILT_IN = [
+    ("quadratic_coupled", {"c": 0.1}),
+    ("quartic", {"c": 0.1}),
+    ("custom_poly", {"coeffs": [[2, 0, 0.5], [2, 1, 0.1], [3, 0, 0.1]]}),
+]
+
+
+class TestCellIncrements:
+    @pytest.mark.parametrize("name,params", BUILT_IN)
+    def test_build_equals_the_uncached_quadrature(self, name, params, rng):
+        # blocks of mixed v labels, some sharing cells: every build, the
+        # first (misses) and the second (hits), gives the reference's bytes
+        spec = make_flux(name, params)
+        table = FluxTable(spec, EPS)
+        for lo, n in [(-16, 32), (-5, 9), (0, 1), (-3, 12), (-16, 32)]:
+            cells = [(lo + k, int(rng.integers(-10, 11))) for k in range(n)]
+            want = reference_effective_flux(cells, spec, EPS)
+            for _ in range(2):
+                got = build_effective_flux(cells, table)
+                assert got.base_index == want.base_index
+                assert got.values.tobytes() == want.values.tobytes()
+
+    def test_increments_are_kept_per_table(self):
+        # two tables of different eps or flux never see each other's entries
+        spec, other = make_flux("quadratic_coupled"), make_flux("quartic")
+        cells = [(k, 3 - k) for k in range(-4, 4)]
+        tables = [(spec, EPS), (spec, 2 * EPS), (other, EPS)]
+        built = [FluxTable(s, e) for s, e in tables]
+        for (s, e), table in zip(tables, built):
+            got = build_effective_flux(cells, table)
+            assert got.values.tobytes() == reference_effective_flux(cells, s, e).values.tobytes()
+        assert len({table.cell_increments(1, 2) for table in built}) == 3
 
 
 def test_flux_table_caches(spec):
@@ -238,6 +282,22 @@ def test_flux_table_caches(spec):
 def test_make_flux_unknown_name():
     with pytest.raises(ValueError):
         make_flux("nope")
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("quadratic_coupled", {"c": math.nan}, "flux quadratic_coupled: c must be finite, got nan"),
+    ("quartic", {"c": -math.inf}, "flux quartic: c must be finite, got -inf"),
+    ("quartic", {"c": None}, "flux quartic: c must be a number, got None"),
+    ("custom_poly", {"coeffs": [[2, 0, 0.5], [2, 1, math.inf]]},
+     "flux custom_poly: coefficient must be finite, got inf"),
+    ("custom_poly", {"coeffs": [[2, 0]]},
+     "flux custom_poly: coeffs must be a list of [i, j, a] triples, got [[2, 0]]"),
+    ("quadratic_coupled", {"box": [-0.8, math.inf, -0.5, 0.5]},
+     "flux box must be 4 numbers [w_min, w_max, v_min, v_max], got [-0.8, inf, -0.5, 0.5]"),
+])
+def test_make_flux_rejects_params_that_are_not_finite_numbers(name, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_flux(name, params)
 
 
 def test_make_flux_rejects_unknown_and_missing_params():

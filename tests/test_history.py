@@ -587,7 +587,7 @@ def full_clip_and_split(history, records, event, state):
         return
     dead = set(event.canceled)
     touched = event.participants if event.kind == EventKind.TRANSVERSAL else None
-    fluxes = BlockFluxes(state, history.spec)
+    fluxes = BlockFluxes(state, history.table)
     for rec in records:
         lo, hi = rec.classes[0].lo, rec.classes[-1].hi
         if not any(lo <= d <= hi for d in dead) and (

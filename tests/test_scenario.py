@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -434,6 +435,23 @@ class TestCli:
          "got [[1.0, 2.5], [2.0, 0]]"),
         ("w0", {"random": {"jumps": 5, "max_amplitude": 0.4, "max_waves": "20"}},
          "w0 random spec: max_waves must be an integer, got '20'"),
+        ("flux", {}, "flux takes a name and optional params, got {}"),
+        ("flux", {"name": "quadratic_coupled", "params": "x"},
+         "flux params must be an object, got 'x'"),
+        ("flux", {"name": "quadratic_coupled", "params": {"c": math.nan}},
+         "flux quadratic_coupled: c must be finite, got nan"),
+        ("flux", {"name": "quartic", "params": {"c": [0.1]}},
+         "flux quartic: c must be a number, got [0.1]"),
+        ("flux", {"name": "custom_poly", "params": {"coeffs": 5}},
+         "flux custom_poly: coeffs must be a list of [i, j, a] triples, got 5"),
+        ("eps", math.inf, "eps must be finite, got inf"),
+        ("w0", {"jumps": [[math.nan, 2], [2.0, 0]]}, "w0 jump positions must be finite, got nan"),
+        ("v0", {"jumps": [[1.0, 2], [math.inf, 0]]}, "v0 jump positions must be finite, got inf"),
+        ("w0", {"random": {"jumps": 3, "max_amplitude": math.nan}},
+         "w0 random spec: max_amplitude must be finite, got nan"),
+        ("event_guard", 0, "event_guard must be at least 1, got 0"),
+        ("event_guard", -1, "event_guard must be at least 1, got -1"),
+        ("write_snapshots", "yes", "write_snapshots must be true or false, got 'yes'"),
     ])
     def test_bad_value_is_a_clean_error(self, tmp_path, key, value, message):
         doc = json.loads(DEMO.read_text())

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from test_acceptance import small_n_config
-from triwave.flux import derivative_bounds, make_flux
+from triwave.flux import FluxTable, derivative_bounds, make_flux
 from triwave.history import PairHistory
 from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
@@ -142,6 +142,7 @@ def per_candidate_lemmas(traj, history):
     """The small-N lemma suite as one ``CheckResult`` per candidate, keeping
     the first of least slack per step: the oracle of ``check_small_n_lemmas``."""
     steps = Replay(traj).run()
+    table = FluxTable(traj.spec, traj.eps)
     out = []
     joined_violations = 0
     restrict_violations = 0
@@ -151,7 +152,7 @@ def per_candidate_lemmas(traj, history):
         state = step.state
         out.append(_equality("replay_q_quadratic", scope,
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
-        fluxes = BlockFluxes(state, traj.spec)
+        fluxes = BlockFluxes(state, table)
         divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
         worst_gap = None
         worst_agree = None

@@ -1,12 +1,16 @@
 import ast
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from triwave.flux import FluxTable, make_flux
+from triwave.riemann import solve_scalar
 from triwave.wavefield import (
     BlockFluxes,
+    FieldState,
     IdRange,
     assign_initial_speeds,
     StepFunction,
@@ -16,6 +20,8 @@ from triwave.wavefield import (
     snapshot,
     speed_groups,
     validate_enumeration,
+    VFront,
+    WaveRecord,
 )
 
 EPS = 0.05
@@ -158,6 +164,55 @@ class TestAssignSpeeds:
             speed_groups(state, [1, 2, 3], flux_table)
 
 
+def one_jump(w_minus, w_plus):
+    """A state whose one stack at x = 1 jumps from ``w_minus`` to
+    ``w_plus`` (ticks), and that stack's ids."""
+    w0 = StepFunction.from_jumps([(1.0, w_plus), (2.0, w_minus)], base=w_minus)
+    state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+    return state, [w.id for w in state.waves if w.x_a == 1.0]
+
+
+class TestFanMemo:
+    def test_kept_fans_equal_a_fresh_solve(self, spec):
+        # upward and downward jumps over the lattice, each asked for twice
+        table = FluxTable(spec, EPS)
+        for v in (-6, 0, 5):
+            for w_minus in range(-8, 9, 2):
+                for w_plus in range(-9, 10, 3):
+                    if w_plus == w_minus:
+                        continue
+                    state, ids = one_jump(w_minus, w_plus)
+                    first = speed_groups(state, ids, table, v)
+                    fresh = solve_scalar(w_minus, w_plus, FluxTable(spec, EPS).flux_for_v(v))
+                    kept = table.fans[(w_minus, w_plus, v)]
+                    assert kept == fresh
+                    assert [speed for _, speed in first] == [f.speed for f in fresh]
+                    assert speed_groups(state, ids, table, v) == first
+                    assert table.fans[(w_minus, w_plus, v)] is kept
+        assert len(table.fans) == 3 * 9 * 7 - 3 * 3
+
+    def test_a_solve_that_raises_is_not_kept(self):
+        # f = w^2 has chord speed 1.25 and more on w in [0.6, 0.8]
+        table = FluxTable(make_flux("custom_poly", {"coeffs": [[2, 0, 1.0]]}), EPS)
+        state, ids = one_jump(12, 16)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside \\(-1, 1\\)"):
+                speed_groups(state, ids, table)
+            assert table.fans == {}
+
+    def test_fans_are_kept_per_table(self, spec):
+        # tables of different eps or flux share no entry
+        state, ids = one_jump(0, 4)
+        tables = [FluxTable(spec, EPS), FluxTable(spec, 2 * EPS),
+                  FluxTable(make_flux("quartic"), EPS)]
+        groups = [speed_groups(state, ids, table) for table in tables]
+        for table, got in zip(tables, groups):
+            assert list(table.fans) == [(0, 4, 0)]
+            assert [speed for _, speed in got] == [
+                f.speed for f in solve_scalar(0, 4, table.flux_for_v(0))]
+        assert len({tuple(speed for _, speed in got) for got in groups}) == 3
+
+
 class TestValidateEnumeration:
     def test_detects_bad_stack(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 0)])
@@ -192,7 +247,7 @@ class TestEffectiveFlux:
         w0 = StepFunction.from_jumps([(0.0, 1), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         with pytest.raises(ValueError):
-            effective_flux(state, IdRange(1, 2), spec)
+            effective_flux(state, IdRange(1, 2), FluxTable(spec, EPS))
 
     def test_blocks_partition_alive_waves(self):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
@@ -202,41 +257,41 @@ class TestEffectiveFlux:
     def test_negative_block_flux(self, spec):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        eff = effective_flux(state, IdRange(3, 5), spec)
+        eff = effective_flux(state, IdRange(3, 5), FluxTable(spec, EPS))
         # cells of the negative waves: hats 1, 0, -1 -> cells [1,2), [0,1), [-1,0)
         assert eff.base_index == -1
         assert len(eff.values) == 4
 
 
 class TestBlockFluxes:
-    def test_classes_of_one_block_share_its_flux(self, spec):
+    def test_classes_of_one_block_share_its_flux(self, flux_table):
         # one positive block of five waves (ids 1-5), then a negative one (6-7)
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        fluxes = BlockFluxes(state, spec)
+        fluxes = BlockFluxes(state, flux_table)
         assert fluxes.flux([1, 2]) is fluxes.flux([3, 4, 5])
         assert fluxes.flux([6]) is not fluxes.flux([1])
-        want = effective_flux(state, IdRange(1, 5), spec)
+        want = effective_flux(state, IdRange(1, 5), flux_table)
         assert np.array_equal(fluxes.flux([4]).values, want.values)
 
-    def test_rh_speed_is_the_chord_of_the_block_flux(self, spec):
+    def test_rh_speed_is_the_chord_of_the_block_flux(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 3), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        fluxes = BlockFluxes(state, spec)
+        fluxes = BlockFluxes(state, flux_table)
         g = fluxes.flux([1, 2, 3])
         assert fluxes.rh_speed([1, 2, 3]) == (g.value(3) - g.value(0)) / (3 * EPS)
 
     @pytest.mark.parametrize("dead", [(), (2, 3), (1, 2, 3, 4), (5, 6), (4, 5, 6, 7), (7, 8)])
-    def test_finds_the_block_of_the_oracle(self, spec, dead):
+    def test_finds_the_block_of_the_oracle(self, flux_table, dead):
         # signs + + - - - + + -, cancelled in pairs from a shared middle
         # state; after (4, 5, 6, 7) the negative waves 3 and 8 form one block
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 1), (3.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         kill(state, dead)
-        fluxes = BlockFluxes(state, spec)
+        fluxes = BlockFluxes(state, flux_table)
         for blk in blocks(state):
             members = blk.members(state)
-            want = effective_flux(state, blk, spec)
+            want = effective_flux(state, blk, flux_table)
             for s in members:
                 assert np.array_equal(fluxes.flux([s]).values, want.values)
                 assert fluxes.flux([s]) is fluxes.flux(members)
@@ -245,11 +300,11 @@ class TestBlockFluxes:
                 with pytest.raises(ValueError, match="span two homogeneous blocks"):
                     fluxes.flux([members[-1], beyond[0]])
 
-    def test_run_spanning_two_blocks_raises(self, spec):
+    def test_run_spanning_two_blocks_raises(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         with pytest.raises(ValueError, match="span two homogeneous blocks"):
-            BlockFluxes(state, spec).flux([2, 3])
+            BlockFluxes(state, flux_table).flux([2, 3])
 
 
 def test_only_wavefield_reads_the_blocks():
@@ -265,6 +320,18 @@ def test_only_wavefield_reads_the_blocks():
                 and node.func.attr in ("effective_flux", "blocks")))
     }
     assert callers == {"wavefield"}
+
+
+def test_copy_keeps_every_field_and_shares_no_record():
+    # each field set apart from its default, so a field the copy drops shows
+    wave = WaveRecord(**{f.name: k + 1 for k, f in enumerate(fields(WaveRecord))})
+    vf = VFront(**{f.name: k + 1 for k, f in enumerate(fields(VFront))})
+    state = FieldState(EPS, [wave], [vf], time=2.0, w_base=1)
+    copy = state.copy()
+    assert (copy.waves, copy.v_fronts) == (state.waves, state.v_fronts)
+    assert (copy.eps, copy.time, copy.w_base) == (EPS, 2.0, 1)
+    copy.wave(1).x_a = copy.v_fronts[0].x_a = -1.0
+    assert (wave.x_a, vf.x_a) != (-1.0, -1.0)
 
 
 def test_snapshot_is_json_ready(flux_table):

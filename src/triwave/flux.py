@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "build_effective_flux",
     "FluxTable",
     "validate_flux",
+    "validate_chords",
 ]
 
 Real2 = Callable[[float, float], float]
@@ -168,6 +169,11 @@ def _custom_poly(coeffs: list, box: Box) -> FluxSpec:
             isinstance(t, (list, tuple)) and len(t) == 3 for t in coeffs):
         raise ValueError(f"flux custom_poly: coeffs must be a list of [i, j, a] triples, "
                          f"got {coeffs!r}")
+    for term in coeffs:
+        # int() would read 2.5 as 2 and True as 1, and drop a term of -1
+        if not all(type(e) in (int, float) and e >= 0 and e % 1 == 0 for e in term[:2]):
+            raise ValueError(f"flux custom_poly: exponents must be non-negative integers, "
+                             f"got {list(term)!r}")
     terms = [(int(i), int(j), _finite("custom_poly", "coefficient", a)) for i, j, a in coeffs]
 
     def df(di: int, dj: int) -> Real2:
@@ -295,6 +301,27 @@ def validate_flux(spec: FluxSpec) -> list[str]:
     return [f"d_w({w[k]}, {v[k]}) = {d_w[k]} <= -1" if d_w[k] <= -1.0
             else f"d_w({w[k]}, {v[k]}) = {d_w[k]} is not a number"
             for k in zip(*np.nonzero(~(d_w > -1.0)))]
+
+
+def validate_chords(spec: FluxSpec, eps: float, w_lo: int, w_hi: int,
+                    v_ticks: Iterable[int]) -> list[str]:
+    """Check that every chord of f_eps(., v) between adjacent nodes of the
+    ticks [w_lo, w_hi] lies in (-1, 1), for each of ``v_ticks``; return
+    violations.
+
+    Every fan speed of ``riemann.solve_scalar`` is a mean of such chords, so
+    a run whose w values stay in [w_lo, w_hi] and whose v labels are among
+    ``v_ticks`` solves no fan with a speed outside (-1, 1)."""
+    out = []
+    for v_tick in sorted(set(v_ticks)):
+        v = v_tick * eps
+        values = [spec.eval(k * eps, v) for k in range(w_lo, w_hi + 1)]
+        for k, (a, b) in enumerate(zip(values, values[1:]), start=w_lo):
+            chord = (b - a) / eps
+            if not -1.0 < chord < 1.0:
+                out.append(f"chord of f(., v={v}) from w={k * eps} to w={(k + 1) * eps} "
+                           f"is {chord}, outside (-1, 1)")
+    return out
 
 
 def build_effective_flux(cells: list[tuple[int, int]], table: FluxTable) -> PiecewiseAffineFlux:

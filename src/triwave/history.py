@@ -40,14 +40,16 @@ is an error.  ``PairHistory.validate`` recounts ``S`` from the pairs and
 reports a stored pair on one kept front, which would be counted twice.
 
 Partitions are shared: every pair divided at the same event sees the same
-classes, so one record per event serves them all.
+classes, so one record per event serves them all.  A class is the tuple of
+its alive ids.
 ``PairHistory`` keeps a registry from each live record to the divided pairs
 that share it, in rows by lower id: ``records[rec][s][s2]``, rows and
 entries in ascending id order.  At a crossing the classes of a record that
-lie inside it form one run a..b, and a pair has a nonzero count exactly when
-its lower wave's class is at most b and its upper wave's at least a; prefix
-sums over the run give that count in O(1), so the walk stops at the first
-row past b and at the first entry of a row below a.  A crossing or a
+lie inside it form one run a..b, found by bisecting on their first and last
+ids, and a pair has a nonzero count exactly when its lower wave's class is
+at most b and its upper wave's at least a; running sums of the class sizes
+over the run give that count in O(1), so the walk stops at the first row
+past b and at the first entry of a row below a.  A crossing or a
 cancellation changes only the classes that meet its colliding waves, and one
 rule re-splits them for both.  One crossing then costs O(changed pairs +
 crossed classes) instead of O(classes + pairs) of every record it reaches.
@@ -59,10 +61,11 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from .flux import DerivativeBounds, FluxSpec, FluxTable
-from .wavefield import BlockFluxes, Event, EventKind, FieldState, IdRange
+from .wavefield import BlockFluxes, Event, EventKind, FieldState
 
 __all__ = [
     "FunctionalSnapshot",
@@ -71,7 +74,6 @@ __all__ = [
     "PairHistory",
     "m_value",
     "pair_weight",
-    "contained_prefix",
 ]
 
 log = logging.getLogger("triwave.history")
@@ -92,14 +94,13 @@ class FunctionalSnapshot:
 @dataclass(eq=False)
 class PartitionRecord:
     """Shared partition for the pairs divided at one event: its classes, in
-    ascending id order, each an id range whose live content is the range cut
-    to currently alive waves.  The waves present at that meeting are the
-    classes' union, from the first class's ``lo`` to the last one's ``hi``.
-    Classes stay contiguous because cancellations remove contiguous id runs.
+    ascending id order, each the tuple of its alive waves in ascending id
+    order.  The waves present at that meeting, less those dead since, are
+    the classes' union.  A class that loses a wave is cut to the waves left.
     Records compare and hash by identity, so they key the pair registry.
     """
 
-    classes: list[IdRange]
+    classes: list[tuple[int, ...]]
 
 
 @dataclass(slots=True)
@@ -113,12 +114,8 @@ class PairRec:
     d: int
 
 
-def _lo(ids: IdRange) -> int:
-    return ids.lo
-
-
-def _hi(ids: IdRange) -> int:
-    return ids.hi
+_first = itemgetter(0)
+_last = itemgetter(-1)
 
 
 def _ascending(ids) -> bool:
@@ -131,18 +128,20 @@ def _record_problem(rec: PartitionRecord, rows: dict[int, dict[int, PairRec]],
                     waves: list) -> str | None:
     """What a refinement takes for granted of a live record and ``rec``
     fails: its rows of pairs (``rows``) and each row in ascending id order,
-    its classes in ascending order, and each class starting and ending on
-    alive waves.  None if it holds."""
+    its classes non-empty and their ids ascending across the record, and
+    every wave of a class alive.  None if it holds."""
     if not (_ascending(rows) and all(map(_ascending, rows.values()))):
         return "pairs out of id order"
     prev = 0
-    for r in rec.classes:
-        if r.lo <= prev:
-            return "classes out of id order"
-        prev = r.hi
-    for r in rec.classes:
-        if not (waves[r.lo - 1].alive and waves[r.hi - 1].alive):
-            return f"range {r.lo}..{r.hi} ends on a dead wave"
+    for cls in rec.classes:
+        if not cls:
+            return "empty class"
+        for s in cls:
+            if s <= prev:
+                return "classes out of id order"
+            if not waves[s - 1].alive:
+                return f"class {cls[0]}..{cls[-1]} holds dead wave {s}"
+            prev = s
     return None
 
 
@@ -171,21 +170,6 @@ def m_value(class_members: list[list[int]], part_lo: int, part_hi: int,
 def pair_weight(pi: float, w_hat: int, w_hat2: int, eps: float) -> float:
     """q of a divided pair with right states ``w_hat``, ``w_hat2`` (ticks)."""
     return pi / ((abs(w_hat2 - w_hat) + 1) * eps)
-
-
-def contained_prefix(class_members: list[list[int]], part_lo: int,
-                     part_hi: int) -> list[int]:
-    """Prefix sums of the class sizes counted by ``m_value``: entry k is the
-    number of waves in classes 0..k-1 that lie entirely inside
-    [part_lo, part_hi].  For p in class ki and p' in class kj >= ki,
-    m_value(p, p') is (prefix[kj + 1] - prefix[ki]) * eps."""
-    prefix = [0]
-    total = 0
-    for members in class_members:
-        if members and part_lo <= members[0] and members[-1] <= part_hi:
-            total += len(members)
-        prefix.append(total)
-    return prefix
 
 
 class PairHistory:
@@ -265,9 +249,8 @@ class PairHistory:
         for rec, rows in self.records.items():
             problem = _record_problem(rec, rows, state.waves)
             if problem:
-                lo = min(c.lo for c in rec.classes)
-                hi = max(c.hi for c in rec.classes)
-                problems.append(f"record over ids {lo}..{hi}: {problem}")
+                ids = [s for cls in rec.classes for s in cls]
+                problems.append(f"record over ids {min(ids)}..{max(ids)}: {problem}")
                 break
         return problems
 
@@ -305,8 +288,8 @@ class PairHistory:
         if event.kind == EventKind.TRANSVERSAL:
             self._apply_transversal_pi(event, state)
         self._refine_records(event, state)
-        if event.participants is not None:
-            ids = event.participants.members(state)
+        if event.post_speeds:
+            ids = sorted(event.post_speeds)
             if len({state.wave(s).sign for s in ids}) != 1:
                 raise ValueError("meeting waves of opposite sign survived one event")
             self._meet(ids, event.post_speeds, event.index, state)
@@ -326,31 +309,34 @@ class PairHistory:
         so P grows by ticks_h * count.
 
         count is the integer of ``m_value`` (M = count * eps).  Per record,
-        the prefix sums over the classes a..b inside the crossing give it in
-        O(1), and only the pairs with count != 0 are visited: those whose
-        lower wave lies in a class up to b and upper wave in a class from a
-        on.  With K = 0 every pi is 0 whatever P holds, and P is left as it is.
+        running sums of the sizes of the classes a..b inside the crossing
+        give it in O(1), and only the pairs with count != 0 are visited:
+        those whose lower wave lies in a class up to b and upper wave in a
+        class from a on.  With K = 0 every pi is 0 whatever P holds, and P is
+        left as it is.
         """
         if self.K == 0.0:
             return
-        part = event.participants
+        lo, hi = event.colliding[0], event.colliding[-1]   # a crossing kills no wave
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         S = self.S
         for rec, rows in self.records.items():
             classes = rec.classes
-            if classes[-1].hi < part.lo or part.hi < classes[0].lo:
+            if classes[-1][-1] < lo or hi < classes[0][0]:
                 continue  # no class of the record can lie inside the crossing
-            # classes a..b lie inside the crossing; their ends are alive waves
-            a = bisect_left(classes, part.lo, key=_lo)
-            b = bisect_right(classes, part.hi, key=_hi) - 1
+            # classes a..b: the first starts at lo or later, the last ends at
+            # hi or earlier, so all of them lie inside the crossing
+            a = bisect_left(classes, lo, key=_first)
+            b = bisect_right(classes, hi, key=_last) - 1
             if a > b:
                 continue
-            members = [c.members(state) for c in classes[a:b + 1]]
-            prefix = contained_prefix(members, part.lo, part.hi)
             # wave of classes a..b -> the count of those classes before its
             # own, and through its own
-            counts = {s: (prefix[k], prefix[k + 1]) for k, ids in enumerate(members) for s in ids}
-            first_lo, last_hi, total = classes[a].lo, classes[b].hi, prefix[-1]
+            counts, total = {}, 0
+            for cls in classes[a:b + 1]:
+                counts.update(dict.fromkeys(cls, (total, total + len(cls))))
+                total += len(cls)
+            first_lo, last_hi = classes[a][0], classes[b][-1]
             for s, row in rows.items():
                 if s > last_hi:
                     break          # class(s) > b: this row and the rows after it
@@ -369,39 +355,40 @@ class PairHistory:
         A class changes only if the event crossed it (the effective flux
         changes only on cells whose waves crossed the first-family front) or
         killed one of its waves, and every crossed or dead wave lies in
-        ``event.colliding``.  So per record only the classes that meet that
-        range are visited.  Each is kept as it is, unless the event crossed it
-        and it holds two or more waves, or killed one of its waves: then it
-        is cut to its alive waves, dropped if none is left, and split again if
-        two or more are.  A crossing kills no wave (``simulator.resolve``).
+        ``event.colliding``.  So per record only the classes that meet the
+        span of those waves are visited.  Each is kept as it is, unless the
+        event crossed it and it holds two or more waves, or killed one of
+        its waves: then it is cut to its alive waves, dropped if none is
+        left, and split again if two or more are.  A crossing kills no wave
+        (``simulator.resolve``).
         """
         if event.kind.is_interaction:
             return
-        hit, dead = event.colliding, event.canceled
+        first, last, dead = event.colliding[0], event.colliding[-1], event.canceled
         crossing = event.kind == EventKind.TRANSVERSAL
         fluxes = BlockFluxes(state, self.table)
+        waves = state.waves
         for rec in self.records:
             classes = rec.classes
-            if classes[-1].hi < hit.lo or hit.hi < classes[0].lo:
+            if classes[-1][-1] < first or last < classes[0][0]:
                 continue
-            # classes lo..hi - 1 meet the colliding range
-            lo = bisect_left(classes, hit.lo, key=_hi)
-            hi = bisect_right(classes, hit.hi, key=_lo)
-            new_classes: list[IdRange] = []
+            # classes lo..hi - 1 meet the colliding waves' span
+            lo = bisect_left(classes, first, key=_last)
+            hi = bisect_right(classes, last, key=_first)
+            new_classes: list[tuple[int, ...]] = []
             for cls in classes[lo:hi]:
-                if not ((crossing and cls.lo < cls.hi)
-                        or (dead and any(cls.lo <= d <= cls.hi for d in dead))):
+                if not ((crossing and len(cls) > 1) or any(d in cls for d in dead)):
                     new_classes.append(cls)
                     continue
-                members = cls.members(state)
+                members = tuple(s for s in cls if waves[s - 1].alive)
                 if len(members) > 1:
                     new_classes.extend(self._split_class(members, state, fluxes))
                 elif members:
-                    new_classes.append(IdRange(members[0], members[0]))
+                    new_classes.append(members)
             classes[lo:hi] = new_classes
 
-    def _split_class(self, members: list[int], state: FieldState,
-                     fluxes: BlockFluxes) -> list[IdRange]:
+    def _split_class(self, members: tuple[int, ...], state: FieldState,
+                     fluxes: BlockFluxes) -> list[tuple[int, ...]]:
         """Split one class by the Riemann problem it spans under the current
         effective flux; classes are runs of equal entropic speed."""
         eff = fluxes.flux(members)
@@ -410,13 +397,13 @@ class PairHistory:
         lo, hi = min(cells), max(cells) + 1
         env = convex_envelope(eff, lo, hi) if sign > 0 else concave_envelope(eff, lo, hi)
         slopes = [env.cell_slope(c) for c in cells]
-        out: list[IdRange] = []
+        out: list[tuple[int, ...]] = []
         start = 0
         for k in range(1, len(members)):
             if abs(slopes[k] - slopes[k - 1]) > SLOPE_TOL:
-                out.append(IdRange(members[start], members[k - 1]))
+                out.append(members[start:k])
                 start = k
-        out.append(IdRange(members[start], members[-1]))
+        out.append(members[start:])
         return out
 
     def _meet(self, ids: list[int], speeds: dict[int, float], index: int,
@@ -445,7 +432,7 @@ class PairHistory:
                 runs.append([s])
         if len(runs) == 1:
             return
-        record = PartitionRecord([IdRange(run[0], run[-1]) for run in runs])
+        record = PartitionRecord([tuple(run) for run in runs])
         hats = [state.wave(s).w_hat for s in ids]
         end = 0
         for run in runs[:-1]:
@@ -465,8 +452,7 @@ class PairHistory:
         state provides it.
         """
         fluxes = BlockFluxes(state, self.table)
-        left = event.left_ids.members(state)
-        right = event.right_ids.members(state)
+        left, right = event.left_ids, event.right_ids
         fluxes.flux(left + right)  # raises unless both fronts lie in one block
         size_l = len(left) * self.eps
         size_r = len(right) * self.eps

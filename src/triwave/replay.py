@@ -1,10 +1,10 @@
-"""Post-hoc per-pair reconstruction of intervals, partitions and pi tables.
+"""Post-hoc per-pair reconstruction of partitions and pi tables.
 
 The production history shares one partition record among all pairs divided at
 the same event and stores only the pi entry each pair's weight needs.  This
 module replays a finished trajectory and rebuilds, for every pair
-independently and with full tables, the interval of its last meeting, the
-recursively refined partition and the complete pi map.  It exists to let the
+independently and with full tables, the recursively refined partition of the
+waves of its last meeting and the complete pi map.  It exists to let the
 lemma-level checks compare the shared incremental bookkeeping against a
 literal, per-pair reading of the definitions on small runs.
 """
@@ -33,7 +33,7 @@ class ReplayPair:
     """
 
     status: str                                  # "never", "joined", "divided", "dead"
-    interval: list[int] = field(default_factory=list)   # alive ids, divided only
+    # divided only: the alive waves of its last meeting, in classes
     classes: list[list[int]] = field(default_factory=list)
     pi: dict[tuple[int, int], float] = field(default_factory=dict)
 
@@ -82,7 +82,7 @@ class Replay:
         state = self.state
         apply_event(state, event)
         dead = set(event.canceled)
-        meeting_ids = set(event.participants.members(state)) if event.participants else set()
+        meeting = event.post_speeds
         fluxes = BlockFluxes(state, self.table)
         for key, pair in self.pairs.items():
             s, s2 = key
@@ -91,31 +91,29 @@ class Replay:
                 continue
             if pair.status != "divided":
                 continue
-            if s in meeting_ids and s2 in meeting_ids:
-                if event.post_speeds[s] == event.post_speeds[s2]:
+            if s in meeting and s2 in meeting:
+                if meeting[s] == meeting[s2]:
                     continue  # met again joined: _meet marks it so
                 raise ValueError(f"pair {key} met again while divided (event {event.index})")
-            interval, classes, pi = pair.interval, pair.classes, pair.pi
-            if event.kind == EventKind.TRANSVERSAL and event.participants is not None:
+            classes, pi = pair.classes, pair.pi
+            if event.kind == EventKind.TRANSVERSAL:
                 factor = 2.0 * self.traj.bounds.norm_d3_wwv * event.v_strength
+                crossing = event.colliding
                 pi = {}
                 for pp, val in pair.pi.items():
-                    m = m_value(classes, event.participants.lo,
-                                event.participants.hi, pp[0], pp[1], self.traj.eps)
+                    m = m_value(classes, crossing[0], crossing[-1], pp[0], pp[1],
+                                self.traj.eps)
                     pi[pp] = val + factor * m if m > 0.0 else val
             if dead:
-                interval = [p for p in interval if p not in dead]
                 classes = [[p for p in c if p not in dead] for c in classes]
                 classes = [c for c in classes if c]
                 pi = {pp: val for pp, val in pi.items()
                       if pp[0] not in dead and pp[1] not in dead}
             classes = [piece for cls in classes for piece in self._split(cls, fluxes, event)]
-            new = ReplayPair("divided", interval, classes, pi)
+            new = ReplayPair("divided", classes, pi)
             if new != pair:
                 self.pairs[key] = new
-        if event.participants is not None:
-            ids = event.participants.members(state)
-            self._meet(ids, event.post_speeds)
+        self._meet(sorted(event.post_speeds), event.post_speeds)
         self._record(index=event.index, time=event.time)
 
     # -- meeting pairs ---------------------------------------------------------
@@ -137,7 +135,7 @@ class Replay:
                 if group_of[a] == group_of[b]:
                     self.pairs[(a, b)] = ReplayPair(status="joined")
                 else:
-                    self.pairs[(a, b)] = ReplayPair("divided", ids, classes, table)
+                    self.pairs[(a, b)] = ReplayPair("divided", classes, table)
 
     # -- partition refinement ----------------------------------------------------
 
@@ -150,8 +148,8 @@ class Replay:
         if event.kind.is_interaction:
             return [members]  # flux and membership unchanged: provably no split
         if event.kind == EventKind.TRANSVERSAL:
-            part = event.participants
-            if part is None or members[-1] < part.lo or part.hi < members[0]:
+            crossing = event.colliding
+            if members[-1] < crossing[0] or crossing[-1] < members[0]:
                 return [members]  # no member changed its v label
         eff = fluxes.flux(members)
         sign = state.wave(members[0]).sign

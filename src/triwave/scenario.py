@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flux import FluxSpec, derivative_bounds, make_flux, validate_flux
+from .flux import FluxSpec, derivative_bounds, make_flux, validate_chords, validate_flux
 from .history import PairHistory
 from .replay import MAX_REPLAY_WAVES
 from .simulator import Trajectory, run
@@ -213,6 +213,11 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
         raise ValueError(f"flux {spec.name} is not hyperbolic on its box: {problems[0]}")
     bounds = derivative_bounds(spec)
     w0, v0 = build_initial_data(config, spec)
+    w_ticks = (w0.base, *w0.values)
+    problems = validate_chords(spec, config.eps, min(w_ticks), max(w_ticks),
+                               (v0.base, *v0.values))
+    if problems:
+        raise ValueError(f"flux {spec.name} is not hyperbolic on the data: {problems[0]}")
     if config.check_level == "small_n":
         if w0.tv_ticks() > MAX_REPLAY_WAVES:
             raise ValueError(
@@ -279,7 +284,7 @@ def _write_events(fh, traj: Trajectory) -> None:
             repr(ev.time),
             repr(ev.x),
             ev.kind.value,
-            ev.n_participants(),
+            len(ev.post_speeds),
             repr(ev.v_strength),
             repr(ev.cancellation),
         ])

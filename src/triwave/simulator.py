@@ -34,7 +34,6 @@ from .wavefield import (
     EventKind,
     FieldState,
     Front,
-    IdRange,
     StepFunction,
     VFront,
     apply_event,
@@ -130,7 +129,7 @@ def _meeting(l: Front, r: Front | VFront) -> tuple[float, float] | None:
 
 
 def _lo(front: Front) -> int:
-    return front.lo
+    return front.ids[0]
 
 
 class CollisionQueue:
@@ -157,10 +156,10 @@ class CollisionQueue:
     def _push(self, l: Front, r: Front | VFront | None) -> None:
         met = None if r is None else _meeting(l, r)
         if met is None:
-            self.live.pop(l.lo, None)
+            self.live.pop(l.ids[0], None)
             return
-        item = (*met, l.lo, next(self._seq), l, r)
-        self.live[l.lo] = item
+        item = (*met, l.ids[0], next(self._seq), l, r)
+        self.live[l.ids[0]] = item
         heapq.heappush(self.heap, item)
 
     def repair(self, state: FieldState) -> None:
@@ -170,7 +169,7 @@ class CollisionQueue:
         ``crossed + 1`` if it sits before the next front, else that front."""
         fronts, v_fronts = state.fronts(), state.v_fronts
         for f in self.site:
-            k = bisect_left(fronts, f.lo, key=_lo)
+            k = bisect_left(fronts, f.ids[0], key=_lo)
             if k == len(fronts) or fronts[k] is not f:
                 continue     # replaced by a later event, whose site lists its successor
             nxt = fronts[k + 1] if k + 1 < len(fronts) else None
@@ -232,11 +231,14 @@ def next_collision(state: FieldState) -> CollisionCandidate | None:
     return queue.earliest(state)
 
 
-def _contiguous_alive(state: FieldState, ids: list[int]) -> IdRange:
-    rng = IdRange(min(ids), max(ids))
-    if rng.members(state) != sorted(ids):
+def _contiguous_alive(state: FieldState, ids: list[int]) -> tuple[int, ...]:
+    """The alive waves from the least of ``ids`` to the greatest, in id
+    order; raises unless they are ``ids``."""
+    waves = state.waves
+    run = tuple(s for s in range(min(ids), max(ids) + 1) if waves[s - 1].alive)
+    if run != tuple(sorted(ids)):
         raise ValueError(f"colliding waves {ids} are not contiguous among alive ids")
-    return rng
+    return run
 
 
 def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
@@ -290,12 +292,11 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         x=x_j,
         kind=kind,
         colliding=colliding,
-        participants=IdRange(min(survivors), max(survivors)) if survivors else None,
         v_label=v_tick,
         post_speeds=post,
         sum_abs_dsigma=_dsigma(pre, post, state.eps),
-        left_ids=None if crossing else IdRange(left.lo, left.hi),
-        right_ids=None if crossing else IdRange(right.lo, right.hi),
+        left_ids=() if crossing else left.ids,
+        right_ids=() if crossing else right.ids,
         v_front_id=right.id if crossing else None,
         v_strength=right.strength_ticks * state.eps if crossing else 0.0,
         canceled=tuple(canceled),

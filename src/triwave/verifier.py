@@ -27,11 +27,11 @@ Small-N lemma suite (``check_small_n_lemmas``), against a per-pair replay:
   class_gap_lemma           sigma_rh gap between two classes of a divided pair
                             <= pi + LEMMA_TOL; one entry per event, that
                             event's worst candidate
-  outer_pair_pi_agreement   nested pairs with equal intervals share pi; one
+  outer_pair_pi_agreement   nested pairs with the same classes share pi; one
                             entry per event, that event's worst candidate
   partition_classes_joined  count of classes not joined in the solution is 0
   partition_restriction     count of outer partitions that do not restrict
-                            to a nested inner interval is 0
+                            to the waves of a nested inner pair is 0
   replay_pi_match           final K * P equals the replayed pi: worst pair
 """
 
@@ -121,7 +121,7 @@ def _equality(name: str, scope: str, actual: float, expected: float, **context) 
 def check_transversal_speed(traj: Trajectory, event: Event) -> CheckResult:
     if event.kind != EventKind.TRANSVERSAL:
         raise ValueError("not a transversal event")
-    n = event.n_participants() * traj.eps
+    n = len(event.post_speeds) * traj.eps
     rhs = traj.bounds.norm_d2_wv * event.v_strength * n
     return _check("transversal_speed", f"event:{event.index}",
                   event.sum_abs_dsigma, rhs, v_strength=event.v_strength)
@@ -154,7 +154,7 @@ def check_transversal_increase(traj: Trajectory, event: Event) -> CheckResult:
         raise ValueError("not a transversal event")
     before = traj.snapshots[event.index - 1].q_quadratic
     after = traj.snapshots[event.index].q_quadratic
-    n = event.n_participants() * traj.eps
+    n = len(event.post_speeds) * traj.eps
     rhs = 6.0 * LOG2 * traj.bounds.norm_d3_wwv * event.v_strength * n * traj.tv_w0
     return _check("transversal_increase", f"event:{event.index}",
                   after - before, rhs, q_before=before, q_after=after)
@@ -179,7 +179,7 @@ def check_qtrans(traj: Trajectory) -> list[CheckResult]:
         after = traj.snapshots[event.index].q_trans
         out.append(_check("q_trans_monotone", f"event:{event.index}", after, before))
         if event.kind == EventKind.TRANSVERSAL:
-            expected = event.v_strength * event.n_participants() * traj.eps
+            expected = event.v_strength * len(event.post_speeds) * traj.eps
             out.append(_equality("q_trans_drop", f"event:{event.index}",
                                  before - after, expected))
         elif event.kind.is_interaction:
@@ -273,15 +273,15 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     - ``class_gap_lemma``, per step with a divided pair: for every divided
       pair, classes i < j and members p of i, p2 of j, the chord-speed gap
       sigma_i - sigma_j is at most pi(p, p2) + ``LEMMA_TOL``;
-    - ``outer_pair_pi_agreement``, per step with a nested pair of equal
-      intervals: the outer pair's pi map agrees with the inner pair's on
+    - ``outer_pair_pi_agreement``, per step with a nested pair of the same
+      classes: the outer pair's pi map agrees with the inner pair's on
       every entry of the inner one;
     - ``partition_classes_joined``, global: the number of (pair, class) at
       some step whose members are not joined in the real solution (two
       positions or two speeds) is 0;
     - ``partition_restriction``, global: the number of nested divided pairs
-      whose outer partition does not restrict to the inner interval, or
-      whose intervals coincide with different classes, is 0;
+      whose outer partition does not restrict to the inner pair's waves, or
+      whose outer pair lies in those waves with other classes, is 0;
     - ``replay_pi_match``, global: every divided pair of the final history
       is divided in the final replayed step with the same pi, ``K * P``.
 
@@ -348,12 +348,12 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
                 if inner_key == outer_key or inner_key[1] > p2:
                     continue
                 inner = divided[inner_key]
-                inner_set = set(inner.interval)
+                inner_set = {s for cls in inner.classes for s in cls}
                 for members in outer_sets:
                     if members & inner_set and not members <= inner_set:
                         restrict_violations += 1
                 if p in inner_set and p2 in inner_set:
-                    if outer.interval != inner.interval or outer.classes != inner.classes:
+                    if outer.classes != inner.classes:
                         restrict_violations += 1
                     else:
                         for pp, val in inner.pi.items():

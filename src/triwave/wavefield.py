@@ -6,9 +6,10 @@ a permanent 1-based id, a permanent sign and a permanent right state ``w_hat``
 speed (None once cancelled), the v value at its position and how many
 first-family fronts it has crossed.  First-family fronts all travel at speed
 -1 and are stored separately.  An ``Event`` records one resolved collision in
-terms of this enumeration: the id ranges of the waves involved and their
-speeds before and after.  :func:`apply_event` is the one place that moves a
-state across an event; the simulator and the replay both call it.
+terms of this enumeration: the ids of the waves that meet, in id order, and
+the speeds of the survivors after it.  :func:`apply_event` is the one place
+that moves a state across an event; the simulator and the replay both call
+it.
 
 Positions are anchored: every wave and first-family front keeps the position
 ``x_a`` it had at time ``t_a``, when an event last moved it, and
@@ -27,6 +28,9 @@ of the pair history, which stores none of them.
 :class:`BlockFluxes` is the one lookup from a run of waves to the effective
 flux of its homogeneous block, built from the cell increments its
 ``FluxTable`` keeps for the run.
+
+A run of waves (the waves of an event, of a front, of a partition class or
+of a block) is the tuple of its alive ids in ascending order.
 
 State arithmetic is exact: w values, right states and v labels are integer
 ticks; only positions, speeds and times are floats.
@@ -49,7 +53,6 @@ __all__ = [
     "WaveRecord",
     "VFront",
     "Front",
-    "IdRange",
     "EventKind",
     "Event",
     "apply_event",
@@ -203,14 +206,6 @@ class Front:
     def v_label(self) -> int:
         return self.lead.v_label
 
-    @property
-    def lo(self) -> int:
-        return self.ids[0]
-
-    @property
-    def hi(self) -> int:
-        return self.ids[-1]
-
 
 def position(obj: WaveRecord | VFront | Front, t: float) -> float:
     """Position of an alive wave, a front or a v-front at time ``t``, from its
@@ -243,25 +238,6 @@ def _merge_fronts(fronts: Iterable[Front], waves: Sequence[WaveRecord], t: float
     return out
 
 
-@dataclass(frozen=True)
-class IdRange:
-    """Contiguous wave-id range; its live content is the range cut to alive ids."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("empty id range")
-
-    def members(self, state: "FieldState") -> list[int]:
-        waves = state.waves
-        return [s for s in range(self.lo, self.hi + 1) if waves[s - 1].alive]
-
-    def contains(self, s: int) -> bool:
-        return self.lo <= s <= self.hi
-
-
 class EventKind(str, Enum):
     INTERACTION_POSITIVE = "interaction_positive"
     INTERACTION_NEGATIVE = "interaction_negative"
@@ -275,26 +251,24 @@ class EventKind(str, Enum):
 
 @dataclass
 class Event:
-    """One resolved binary collision."""
+    """One resolved binary collision.  Its survivors are the keys of
+    ``post_speeds``; at a crossing, which kills no wave, they are
+    ``colliding``."""
 
     index: int
     time: float
     x: float
     kind: EventKind
-    colliding: IdRange                 # second-family waves arriving at (t, x)
-    participants: IdRange | None      # the same waves minus the cancelled ones
+    colliding: tuple[int, ...]        # second-family waves arriving at (t, x): contiguous alive ids
     v_label: int                      # v tick seen at (t, x) after the event
-    post_speeds: dict[int, float]
+    post_speeds: dict[int, float]     # survivor -> its speed after the event
     sum_abs_dsigma: float             # sum over surviving waves of |speed change| * eps
-    left_ids: IdRange | None = None   # the two colliding w-fronts (None for transversal)
-    right_ids: IdRange | None = None
+    left_ids: tuple[int, ...] = ()    # the ids of the two colliding w-fronts (empty for transversal)
+    right_ids: tuple[int, ...] = ()
     v_front_id: int | None = None     # transversal only
     v_strength: float = 0.0           # |v_h| (0 unless transversal)
     canceled: tuple[int, ...] = ()
     cancellation: float = 0.0         # total-variation drop (0 unless cancellation)
-
-    def n_participants(self) -> int:
-        return len(self.post_speeds)
 
 
 def apply_event(state: FieldState, event: Event) -> None:
@@ -314,10 +288,10 @@ def apply_event(state: FieldState, event: Event) -> None:
     fronts = state.fronts()
     t, x = event.time, event.x
     state.time = t
-    for s in range(event.colliding.lo, event.colliding.hi + 1):
+    colliding = event.colliding
+    for s in colliding:
         w = state.wave(s)
-        if w.alive:
-            w.x_a, w.t_a = x, t
+        w.x_a, w.t_a = x, t
     per_crossed = state.per_crossed
     top = len(per_crossed) - 1
     for s in event.canceled:
@@ -338,10 +312,10 @@ def apply_event(state: FieldState, event: Event) -> None:
             per_crossed[event.v_front_id] += 1
             w.crossed = event.v_front_id
             w.v_label = event.v_label
-    # replace the fronts that meet the colliding range by the survivors, then
+    # replace the fronts that meet the colliding waves by the survivors, then
     # merge them with the neighbour on either side
-    lo = bisect_left(fronts, event.colliding.lo, key=lambda f: f.hi)
-    hi = bisect_right(fronts, event.colliding.hi, key=lambda f: f.lo)
+    lo = bisect_left(fronts, colliding[0], key=lambda f: f.ids[-1])
+    hi = bisect_right(fronts, colliding[-1], key=lambda f: f.ids[0])
     a, b = max(lo - 1, 0), hi + 1
     site = [Front((s,), state.wave(s)) for s in sorted(event.post_speeds)]
     window = _merge_fronts(fronts[a:lo] + site + fronts[hi:b], state.waves, t)
@@ -682,60 +656,63 @@ def validate_enumeration(state: FieldState) -> list[str]:
     return problems
 
 
-def effective_flux(state: FieldState, block: IdRange, table: FluxTable) -> PiecewiseAffineFlux:
-    """Effective flux of one maximal homogeneous block of alive waves.
+def effective_flux(state: FieldState, block: tuple[int, ...],
+                   table: FluxTable) -> PiecewiseAffineFlux:
+    """Effective flux of one maximal homogeneous block of alive waves, given
+    as the tuple of their ids.
 
     On each wave cell its second derivative is d2f/dw2(., v label of the
     wave); value and slope vanish at the leftmost node (the function is only
     used through affine-invariant differences).
     """
-    members = block.members(state)
-    if not members:
+    if not block:
         raise ValueError("empty block")
-    signs = {state.wave(s).sign for s in members}
+    signs = {state.wave(s).sign for s in block}
     if len(signs) != 1:
         raise ValueError("block is not homogeneous")
-    cells = sorted((state.wave(s).cell(), state.wave(s).v_label) for s in members)
+    cells = sorted((state.wave(s).cell(), state.wave(s).v_label) for s in block)
     return build_effective_flux(cells, table)
 
 
 class BlockFluxes:
     """The effective flux of each homogeneous block of one state, built once,
     on first use, for the runs of waves that ask for it, from the cell
-    increments ``table`` keeps across states."""
+    increments ``table`` keeps across states.  A block is the tuple of its
+    alive ids, and keys its flux."""
 
     def __init__(self, state: FieldState, table: FluxTable):
         self.state = state
         self.table = table
-        self._fluxes: dict[IdRange, PiecewiseAffineFlux] = {}
+        self._fluxes: dict[tuple[int, ...], PiecewiseAffineFlux] = {}
 
     def flux(self, members: Sequence[int]) -> PiecewiseAffineFlux:
         """Effective flux of the block holding the run of waves ``members``."""
         first, last = members[0], members[-1]
-        blk = next((b for b in self._fluxes if b.contains(first)), None) or self._block(first)
-        if not blk.contains(last):
+        blk = next((b for b in self._fluxes if b[0] <= first <= b[-1]), None) or self._block(first)
+        if not blk[0] <= last <= blk[-1]:
             raise ValueError(f"waves {first}..{last} span two homogeneous blocks")
         eff = self._fluxes.get(blk)
         if eff is None:
             eff = self._fluxes[blk] = effective_flux(self.state, blk, self.table)
         return eff
 
-    def _block(self, s: int) -> IdRange:
+    def _block(self, s: int) -> tuple[int, ...]:
         """The maximal homogeneous block around alive wave ``s``: walk out both
-        ways over dead waves, up to the first alive wave of the other sign."""
+        ways over dead waves, up to the first alive wave of the other sign,
+        and keep the alive ids met."""
         waves = self.state.waves
         sign = waves[s - 1].sign
-        ends = []
+        sides = []
         for ids in (range(s - 1, 0, -1), range(s + 1, len(waves) + 1)):
-            end = s
+            found = []
             for t in ids:
                 w = waves[t - 1]
                 if w.alive:
                     if w.sign != sign:
                         break
-                    end = t
-            ends.append(end)
-        return IdRange(*ends)
+                    found.append(t)
+            sides.append(found)
+        return (*reversed(sides[0]), s, *sides[1])
 
     def rh_speed(self, members: Sequence[int]) -> float:
         """Chord speed of the run ``members`` under its block's effective flux."""

@@ -6,7 +6,10 @@ runs every golden case with ``run_scenario`` and rewrites its
 ``events.csv`` and ``functionals.csv``:
 
 - ``configs/demo.json`` as shipped (seed 42, level ``full``), at the top;
-- a 58-jump scalar datum at level ``fast``, under ``scalar_fast/``.
+- a 58-jump scalar datum at level ``fast``, under ``scalar_fast/``;
+- a coupled datum on the cubic ``custom_poly`` flux at level ``full``, under
+  ``cubic_split/``: the one case in which a crossing splits a partition
+  class and a cancellation cuts one.
 
 For each file it prints whether the bytes changed and, per changed column,
 the worst relative change.  Run it only in a change that alters these bytes
@@ -43,6 +46,10 @@ SCALAR_FAST_JUMPS = [
     [11.663, 4], [12.112, 3], [12.27, 2], [12.316, 3], [12.827, 4], [13.043, 3],
     [13.658, 2], [14.215, 1], [14.53, 0],
 ]
+CUBIC_FLUX = {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}}
+CUBIC_W0_JUMPS = [[2.208, -2], [4.559, 4], [5.939, 3], [6.232, 0], [6.283, -5], [6.513, -1],
+                  [9.259, 0]]
+CUBIC_V0_JUMPS = [[0.402, 5], [0.465, -2], [2.814, -5], [5.113, -1], [5.592, -5], [7.379, 0]]
 
 
 def golden_cases() -> dict[Path, ScenarioConfig]:
@@ -52,6 +59,10 @@ def golden_cases() -> dict[Path, ScenarioConfig]:
         GOLDEN / "scalar_fast": ScenarioConfig(
             flux={"name": "quadratic_coupled", "params": {"c": 0.1}}, eps=0.05,
             w0={"jumps": SCALAR_FAST_JUMPS}, v0={"jumps": []}, check_level="fast",
+        ),
+        GOLDEN / "cubic_split": ScenarioConfig(
+            flux=CUBIC_FLUX, eps=0.05, w0={"jumps": CUBIC_W0_JUMPS},
+            v0={"jumps": CUBIC_V0_JUMPS}, check_level="full",
         ),
     }
 
@@ -92,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {label_of(target)} fails its checks; nothing written",
                       file=sys.stderr)
                 return 1
+            if not check:
+                target.mkdir(exist_ok=True)
             for name in NAMES:
                 path = target / name
                 old = path.read_bytes() if path.exists() else b""

@@ -17,6 +17,7 @@ from triwave.flux import (
     derivative_bounds,
     interpolate,
     make_flux,
+    validate_chords,
     validate_flux,
 )
 
@@ -174,6 +175,34 @@ def test_validate_flux_equals_point_loop(coeffs):
     loop = [f"d_w({w}, {v}) = {spec.d_w(w, v)} <= -1"
             for v in grid[1] for w in grid[0] if spec.d_w(w, v) <= -1.0]
     assert validate_flux(spec) == loop
+
+
+@pytest.mark.parametrize("term", [[2.5, 0, 1.0], [-1, 0, 1.0], [True, 0, 1.0], [2, 0.5, 1.0]],
+                         ids=["fractional", "negative", "bool", "fractional_v"])
+def test_custom_poly_rejects_exponents_that_are_not_non_negative_integers(term):
+    # int() would read 2.5 as 2, drop the term of -1 and read True as 1
+    message = f"flux custom_poly: exponents must be non-negative integers, got {term!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_flux("custom_poly", {"coeffs": [[2, 0, 0.5], term]})
+
+
+def test_custom_poly_takes_an_integral_float_exponent_as_its_integer():
+    spec = make_flux("custom_poly", {"coeffs": [[2.0, 1.0, 0.5]]})
+    assert spec.eval(0.5, 0.4) == make_flux("custom_poly", {"coeffs": [[2, 1, 0.5]]}).eval(0.5, 0.4)
+
+
+def test_validate_chords_reads_the_given_w_range_and_v_values():
+    # f = 0.5 w^2 + 2 w^2 v passes the box-wide d_w > -1 check; at v = 0.25
+    # it is w^2, whose chords reach 1 from w = 0.5 on
+    spec = make_flux("custom_poly", {"coeffs": [[2, 0, 0.5], [2, 1, 2.0]],
+                                     "box": [0.0, 0.8, -0.5, 0.5]})
+    assert validate_flux(spec) == []
+    assert validate_chords(spec, EPS, 0, 12, [0]) == []
+    assert validate_chords(spec, EPS, 0, 10, [0, 5]) == []
+    problems = validate_chords(spec, EPS, 0, 12, [5, 0, 5])
+    assert len(problems) == 2
+    assert problems[0].startswith("chord of f(., v=0.25) from w=0.5 to w=0.55 is 1.05")
+    assert problems[0].endswith(", outside (-1, 1)")
 
 
 def test_validate_flux_reports_a_speed_that_is_not_a_number():

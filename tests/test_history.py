@@ -2,14 +2,13 @@ import copy
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from triwave.flux import FluxTable, derivative_bounds, make_flux
 from triwave.history import (
     PairHistory,
     PairRec,
     PartitionRecord,
-    contained_prefix,
     m_value,
     pair_weight,
 )
@@ -18,8 +17,8 @@ from triwave.scenario import ScenarioConfig, build_initial_data
 from triwave.simulator import next_collision, resolve, run
 from triwave.wavefield import (
     BlockFluxes,
+    Event,
     EventKind,
-    IdRange,
     StepFunction,
     assign_initial_speeds,
     group_fronts,
@@ -59,36 +58,49 @@ class TestMValue:
 
 # a partition of an id interval: per class, its run length and the ids after
 # it that are dead (absent from every class)
-layouts = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1, max_size=8)
+layouts = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2)), min_size=2, max_size=8)
 
 
-@given(layouts, st.integers(0, 30), st.integers(0, 30))
+@given(layouts, st.integers(1, 30), st.integers(0, 30))
 @settings(max_examples=300, deadline=None)
-def test_prefix_increment_equals_m_value(layout, lo, width):
-    class_members, next_id = [], 1
+def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
+    # the production count of one crossing over the ids lo..hi, on a record
+    # of the drawn classes (some of them straddle lo or hi), against m_value
+    classes, next_id = [], 1
     for size, gap in layout:
-        class_members.append(list(range(next_id, next_id + size)))
+        classes.append(tuple(range(next_id, next_id + size)))
         next_id += size + gap
-    part_lo, part_hi = lo, lo + width
-    prefix = contained_prefix(class_members, part_lo, part_hi)
-    class_of = {s: k for k, ids in enumerate(class_members) for s in ids}
-    ids = sorted(class_of)
-    for i, p in enumerate(ids):
-        for p2 in ids[i + 1:]:
-            ki, kj = class_of[p], class_of[p2]
-            got = (prefix[kj + 1] - prefix[ki]) * EPS
-            assert got == m_value(class_members, part_lo, part_hi, p, p2, EPS)
+    hi = lo + width
+    ticks = 3
+    state = initial_enumeration(StepFunction.from_jumps([(0.0, next_id - 1), (1.0, 0)]),
+                                StepFunction.from_jumps([(2.0, ticks), (3.0, 0)]), EPS)
+    alive = {s for cls in classes for s in cls}
+    for w in state.waves:
+        if w.id not in alive:
+            w.x_a = None
+    crossing = tuple(s for s in range(lo, hi + 1) if s in alive)
+    assume(crossing)
+    history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+    rec = PartitionRecord(list(classes))
+    for i, ci in enumerate(classes):
+        for cj in classes[i + 1:]:
+            for p in ci:
+                for p2 in cj:
+                    history._set_pair((p, p2), PairRec(rec, 0, 1))
+    history._apply_transversal_pi(Event(
+        index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=crossing,
+        v_label=ticks, post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
+    for (p, p2), pair in history.pairs.items():
+        m = m_value(classes, lo, hi, p, p2, EPS)
+        assert pair.P == ticks * round(m / EPS), (p, p2)
+    total = sum(pair.P for pair in history.pairs.values())
+    assert history.S == ({1: total} if total else {})
 
 
 def grow(history, pair, amount):
     """Add ``amount`` to the budget of a divided pair and to its S[d]."""
     pair.P += amount
     history.S[pair.d] = history.S.get(pair.d, 0) + amount
-
-
-def class_members(rec, state):
-    """The alive waves of each class of ``rec``."""
-    return [c.members(state) for c in rec.classes]
 
 
 def flat_registry(history):
@@ -104,11 +116,10 @@ class LoopHistory(PairHistory):
     increments = 0
 
     def _apply_transversal_pi(self, event, state):
-        part = event.participants
+        lo, hi = event.colliding[0], event.colliding[-1]
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         for (s, s2), pair in self.pairs.items():
-            members = class_members(pair.record, state)
-            m = m_value(members, part.lo, part.hi, s, s2, self.eps)
+            m = m_value(pair.record.classes, lo, hi, s, s2, self.eps)
             if m > 0.0:
                 grow(self, pair, ticks * round(m / self.eps))
                 self.increments += 1
@@ -134,10 +145,10 @@ class FloatPiHistory(PairHistory):
 
     def _apply_transversal_pi(self, event, state):
         super()._apply_transversal_pi(event, state)
-        part = event.participants
+        lo, hi = event.colliding[0], event.colliding[-1]
         factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
         for key, pair in self.pairs.items():
-            m = m_value(class_members(pair.record, state), part.lo, part.hi, *key, self.eps)
+            m = m_value(pair.record.classes, lo, hi, *key, self.eps)
             if m > 0.0:
                 self.pi[key] = self.pi.get(key, 0.0) + factor * m
 
@@ -223,18 +234,19 @@ class TestPrefixPiMatchesLoop:
 
 class TestRecordRegistry:
     @staticmethod
-    def three_waves():
-        """A state of three alive waves, ids 1..3, at one point, each with a
-        speed of its own (so on a front of its own), and a record over them."""
-        state = initial_enumeration(StepFunction.from_jumps([(0.0, 3), (1.0, 0)]),
+    def state_and_record(classes=((1,), (2, 3))):
+        """A state of alive waves, ids 1 up to the last id of ``classes``, at
+        one point, each with a speed of its own (so on a front of its own),
+        and a record of ``classes`` over them."""
+        state = initial_enumeration(StepFunction.from_jumps([(0.0, classes[-1][-1]), (1.0, 0)]),
                                     StepFunction((), (), 0), EPS)
         for w in state.waves:
             w.speed = float(w.id)
-        rec = PartitionRecord([IdRange(1, 1), IdRange(2, 3)])
+        rec = PartitionRecord(list(classes))
         return state, rec
 
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
-        state, rec = self.three_waves()
+        state, rec = self.state_and_record()
         history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         for key in ((1, 2), (1, 3)):
             history._set_pair(key, PairRec(rec, 0, 2))
@@ -259,7 +271,7 @@ class TestRecordRegistry:
         assert history.pairs == history.records == history.partners == history.S == {}
 
     def test_stored_pair_on_one_kept_front_fails_validation(self, spec, bounds):
-        state, rec = self.three_waves()
+        state, rec = self.state_and_record()
         state.wave(3).speed = state.wave(2).speed     # waves 2 and 3 share a front
         assert [f.ids for f in state.fronts()][:2] == [(1,), (2, 3)]
         history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
@@ -270,7 +282,7 @@ class TestRecordRegistry:
         assert history.validate(state) == ["stored pair (2, 3) lies on one kept front"]
 
     def test_rows_or_classes_out_of_id_order_fail_validation(self, spec, bounds):
-        state, rec = self.three_waves()
+        state, rec = self.state_and_record()
         history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         for key in ((1, 2), (1, 3)):
             history._set_pair(key, PairRec(rec, 0, 2))
@@ -283,16 +295,26 @@ class TestRecordRegistry:
         assert history.validate(state) == ["record over ids 1..3: classes out of id order"]
 
     def test_class_unclipped_over_a_dead_wave_fails_validation(self, spec, bounds):
-        state, rec = self.three_waves()
+        state, rec = self.state_and_record()
         history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         history._set_pair((1, 2), PairRec(rec, 0, 2))
         assert history.validate(state) == []
         # wave 3 dies, but the record keeps its last class
         state.wave(3).x_a = None
         assert history.validate(state) == [
-            "record over ids 1..3: range 2..3 ends on a dead wave"]
-        rec.classes[-1] = IdRange(2, 2)
+            "record over ids 1..3: class 2..3 holds dead wave 3"]
+        rec.classes[-1] = (2,)
         assert history.validate(state) == []
+
+    def test_class_over_a_dead_middle_wave_fails_validation(self, spec, bounds):
+        # a class (1, 2, 3) whose middle wave died: both its ends are alive
+        state, rec = self.state_and_record(((1, 2, 3), (4,)))
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history._set_pair((1, 4), PairRec(rec, 0, 4))
+        assert history.validate(state) == []
+        state.wave(2).x_a = None
+        assert history.validate(state) == [
+            "record over ids 1..4: class 1..3 holds dead wave 2"]
 
 
 class TestQTrans:
@@ -389,7 +411,7 @@ class TestPiRecursion:
         state, history, _ = self.drive(spec, bounds, w0, StepFunction((), (), 0), 0)
         pair = history.pairs[(1, 2)]   # the rarefaction fan splits at t=0
         assert pair.P == 0
-        assert pair.record.classes[0].lo == 1 and pair.record.classes[1].hi == 2
+        assert pair.record.classes == [(1,), (2,)]
         # the shock's pair is joined: not stored, and on one kept front
         assert (3, 4) not in history.pairs
         assert (3, 4) in [f.ids for f in state.fronts()]
@@ -459,12 +481,11 @@ class TestPiFullTable:
         history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         traj = run(w0, v0, spec, EPS, bounds=bounds, history=history)
         first_cross = next(ev for ev in traj.events
-                           if ev.kind == EventKind.TRANSVERSAL and ev.colliding.lo in (1, 2))
+                           if ev.kind == EventKind.TRANSVERSAL and ev.colliding[0] in (1, 2))
         step = Replay(traj).run()[first_cross.index]
         assert step.index == first_cross.index
         table = step.pairs[(1, 2)].pi
-        m = m_value([[1], [2]], first_cross.participants.lo,
-                    first_cross.participants.hi, 1, 2, EPS)
+        m = m_value([[1], [2]], first_cross.colliding[0], first_cross.colliding[-1], 1, 2, EPS)
         assert table[(1, 2)] == pytest.approx(2.0 * bounds.norm_d3_wwv
                                               * first_cross.v_strength * m)
 
@@ -527,8 +548,7 @@ class TestReplayAgreement:
             for key, pair in history.pairs.items():
                 assert final.pairs[key].status == "divided"
                 assert history.K * pair.P == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
-                classes = [c.members(traj.final_state) for c in pair.record.classes]
-                assert [c for c in classes if c] == final.pairs[key].classes
+                assert [list(c) for c in pair.record.classes] == final.pairs[key].classes
 
 
 class JoinedClassHistory(PairHistory):
@@ -541,7 +561,7 @@ class JoinedClassHistory(PairHistory):
     def on_event(self, event, state):
         out = super().on_event(event, state)
         for rec in self.records:
-            for members in class_members(rec, state):
+            for members in rec.classes:
                 assert len({position(state.wave(s), state.time) for s in members}) <= 1, \
                     (event.index, members)
                 assert len({state.wave(s).speed for s in members}) <= 1, (event.index, members)
@@ -586,25 +606,25 @@ def full_clip_and_split(history, records, event, state):
     if event.kind.is_interaction:
         return
     dead = set(event.canceled)
-    touched = event.participants if event.kind == EventKind.TRANSVERSAL else None
+    touched = event.colliding if event.kind == EventKind.TRANSVERSAL else None
     fluxes = BlockFluxes(state, history.table)
     for rec in records:
-        lo, hi = rec.classes[0].lo, rec.classes[-1].hi
+        lo, hi = rec.classes[0][0], rec.classes[-1][-1]
         if not any(lo <= d <= hi for d in dead) and (
-            touched is None or hi < touched.lo or touched.hi < lo
+            touched is None or hi < touched[0] or touched[-1] < lo
         ):
             continue
         new_classes = []
         for cls in rec.classes:
-            members = cls.members(state)
+            members = tuple(s for s in cls if state.wave(s).alive)
             if not members:
                 continue
-            lost = any(cls.lo <= d <= cls.hi for d in dead)
+            lost = len(members) < len(cls)
             crossed = touched is not None and not (
-                members[-1] < touched.lo or touched.hi < members[0]
+                members[-1] < touched[0] or touched[-1] < members[0]
             )
             if len(members) == 1 or not (lost or crossed):
-                new_classes.append(IdRange(members[0], members[-1]))
+                new_classes.append(members)
                 continue
             new_classes.extend(history._split_class(members, state, fluxes))
         rec.classes = new_classes
@@ -628,7 +648,8 @@ class FullSplitHistory(PairHistory):
                                         for rec in self.records)
         elif event.kind == EventKind.CANCELLATION:
             self.cancellation_cuts += sum(
-                any(cls.contains(d) for d in event.canceled) and bool(cls.members(state))
+                any(d in cls for d in event.canceled)
+                and any(state.wave(s).alive for s in cls)
                 for rec in copies.values() for cls in rec.classes)
         full_clip_and_split(self, copies.values(), event, state)
         for rec, want in copies.items():

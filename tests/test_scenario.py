@@ -181,6 +181,19 @@ class TestRunScenario:
             want = (GOLDEN / "scalar_fast" / name).read_bytes()
             assert (tmp_path / name).read_bytes() == want, name
 
+    def test_golden_artifacts_cubic_split(self, tmp_path):
+        # the cubic custom_poly flux at level full: 39 events, among them a
+        # crossing that splits a partition class and a cancellation that
+        # cuts one, so these bytes pin the class-refinement path; a change
+        # that alters them on purpose regenerates tests/golden/cubic_split
+        # with tests/golden/regen.py and says so
+        res = run_scenario(golden_cases()[GOLDEN / "cubic_split"], out_dir=tmp_path)
+        assert res.passed
+        assert len(res.trajectory.events) == 39
+        for name in ("events.csv", "functionals.csv"):
+            want = (GOLDEN / "cubic_split" / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == want, name
+
     def test_regen_reports_the_changed_columns(self):
         old = b"j,q_quadratic\r\n0,1.0\r\n1,2.0\r\n"
         new = b"j,q_quadratic\r\n0,1.0\r\n1,2.000000002\r\n"
@@ -210,6 +223,22 @@ class TestRunScenario:
         with pytest.raises(ValueError, match=r"d_w\(-0\.8, -0\.5\) = -3\.2 <= -1"):
             run_scenario(cfg, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_fan_speed_of_one_fails_before_the_run(self, tmp_path):
+        # f = w^2 passes d_w > -1 on its box, but the datum's fan from 0 to
+        # 0.7 would move at 1.05 from w = 0.5 on
+        flux = {"name": "custom_poly", "params": {"coeffs": [[2, 0, 1.0]],
+                                                  "box": [0.0, 0.8, -0.5, 0.5]}}
+        cfg = ScenarioConfig(flux=flux, eps=EPS, w0={"jumps": [[1.0, 14], [2.0, 0]]},
+                             v0={"jumps": []})
+        message = ("flux custom_poly is not hyperbolic on the data: "
+                   "chord of f(., v=0.0) from w=0.5 to w=0.55 is 1.05")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_scenario(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        # up to w = 0.5 every chord is below 1, and the run goes through
+        cfg.w0 = {"jumps": [[1.0, 10], [2.0, 0]]}
+        assert run_scenario(cfg).passed
 
     def test_empty_datum_trivial_report(self, tmp_path):
         cfg = ScenarioConfig(w0={"jumps": []}, v0={"jumps": []})
@@ -444,6 +473,8 @@ class TestCli:
          "flux quartic: c must be a number, got [0.1]"),
         ("flux", {"name": "custom_poly", "params": {"coeffs": 5}},
          "flux custom_poly: coeffs must be a list of [i, j, a] triples, got 5"),
+        ("flux", {"name": "custom_poly", "params": {"coeffs": [[2.5, 0, 1.0]]}},
+         "flux custom_poly: exponents must be non-negative integers, got [2.5, 0, 1.0]"),
         ("eps", math.inf, "eps must be finite, got inf"),
         ("w0", {"jumps": [[math.nan, 2], [2.0, 0]]}, "w0 jump positions must be finite, got nan"),
         ("v0", {"jumps": [[1.0, 2], [math.inf, 0]]}, "v0 jump positions must be finite, got inf"),

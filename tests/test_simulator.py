@@ -9,7 +9,6 @@ from triwave.simulator import TIME_TOL, _meeting, _objects, next_collision, reso
 from triwave.wavefield import (
     Event,
     EventKind,
-    IdRange,
     StepFunction,
     VFront,
     apply_event,
@@ -140,7 +139,7 @@ class TestResolve:
         assert event.kind == EventKind.CANCELLATION
         assert event.canceled == (1, 2)
         assert event.cancellation == pytest.approx(2 * EPS)
-        assert event.participants is None
+        assert event.colliding == (1, 2) and event.post_speeds == {}
         assert state.alive_ids() == []
         assert state.wave(1).death_time == event.time
 
@@ -154,7 +153,8 @@ class TestResolve:
         assert kinds[1] == EventKind.CANCELLATION
         assert traj.events[1].cancellation == pytest.approx(2 * EPS)
         assert traj.events[1].canceled == (3, 4)
-        assert (traj.events[1].participants.lo, traj.events[1].participants.hi) == (5, 6)
+        assert traj.events[1].colliding == (3, 4, 5, 6)
+        assert sorted(traj.events[1].post_speeds) == [5, 6]
 
     def test_transversal_respects_speed_bound(self, spec, flux_table, bounds):
         state = prepared_state([(0.0, 3), (1.0, 0)], [(2.0, 4), (9.0, 0)], flux_table)
@@ -217,7 +217,7 @@ class TestRun:
         kinds = [ev.kind for ev in traj.events]
         assert len(kinds) == 4  # 2 v-fronts x 2 w-fronts
         assert all(k == EventKind.TRANSVERSAL for k in kinds)
-        crossings = {(ev.v_front_id, ev.colliding.lo) for ev in traj.events}
+        crossings = {(ev.v_front_id, ev.colliding[0]) for ev in traj.events}
         assert crossings == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_empty_datum(self, spec):
@@ -468,9 +468,8 @@ def test_site_merges_with_a_neighbour_arriving_at_the_same_point(flux_table, col
     post = state.wave(neighbour).speed
     apply_event(state, Event(
         index=1, time=2.0, x=1.0, kind=EventKind.INTERACTION_POSITIVE,
-        colliding=IdRange(lo, hi), participants=IdRange(lo, hi), v_label=0,
-        post_speeds={lo: post, hi: post}, sum_abs_dsigma=0.0,
-        left_ids=IdRange(lo, lo), right_ids=IdRange(hi, hi)))
+        colliding=(lo, hi), v_label=0, post_speeds={lo: post, hi: post},
+        sum_abs_dsigma=0.0, left_ids=(lo,), right_ids=(hi,)))
     assert [f.ids for f in state.fronts()] == group_fronts(state) == [(1,), (2, 3, 4), (5, 6, 7, 8)]
     assert len({(state.wave(s).x_a, state.wave(s).t_a) for s in (2, 3, 4)}) == 1
     assert validate_enumeration(state) == []

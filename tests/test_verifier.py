@@ -120,7 +120,7 @@ class TestInteractionChecks:
         assert len(drops) == 4
         for r, ev in zip(drops, traj.events):
             assert r.context["expected"] == pytest.approx(
-                ev.v_strength * ev.n_participants() * EPS
+                ev.v_strength * len(ev.post_speeds) * EPS
             )
 
 
@@ -178,13 +178,13 @@ def per_candidate_lemmas(traj, history):
                 if (p, p2) == (s, s2) or not (p <= s < s2 <= p2):
                     continue
                 outer, inner = divided[(p, p2)], divided[(s, s2)]
-                inner_set = set(inner.interval)
+                inner_set = set().union(*inner.classes)
                 for cls in outer.classes:
                     members = set(cls)
                     if members & inner_set and not members <= inner_set:
                         restrict_violations += 1
                 if p in inner_set and p2 in inner_set:
-                    if outer.interval != inner.interval or outer.classes != inner.classes:
+                    if outer.classes != inner.classes:
                         restrict_violations += 1
                     else:
                         for key, val in inner.pi.items():
@@ -217,7 +217,7 @@ def per_candidate_lemmas(traj, history):
 
 # f = w^3 + 0.4 w^2 v: f'' changes sign at w = 0, so the jump from -1 to 3
 # ticks opens into a shock of two waves beside a fan, and the divided pairs
-# it leaves hold a class of two waves and nest with equal intervals.
+# it leaves hold a class of two waves and nest with equal classes.
 CUBIC = {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}}
 CUBIC_W = [(1.0, -1), (3.0, 3), (6.0, 0)]
 CUBIC_V = [(4.0, 2), (8.0, 0)]
@@ -322,19 +322,18 @@ class TestSmallNLemmasMatchOracle:
 class TestSmallNLemmasFail:
     """Each lemma check fails on a replay with one corrupted step, and names
     what was corrupted.  At step 1, a crossing, the pairs of waves 2 to 5
-    that the jump at x = 3 divided share the interval [2, 3, 4, 5] and the
-    classes [2, 3], [4], [5]; from step 3 on, (2, 3) is divided on its own
-    interval [2, 3]."""
+    that the jump at x = 3 divided share the classes [2, 3], [4], [5]; from
+    step 3 on, (2, 3) is divided with classes of its own, [2] and [3]."""
 
     STEP = 1
 
     def test_pi_below_class_gap(self, cubic_run, monkeypatch):
-        # (2, 3) alone on its interval: no other pair reads its pi
+        # (2, 3) alone with its classes: no other pair reads its pi
         at, key = 3, (2, 3)
 
         def corrupt(steps):
             pair = steps[at].pairs[key]
-            assert pair.interval == [2, 3]
+            assert pair.classes == [[2], [3]]
             steps[at].pairs[key] = replace(pair, pi={key: -10.0})
 
         corrupt_replay(monkeypatch, corrupt)
@@ -374,21 +373,21 @@ class TestSmallNLemmasFail:
         # one violation per divided pair that holds the class of the moved wave
         assert held and r.lhs == float(len(held))
 
-    def test_nested_pair_with_another_interval(self, cubic_run, monkeypatch):
+    def test_nested_pair_with_other_classes(self, cubic_run, monkeypatch):
         inner_key = (3, 4)
 
         def corrupt(steps):
             inner = steps[self.STEP].pairs[inner_key]
-            assert inner.interval == [2, 3, 4, 5]
+            assert inner.classes == [[2, 3], [4], [5]]
             assert sorted(divided_pairs(steps[self.STEP])) == [
                 (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-            steps[self.STEP].pairs[inner_key] = replace(inner, interval=[3, 4, 5])
+            steps[self.STEP].pairs[inner_key] = replace(inner, classes=[[3], [4], [5]])
 
         corrupt_replay(monkeypatch, corrupt)
         r = only_failure(check_small_n_lemmas(*cubic_run), "partition_restriction")
         # the outer pairs (2, 4), (2, 5) and (3, 5) each hold the class [2, 3],
-        # which the new interval cuts; (3, 5) also has both ends in it but
-        # another interval
+        # which the new classes cut; (3, 5) also has both ends in them but
+        # other classes
         assert r.lhs == 4.0
 
     def test_final_pair_dropped(self, cubic_run, monkeypatch):

@@ -11,7 +11,6 @@ from triwave.riemann import solve_scalar
 from triwave.wavefield import (
     BlockFluxes,
     FieldState,
-    IdRange,
     assign_initial_speeds,
     StepFunction,
     effective_flux,
@@ -33,22 +32,17 @@ def speeds_of(groups):
 
 
 def blocks(state):
-    """Maximal homogeneous intervals of alive waves (same sign, gap-free):
+    """Maximal runs of alive waves of one sign, each the tuple of its ids:
     the oracle for the block ``BlockFluxes`` walks out to."""
     out = []
-    start = prev = None
-    sign = 0
     for w in state.waves:
         if not w.alive:
             continue
-        if start is None or w.sign != sign:
-            if start is not None:
-                out.append(IdRange(start, prev))
-            start, sign = w.id, w.sign
-        prev = w.id
-    if start is not None:
-        out.append(IdRange(start, prev))
-    return out
+        if out and state.wave(out[-1][-1]).sign == w.sign:
+            out[-1].append(w.id)
+        else:
+            out.append([w.id])
+    return [tuple(run) for run in out]
 
 
 def kill(state, ids):
@@ -247,17 +241,17 @@ class TestEffectiveFlux:
         w0 = StepFunction.from_jumps([(0.0, 1), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         with pytest.raises(ValueError):
-            effective_flux(state, IdRange(1, 2), FluxTable(spec, EPS))
+            effective_flux(state, (1, 2), FluxTable(spec, EPS))
 
     def test_blocks_partition_alive_waves(self):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        assert [(b.lo, b.hi) for b in blocks(state)] == [(1, 2), (3, 5), (6, 6)]
+        assert blocks(state) == [(1, 2), (3, 4, 5), (6,)]
 
     def test_negative_block_flux(self, spec):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        eff = effective_flux(state, IdRange(3, 5), FluxTable(spec, EPS))
+        eff = effective_flux(state, (3, 4, 5), FluxTable(spec, EPS))
         # cells of the negative waves: hats 1, 0, -1 -> cells [1,2), [0,1), [-1,0)
         assert eff.base_index == -1
         assert len(eff.values) == 4
@@ -271,7 +265,7 @@ class TestBlockFluxes:
         fluxes = BlockFluxes(state, flux_table)
         assert fluxes.flux([1, 2]) is fluxes.flux([3, 4, 5])
         assert fluxes.flux([6]) is not fluxes.flux([1])
-        want = effective_flux(state, IdRange(1, 5), flux_table)
+        want = effective_flux(state, (1, 2, 3, 4, 5), flux_table)
         assert np.array_equal(fluxes.flux([4]).values, want.values)
 
     def test_rh_speed_is_the_chord_of_the_block_flux(self, flux_table):
@@ -290,15 +284,15 @@ class TestBlockFluxes:
         kill(state, dead)
         fluxes = BlockFluxes(state, flux_table)
         for blk in blocks(state):
-            members = blk.members(state)
             want = effective_flux(state, blk, flux_table)
-            for s in members:
+            for s in blk:
                 assert np.array_equal(fluxes.flux([s]).values, want.values)
-                assert fluxes.flux([s]) is fluxes.flux(members)
-            beyond = [s for s in state.alive_ids() if s > blk.hi]
+                assert fluxes.flux([s]) is fluxes.flux(blk)
+            assert fluxes._block(blk[0]) == blk
+            beyond = [s for s in state.alive_ids() if s > blk[-1]]
             if beyond:
                 with pytest.raises(ValueError, match="span two homogeneous blocks"):
-                    fluxes.flux([members[-1], beyond[0]])
+                    fluxes.flux([blk[-1], beyond[0]])
 
     def test_run_spanning_two_blocks_raises(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])

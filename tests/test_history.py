@@ -30,7 +30,7 @@ EPS = 0.05
 
 
 class TestMValue:
-    # partitions are given as explicit member lists; the participant range is
+    # partitions are given as explicit member lists; the crossing range is
     # the id interval of the waves sitting at the event point
 
     def test_no_class_inside_is_zero(self):
@@ -45,7 +45,7 @@ class TestMValue:
 
     def test_mixed_containment_counts_contained_classes_only(self):
         classes = [[1, 2], [3], [4, 5], [6]]
-        # participants cover ids 3..5: of the classes between the one holding
+        # the crossing covers ids 3..5: of the classes between the one holding
         # 2 and the one holding 6, only [3] and [4, 5] are inside
         assert m_value(classes, 3, 5, 2, 6, EPS) == pytest.approx(3 * EPS)
         # between 4 and 6 only [4, 5] lies inside

@@ -10,6 +10,8 @@ module owns:
 - ``PiecewiseAffineFlux``: node samples of f(., v) on eps*Z;
 - ``DerivativeBounds``: sampled sup norms of the second/third derivatives,
   used as the constants of every runtime inequality check;
+- ``flux_constants``: the checked ``FluxSpec`` of a flux selection and its
+  ``DerivativeBounds``, computed once per selection in a process;
 - ``FluxTable``: the per-run cache of one flux at one eps, keyed by integer
   ticks: the interpolants f_eps(., v), the scalar fans of the Riemann
   problems solved so far, and the quadrature increments of each cell;
@@ -24,6 +26,8 @@ All grid coordinates in this package are integer "ticks": node i sits at
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -38,6 +42,7 @@ __all__ = [
     "make_flux",
     "interpolate",
     "derivative_bounds",
+    "flux_constants",
     "build_effective_flux",
     "FluxTable",
     "validate_flux",
@@ -301,6 +306,33 @@ def validate_flux(spec: FluxSpec) -> list[str]:
     return [f"d_w({w[k]}, {v[k]}) = {d_w[k]} <= -1" if d_w[k] <= -1.0
             else f"d_w({w[k]}, {v[k]}) = {d_w[k]} is not a number"
             for k in zip(*np.nonzero(~(d_w > -1.0)))]
+
+
+# flux selections whose constants a process keeps: a run reads one, and a
+# batch or an ensemble cycles through a few
+_MEMO_SIZE = 16
+
+
+def flux_constants(flux: dict) -> tuple[FluxSpec, DerivativeBounds]:
+    """The flux a selection ``{"name": ..., "params": {...}}`` names, checked
+    hyperbolic on its box, and its derivative bounds.
+
+    Both are frozen and computed once per selection in a process (the last
+    ``_MEMO_SIZE`` selections are kept), keyed on the selection's canonical
+    JSON text and built from that text, so a later change to the caller's
+    dict does not reach them.  A selection that fails raises every time, and
+    nothing is kept for it."""
+    return _flux_constants(json.dumps(flux, sort_keys=True))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _flux_constants(key: str) -> tuple[FluxSpec, DerivativeBounds]:
+    flux = json.loads(key)
+    spec = make_flux(flux["name"], flux.get("params"))
+    problems = validate_flux(spec)
+    if problems:
+        raise ValueError(f"flux {spec.name} is not hyperbolic on its box: {problems[0]}")
+    return spec, derivative_bounds(spec)
 
 
 def validate_chords(spec: FluxSpec, eps: float, w_lo: int, w_hi: int,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flux import FluxSpec, derivative_bounds, make_flux, validate_chords, validate_flux
+from .flux import FluxSpec, flux_constants, validate_chords
 from .history import PairHistory
 from .replay import MAX_REPLAY_WAVES
 from .simulator import Trajectory, run
@@ -74,6 +74,15 @@ class ScenarioConfig:
         _check_flux(self.flux)
         for name in ("w0", "v0"):
             _check_datum(name, getattr(self, name))
+        # config.json records every field, and flux_constants keys on the
+        # flux's JSON text: a value JSON cannot encode (a numpy scalar, say)
+        # stops here, not after the run
+        for f in fields(self):
+            try:
+                json.dumps(getattr(self, f.name), sort_keys=True)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{f.name} must hold only JSON values (objects, lists, "
+                                 f"strings, numbers, booleans, null): {exc}") from None
 
     @staticmethod
     def from_json(path) -> "ScenarioConfig":
@@ -207,11 +216,7 @@ def build_initial_data(config: ScenarioConfig, spec: FluxSpec) -> tuple[StepFunc
 
 def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
     """Run one scenario end to end and write its artifacts."""
-    spec = make_flux(config.flux["name"], config.flux.get("params"))
-    problems = validate_flux(spec)
-    if problems:
-        raise ValueError(f"flux {spec.name} is not hyperbolic on its box: {problems[0]}")
-    bounds = derivative_bounds(spec)
+    spec, bounds = flux_constants(config.flux)
     w0, v0 = build_initial_data(config, spec)
     w_ticks = (w0.base, *w0.values)
     problems = validate_chords(spec, config.eps, min(w_ticks), max(w_ticks),
@@ -253,6 +258,9 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
                 "final": snapshot(traj.final_state),
             }
             _atomic_write(target / "snapshots.json", lambda fh: _write_json(fh, payload))
+        else:
+            # an earlier run's snapshots would pass for this run's
+            (target / "snapshots.json").unlink(missing_ok=True)
     if not passed:
         failed = [c for c in checks if not c.passed]
         log.error("scenario seed=%s failed %d checks; first: %s",

@@ -37,6 +37,7 @@ Small-N lemma suite (``check_small_n_lemmas``), against a per-pair replay:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_left
@@ -245,18 +246,27 @@ def _kernel_integral(a: float, xi: float, b: float) -> float:
     return F(b - a) - F(b - xi) - F(xi - a)
 
 
-def check_log2_kernel() -> list[CheckResult]:
-    """Verify the kernel bound behind the weight estimates: the integral of
-    1/(w'-w) over [a, xi] x [xi, b] never exceeds log2 (b-a)."""
+@functools.cache
+def _log2_cases() -> tuple[tuple[float, float, float], ...]:
+    """The ``LOG2_CASES`` seeded ``(a, xi, b)`` draws of the log-2 kernel
+    check, drawn from ``default_rng(0)`` on first use and kept for the
+    process: every run checks the same cases."""
     rng = np.random.default_rng(0)
     out = []
-    for k in range(LOG2_CASES):
+    for _ in range(LOG2_CASES):
         a = float(rng.uniform(-2.0, 1.0))
         b = float(a + rng.uniform(0.2, 3.0))
         xi = float(rng.uniform(a + 1e-3, b - 1e-3))
-        out.append(_check("log2_kernel", f"case:{k}", _kernel_integral(a, xi, b),
-                          LOG2 * (b - a) + 1e-6, a=a, xi=xi, b=b))
-    return out
+        out.append((a, xi, b))
+    return tuple(out)
+
+
+def check_log2_kernel() -> list[CheckResult]:
+    """Verify the kernel bound behind the weight estimates: the integral of
+    1/(w'-w) over [a, xi] x [xi, b] never exceeds log2 (b-a)."""
+    return [_check("log2_kernel", f"case:{k}", _kernel_integral(a, xi, b),
+                   LOG2 * (b - a) + 1e-6, a=a, xi=xi, b=b)
+            for k, (a, xi, b) in enumerate(_log2_cases())]
 
 
 # ---------------------------------------------------------------------------

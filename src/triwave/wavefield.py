@@ -21,8 +21,8 @@ The second-family fronts are kept on the state across events.  The first call
 of :meth:`FieldState.fronts` builds them from one-wave fronts by the merge
 rule; after that :func:`apply_event` edits them around the event site only,
 and tells the simulator's collision queue (if the state has one) which fronts
-it changed.  :func:`group_fronts` derives the same runs anew from each wave's
-own position, and :func:`validate_enumeration` compares the two.  The state
+it changed.  :func:`validate_enumeration` derives the same runs anew from
+each wave's own position and compares the two.  The state
 also keeps ``n_joined``, the pairs of waves on one front: the joined pairs
 of the pair history, which stores none of them.
 :class:`BlockFluxes` is the one lookup from a run of waves to the effective
@@ -58,7 +58,6 @@ __all__ = [
     "apply_event",
     "position",
     "FieldState",
-    "group_fronts",
     "initial_enumeration",
     "assign_initial_speeds",
     "speed_groups",
@@ -419,42 +418,6 @@ def _count_joined(fronts: Iterable[Front]) -> int:
     return twice // 2
 
 
-def group_fronts(state: FieldState) -> list[tuple[int, ...]]:
-    """The ids of every second-family front, derived anew from the waves: maximal
-    runs of alive waves, in id order, that share position, speed and sign.
-
-    The independent side of the check on the kept fronts.  Raises
-    ``ValueError`` if a run mixes v labels or crossing counts."""
-    alive = [w for w in state.waves if w.alive]
-    return _group_runs(alive, [position(w, state.time) for w in alive])
-
-
-def _group_runs(alive: list[WaveRecord], pos: list[float]) -> list[tuple[int, ...]]:
-    """:func:`group_fronts` over the alive waves and their positions."""
-    out: list[tuple[int, ...]] = []
-    start = 0
-    for k in range(1, len(alive)):
-        a, b = alive[k - 1], alive[k]
-        if pos[k] != pos[k - 1] or a.speed != b.speed or a.sign != b.sign:
-            out.append(_run_ids(alive[start:k], pos[start]))
-            start = k
-    if alive:
-        out.append(_run_ids(alive[start:], pos[start]))
-    return out
-
-
-def _run_ids(run: list[WaveRecord], x: float) -> tuple[int, ...]:
-    """The ids of one run; raises unless every wave has the v label and the
-    crossing count of the first."""
-    first = run[0]
-    for w in run:
-        if w.v_label != first.v_label or w.crossed != first.crossed:
-            labels = {w.v_label for w in run}
-            crossed = {w.crossed for w in run}
-            raise ValueError(f"mixed front at x={x}: labels={labels} crossed={crossed}")
-    return tuple([w.id for w in run])
-
-
 def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> FieldState:
     """Enumerate the initial datum: one wave per eps of total variation.
 
@@ -587,69 +550,119 @@ def validate_enumeration(state: FieldState) -> list[str]:
     co-located waves fills (w(x-), w(x)] (or the mirrored range) bijectively
     and monotonically in the right order; signs match the jump direction; the
     signed wave measure telescopes back to the base value (push-forward);
-    the kept ``n_alive`` and ``per_crossed`` equal a recount by
-    :func:`_count_alive`; if the state keeps its fronts, they are the runs
-    :func:`group_fronts` derives anew from the waves, and the kept
-    ``n_joined`` is the pairs those runs hold.  The positions are
-    computed once, and both the stacks and the regrouping read them.
-    """
-    problems: list[str] = []
-    alive = [w for w in state.waves if w.alive]
-    # a wave without speed (reported below) is taken to stay at its anchor
-    pos = [w.x_a if w.speed is None else position(w, state.time) for w in alive]
-    for k in range(len(alive) - 1):
-        if pos[k] > pos[k + 1]:
-            problems.append(f"positions out of order: wave {alive[k].id} at {pos[k]} "
-                            f"after {alive[k + 1].id} at {pos[k + 1]}")
+    the kept ``n_alive`` and ``per_crossed`` equal a recount; if the state
+    keeps its fronts, they are the runs derived anew from each wave's own
+    position (maximal runs of alive waves that share position, speed and
+    sign, none mixing v labels or crossing counts), and the kept
+    ``n_joined`` is the pairs those runs hold.
 
-    # stacks of co-located waves, by exact position
+    One loop over the waves computes each position once and, in the same
+    step, tests the order, checks the open stack, counts the alive waves per
+    ``crossed`` value and closes each run.  Every call recounts from the
+    waves; nothing is carried from one call to the next.
+    """
+    t = state.time
+    top = max((vf.id for vf in state.v_fronts), default=0)
+    per_crossed = [0] * (top + 1)
+    alive: list[WaveRecord] = []
+    disorder: list[str] = []
+    stacks: list[str] = []
+    no_speed: list[str] = []
+    no_death: list[str] = []
+    runs: list[tuple[int, ...]] = []
+    mixed_front: str | None = None
     level = state.w_base
-    start = 0
-    for k in range(1, len(alive) + 1):
-        if k < len(alive) and pos[k] == pos[start]:
-            continue
-        stack, x = alive[start:k], pos[start]
-        start = k
-        sign = stack[0].sign
-        if len(stack) > 1 and len({w.sign for w in stack}) != 1:
-            problems.append(f"mixed-sign stack at x={x}")
-            continue
-        before = level
-        after = before + sign * len(stack)
-        hats = [w.w_hat for w in stack]
-        if hats != list(range(before + sign, after + sign, sign)):
-            problems.append(
-                f"stack at x={x}: right states {hats} do not fill "
+    # the open stack: where it starts, its position and sign, the right state
+    # its next wave must have, and whether it mixes signs or misses a state;
+    # the open run: where it starts, its position, its first wave, and
+    # whether it mixes v labels or crossing counts.  The first alive wave
+    # opens both.
+    stack_start = stack_x = sign = expect = mixed_sign = unfilled = None
+    run_start = run_x = lead = mixed_run = prev_x = None
+
+    def close_run(end: int) -> None:
+        nonlocal mixed_front
+        run = alive[run_start:end]
+        runs.append(tuple([w.id for w in run]))
+        if mixed_run and mixed_front is None:
+            labels = {w.v_label for w in run}
+            crossed = {w.crossed for w in run}
+            mixed_front = f"mixed front at x={run_x}: labels={labels} crossed={crossed}"
+
+    def close_stack(end: int) -> None:
+        nonlocal level
+        if mixed_sign:
+            stacks.append(f"mixed-sign stack at x={stack_x}")
+            return
+        before, after = level, level + sign * (end - stack_start)
+        if unfilled:
+            hats = [w.w_hat for w in alive[stack_start:end]]
+            stacks.append(
+                f"stack at x={stack_x}: right states {hats} do not fill "
                 f"{'(' + str(before) + ', ' + str(after) + ']' if sign > 0 else '[' + str(after) + ', ' + str(before) + ')'}"
             )
         level = after
+
+    for w in state.waves:
+        if w.x_a is None:
+            if w.death_time is None:
+                no_death.append(f"dead wave {w.id} without death time")
+            continue
+        if w.speed is None:
+            no_speed.append(f"alive wave {w.id} without speed")
+            x = w.x_a    # taken to stay at its anchor
+        else:
+            x = position(w, t)
+        per_crossed[min(w.crossed, top)] += 1
+        k = len(alive)
+        if k and x == stack_x:
+            if w.sign != sign:
+                mixed_sign = True
+            if w.w_hat != expect:
+                unfilled = True
+            expect += sign
+            if w.speed != lead.speed or w.sign != lead.sign:
+                close_run(k)
+                run_start, run_x, lead, mixed_run = k, x, w, False
+            elif w.v_label != lead.v_label or w.crossed != lead.crossed:
+                mixed_run = True
+        else:
+            if k:
+                if prev_x > x:
+                    disorder.append(f"positions out of order: wave {alive[-1].id} at {prev_x} "
+                                    f"after {w.id} at {x}")
+                close_run(k)
+                close_stack(k)
+            stack_start, stack_x, sign, expect = k, x, w.sign, level + w.sign
+            mixed_sign = False
+            unfilled = w.w_hat != expect
+            expect += sign
+            run_start, run_x, lead, mixed_run = k, x, w, False
+        alive.append(w)
+        prev_x = x
+    if alive:
+        close_run(len(alive))
+        close_stack(len(alive))
+
+    problems = disorder + stacks
     if level != state.w_base:
         problems.append(f"profile does not return to base: ends at {level}")
-
-    for w in alive:
-        if w.speed is None:
-            problems.append(f"alive wave {w.id} without speed")
-    for w in state.waves:
-        if not w.alive and w.death_time is None:
-            problems.append(f"dead wave {w.id} without death time")
-    n_alive, per_crossed = _count_alive(alive, state.v_fronts)
-    if state.n_alive != n_alive:
-        problems.append(f"kept alive count {state.n_alive}, recounted {n_alive}")
+    problems += no_speed + no_death
+    if state.n_alive != len(alive):
+        problems.append(f"kept alive count {state.n_alive}, recounted {len(alive)}")
     if state.per_crossed != per_crossed:
         problems.append(f"kept alive counts per crossed value {state.per_crossed}, "
                         f"recounted {per_crossed}")
     if state._fronts is not None:
-        try:
-            regrouped = _group_runs(alive, pos)
-        except ValueError as exc:
-            problems.append(str(exc))
+        if mixed_front is not None:
+            problems.append(mixed_front)
         else:
             kept = [f.ids for f in state._fronts]
-            for k, (a, b) in enumerate(zip_longest(kept, regrouped)):
+            for k, (a, b) in enumerate(zip_longest(kept, runs)):
                 if a != b:
                     problems.append(f"kept front {k} is {a}, regrouped {b}")
                     break
-            n_joined = sum(len(ids) * (len(ids) - 1) // 2 for ids in regrouped)
+            n_joined = sum(len(ids) * (len(ids) - 1) // 2 for ids in runs)
             if state._n_joined != n_joined:
                 problems.append(f"kept count of pairs on one front {state._n_joined}, "
                                 f"recounted {n_joined}")

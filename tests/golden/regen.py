@@ -1,9 +1,9 @@
 """Regenerate the golden artifacts under ``tests/golden`` from the current tree.
 
-    PYTHONPATH=src python tests/golden/regen.py [--check]
+    python3 tests/golden/regen.py [--check]
 
-runs every golden case with ``run_scenario`` and rewrites its
-``events.csv`` and ``functionals.csv``:
+imports triwave from this checkout's ``src``, runs every golden case with
+``run_scenario`` and rewrites its ``events.csv`` and ``functionals.csv``:
 
 - ``configs/demo.json`` as shipped (seed 42, level ``full``), at the top;
 - a 58-jump scalar datum at level ``fast``, under ``scalar_fast/``;
@@ -28,10 +28,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from triwave.scenario import ScenarioConfig, run_scenario
-
 GOLDEN = Path(__file__).resolve().parent
 ROOT = GOLDEN.parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from triwave.scenario import ScenarioConfig, run_scenario  # noqa: E402
+
 DEMO = ROOT / "configs" / "demo.json"
 NAMES = ("events.csv", "functionals.csv")
 # (x, ticks): a walk of single-tick jumps within 6 ticks, then back to 0

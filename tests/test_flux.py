@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from doubles import reference_effective_flux
+from triwave import flux
 from triwave.envelopes import rh_speed
 from triwave.flux import (
     Box,
@@ -15,11 +16,13 @@ from triwave.flux import (
     FluxTable,
     build_effective_flux,
     derivative_bounds,
+    flux_constants,
     interpolate,
     make_flux,
     validate_chords,
     validate_flux,
 )
+from triwave.scenario import ScenarioConfig, run_scenario
 
 EPS = 0.05
 
@@ -336,3 +339,80 @@ def test_make_flux_rejects_unknown_and_missing_params():
         make_flux("quadratic_coupled", {"c": 0.2, "cc": 0.2, "d": 1})
     with pytest.raises(ValueError, match="needs coeffs"):
         make_flux("custom_poly", {"box": [-0.8, 0.8, -0.5, 0.5]})
+
+
+CUBIC = {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}}
+
+
+def fresh_bounds(selection):
+    return derivative_bounds(make_flux(selection["name"], selection.get("params")))
+
+
+def counting(monkeypatch, name):
+    """Count the calls ``flux_constants`` makes to ``flux.<name>``."""
+    calls = []
+    real = getattr(flux, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(flux, name, counted)
+    return calls
+
+
+class TestFluxConstants:
+    @pytest.mark.parametrize("selection", [
+        {"name": "quadratic_coupled", "params": {"c": 0.1}},
+        {"name": "quartic", "params": {"c": 0.1}},
+        {"name": "quadratic_coupled"},
+        CUBIC,
+    ], ids=["quadratic_coupled", "quartic", "default_params", "cubic_custom_poly"])
+    def test_bounds_equal_a_fresh_computation(self, selection):
+        spec, bounds = flux_constants(selection)
+        assert spec.name == selection["name"]
+        assert bounds == fresh_bounds(selection)
+        # a second lookup, from an equal dict in another key order, is the first
+        assert flux_constants(dict(reversed(selection.items()))) == (spec, bounds)
+
+    def test_computed_once_per_selection(self, monkeypatch):
+        calls = counting(monkeypatch, "derivative_bounds")
+        selection = {"name": "quartic", "params": {"c": 0.0123}}
+        first = flux_constants(selection)
+        assert flux_constants({"params": {"c": 0.0123}, "name": "quartic"}) is first
+        assert len(calls) == 1
+
+    def test_a_failing_flux_raises_every_time(self, monkeypatch):
+        calls = counting(monkeypatch, "validate_flux")
+        selection = {"name": "custom_poly", "params": {"coeffs": [[2, 0, 2.0]]}}
+        message = "flux custom_poly is not hyperbolic on its box: d_w(-0.8, -0.5) = -3.2 <= -1"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                flux_constants(selection)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("other", [
+        {"name": "custom_poly", "params": {**CUBIC["params"], "box": [-0.6, 0.6, -0.5, 0.5]}},
+        {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.5]]}},
+    ], ids=["box", "coefficient"])
+    def test_selections_that_differ_get_their_own_bounds(self, other):
+        _, bounds = flux_constants(CUBIC)
+        _, got = flux_constants(other)
+        assert got == fresh_bounds(other) != bounds
+
+    def test_the_callers_dict_does_not_reach_a_later_lookup(self):
+        coeffs = [[3, 0, 1.0], [2, 1, 0.35]]
+        selection = {"name": "custom_poly", "params": {"coeffs": coeffs}}
+        want = fresh_bounds(selection)
+        cfg = ScenarioConfig(flux=selection, w0={"jumps": [[1.0, 2], [2.0, 0]]},
+                             v0={"jumps": []}, check_level="fast")
+        assert run_scenario(cfg).trajectory.bounds == want
+        coeffs[1][2] = 0.9
+        selection["params"]["box"] = [-0.6, 0.6, -0.5, 0.5]
+        spec, bounds = flux_constants({"name": "custom_poly",
+                                       "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.35]]}})
+        assert bounds == want
+        assert spec.box == Box(-0.8, 0.8, -0.5, 0.5)
+        assert spec.d2_wv(0.5, 0.0) == pytest.approx(2 * 0.35 * 0.5)
+        # and the mutated dict is a selection of its own
+        assert flux_constants(selection)[1] == fresh_bounds(selection) != want

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from doubles import group_fronts
 from triwave.flux import FluxTable, derivative_bounds, make_flux
 from triwave.history import (
     PairHistory,
@@ -21,7 +22,6 @@ from triwave.wavefield import (
     EventKind,
     StepFunction,
     assign_initial_speeds,
-    group_fronts,
     initial_enumeration,
     position,
 )

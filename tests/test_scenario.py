@@ -88,6 +88,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             ScenarioConfig(w0=w0)
 
+    @pytest.mark.parametrize("key,value,name", [
+        ("w0", {"jumps": [[np.float32(1.0), 3], [4.0, 0]]}, "float32"),
+        ("v0", {"random": {"jumps": np.int64(3)}}, "int64"),
+        ("flux", {"name": "quartic", "params": {"c": np.float32(0.1)}}, "float32"),
+    ])
+    def test_rejects_what_json_cannot_encode(self, key, value, name):
+        # a numpy scalar passes as a number, but config.json could not hold it
+        message = (f"{key} must hold only JSON values (objects, lists, strings, numbers, "
+                   f"booleans, null): Object of type {name} is not JSON serializable")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioConfig(**{key: value})
+
     def test_explicit_jump_lists(self, spec):
         cfg = ScenarioConfig(w0={"jumps": [[1.0, 2], [3.0, 0]]},
                              v0={"jumps": [[5.0, 1], [6.0, 0]]})
@@ -144,6 +156,15 @@ class TestRunScenario:
                      "config.json"):
             a, b = ((tmp_path / side / name).read_bytes() for side in "ab")
             assert a == b, name
+
+    def test_a_run_without_snapshots_removes_stale_ones(self, tmp_path):
+        doc = json.loads(DEMO.read_text())
+        run_scenario(ScenarioConfig(**{**doc, "write_snapshots": True}), out_dir=tmp_path)
+        assert (tmp_path / "snapshots.json").exists()
+        run_scenario(ScenarioConfig(**{**doc, "seed": 7, "write_snapshots": False}),
+                     out_dir=tmp_path)
+        assert json.loads((tmp_path / "config.json").read_text())["seed"] == 7
+        assert not (tmp_path / "snapshots.json").exists()
 
     def test_config_json_replays_the_run(self, tmp_path):
         cfg = ScenarioConfig(
@@ -203,6 +224,13 @@ class TestRunScenario:
 
     def test_regen_check_finds_the_committed_goldens_unchanged(self):
         assert regen.main(["--check"]) == 0
+
+    def test_regen_imports_triwave_from_its_checkout(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, str(GOLDEN / "regen.py"), "--help"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "--check" in proc.stdout
 
     def test_regen_check_writes_nothing_and_fails_on_a_change(self, tmp_path, monkeypatch,
                                                               capsys):

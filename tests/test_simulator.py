@@ -1,6 +1,6 @@
 import pytest
 
-from doubles import CorruptAfterFirstEvent, bump_one_budget, swap_kept_ids
+from doubles import CorruptAfterFirstEvent, bump_one_budget, group_fronts, swap_kept_ids
 from golden.regen import SCALAR_FAST_JUMPS
 from triwave import scenario, simulator
 from triwave.flux import FluxTable, make_flux
@@ -13,7 +13,6 @@ from triwave.wavefield import (
     VFront,
     apply_event,
     assign_initial_speeds,
-    group_fronts,
     initial_enumeration,
     position,
     validate_enumeration,

@@ -1,13 +1,17 @@
 import ast
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from doubles import multipass_validate_enumeration, swap_end_positions, swap_kept_ids
+from test_acceptance import SMALL_N_SEEDS, ensemble_config, small_n_config
+from triwave import simulator
 from triwave.flux import FluxTable, make_flux
 from triwave.riemann import solve_scalar
+from triwave.scenario import run_scenario
 from triwave.wavefield import (
     BlockFluxes,
     FieldState,
@@ -234,6 +238,91 @@ class TestValidateEnumeration:
         state.wave(3).x_a = -1.0
         problems = validate_enumeration(state)
         assert any("out of order" in p for p in problems)
+
+
+def corrupted_state(flux_table, corrupt):
+    """Fronts 0 -> 2 (a fan of waves 1, 2), 2 -> 0 (a shock of waves 3, 4),
+    0 -> -1 (wave 5) and -1 -> 0 (wave 6) across two v-fronts, with its
+    fronts kept, after ``corrupt(state)``."""
+    state = initial_enumeration(StepFunction.from_jumps([(0.0, 2), (1.0, 0), (2.0, -1), (3.0, 0)]),
+                                StepFunction.from_jumps([(0.5, 2), (1.5, 0)]), EPS)
+    assign_initial_speeds(state, flux_table)
+    state.fronts()
+    corrupt(state)
+    return state
+
+
+def set_wave(s, **values):
+    def corrupt(state):
+        for name, value in values.items():
+            setattr(state.wave(s), name, value)
+    return corrupt
+
+
+# one corruption per kind of problem, and the problem it must raise
+CORRUPTIONS = {
+    "order": (swap_end_positions, "positions out of order: wave 1 at 3.0 after 2 at 0.0"),
+    # waves 5 and 6 move at one speed: only their signs tell the runs apart
+    "mixed_sign_stack": (set_wave(5, x_a=3.0), "mixed-sign stack at x=3.0"),
+    "unfilled_stack": (set_wave(4, w_hat=1), "stack at x=1.0: right states [1, 1] do not fill [0, 2)"),
+    "base": (set_wave(6, x_a=None, speed=None, death_time=0.0),
+             "profile does not return to base: ends at -1"),
+    "no_speed": (set_wave(1, speed=None), "alive wave 1 without speed"),
+    "no_death_time": (set_wave(5, x_a=None, speed=None), "dead wave 5 without death time"),
+    "n_alive": (lambda state: setattr(state, "n_alive", 7), "kept alive count 7, recounted 6"),
+    "per_crossed": (lambda state: state.per_crossed.__setitem__(0, 3),
+                    "kept alive counts per crossed value [3, 2, 2], recounted [2, 2, 2]"),
+    "mixed_front": (set_wave(4, v_label=7), "mixed front at x=1.0: labels={2, 7} crossed={1}"),
+    "mixed_front_crossed": (set_wave(4, crossed=2),
+                            "mixed front at x=1.0: labels={2} crossed={1, 2}"),
+    # the first of two mixed fronts is the one reported
+    "two_mixed_fronts": (lambda state: (set_wave(2, speed=state.wave(1).speed, v_label=5)(state),
+                                        set_wave(4, v_label=7)(state)),
+                         "mixed front at x=0.0: labels={0, 5} crossed={0}"),
+    "kept_front": (swap_kept_ids, "kept front 0 is (2,), regrouped (1,)"),
+    "n_joined": (lambda state: setattr(state, "_n_joined", 2),
+                 "kept count of pairs on one front 2, recounted 1"),
+    # problems of several kinds, found in another order than they are listed
+    "several": (lambda state: (set_wave(1, x_a=None, speed=None)(state),
+                               set_wave(6, speed=None)(state)),
+                "alive wave 6 without speed"),
+}
+
+
+class TestOnePassMatchesMultipass:
+    """The one-pass ``validate_enumeration`` returns the problems of the
+    multi-pass oracle in ``doubles``, in the same order."""
+
+    def test_clean_state_has_no_problem(self, flux_table):
+        state = corrupted_state(flux_table, lambda state: None)
+        assert validate_enumeration(state) == multipass_validate_enumeration(state) == []
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_each_kind_of_corruption(self, flux_table, kind):
+        corrupt, problem = CORRUPTIONS[kind]
+        state = corrupted_state(flux_table, corrupt)
+        problems = validate_enumeration(state)
+        assert problem in problems
+        assert problems == multipass_validate_enumeration(state)
+
+    def test_after_every_event(self, monkeypatch):
+        compared = []
+
+        def both(state):
+            problems = validate_enumeration(state)
+            assert problems == multipass_validate_enumeration(state)
+            compared.append(problems)
+            return problems
+
+        monkeypatch.setattr(simulator, "validate_enumeration", both)
+        # the small-N data validated at every event, without the lemma suite
+        configs = [replace(small_n_config(seed), check_level="full") for seed in SMALL_N_SEEDS]
+        configs += [ensemble_config(seed, flux) for seed in (0, 1) for flux in (
+            None, {"name": "quartic", "params": {}},
+            {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}})]
+        events = sum(len(run_scenario(cfg).trajectory.events) for cfg in configs)
+        assert events > 1000 and len(compared) > 500
+        assert not any(compared)
 
 
 class TestEffectiveFlux:

@@ -23,36 +23,47 @@ Budgets are exact integers.  A crossing of v-front h adds
 2 ||d3f/dw2dv|| |v_h| M to pi, with |v_h| = ticks_h * eps and M = count * eps
 (``m_value``), so every pi is ``K * P``: K = 2 ||d3f/dw2dv|| eps^2, and P is
 the integer sum of ticks_h * count over the pair's crossings.  Each pair
-stores P and its denominator d = |w_hat(s') - w_hat(s)| + 1 in ticks, fixed
-when the pair meets; the history keeps ``S[d]``, the sum of P over the
-divided pairs with denominator d, as Python ints.  Then
-
-    Q = eps^2 (||d2f/dw2|| (n(n-1)/2 - joined pairs - stored pairs)
-               + 2 ||d3f/dw2dv|| eps sum_d S[d] / d),
-
-n the alive count, the joined pairs those on one kept front, the stored
-pairs the divided ones, the sum over d taken by ``math.fsum`` in sorted
-order: O(distinct denominators) per event, and independent of summation
-order.  ``S`` changes in three places only: a crossing grows P, and a
-divided pair that dies or meets again takes its P out.  A divided pair that
-meets again joined leaves the store; one that meets again and stays divided
-is an error.  ``PairHistory.validate`` recounts ``S`` from the pairs and
-reports a stored pair on one kept front, which would be counted twice.
+stores its denominator d = |w_hat(s') - w_hat(s)| + 1 in ticks, fixed when
+the pair meets, but not P: P is read from per-wave potentials.
 
 Partitions are shared: every pair divided at the same event sees the same
-classes, so one record per event serves them all.  A class is the tuple of
-its alive ids.
-``PairHistory`` keeps a registry from each live record to the divided pairs
-that share it, in rows by lower id: ``records[rec][s][s2]``, rows and
-entries in ascending id order.  At a crossing the classes of a record that
-lie inside it form one run a..b, found by bisecting on their first and last
-ids, and a pair has a nonzero count exactly when its lower wave's class is
-at most b and its upper wave's at least a; running sums of the class sizes
-over the run give that count in O(1), so the walk stops at the first row
-past b and at the first entry of a row below a.  A crossing or a
-cancellation changes only the classes that meet its colliding waves, and one
-rule re-splits them for both.  One crossing then costs O(changed pairs +
-crossed classes) instead of O(classes + pairs) of every record it reaches.
+classes, so one record per event serves them all, and every pair of a record
+comes from the one ``_meet`` that makes it, with P = 0.  A class is the tuple
+of its alive ids.  At a crossing the classes of a record that lie inside it
+form one run a..b, found by bisecting on their first and last ids, and the
+count of a pair (s, s') of the record is ``F(s') - G(s)``: F(w) is the number
+of waves in classes a..min(class(w), b), G(w) the number in classes
+a..max(class(w), a) - 1, both 0 below class a.  So each wave w of a record
+keeps two integer potentials, ``A[w] += ticks * F(w)`` and
+``B[w] += ticks * G(w)`` at every crossing, and
+
+    P(s, s') = A[s'] - B[s].
+
+A crossing then costs O(waves of the record from class a on) instead of
+O(pairs it grows).
+
+Q needs the sum of P / d, and d varies per pair.  The history keeps it exact
+as one Python int, ``T = sum P * (L / d)`` over the divided pairs, with
+``L = lcm(1..d_max)`` and d_max = max w_hat - min w_hat + 1, set once in
+``initialize`` (w_hat is permanent).  Each wave of a record keeps two integer
+weights: ``up[w]``, the sum of L / d over its partners below it in the
+record, and ``dn[w]``, the sum over its partners above.  A crossing adds
+``ticks * sum_w (F(w) up[w] - G(w) dn[w])`` to T; a divided pair that dies or
+meets again takes ``P * L / d`` out of T and ``L / d`` out of the weights of
+its two waves.  Then
+
+    Q = eps^2 (||d2f/dw2|| (n(n-1)/2 - joined pairs - stored pairs)
+               + 2 ||d3f/dw2dv|| eps T / L),
+
+n the alive count, the joined pairs those on one kept front, the stored
+pairs the divided ones, and T / L one correctly rounded division: O(1) per
+event.  A divided pair that meets again joined leaves the store; one that
+meets again and stays divided is an error.  ``PairHistory.validate``
+recounts T and every record's weights from the stored pairs and reports a
+stored pair on one kept front, which would be counted twice.
+
+A crossing or a cancellation changes only the classes that meet its
+colliding waves, and one rule re-splits them for both.
 """
 
 from __future__ import annotations
@@ -60,8 +71,9 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter, mul
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from .flux import DerivativeBounds, FluxSpec, FluxTable
@@ -97,41 +109,49 @@ class PartitionRecord:
     ascending id order, each the tuple of its alive waves in ascending id
     order.  The waves present at that meeting, less those dead since, are
     the classes' union.  A class that loses a wave is cut to the waves left.
-    Records compare and hash by identity, so they key the pair registry.
+    Per wave of the classes it keeps the potentials ``A`` and ``B`` (so a
+    pair's budget is ``A[s2] - B[s]``) and the weights ``up`` and ``dn`` (the
+    sums of L / d over the wave's partners below and above it), all 0 when
+    the record is made.  Records compare and hash by identity, so they key
+    the registry.
     """
 
     classes: list[tuple[int, ...]]
+    A: dict[int, int] = field(init=False)
+    B: dict[int, int] = field(init=False)
+    up: dict[int, int] = field(init=False)
+    dn: dict[int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        ids = [s for cls in self.classes for s in cls]
+        self.A, self.B, self.up, self.dn = (dict.fromkeys(ids, 0) for _ in range(4))
+
+    def forget(self, ids) -> None:
+        """Drop the potentials and weights of the dead waves ``ids``."""
+        for s in ids:
+            del self.A[s], self.B[s], self.up[s], self.dn[s]
 
 
 @dataclass(slots=True)
 class PairRec:
-    """History of one divided pair: its shared partition; its integer budget
-    P (pi = K * P, 0 when the pair divides); and its denominator
-    d = |w_hat' - w_hat| + 1, fixed when the pair divides."""
+    """History of one divided pair: its shared partition, and its denominator
+    d = |w_hat' - w_hat| + 1, fixed when the pair divides.  Its budget P
+    (pi = K * P) is ``PairHistory.budget``."""
 
     record: PartitionRecord
-    P: int
     d: int
 
 
 _first = itemgetter(0)
 _last = itemgetter(-1)
+_record_of = attrgetter("record")
 
 
-def _ascending(ids) -> bool:
-    """True if the distinct ``ids`` (dict keys) come in ascending order."""
-    ids = list(ids)
-    return ids == sorted(ids)
-
-
-def _record_problem(rec: PartitionRecord, rows: dict[int, dict[int, PairRec]],
-                    waves: list) -> str | None:
-    """What a refinement takes for granted of a live record and ``rec``
-    fails: its rows of pairs (``rows``) and each row in ascending id order,
-    its classes non-empty and their ids ascending across the record, and
-    every wave of a class alive.  None if it holds."""
-    if not (_ascending(rows) and all(map(_ascending, rows.values()))):
-        return "pairs out of id order"
+def _record_problem(rec: PartitionRecord, waves: list) -> str | None:
+    """What a crossing and a refinement take for granted of a live record
+    ``rec`` and it fails: its classes non-empty, their ids ascending across
+    the record, every wave of a class alive, and its potentials and weights
+    kept for exactly the waves of its classes.  None if it holds."""
     prev = 0
     for cls in rec.classes:
         if not cls:
@@ -142,7 +162,25 @@ def _record_problem(rec: PartitionRecord, rows: dict[int, dict[int, PairRec]],
             if not waves[s - 1].alive:
                 return f"class {cls[0]}..{cls[-1]} holds dead wave {s}"
             prev = s
+    ids = {s for cls in rec.classes for s in cls}
+    if not ids == rec.A.keys() == rec.B.keys() == rec.up.keys() == rec.dn.keys():
+        return "potentials or weights not kept for exactly the waves of its classes"
     return None
+
+
+def _weight_problem(name: str, kept: dict[int, int], recount: dict[int, int]) -> str | None:
+    """The first wave whose kept weight ``name`` differs from its recount,
+    or None."""
+    if kept == recount:
+        return None
+    s = min(s for s in kept.keys() | recount.keys() if kept.get(s) != recount.get(s))
+    return f"kept weight {name}[{s}] = {kept.get(s)}, recounted {recount.get(s)}"
+
+
+def _span(rec: PartitionRecord) -> str:
+    """How a problem names the record ``rec``."""
+    ids = [s for cls in rec.classes for s in cls]
+    return f"record over ids {min(ids)}..{max(ids)}"
 
 
 def m_value(class_members: list[list[int]], part_lo: int, part_hi: int,
@@ -182,27 +220,40 @@ class PairHistory:
         self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P
         # (s, s2), s < s2 -> the divided pair; joined pairs are never stored
         self.pairs: dict[tuple[int, int], PairRec] = {}
-        # live record -> lower id s -> upper id s2 -> the divided pair (s, s2)
-        # sharing it; rows and entries in ascending id order
-        self.records: dict[PartitionRecord, dict[int, dict[int, PairRec]]] = {}
+        # live record -> the number of divided pairs sharing it
+        self.records: dict[PartitionRecord, int] = {}
         # wave id -> the waves it has a stored pair with; no empty sets
         self.partners: dict[int, set[int]] = {}
-        # d -> sum of P over the divided pairs with denominator d; no zero sums
-        self.S: dict[int, int] = {}
+        # L = lcm(1..d_max) and weights[d] = L // d; initialize sets them
+        self.L = 1
+        self.weights = [0, 1]
+        # sum of P * L / d over the divided pairs
+        self.T = 0
+
+    def budget(self, s: int, s2: int) -> int:
+        """P of the divided pair (s, s2), s < s2: pi = K * P."""
+        rec = self.pairs[(s, s2)].record
+        return rec.A[s2] - rec.B[s]
 
     def _set_pair(self, key: tuple[int, int], pair: PairRec) -> None:
-        """Store the fresh (P = 0) divided ``pair`` under ``key``: in
-        ``pairs``, ``partners`` and its record's row."""
+        """Store the divided ``pair`` of a fresh record (so P = 0) under
+        ``key``: in ``pairs``, ``partners``, its record's pair count and the
+        weights of its two waves."""
         s, s2 = key
         self.pairs[key] = pair
         self.partners.setdefault(s, set()).add(s2)
         self.partners.setdefault(s2, set()).add(s)
-        self.records.setdefault(pair.record, {}).setdefault(s, {})[s2] = pair
+        rec = pair.record
+        self.records[rec] = self.records.get(rec, 0) + 1
+        w = self.weights[pair.d]
+        rec.up[s2] += w
+        rec.dn[s] += w
 
     def _drop(self, s: int, s2: int) -> None:
         """Forget the divided pair of waves ``s`` and ``s2`` (either order):
-        it leaves ``pairs``, ``partners`` and its record's row, and takes its
-        P out of ``S``."""
+        it leaves ``pairs``, ``partners`` and its record's count (a record
+        without pairs leaves the registry), and takes its L / d out of the
+        weights of its waves and P * L / d out of ``T``."""
         if s > s2:
             s, s2 = s2, s
         pair = self.pairs.pop((s, s2))
@@ -211,46 +262,71 @@ class PairHistory:
             mates.discard(b)
             if not mates:
                 del self.partners[a]
-        rows = self.records[pair.record]
-        row = rows[s]
-        del row[s2]
-        if not row:
-            del rows[s]
-            if not rows:
-                del self.records[pair.record]
-        if pair.P:
-            # a P changed behind S's back may leave a negative sum: validate reports it
-            left = self.S.get(pair.d, 0) - pair.P
-            if left:
-                self.S[pair.d] = left
-            else:
-                del self.S[pair.d]
+        rec = pair.record
+        left = self.records[rec] - 1
+        if left:
+            self.records[rec] = left
+        else:
+            del self.records[rec]
+        w = self.weights[pair.d]
+        rec.up[s2] -= w
+        rec.dn[s] -= w
+        P = rec.A[s2] - rec.B[s]
+        if P:
+            self.T -= P * w
 
     def validate(self, state: FieldState) -> list[str]:
-        """Recount ``S`` from the pairs' budgets, check that no stored pair
-        has both waves on one kept front (``q_quadratic`` counts those pairs
-        as joined through ``state.n_joined``), and check every live record
-        for what a crossing takes for granted (``_record_problem``).  Returns
-        the first kept sum that differs, the first such pair and the first
-        record that fails (empty = ok)."""
+        """Recount from the stored pairs ``T``, every live record's weights
+        ``up`` and ``dn`` and its pair count; check that no stored pair has
+        both waves on one kept front (``q_quadratic`` counts those pairs as
+        joined through ``state.n_joined``), and check every live record for
+        what a crossing takes for granted (``_record_problem``).  Returns
+        the first kept value that differs from its recount, the first such
+        pair and the first record that fails (empty = ok)."""
         problems = []
-        recount: dict[int, int] = {}
-        for pair in self.pairs.values():
-            if pair.P:
-                recount[pair.d] = recount.get(pair.d, 0) + pair.P
-        if recount != self.S:
-            d = min(d for d in recount.keys() | self.S.keys()
-                    if recount.get(d, 0) != self.S.get(d, 0))
-            problems.append(f"kept budget sum S[{d}] = {self.S.get(d, 0)}, "
-                            f"recounted {recount.get(d, 0)}")
+        weights = self.weights
+        # record -> the recounted up and dn of the waves it keeps them for;
+        # a record's pairs come from one _meet, so they mostly come in a row
+        recount: dict[PartitionRecord, tuple[dict, dict]] = {}
+        last = None
+        for (s, s2), pair in self.pairs.items():
+            if pair.record is not last:
+                last = pair.record
+                if last not in recount:
+                    recount[last] = dict.fromkeys(last.up, 0), dict.fromkeys(last.dn, 0)
+                up, dn = recount[last]
+                up_get, dn_get = up.get, dn.get
+            w = weights[pair.d]
+            up[s2] = up_get(s2, 0) + w
+            dn[s] = dn_get(s, 0) + w
+        # the sum over the pairs of (A[s2] - B[s]) L / d, wave by wave
+        T = 0
+        for rec, (up, dn) in recount.items():
+            T += sum(map(mul, map(rec.A.get, up, repeat(0)), up.values()))
+            T -= sum(map(mul, map(rec.B.get, dn, repeat(0)), dn.values()))
+        if T != self.T:
+            problems.append(f"kept budget sum T = {self.T}, recounted {T}")
+        for rec in self.records:
+            up, dn = recount.get(rec) or (dict.fromkeys(rec.up, 0), dict.fromkeys(rec.dn, 0))
+            problem = _weight_problem("up", rec.up, up) or _weight_problem("dn", rec.dn, dn)
+            if problem:
+                problems.append(f"{_span(rec)}: {problem}")
+                break
+        count: dict[PartitionRecord, int] = {}
+        for rec, run in groupby(map(_record_of, self.pairs.values())):
+            count[rec] = count.get(rec, 0) + len(list(run))
+        if count != self.records:
+            rec = next(rec for rec in [*self.records, *count]
+                       if count.get(rec) != self.records.get(rec))
+            problems.append(f"{_span(rec)}: kept pair count {self.records.get(rec, 0)}, "
+                            f"recounted {count.get(rec, 0)}")
         pair = self._pair_on_one_front(state)
         if pair is not None:
             problems.append(f"stored pair {pair} lies on one kept front")
-        for rec, rows in self.records.items():
-            problem = _record_problem(rec, rows, state.waves)
+        for rec in self.records:
+            problem = _record_problem(rec, state.waves)
             if problem:
-                ids = [s for cls in rec.classes for s in cls]
-                problems.append(f"record over ids {min(ids)}..{max(ids)}: {problem}")
+                problems.append(f"{_span(rec)}: {problem}")
                 break
         return problems
 
@@ -269,7 +345,12 @@ class PairHistory:
     # -- construction ------------------------------------------------------
 
     def initialize(self, state: FieldState, initial_groups) -> FunctionalSnapshot:
-        """Record the pair relations created by the initial Riemann problems."""
+        """Fix L from the waves' right states, and record the pair relations
+        created by the initial Riemann problems."""
+        hats = [w.w_hat for w in state.waves]
+        d_max = max(hats) - min(hats) + 1 if hats else 1
+        self.L = math.lcm(*range(1, d_max + 1))
+        self.weights = [0] + [self.L // d for d in range(1, d_max + 1)]
         for groups in initial_groups:
             ids = [s for members, _ in groups for s in members]
             self._meet(ids, {s: speed for members, speed in groups for s in members}, 0, state)
@@ -306,21 +387,20 @@ class PairHistory:
 
     def _apply_transversal_pi(self, event: Event, state: FieldState) -> None:
         """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided,
-        so P grows by ticks_h * count.
+        so P grows by ticks_h * count, through the potentials.
 
         count is the integer of ``m_value`` (M = count * eps).  Per record,
         running sums of the sizes of the classes a..b inside the crossing
-        give it in O(1), and only the pairs with count != 0 are visited:
-        those whose lower wave lies in a class up to b and upper wave in a
-        class from a on.  With K = 0 every pi is 0 whatever P holds, and P is
-        left as it is.
+        give F and G of each wave from class a on: F(w) = G(w) = the total
+        of a..b past class b.  With K = 0 every pi is 0 whatever P holds,
+        and the potentials are left as they are.
         """
         if self.K == 0.0:
             return
         lo, hi = event.colliding[0], event.colliding[-1]   # a crossing kills no wave
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
-        S = self.S
-        for rec, rows in self.records.items():
+        dT = 0
+        for rec in self.records:
             classes = rec.classes
             if classes[-1][-1] < lo or hi < classes[0][0]:
                 continue  # no class of the record can lie inside the crossing
@@ -330,23 +410,18 @@ class PairHistory:
             b = bisect_right(classes, hi, key=_last) - 1
             if a > b:
                 continue
-            # wave of classes a..b -> the count of those classes before its
-            # own, and through its own
-            counts, total = {}, 0
-            for cls in classes[a:b + 1]:
-                counts.update(dict.fromkeys(cls, (total, total + len(cls))))
-                total += len(cls)
-            first_lo, last_hi = classes[a][0], classes[b][-1]
-            for s, row in rows.items():
-                if s > last_hi:
-                    break          # class(s) > b: this row and the rows after it
-                start = counts[s][0] if s >= first_lo else 0
-                for s2, pair in reversed(row.items()):
-                    if s2 < first_lo:
-                        break      # class(s2) < a: this entry and the ones before it
-                    amount = ticks * ((counts[s2][1] if s2 <= last_hi else total) - start)
-                    pair.P += amount
-                    S[pair.d] = S.get(pair.d, 0) + amount
+            A, B, up, dn = rec.A, rec.B, rec.up, rec.dn
+            total = 0
+            for k in range(a, len(classes)):
+                g = total
+                if k <= b:
+                    total += len(classes[k])
+                f, g = ticks * total, ticks * g
+                for w in classes[k]:
+                    A[w] += f
+                    B[w] += g
+                    dT += f * up[w] - g * dn[w]
+        self.T += dT
 
     def _refine_records(self, event: Event, state: FieldState) -> None:
         """Split again the classes this event may change, by one rule for a
@@ -381,6 +456,8 @@ class PairHistory:
                     new_classes.append(cls)
                     continue
                 members = tuple(s for s in cls if waves[s - 1].alive)
+                if len(members) < len(cls):
+                    rec.forget(s for s in cls if not waves[s - 1].alive)
                 if len(members) > 1:
                     new_classes.extend(self._split_class(members, state, fluxes))
                 elif members:
@@ -412,8 +489,8 @@ class PairHistory:
         where the speeds agree, else divided and sharing one fresh partition
         whose classes are the runs of equal speed.  Joined pairs are not
         stored, so a stored pair that meets here joined is dropped; one that
-        meets here divided raises.  Every divided pair starts with P = 0 and
-        the denominator of its right states."""
+        meets here divided raises.  Every divided pair starts with P = 0 (its
+        record's potentials are 0) and the denominator of its right states."""
         meeting = set(ids)
         for s in ids:
             mates = self.partners.get(s)
@@ -440,7 +517,7 @@ class PairHistory:
             for i in range(end - len(run), end):
                 s, hat = ids[i], hats[i]
                 for j in range(end, len(ids)):
-                    self._set_pair((s, ids[j]), PairRec(record, 0, abs(hats[j] - hat) + 1))
+                    self._set_pair((s, ids[j]), PairRec(record, abs(hats[j] - hat) + 1))
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
@@ -464,7 +541,7 @@ class PairHistory:
                 if pair is None:
                     n_never += 1
                 else:
-                    sum_P += pair.P
+                    sum_P += pair.record.A[s2] - pair.record.B[s]
         sum_pi = self.K * sum_P
         lhs = (fluxes.rh_speed(left) - fluxes.rh_speed(right)) * size_l * size_r
         rhs = sum_pi * self.eps**2 + n_never * self.bounds.norm_d2_ww * (
@@ -478,11 +555,12 @@ class PairHistory:
         """Q = sum over alive pairs of q * eps^2, from the counts alone:
         never-met pairs are all alive pairs but the joined ones (the pairs on
         one front, ``state.n_joined``) and the stored divided ones, and the
-        divided pairs enter through S (the ``pair_weight`` of pi = K * P is
-        2 ||d3f/dw2dv|| eps P / d).  O(distinct denominators)."""
+        divided pairs enter through T (the ``pair_weight`` of pi = K * P is
+        2 ||d3f/dw2dv|| eps P / d, and T / L is the sum of P / d, rounded
+        once).  O(1)."""
         n = state.n_alive
         never = n * (n - 1) // 2 - state.n_joined - len(self.pairs)
-        divided = math.fsum(self.S[d] / d for d in sorted(self.S))
+        divided = self.T / self.L
         b = self.bounds
         return self.eps**2 * (b.norm_d2_ww * never + 2.0 * b.norm_d3_wwv * self.eps * divided)
 

@@ -9,6 +9,7 @@ check fails.  Every JSON artifact is one line of JSON.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -36,6 +37,7 @@ __all__ = [
     "build_initial_data",
     "run_scenario",
     "batch",
+    "ARTIFACTS",
 ]
 
 log = logging.getLogger("triwave.scenario")
@@ -214,8 +216,33 @@ def build_initial_data(config: ScenarioConfig, spec: FluxSpec) -> tuple[StepFunc
     return build(config.w0, rng_w, w_amp), build(config.v0, rng_v, v_amp)
 
 
+# every file a run writes into its target
+ARTIFACTS = ("events.csv", "functionals.csv", "report.json", "config.json", "snapshots.json")
+
+
 def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
-    """Run one scenario end to end and write its artifacts."""
+    """Run one scenario end to end and write its artifacts.
+
+    A run that raises first removes the artifacts an earlier run left in its
+    target, so the directory never reads as a finished run of another
+    config; then it re-raises."""
+    target = Path(out_dir) if out_dir is not None else (
+        Path(config.out_dir) if config.out_dir else None
+    )
+    try:
+        return _run_scenario(config, target)
+    except BaseException:
+        if target is not None:
+            for name in ARTIFACTS:
+                # a file that cannot go must not hide the error being raised
+                with contextlib.suppress(OSError):
+                    (target / name).unlink(missing_ok=True)
+        raise
+
+
+def _run_scenario(config: ScenarioConfig, target: Path | None) -> ScenarioResult:
+    """The run of ``run_scenario``, writing its artifacts into ``target``
+    unless it is None."""
     spec, bounds = flux_constants(config.flux)
     w0, v0 = build_initial_data(config, spec)
     w_ticks = (w0.base, *w0.values)
@@ -241,9 +268,6 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
     passed = all(c.passed for c in checks)
     summary = summarize(checks)
 
-    target = Path(out_dir) if out_dir is not None else (
-        Path(config.out_dir) if config.out_dir else None
-    )
     if target is not None:
         target.mkdir(parents=True, exist_ok=True)
         _atomic_write(target / "events.csv", lambda fh: _write_events(fh, traj))

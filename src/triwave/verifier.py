@@ -384,12 +384,12 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     final = steps[-1]
     match_at = None        # (actual, expected, pair) of the least slack
     match_slack = 0.0
-    for key, pair in history.pairs.items():
+    for key in history.pairs:
         rep = final.pairs.get(key)
         if rep is None or rep.status != "divided":
             out.append(_check("replay_pi_match", "global", 1.0, 0.0, pair=key))
             return out
-        actual, expected = history.K * pair.P, rep.pi[key]
+        actual, expected = history.K * history.budget(*key), rep.pi[key]
         slack = 0.0 - abs(actual - expected)
         if match_at is None or slack < match_slack:
             match_slack = slack

@@ -3,7 +3,10 @@
 A CLI run imports this module with ``tests`` on ``PYTHONPATH``.
 """
 
+import math
+from bisect import bisect_left, bisect_right
 from itertools import zip_longest
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,19 +52,160 @@ class CorruptAfterFirstEvent:
         return None
 
 
-def bump_one_budget(at):
-    """A ``PairHistory`` class whose ``on_event`` adds 1 to the P of its first
-    divided pair after event ``at``, without touching ``S``: only the
-    recount of the kept budget sums can tell."""
+def corrupt_history(at, what):
+    """A ``PairHistory`` class whose ``on_event`` corrupts, after event
+    ``at`` and after every later event that leaves a divided pair, one kept
+    value of its first divided pair (s, s2) behind the history's back:
+    ``what`` is ``"potential"`` (1 more on A[s2], so the pair's budget moves
+    and ``T`` does not), ``"weight"`` (1 more on up[s2]) or ``"T"`` (1 more
+    on the sum).  Only the recounts of ``validate`` can tell.  A corruption
+    whose pair dies may leave no trace, so the last event corrupts too."""
 
-    class BumpOneBudget(PairHistory):
+    class CorruptHistory(PairHistory):
         def on_event(self, event, state):
             out = super().on_event(event, state)
-            if event.index == at:
-                next(iter(self.pairs.values())).P += 1
+            if event.index >= at and self.pairs:
+                (s, s2), pair = next(iter(self.pairs.items()))
+                if what == "potential":
+                    pair.record.A[s2] += 1
+                elif what == "weight":
+                    pair.record.up[s2] += 1
+                else:
+                    self.T += 1
             return out
 
-    return BumpOneBudget
+    return CorruptHistory
+
+
+class PairWalkHistory(PairHistory):
+    """The production history, with the per-pair walk of the budgets kept
+    beside it as the oracle of its potentials.
+
+    The double keeps every divided pair's own P, a registry of the pairs of
+    each record in rows by lower id (rows and entries in ascending id order)
+    and ``S[d]``, the sum of P over the divided pairs with denominator d (no
+    zero sums).  At a crossing, running sums of the class sizes over the run
+    a..b of classes inside the crossing give each pair's count, and the walk
+    visits only the pairs with a nonzero count: those whose lower wave lies
+    in a class up to b and upper wave in a class from a on.
+
+    After every event it asserts that the production ``T`` is exactly the
+    sum of S[d] * L / d; that ``q_quadratic`` is within 2 ulps of Q read
+    from ``S`` as the sorted ``math.fsum`` of S[d] / d, and keeps the worst
+    gap in ulps as ``worst_ulps`` (both forms feed their divided sum, each
+    rounded its own way, into one float expression, whose further roundings
+    can turn a 1-ulp gap of the sums into 2 ulps of Q); and that each pair
+    of every record a crossing reached (one with a class inside the
+    crossing) has the P of the production ``budget``: only the potentials of
+    those records change.  ``check_all`` asserts it for every pair."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.P: dict = {}        # pair key -> P
+        self.S: dict = {}        # d -> sum of P over the divided pairs with denominator d
+        self.rows: dict = {}     # record -> s -> s2 -> d
+        self.visits = 0          # pair budgets the walk grew
+        self.reached: list = []  # the records the last crossing reached
+        self.events_checked = 0
+        self.worst_ulps = 0.0
+
+    def _set_pair(self, key, pair):
+        super()._set_pair(key, pair)
+        s, s2 = key
+        self.P[key] = 0
+        self.rows.setdefault(pair.record, {}).setdefault(s, {})[s2] = pair.d
+
+    def _drop(self, s, s2):
+        key = (min(s, s2), max(s, s2))
+        rec, d = self.pairs[key].record, self.pairs[key].d
+        super()._drop(s, s2)
+        P = self.P.pop(key)
+        if P:
+            left = self.S[d] - P
+            if left:
+                self.S[d] = left
+            else:
+                del self.S[d]
+        rows = self.rows[rec]
+        del rows[key[0]][key[1]]
+        if not rows[key[0]]:
+            del rows[key[0]]
+            if not rows:
+                del self.rows[rec]
+
+    def _apply_transversal_pi(self, event, state):
+        super()._apply_transversal_pi(event, state)
+        if self.K != 0.0:
+            self.walk(event, state)
+
+    def walk(self, event, state):
+        """P grows by ticks * count for every pair with count != 0."""
+        lo, hi = event.colliding[0], event.colliding[-1]
+        ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
+        P, S = self.P, self.S
+        for rec, rows in self.rows.items():
+            classes = rec.classes
+            if classes[-1][-1] < lo or hi < classes[0][0]:
+                continue
+            a = bisect_left(classes, lo, key=itemgetter(0))
+            b = bisect_right(classes, hi, key=itemgetter(-1)) - 1
+            if a > b:
+                continue
+            self.reached.append(rec)
+            # wave of classes a..b -> the count of those classes before its
+            # own, and through its own
+            counts, total = {}, 0
+            for cls in classes[a:b + 1]:
+                counts.update(dict.fromkeys(cls, (total, total + len(cls))))
+                total += len(cls)
+            first_lo, last_hi = classes[a][0], classes[b][-1]
+            for s, row in rows.items():
+                if s > last_hi:
+                    break          # class(s) > b: this row and the rows after it
+                start = counts[s][0] if s >= first_lo else 0
+                for s2, d in reversed(row.items()):
+                    if s2 < first_lo:
+                        break      # class(s2) < a: this entry and the ones before it
+                    # count > 0: class(s2) > class(s), and class(s2) >= a
+                    amount = ticks * ((counts[s2][1] if s2 <= last_hi else total) - start)
+                    P[(s, s2)] += amount
+                    S[d] = S.get(d, 0) + amount
+                    self.visits += 1
+
+    def walk_q(self, state):
+        """Q with the divided part read from ``S``, as before the potentials."""
+        n = state.n_alive
+        never = n * (n - 1) // 2 - state.n_joined - len(self.pairs)
+        divided = math.fsum(self.S[d] / d for d in sorted(self.S))
+        b = self.bounds
+        return self.eps**2 * (b.norm_d2_ww * never + 2.0 * b.norm_d3_wwv * self.eps * divided)
+
+    def check_all(self, index=None):
+        """Assert that every pair's P equals the production ``budget``."""
+        assert self.P.keys() == self.pairs.keys(), index
+        for rec in self.rows:
+            self._check_record(rec, index)
+
+    def _check_record(self, rec, index):
+        A, B, P = rec.A, rec.B, self.P
+        for s, row in self.rows[rec].items():
+            b = B[s]
+            for s2 in row:
+                assert A[s2] - b == P[(s, s2)], (index, (s, s2), A[s2] - b, P[(s, s2)])
+
+    def on_event(self, event, state):
+        snap, detail = super().on_event(event, state)
+        for rec in self.reached:
+            if rec in self.rows:
+                self._check_record(rec, event.index)
+        self.reached.clear()
+        assert self.T == sum(S * self.weights[d] for d, S in self.S.items()), event.index
+        want = self.walk_q(state)
+        ulps = abs(snap.q_quadratic - want) / math.ulp(want)
+        assert ulps <= 2, (event.index, snap.q_quadratic, want)
+        self.worst_ulps = max(self.worst_ulps, ulps)
+        self.events_checked += 1
+        return snap, detail
 
 
 def reference_effective_flux(cells, spec, eps):

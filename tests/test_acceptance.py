@@ -3,8 +3,10 @@
 The main ensemble (100 seeds, eps = 0.05, at most 40 waves and 6 first-family
 fronts, default flux) is run once per session at the full check level; the
 criteria read it.  Criterion 9 runs the same data generators on the
-non-convex ``quartic`` flux and on a coupled ``custom_poly`` flux, and
-criterion 7 runs the small-N data on a cubic ``custom_poly`` flux too.  Run with
+non-convex ``quartic`` flux and on a coupled ``custom_poly`` flux, and on two
+legs whose data straddle an inflection of the flux, so that partition classes
+of two or more waves and re-joins occur; criterion 7 runs the small-N data on
+a cubic ``custom_poly`` flux too.  Run with
 ``pytest tests/test_acceptance.py -v -s``.
 """
 
@@ -14,6 +16,8 @@ import numpy as np
 import pytest
 
 import test_envelopes as env_props
+from doubles import PairWalkHistory
+from triwave import scenario
 from triwave.envelopes import convex_envelope
 from triwave.flux import PiecewiseAffineFlux
 from triwave.replay import Replay
@@ -32,18 +36,27 @@ NON_CONVEX_FLUXES = {
         "box": [-0.6, 0.6, -0.5, 0.5],
     }},
 }
+# (flux, w amplitude, floor on the events after which some class holds two or
+# more waves, floor on the re-joins) of the legs whose data cross an
+# inflection: the quartic's at |w| = 0.577 and the cubic's at w = -0.133 v
+NON_CONVEX_WIDE = {
+    "quartic_0.75": ({"name": "quartic", "params": {}}, 0.75, 200, 25),
+    "cubic": ({"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}},
+              0.4, 1000, 100),
+}
 
 
 def report(criterion: int, text: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS - {text}")
 
 
-def ensemble_config(seed: int, flux: dict | None = None) -> ScenarioConfig:
+def ensemble_config(seed: int, flux: dict | None = None,
+                    w_amplitude: float = 0.4) -> ScenarioConfig:
     return ScenarioConfig(
         flux=flux or {"name": "quadratic_coupled", "params": {}},
         seed=seed,
         check_level="full",
-        w0={"random": {"jumps": 6, "max_amplitude": 0.4, "max_waves": 40}},
+        w0={"random": {"jumps": 6, "max_amplitude": w_amplitude, "max_waves": 40}},
         v0={"random": {"jumps": 5, "max_amplitude": 0.3, "max_fronts": 6}},
     )
 
@@ -236,15 +249,60 @@ def test_criterion_8_termination_and_determinism(ensemble, tmp_path):
               f"events.csv byte-identical on re-runs")
 
 
-def test_criterion_9_non_convex_and_custom_fluxes():
+class ClassCountingHistory(PairWalkHistory):
+    """The per-pair walk double (each pair's budget and Q checked against the
+    potentials after every event), counting the events after which some
+    class holds two or more waves and the divided pairs that meet again
+    joined."""
+
+    wide_events = 0
+    rejoins = 0
+    last = None          # the history of the last run
+    meeting = False
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        ClassCountingHistory.last = self
+
+    def on_event(self, event, state):
+        out = super().on_event(event, state)
+        if any(len(cls) > 1 for rec in self.records for cls in rec.classes):
+            ClassCountingHistory.wide_events += 1
+        return out
+
+    def _meet(self, *args):
+        self.meeting = True
+        try:
+            super()._meet(*args)
+        finally:
+            self.meeting = False
+
+    def _drop(self, s, s2):
+        if self.meeting:
+            ClassCountingHistory.rejoins += 1
+        super()._drop(s, s2)
+
+
+def test_criterion_9_non_convex_and_custom_fluxes(monkeypatch):
     start = time.perf_counter()
+    monkeypatch.setattr(scenario, "PairHistory", ClassCountingHistory)
+    legs = {name: (flux, 0.4, 0, 0) for name, flux in NON_CONVEX_FLUXES.items()}
+    legs.update(NON_CONVEX_WIDE)
     n_events = 0
-    for name, flux in NON_CONVEX_FLUXES.items():
+    counts = {}
+    worst_ulps = 0.0     # the worst gap of Q from Q read from the walk's S
+    for name, (flux, amplitude, wide_floor, rejoin_floor) in legs.items():
+        ClassCountingHistory.wide_events = ClassCountingHistory.rejoins = 0
         for seed in NON_CONVEX_SEEDS:
-            res = run_scenario(ensemble_config(seed, flux))
+            res = run_scenario(ensemble_config(seed, flux, amplitude))
             assert res.passed, (name, seed, [c for c in res.checks if not c.passed][:3])
             n_events += len(res.trajectory.events)
+            worst_ulps = max(worst_ulps, ClassCountingHistory.last.worst_ulps)
+        counts[name] = (ClassCountingHistory.wide_events, ClassCountingHistory.rejoins)
+        # the leg still reaches the classes and re-joins it was chosen for
+        assert counts[name][0] >= wide_floor and counts[name][1] >= rejoin_floor, (name, counts)
     elapsed = time.perf_counter() - start
     report(9, f"every check passes on {len(NON_CONVEX_SEEDS)} seeds each of "
-              f"{' and '.join(NON_CONVEX_FLUXES)} at level full, "
-              f"{n_events} events, {elapsed:.1f}s")
+              f"{', '.join(legs)} at level full, {n_events} events; "
+              f"(events with a class of >= 2 waves, re-joins): {counts}; "
+              f"Q within {worst_ulps:g} ulps of the per-pair walk's; {elapsed:.1f}s")

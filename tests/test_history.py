@@ -1,10 +1,15 @@
 import copy
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from doubles import group_fronts
+from doubles import PairWalkHistory, group_fronts
+from golden.regen import golden_cases
+from triwave import scenario
 from triwave.flux import FluxTable, derivative_bounds, make_flux
 from triwave.history import (
     PairHistory,
@@ -14,7 +19,7 @@ from triwave.history import (
     pair_weight,
 )
 from triwave.replay import Replay
-from triwave.scenario import ScenarioConfig, build_initial_data
+from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
 from triwave.simulator import next_collision, resolve, run
 from triwave.wavefield import (
     BlockFluxes,
@@ -64,8 +69,10 @@ layouts = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2)), min_size=2, 
 @given(layouts, st.integers(1, 30), st.integers(0, 30))
 @settings(max_examples=300, deadline=None)
 def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
-    # the production count of one crossing over the ids lo..hi, on a record
-    # of the drawn classes (some of them straddle lo or hi), against m_value
+    # the budgets of one crossing over the ids lo..hi, on a record of the
+    # drawn classes (some of them straddle lo or hi), read from the
+    # production potentials and grown by the double's per-pair walk, against
+    # m_value
     classes, next_id = [], 1
     for size, gap in layout:
         classes.append(tuple(range(next_id, next_id + size)))
@@ -80,58 +87,58 @@ def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
             w.x_a = None
     crossing = tuple(s for s in range(lo, hi + 1) if s in alive)
     assume(crossing)
-    history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+    for w in state.waves:
+        w.speed = float(w.id)      # each wave on a front of its own
+    history = PairWalkHistory(spec=spec, eps=EPS, bounds=bounds)
+    history.initialize(state, [])
     rec = PartitionRecord(list(classes))
     for i, ci in enumerate(classes):
         for cj in classes[i + 1:]:
             for p in ci:
                 for p2 in cj:
-                    history._set_pair((p, p2), PairRec(rec, 0, 1))
+                    history._set_pair((p, p2), PairRec(rec, 1))
     history._apply_transversal_pi(Event(
         index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=crossing,
         v_label=ticks, post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
-    for (p, p2), pair in history.pairs.items():
+    for p, p2 in history.pairs:
         m = m_value(classes, lo, hi, p, p2, EPS)
-        assert pair.P == ticks * round(m / EPS), (p, p2)
-    total = sum(pair.P for pair in history.pairs.values())
+        assert history.budget(p, p2) == history.P[(p, p2)] == ticks * round(m / EPS), (p, p2)
+    total = sum(history.P.values())
     assert history.S == ({1: total} if total else {})
+    assert history.T == total * history.L
 
 
-def grow(history, pair, amount):
-    """Add ``amount`` to the budget of a divided pair and to its S[d]."""
-    pair.P += amount
-    history.S[pair.d] = history.S.get(pair.d, 0) + amount
-
-
-def flat_registry(history):
-    """The registry as record -> set of pair keys."""
-    return {rec: {(s, s2) for s, row in rows.items() for s2 in row}
-            for rec, rows in history.records.items()}
-
-
-class LoopHistory(PairHistory):
-    """The pi update as one ``m_value`` call per divided pair, added to P
-    and to S pair by pair."""
+class LoopHistory(PairWalkHistory):
+    """The double's budgets grown by one ``m_value`` call per divided pair,
+    and every pair's budget checked after every event."""
 
     increments = 0
 
-    def _apply_transversal_pi(self, event, state):
+    def walk(self, event, state):
         lo, hi = event.colliding[0], event.colliding[-1]
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         for (s, s2), pair in self.pairs.items():
             m = m_value(pair.record.classes, lo, hi, s, s2, self.eps)
             if m > 0.0:
-                grow(self, pair, ticks * round(m / self.eps))
+                amount = ticks * round(m / self.eps)
+                self.P[(s, s2)] += amount
+                self.S[pair.d] = self.S.get(pair.d, 0) + amount
                 self.increments += 1
+
+    def on_event(self, event, state):
+        out = super().on_event(event, state)
+        self.check_all(event.index)
+        return out
 
 
 class FloatPiHistory(PairHistory):
     """The production history, checked after every event against oracles kept
     here: each divided pair's float pi, grown by ``2 ||d3f|| |v_h| m_value``
     at every crossing, summed by the float pair loop of Q, with the joined
-    pairs counted over the fronts ``group_fronts`` derives anew; ``S`` and
-    every pair's denominator, recounted; no stored pair on one regrouped
-    front; and the state's alive counts, recounted from the waves."""
+    pairs counted over the fronts ``group_fronts`` derives anew; every
+    pair's denominator, and ``T`` from the pairs' budgets, recounted; no
+    stored pair on one regrouped front; and the state's alive counts,
+    recounted from the waves."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -166,14 +173,16 @@ class FloatPiHistory(PairHistory):
         snap = super().snapshot(state, index, sum_abs_dsigma)
         want = self.float_q(state)
         assert math.isclose(snap.q_quadratic, want, rel_tol=1e-12), (index, snap.q_quadratic, want)
-        recount: dict = {}
+        T, denominators = 0, set()
         front_of = {s: k for k, ids in enumerate(group_fronts(state)) for s in ids}
         for (s, s2), pair in self.pairs.items():
             assert pair.d == abs(state.wave(s2).w_hat - state.wave(s).w_hat) + 1, (index, s, s2)
             assert front_of[s] != front_of[s2], (index, s, s2)
-            if pair.P:
-                recount[pair.d] = recount.get(pair.d, 0) + pair.P
-        assert self.S == recount, index
+            P = self.budget(s, s2)
+            if P:
+                T += P * (self.L // pair.d)
+                denominators.add(pair.d)
+        assert self.T == T, index
         top = max((vf.id for vf in state.v_fronts), default=0)
         per_crossed = [0] * (top + 1)
         for w in state.waves:
@@ -181,7 +190,7 @@ class FloatPiHistory(PairHistory):
                 per_crossed[min(w.crossed, top)] += 1
         assert (state.n_alive, state.per_crossed) == (sum(per_crossed), per_crossed), index
         self.snapshots_checked += 1
-        self.denominators_peak = max(self.denominators_peak, len(self.S))
+        self.denominators_peak = max(self.denominators_peak, len(denominators))
         return snap
 
 
@@ -213,15 +222,14 @@ class TestPrefixPiMatchesLoop:
         assert traj.snapshots == ref.snapshots
         assert fast.pairs.keys() == loop.pairs.keys()
         for key, pair in fast.pairs.items():
-            other = loop.pairs[key]
-            assert (pair.P, pair.d) == (other.P, other.d), key
-        assert fast.S == loop.S
+            assert (fast.budget(*key), pair.d) == (loop.P[key], loop.pairs[key].d), key
+        assert fast.T == loop.T
         assert loop.increments > 0
-        # the registry holds exactly the stored pairs, grouped by record
+        # the registry counts exactly the stored pairs of each record
         grouped: dict = {}
-        for key, pair in fast.pairs.items():
-            grouped.setdefault(pair.record, set()).add(key)
-        assert flat_registry(fast) == grouped
+        for pair in fast.pairs.values():
+            grouped[pair.record] = grouped.get(pair.record, 0) + 1
+        assert fast.records == grouped
 
     @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
     def test_integer_q_matches_the_float_pair_loop(self, flux, eps, seed, max_waves):
@@ -237,80 +245,125 @@ class TestRecordRegistry:
     def state_and_record(classes=((1,), (2, 3))):
         """A state of alive waves, ids 1 up to the last id of ``classes``, at
         one point, each with a speed of its own (so on a front of its own),
-        and a record of ``classes`` over them."""
+        with one v-front of 2 ticks to their right, and a record of
+        ``classes`` over them."""
         state = initial_enumeration(StepFunction.from_jumps([(0.0, classes[-1][-1]), (1.0, 0)]),
-                                    StepFunction((), (), 0), EPS)
+                                    StepFunction.from_jumps([(2.0, 2), (3.0, 0)]), EPS)
         for w in state.waves:
             w.speed = float(w.id)
         rec = PartitionRecord(list(classes))
         return state, rec
 
+    @staticmethod
+    def history(state, cls=PairHistory, **kwargs):
+        """A history of ``cls`` whose L fits the right states of ``state``."""
+        history = cls(eps=EPS, **kwargs)
+        history.initialize(state, [])
+        return history
+
+    @staticmethod
+    def cross(history, state, colliding):
+        """Grow the budgets by a crossing of v-front 1 over ``colliding``."""
+        history._apply_transversal_pi(Event(
+            index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=colliding,
+            v_label=2, post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
+
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
         state, rec = self.state_and_record()
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history = self.history(state, PairWalkHistory, spec=spec, bounds=bounds)
         for key in ((1, 2), (1, 3)):
-            history._set_pair(key, PairRec(rec, 0, 2))
-            grow(history, history.pairs[key], 5)
-        assert history.records == {rec: {1: {2: history.pairs[(1, 2)],
-                                             3: history.pairs[(1, 3)]}}}
-        assert history.S == {2: 10} and history.validate(state) == []
+            history._set_pair(key, PairRec(rec, 2))
+        # a crossing of all three waves counts 1 + 2 for either pair
+        self.cross(history, state, (1, 2, 3))
+        assert history.records == {rec: 2}
+        assert history.budget(1, 2) == history.budget(1, 3) == 2 * 3
+        assert history.P == {(1, 2): 6, (1, 3): 6} and history.S == {2: 12}
+        w = history.weights[2]
+        assert (rec.up, rec.dn) == ({1: 0, 2: w, 3: w}, {1: 2 * w, 2: 0, 3: 0})
+        assert history.T == 12 * w and history.validate(state) == []
         # a divided pair that meets again joined leaves pairs, partners, its
-        # record and S
+        # record's count, the weights and T
         history._meet([1, 2], {1: 0.5, 2: 0.5}, 7, state)
         assert list(history.pairs) == [(1, 3)] and history.partners == {1: {3}, 3: {1}}
-        assert flat_registry(history) == {rec: {(1, 3)}}
-        assert history.S == {2: 5}
+        assert history.records == {rec: 1} and history.S == {2: 6}
+        assert (rec.up, rec.dn) == ({1: 0, 2: 0, 3: w}, {1: w, 2: 0, 3: 0})
+        assert history.T == 6 * w and history.validate(state) == []
         # one that meets again divided is an error
         with pytest.raises(ValueError, match=r"pair \(1, 3\) met again while divided at event 8"):
             history._meet([1, 3], {1: 0.5, 3: 0.75}, 8, state)
-        # a budget changed behind the bookkeeping's back fails the recount
-        history.pairs[(1, 3)].P += 1
-        assert history.validate(state) == ["kept budget sum S[2] = 5, recounted 6"]
-        history.pairs[(1, 3)].P -= 1
+        # a potential, a weight or T changed behind the bookkeeping's back
+        # fails the recount
+        rec.A[3] += 1
+        assert history.validate(state) == [
+            f"kept budget sum T = {6 * w}, recounted {7 * w}"]
+        rec.A[3] -= 1
+        rec.up[3] += 1
+        assert history.validate(state) == [
+            f"record over ids 1..3: kept weight up[3] = {w + 1}, recounted {w}"]
+        rec.up[3] -= 1
+        rec.dn[1] -= 1
+        assert history.validate(state) == [
+            f"record over ids 1..3: kept weight dn[1] = {w - 1}, recounted {w}"]
+        rec.dn[1] += 1
+        history.T += 1
+        assert history.validate(state) == [
+            f"kept budget sum T = {6 * w + 1}, recounted {6 * w}"]
+        history.T -= 1
         history._apply_deaths((3,))
         assert history.pairs == history.records == history.partners == history.S == {}
+        assert history.T == 0
+
+    def test_pair_count_off_its_record_fails_validation(self, spec, bounds):
+        state, rec = self.state_and_record()
+        history = self.history(state, spec=spec, bounds=bounds)
+        history._set_pair((1, 2), PairRec(rec, 2))
+        history.records[rec] += 1
+        assert history.validate(state) == [
+            "record over ids 1..3: kept pair count 2, recounted 1"]
 
     def test_stored_pair_on_one_kept_front_fails_validation(self, spec, bounds):
         state, rec = self.state_and_record()
         state.wave(3).speed = state.wave(2).speed     # waves 2 and 3 share a front
         assert [f.ids for f in state.fronts()][:2] == [(1,), (2, 3)]
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
-        history._set_pair((1, 2), PairRec(rec, 0, 2))
+        history = self.history(state, spec=spec, bounds=bounds)
+        history._set_pair((1, 2), PairRec(rec, 2))
         assert history.validate(state) == []
         # counted once as joined through n_joined and once as stored
-        history._set_pair((2, 3), PairRec(rec, 0, 2))
+        history._set_pair((2, 3), PairRec(rec, 2))
         assert history.validate(state) == ["stored pair (2, 3) lies on one kept front"]
 
-    def test_rows_or_classes_out_of_id_order_fail_validation(self, spec, bounds):
+    def test_classes_out_of_id_order_or_stray_potentials_fail_validation(self, spec, bounds):
         state, rec = self.state_and_record()
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history = self.history(state, spec=spec, bounds=bounds)
         for key in ((1, 2), (1, 3)):
-            history._set_pair(key, PairRec(rec, 0, 2))
+            history._set_pair(key, PairRec(rec, 2))
         assert history.validate(state) == []
-        row = history.records[rec][1]
-        row[2] = row.pop(2)           # the row now reads 3, 2
-        assert history.validate(state) == ["record over ids 1..3: pairs out of id order"]
-        row[3] = row.pop(3)
         rec.classes.reverse()
         assert history.validate(state) == ["record over ids 1..3: classes out of id order"]
+        rec.classes.reverse()
+        # potentials kept for a wave of no class
+        rec.A[4] = rec.B[4] = 0
+        assert history.validate(state) == ["record over ids 1..3: potentials or weights "
+                                           "not kept for exactly the waves of its classes"]
 
     def test_class_unclipped_over_a_dead_wave_fails_validation(self, spec, bounds):
         state, rec = self.state_and_record()
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
-        history._set_pair((1, 2), PairRec(rec, 0, 2))
+        history = self.history(state, spec=spec, bounds=bounds)
+        history._set_pair((1, 2), PairRec(rec, 2))
         assert history.validate(state) == []
         # wave 3 dies, but the record keeps its last class
         state.wave(3).x_a = None
         assert history.validate(state) == [
             "record over ids 1..3: class 2..3 holds dead wave 3"]
         rec.classes[-1] = (2,)
+        rec.forget([3])
         assert history.validate(state) == []
 
     def test_class_over_a_dead_middle_wave_fails_validation(self, spec, bounds):
         # a class (1, 2, 3) whose middle wave died: both its ends are alive
         state, rec = self.state_and_record(((1, 2, 3), (4,)))
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
-        history._set_pair((1, 4), PairRec(rec, 0, 4))
+        history = self.history(state, spec=spec, bounds=bounds)
+        history._set_pair((1, 4), PairRec(rec, 4))
         assert history.validate(state) == []
         state.wave(2).x_a = None
         assert history.validate(state) == [
@@ -410,7 +463,7 @@ class TestPiRecursion:
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         state, history, _ = self.drive(spec, bounds, w0, StepFunction((), (), 0), 0)
         pair = history.pairs[(1, 2)]   # the rarefaction fan splits at t=0
-        assert pair.P == 0
+        assert history.budget(1, 2) == 0
         assert pair.record.classes == [(1,), (2,)]
         # the shock's pair is joined: not stored, and on one kept front
         assert (3, 4) not in history.pairs
@@ -427,17 +480,17 @@ class TestPiRecursion:
             [(EventKind.TRANSVERSAL, 1), (EventKind.TRANSVERSAL, 1)]
         v_strength = 2 * EPS
         assert all(ev.v_strength == pytest.approx(v_strength) for ev in events)
-        pair = history.pairs[(1, 2)]
-        assert pair.P == 2 * 1 + 2 * 1          # ticks * count, once per crossing
-        assert history.K * pair.P == pytest.approx(2.0 * bounds.norm_d3_wwv * v_strength * 2 * EPS)
+        P = history.budget(1, 2)
+        assert P == 2 * 1 + 2 * 1          # ticks * count, once per crossing
+        assert history.K * P == pytest.approx(2.0 * bounds.norm_d3_wwv * v_strength * 2 * EPS)
 
     def test_pi_unchanged_at_interactions_and_cancellations(self, spec, bounds):
         w0 = StepFunction.from_jumps([(0.0, 4), (1.0, 2), (2.0, 0)])
         history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
         traj = run(w0, StepFunction((), (), 0), spec, EPS, bounds=bounds, history=history)
         assert any(ev.kind.is_interaction for ev in traj.events)
-        for pair in history.pairs.values():
-            assert pair.P == 0  # no transversal event ever happened
+        for key in history.pairs:
+            assert history.budget(*key) == 0  # no transversal event ever happened
 
     def test_pair_weight_cases(self, spec, bounds):
         # Q of four alive waves: one divided pair, one joined, four never met
@@ -450,8 +503,7 @@ class TestPiRecursion:
         assert set(history.pairs) == {(1, 2)}
         assert [f.ids for f in state.fronts()] == [(1,), (2,), (3, 4)]
         assert state.n_joined == 1
-        pair = history.pairs[(1, 2)]
-        divided = history.K * pair.P / ((abs(state.wave(2).w_hat - state.wave(1).w_hat) + 1) * EPS)
+        divided = history.K * history.budget(1, 2) / ((abs(state.wave(2).w_hat - state.wave(1).w_hat) + 1) * EPS)
         assert divided > 0.0
         want = (4 * bounds.norm_d2_ww + divided) * EPS**2
         assert history.q_quadratic(state) == pytest.approx(want)
@@ -547,7 +599,7 @@ class TestReplayAgreement:
             # the production per-pair pi values agree with the replayed tables
             for key, pair in history.pairs.items():
                 assert final.pairs[key].status == "divided"
-                assert history.K * pair.P == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
+                assert history.K * history.budget(*key) == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
                 assert [list(c) for c in pair.record.classes] == final.pairs[key].classes
 
 
@@ -690,3 +742,65 @@ class TestResplitMatchesFullPass:
     def test_cancellations_that_cut_classes_keep_the_full_pass_classes(self, seed):
         history = self.run_full_split(self.CUBIC, seed, 0.4, 0.3)
         assert history.cancellation_cuts > 0
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, loaded by path without writing bytecode."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look the module up
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def fine_eps_config(eps):
+    """The benchmark's fine_eps datum on the grid of step ``eps``, at level fast."""
+    w0, v0 = load_workloads().fine_eps_datum(eps)
+    return ScenarioConfig(eps=eps, check_level="fast",
+                          w0={"jumps": [[x, v] for x, v in w0]},
+                          v0={"jumps": [[x, v] for x, v in v0]})
+
+
+def run_with_walk(monkeypatch, config):
+    """Run ``config`` with the per-pair walk double as its history; returns
+    the result and the double."""
+    made = []
+
+    class Walk(PairWalkHistory):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(scenario, "PairHistory", Walk)
+    res = run_scenario(config)
+    history, = made
+    history.check_all()
+    assert history.events_checked == len(res.trajectory.events)
+    return res, history
+
+
+class TestPotentialsMatchTheWalk:
+    """Each pair's budget read from the potentials equals the one the
+    per-pair walk grows, T the walk's exact sum, and Q within 1 ulp of Q
+    read from S, after every event."""
+
+    @pytest.mark.parametrize("config", golden_cases().values(),
+                             ids=[path.name for path in golden_cases()])
+    def test_goldens(self, monkeypatch, config):
+        res, history = run_with_walk(monkeypatch, config)
+        assert res.passed
+        assert history.worst_ulps <= 1
+
+    @pytest.mark.parametrize("eps,visits", [(0.02, 72_758), (0.01, 551_755), (0.005, 4_291_016)])
+    def test_fine_eps_ladder(self, monkeypatch, eps, visits):
+        res, history = run_with_walk(monkeypatch, fine_eps_config(eps))
+        assert res.passed
+        assert history.worst_ulps <= 1
+        # the walk visits as many pairs as the production crossing did
+        # before the potentials
+        assert history.visits == visits

@@ -14,6 +14,7 @@ import golden.regen as regen
 from golden.regen import GOLDEN, column_changes, golden_cases
 from triwave import scenario
 from triwave.scenario import (
+    ARTIFACTS,
     ScenarioConfig,
     batch,
     build_initial_data,
@@ -445,6 +446,34 @@ class TestCli:
         agg = summary["checks"]["main_theorem"]
         assert (f"worst={agg['worst']} worst_seed={agg['worst_seed']} PASS"
                 in proc.stdout)
+
+    def test_a_failed_run_leaves_no_stale_artifacts(self, tmp_path):
+        # the demo writes all five artifacts; the same directory then takes a
+        # run that stops at its event guard
+        out = tmp_path / "out"
+        proc = self.run_cli("run", "--config", str(DEMO), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**json.loads(DEMO.read_text()), "event_guard": 3}))
+        proc = self.run_cli("run", "--config", str(cfg_path), "--seed", "7", "--out", str(out))
+        assert proc.returncode == 2
+        assert "error: more than 3 events" in proc.stderr
+        assert list(out.iterdir()) == []
+
+    def test_a_failed_batch_seed_leaves_no_stale_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        proc = self.run_cli("batch", "--config", str(DEMO), "--seeds", "7", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (out / "seed_7").iterdir()) == sorted(ARTIFACTS)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**json.loads(DEMO.read_text()), "event_guard": 3}))
+        proc = self.run_cli("batch", "--config", str(cfg_path), "--seeds", "7",
+                            "--out", str(out))
+        assert proc.returncode == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["errors"] == {"7": "EventGuardExceeded: more than 3 events"}
+        assert list((out / "seed_7").iterdir()) == []
 
     def test_unknown_config_key_is_a_clean_error(self, tmp_path):
         doc = json.loads(DEMO.read_text())

@@ -1,6 +1,6 @@
 import pytest
 
-from doubles import CorruptAfterFirstEvent, bump_one_budget, group_fronts, swap_kept_ids
+from doubles import CorruptAfterFirstEvent, corrupt_history, group_fronts, swap_kept_ids
 from golden.regen import SCALAR_FAST_JUMPS
 from triwave import scenario, simulator
 from triwave.flux import FluxTable, make_flux
@@ -358,14 +358,21 @@ class TestFrontOrdering:
         with pytest.raises(ValueError, match=what + r".*kept front 0 is"):
             run_scenario(cfg)
 
-    @pytest.mark.parametrize("level,what", [("full", r"enumeration invalid after event 2 "),
+    @pytest.mark.parametrize("level,when", [("full", r"enumeration invalid after event 2 "),
                                             ("fast", "final enumeration invalid: ")])
-    def test_run_rejects_a_budget_outside_its_sum(self, monkeypatch, level, what):
-        # the double adds 1 to one divided pair's P after event 2 and leaves S
-        # as it is; only the recount of S can tell
-        monkeypatch.setattr(scenario, "PairHistory", bump_one_budget(2))
+    @pytest.mark.parametrize("corrupt,problem", [
+        ("potential", r"kept budget sum T = -?\d+, recounted -?\d+"),
+        ("weight", r"record over ids \d+\.\.\d+: kept weight up\[\d+\] = -?\d+, recounted -?\d+"),
+        ("T", r"kept budget sum T = -?\d+, recounted -?\d+"),
+    ])
+    def test_run_rejects_a_budget_outside_its_sum(self, monkeypatch, level, when, corrupt,
+                                                  problem):
+        # the double adds 1 to a potential of one divided pair, to a weight
+        # of one of its waves or to T after event 2 and every later event;
+        # only the recounts can tell
+        monkeypatch.setattr(scenario, "PairHistory", corrupt_history(2, corrupt))
         cfg = ordering_config(*ORDERING_REPROS[0].values, level)
-        with pytest.raises(ValueError, match=what + r".*kept budget sum S\[2\] = -?\d+, recounted"):
+        with pytest.raises(ValueError, match=when + ".*" + problem):
             run_scenario(cfg)
 
     @pytest.mark.parametrize("w_jumps,v_jumps", ORDERING_REPROS)

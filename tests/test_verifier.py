@@ -201,13 +201,13 @@ def per_candidate_lemmas(traj, history):
     out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
     final = steps[-1]
     worst = None
-    for key, pair in history.pairs.items():
+    for key in history.pairs:
         rep = final.pairs.get(key)
         if rep is None or rep.status != "divided":
             worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
             break
-        cand = _equality("replay_pi_match", "global", history.K * pair.P, rep.pi[key],
-                         pair=key)
+        cand = _equality("replay_pi_match", "global", history.K * history.budget(*key),
+                         rep.pi[key], pair=key)
         if worst is None or cand.slack < worst.slack:
             worst = cand
     if worst is not None:

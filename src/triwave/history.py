@@ -72,8 +72,8 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
-from operator import attrgetter, itemgetter, mul
+from itertools import repeat
+from operator import itemgetter, mul
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from .flux import DerivativeBounds, FluxSpec, FluxTable
@@ -144,7 +144,6 @@ class PairRec:
 
 _first = itemgetter(0)
 _last = itemgetter(-1)
-_record_of = attrgetter("record")
 
 
 def _record_problem(rec: PartitionRecord, waves: list) -> str | None:
@@ -285,36 +284,39 @@ class PairHistory:
         pair and the first record that fails (empty = ok)."""
         problems = []
         weights = self.weights
-        # record -> the recounted up and dn of the waves it keeps them for;
-        # a record's pairs come from one _meet, so they mostly come in a row
-        recount: dict[PartitionRecord, tuple[dict, dict]] = {}
-        last = None
+        # record -> the recounted up and dn of the waves it keeps them for,
+        # and its pair count; a record's pairs come from one _meet, so they
+        # mostly come in a row
+        recount: dict[PartitionRecord, list] = {}
+        last = entry = None
         for (s, s2), pair in self.pairs.items():
             if pair.record is not last:
                 last = pair.record
-                if last not in recount:
-                    recount[last] = dict.fromkeys(last.up, 0), dict.fromkeys(last.dn, 0)
-                up, dn = recount[last]
+                entry = recount.get(last)
+                if entry is None:
+                    entry = recount[last] = [dict.fromkeys(last.up, 0),
+                                             dict.fromkeys(last.dn, 0), 0]
+                up, dn = entry[0], entry[1]
                 up_get, dn_get = up.get, dn.get
+            entry[2] += 1
             w = weights[pair.d]
             up[s2] = up_get(s2, 0) + w
             dn[s] = dn_get(s, 0) + w
         # the sum over the pairs of (A[s2] - B[s]) L / d, wave by wave
         T = 0
-        for rec, (up, dn) in recount.items():
+        for rec, (up, dn, _) in recount.items():
             T += sum(map(mul, map(rec.A.get, up, repeat(0)), up.values()))
             T -= sum(map(mul, map(rec.B.get, dn, repeat(0)), dn.values()))
         if T != self.T:
             problems.append(f"kept budget sum T = {self.T}, recounted {T}")
         for rec in self.records:
-            up, dn = recount.get(rec) or (dict.fromkeys(rec.up, 0), dict.fromkeys(rec.dn, 0))
+            up, dn, _ = recount.get(rec) or (dict.fromkeys(rec.up, 0),
+                                             dict.fromkeys(rec.dn, 0), 0)
             problem = _weight_problem("up", rec.up, up) or _weight_problem("dn", rec.dn, dn)
             if problem:
                 problems.append(f"{_span(rec)}: {problem}")
                 break
-        count: dict[PartitionRecord, int] = {}
-        for rec, run in groupby(map(_record_of, self.pairs.values())):
-            count[rec] = count.get(rec, 0) + len(list(run))
+        count = {rec: entry[2] for rec, entry in recount.items()}
         if count != self.records:
             rec = next(rec for rec in [*self.records, *count]
                        if count.get(rec) != self.records.get(rec))

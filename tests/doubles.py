@@ -53,18 +53,23 @@ class CorruptAfterFirstEvent:
 
 
 def corrupt_history(at, what):
-    """A ``PairHistory`` class whose ``on_event`` corrupts, after event
-    ``at`` and after every later event that leaves a divided pair, one kept
-    value of its first divided pair (s, s2) behind the history's back:
-    ``what`` is ``"potential"`` (1 more on A[s2], so the pair's budget moves
-    and ``T`` does not), ``"weight"`` (1 more on up[s2]) or ``"T"`` (1 more
-    on the sum).  Only the recounts of ``validate`` can tell.  A corruption
-    whose pair dies may leave no trace, so the last event corrupts too."""
+    """A ``PairHistory`` class whose ``on_event`` corrupts one kept value of
+    its first divided pair (s, s2) behind the history's back: ``what`` is
+    ``"potential"`` (1 more on A[s2], so the pair's budget moves and ``T``
+    does not), ``"weight"`` (1 more on up[s2]) or ``"T"`` (1 more on the
+    sum).  Only the recounts of ``validate`` can tell.
+
+    A potential or ``T`` is corrupted once, after event ``at``: the gap it
+    opens between ``T`` and its recount lasts the run, since ``_drop`` takes
+    the corrupted budget out of ``T``.  A weight is corrupted after event
+    ``at`` and after every later event that leaves a divided pair: once
+    corrupted, it leaves the recounts with its record unless a crossing has
+    read it into ``T`` first."""
 
     class CorruptHistory(PairHistory):
         def on_event(self, event, state):
             out = super().on_event(event, state)
-            if event.index >= at and self.pairs:
+            if (event.index == at or what == "weight" and event.index > at) and self.pairs:
                 (s, s2), pair = next(iter(self.pairs.items()))
                 if what == "potential":
                     pair.record.A[s2] += 1
@@ -90,14 +95,12 @@ class PairWalkHistory(PairHistory):
     in a class up to b and upper wave in a class from a on.
 
     After every event it asserts that the production ``T`` is exactly the
-    sum of S[d] * L / d; that ``q_quadratic`` is within 2 ulps of Q read
-    from ``S`` as the sorted ``math.fsum`` of S[d] / d, and keeps the worst
-    gap in ulps as ``worst_ulps`` (both forms feed their divided sum, each
-    rounded its own way, into one float expression, whose further roundings
-    can turn a 1-ulp gap of the sums into 2 ulps of Q); and that each pair
-    of every record a crossing reached (one with a class inside the
-    crossing) has the P of the production ``budget``: only the potentials of
-    those records change.  ``check_all`` asserts it for every pair."""
+    sum of S[d] * L / d; that ``q_quadratic`` equals Q read from ``S``, with
+    the sum of S[d] / d rounded once, over the lcm of the double's own
+    denominators; and that each pair of every record a crossing reached
+    (one with a class inside the crossing) has the P of the production
+    ``budget``: only the potentials of those records change.  ``check_all``
+    asserts it for every pair."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -107,7 +110,6 @@ class PairWalkHistory(PairHistory):
         self.visits = 0          # pair budgets the walk grew
         self.reached: list = []  # the records the last crossing reached
         self.events_checked = 0
-        self.worst_ulps = 0.0
 
     def _set_pair(self, key, pair):
         super()._set_pair(key, pair)
@@ -173,10 +175,12 @@ class PairWalkHistory(PairHistory):
                     self.visits += 1
 
     def walk_q(self, state):
-        """Q with the divided part read from ``S``, as before the potentials."""
+        """Q with the divided part read from ``S``: the sum of S[d] / d,
+        correctly rounded (an int over an int)."""
         n = state.n_alive
-        never = n * (n - 1) // 2 - state.n_joined - len(self.pairs)
-        divided = math.fsum(self.S[d] / d for d in sorted(self.S))
+        never = n * (n - 1) // 2 - state.n_joined - len(self.P)
+        M = math.lcm(*self.S)
+        divided = sum(S * (M // d) for d, S in self.S.items()) / M
         b = self.bounds
         return self.eps**2 * (b.norm_d2_ww * never + 2.0 * b.norm_d3_wwv * self.eps * divided)
 
@@ -200,10 +204,7 @@ class PairWalkHistory(PairHistory):
                 self._check_record(rec, event.index)
         self.reached.clear()
         assert self.T == sum(S * self.weights[d] for d, S in self.S.items()), event.index
-        want = self.walk_q(state)
-        ulps = abs(snap.q_quadratic - want) / math.ulp(want)
-        assert ulps <= 2, (event.index, snap.q_quadratic, want)
-        self.worst_ulps = max(self.worst_ulps, ulps)
+        assert snap.q_quadratic == self.walk_q(state), (event.index, snap.q_quadratic)
         self.events_checked += 1
         return snap, detail
 

@@ -367,9 +367,9 @@ class TestFrontOrdering:
     ])
     def test_run_rejects_a_budget_outside_its_sum(self, monkeypatch, level, when, corrupt,
                                                   problem):
-        # the double adds 1 to a potential of one divided pair, to a weight
-        # of one of its waves or to T after event 2 and every later event;
-        # only the recounts can tell
+        # the double adds 1 to a potential of one divided pair or to T after
+        # event 2, or to a weight of one of its waves after event 2 and every
+        # later event; only the recounts can tell
         monkeypatch.setattr(scenario, "PairHistory", corrupt_history(2, corrupt))
         cfg = ordering_config(*ORDERING_REPROS[0].values, level)
         with pytest.raises(ValueError, match=when + ".*" + problem):

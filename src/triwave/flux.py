@@ -70,6 +70,12 @@ class Box:
     def contains_v(self, v: float) -> bool:
         return self.v_min - 1e-12 <= v <= self.v_max + 1e-12
 
+    def w_ticks(self, eps: float) -> tuple[int, int]:
+        """The least and greatest tick k whose w = k * eps lies in [w_min,
+        w_max], up to rounding: the w nodes of every interpolant of the box
+        at grid step eps."""
+        return math.ceil(self.w_min / eps - 1e-9), math.floor(self.w_max / eps + 1e-9)
+
 
 @dataclass(frozen=True)
 class FluxSpec:
@@ -401,8 +407,7 @@ class FluxTable:
     def __init__(self, spec: FluxSpec, eps: float):
         self.spec = spec
         self.eps = eps
-        self.lo = math.ceil(spec.box.w_min / eps - 1e-9)
-        self.hi = math.floor(spec.box.w_max / eps + 1e-9)
+        self.lo, self.hi = spec.box.w_ticks(eps)
         if self.hi - self.lo < 1:
             raise ValueError("box too small for the grid step")
         self._interpolants: dict[int, PiecewiseAffineFlux] = {}

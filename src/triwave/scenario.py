@@ -246,6 +246,14 @@ def _run_scenario(config: ScenarioConfig, target: Path | None) -> ScenarioResult
     spec, bounds = flux_constants(config.flux)
     w0, v0 = build_initial_data(config, spec)
     w_ticks = (w0.base, *w0.values)
+    if w0.values:
+        lo, hi = spec.box.w_ticks(config.eps)
+        outside = [tick for tick in w_ticks if not lo <= tick <= hi]
+        if outside:
+            box = spec.box
+            raise ValueError(f"w0 takes tick {outside[0]} (w = {outside[0] * config.eps:g}), "
+                             f"outside the flux box: w in [{box.w_min}, {box.w_max}] is "
+                             f"ticks [{lo}, {hi}] at eps {config.eps}")
     problems = validate_chords(spec, config.eps, min(w_ticks), max(w_ticks),
                                (v0.base, *v0.values))
     if problems:
@@ -355,10 +363,14 @@ def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
 
     A seed that raises counts as failed and its message is kept under
     ``errors``; the other seeds still run and ``summary.json`` is written.
-    At most one worker process per seed is started.
+    At most one worker process per seed is started.  A repeated seed is
+    refused: it would count its checks twice and write one directory twice.
     """
     if not seeds:
         raise ValueError("batch needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        repeated = next(seed for k, seed in enumerate(seeds) if seed in seeds[:k])
+        raise ValueError(f"batch runs each seed once, got seed {repeated} more than once")
     if workers < 1:
         raise ValueError(f"batch needs at least one worker, got {workers}")
     workers = min(workers, len(seeds))

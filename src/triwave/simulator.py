@@ -14,6 +14,10 @@ scan of the fronts (:func:`_objects`) on the first search; after that each
 event hands it the fronts it changed, their pairs get fresh entries, and
 entries that no longer hold are dropped when they reach the top.
 
+The kept front list is the one source of adjacency: the queue and
+:func:`resolve` find a front in it with :func:`~triwave.wavefield.front_index`,
+and a candidate's two w-fronts must be neighbours there.
+
 Simultaneous collisions are resolved sequentially at the same time
 coordinate, leftmost first, so every resolved event is binary and the
 per-event estimates apply verbatim.
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -38,6 +41,7 @@ from .wavefield import (
     VFront,
     apply_event,
     assign_initial_speeds,
+    front_index,
     initial_enumeration,
     position,
     speed_groups,
@@ -128,10 +132,6 @@ def _meeting(l: Front, r: Front | VFront) -> tuple[float, float] | None:
     return t0 + tau, x + l.speed * tau
 
 
-def _lo(front: Front) -> int:
-    return front.ids[0]
-
-
 class CollisionQueue:
     """The meetings of adjacent fronts, earliest first.
 
@@ -169,8 +169,8 @@ class CollisionQueue:
         ``crossed + 1`` if it sits before the next front, else that front."""
         fronts, v_fronts = state.fronts(), state.v_fronts
         for f in self.site:
-            k = bisect_left(fronts, f.ids[0], key=_lo)
-            if k == len(fronts) or fronts[k] is not f:
+            k = front_index(fronts, f.ids[0])
+            if k is None or fronts[k] is not f:
                 continue     # replaced by a later event, whose site lists its successor
             nxt = fronts[k + 1] if k + 1 < len(fronts) else None
             c = f.lead.crossed
@@ -185,8 +185,8 @@ class CollisionQueue:
         front is no longer kept."""
         if self.live.get(item[2]) is not item:
             return False
-        k = bisect_left(fronts, item[2], key=_lo)
-        if k < len(fronts) and fronts[k] is item[4]:
+        k = front_index(fronts, item[2])
+        if k is not None and fronts[k] is item[4]:
             return True
         del self.live[item[2]]
         return False
@@ -231,32 +231,33 @@ def next_collision(state: FieldState) -> CollisionCandidate | None:
     return queue.earliest(state)
 
 
-def _contiguous_alive(state: FieldState, ids: list[int]) -> tuple[int, ...]:
-    """The alive waves from the least of ``ids`` to the greatest, in id
-    order; raises unless they are ``ids``."""
-    waves = state.waves
-    run = tuple(s for s in range(min(ids), max(ids) + 1) if waves[s - 1].alive)
-    if run != tuple(sorted(ids)):
-        raise ValueError(f"colliding waves {ids} are not contiguous among alive ids")
-    return run
-
-
 def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
             index: int) -> Event:
     """Check the candidate, solve the local Riemann problem and move the state
-    across the resulting event."""
+    across the resulting event.
+
+    The candidate's fronts must be neighbours in the kept front list: its
+    left front is kept, and the right one is the next kept front, or at a
+    crossing the v-front each wave of the left front crosses next.  Their
+    waves, in id order, are the event's ``colliding`` tuple."""
     if cand.time < state.time - TIME_TOL:
         raise ValueError(f"stale event: t={cand.time} but state is at {state.time}")
     t_j = max(cand.time, state.time)
     x_j = cand.x
     left, right = cand.left, cand.right
     crossing = isinstance(right, VFront)
-    ids = list(left.ids) if crossing else list(left.ids) + list(right.ids)
-    colliding = _contiguous_alive(state, ids)
-    pre = {s: state.wave(s).speed for s in ids}
-    survivors, canceled = ids, []
+    fronts = state.fronts()
+    k = front_index(fronts, left.ids[0])
+    if k is None or fronts[k] is not left:
+        raise ValueError(f"colliding front {left.ids} is not a kept front")
+    if not crossing and (k + 1 == len(fronts) or fronts[k + 1] is not right):
+        raise ValueError(f"colliding fronts {left.ids} and {right.ids} are not neighbours "
+                         f"in the kept front list")
+    colliding = left.ids if crossing else left.ids + right.ids
+    pre = {s: state.wave(s).speed for s in colliding}
+    survivors, canceled = colliding, []
     if crossing:
-        for s in ids:
+        for s in colliding:
             if state.wave(s).crossed != right.id - 1:
                 raise ValueError(f"wave {s} crossing front {right.id} out of order")
         kind, v_tick = EventKind.TRANSVERSAL, right.v_right
@@ -274,7 +275,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
             if w_lr != w_rl:
                 raise ValueError("cancellation fronts do not share the middle state")
             survivors = []
-            for s in ids:
+            for s in colliding:
                 w = state.wave(s)
                 keep = (
                     w_a != w_c
@@ -303,8 +304,6 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         cancellation=len(canceled) * state.eps,
     )
     apply_event(state, event)
-    if canceled and survivors:    # the cancelled waves must not split the survivors
-        _contiguous_alive(state, survivors)
     return event
 
 

@@ -25,9 +25,12 @@ it changed.  :func:`validate_enumeration` derives the same runs anew from
 each wave's own position and compares the two.  The state
 also keeps ``n_joined``, the pairs of waves on one front: the joined pairs
 of the pair history, which stores none of them.
-:class:`BlockFluxes` is the one lookup from a run of waves to the effective
-flux of its homogeneous block, built from the cell increments its
-``FluxTable`` keeps for the run.
+The kept fronts answer every question of adjacency: :func:`front_index`
+finds the front that holds a wave, and the fronts next to it in the list
+are its neighbours.  :class:`BlockFluxes` is the one lookup from a run of
+waves to the effective flux of its homogeneous block, a maximal run of kept
+fronts of one sign, built from the cell increments its ``FluxTable`` keeps
+for the run.
 
 A run of waves (the waves of an event, of a front, of a partition class or
 of a block) is the tuple of its alive ids in ascending order.
@@ -56,6 +59,7 @@ __all__ = [
     "EventKind",
     "Event",
     "apply_event",
+    "front_index",
     "position",
     "FieldState",
     "initial_enumeration",
@@ -210,6 +214,22 @@ def position(obj: WaveRecord | VFront | Front, t: float) -> float:
     """Position of an alive wave, a front or a v-front at time ``t``, from its
     anchor: ``x_a + speed (t - t_a)``."""
     return obj.x_a + obj.speed * (t - obj.t_a)
+
+
+def _last_id(front: Front) -> int:
+    return front.ids[-1]
+
+
+def front_index(fronts: Sequence[Front], s: int) -> int | None:
+    """Index in the kept list ``fronts`` of the front whose ids span wave
+    ``s`` (for an alive wave, the front it is on), by bisection on last ids;
+    None if no kept front spans it.
+
+    An event replaces every front it changes by a new object, so a caller
+    that holds a front tells whether it is still kept by identity:
+    ``fronts[k] is front`` at the index of its first wave."""
+    k = bisect_left(fronts, s, key=_last_id)
+    return k if k < len(fronts) and fronts[k].ids[0] <= s else None
 
 
 def _merge_fronts(fronts: Iterable[Front], waves: Sequence[WaveRecord], t: float) -> list[Front]:
@@ -378,13 +398,14 @@ class FieldState:
         return self._n_joined
 
     def copy(self) -> "FieldState":
-        """A deep copy of the waves and v-fronts; it rebuilds its fronts, and a
-        simulator its queue, on first use.
+        """A deep copy of the waves and v-fronts.  Kept fronts are copied too,
+        each led by the copy's own wave; a simulator rebuilds its queue on
+        first use.
 
         Every field is read by name: ``vars(w)`` would give the live records
         a materialised ``__dict__``, which makes every later attribute read on
         them about a third slower on CPython 3.11."""
-        return FieldState(
+        out = FieldState(
             eps=self.eps,
             waves=[WaveRecord(w.id, w.sign, w.w_hat, w.x_a, w.speed, w.v_label, w.crossed,
                               w.t_a, w.death_time) for w in self.waves],
@@ -393,6 +414,11 @@ class FieldState:
             time=self.time,
             w_base=self.w_base,
         )
+        if self._fronts is not None:
+            waves = out.waves
+            out._fronts = [Front(f.ids, waves[f.lead.id - 1]) for f in self._fronts]
+            out._n_joined = self._n_joined
+        return out
 
 
 def _count_alive(waves: Sequence[WaveRecord], v_fronts: Sequence[VFront]) -> tuple[int, list[int]]:
@@ -690,8 +716,9 @@ def effective_flux(state: FieldState, block: tuple[int, ...],
 class BlockFluxes:
     """The effective flux of each homogeneous block of one state, built once,
     on first use, for the runs of waves that ask for it, from the cell
-    increments ``table`` keeps across states.  A block is the tuple of its
-    alive ids, and keys its flux."""
+    increments ``table`` keeps across states.  A block is a maximal run of
+    kept fronts of one sign, read from :meth:`FieldState.fronts`; the tuple
+    of its alive ids keys its flux."""
 
     def __init__(self, state: FieldState, table: FluxTable):
         self.state = state
@@ -710,22 +737,20 @@ class BlockFluxes:
         return eff
 
     def _block(self, s: int) -> tuple[int, ...]:
-        """The maximal homogeneous block around alive wave ``s``: walk out both
-        ways over dead waves, up to the first alive wave of the other sign,
-        and keep the alive ids met."""
-        waves = self.state.waves
-        sign = waves[s - 1].sign
-        sides = []
-        for ids in (range(s - 1, 0, -1), range(s + 1, len(waves) + 1)):
-            found = []
-            for t in ids:
-                w = waves[t - 1]
-                if w.alive:
-                    if w.sign != sign:
-                        break
-                    found.append(t)
-            sides.append(found)
-        return (*reversed(sides[0]), s, *sides[1])
+        """The maximal homogeneous block around alive wave ``s``: the kept
+        front that holds it and its neighbours in the front list, out to the
+        first front of the other sign on either side."""
+        fronts = self.state.fronts()
+        k = front_index(fronts, s)
+        if k is None:
+            raise ValueError(f"wave {s} is on no kept front")
+        sign = fronts[k].sign
+        a = b = k
+        while a > 0 and fronts[a - 1].sign == sign:
+            a -= 1
+        while b + 1 < len(fronts) and fronts[b + 1].sign == sign:
+            b += 1
+        return tuple(t for f in fronts[a:b + 1] for t in f.ids)
 
     def rh_speed(self, members: Sequence[int]) -> float:
         """Chord speed of the run ``members`` under its block's effective flux."""

@@ -52,6 +52,25 @@ class CorruptAfterFirstEvent:
         return None
 
 
+class ReviveAfterFirstCancellation:
+    """Stands in for ``simulator.resolve``: after the first cancellation it
+    brings the first wave that event cancelled back to life at the event
+    point, at speed 0, behind the back of the kept counts, the kept fronts
+    and the history.  ``index`` is that event's index once it has run."""
+
+    def __init__(self, real):
+        self.real = real
+        self.index = None
+
+    def __call__(self, cand, state, flux_table, index):
+        event = self.real(cand, state, flux_table, index)
+        if self.index is None and event.canceled:
+            w = state.wave(event.canceled[0])
+            w.x_a, w.t_a, w.speed, w.death_time = event.x, event.time, 0.0, None
+            self.index = index
+        return event
+
+
 def corrupt_history(at, what):
     """A ``PairHistory`` class whose ``on_event`` corrupts one kept value of
     its first divided pair (s, s2) behind the history's back: ``what`` is
@@ -227,6 +246,26 @@ def reference_effective_flux(cells, spec, eps):
         values[k + 1] = values[k] + slope * eps + incr_v
         slope += incr_d
     return PiecewiseAffineFlux(eps=eps, base_index=cells[0][0], values=values)
+
+
+def walk_block(state, s):
+    """The maximal homogeneous block around alive wave ``s``, found by
+    walking the ids out both ways over dead waves, up to the first alive
+    wave of the other sign, and keeping the alive ids met: the oracle of
+    ``BlockFluxes._block``, which reads the block from the kept fronts."""
+    waves = state.waves
+    sign = waves[s - 1].sign
+    sides = []
+    for ids in (range(s - 1, 0, -1), range(s + 1, len(waves) + 1)):
+        found = []
+        for t in ids:
+            w = waves[t - 1]
+            if w.alive:
+                if w.sign != sign:
+                    break
+                found.append(t)
+        sides.append(found)
+    return (*reversed(sides[0]), s, *sides[1])
 
 
 def group_fronts(state):

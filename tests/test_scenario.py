@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import golden.regen as regen
 from golden.regen import GOLDEN, column_changes, golden_cases
-from triwave import scenario
+from triwave import cli, scenario
 from triwave.scenario import (
     ARTIFACTS,
     ScenarioConfig,
@@ -269,6 +270,22 @@ class TestRunScenario:
         cfg.w0 = {"jumps": [[1.0, 10], [2.0, 0]]}
         assert run_scenario(cfg).passed
 
+    @pytest.mark.parametrize("tick", [17, -17, 10**6])
+    def test_w0_outside_the_flux_box_fails_fast(self, tmp_path, capsys, tick):
+        # quadratic_coupled's box is |w| <= 0.8, ticks [-16, 16] at eps 0.05;
+        # the check comes before the chords, which cost a flux call per tick
+        doc = {**json.loads(DEMO.read_text()), "w0": {"jumps": [[0.0, tick], [1.0, 0]]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert (f"error: w0 takes tick {tick} (w = {tick * 0.05:g}), outside the flux box: "
+                f"w in [-0.8, 0.8] is ticks [-16, 16] at eps 0.05") in capsys.readouterr().err
+        # the box's edge is inside it
+        doc["w0"] = {"jumps": [[0.0, 16 if tick > 0 else -16], [1.0, 0]]}
+        assert run_scenario(ScenarioConfig(**doc)).passed
+
     def test_empty_datum_trivial_report(self, tmp_path):
         cfg = ScenarioConfig(w0={"jumps": []}, v0={"jumps": []})
         res = run_scenario(cfg, out_dir=tmp_path)
@@ -344,6 +361,12 @@ class TestBatch:
                      for seed in seeds for c in checks[seed] if c["name"] == name}
             assert agg["min_slack"] == min(slack.values()), name
             assert slack[agg["worst_seed"], agg["worst"]] == agg["min_slack"], name
+
+    def test_repeated_seed_is_rejected(self, tmp_path):
+        # it would count its checks twice, and two workers would write seed_1/
+        with pytest.raises(ValueError, match="got seed 1 more than once"):
+            batch(ScenarioConfig(), seeds=[0, 1, 2, 1], out_dir=tmp_path, workers=2)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_seed_list_is_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):
@@ -578,6 +601,12 @@ class TestCli:
         assert proc.returncode == 2
         assert "error: batch needs at least one worker, got 0" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_repeated_seed_is_a_clean_error(self):
+        proc = self.run_cli("batch", "--config", str(DEMO), "--seeds", "1,1")
+        assert proc.returncode == 2
+        assert "error: batch runs each seed once, got seed 1 more than once" in proc.stderr
+        assert "seeds=" not in proc.stdout
 
     def test_empty_seed_range_is_a_clean_error(self):
         proc = self.run_cli("batch", "--config", str(DEMO), "--seeds", "5..3")

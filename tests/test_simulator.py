@@ -1,14 +1,29 @@
 import pytest
 
-from doubles import CorruptAfterFirstEvent, corrupt_history, group_fronts, swap_kept_ids
+from doubles import (
+    CorruptAfterFirstEvent,
+    ReviveAfterFirstCancellation,
+    corrupt_history,
+    group_fronts,
+    swap_kept_ids,
+)
 from golden.regen import SCALAR_FAST_JUMPS
 from triwave import scenario, simulator
 from triwave.flux import FluxTable, make_flux
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
-from triwave.simulator import TIME_TOL, _meeting, _objects, next_collision, resolve, run
+from triwave.simulator import (
+    TIME_TOL,
+    CollisionCandidate,
+    _meeting,
+    _objects,
+    next_collision,
+    resolve,
+    run,
+)
 from triwave.wavefield import (
     Event,
     EventKind,
+    Front,
     StepFunction,
     VFront,
     apply_event,
@@ -190,6 +205,33 @@ class TestResolve:
         resolve(next_collision(state), state, flux_table, index=1)
         assert [(f, f.ids) for f in before] == held
         assert state.fronts() is not before
+
+    @pytest.mark.parametrize("pick,problem", [
+        (lambda f: (f[0], f[2]), "are not neighbours in the kept front list"),
+        (lambda f: (f[1], f[0]), "are not neighbours in the kept front list"),
+        (lambda f: (f[2], f[1]), "are not neighbours in the kept front list"),
+        (lambda f: (Front(f[0].ids, f[0].lead), f[1]), r"front \(\d+, \d+\) is not a kept"),
+    ], ids=["skips_a_front", "reversed", "last_and_before", "copy_of_a_kept_front"])
+    def test_fronts_that_are_not_kept_neighbours_rejected(self, flux_table, pick, problem):
+        # three shocks, then a fan; a candidate must hold the kept front
+        # objects, left and its right-hand neighbour, and is refused before
+        # anything moves
+        state = prepared_state([(0.0, -2), (1.0, -4), (2.0, -6), (3.0, 0)], [], flux_table)
+        fronts = state.fronts()
+        assert [f.ids for f in fronts[:3]] == [(1, 2), (3, 4), (5, 6)]
+        left, right = pick(fronts)
+        with pytest.raises(ValueError, match=problem):
+            resolve(CollisionCandidate(0.5, 1.5, left, right), state, flux_table, index=1)
+        assert state.fronts() is fronts and state.time == 0.0
+
+    def test_crossing_of_a_front_that_is_not_kept_rejected(self, flux_table):
+        state = prepared_state([(0.0, 3), (1.0, 0)], [(2.0, 4), (9.0, 0)], flux_table)
+        cand = next_collision(state)
+        assert isinstance(cand.right, VFront)
+        stale = Front(cand.left.ids, cand.left.lead)
+        with pytest.raises(ValueError, match="is not a kept front"):
+            resolve(CollisionCandidate(cand.time, cand.x, stale, cand.right), state,
+                    flux_table, index=1)
 
     def test_stale_event_rejected(self, flux_table):
         state = prepared_state([(0.0, 2), (1.0, 0)], [], flux_table)
@@ -374,6 +416,23 @@ class TestFrontOrdering:
         cfg = ordering_config(*ORDERING_REPROS[0].values, level)
         with pytest.raises(ValueError, match=when + ".*" + problem):
             run_scenario(cfg)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_run_rejects_a_wave_revived_between_fronts(self, monkeypatch, seed):
+        # a cancelled wave brought back at the event point lies alive between
+        # kept neighbours; at full the recount after its event group finds
+        # it, at fast the final recount does
+        real = simulator.resolve
+        for level in ("full", "fast"):
+            revive = ReviveAfterFirstCancellation(real)
+            monkeypatch.setattr(simulator, "resolve", revive)
+            with pytest.raises(ValueError) as raised:
+                run_scenario(ScenarioConfig(seed=seed, check_level=level))
+            assert revive.index is not None
+            what = (f"enumeration invalid after event {revive.index} " if level == "full"
+                    else "final enumeration invalid: ")
+            assert str(raised.value).startswith(what), str(raised.value)
+            assert "kept alive count" in str(raised.value)
 
     @pytest.mark.parametrize("w_jumps,v_jumps", ORDERING_REPROS)
     def test_runs_at_full_and_passes(self, w_jumps, v_jumps):

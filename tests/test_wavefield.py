@@ -6,16 +6,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doubles import multipass_validate_enumeration, swap_end_positions, swap_kept_ids
-from test_acceptance import SMALL_N_SEEDS, ensemble_config, small_n_config
+from doubles import (
+    multipass_validate_enumeration,
+    swap_end_positions,
+    swap_kept_ids,
+    walk_block,
+)
+from golden.regen import golden_cases
+from test_acceptance import NON_CONVEX_WIDE, SMALL_N_SEEDS, ensemble_config, small_n_config
 from triwave import simulator
 from triwave.flux import FluxTable, make_flux
 from triwave.riemann import solve_scalar
 from triwave.scenario import run_scenario
 from triwave.wavefield import (
     BlockFluxes,
+    EventKind,
     FieldState,
     assign_initial_speeds,
+    front_index,
     StepFunction,
     effective_flux,
     initial_enumeration,
@@ -37,7 +45,7 @@ def speeds_of(groups):
 
 def blocks(state):
     """Maximal runs of alive waves of one sign, each the tuple of its ids:
-    the oracle for the block ``BlockFluxes`` walks out to."""
+    the oracle for the blocks ``BlockFluxes`` reads from the kept fronts."""
     out = []
     for w in state.waves:
         if not w.alive:
@@ -351,6 +359,7 @@ class TestBlockFluxes:
         # one positive block of five waves (ids 1-5), then a negative one (6-7)
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        assign_initial_speeds(state, flux_table)
         fluxes = BlockFluxes(state, flux_table)
         assert fluxes.flux([1, 2]) is fluxes.flux([3, 4, 5])
         assert fluxes.flux([6]) is not fluxes.flux([1])
@@ -360,6 +369,7 @@ class TestBlockFluxes:
     def test_rh_speed_is_the_chord_of_the_block_flux(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 3), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        assign_initial_speeds(state, flux_table)
         fluxes = BlockFluxes(state, flux_table)
         g = fluxes.flux([1, 2, 3])
         assert fluxes.rh_speed([1, 2, 3]) == (g.value(3) - g.value(0)) / (3 * EPS)
@@ -370,14 +380,15 @@ class TestBlockFluxes:
         # state; after (4, 5, 6, 7) the negative waves 3 and 8 form one block
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 1), (3.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        kill(state, dead)
+        assign_initial_speeds(state, flux_table)
+        kill(state, dead)    # before the fronts are first built, so they skip the dead
         fluxes = BlockFluxes(state, flux_table)
         for blk in blocks(state):
             want = effective_flux(state, blk, flux_table)
             for s in blk:
                 assert np.array_equal(fluxes.flux([s]).values, want.values)
                 assert fluxes.flux([s]) is fluxes.flux(blk)
-            assert fluxes._block(blk[0]) == blk
+            assert fluxes._block(blk[0]) == blk == walk_block(state, blk[0])
             beyond = [s for s in state.alive_ids() if s > blk[-1]]
             if beyond:
                 with pytest.raises(ValueError, match="span two homogeneous blocks"):
@@ -386,8 +397,46 @@ class TestBlockFluxes:
     def test_run_spanning_two_blocks_raises(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        assign_initial_speeds(state, flux_table)
         with pytest.raises(ValueError, match="span two homogeneous blocks"):
             BlockFluxes(state, flux_table).flux([2, 3])
+
+    def test_a_dead_wave_has_no_block(self, flux_table):
+        w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
+        state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        assign_initial_speeds(state, flux_table)
+        kill(state, (2, 3))
+        with pytest.raises(ValueError, match="wave 3 is on no kept front"):
+            BlockFluxes(state, flux_table).flux([3])
+
+
+def test_block_matches_the_id_walk_after_every_event(monkeypatch):
+    # the goldens, and criterion 9's legs that cancel waves and hold classes
+    # of two or more: after every event, each alive wave's block read from
+    # the kept fronts is the one the id walk over dead waves finds
+    seen = {"events": 0, "cancellations": 0, "multi_front_blocks": 0}
+    real = simulator.resolve
+
+    def compare(cand, state, flux_table, index):
+        event = real(cand, state, flux_table, index)
+        fluxes, fronts = BlockFluxes(state, flux_table), state.fronts()
+        for s in state.alive_ids():
+            blk = fluxes._block(s)
+            assert blk == walk_block(state, s), (index, s)
+            seen["multi_front_blocks"] += len(blk) > len(fronts[front_index(fronts, s)].ids)
+        seen["events"] += 1
+        seen["cancellations"] += event.kind == EventKind.CANCELLATION
+        return event
+
+    monkeypatch.setattr(simulator, "resolve", compare)
+    configs = list(golden_cases().values())
+    configs += [ensemble_config(seed, flux, amplitude)
+                for flux, amplitude, _, _ in NON_CONVEX_WIDE.values() for seed in range(5)]
+    for cfg in configs:
+        # the check level plays no part in the blocks
+        run_scenario(replace(cfg, check_level="fast"))
+    assert seen["events"] > 500 and seen["cancellations"] > 50, seen
+    assert seen["multi_front_blocks"] > 1000, seen
 
 
 def test_only_wavefield_reads_the_blocks():
@@ -415,6 +464,18 @@ def test_copy_keeps_every_field_and_shares_no_record():
     assert (copy.eps, copy.time, copy.w_base) == (EPS, 2.0, 1)
     copy.wave(1).x_a = copy.v_fronts[0].x_a = -1.0
     assert (wave.x_a, vf.x_a) != (-1.0, -1.0)
+
+
+def test_copy_keeps_the_fronts_led_by_its_own_waves(flux_table):
+    w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
+    state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+    assign_initial_speeds(state, flux_table)
+    assert state.copy()._fronts is None     # none kept yet: built on first use
+    fronts = state.fronts()
+    copy = state.copy()
+    assert [f.ids for f in copy._fronts] == [f.ids for f in fronts]
+    assert all(f.lead is copy.wave(f.lead.id) for f in copy._fronts)
+    assert copy.n_joined == state.n_joined and validate_enumeration(copy) == []
 
 
 def test_snapshot_is_json_ready(flux_table):

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .flux import PiecewiseAffineFlux
 
 __all__ = [
@@ -46,26 +44,25 @@ class EnvelopeResult:
     eps: float
     lo: int
     hi: int
-    node_values: np.ndarray
-    cell_slopes: np.ndarray
+    node_values: tuple[float, ...]
+    cell_slopes: tuple[float, ...]
     vertices: tuple[int, ...]  # ticks of hull vertices, lo and hi included
 
     def cell_slope(self, cell: int) -> float:
         if not self.lo <= cell < self.hi:
             raise ValueError(f"cell {cell} outside [{self.lo}, {self.hi})")
-        return float(self.cell_slopes[cell - self.lo])
+        return self.cell_slopes[cell - self.lo]
 
 
-def _lower_hull(ticks: np.ndarray, ys: np.ndarray) -> list[int]:
-    """Indices (into ys) of the lower hull vertices, collinear points kept."""
+def _lower_hull(ys: list[float]) -> list[int]:
+    """Indices (into ys, the nodes at unit spacing) of the lower hull
+    vertices, collinear points kept."""
     hull: list[int] = []
     for i in range(len(ys)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # right turn means b lies above chord(a, i): drop it; ties stay
-            cross = (ticks[b] - ticks[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (
-                ticks[i] - ticks[a]
-            )
+            cross = (b - a) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (i - a)
             if cross < 0.0:
                 hull.pop()
             else:
@@ -82,27 +79,23 @@ def _envelope(g: PiecewiseAffineFlux, lo: int, hi: int, sign: float) -> Envelope
     """
     if lo >= hi:
         raise ValueError("degenerate interval")
-    ys = sign * np.asarray(g.node_slice(lo, hi), dtype=float)
-    n = hi - lo + 1
-    ticks = np.arange(n)
-    hull = _lower_hull(ticks, ys)
+    ys = [sign * y for y in g.node_slice(lo, hi)]
+    hull = _lower_hull(ys)
 
-    node_values = np.empty(n)
-    cell_slopes = np.empty(n - 1)
-    for idx in hull:
-        node_values[idx] = ys[idx]
+    node_values = [ys[0]]
+    cell_slopes = []
     for a, b in zip(hull, hull[1:]):
         slope = (ys[b] - ys[a]) / ((b - a) * g.eps)
-        cell_slopes[a:b] = slope
-        for k in range(a + 1, b):
-            node_values[k] = ys[a] + slope * (k - a) * g.eps
+        cell_slopes.extend([slope] * (b - a))
+        node_values.extend([ys[a] + slope * (k - a) * g.eps for k in range(a + 1, b)])
+        node_values.append(ys[b])
     return EnvelopeResult(
         eps=g.eps,
         lo=lo,
         hi=hi,
-        node_values=sign * node_values,
-        cell_slopes=sign * cell_slopes,
-        vertices=tuple(lo + int(i) for i in hull),
+        node_values=tuple(sign * y for y in node_values),
+        cell_slopes=tuple(sign * s for s in cell_slopes),
+        vertices=tuple(lo + i for i in hull),
     )
 
 

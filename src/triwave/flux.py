@@ -30,9 +30,8 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable
-
-import numpy as np
 
 __all__ = [
     "Box",
@@ -51,8 +50,20 @@ __all__ = [
 
 Real2 = Callable[[float, float], float]
 
-# nodes and weights for the per-cell quadrature of build_effective_flux
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# nodes and weights for the per-cell quadrature of build_effective_flux: the
+# 16-point Gauss-Legendre rule on [-1, 1], as numpy's leggauss(16) gives it
+_GL_NODES = (
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GL_WEIGHTS = (
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
 
 
 @dataclass(frozen=True)
@@ -85,10 +96,9 @@ class FluxSpec:
     finite differences of ``eval``.  Hyperbolicity requires d_w > -1
     throughout the box (see :func:`validate_flux`).
 
-    Every evaluator must also broadcast over numpy arrays, as the built-in
-    lambdas do: :func:`derivative_bounds` and :func:`validate_flux` call it
-    once on a whole meshgrid of the box.  An evaluator that returns a scalar
-    (a constant derivative) is broadcast to the grid.
+    Every evaluator is called with two Python floats, one point at a time,
+    and must return a real number: plain ``math`` functions serve.  What it
+    returns is stored as a ``float``, so a numpy scalar is converted too.
     """
 
     name: str
@@ -119,12 +129,12 @@ class PiecewiseAffineFlux:
     """Samples of f(., v) at the nodes of eps*Z; affine in between.
 
     ``base_index`` is the tick of the leftmost node, so node k of ``values``
-    sits at ``(base_index + k) * eps``.
+    sits at ``(base_index + k) * eps``.  ``values`` is a tuple of floats.
     """
 
     eps: float
     base_index: int
-    values: np.ndarray
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.values) < 2:
@@ -137,9 +147,9 @@ class PiecewiseAffineFlux:
     def value(self, tick: int) -> float:
         if not self.base_index <= tick <= self.last_index:
             raise ValueError(f"node {tick} outside [{self.base_index}, {self.last_index}]")
-        return float(self.values[tick - self.base_index])
+        return self.values[tick - self.base_index]
 
-    def node_slice(self, lo: int, hi: int) -> np.ndarray:
+    def node_slice(self, lo: int, hi: int) -> tuple[float, ...]:
         """Node values on ticks [lo, hi], inclusive."""
         if not (self.base_index <= lo < hi <= self.last_index):
             raise ValueError(f"range [{lo}, {hi}] not within flux grid")
@@ -188,17 +198,22 @@ def _custom_poly(coeffs: list, box: Box) -> FluxSpec:
     terms = [(int(i), int(j), _finite("custom_poly", "coefficient", a)) for i, j, a in coeffs]
 
     def df(di: int, dj: int) -> Real2:
+        # each surviving term's coefficient, computed once
+        kept = []
+        for i, j, a in terms:
+            if i < di or j < dj:
+                continue
+            coef = a
+            for k in range(di):
+                coef *= i - k
+            for k in range(dj):
+                coef *= j - k
+            kept.append((coef, i - di, j - dj))
+
         def g(w: float, v: float) -> float:
             total = 0.0
-            for i, j, a in terms:
-                if i < di or j < dj:
-                    continue
-                coef = a
-                for k in range(di):
-                    coef *= i - k
-                for k in range(dj):
-                    coef *= j - k
-                total += coef * w ** (i - di) * v ** (j - dj)
+            for coef, p, q in kept:
+                total += coef * w ** p * v ** q
             return total
 
         return g
@@ -276,42 +291,63 @@ def interpolate(spec: FluxSpec, v: float, eps: float, lo: int, hi: int) -> Piece
         raise ValueError(f"v={v} outside box")
     if not (spec.box.contains_w(lo * eps) and spec.box.contains_w(hi * eps)):
         raise ValueError(f"range [{lo * eps}, {hi * eps}] outside box")
-    values = np.array([spec.eval(i * eps, v) for i in range(lo, hi + 1)], dtype=float)
+    values = tuple(float(spec.eval(i * eps, v)) for i in range(lo, hi + 1))
     return PiecewiseAffineFlux(eps=eps, base_index=lo, values=values)
 
 
-def _grid(spec: FluxSpec, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (grid_n+1)^2 meshgrid of the flux box, w along rows, v down columns."""
-    ws = np.linspace(spec.box.w_min, spec.box.w_max, grid_n + 1)
-    vs = np.linspace(spec.box.v_min, spec.box.v_max, grid_n + 1)
-    return np.meshgrid(ws, vs)
+def _axis(lo: float, hi: float, n: int) -> list[float]:
+    """``n + 1`` evenly spaced points from lo to hi, ends included, each
+    ``i * step + lo`` as numpy's ``linspace`` computes them."""
+    step = (hi - lo) / n
+    out = [i * step + lo for i in range(n + 1)]
+    out[-1] = hi
+    return out
 
 
-def _on_grid(fn: Real2, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``fn`` on the whole grid; a constant evaluator returns a scalar."""
-    return np.broadcast_to(fn(w, v), w.shape)
+def _grid(spec: FluxSpec, grid_n: int) -> tuple[list[float], list[float]]:
+    """The w and v axes of the (grid_n+1)^2 grid of the flux box."""
+    box = spec.box
+    return _axis(box.w_min, box.w_max, grid_n), _axis(box.v_min, box.v_max, grid_n)
+
+
+def _sup_norm(spec: FluxSpec, name: str, ws: list[float], vs: list[float]) -> float:
+    """max |spec.<name>| over the grid ws x vs.  Raises unless every sample
+    is finite: a NaN or an infinity bounds nothing."""
+    fn = getattr(spec, name)
+    top = 0.0
+    for v in vs:
+        row = list(map(abs, map(fn, ws, repeat(v))))
+        if not all(map(math.isfinite, row)):
+            w = next(w for w, d in zip(ws, row) if not math.isfinite(d))
+            raise ValueError(f"flux {spec.name}: {name}({w}, {v}) = {fn(w, v)} is not finite, "
+                             f"so its sup norm on the box is no bound")
+        top = max(top, max(row))
+    return float(top)
 
 
 def derivative_bounds(spec: FluxSpec) -> DerivativeBounds:
     """Sup norms of |d2_ww|, |d2_wv|, |d3_wwv| sampled on a 257^2 grid.
 
     The 1.01 inflation keeps every downstream inequality conservative with
-    respect to the true (unsampled) sup norm.
+    respect to the true (unsampled) sup norm.  A derivative that is not
+    finite at some grid point raises ``ValueError``.
     """
-    w, v = _grid(spec, 256)
-    m_ww, m_wv, m_wwv = (float(np.max(np.abs(_on_grid(fn, w, v))))
-                         for fn in (spec.d2_ww, spec.d2_wv, spec.d3_wwv))
-    return DerivativeBounds(float(1.01 * m_ww), float(1.01 * m_wv), float(1.01 * m_wwv))
+    ws, vs = _grid(spec, 256)
+    return DerivativeBounds(*(1.01 * _sup_norm(spec, name, ws, vs)
+                              for name in ("d2_ww", "d2_wv", "d3_wwv")))
 
 
 def validate_flux(spec: FluxSpec) -> list[str]:
-    """Check hyperbolicity (d_w > -1) on a 65^2 grid; return violations.
-    A value that is not a number (NaN) is a violation too."""
-    w, v = _grid(spec, 64)
-    d_w = _on_grid(spec.d_w, w, v)
-    return [f"d_w({w[k]}, {v[k]}) = {d_w[k]} <= -1" if d_w[k] <= -1.0
-            else f"d_w({w[k]}, {v[k]}) = {d_w[k]} is not a number"
-            for k in zip(*np.nonzero(~(d_w > -1.0)))]
+    """Check hyperbolicity (d_w > -1) on a 65^2 grid, v outer and w inner;
+    return violations.  A value that is not a number (NaN) is a violation too."""
+    ws, vs = _grid(spec, 64)
+    out = []
+    for v in vs:
+        for w, d in zip(ws, map(spec.d_w, ws, repeat(v))):
+            if not d > -1.0:
+                out.append(f"d_w({w}, {v}) = {d} <= -1" if d <= -1.0
+                           else f"d_w({w}, {v}) = {d} is not a number")
+    return out
 
 
 # flux selections whose constants a process keeps: a run reads one, and a
@@ -335,10 +371,14 @@ def flux_constants(flux: dict) -> tuple[FluxSpec, DerivativeBounds]:
 def _flux_constants(key: str) -> tuple[FluxSpec, DerivativeBounds]:
     flux = json.loads(key)
     spec = make_flux(flux["name"], flux.get("params"))
-    problems = validate_flux(spec)
-    if problems:
-        raise ValueError(f"flux {spec.name} is not hyperbolic on its box: {problems[0]}")
-    return spec, derivative_bounds(spec)
+    try:
+        problems = validate_flux(spec)
+        if problems:
+            raise ValueError(f"flux {spec.name} is not hyperbolic on its box: {problems[0]}")
+        return spec, derivative_bounds(spec)
+    except OverflowError as exc:
+        # a float power past the largest float raises rather than give inf
+        raise ValueError(f"flux {spec.name} overflows on its box: {exc}") from None
 
 
 def validate_chords(spec: FluxSpec, eps: float, w_lo: int, w_hi: int,
@@ -376,14 +416,14 @@ def build_effective_flux(cells: list[tuple[int, int]], table: FluxTable) -> Piec
     if any(b != a + 1 for a, b in zip(ticks, ticks[1:])):
         raise ValueError("cells must be contiguous and ascending")
     eps = table.eps
-    values = np.zeros(len(cells) + 1)
+    values = [0.0]
     slope = 0.0    # first derivative at the left node of the current cell
-    for k, (tick, v_tick) in enumerate(cells):
+    for tick, v_tick in cells:
         incr_d, incr_v = table.cell_increments(tick, v_tick)
         # value(b) = value(a) + slope(a)*eps + int_a^b (b - x) g(x) dx
-        values[k + 1] = values[k] + slope * eps + incr_v
+        values.append(values[-1] + slope * eps + incr_v)
         slope += incr_d
-    return PiecewiseAffineFlux(eps=eps, base_index=ticks[0], values=values)
+    return PiecewiseAffineFlux(eps=eps, base_index=ticks[0], values=tuple(values))
 
 
 class FluxTable:
@@ -430,12 +470,30 @@ class FluxTable:
         got = self._cells.get(key)
         if got is None:
             eps = self.eps
+            h = 0.5 * eps
             a = tick * eps
+            b = a + eps
             v = v_tick * eps
-            # map Gauss nodes to [a, a+eps]
-            x = a + 0.5 * eps * (_GL_NODES + 1.0)
-            wts = 0.5 * eps * _GL_WEIGHTS
-            g = np.array([self.spec.d2_ww(xi, v) for xi in x])
-            got = self._cells[key] = (float(np.dot(wts, g)),
-                                      float(np.dot(wts, (a + eps - x) * g)))
+            d2_ww = self.spec.d2_ww
+            slope_terms, value_terms = [], []
+            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+                x = a + h * (node + 1.0)    # the Gauss node mapped to [a, b]
+                g = float(d2_ww(x, v))
+                slope_terms.append(h * weight * g)
+                value_terms.append(h * weight * ((b - x) * g))
+            got = self._cells[key] = (_quadrature_sum(slope_terms),
+                                      _quadrature_sum(value_terms))
         return got
+
+
+def _quadrature_sum(p: list[float]) -> float:
+    """The sum of one cell's 16 quadrature terms in one fixed order: four
+    lanes, lane k the terms k, k + 4, k + 8, k + 12 in turn, then the lanes
+    as (0 + 2) + (1 + 3).  It is the order of OpenBLAS's AVX2 ``ddot``, in
+    which the golden files were first written, and it no longer depends on
+    which BLAS is installed."""
+    lane0 = ((p[0] + p[4]) + p[8]) + p[12]
+    lane1 = ((p[1] + p[5]) + p[9]) + p[13]
+    lane2 = ((p[2] + p[6]) + p[10]) + p[14]
+    lane3 = ((p[3] + p[7]) + p[11]) + p[15]
+    return (lane0 + lane2) + (lane1 + lane3)

@@ -48,13 +48,13 @@ def solve_scalar(w_minus: int, w_plus: int,
 
     segments: list[tuple[int, int, float]] = []
     for a, b in zip(env.vertices, env.vertices[1:]):
-        slope = float(env.cell_slopes[a - env.lo])
+        slope = env.cell_slopes[a - env.lo]
         if segments and abs(slope - segments[-1][2]) <= SLOPE_TOL:
             a0, _, _ = segments[-1]
             chord = (env.node_values[b - env.lo] - env.node_values[a0 - env.lo]) / (
                 (b - a0) * g.eps
             )
-            segments[-1] = (a0, b, float(chord))
+            segments[-1] = (a0, b, chord)
         else:
             segments.append((a, b, slope))
 

@@ -21,8 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .flux import FluxSpec, flux_constants, validate_chords
 from .history import PairHistory
 from .replay import MAX_REPLAY_WAVES
@@ -160,13 +158,14 @@ class ScenarioResult:
     summary: dict        # summarize(checks), as report.json holds it
 
 
-def generate_initial_data(rand_spec: dict, rng: np.random.Generator, eps: float,
+def generate_initial_data(rand_spec: dict, rng, eps: float,
                           amp_limit: float) -> StepFunction:
     """Random compactly supported step function on [0, 10] with grid values.
 
     Draws ``jumps`` plateau values as a walk on the grid within the amplitude
     bound, forces the return to zero, and redraws (deterministically from the
     same stream) while the width/front-count constraints are violated.
+    ``rng`` is a ``numpy.random.Generator``.
     """
     n_jumps = int(rand_spec.get("jumps", 3))
     if n_jumps < 1:
@@ -174,7 +173,7 @@ def generate_initial_data(rand_spec: dict, rng: np.random.Generator, eps: float,
     amp = float(rand_spec.get("max_amplitude", amp_limit))
     if amp > amp_limit + 1e-12:
         raise ValueError(f"amplitude {amp} exceeds the flux box ({amp_limit})")
-    amp_ticks = int(np.floor(amp / eps + 1e-9))
+    amp_ticks = math.floor(amp / eps + 1e-9)
     if amp_ticks < 1:
         raise ValueError("amplitude below one grid step")
     max_waves = rand_spec.get("max_waves")
@@ -188,10 +187,10 @@ def generate_initial_data(rand_spec: dict, rng: np.random.Generator, eps: float,
             values.append(prev)
         if values[-1] != 0:
             values.append(0)
-        xs = np.sort(rng.uniform(0.0, 10.0, size=len(values)))
-        if len(np.unique(xs)) != len(xs):
+        xs = sorted(rng.uniform(0.0, 10.0, size=len(values)).tolist())
+        if len(set(xs)) != len(xs):
             continue
-        step = StepFunction(tuple(float(x) for x in xs), tuple(values), 0)
+        step = StepFunction(tuple(xs), tuple(values), 0)
         if max_waves is not None and step.tv_ticks() > max_waves:
             continue
         if max_fronts is not None and len(step.positions) > max_fronts:
@@ -201,19 +200,22 @@ def generate_initial_data(rand_spec: dict, rng: np.random.Generator, eps: float,
 
 
 def build_initial_data(config: ScenarioConfig, spec: FluxSpec) -> tuple[StepFunction, StepFunction]:
-    seq = np.random.SeedSequence(config.seed)
-    rng_w, rng_v = (np.random.default_rng(s) for s in seq.spawn(2))
-
-    def build(part: dict, rng, amp_limit: float) -> StepFunction:
+    """w0 and v0 of a config.  A ``random`` part draws from stream k (0 for
+    w0, 1 for v0) of ``SeedSequence(config.seed).spawn(2)``; numpy is
+    imported only then, so a run of explicit jumps never loads it."""
+    def build(part: dict, stream: int, amp_limit: float) -> StepFunction:
         if "jumps" in part:
             return StepFunction.from_jumps([(float(x), int(t)) for x, t in part["jumps"]])
         if not part["random"]:
             return StepFunction((), (), 0)
+        import numpy as np
+
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[stream])
         return generate_initial_data(part["random"], rng, config.eps, amp_limit)
 
     w_amp = min(abs(spec.box.w_min), abs(spec.box.w_max))
     v_amp = min(abs(spec.box.v_min), abs(spec.box.v_max))
-    return build(config.w0, rng_w, w_amp), build(config.v0, rng_v, v_amp)
+    return build(config.w0, 0, w_amp), build(config.v0, 1, v_amp)
 
 
 # every file a run writes into its target

@@ -37,13 +37,11 @@ Small-N lemma suite (``check_small_n_lemmas``), against a per-pair replay:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from .history import PairHistory
 from .replay import Replay
@@ -71,7 +69,6 @@ __all__ = [
 CHECK_LEVELS = ("fast", "full", "small_n")
 REL_TOL = 1e-9
 LOG2 = math.log(2.0)
-LOG2_CASES = 50     # random (a, xi, b) draws of the log-2 kernel check
 LEMMA_TOL = 1e-9    # absolute slack on pi in the class-gap lemma
 
 
@@ -246,19 +243,61 @@ def _kernel_integral(a: float, xi: float, b: float) -> float:
     return F(b - a) - F(b - xi) - F(xi - a)
 
 
-@functools.cache
-def _log2_cases() -> tuple[tuple[float, float, float], ...]:
-    """The ``LOG2_CASES`` seeded ``(a, xi, b)`` draws of the log-2 kernel
-    check, drawn from ``default_rng(0)`` on first use and kept for the
-    process: every run checks the same cases."""
-    rng = np.random.default_rng(0)
-    out = []
-    for _ in range(LOG2_CASES):
-        a = float(rng.uniform(-2.0, 1.0))
-        b = float(a + rng.uniform(0.2, 3.0))
-        xi = float(rng.uniform(a + 1e-3, b - 1e-3))
-        out.append((a, xi, b))
-    return tuple(out)
+# the (a, xi, b) cases of the log-2 kernel check, the same in every run: 50
+# draws from numpy's default_rng(0), each a uniform on [-2, 1), then b = a +
+# uniform on [0.2, 3), then xi uniform on [a + 1e-3, b - 1e-3)
+_LOG2_CASES = (
+    (-0.08911493803563708, -0.04905066564887104, 0.8662878605031998),
+    (-1.9504170934144127, 0.3097959615458754, 0.52673957634635),
+    (-0.1800926726984604, 1.0389482484808417, 2.0624976980567356),
+    (0.8052172713633046, 0.8130152966679716, 3.2896072229035944),
+    (0.5722128297627078, 0.786301122396559, 0.866252440618008),
+    (-1.473033138192323, -0.05616566133417922, 1.1438678443873593),
+    (-1.1008643283878456, -1.0607400168162637, 0.28265989096559796),
+    (-1.627150170501308, -0.2827476025026603, 0.4505981906408567),
+    (-0.15384466555623844, 1.1159026956279372, 1.120452486377035),
+    (0.9425060163286902, 2.3208649536439605, 3.0620235728746352),
+    (0.06534019171282024, 0.24020669000942332, 1.3543201788543107),
+    (0.1644650205822451, 0.6832562608889644, 1.8354571235142774),
+    (-0.5424939235046327, 1.969743656402526, 2.148072012672568),
+    (-0.9266144098727893, -0.3468019863633244, 0.8736691161705412),
+    (-0.21709990940090962, 0.2319715306246452, 0.9290515220190634),
+    (0.6708230560143771, 1.1915868485641083, 1.5068643179078403),
+    (-1.7479539692528454, 0.24393533383328503, 0.7834496441766685),
+    (-1.2818916710211434, -1.1255601151080041, 1.3722641752488274),
+    (-0.9916488183630188, -0.7119866959293799, -0.3708663110574695),
+    (0.38897281086188285, 0.43386829029086377, 1.2347709960443756),
+    (-0.7863444805354154, -0.7169315200266795, -0.030507955909500506),
+    (-0.2590028420394481, 0.4370745034910385, 0.777346329853535),
+    (-1.40145366809536, -0.3650316411913628, 1.4364630413228339),
+    (-1.6835141612893114, 0.1342478040201498, 0.2779886630218742),
+    (-0.6788685358526481, 0.7572590516871726, 2.193984846481416),
+    (-0.7243141254527734, 1.2017972506650492, 1.2122835401902843),
+    (0.8468310248132962, 1.9739118583397839, 2.3349574148787653),
+    (-0.507731913537143, 0.8134462499545544, 1.1743421350138141),
+    (-0.7560324519329877, 0.8482775689274614, 1.5005215490754544),
+    (0.7961790598401346, 1.1761294089213132, 1.3179904330266692),
+    (0.7822717858736796, 0.8260405639092222, 3.6924651176626897),
+    (0.5909202707367274, 3.411235551798516, 3.538266382922491),
+    (-1.5537079633025064, 1.0471147757602588, 1.3696527154017675),
+    (0.4671214826292114, 0.826432667408928, 2.0110876692911415),
+    (0.4056417361549238, 1.1475176621700918, 3.1915261835486386),
+    (-0.38319677713343925, 0.956334192760638, 1.0565111439952488),
+    (-1.878467866434696, -0.49659189854434405, 0.3711494814036742),
+    (-1.914903904659437, -1.8785331516036294, 0.29891145925543583),
+    (0.27385300706928417, 1.7927532660802772, 1.9095774322031025),
+    (-1.8017525098277758, -1.6304470091827512, 0.7539358730868975),
+    (-0.9670700635876246, 0.3891570357715791, 0.43776638586630856),
+    (-0.31330447331462885, -0.08928108278063257, 0.6115163875639813),
+    (0.6643549619775397, 0.7687894743312955, 1.496789361546048),
+    (-1.1350077289772673, -0.11495518425817908, 0.7061368524983844),
+    (0.42913232773833343, 0.9398685614596295, 2.1984649933556537),
+    (-0.7613109719573219, 0.7988999185941063, 1.7294277467612271),
+    (0.8772329280923268, 1.5592339700740228, 2.1115652791490334),
+    (-0.21822739516049516, 0.15710735114528124, 2.356987988009673),
+    (-0.7804689897556201, -0.6612122624491786, 1.9674161028988113),
+    (0.4681188405445056, 1.5985445525979114, 1.8311941451839344),
+)
 
 
 def check_log2_kernel() -> list[CheckResult]:
@@ -266,7 +305,7 @@ def check_log2_kernel() -> list[CheckResult]:
     1/(w'-w) over [a, xi] x [xi, b] never exceeds log2 (b-a)."""
     return [_check("log2_kernel", f"case:{k}", _kernel_integral(a, xi, b),
                    LOG2 * (b - a) + 1e-6, a=a, xi=xi, b=b)
-            for k, (a, xi, b) in enumerate(_log2_cases())]
+            for k, (a, xi, b) in enumerate(_LOG2_CASES)]
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_criterion_1_envelope_oracle():
     for _ in range(1000):
         n = int(rng.integers(2, 65))
         ys = rng.uniform(-1.0, 1.0, n)
-        g = PiecewiseAffineFlux(eps=0.05, base_index=0, values=ys)
+        g = PiecewiseAffineFlux(eps=0.05, base_index=0, values=tuple(ys.tolist()))
         env = convex_envelope(g, 0, n - 1)
         want = env_props.oracle_lower_hull_values(np.arange(n) * 0.05, ys)
         worst = max(worst, float(np.max(np.abs(env.node_values - want))))

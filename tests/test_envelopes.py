@@ -14,7 +14,7 @@ from triwave.flux import PiecewiseAffineFlux
 
 
 def paf(values, eps=1.0, base=0):
-    return PiecewiseAffineFlux(eps=eps, base_index=base, values=np.asarray(values, float))
+    return PiecewiseAffineFlux(eps=eps, base_index=base, values=tuple(map(float, values)))
 
 
 def contact(env):
@@ -65,8 +65,8 @@ class TestAgainstOracle:
             ys = rng.uniform(-1.0, 1.0, n)
             env = concave_envelope(paf(ys), 0, n - 1)
             neg = convex_envelope(paf(-ys), 0, n - 1)
-            assert np.array_equal(env.node_values, -neg.node_values)
-            assert np.array_equal(env.cell_slopes, -neg.cell_slopes)
+            assert np.array_equal(env.node_values, -np.asarray(neg.node_values))
+            assert np.array_equal(env.cell_slopes, -np.asarray(neg.cell_slopes))
             assert np.array_equal(contact(env), contact(neg))
 
 
@@ -275,7 +275,7 @@ def test_prop_envelope_slopes_stable_under_flux_perturbation(rng):
         gs = paf([base(j * eps) for j in range(hi + 1)], eps=eps)
         env_f = convex_envelope(fs, 0, hi)
         env_g = convex_envelope(gs, 0, hi)
-        worst = float(np.max(np.abs(env_f.cell_slopes - env_g.cell_slopes)))
+        worst = float(np.max(np.abs(np.asarray(env_f.cell_slopes) - env_g.cell_slopes)))
         assert worst <= sup_diff + 1e-12
 
 

@@ -1,13 +1,13 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from doubles import reference_effective_flux
-from triwave import flux
+from triwave import cli, flux
 from triwave.envelopes import rh_speed
 from triwave.flux import (
     Box,
@@ -22,9 +22,15 @@ from triwave.flux import (
     validate_chords,
     validate_flux,
 )
+from triwave.history import PairHistory
 from triwave.scenario import ScenarioConfig, run_scenario
+from triwave.simulator import run
+from triwave.verifier import run_verifier
+from triwave.wavefield import StepFunction
 
 EPS = 0.05
+# numpy's 16-point Gauss-Legendre nodes and weights
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def centered(f, x, h):
@@ -215,6 +221,79 @@ def test_validate_flux_reports_a_speed_that_is_not_a_number():
     assert problems[0] == "d_w(-0.8, -0.5) = nan is not a number"
 
 
+def test_a_non_finite_derivative_fails_fast(tmp_path, capsys):
+    # 5e306 * 11 * 10 overflows: d2_ww is -inf at w = -0.8 and NaN at w = 0,
+    # which a max over the grid would return or skip depending on its order
+    selection = {"name": "custom_poly", "params": {"coeffs": [[11, 0, 5e306]]}}
+    message = ("flux custom_poly: d2_ww(-0.8, -0.5) = -inf is not finite, "
+               "so its sup norm on the box is no bound")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        flux_constants(selection)
+    cfg = tmp_path / "cfg.json"
+    ScenarioConfig(flux=selection, w0={"jumps": [[1.0, 1], [2.0, 0]]},
+                   v0={"jumps": []}).to_json(cfg)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_float_power_past_the_largest_float_is_a_value_error():
+    # d_w = w + 6 w^5 is 1e500 at w = 1e100: Python's float power raises
+    # OverflowError there, where numpy gave inf
+    selection = {"name": "custom_poly",
+                 "params": {"coeffs": [[2, 0, 0.5], [6, 0, 1.0]], "box": [0, 1e100, -1, 1]}}
+    with pytest.raises(ValueError, match=r"^flux custom_poly overflows on its box: "):
+        flux_constants(selection)
+
+
+def sin_coupled(sin, cos):
+    """0.5 w^2 + 0.1 sin(v) w^2 on the default box, with ``sin`` and ``cos``
+    from ``math`` or from numpy (whose results are numpy scalars)."""
+    return FluxSpec(
+        "sin_coupled",
+        eval=lambda w, v: 0.5 * w * w + 0.1 * sin(v) * w * w,
+        d_w=lambda w, v: w + 0.2 * sin(v) * w,
+        d2_ww=lambda w, v: 1.0 + 0.2 * sin(v),
+        d2_wv=lambda w, v: 0.2 * cos(v) * w,
+        d3_wwv=lambda w, v: 0.2 * cos(v),
+        box=Box(-0.8, 0.8, -0.5, 0.5),
+    )
+
+
+@pytest.mark.parametrize("sin,cos", [(math.sin, math.cos), (np.sin, np.cos)],
+                         ids=["math", "numpy_scalars"])
+def test_a_hand_built_flux_runs_end_to_end_on_plain_floats(sin, cos):
+    spec = sin_coupled(sin, cos)
+    assert validate_flux(spec) == []
+    bounds = derivative_bounds(spec)
+    assert bounds.norm_d3_wwv == pytest.approx(0.202, rel=1e-9)
+    history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+    traj = run(StepFunction.from_jumps([(1.0, 4), (2.0, -2), (3.0, 0)]),
+               StepFunction.from_jumps([(1.5, 3), (2.5, 0)]), spec, EPS,
+               bounds=bounds, history=history, validate_each_event=True)
+    checks = run_verifier(traj, level="full", history=history)
+    assert len(traj.events) > 3 and all(c.passed for c in checks)
+    table = FluxTable(spec, EPS)
+    floats = [*astuple(bounds), *table.flux_for_v(3).values,
+              *table.cell_increments(2, -3),
+              *build_effective_flux([(0, 1), (1, -2)], table).values,
+              *(x for ev in traj.events for x in (ev.time, ev.x, *ev.post_speeds.values())),
+              *(snap.q_quadratic for snap in traj.snapshots)]
+    assert {type(x) for x in floats} == {float}
+
+
+def test_gauss_legendre_tables_are_numpys():
+    assert flux._GL_NODES == tuple(GL_NODES.tolist())
+    assert flux._GL_WEIGHTS == tuple(GL_WEIGHTS.tolist())
+
+
+@pytest.mark.parametrize("box", [[-0.8, 0.8, -0.5, 0.5], [-0.7, 0.9, -0.45, 0.6]])
+@pytest.mark.parametrize("grid_n", [64, 256])
+def test_grid_is_numpys_linspace(box, grid_n):
+    ws, vs = flux._grid(make_flux("quartic", {"box": box}), grid_n)
+    assert ws == np.linspace(box[0], box[1], grid_n + 1).tolist()
+    assert vs == np.linspace(box[2], box[3], grid_n + 1).tolist()
+
+
 class TestEffectiveFlux:
     def test_single_cell_normalization(self, spec):
         eff = build_effective_flux([(0, 2)], FluxTable(spec, EPS))
@@ -289,7 +368,7 @@ class TestCellIncrements:
             for _ in range(2):
                 got = build_effective_flux(cells, table)
                 assert got.base_index == want.base_index
-                assert got.values.tobytes() == want.values.tobytes()
+                assert [x.hex() for x in got.values] == [x.hex() for x in want.values]
 
     def test_increments_are_kept_per_table(self):
         # two tables of different eps or flux never see each other's entries
@@ -299,8 +378,50 @@ class TestCellIncrements:
         built = [FluxTable(s, e) for s, e in tables]
         for (s, e), table in zip(tables, built):
             got = build_effective_flux(cells, table)
-            assert got.values.tobytes() == reference_effective_flux(cells, s, e).values.tobytes()
+            want = reference_effective_flux(cells, s, e)
+            assert [x.hex() for x in got.values] == [x.hex() for x in want.values]
         assert len({table.cell_increments(1, 2) for table in built}) == 3
+
+
+def numpy_cell_increments(spec, eps, tick, v_tick):
+    """One cell's two increments by numpy, the nodes and weights mapped as
+    ``FluxTable.cell_increments`` maps them, summed two ways: by ``np.dot``,
+    whose order of addition is the BLAS build's, and in the order that
+    ``cell_increments`` fixes, the 16 terms as a 4 x 4 array summed down its
+    columns, the column sums then added as (0 + 2) + (1 + 3)."""
+    a = tick * eps
+    v = v_tick * eps
+    x = a + 0.5 * eps * (GL_NODES + 1.0)
+    wts = 0.5 * eps * GL_WEIGHTS
+    g = np.array([spec.d2_ww(xi, v) for xi in x])
+    terms = (wts * g, wts * ((a + eps - x) * g))
+    dot = (float(np.dot(wts, g)), float(np.dot(wts, (a + eps - x) * g)))
+    lanes = [t.reshape(4, 4).sum(axis=0) for t in terms]
+    fixed = tuple(float((c[0] + c[2]) + (c[1] + c[3])) for c in lanes)
+    return dot, fixed
+
+
+def ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.02])
+@pytest.mark.parametrize("name,params", BUILT_IN, ids=[name for name, _ in BUILT_IN])
+def test_cell_increments_agree_with_numpy(name, params, eps):
+    # every cell of the box under every v tick of it: equal to the fixed
+    # order, which no golden CSV pins (only report.json reads it), and
+    # within 4 ulps of np.dot, which may sum in another order on another BLAS
+    spec = make_flux(name, params)
+    table = FluxTable(spec, eps)
+    v_lo, v_hi = math.ceil(spec.box.v_min / eps - 1e-9), math.floor(spec.box.v_max / eps + 1e-9)
+    worst = 0.0
+    for tick in range(table.lo, table.hi):
+        for v_tick in range(v_lo, v_hi + 1):
+            got = table.cell_increments(tick, v_tick)
+            dot, fixed = numpy_cell_increments(spec, eps, tick, v_tick)
+            assert got == fixed, (tick, v_tick)
+            worst = max(worst, *map(ulps, got, dot))
+    assert worst <= 4
 
 
 def test_flux_table_caches(spec):

@@ -15,7 +15,7 @@ values_strategy = st.lists(
 
 
 def paf(values):
-    return PiecewiseAffineFlux(eps=0.125, base_index=0, values=np.asarray(values))
+    return PiecewiseAffineFlux(eps=0.125, base_index=0, values=tuple(map(float, values)))
 
 
 @given(values_strategy)
@@ -24,7 +24,7 @@ def test_envelope_is_idempotent(values):
     g = paf(values)
     env = convex_envelope(g, 0, len(values) - 1)
     again = convex_envelope(paf(env.node_values), 0, len(values) - 1)
-    assert np.max(np.abs(again.node_values - env.node_values)) <= 1e-12
+    assert np.max(np.abs(np.asarray(again.node_values) - env.node_values)) <= 1e-12
 
 
 @given(values_strategy)

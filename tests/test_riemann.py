@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from triwave.envelopes import entropic_speed
@@ -7,7 +6,7 @@ from triwave.riemann import solve_scalar
 
 
 def paf(values, eps=1.0, base=0):
-    return PiecewiseAffineFlux(eps=eps, base_index=base, values=np.asarray(values, float))
+    return PiecewiseAffineFlux(eps=eps, base_index=base, values=tuple(map(float, values)))
 
 
 def test_equal_states_empty_fan():

@@ -626,6 +626,46 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# run in a fresh process: three jumps-only scenarios, one per check level,
+# and a CLI run of a jumps config, each followed by a report of whether
+# numpy is loaded; then the random-data demo config, which must load it
+NUMPY_GUARD = """
+import json, sys
+from pathlib import Path
+import triwave
+from triwave import cli
+from triwave.scenario import ScenarioConfig, run_scenario
+
+out, demo, golden = (Path(a) for a in sys.argv[1:4])
+print("import", "numpy" in sys.modules)
+for level in ("fast", "full", "small_n"):
+    cfg = ScenarioConfig(w0={"jumps": [[1.0, 3], [2.0, -1], [3.0, 0]]},
+                         v0={"jumps": [[1.5, 2], [2.5, 0]]}, check_level=level)
+    assert run_scenario(cfg, out_dir=out / level).passed
+    print(level, "numpy" in sys.modules)
+cfg = out / "jumps.json"
+cfg.write_text(json.dumps({"w0": {"jumps": [[1.0, 2], [2.0, 0]]}, "v0": {"jumps": []}}))
+assert cli.main(["run", "--config", str(cfg), "--out", str(out / "cli")]) == 0
+print("cli", "numpy" in sys.modules)
+assert run_scenario(ScenarioConfig.from_json(demo), out_dir=out / "demo").passed
+same = all((out / "demo" / n).read_bytes() == (golden / n).read_bytes()
+           for n in ("events.csv", "functionals.csv"))
+print("random", "numpy" in sys.modules, same)
+"""
+
+
+def test_numpy_is_loaded_only_for_random_data(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD, str(tmp_path), str(DEMO),
+                           str(GOLDEN)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    # the CLI prints its own "seed=..." line
+    assert [line for line in proc.stdout.splitlines() if not line.startswith("seed=")] == [
+        "import False", "fast False", "full False", "small_n False", "cli False",
+        "random True True"]
+
+
 def test_no_json_dump_in_the_package():
     # json.dump(..., indent=1) runs the pure-Python encoder one token per
     # write; every artifact goes through one json.dumps and one write instead

@@ -4,6 +4,7 @@ import math
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from test_acceptance import small_n_config
@@ -13,6 +14,7 @@ from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
 from triwave.simulator import run
 from triwave.verifier import (
+    _LOG2_CASES,
     LEMMA_TOL,
     CheckResult,
     _check,
@@ -61,6 +63,16 @@ class TestLog2Kernel:
 
     def test_random_cases_all_pass(self):
         assert all(r.passed for r in check_log2_kernel())
+
+    def test_cases_are_the_default_rng_0_draws(self):
+        rng = np.random.default_rng(0)
+        draws = []
+        for _ in range(50):
+            a = float(rng.uniform(-2.0, 1.0))
+            b = float(a + rng.uniform(0.2, 3.0))
+            xi = float(rng.uniform(a + 1e-3, b - 1e-3))
+            draws.append((a, xi, b))
+        assert _LOG2_CASES == tuple(draws)
 
     def test_closed_form_matches_quadrature(self):
         from scipy import integrate

@@ -23,7 +23,6 @@ __all__ = [
     "convex_envelope",
     "concave_envelope",
     "rh_speed",
-    "entropic_speed",
     "SLOPE_TOL",
 ]
 
@@ -116,16 +115,4 @@ def rh_speed(g: PiecewiseAffineFlux, lo: int, hi: int) -> float:
     if lo > hi:
         lo, hi = hi, lo
     return (g.value(hi) - g.value(lo)) / ((hi - lo) * g.eps)
-
-
-def entropic_speed(g: PiecewiseAffineFlux, lo: int, hi: int, cell: int, sign: int) -> float:
-    """Envelope cell slope the Riemann problem [lo, hi] assigns to one cell.
-
-    Positive waves read the convex envelope, negative waves the concave one,
-    matching the sign convention of the speed function.
-    """
-    if not (lo <= cell < hi):
-        raise ValueError(f"cell {cell} not inside [{lo}, {hi})")
-    env = convex_envelope(g, lo, hi) if sign > 0 else concave_envelope(g, lo, hi)
-    return env.cell_slope(cell)
 

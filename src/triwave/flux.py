@@ -16,7 +16,7 @@ module owns:
   ticks: the interpolants f_eps(., v), the scalar fans of the Riemann
   problems solved so far, and the quadrature increments of each cell;
 - ``build_effective_flux``: the effective flux of a block, a
-  ``PiecewiseAffineFlux`` whose second w-derivative equals d2f/dw2(., v_label)
+  ``PiecewiseAffineFlux`` whose second w-derivative equals d2f/dw2(., v)
   cell by cell, anchored to value 0 / slope 0 at its left node (it is only
   ever used through differences, which are affine-invariant).
 

@@ -57,13 +57,17 @@ its two waves.  Then
 
 n the alive count, the joined pairs those on one kept front, the stored
 pairs the divided ones, and T / L one correctly rounded division: O(1) per
-event.  A divided pair that meets again joined leaves the store; one that
-meets again and stays divided is an error.  ``PairHistory.validate``
-recounts T and every record's weights from the stored pairs and reports a
-stored pair on one kept front, which would be counted twice.
+event.
 
-A crossing or a cancellation changes only the classes that meet its
-colliding waves, and one rule re-splits them for both.
+An event changes only the records that meet its colliding waves, and one
+pass carries them across it.  A divided pair lives in the record it divided
+at, and both its waves stay in that record's classes until they die, so a
+dead wave's pairs are found among its record's waves.  No stored pair lies
+on one kept front, so only pairs across an event's two fronts meet again:
+joined, they leave the store; divided, they are an error.
+``PairHistory.validate`` recounts T and every record's weights from the
+stored pairs and reports a stored pair on one kept front, which would be
+counted twice.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter, mul
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
@@ -85,7 +89,6 @@ __all__ = [
     "PairRec",
     "PairHistory",
     "m_value",
-    "pair_weight",
 ]
 
 log = logging.getLogger("triwave.history")
@@ -204,11 +207,6 @@ def m_value(class_members: list[list[int]], part_lo: int, part_hi: int,
     return total * eps
 
 
-def pair_weight(pi: float, w_hat: int, w_hat2: int, eps: float) -> float:
-    """q of a divided pair with right states ``w_hat``, ``w_hat2`` (ticks)."""
-    return pi / ((abs(w_hat2 - w_hat) + 1) * eps)
-
-
 class PairHistory:
     """Incrementally maintained pair histories, partitions and functionals."""
 
@@ -221,8 +219,6 @@ class PairHistory:
         self.pairs: dict[tuple[int, int], PairRec] = {}
         # live record -> the number of divided pairs sharing it
         self.records: dict[PartitionRecord, int] = {}
-        # wave id -> the waves it has a stored pair with; no empty sets
-        self.partners: dict[int, set[int]] = {}
         # L = lcm(1..d_max) and weights[d] = L // d; initialize sets them
         self.L = 1
         self.weights = [0, 1]
@@ -236,12 +232,10 @@ class PairHistory:
 
     def _set_pair(self, key: tuple[int, int], pair: PairRec) -> None:
         """Store the divided ``pair`` of a fresh record (so P = 0) under
-        ``key``: in ``pairs``, ``partners``, its record's pair count and the
-        weights of its two waves."""
+        ``key``: in ``pairs``, its record's pair count and the weights of its
+        two waves."""
         s, s2 = key
         self.pairs[key] = pair
-        self.partners.setdefault(s, set()).add(s2)
-        self.partners.setdefault(s2, set()).add(s)
         rec = pair.record
         self.records[rec] = self.records.get(rec, 0) + 1
         w = self.weights[pair.d]
@@ -249,18 +243,11 @@ class PairHistory:
         rec.dn[s] += w
 
     def _drop(self, s: int, s2: int) -> None:
-        """Forget the divided pair of waves ``s`` and ``s2`` (either order):
-        it leaves ``pairs``, ``partners`` and its record's count (a record
-        without pairs leaves the registry), and takes its L / d out of the
-        weights of its waves and P * L / d out of ``T``."""
-        if s > s2:
-            s, s2 = s2, s
+        """Forget the divided pair (s, s2), s < s2: it leaves ``pairs`` and
+        its record's count (a record without pairs leaves the registry), and
+        takes its L / d out of the weights of its waves and P * L / d out of
+        ``T``."""
         pair = self.pairs.pop((s, s2))
-        for a, b in ((s, s2), (s2, s)):
-            mates = self.partners[a]
-            mates.discard(b)
-            if not mates:
-                del self.partners[a]
         rec = pair.record
         left = self.records[rec] - 1
         if left:
@@ -284,6 +271,11 @@ class PairHistory:
         pair and the first record that fails (empty = ok)."""
         problems = []
         weights = self.weights
+        # wave -> its kept front's index, for the fronts of two or more waves
+        front_of = {s: k for k, f in enumerate(state.fronts()) if len(f.ids) > 1
+                    for s in f.ids}
+        front_get = front_of.get
+        on_front = None
         # record -> the recounted up and dn of the waves it keeps them for,
         # and its pair count; a record's pairs come from one _meet, so they
         # mostly come in a row
@@ -302,6 +294,9 @@ class PairHistory:
             w = weights[pair.d]
             up[s2] = up_get(s2, 0) + w
             dn[s] = dn_get(s, 0) + w
+            k = front_get(s)
+            if k is not None and k == front_get(s2) and on_front is None:
+                on_front = (s, s2)
         # the sum over the pairs of (A[s2] - B[s]) L / d, wave by wave
         T = 0
         for rec, (up, dn, _) in recount.items():
@@ -322,27 +317,14 @@ class PairHistory:
                        if count.get(rec) != self.records.get(rec))
             problems.append(f"{_span(rec)}: kept pair count {self.records.get(rec, 0)}, "
                             f"recounted {count.get(rec, 0)}")
-        pair = self._pair_on_one_front(state)
-        if pair is not None:
-            problems.append(f"stored pair {pair} lies on one kept front")
+        if on_front is not None:
+            problems.append(f"stored pair {on_front} lies on one kept front")
         for rec in self.records:
             problem = _record_problem(rec, state.waves)
             if problem:
                 problems.append(f"{_span(rec)}: {problem}")
                 break
         return problems
-
-    def _pair_on_one_front(self, state: FieldState) -> tuple[int, int] | None:
-        """The first stored pair whose waves share a kept front, found through
-        ``partners``, or None."""
-        for f in state.fronts():
-            ids = f.ids
-            if len(ids) > 1:
-                for s in ids:
-                    mates = self.partners.get(s)
-                    if mates and not mates.isdisjoint(ids):
-                        return s, min(mates.intersection(ids))
-        return None
 
     # -- construction ------------------------------------------------------
 
@@ -355,7 +337,7 @@ class PairHistory:
         self.weights = [0] + [self.L // d for d in range(1, d_max + 1)]
         for groups in initial_groups:
             ids = [s for members, _ in groups for s in members]
-            self._meet(ids, {s: speed for members, speed in groups for s in members}, 0, state)
+            self._meet(ids, {s: speed for members, speed in groups for s in members}, state)
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
@@ -365,90 +347,52 @@ class PairHistory:
         detail = None
         if event.kind.is_interaction:
             detail = self._interaction_detail(event, state)
-
-        if event.canceled:
-            self._apply_deaths(event.canceled)
-        if event.kind == EventKind.TRANSVERSAL:
-            self._apply_transversal_pi(event, state)
-        self._refine_records(event, state)
+        else:
+            self._update_records(event, state)
+        if event.left_ids:
+            self._rejoin(event)
         if event.post_speeds:
             ids = sorted(event.post_speeds)
             if len({state.wave(s).sign for s in ids}) != 1:
                 raise ValueError("meeting waves of opposite sign survived one event")
-            self._meet(ids, event.post_speeds, event.index, state)
+            self._meet(ids, event.post_speeds, state)
 
         snap = self.snapshot(state, index=event.index,
                              sum_abs_dsigma=event.sum_abs_dsigma)
         return snap, detail
 
-    def _apply_deaths(self, canceled: tuple[int, ...]) -> None:
-        """Drop the pairs of the dead waves, found through ``partners``."""
-        for s in canceled:
-            for s2 in list(self.partners.get(s, ())):
-                self._drop(s, s2)
-
-    def _apply_transversal_pi(self, event: Event, state: FieldState) -> None:
-        """pi grows by 2 ||d3f/dw2dv|| |v_h| M for every pair still divided,
-        so P grows by ticks_h * count, through the potentials.
-
-        count is the integer of ``m_value`` (M = count * eps).  Per record,
-        running sums of the sizes of the classes a..b inside the crossing
-        give F and G of each wave from class a on: F(w) = G(w) = the total
-        of a..b past class b.  With K = 0 every pi is 0 whatever P holds,
-        and the potentials are left as they are.
-        """
-        if self.K == 0.0:
-            return
-        lo, hi = event.colliding[0], event.colliding[-1]   # a crossing kills no wave
-        ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
-        dT = 0
-        for rec in self.records:
-            classes = rec.classes
-            if classes[-1][-1] < lo or hi < classes[0][0]:
-                continue  # no class of the record can lie inside the crossing
-            # classes a..b: the first starts at lo or later, the last ends at
-            # hi or earlier, so all of them lie inside the crossing
-            a = bisect_left(classes, lo, key=_first)
-            b = bisect_right(classes, hi, key=_last) - 1
-            if a > b:
-                continue
-            A, B, up, dn = rec.A, rec.B, rec.up, rec.dn
-            total = 0
-            for k in range(a, len(classes)):
-                g = total
-                if k <= b:
-                    total += len(classes[k])
-                f, g = ticks * total, ticks * g
-                for w in classes[k]:
-                    A[w] += f
-                    B[w] += g
-                    dT += f * up[w] - g * dn[w]
-        self.T += dT
-
-    def _refine_records(self, event: Event, state: FieldState) -> None:
-        """Split again the classes this event may change, by one rule for a
-        crossing and a cancellation; an interaction changes none.
-
-        A class changes only if the event crossed it (the effective flux
-        changes only on cells whose waves crossed the first-family front) or
-        killed one of its waves, and every crossed or dead wave lies in
-        ``event.colliding``.  So per record only the classes that meet the
-        span of those waves are visited.  Each is kept as it is, unless the
-        event crossed it and it holds two or more waves, or killed one of
-        its waves: then it is cut to its alive waves, dropped if none is
-        left, and split again if two or more are.  A crossing kills no wave
-        (``simulator.resolve``).
-        """
-        if event.kind.is_interaction:
-            return
+    def _update_records(self, event: Event, state: FieldState) -> None:
+        """Carry the records across a crossing or a cancellation, in one pass
+        over those that meet the span of ``event.colliding``, which holds
+        every crossed or dead wave.  Per record, the pairs of its dead waves
+        leave (a record left without pairs is done), a crossing grows its
+        potentials (``_grow``), and the classes that meet the span are split
+        again by one rule.  A class changes only if the event crossed it (the
+        effective flux changes only on cells whose waves crossed the
+        first-family front) or killed one of its waves: then it is cut to its
+        alive waves, dropped if none is left, and split again if two or more
+        are.  A crossing kills no wave (``simulator.resolve``)."""
         first, last, dead = event.colliding[0], event.colliding[-1], event.canceled
         crossing = event.kind == EventKind.TRANSVERSAL
+        if crossing:
+            ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         fluxes = BlockFluxes(state, self.table)
-        waves = state.waves
-        for rec in self.records:
+        waves, pairs, records = state.waves, self.pairs, self.records
+        for rec in [*records]:      # a record that loses its last pair leaves
             classes = rec.classes
             if classes[-1][-1] < first or last < classes[0][0]:
                 continue
+            for d in dead:
+                if d in rec.A:
+                    for s in rec.A:     # the partners of d's pairs of rec
+                        key = (d, s) if d < s else (s, d)
+                        pair = pairs.get(key)
+                        if pair is not None and pair.record is rec:
+                            self._drop(*key)
+            if rec not in records:
+                continue
+            if crossing:
+                self._grow(rec, first, last, ticks)
             # classes lo..hi - 1 meet the colliding waves' span
             lo = bisect_left(classes, first, key=_last)
             hi = bisect_right(classes, last, key=_first)
@@ -465,6 +409,33 @@ class PairHistory:
                 elif members:
                     new_classes.append(members)
             classes[lo:hi] = new_classes
+
+    def _grow(self, rec: PartitionRecord, lo: int, hi: int, ticks: int) -> None:
+        """Grow P by ticks * count for every pair of ``rec``, through the
+        potentials, at a crossing of the waves ``lo..hi`` by a v-front of
+        ``ticks`` (pi grows by 2 ||d3f/dw2dv|| |v_h| M, and count is the
+        integer of ``m_value``, M = count * eps).  Running sums of the sizes
+        of the classes a..b inside the crossing give F and G of each wave from
+        class a on: F(w) = G(w) = the total of a..b past class b."""
+        classes = rec.classes
+        # classes a..b: the first starts at lo or later, the last ends at hi
+        # or earlier, so all of them lie inside the crossing
+        a = bisect_left(classes, lo, key=_first)
+        b = bisect_right(classes, hi, key=_last) - 1
+        if a > b:
+            return
+        A, B, up, dn = rec.A, rec.B, rec.up, rec.dn
+        total = dT = 0
+        for k in range(a, len(classes)):
+            g = total
+            if k <= b:
+                total += len(classes[k])
+            f, g = ticks * total, ticks * g
+            for w in classes[k]:
+                A[w] += f
+                B[w] += g
+                dT += f * up[w] - g * dn[w]
+        self.T += dT
 
     def _split_class(self, members: tuple[int, ...], state: FieldState,
                      fluxes: BlockFluxes) -> list[tuple[int, ...]]:
@@ -485,24 +456,25 @@ class PairHistory:
         out.append(members[start:])
         return out
 
-    def _meet(self, ids: list[int], speeds: dict[int, float], index: int,
-              state: FieldState) -> None:
-        """Pairs of ``ids`` meeting at one point after event ``index``: joined
-        where the speeds agree, else divided and sharing one fresh partition
-        whose classes are the runs of equal speed.  Joined pairs are not
-        stored, so a stored pair that meets here joined is dropped; one that
-        meets here divided raises.  Every divided pair starts with P = 0 (its
+    def _rejoin(self, event: Event) -> None:
+        """Drop the stored pairs across the event's two fronts, once the dead
+        waves' pairs have left: they meet again joined; one that meets again
+        divided raises."""
+        speeds, pairs = event.post_speeds, self.pairs
+        for s in event.left_ids:
+            for s2 in event.right_ids:
+                if (s, s2) in pairs:
+                    if speeds[s] != speeds[s2]:
+                        raise ValueError(f"pair ({s}, {s2}) met again while divided "
+                                         f"at event {event.index}")
+                    log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
+                    self._drop(s, s2)
+
+    def _meet(self, ids: list[int], speeds: dict[int, float], state: FieldState) -> None:
+        """Pairs of ``ids`` meeting at one point: joined where the speeds
+        agree, else divided and sharing one fresh partition whose classes are
+        the runs of equal speed.  Every divided pair starts with P = 0 (its
         record's potentials are 0) and the denominator of its right states."""
-        meeting = set(ids)
-        for s in ids:
-            mates = self.partners.get(s)
-            if not mates:
-                continue
-            for s2 in mates & meeting:   # s2 > s: the pairs of earlier ids are gone
-                if speeds[s] != speeds[s2]:
-                    raise ValueError(f"pair ({s}, {s2}) met again while divided at event {index}")
-                log.debug("pair (%d, %d) re-joined at event %d", s, s2, index)
-                self._drop(s, s2)
         runs = [[ids[0]]]
         for prev, s in zip(ids, ids[1:]):
             if speeds[s] == speeds[prev]:
@@ -573,14 +545,9 @@ class PairHistory:
         Read from the state's kept alive counts per ``crossed`` value in
         O(v-fronts): the waves ahead of front h are those with ``crossed < h``.
         """
-        if not state.v_fronts:
-            return 0.0
-        ahead = [0]
-        for n in state.per_crossed:
-            ahead.append(ahead[-1] + n)
-        total = 0.0
-        for vf in state.v_fronts:
-            total += vf.strength_ticks * self.eps * ahead[vf.id] * self.eps
+        ahead, eps, total = [0, *accumulate(state.per_crossed)], self.eps, 0.0
+        for vf in state.v_fronts:   # a loop: sum() rounds otherwise from Python 3.12
+            total += vf.strength_ticks * eps * ahead[vf.id] * eps
         return total
 
     def snapshot(self, state: FieldState, index: int, sum_abs_dsigma: float) -> FunctionalSnapshot:

@@ -15,13 +15,18 @@ from dataclasses import dataclass, field
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from .flux import FluxTable
-from .history import m_value, pair_weight
+from .history import m_value
 from .simulator import Trajectory
 from .wavefield import BlockFluxes, Event, EventKind, FieldState, apply_event
 
 __all__ = ["ReplayPair", "ReplayStep", "Replay", "MAX_REPLAY_WAVES"]
 
 MAX_REPLAY_WAVES = 12
+
+
+def pair_weight(pi: float, w_hat: int, w_hat2: int, eps: float) -> float:
+    """q of a divided pair with right states ``w_hat``, ``w_hat2`` (ticks)."""
+    return pi / ((abs(w_hat2 - w_hat) + 1) * eps)
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ class Replay:
         if event.kind == EventKind.TRANSVERSAL:
             crossing = event.colliding
             if members[-1] < crossing[0] or crossing[-1] < members[0]:
-                return [members]  # no member changed its v label
+                return [members]  # no member changed its v value
         eff = fluxes.flux(members)
         sign = state.wave(members[0]).sign
         cells = [state.wave(s).cell() for s in members]

@@ -262,9 +262,9 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
                 raise ValueError(f"wave {s} crossing front {right.id} out of order")
         kind, v_tick = EventKind.TRANSVERSAL, right.v_right
     else:
-        if left.v_label != right.v_label:
-            raise ValueError("colliding w-fronts see different v values")
-        v_tick = left.v_label
+        if left.lead.crossed != right.lead.crossed:
+            raise ValueError("colliding w-fronts have crossed different v-fronts")
+        v_tick = state.v_ticks[left.lead.crossed]
         if left.sign == right.sign:
             kind = EventKind.INTERACTION_POSITIVE if left.sign > 0 else EventKind.INTERACTION_NEGATIVE
         else:
@@ -293,7 +293,6 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         x=x_j,
         kind=kind,
         colliding=colliding,
-        v_label=v_tick,
         post_speeds=post,
         sum_abs_dsigma=_dsigma(pre, post, state.eps),
         left_ids=() if crossing else left.ids,

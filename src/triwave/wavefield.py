@@ -3,13 +3,13 @@
 Every elementary jump of size eps in the transported field w is a *wave* with
 a permanent 1-based id, a permanent sign and a permanent right state ``w_hat``
 (stored as an integer tick).  The field state tracks, per wave, its anchor and
-speed (None once cancelled), the v value at its position and how many
-first-family fronts it has crossed.  First-family fronts all travel at speed
--1 and are stored separately.  An ``Event`` records one resolved collision in
-terms of this enumeration: the ids of the waves that meet, in id order, and
-the speeds of the survivors after it.  :func:`apply_event` is the one place
-that moves a state across an event; the simulator and the replay both call
-it.
+speed (None once cancelled) and how many first-family fronts it has crossed,
+which tells the v value at its position: ``FieldState.v_ticks[crossed]``.
+First-family fronts all travel at speed -1 and are stored separately.  An
+``Event`` records one resolved collision in terms of this enumeration: the
+ids of the waves that meet, in id order, and the speeds of the survivors
+after it.  :func:`apply_event` is the one place that moves a state across an
+event; the simulator and the replay both call it.
 
 Positions are anchored: every wave and first-family front keeps the position
 ``x_a`` it had at time ``t_a``, when an event last moved it, and
@@ -35,7 +35,7 @@ for the run.
 A run of waves (the waves of an event, of a front, of a partition class or
 of a block) is the tuple of its alive ids in ascending order.
 
-State arithmetic is exact: w values, right states and v labels are integer
+State arithmetic is exact: w values, right states and v values are integer
 ticks; only positions, speeds and times are floats.
 """
 
@@ -67,7 +67,6 @@ __all__ = [
     "speed_groups",
     "stack_range",
     "validate_enumeration",
-    "reconstruct_profile",
     "effective_flux",
     "BlockFluxes",
     "snapshot",
@@ -143,7 +142,6 @@ class WaveRecord:
     w_hat: int              # right state, ticks
     x_a: float | None       # anchor: position at time t_a; None encodes the +infinity of cancelled waves
     speed: float | None
-    v_label: int            # v tick at the wave's position
     crossed: int            # first-family fronts with index <= crossed are behind
     t_a: float = 0.0
     death_time: float | None = None
@@ -182,8 +180,9 @@ class VFront:
 class Front:
     """Maximal contiguous run of alive waves sharing position, speed and sign.
 
-    Only the ids and the lead wave are stored: anchor, speed, sign and v label
-    are read from the lead, whose anchor every wave of the front shares.
+    Only the ids and the lead wave are stored: anchor, speed, sign and
+    crossing count are read from the lead, whose anchor every wave of the
+    front shares.
     """
 
     ids: tuple[int, ...]
@@ -204,10 +203,6 @@ class Front:
     @property
     def sign(self) -> int:
         return self.lead.sign
-
-    @property
-    def v_label(self) -> int:
-        return self.lead.v_label
 
 
 def position(obj: WaveRecord | VFront | Front, t: float) -> float:
@@ -237,16 +232,15 @@ def _merge_fronts(fronts: Iterable[Front], waves: Sequence[WaveRecord], t: float
     speed and sign; the waves of a joined front take the anchor of its first
     wave.
 
-    Raises ``ValueError`` if the joined waves disagree on v label or on the
-    v-fronts they have crossed."""
+    Raises ``ValueError`` if the joined waves disagree on the v-fronts they
+    have crossed."""
     out: list[Front] = []
     for f in fronts:
         if out:
             a, b = out[-1].lead, f.lead
             if a.speed == b.speed and a.sign == b.sign and position(a, t) == position(b, t):
-                if a.v_label != b.v_label or a.crossed != b.crossed:
+                if a.crossed != b.crossed:
                     raise ValueError(f"mixed front at x={position(a, t)}: "
-                                     f"labels={ {a.v_label, b.v_label} } "
                                      f"crossed={ {a.crossed, b.crossed} }")
                 if (b.x_a, b.t_a) != (a.x_a, a.t_a):
                     for s in f.ids:
@@ -279,7 +273,6 @@ class Event:
     x: float
     kind: EventKind
     colliding: tuple[int, ...]        # second-family waves arriving at (t, x): contiguous alive ids
-    v_label: int                      # v tick seen at (t, x) after the event
     post_speeds: dict[int, float]     # survivor -> its speed after the event
     sum_abs_dsigma: float             # sum over surviving waves of |speed change| * eps
     left_ids: tuple[int, ...] = ()    # the ids of the two colliding w-fronts (empty for transversal)
@@ -293,8 +286,8 @@ class Event:
 def apply_event(state: FieldState, event: Event) -> None:
     """Move ``state`` across ``event``: anchor the colliding waves at the
     event point, kill the cancelled ones, set the new speeds and, at a
-    crossing, snap the v-front and relabel the waves that crossed it.  No
-    other wave or v-front is touched: their anchors still give their
+    crossing, snap the v-front and count it crossed by the waves that cross
+    it.  No other wave or v-front is touched: their anchors still give their
     positions.  The alive counts follow: each cancelled wave leaves
     ``n_alive`` and its ``per_crossed`` slot, and each crossing wave moves to
     the slot of the v-front it crossed.  The state's fronts (built here if it
@@ -330,7 +323,6 @@ def apply_event(state: FieldState, event: Event) -> None:
             per_crossed[min(w.crossed, top)] -= 1
             per_crossed[event.v_front_id] += 1
             w.crossed = event.v_front_id
-            w.v_label = event.v_label
     # replace the fronts that meet the colliding waves by the survivors, then
     # merge them with the neighbour on either side
     lo = bisect_left(fronts, colliding[0], key=lambda f: f.ids[-1])
@@ -348,6 +340,9 @@ def apply_event(state: FieldState, event: Event) -> None:
 class FieldState:
     """Full simulation state: wave records plus first-family fronts.
 
+    ``v_ticks[h]`` is the v value right of v-front h, and ``v_ticks[0]``
+    the base of v: the v value of a wave is ``v_ticks[crossed]``.
+
     Three counts are kept across events by :func:`apply_event`:
     ``n_alive``, the number of alive waves; ``per_crossed``, the alive waves
     per ``crossed`` value, capped at the top v-front id; and ``n_joined``,
@@ -358,12 +353,13 @@ class FieldState:
     :func:`apply_event` appends the fronts it changes to its ``site`` list."""
 
     def __init__(self, eps: float, waves: list[WaveRecord], v_fronts: list[VFront],
-                 time: float = 0.0, w_base: int = 0):
+                 time: float = 0.0, w_base: int = 0, v_base: int = 0):
         self.eps = eps
         self.time = time
         self.w_base = w_base
         self.waves = waves
         self.v_fronts = v_fronts
+        self.v_ticks = [v_base, *(vf.v_right for vf in v_fronts)]
         self._fronts: list[Front] | None = None   # kept by apply_event once built
         self._n_joined = 0                          # counted with the fronts
         self._queue = None                          # the simulator's, built on first use
@@ -407,12 +403,13 @@ class FieldState:
         them about a third slower on CPython 3.11."""
         out = FieldState(
             eps=self.eps,
-            waves=[WaveRecord(w.id, w.sign, w.w_hat, w.x_a, w.speed, w.v_label, w.crossed,
-                              w.t_a, w.death_time) for w in self.waves],
+            waves=[WaveRecord(w.id, w.sign, w.w_hat, w.x_a, w.speed, w.crossed, w.t_a,
+                              w.death_time) for w in self.waves],
             v_fronts=[VFront(vf.id, vf.x_a, vf.v_left, vf.v_right, vf.t_a)
                       for vf in self.v_fronts],
             time=self.time,
             w_base=self.w_base,
+            v_base=self.v_ticks[0],
         )
         if self._fronts is not None:
             waves = out.waves
@@ -460,7 +457,6 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
     waves: list[WaveRecord] = []
     for x, before, after in w0.jumps():
         sign = 1 if after > before else -1
-        label = v0.value_at(x)
         crossed = sum(1 for vf in v_fronts if vf.x_a <= x)
         hats = range(before + 1, after + 1) if sign > 0 else range(before - 1, after - 1, -1)
         for hat in hats:
@@ -471,11 +467,10 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
                     w_hat=hat,
                     x_a=x,
                     speed=None,
-                    v_label=label,
                     crossed=crossed,
                 )
             )
-    return FieldState(eps=eps, waves=waves, v_fronts=v_fronts, w_base=w0.base)
+    return FieldState(eps=eps, waves=waves, v_fronts=v_fronts, w_base=w0.base, v_base=v0.base)
 
 
 def stack_range(state: FieldState, ids: Sequence[int]) -> tuple[int, int]:
@@ -508,10 +503,10 @@ def speed_groups(
         return []
     recs = [state.wave(s) for s in ids]
     if v_tick is None:
-        labels = {w.v_label for w in recs}
-        if len(labels) != 1:
-            raise ValueError("stack with non-uniform v label")
-        v_tick = labels.pop()
+        crossed = {w.crossed for w in recs}
+        if len(crossed) != 1:
+            raise ValueError("stack with non-uniform crossing count")
+        v_tick = state.v_ticks[crossed.pop()]
     w_left, w_right = stack_range(state, ids)
     key = (w_left, w_right, v_tick)
     fronts = flux_table.fans.get(key)
@@ -551,24 +546,6 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
     return out
 
 
-def reconstruct_profile(state: FieldState) -> StepFunction:
-    """Rebuild w(t, .) from the alive waves: the push-forward identity."""
-    jumps: dict[float, int] = {}
-    for w in state.waves:
-        if w.alive:
-            x = position(w, state.time)
-            jumps[x] = jumps.get(x, 0) + w.sign
-    level = state.w_base
-    xs, vals = [], []
-    for x in sorted(jumps):
-        if jumps[x] == 0:
-            continue
-        level += jumps[x]
-        xs.append(x)
-        vals.append(level)
-    return StepFunction(tuple(xs), tuple(vals), state.w_base)
-
-
 def validate_enumeration(state: FieldState) -> list[str]:
     """Check the enumeration axioms; returns a list of violations (empty = ok).
 
@@ -579,7 +556,7 @@ def validate_enumeration(state: FieldState) -> list[str]:
     the kept ``n_alive`` and ``per_crossed`` equal a recount; if the state
     keeps its fronts, they are the runs derived anew from each wave's own
     position (maximal runs of alive waves that share position, speed and
-    sign, none mixing v labels or crossing counts), and the kept
+    sign, none mixing crossing counts), and the kept
     ``n_joined`` is the pairs those runs hold.
 
     One loop over the waves computes each position once and, in the same
@@ -601,8 +578,7 @@ def validate_enumeration(state: FieldState) -> list[str]:
     # the open stack: where it starts, its position and sign, the right state
     # its next wave must have, and whether it mixes signs or misses a state;
     # the open run: where it starts, its position, its first wave, and
-    # whether it mixes v labels or crossing counts.  The first alive wave
-    # opens both.
+    # whether it mixes crossing counts.  The first alive wave opens both.
     stack_start = stack_x = sign = expect = mixed_sign = unfilled = None
     run_start = run_x = lead = mixed_run = prev_x = None
 
@@ -611,9 +587,7 @@ def validate_enumeration(state: FieldState) -> list[str]:
         run = alive[run_start:end]
         runs.append(tuple([w.id for w in run]))
         if mixed_run and mixed_front is None:
-            labels = {w.v_label for w in run}
-            crossed = {w.crossed for w in run}
-            mixed_front = f"mixed front at x={run_x}: labels={labels} crossed={crossed}"
+            mixed_front = f"mixed front at x={run_x}: crossed={ {w.crossed for w in run} }"
 
     def close_stack(end: int) -> None:
         nonlocal level
@@ -650,7 +624,7 @@ def validate_enumeration(state: FieldState) -> list[str]:
             if w.speed != lead.speed or w.sign != lead.sign:
                 close_run(k)
                 run_start, run_x, lead, mixed_run = k, x, w, False
-            elif w.v_label != lead.v_label or w.crossed != lead.crossed:
+            elif w.crossed != lead.crossed:
                 mixed_run = True
         else:
             if k:
@@ -700,7 +674,7 @@ def effective_flux(state: FieldState, block: tuple[int, ...],
     """Effective flux of one maximal homogeneous block of alive waves, given
     as the tuple of their ids.
 
-    On each wave cell its second derivative is d2f/dw2(., v label of the
+    On each wave cell its second derivative is d2f/dw2(., v value of the
     wave); value and slope vanish at the leftmost node (the function is only
     used through affine-invariant differences).
     """
@@ -709,7 +683,8 @@ def effective_flux(state: FieldState, block: tuple[int, ...],
     signs = {state.wave(s).sign for s in block}
     if len(signs) != 1:
         raise ValueError("block is not homogeneous")
-    cells = sorted((state.wave(s).cell(), state.wave(s).v_label) for s in block)
+    v_ticks = state.v_ticks
+    cells = sorted((state.wave(s).cell(), v_ticks[state.wave(s).crossed]) for s in block)
     return build_effective_flux(cells, table)
 
 
@@ -770,7 +745,7 @@ def snapshot(state: FieldState) -> dict:
                 "w_hat": w.w_hat,
                 "position": position(w, state.time) if w.alive else None,
                 "speed": w.speed,
-                "v_label": w.v_label,
+                "v_label": state.v_ticks[w.crossed],
             }
             for w in state.waves
         ],

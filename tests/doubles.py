@@ -8,9 +8,42 @@ from bisect import bisect_left, bisect_right
 from itertools import zip_longest
 from operator import itemgetter
 
+from triwave.envelopes import concave_envelope, convex_envelope
 from triwave.flux import FluxTable, PiecewiseAffineFlux
 from triwave.history import PairHistory
-from triwave.wavefield import Front, _count_alive, position
+from triwave.wavefield import EventKind, Front, StepFunction, _count_alive, position
+
+
+def entropic_speed(g, lo, hi, cell, sign):
+    """Envelope cell slope the Riemann problem [lo, hi] assigns to one cell.
+
+    Positive waves read the convex envelope, negative waves the concave one,
+    matching the sign convention of the speed function: the oracle of the
+    speeds ``riemann.solve_scalar`` assigns.
+    """
+    if not (lo <= cell < hi):
+        raise ValueError(f"cell {cell} not inside [{lo}, {hi})")
+    env = convex_envelope(g, lo, hi) if sign > 0 else concave_envelope(g, lo, hi)
+    return env.cell_slope(cell)
+
+
+def reconstruct_profile(state):
+    """Rebuild w(t, .) from the alive waves: the push-forward identity, the
+    oracle of the enumeration."""
+    jumps = {}
+    for w in state.waves:
+        if w.alive:
+            x = position(w, state.time)
+            jumps[x] = jumps.get(x, 0) + w.sign
+    level = state.w_base
+    xs, vals = [], []
+    for x in sorted(jumps):
+        if jumps[x] == 0:
+            continue
+        level += jumps[x]
+        xs.append(x)
+        vals.append(level)
+    return StepFunction(tuple(xs), tuple(vals), state.w_base)
 
 
 def swap_end_positions(state):
@@ -133,10 +166,9 @@ class PairWalkHistory(PairHistory):
         self.rows.setdefault(pair.record, {}).setdefault(s, {})[s2] = pair.d
 
     def _drop(self, s, s2):
-        key = (min(s, s2), max(s, s2))
-        rec, d = self.pairs[key].record, self.pairs[key].d
+        rec, d = self.pairs[(s, s2)].record, self.pairs[(s, s2)].d
         super()._drop(s, s2)
-        P = self.P.pop(key)
+        P = self.P.pop((s, s2))
         if P:
             left = self.S[d] - P
             if left:
@@ -144,19 +176,15 @@ class PairWalkHistory(PairHistory):
             else:
                 del self.S[d]
         rows = self.rows[rec]
-        del rows[key[0]][key[1]]
-        if not rows[key[0]]:
-            del rows[key[0]]
+        del rows[s][s2]
+        if not rows[s]:
+            del rows[s]
             if not rows:
                 del self.rows[rec]
 
-    def _apply_transversal_pi(self, event, state):
-        super()._apply_transversal_pi(event, state)
-        if self.K != 0.0:
-            self.walk(event, state)
-
     def walk(self, event, state):
-        """P grows by ticks * count for every pair with count != 0."""
+        """P grows by ticks * count for every pair with count != 0, at the
+        crossing ``event``, from the classes before it."""
         lo, hi = event.colliding[0], event.colliding[-1]
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
         P, S = self.P, self.S
@@ -213,6 +241,8 @@ class PairWalkHistory(PairHistory):
                 assert A[s2] - b == P[(s, s2)], (index, (s, s2), A[s2] - b, P[(s, s2)])
 
     def on_event(self, event, state):
+        if event.kind == EventKind.TRANSVERSAL:
+            self.walk(event, state)   # a crossing changes no class before the pass
         snap, detail = super().on_event(event, state)
         for rec in self.reached:
             if rec in self.rows:
@@ -283,14 +313,11 @@ def _group_runs(alive, pos):
 
 
 def _run_ids(run, x):
-    """The ids of one run; raises unless every wave has the v label and the
-    crossing count of the first."""
-    first = run[0]
-    for w in run:
-        if w.v_label != first.v_label or w.crossed != first.crossed:
-            labels = {w.v_label for w in run}
-            crossed = {w.crossed for w in run}
-            raise ValueError(f"mixed front at x={x}: labels={labels} crossed={crossed}")
+    """The ids of one run; raises unless every wave has the crossing count
+    of the first."""
+    crossed = {w.crossed for w in run}
+    if len(crossed) > 1:
+        raise ValueError(f"mixed front at x={x}: crossed={crossed}")
     return tuple([w.id for w in run])
 
 

@@ -3,7 +3,9 @@
     python3 tests/golden/regen.py [--check]
 
 imports triwave from this checkout's ``src``, runs every golden case with
-``run_scenario`` and rewrites its ``events.csv`` and ``functionals.csv``:
+``run_scenario`` and rewrites its ``events.csv``, ``functionals.csv`` and
+``report.json`` (the check values), each where it changed: a CSV file in its
+bytes, a JSON file in its parsed values:
 
 - ``configs/demo.json`` as shipped (seed 42, level ``full``), at the top;
 - a 58-jump scalar datum at level ``fast``, under ``scalar_fast/``;
@@ -11,11 +13,11 @@ imports triwave from this checkout's ``src``, runs every golden case with
   ``cubic_split/``: the one case in which a crossing splits a partition
   class and a cancellation cuts one.
 
-For each file it prints whether the bytes changed and, per changed column,
-the worst relative change.  Run it only in a change that alters these bytes
+For each file it prints whether it changed and, per changed CSV column, the
+worst relative change.  Run it only in a change that alters these bytes
 on purpose, and copy what it prints into CHANGES.md (README, "Golden
 artifacts").  With ``--check`` it prints the same report, writes nothing and
-exits 1 if any byte would change.  ``tests/test_scenario.py`` reads the same
+exits 1 if any file would change.  ``tests/test_scenario.py`` reads the same
 cases.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -35,7 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from triwave.scenario import ScenarioConfig, run_scenario  # noqa: E402
 
 DEMO = ROOT / "configs" / "demo.json"
-NAMES = ("events.csv", "functionals.csv")
+NAMES = ("events.csv", "functionals.csv", "report.json")
 # (x, ticks): a walk of single-tick jumps within 6 ticks, then back to 0
 SCALAR_FAST_JUMPS = [
     [0.042, -1], [0.075, 0], [0.53, 1], [0.942, 0], [1.199, -1], [1.449, 0], [1.694, 1],
@@ -67,6 +70,14 @@ def golden_cases() -> dict[Path, ScenarioConfig]:
             v0={"jumps": CUBIC_V0_JUMPS}, check_level="full",
         ),
     }
+
+
+def same(name: str, old: bytes, new: bytes) -> bool:
+    """Whether the golden file ``name`` is unchanged: a JSON file compares
+    as parsed values, any other as bytes."""
+    if name.endswith(".json"):
+        return bool(old) and json.loads(old) == json.loads(new)
+    return old == new
 
 
 def column_changes(old: bytes, new: bytes) -> dict[str, float | str]:
@@ -111,13 +122,18 @@ def main(argv: list[str] | None = None) -> int:
                 path = target / name
                 old = path.read_bytes() if path.exists() else b""
                 new = (Path(tmp) / name).read_bytes()
-                if old == new:
+                if same(name, old, new):
                     print(f"{label_of(path)}: unchanged")
                     continue
                 changed = True
                 if not check:
                     path.write_bytes(new)
-                changes = column_changes(old, new) if old else {"*": "new file"}
+                if not old:
+                    changes = {"*": "new file"}
+                elif name.endswith(".json"):
+                    changes = {"*": "parsed values differ"}
+                else:
+                    changes = column_changes(old, new)
                 print(f"{label_of(path)}: {'would change' if check else 'rewritten'}; "
                       + ", ".join(
                           f"{col} {val:.3g} relative" if isinstance(val, float)

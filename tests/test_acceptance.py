@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 import test_envelopes as env_props
-from doubles import PairWalkHistory
+from doubles import PairWalkHistory, reconstruct_profile
 from triwave import scenario
 from triwave.envelopes import convex_envelope
 from triwave.flux import PiecewiseAffineFlux
 from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, run_scenario
-from triwave.wavefield import reconstruct_profile, validate_enumeration
+from triwave.wavefield import validate_enumeration
 
 ENSEMBLE_SEEDS = range(100)
 SCALAR_SEEDS = range(30)
@@ -265,10 +265,10 @@ class ClassCountingHistory(PairWalkHistory):
             ClassCountingHistory.wide_events += 1
         return out
 
-    def _meet(self, *args):
+    def _rejoin(self, event):
         self.meeting = True
         try:
-            super()._meet(*args)
+            super()._rejoin(event)
         finally:
             self.meeting = False
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from doubles import entropic_speed
 from triwave.envelopes import (
     SLOPE_TOL,
     concave_envelope,
     convex_envelope,
-    entropic_speed,
     rh_speed,
 )
 from triwave.flux import PiecewiseAffineFlux

@@ -11,14 +11,8 @@ from doubles import PairWalkHistory, group_fronts
 from golden.regen import golden_cases
 from triwave import scenario
 from triwave.flux import FluxTable, derivative_bounds, make_flux
-from triwave.history import (
-    PairHistory,
-    PairRec,
-    PartitionRecord,
-    m_value,
-    pair_weight,
-)
-from triwave.replay import Replay
+from triwave.history import PairHistory, PairRec, PartitionRecord, m_value
+from triwave.replay import Replay, pair_weight
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
 from triwave.simulator import next_collision, resolve, run
 from triwave.wavefield import (
@@ -26,6 +20,7 @@ from triwave.wavefield import (
     Event,
     EventKind,
     StepFunction,
+    apply_event,
     assign_initial_speeds,
     initial_enumeration,
     position,
@@ -97,9 +92,10 @@ def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
             for p in ci:
                 for p2 in cj:
                     history._set_pair((p, p2), PairRec(rec, 1))
-    history._apply_transversal_pi(Event(
+    history.walk(Event(
         index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=crossing,
-        v_label=ticks, post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
+        post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
+    history._grow(rec, crossing[0], crossing[-1], ticks)
     for p, p2 in history.pairs:
         m = m_value(classes, lo, hi, p, p2, EPS)
         assert history.budget(p, p2) == history.P[(p, p2)] == ticks * round(m / EPS), (p, p2)
@@ -148,16 +144,19 @@ class FloatPiHistory(PairHistory):
 
     def _drop(self, s, s2):
         super()._drop(s, s2)
-        self.pi.pop((min(s, s2), max(s, s2)), None)
+        self.pi.pop((s, s2), None)
 
-    def _apply_transversal_pi(self, event, state):
-        super()._apply_transversal_pi(event, state)
-        lo, hi = event.colliding[0], event.colliding[-1]
-        factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
-        for key, pair in self.pairs.items():
-            m = m_value(pair.record.classes, lo, hi, *key, self.eps)
-            if m > 0.0:
-                self.pi[key] = self.pi.get(key, 0.0) + factor * m
+    def on_event(self, event, state):
+        if event.kind == EventKind.TRANSVERSAL:
+            # from the classes before the crossing, which changes none of
+            # them before the pass
+            lo, hi = event.colliding[0], event.colliding[-1]
+            factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
+            for key, pair in self.pairs.items():
+                m = m_value(pair.record.classes, lo, hi, *key, self.eps)
+                if m > 0.0:
+                    self.pi[key] = self.pi.get(key, 0.0) + factor * m
+        return super().on_event(event, state)
 
     def float_q(self, state):
         n = len(state.alive_ids())
@@ -262,11 +261,22 @@ class TestRecordRegistry:
         return history
 
     @staticmethod
-    def cross(history, state, colliding):
-        """Grow the budgets by a crossing of v-front 1 over ``colliding``."""
-        history._apply_transversal_pi(Event(
+    def cross(history, state, rec, colliding):
+        """Grow the budgets of ``rec`` by a crossing of v-front 1 (2 ticks)
+        over ``colliding``, walked by the double first."""
+        history.walk(Event(
             index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=colliding,
-            v_label=2, post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
+            post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
+        history._grow(rec, colliding[0], colliding[-1], 2)
+
+    @staticmethod
+    def meet_again(index, left, right, speeds, canceled=()):
+        """An event at which the fronts ``left`` and ``right`` meet and the
+        waves of ``speeds`` survive, with those speeds."""
+        kind = EventKind.CANCELLATION if canceled else EventKind.INTERACTION_POSITIVE
+        return Event(index=index, time=0.0, x=0.0, kind=kind, colliding=left + right,
+                     post_speeds=speeds, sum_abs_dsigma=0.0,
+                     left_ids=left, right_ids=right, canceled=canceled)
 
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
         state, rec = self.state_and_record()
@@ -274,23 +284,23 @@ class TestRecordRegistry:
         for key in ((1, 2), (1, 3)):
             history._set_pair(key, PairRec(rec, 2))
         # a crossing of all three waves counts 1 + 2 for either pair
-        self.cross(history, state, (1, 2, 3))
+        self.cross(history, state, rec, (1, 2, 3))
         assert history.records == {rec: 2}
         assert history.budget(1, 2) == history.budget(1, 3) == 2 * 3
         assert history.P == {(1, 2): 6, (1, 3): 6} and history.S == {2: 12}
         w = history.weights[2]
         assert (rec.up, rec.dn) == ({1: 0, 2: w, 3: w}, {1: 2 * w, 2: 0, 3: 0})
         assert history.T == 12 * w and history.validate(state) == []
-        # a divided pair that meets again joined leaves pairs, partners, its
-        # record's count, the weights and T
-        history._meet([1, 2], {1: 0.5, 2: 0.5}, 7, state)
-        assert list(history.pairs) == [(1, 3)] and history.partners == {1: {3}, 3: {1}}
+        # a divided pair that meets again joined leaves pairs, its record's
+        # count, the weights and T
+        history._rejoin(self.meet_again(7, (1,), (2,), {1: 0.5, 2: 0.5}))
+        assert list(history.pairs) == [(1, 3)]
         assert history.records == {rec: 1} and history.S == {2: 6}
         assert (rec.up, rec.dn) == ({1: 0, 2: 0, 3: w}, {1: w, 2: 0, 3: 0})
         assert history.T == 6 * w and history.validate(state) == []
         # one that meets again divided is an error
         with pytest.raises(ValueError, match=r"pair \(1, 3\) met again while divided at event 8"):
-            history._meet([1, 3], {1: 0.5, 3: 0.75}, 8, state)
+            history._rejoin(self.meet_again(8, (1,), (3,), {1: 0.5, 3: 0.75}))
         # a potential, a weight or T changed behind the bookkeeping's back
         # fails the recount
         rec.A[3] += 1
@@ -309,9 +319,50 @@ class TestRecordRegistry:
         assert history.validate(state) == [
             f"kept budget sum T = {6 * w + 1}, recounted {6 * w}"]
         history.T -= 1
-        history._apply_deaths((3,))
-        assert history.pairs == history.records == history.partners == history.S == {}
+        # a dead wave's pairs leave in the record pass of its cancellation
+        state.wave(3).x_a = None
+        history._update_records(self.meet_again(9, (2,), (3,), {}, canceled=(3,)), state)
+        assert history.pairs == history.records == history.S == {}
         assert history.T == 0
+
+    def test_pair_that_rejoins_at_a_cancellation_leaves_exactly(self, spec, bounds):
+        # four one-wave classes, budgets grown by a crossing of waves 2..4;
+        # then wave 4 dies at a cancellation of the fronts (2,) and (3, 4),
+        # where waves 2 and 3 meet again joined, on one front
+        state, rec = self.state_and_record(((1,), (2,), (3,), (4,)))
+        history = self.history(state, spec=spec, bounds=bounds)
+        for s in range(1, 5):
+            for s2 in range(s + 1, 5):
+                history._set_pair((s, s2), PairRec(rec, s2 - s + 1))
+        history._grow(rec, 2, 4, 2)
+        assert [history.budget(1, s2) for s2 in (2, 3, 4)] == [2, 4, 6]
+        assert history.budget(2, 3) == 4
+        event = self.meet_again(5, (2,), (3, 4), {2: 0.5, 3: 0.5}, canceled=(4,))
+        apply_event(state, event)
+        assert (2, 3) in [f.ids for f in state.fronts()]
+        history.on_event(event, state)
+        # the dead wave's pairs and the re-joined pair are gone, and with
+        # them their weights and their budgets' share of T
+        assert set(history.pairs) == {(1, 2), (1, 3)} and history.records == {rec: 2}
+        w = history.weights
+        assert history.T == 2 * w[2] + 4 * w[3]
+        assert rec.classes == [(1,), (2,), (3,)] and history.validate(state) == []
+
+    def test_record_left_without_pairs_is_not_refined(self, spec, bounds, monkeypatch):
+        # waves 1 and 4 die: every pair of the record goes, so its class
+        # (2, 3, 4), cut to (2, 3), is not split again for nothing
+        state, rec = self.state_and_record(((1,), (2, 3, 4)))
+        history = self.history(state, spec=spec, bounds=bounds)
+        for s2 in (2, 3, 4):
+            history._set_pair((1, s2), PairRec(rec, s2))
+        splits = []
+        monkeypatch.setattr(history, "_split_class",
+                            lambda members, *args: splits.append(members) or [members])
+        for s in (1, 4):
+            state.wave(s).x_a = None
+        history._update_records(self.meet_again(9, (1,), (2, 3, 4), {}, canceled=(1, 4)), state)
+        assert history.pairs == history.records == {} and history.T == 0
+        assert splits == []
 
     def test_pair_count_off_its_record_fails_validation(self, spec, bounds):
         state, rec = self.state_and_record()
@@ -590,9 +641,9 @@ class TestReplayAgreement:
             # the replayed final state equals the simulated one field for field
             final = steps[-1]
             assert final.state.time == traj.final_state.time
-            assert [(w.x_a, w.t_a, w.speed, w.v_label, w.crossed, w.death_time)
+            assert [(w.x_a, w.t_a, w.speed, w.crossed, w.death_time)
                     for w in final.state.waves] == \
-                [(w.x_a, w.t_a, w.speed, w.v_label, w.crossed, w.death_time)
+                [(w.x_a, w.t_a, w.speed, w.crossed, w.death_time)
                  for w in traj.final_state.waves]
             assert [(vf.x_a, vf.t_a) for vf in final.state.v_fronts] == \
                 [(vf.x_a, vf.t_a) for vf in traj.final_state.v_fronts]
@@ -692,9 +743,11 @@ class FullSplitHistory(PairHistory):
     crossing_splits = 0
     cancellation_cuts = 0
 
-    def _refine_records(self, event, state):
+    def _update_records(self, event, state):
         copies = {rec: copy.deepcopy(rec) for rec in self.records}
-        super()._refine_records(event, state)
+        super()._update_records(event, state)
+        # the records still live: a record whose last pair died is not refined
+        copies = {rec: copies[rec] for rec in self.records}
         if event.kind == EventKind.TRANSVERSAL:
             self.crossing_splits += sum(len(rec.classes) > len(copies[rec].classes)
                                         for rec in self.records)

@@ -1,6 +1,6 @@
 import pytest
 
-from triwave.envelopes import entropic_speed
+from doubles import entropic_speed
 from triwave.flux import FluxTable, PiecewiseAffineFlux
 from triwave.riemann import solve_scalar
 

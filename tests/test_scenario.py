@@ -29,6 +29,13 @@ EPS = 0.05
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
+def assert_golden(out: Path, golden: Path) -> None:
+    """Each golden file of ``golden`` is unchanged in ``out``: the CSV files
+    in their bytes, ``report.json`` in its parsed check values."""
+    for name in regen.NAMES:
+        assert regen.same(name, (golden / name).read_bytes(), (out / name).read_bytes()), name
+
+
 class TestGenerateInitialData:
     def test_one_jump_forces_return(self, rng):
         sf = generate_initial_data({"jumps": 1, "max_amplitude": 0.4}, rng, EPS, 0.8)
@@ -185,12 +192,11 @@ class TestRunScenario:
 
     def test_golden_artifacts_seed_42(self, tmp_path):
         # configs/demo.json as shipped (seed 42, level full); a change that
-        # alters these bytes on purpose regenerates tests/golden with
+        # alters these artifacts on purpose regenerates tests/golden with
         # tests/golden/regen.py and says so
         res = run_scenario(golden_cases()[GOLDEN], out_dir=tmp_path)
         assert res.passed
-        for name in ("events.csv", "functionals.csv"):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        assert_golden(tmp_path, GOLDEN)
 
     def test_golden_artifacts_scalar_fast(self, tmp_path):
         # 58 single-tick jumps, no v: 48 events at level fast, where only the
@@ -200,9 +206,7 @@ class TestRunScenario:
         res = run_scenario(golden_cases()[GOLDEN / "scalar_fast"], out_dir=tmp_path)
         assert res.passed
         assert len(res.trajectory.events) == 48
-        for name in ("events.csv", "functionals.csv"):
-            want = (GOLDEN / "scalar_fast" / name).read_bytes()
-            assert (tmp_path / name).read_bytes() == want, name
+        assert_golden(tmp_path, GOLDEN / "scalar_fast")
 
     def test_golden_artifacts_cubic_split(self, tmp_path):
         # the cubic custom_poly flux at level full: 39 events, among them a
@@ -213,9 +217,7 @@ class TestRunScenario:
         res = run_scenario(golden_cases()[GOLDEN / "cubic_split"], out_dir=tmp_path)
         assert res.passed
         assert len(res.trajectory.events) == 39
-        for name in ("events.csv", "functionals.csv"):
-            want = (GOLDEN / "cubic_split" / name).read_bytes()
-            assert (tmp_path / name).read_bytes() == want, name
+        assert_golden(tmp_path, GOLDEN / "cubic_split")
 
     def test_regen_reports_the_changed_columns(self):
         old = b"j,q_quadratic\r\n0,1.0\r\n1,2.0\r\n"
@@ -223,6 +225,13 @@ class TestRunScenario:
         assert column_changes(old, old) == {}
         assert column_changes(old, new) == {"q_quadratic": pytest.approx(1e-9)}
         assert list(column_changes(old, old + b"2,3.0\r\n")) == ["*"]
+
+    def test_regen_compares_a_report_by_its_parsed_values(self):
+        report = b'{"passed": true, "summary": {"main_theorem": {"min_slack": 0.5}}}'
+        assert regen.same("report.json", report, report.replace(b": ", b":"))
+        assert not regen.same("report.json", report, report.replace(b"0.5", b"0.25"))
+        assert not regen.same("report.json", b"", report)
+        assert not regen.same("events.csv", b"j\r\n", b"j\n")
 
     def test_regen_check_finds_the_committed_goldens_unchanged(self):
         assert regen.main(["--check"]) == 0
@@ -413,9 +422,11 @@ class TestBatch:
 
 class TestCli:
     def run_cli(self, *args):
+        # the CLI imports triwave from this checkout's src, as the tests do
+        src = Path(__file__).resolve().parents[1] / "src"
         return subprocess.run(
             [sys.executable, "-m", "triwave.cli", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
 
     def test_run_command(self, tmp_path):

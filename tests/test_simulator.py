@@ -224,6 +224,22 @@ class TestResolve:
             resolve(CollisionCandidate(0.5, 1.5, left, right), state, flux_table, index=1)
         assert state.fronts() is fronts and state.time == 0.0
 
+    def test_fronts_with_v_fronts_between_them_rejected(self, flux_table):
+        # two neighbouring shocks with a pair of v-fronts between them that
+        # raise v and restore it: both see v = 0, but the right one has
+        # crossed both v-fronts, which must pass the left one before the two
+        # can meet
+        state = prepared_state([(0.0, -2), (1.0, -4), (2.0, 0)], [(0.4, 2), (0.6, 0)],
+                               flux_table)
+        fronts = state.fronts()
+        left, right = fronts[0], fronts[1]
+        assert (left.ids, right.ids) == ((1, 2), (3, 4))
+        assert (left.lead.crossed, right.lead.crossed) == (0, 2)
+        assert state.v_ticks[0] == state.v_ticks[2] == 0
+        with pytest.raises(ValueError, match="colliding w-fronts have crossed different v-fronts"):
+            resolve(CollisionCandidate(0.5, 1.5, left, right), state, flux_table, index=1)
+        assert state.fronts() is fronts and state.time == 0.0
+
     def test_crossing_of_a_front_that_is_not_kept_rejected(self, flux_table):
         state = prepared_state([(0.0, 3), (1.0, 0)], [(2.0, 4), (9.0, 0)], flux_table)
         cand = next_collision(state)
@@ -533,7 +549,7 @@ def test_site_merges_with_a_neighbour_arriving_at_the_same_point(flux_table, col
     post = state.wave(neighbour).speed
     apply_event(state, Event(
         index=1, time=2.0, x=1.0, kind=EventKind.INTERACTION_POSITIVE,
-        colliding=(lo, hi), v_label=0, post_speeds={lo: post, hi: post},
+        colliding=(lo, hi), post_speeds={lo: post, hi: post},
         sum_abs_dsigma=0.0, left_ids=(lo,), right_ids=(hi,)))
     assert [f.ids for f in state.fronts()] == group_fronts(state) == [(1,), (2, 3, 4), (5, 6, 7, 8)]
     assert len({(state.wave(s).x_a, state.wave(s).t_a) for s in (2, 3, 4)}) == 1

@@ -8,6 +8,7 @@ import pytest
 
 from doubles import (
     multipass_validate_enumeration,
+    reconstruct_profile,
     swap_end_positions,
     swap_kept_ids,
     walk_block,
@@ -27,7 +28,6 @@ from triwave.wavefield import (
     StepFunction,
     effective_flux,
     initial_enumeration,
-    reconstruct_profile,
     snapshot,
     speed_groups,
     validate_enumeration,
@@ -129,9 +129,10 @@ class TestInitialEnumeration:
         v0 = StepFunction.from_jumps([(2.0, 3), (4.0, 0)])
         state = initial_enumeration(w0, v0, EPS)
         first, second = state.waves
-        assert (first.v_label, first.crossed) == (0, 0)
-        # the wave sitting exactly on a v-front takes the right value
-        assert (second.v_label, second.crossed) == (0, 2)
+        assert state.v_ticks == [0, 3, 0]
+        assert first.crossed == 0
+        # the wave sitting exactly on a v-front has crossed it
+        assert second.crossed == 2
 
 
 class TestAssignSpeeds:
@@ -280,13 +281,12 @@ CORRUPTIONS = {
     "n_alive": (lambda state: setattr(state, "n_alive", 7), "kept alive count 7, recounted 6"),
     "per_crossed": (lambda state: state.per_crossed.__setitem__(0, 3),
                     "kept alive counts per crossed value [3, 2, 2], recounted [2, 2, 2]"),
-    "mixed_front": (set_wave(4, v_label=7), "mixed front at x=1.0: labels={2, 7} crossed={1}"),
-    "mixed_front_crossed": (set_wave(4, crossed=2),
-                            "mixed front at x=1.0: labels={2} crossed={1, 2}"),
+    "mixed_front": (set_wave(4, crossed=0), "mixed front at x=1.0: crossed={0, 1}"),
+    "mixed_front_crossed": (set_wave(4, crossed=2), "mixed front at x=1.0: crossed={1, 2}"),
     # the first of two mixed fronts is the one reported
-    "two_mixed_fronts": (lambda state: (set_wave(2, speed=state.wave(1).speed, v_label=5)(state),
-                                        set_wave(4, v_label=7)(state)),
-                         "mixed front at x=0.0: labels={0, 5} crossed={0}"),
+    "two_mixed_fronts": (lambda state: (set_wave(2, speed=state.wave(1).speed, crossed=1)(state),
+                                        set_wave(4, crossed=2)(state)),
+                         "mixed front at x=0.0: crossed={0, 1}"),
     "kept_front": (swap_kept_ids, "kept front 0 is (2,), regrouped (1,)"),
     "n_joined": (lambda state: setattr(state, "_n_joined", 2),
                  "kept count of pairs on one front 2, recounted 1"),
@@ -458,10 +458,10 @@ def test_copy_keeps_every_field_and_shares_no_record():
     # each field set apart from its default, so a field the copy drops shows
     wave = WaveRecord(**{f.name: k + 1 for k, f in enumerate(fields(WaveRecord))})
     vf = VFront(**{f.name: k + 1 for k, f in enumerate(fields(VFront))})
-    state = FieldState(EPS, [wave], [vf], time=2.0, w_base=1)
+    state = FieldState(EPS, [wave], [vf], time=2.0, w_base=1, v_base=3)
     copy = state.copy()
     assert (copy.waves, copy.v_fronts) == (state.waves, state.v_fronts)
-    assert (copy.eps, copy.time, copy.w_base) == (EPS, 2.0, 1)
+    assert (copy.eps, copy.time, copy.w_base, copy.v_ticks) == (EPS, 2.0, 1, [3, vf.v_right])
     copy.wave(1).x_a = copy.v_fronts[0].x_a = -1.0
     assert (wave.x_a, vf.x_a) != (-1.0, -1.0)
 
@@ -491,7 +491,7 @@ def test_snapshot_is_json_ready(flux_table):
 
 def test_only_wavefield_moves_the_state():
     # apply_event is the one code path that moves a state across an event
-    moved = {"x_a", "t_a", "speed", "crossed", "v_label", "death_time", "time"}
+    moved = {"x_a", "t_a", "speed", "crossed", "death_time", "time"}
     pkg = Path(__file__).resolve().parents[1] / "src" / "triwave"
     writers = {
         path.stem

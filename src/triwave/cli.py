@@ -25,10 +25,20 @@ def _setup_logging() -> None:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(part) for part in text.split(",")]
+    """The seeds ``--seeds`` names: an inclusive range ``A..B`` or a comma
+    list of integers."""
+    try:
+        if ".." in text:
+            a, b = text.split("..")
+            seeds = list(range(int(a), int(b) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--seeds takes A..B or a comma list of integers such as 1,4,7; "
+                         f"got {text!r}") from None
+    if not seeds:
+        raise ValueError(f"--seeds {text!r} is an empty range: A..B needs A <= B")
+    return seeds
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,12 +1,19 @@
-"""Post-hoc per-pair reconstruction of partitions and pi tables.
+"""Post-hoc reconstruction of partitions and pi tables, with full tables.
 
 The production history shares one partition record among all pairs divided at
 the same event and stores only the pi entry each pair's weight needs.  This
-module replays a finished trajectory and rebuilds, for every pair
-independently and with full tables, the recursively refined partition of the
-waves of its last meeting and the complete pi map.  It exists to let the
-lemma-level checks compare the shared incremental bookkeeping against a
-literal, per-pair reading of the definitions on small runs.
+module replays a finished trajectory and rebuilds, with full tables, the
+recursively refined partition of the waves of each pair's last meeting and
+the complete pi map.  It exists to let the lemma-level checks compare the
+shared incremental bookkeeping against a literal reading of the definitions
+on small runs.
+
+Pairs divided at one meeting have one history by definition: the same
+classes and the same pi table, changed by the same events.  So they share one
+``ReplayPair``: ``_meet`` stores one object for all of them, and ``_step``
+carries each distinct object across an event once and hands the result to
+every pair that held it.  The literal per-pair replay, one object per pair,
+is the test double ``tests/doubles.PerPairReplay``.
 """
 
 from __future__ import annotations
@@ -33,8 +40,11 @@ def pair_weight(pi: float, w_hat: int, w_hat2: int, eps: float) -> float:
 class ReplayPair:
     """One pair's reconstructed history at a fixed event time.
 
-    Never edited in place: a step that changes a pair replaces it, so pairs
-    may share their lists and steps share the pairs they leave as is.
+    Never edited in place: a step that changes a pair replaces it.  That is
+    what lets the pairs divided at one meeting share one object, and steps
+    share the objects they leave as is; an edit would reach every pair, at
+    every step, that holds the object.  Replace a pair's entry to change
+    one pair.
     """
 
     status: str                                  # "never", "joined", "divided", "dead"
@@ -55,7 +65,8 @@ class ReplayStep:
 
 
 class Replay:
-    """Steps through a trajectory rebuilding every pair history from scratch."""
+    """Steps through a trajectory rebuilding every pair history from scratch,
+    each shared history once."""
 
     def __init__(self, traj: Trajectory):
         n = len(traj.initial_state.waves)
@@ -89,6 +100,9 @@ class Replay:
         dead = set(event.canceled)
         meeting = event.post_speeds
         fluxes = BlockFluxes(state, self.table)
+        # id of an input pair -> (that pair, its output): the pairs that share
+        # a history share it after the event; the reference keeps the id taken
+        carried: dict[int, tuple[ReplayPair, ReplayPair]] = {}
         for key, pair in self.pairs.items():
             s, s2 = key
             if s in dead or s2 in dead:
@@ -100,31 +114,40 @@ class Replay:
                 if meeting[s] == meeting[s2]:
                     continue  # met again joined: _meet marks it so
                 raise ValueError(f"pair {key} met again while divided (event {event.index})")
-            classes, pi = pair.classes, pair.pi
-            if event.kind == EventKind.TRANSVERSAL:
-                factor = 2.0 * self.traj.bounds.norm_d3_wwv * event.v_strength
-                crossing = event.colliding
-                pi = {}
-                for pp, val in pair.pi.items():
-                    m = m_value(classes, crossing[0], crossing[-1], pp[0], pp[1],
-                                self.traj.eps)
-                    pi[pp] = val + factor * m if m > 0.0 else val
-            if dead:
-                classes = [[p for p in c if p not in dead] for c in classes]
-                classes = [c for c in classes if c]
-                pi = {pp: val for pp, val in pi.items()
-                      if pp[0] not in dead and pp[1] not in dead}
-            classes = [piece for cls in classes for piece in self._split(cls, fluxes, event)]
-            new = ReplayPair("divided", classes, pi)
-            if new != pair:
-                self.pairs[key] = new
+            memo = carried.get(id(pair))
+            if memo is None:
+                memo = carried[id(pair)] = (pair, self._carry(pair, event, dead, fluxes))
+            self.pairs[key] = memo[1]
         self._meet(sorted(event.post_speeds), event.post_speeds)
         self._record(index=event.index, time=event.time)
+
+    def _carry(self, pair: ReplayPair, event: Event, dead: set[int],
+               fluxes: BlockFluxes) -> ReplayPair:
+        """A divided pair's history across ``event``: pi grown at a crossing,
+        the dead waves dropped, the classes re-split; ``pair`` itself if
+        nothing changed."""
+        classes, pi = pair.classes, pair.pi
+        if event.kind == EventKind.TRANSVERSAL:
+            factor = 2.0 * self.traj.bounds.norm_d3_wwv * event.v_strength
+            crossing = event.colliding
+            pi = {}
+            for pp, val in pair.pi.items():
+                m = m_value(classes, crossing[0], crossing[-1], pp[0], pp[1], self.traj.eps)
+                pi[pp] = val + factor * m if m > 0.0 else val
+        if dead:
+            classes = [[p for p in c if p not in dead] for c in classes]
+            classes = [c for c in classes if c]
+            pi = {pp: val for pp, val in pi.items()
+                  if pp[0] not in dead and pp[1] not in dead}
+        classes = [piece for cls in classes for piece in self._split(cls, fluxes, event)]
+        new = ReplayPair("divided", classes, pi)
+        return pair if new == pair else new
 
     # -- meeting pairs ---------------------------------------------------------
 
     def _meet(self, ids: list[int], speeds: dict[int, float]) -> None:
-        """Pairs sharing the event position: joined or freshly divided."""
+        """Pairs sharing the event position: joined or freshly divided, each
+        kind one object for all its pairs."""
         if len(ids) < 2:
             return
         classes: list[list[int]] = []
@@ -135,12 +158,10 @@ class Replay:
                 classes.append([s])
         group_of = {s: k for k, cls in enumerate(classes) for s in cls}
         table = {(a, b): 0.0 for i, a in enumerate(ids) for b in ids[i + 1:]}
+        joined, divided = ReplayPair(status="joined"), ReplayPair("divided", classes, table)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                if group_of[a] == group_of[b]:
-                    self.pairs[(a, b)] = ReplayPair(status="joined")
-                else:
-                    self.pairs[(a, b)] = ReplayPair("divided", classes, table)
+                self.pairs[(a, b)] = joined if group_of[a] == group_of[b] else divided
 
     # -- partition refinement ----------------------------------------------------
 

@@ -22,7 +22,8 @@ Global checks:
   aggregate_cancellation  summed cancellation lhs <= ||d2f/dw2|| TV(w0)^2
   log2_kernel             the double integral of 1/(w'-w) obeys the log 2 bound
 
-Small-N lemma suite (``check_small_n_lemmas``), against a per-pair replay:
+Small-N lemma suite (``check_small_n_lemmas``), against a replay of every
+pair's history with full pi tables:
   replay_q_quadratic        replayed Q equals the production Q, per event
   class_gap_lemma           sigma_rh gap between two classes of a divided pair
                             <= pi + LEMMA_TOL; one entry per event, that
@@ -313,7 +314,8 @@ def check_log2_kernel() -> list[CheckResult]:
 
 
 def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckResult]:
-    """Replay the run per pair and verify the partition/pi lemmas at every event.
+    """Replay every pair's history and verify the partition/pi lemmas at every
+    event.
 
     Emits six checks:
 
@@ -340,6 +342,15 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     least slack and its arguments and builds one ``CheckResult`` from them.
     The block fluxes come from the replay's own ``FluxTable``, never from
     the one the run's history filled.
+
+    Pairs that share a history share one ``ReplayPair``.  The scan reads
+    each distinct object once per step: it weighs the class-gap candidates
+    and counts the classes not joined at the first pair that holds it, and
+    adds that count again for every other pair that holds it.  A nested
+    pair whose outer pair holds the same object restricts and agrees
+    trivially, slack 0, so the scan skips its entries and records it only
+    as a step's first agreement candidate.  Each check reads the same as a
+    scan of every candidate of every pair.
     """
     replay = Replay(traj)
     steps = replay.run()
@@ -357,11 +368,20 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
         # whether a class is joined, and its chord speed, whichever pair holds it
         class_of: dict[tuple[int, ...], tuple[bool, float]] = {}
+        # per distinct ReplayPair, by id: its count of classes not joined
+        unjoined_of: dict[int, int] = {}
         gap_at = None      # (gap, pi + LEMMA_TOL, pair, p, p2) of the least slack
         gap_slack = 0.0
         for key, pair in divided.items():
+            unjoined = unjoined_of.get(id(pair))
+            if unjoined is not None:
+                # a shared history: its candidates were all weighed at the
+                # first pair that holds it, and none is less than the least
+                joined_violations += unjoined
+                continue
             classes = pair.classes
             sigmas = []
+            unjoined = 0
             for cls in classes:
                 tag = tuple(cls)
                 seen = class_of.get(tag)
@@ -370,8 +390,10 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
                               and len({state.wave(p).speed for p in cls}) == 1)
                     seen = class_of[tag] = (joined, fluxes.rh_speed(cls))
                 if not seen[0]:
-                    joined_violations += 1
+                    unjoined += 1
                 sigmas.append(seen[1])
+            unjoined_of[id(pair)] = unjoined
+            joined_violations += unjoined
             # class-gap lemma: sigma_rh gap between classes bounded by pi
             pi = pair.pi
             for i, ci in enumerate(classes):
@@ -388,16 +410,30 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         # the inner pairs (s, s2) of (p, p2) have p <= s < p2 and s2 <= p2
         agree_at = None    # (actual, expected, inner, outer) of the least slack
         agree_slack = 0.0
+        members_of: dict[int, set[int]] = {}   # per distinct ReplayPair, by id
+        for pair in divided.values():
+            if id(pair) not in members_of:
+                members_of[id(pair)] = {s for cls in pair.classes for s in cls}
         keys = sorted(divided)
         for outer_key in keys:
             p, p2 = outer_key
             outer = divided[outer_key]
-            outer_sets = [set(cls) for cls in outer.classes]
+            outer_sets = None
             for inner_key in keys[bisect_left(keys, (p,)):bisect_left(keys, (p2,))]:
                 if inner_key == outer_key or inner_key[1] > p2:
                     continue
                 inner = divided[inner_key]
-                inner_set = {s for cls in inner.classes for s in cls}
+                inner_set = members_of[id(inner)]
+                if inner is outer:
+                    # one history: its classes restrict to themselves, and
+                    # every entry agrees with slack 0, so only the first such
+                    # candidate of a step can be the least
+                    if agree_at is None and p in inner_set and p2 in inner_set and inner.pi:
+                        val = next(iter(inner.pi.values()))
+                        agree_at = (val, val, inner_key, outer_key)
+                    continue
+                if outer_sets is None:
+                    outer_sets = [set(cls) for cls in outer.classes]
                 for members in outer_sets:
                     if members & inner_set and not members <= inner_set:
                         restrict_violations += 1

@@ -10,8 +10,10 @@ from operator import itemgetter
 
 from triwave.envelopes import concave_envelope, convex_envelope
 from triwave.flux import FluxTable, PiecewiseAffineFlux
-from triwave.history import PairHistory
-from triwave.wavefield import EventKind, Front, StepFunction, _count_alive, position
+from triwave.history import PairHistory, m_value
+from triwave.replay import Replay, ReplayPair
+from triwave.wavefield import (BlockFluxes, EventKind, Front, StepFunction, _count_alive,
+                               apply_event, position)
 
 
 def entropic_speed(g, lo, hi, cell, sign):
@@ -387,3 +389,66 @@ def multipass_validate_enumeration(state):
                 problems.append(f"kept count of pairs on one front {state._n_joined}, "
                                 f"recounted {n_joined}")
     return problems
+
+
+class PerPairReplay(Replay):
+    """``Replay`` with one ``ReplayPair`` per pair: ``_meet`` gives each pair
+    divided at a meeting its own object, and ``_step`` rebuilds every
+    divided pair's classes and pi table on its own.  The oracle of the
+    shared replay, which carries each shared history once."""
+
+    def _step(self, event):
+        state = self.state
+        apply_event(state, event)
+        dead = set(event.canceled)
+        meeting = event.post_speeds
+        fluxes = BlockFluxes(state, self.table)
+        for key, pair in self.pairs.items():
+            s, s2 = key
+            if s in dead or s2 in dead:
+                self.pairs[key] = ReplayPair(status="dead")
+                continue
+            if pair.status != "divided":
+                continue
+            if s in meeting and s2 in meeting:
+                if meeting[s] == meeting[s2]:
+                    continue  # met again joined: _meet marks it so
+                raise ValueError(f"pair {key} met again while divided (event {event.index})")
+            classes, pi = pair.classes, pair.pi
+            if event.kind == EventKind.TRANSVERSAL:
+                factor = 2.0 * self.traj.bounds.norm_d3_wwv * event.v_strength
+                crossing = event.colliding
+                pi = {}
+                for pp, val in pair.pi.items():
+                    m = m_value(classes, crossing[0], crossing[-1], pp[0], pp[1],
+                                self.traj.eps)
+                    pi[pp] = val + factor * m if m > 0.0 else val
+            if dead:
+                classes = [[p for p in c if p not in dead] for c in classes]
+                classes = [c for c in classes if c]
+                pi = {pp: val for pp, val in pi.items()
+                      if pp[0] not in dead and pp[1] not in dead}
+            classes = [piece for cls in classes for piece in self._split(cls, fluxes, event)]
+            new = ReplayPair("divided", classes, pi)
+            if new != pair:
+                self.pairs[key] = new
+        self._meet(sorted(event.post_speeds), event.post_speeds)
+        self._record(index=event.index, time=event.time)
+
+    def _meet(self, ids, speeds):
+        if len(ids) < 2:
+            return
+        classes = []
+        for s in ids:
+            if classes and speeds[s] == speeds[classes[-1][-1]]:
+                classes[-1].append(s)
+            else:
+                classes.append([s])
+        group_of = {s: k for k, cls in enumerate(classes) for s in cls}
+        table = {(a, b): 0.0 for i, a in enumerate(ids) for b in ids[i + 1:]}
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                if group_of[a] == group_of[b]:
+                    self.pairs[(a, b)] = ReplayPair(status="joined")
+                else:
+                    self.pairs[(a, b)] = ReplayPair("divided", classes, table)

@@ -11,7 +11,11 @@ bytes, a JSON file in its parsed values:
 - a 58-jump scalar datum at level ``fast``, under ``scalar_fast/``;
 - a coupled datum on the cubic ``custom_poly`` flux at level ``full``, under
   ``cubic_split/``: the one case in which a crossing splits a partition
-  class and a cancellation cuts one.
+  class and a cancellation cuts one;
+- the lemma suite's cubic datum (``test_verifier.CUBIC``) at level
+  ``small_n``, under ``small_n_cubic/``: divided pairs that hold a class of
+  two waves and nest with equal classes, so its ``report.json`` pins the
+  pair keys of the lemma checks' worst candidates.
 
 For each file it prints whether it changed and, per changed CSV column, the
 worst relative change.  Run it only in a change that alters these bytes
@@ -55,6 +59,8 @@ CUBIC_FLUX = {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0
 CUBIC_W0_JUMPS = [[2.208, -2], [4.559, 4], [5.939, 3], [6.232, 0], [6.283, -5], [6.513, -1],
                   [9.259, 0]]
 CUBIC_V0_JUMPS = [[0.402, 5], [0.465, -2], [2.814, -5], [5.113, -1], [5.592, -5], [7.379, 0]]
+SMALL_N_CUBIC_W0_JUMPS = [[1.0, -1], [3.0, 3], [6.0, 0]]
+SMALL_N_CUBIC_V0_JUMPS = [[4.0, 2], [8.0, 0]]
 
 
 def golden_cases() -> dict[Path, ScenarioConfig]:
@@ -68,6 +74,10 @@ def golden_cases() -> dict[Path, ScenarioConfig]:
         GOLDEN / "cubic_split": ScenarioConfig(
             flux=CUBIC_FLUX, eps=0.05, w0={"jumps": CUBIC_W0_JUMPS},
             v0={"jumps": CUBIC_V0_JUMPS}, check_level="full",
+        ),
+        GOLDEN / "small_n_cubic": ScenarioConfig(
+            flux=CUBIC_FLUX, eps=0.05, w0={"jumps": SMALL_N_CUBIC_W0_JUMPS},
+            v0={"jumps": SMALL_N_CUBIC_V0_JUMPS}, check_level="small_n",
         ),
     }
 

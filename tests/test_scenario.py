@@ -219,6 +219,19 @@ class TestRunScenario:
         assert len(res.trajectory.events) == 39
         assert_golden(tmp_path, GOLDEN / "cubic_split")
 
+    def test_golden_artifacts_small_n_cubic(self, tmp_path):
+        # the lemma suite's cubic datum at level small_n: 12 events, divided
+        # pairs with a class of two waves that nest with equal classes, so
+        # report.json pins the pair keys of the lemma checks' worst
+        # candidates; a change that alters them on purpose regenerates
+        # tests/golden/small_n_cubic with tests/golden/regen.py and says so
+        res = run_scenario(golden_cases()[GOLDEN / "small_n_cubic"], out_dir=tmp_path)
+        assert res.passed
+        assert len(res.trajectory.events) == 12
+        assert {c.name for c in res.checks} >= {
+            "class_gap_lemma", "outer_pair_pi_agreement", "replay_pi_match"}
+        assert_golden(tmp_path, GOLDEN / "small_n_cubic")
+
     def test_regen_reports_the_changed_columns(self):
         old = b"j,q_quadratic\r\n0,1.0\r\n1,2.0\r\n"
         new = b"j,q_quadratic\r\n0,1.0\r\n1,2.000000002\r\n"
@@ -624,6 +637,20 @@ class TestCli:
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "seed" in proc.stderr
         assert "PASS" not in proc.stdout
+
+    @pytest.mark.parametrize("text", ["1,,2", "a..b", "1..2..3"])
+    def test_malformed_seeds_name_the_argument(self, text, capsys):
+        assert cli.main(["batch", "--config", str(DEMO), "--seeds", text]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"error: --seeds takes A..B or a comma list of integers such as "
+                       f"1,4,7; got {text!r}\n")
+        assert "seeds=" not in out
+
+    def test_empty_seed_range_names_the_range(self, capsys):
+        assert cli.main(["batch", "--config", str(DEMO), "--seeds", "3..1"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: --seeds '3..1' is an empty range: A..B needs A <= B\n"
+        assert "seeds=" not in out
 
 
 def test_cli_import_loads_no_scipy():

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from test_acceptance import small_n_config
-from triwave.flux import FluxTable, derivative_bounds, make_flux
+from doubles import PerPairReplay
+from test_acceptance import SMALL_N_CUBIC, SMALL_N_SEEDS, small_n_config
+from triwave.flux import FluxTable, derivative_bounds, flux_constants, make_flux
 from triwave.history import PairHistory
 from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
@@ -152,8 +153,9 @@ class TestGlobalChecks:
 
 def per_candidate_lemmas(traj, history):
     """The small-N lemma suite as one ``CheckResult`` per candidate, keeping
-    the first of least slack per step: the oracle of ``check_small_n_lemmas``."""
-    steps = Replay(traj).run()
+    the first of least slack per step, on the per-pair replay: the oracle of
+    ``check_small_n_lemmas``."""
+    steps = PerPairReplay(traj).run()
     table = FluxTable(traj.spec, traj.eps)
     out = []
     joined_violations = 0
@@ -247,6 +249,17 @@ def cubic_run():
     return make_traj(spec, derivative_bounds(spec), CUBIC_W, CUBIC_V)
 
 
+def small_n_run(seed, flux=None):
+    """The run and history of criterion 7's datum ``seed`` on ``flux``."""
+    cfg = small_n_config(seed, flux)
+    spec, bounds = flux_constants(cfg.flux)
+    w0, v0 = build_initial_data(cfg, spec)
+    history = PairHistory(spec=spec, eps=cfg.eps, bounds=bounds)
+    traj = run(w0, v0, spec, cfg.eps, bounds=bounds, history=history,
+               validate_each_event=True)
+    return traj, history
+
+
 def corrupt_replay(monkeypatch, corrupt):
     """Hand ``check_small_n_lemmas`` the replayed steps after ``corrupt(steps)``."""
     real = Replay.run
@@ -261,6 +274,14 @@ def corrupt_replay(monkeypatch, corrupt):
 
 def divided_pairs(step):
     return {k: p for k, p in step.pairs.items() if p.status == "divided"}
+
+
+def replace_one(step, key, **changes):
+    """Give pair ``key`` of ``step`` a changed copy of its ``ReplayPair``;
+    return the pairs that still hold the object it shared."""
+    pair = step.pairs[key]
+    step.pairs[key] = replace(pair, **changes)
+    return [k for k, p in step.pairs.items() if p is pair]
 
 
 def only_failure(results, name):
@@ -322,20 +343,69 @@ class TestSmallNLemmasMatchOracle:
         assert check_small_n_lemmas(*cubic_run) == per_candidate_lemmas(*cubic_run)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_acceptance_small_n_seeds(self, seed, spec, bounds):
-        cfg = small_n_config(seed)
-        w0, v0 = build_initial_data(cfg, spec)
-        history = PairHistory(spec=spec, eps=cfg.eps, bounds=bounds)
-        traj = run(w0, v0, spec, cfg.eps, bounds=bounds, history=history,
-                   validate_each_event=True)
+    def test_acceptance_small_n_seeds(self, seed):
+        traj, history = small_n_run(seed)
         assert check_small_n_lemmas(traj, history) == per_candidate_lemmas(traj, history)
+
+    @pytest.mark.parametrize("seed", SMALL_N_SEEDS)
+    def test_acceptance_small_n_cubic_seeds(self, seed):
+        # classes of two waves and nested pairs with equal classes: the
+        # pairs that share one history are where the two scans could differ
+        traj, history = small_n_run(seed, SMALL_N_CUBIC)
+        assert check_small_n_lemmas(traj, history) == per_candidate_lemmas(traj, history)
+
+
+def distinct_divided(steps):
+    """Distinct divided ``ReplayPair`` objects, summed over the steps."""
+    return sum(len({id(p) for p in step.pairs.values() if p.status == "divided"})
+               for step in steps)
+
+
+def replays_agree(traj):
+    """Assert that at every step the shared replay and the per-pair one give
+    each pair the same status, classes and pi, and the same Q; return the
+    distinct divided objects of each, summed over the steps."""
+    shared, per_pair = Replay(traj).run(), PerPairReplay(traj).run()
+    assert [s.index for s in shared] == [s.index for s in per_pair]
+    for a, b in zip(shared, per_pair):
+        assert a.q_quadratic == b.q_quadratic, a.index
+        assert a.pairs.keys() == b.pairs.keys()
+        for key, pair in a.pairs.items():
+            other = b.pairs[key]
+            assert (pair.status, pair.classes, pair.pi) == \
+                (other.status, other.classes, other.pi), (a.index, key)
+    return distinct_divided(shared), distinct_divided(per_pair)
+
+
+class TestReplayMatchesPerPair:
+    """The replay that carries each shared history once rebuilds the same
+    histories as the one that rebuilds every pair on its own."""
+
+    @pytest.mark.parametrize("flux", [None, SMALL_N_CUBIC], ids=["quadratic", "cubic"])
+    def test_criterion_7_data(self, flux):
+        shared = per_pair = 0
+        for seed in SMALL_N_SEEDS:
+            a, b = replays_agree(small_n_run(seed, flux)[0])
+            assert a <= b, seed
+            shared, per_pair = shared + a, per_pair + b
+        assert shared < per_pair
+
+    def test_rejoin_datum(self):
+        replays_agree(run_scenario(REJOIN).trajectory)
+
+    def test_cubic_datum(self, cubic_run):
+        shared, per_pair = replays_agree(cubic_run[0])
+        assert shared < per_pair
 
 
 class TestSmallNLemmasFail:
     """Each lemma check fails on a replay with one corrupted step, and names
     what was corrupted.  At step 1, a crossing, the pairs of waves 2 to 5
-    that the jump at x = 3 divided share the classes [2, 3], [4], [5]; from
-    step 3 on, (2, 3) is divided with classes of its own, [2] and [3]."""
+    that the jump at x = 3 divided share one history, with the classes
+    [2, 3], [4], [5], and so one ``ReplayPair``; from step 3 on, (2, 3) is
+    divided with classes of its own, [2] and [3].  A corruption replaces one
+    pair's entry with ``dataclasses.replace``, which leaves the object it
+    shared to the other pairs as it was."""
 
     STEP = 1
 
@@ -344,9 +414,8 @@ class TestSmallNLemmasFail:
         at, key = 3, (2, 3)
 
         def corrupt(steps):
-            pair = steps[at].pairs[key]
-            assert pair.classes == [[2], [3]]
-            steps[at].pairs[key] = replace(pair, pi={key: -10.0})
+            assert steps[at].pairs[key].classes == [[2], [3]]
+            assert replace_one(steps[at], key, pi={key: -10.0}) == []
 
         corrupt_replay(monkeypatch, corrupt)
         r = only_failure(check_small_n_lemmas(*cubic_run), "class_gap_lemma")
@@ -360,7 +429,8 @@ class TestSmallNLemmasFail:
         def corrupt(steps):
             outer = steps[self.STEP].pairs[outer_key]
             bumped = {**outer.pi, entry: outer.pi[entry] + 1.0}
-            steps[self.STEP].pairs[outer_key] = replace(outer, pi=bumped)
+            assert replace_one(steps[self.STEP], outer_key, pi=bumped) == [
+                (2, 4), (3, 4), (3, 5), (4, 5)]
 
         corrupt_replay(monkeypatch, corrupt)
         r = only_failure(check_small_n_lemmas(*cubic_run), "outer_pair_pi_agreement")
@@ -393,7 +463,8 @@ class TestSmallNLemmasFail:
             assert inner.classes == [[2, 3], [4], [5]]
             assert sorted(divided_pairs(steps[self.STEP])) == [
                 (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-            steps[self.STEP].pairs[inner_key] = replace(inner, classes=[[3], [4], [5]])
+            assert replace_one(steps[self.STEP], inner_key, classes=[[3], [4], [5]]) == [
+                (2, 4), (2, 5), (3, 5), (4, 5)]
 
         corrupt_replay(monkeypatch, corrupt)
         r = only_failure(check_small_n_lemmas(*cubic_run), "partition_restriction")
@@ -415,7 +486,7 @@ class TestSmallNLemmasFail:
 
         def corrupt(steps):
             rep = steps[-1].pairs[key]
-            steps[-1].pairs[key] = replace(rep, pi={**rep.pi, key: rep.pi[key] + 1.0})
+            replace_one(steps[-1], key, pi={**rep.pi, key: rep.pi[key] + 1.0})
 
         corrupt_replay(monkeypatch, corrupt)
         r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")

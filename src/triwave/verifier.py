@@ -368,16 +368,17 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
         # whether a class is joined, and its chord speed, whichever pair holds it
         class_of: dict[tuple[int, ...], tuple[bool, float]] = {}
-        # per distinct ReplayPair, by id: its count of classes not joined
-        unjoined_of: dict[int, int] = {}
+        # per distinct ReplayPair, by id: its count of classes not joined and
+        # the set of its waves
+        read_of: dict[int, tuple[int, set[int]]] = {}
         gap_at = None      # (gap, pi + LEMMA_TOL, pair, p, p2) of the least slack
         gap_slack = 0.0
         for key, pair in divided.items():
-            unjoined = unjoined_of.get(id(pair))
-            if unjoined is not None:
+            read = read_of.get(id(pair))
+            if read is not None:
                 # a shared history: its candidates were all weighed at the
                 # first pair that holds it, and none is less than the least
-                joined_violations += unjoined
+                joined_violations += read[0]
                 continue
             classes = pair.classes
             sigmas = []
@@ -392,7 +393,7 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
                 if not seen[0]:
                     unjoined += 1
                 sigmas.append(seen[1])
-            unjoined_of[id(pair)] = unjoined
+            read_of[id(pair)] = (unjoined, {s for cls in classes for s in cls})
             joined_violations += unjoined
             # class-gap lemma: sigma_rh gap between classes bounded by pi
             pi = pair.pi
@@ -410,10 +411,6 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         # the inner pairs (s, s2) of (p, p2) have p <= s < p2 and s2 <= p2
         agree_at = None    # (actual, expected, inner, outer) of the least slack
         agree_slack = 0.0
-        members_of: dict[int, set[int]] = {}   # per distinct ReplayPair, by id
-        for pair in divided.values():
-            if id(pair) not in members_of:
-                members_of[id(pair)] = {s for cls in pair.classes for s in cls}
         keys = sorted(divided)
         for outer_key in keys:
             p, p2 = outer_key
@@ -423,7 +420,7 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
                 if inner_key == outer_key or inner_key[1] > p2:
                     continue
                 inner = divided[inner_key]
-                inner_set = members_of[id(inner)]
+                inner_set = read_of[id(inner)][1]
                 if inner is outer:
                     # one history: its classes restrict to themselves, and
                     # every entry agrees with slack 0, so only the first such

@@ -12,9 +12,11 @@ module owns:
   used as the constants of every runtime inequality check;
 - ``flux_constants``: the checked ``FluxSpec`` of a flux selection and its
   ``DerivativeBounds``, computed once per selection in a process;
-- ``FluxTable``: the per-run cache of one flux at one eps, keyed by integer
-  ticks: the interpolants f_eps(., v), the scalar fans of the Riemann
-  problems solved so far, and the quadrature increments of each cell;
+- ``FluxTable``: the cache of one flux at one eps, keyed by integer ticks:
+  the interpolants f_eps(., v), the scalar fans of the Riemann problems
+  solved so far, and the quadrature increments of each cell;
+- ``flux_table``: the one ``FluxTable`` per (flux, eps) in a process, which
+  the runs of a batch or an ensemble share;
 - ``build_effective_flux``: the effective flux of a block, a
   ``PiecewiseAffineFlux`` whose second w-derivative equals d2f/dw2(., v)
   cell by cell, anchored to value 0 / slope 0 at its left node (it is only
@@ -42,6 +44,7 @@ __all__ = [
     "interpolate",
     "derivative_bounds",
     "flux_constants",
+    "flux_table",
     "build_effective_flux",
     "FluxTable",
     "validate_flux",
@@ -350,8 +353,9 @@ def validate_flux(spec: FluxSpec) -> list[str]:
     return out
 
 
-# flux selections whose constants a process keeps: a run reads one, and a
-# batch or an ensemble cycles through a few
+# flux selections whose constants, and (flux, eps) keys whose tables, a
+# process keeps: a run reads one, and a batch or an ensemble cycles through a
+# few
 _MEMO_SIZE = 16
 
 
@@ -379,6 +383,19 @@ def _flux_constants(key: str) -> tuple[FluxSpec, DerivativeBounds]:
     except OverflowError as exc:
         # a float power past the largest float raises rather than give inf
         raise ValueError(f"flux {spec.name} overflows on its box: {exc}") from None
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def flux_table(spec: FluxSpec, eps: float) -> FluxTable:
+    """The process's ``FluxTable`` of ``spec`` at ``eps``, which the
+    simulator and the pair history of every run at that key share.
+
+    The last ``_MEMO_SIZE`` keys are kept, and the one used longest ago goes
+    first.  A spec is keyed by its functions, so the same selection shares a
+    table as long as ``flux_constants`` keeps its spec; ``typed`` keeps an
+    int eps apart from the equal float, whose ticks would evaluate the flux
+    at other arguments."""
+    return FluxTable(spec, eps)
 
 
 def validate_chords(spec: FluxSpec, eps: float, w_lo: int, w_hi: int,
@@ -427,9 +444,9 @@ def build_effective_flux(cells: list[tuple[int, int]], table: FluxTable) -> Piec
 
 
 class FluxTable:
-    """The per-run cache of one flux at one eps, keyed by integer ticks.
+    """The cache of one flux at one eps, keyed by integer ticks.
 
-    Three kernels are computed once per key and kept for the run:
+    Three kernels are computed once per key and kept for the table's life:
 
     - :meth:`flux_for_v`: the interpolant f_eps(., v) over the box, per v tick;
     - ``fans``: the scalar fan of the jump ``w_left -> w_right`` under
@@ -440,8 +457,13 @@ class FluxTable:
     - :meth:`cell_increments`: the two quadrature increments of one cell
       under one v label, per ``(cell_tick, v_tick)``.
 
-    A table belongs to whoever builds it: the simulator, the pair history and
-    the replay each build their own, so no run reads another's entries.
+    Every kernel is a pure function of its key, and an entry is stored only
+    once it is whole, so a table holds the same values whichever runs filled
+    it, a run that raised included.  The simulator and the pair history take
+    the one table per (flux, eps) of the process from :func:`flux_table`,
+    so a run reads the fans and cells an earlier run solved.  The replay
+    builds its own table for each run, so the small-N oracle never reads a
+    kernel that the run it checks computed.
     """
 
     def __init__(self, spec: FluxSpec, eps: float):

@@ -80,7 +80,7 @@ from itertools import accumulate, repeat
 from operator import itemgetter, mul
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
-from .flux import DerivativeBounds, FluxSpec, FluxTable
+from .flux import DerivativeBounds, FluxSpec, flux_table
 from .wavefield import BlockFluxes, Event, EventKind, FieldState
 
 __all__ = [
@@ -211,7 +211,8 @@ class PairHistory:
     """Incrementally maintained pair histories, partitions and functionals."""
 
     def __init__(self, spec: FluxSpec, eps: float, bounds: DerivativeBounds):
-        self.table = FluxTable(spec, eps)   # the history's own, for its block fluxes
+        # the process's table of (spec, eps), for the block fluxes
+        self.table = flux_table(spec, eps)
         self.eps = eps
         self.bounds = bounds
         self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P

@@ -7,9 +7,9 @@ for a downward one, grouped into fronts of equal speed.
 
 ``solve_scalar`` builds that fan, the only place where an envelope becomes
 fronts.  Its one caller is ``wavefield.speed_groups``, which solves each
-``(w-, w+, v tick)`` once per run and keeps the fan in the run's
-``flux.FluxTable``: every stack that meets that jump shares one tuple of
-frozen fronts.
+``(w-, w+, v tick)`` once per ``flux.FluxTable`` and keeps the fan there:
+every stack that meets that jump, in this run or a later one at the same
+flux and eps, shares one tuple of frozen fronts.
 """
 
 from __future__ import annotations

@@ -95,9 +95,6 @@ class ScenarioConfig:
             raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
         return ScenarioConfig(**doc)
 
-    def to_json(self, path) -> None:
-        _atomic_write(Path(path), lambda fh: _write_json(fh, vars(self)))
-
 
 def _check_flux(flux) -> None:
     """A flux selection is ``{"name": str, "params": {...}}``, params optional;

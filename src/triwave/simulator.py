@@ -30,7 +30,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import count
 
-from .flux import DerivativeBounds, FluxSpec, FluxTable, derivative_bounds
+from .flux import DerivativeBounds, FluxSpec, FluxTable, derivative_bounds, flux_table
 from .history import PairHistory
 from .wavefield import (
     Event,
@@ -336,8 +336,8 @@ def run(
     if bounds is None:
         bounds = derivative_bounds(spec)
     state = initial_enumeration(w0, v0, eps)
-    flux_table = FluxTable(spec, eps)
-    initial_groups = assign_initial_speeds(state, flux_table)
+    table = flux_table(spec, eps)
+    initial_groups = assign_initial_speeds(state, table)
     _require_valid(state, "initial enumeration invalid")
 
     if history is None:
@@ -365,7 +365,7 @@ def run(
         index = len(traj.events) + 1
         if index > event_guard:
             raise EventGuardExceeded(f"more than {event_guard} events")
-        event = resolve(cand, state, flux_table, index)
+        event = resolve(cand, state, table, index)
         log.debug("event %d: %s at t=%.6g x=%.6g", index, event.kind.value, event.time, event.x)
         snap, detail = history.on_event(event, state)
         traj.events.append(event)

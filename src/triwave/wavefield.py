@@ -29,8 +29,8 @@ The kept fronts answer every question of adjacency: :func:`front_index`
 finds the front that holds a wave, and the fronts next to it in the list
 are its neighbours.  :class:`BlockFluxes` is the one lookup from a run of
 waves to the effective flux of its homogeneous block, a maximal run of kept
-fronts of one sign, built from the cell increments its ``FluxTable`` keeps
-for the run.
+fronts of one sign, built from the cell increments its ``FluxTable``
+keeps.
 
 A run of waves (the waves of an event, of a front, of a partition class or
 of a block) is the tuple of its alive ids in ascending order.
@@ -44,7 +44,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import zip_longest
+from itertools import accumulate, chain, pairwise, zip_longest
+from operator import mul
 from typing import Iterable, Sequence
 
 from .envelopes import rh_speed
@@ -107,15 +108,6 @@ class StepFunction:
             vals.append(int(val))
             prev = val
         return StepFunction(tuple(xs), tuple(vals), base)
-
-    def value_at(self, x: float) -> int:
-        out = self.base
-        for bx, val in zip(self.positions, self.values):
-            if bx <= x:
-                out = val
-            else:
-                break
-        return out
 
     def jumps(self) -> list[tuple[float, int, int]]:
         """(x, value before, value after) for each breakpoint."""
@@ -561,49 +553,33 @@ def validate_enumeration(state: FieldState) -> list[str]:
 
     One loop over the waves computes each position once and, in the same
     step, tests the order, checks the open stack, counts the alive waves per
-    ``crossed`` value and closes each run.  Every call recounts from the
-    waves; nothing is carried from one call to the next.
+    ``crossed`` value, collects the alive ids in one list and notes where
+    each run starts in it.  After the loop the kept fronts match the runs
+    when their ids, laid end to end, are that list and their sizes add up
+    to those starts: two list equalities.  Only on a mismatch are the runs
+    built as tuples and the first front that differs looked for.  Every
+    call recounts from the waves; nothing is carried from one call to the
+    next.
     """
     t = state.time
+    waves = state.waves
     top = max((vf.id for vf in state.v_fronts), default=0)
     per_crossed = [0] * (top + 1)
-    alive: list[WaveRecord] = []
+    ids: list[int] = []           # the alive ids, in id order
+    starts: list[int] = []        # where each run starts in ids
     disorder: list[str] = []
     stacks: list[str] = []
     no_speed: list[str] = []
     no_death: list[str] = []
-    runs: list[tuple[int, ...]] = []
-    mixed_front: str | None = None
     level = state.w_base
-    # the open stack: where it starts, its position and sign, the right state
-    # its next wave must have, and whether it mixes signs or misses a state;
-    # the open run: where it starts, its position, its first wave, and
-    # whether it mixes crossing counts.  The first alive wave opens both.
-    stack_start = stack_x = sign = expect = mixed_sign = unfilled = None
-    run_start = run_x = lead = mixed_run = prev_x = None
-
-    def close_run(end: int) -> None:
-        nonlocal mixed_front
-        run = alive[run_start:end]
-        runs.append(tuple([w.id for w in run]))
-        if mixed_run and mixed_front is None:
-            mixed_front = f"mixed front at x={run_x}: crossed={ {w.crossed for w in run} }"
-
-    def close_stack(end: int) -> None:
-        nonlocal level
-        if mixed_sign:
-            stacks.append(f"mixed-sign stack at x={stack_x}")
-            return
-        before, after = level, level + sign * (end - stack_start)
-        if unfilled:
-            hats = [w.w_hat for w in alive[stack_start:end]]
-            stacks.append(
-                f"stack at x={stack_x}: right states {hats} do not fill "
-                f"{'(' + str(before) + ', ' + str(after) + ']' if sign > 0 else '[' + str(after) + ', ' + str(before) + ')'}"
-            )
-        level = after
-
-    for w in state.waves:
+    # the open stack: where it starts in ids, its position and sign, the
+    # right state its next wave must have, and whether it is bad (mixes
+    # signs or misses a state); the open run's first wave; the first run
+    # that mixes crossing counts, as its index in starts, and its position
+    stack_start = stack_x = sign = expect = bad = lead = None
+    mixed = mixed_x = None
+    append, new_run = ids.append, starts.append
+    for w in waves:
         if w.x_a is None:
             if w.death_time is None:
                 no_death.append(f"dead wave {w.id} without death time")
@@ -613,60 +589,88 @@ def validate_enumeration(state: FieldState) -> list[str]:
             x = w.x_a    # taken to stay at its anchor
         else:
             x = position(w, t)
-        per_crossed[min(w.crossed, top)] += 1
-        k = len(alive)
-        if k and x == stack_x:
-            if w.sign != sign:
-                mixed_sign = True
-            if w.w_hat != expect:
-                unfilled = True
+        c = w.crossed
+        per_crossed[c if c < top else top] += 1
+        if x == stack_x:
+            if w.sign != sign or w.w_hat != expect:
+                bad = True
             expect += sign
             if w.speed != lead.speed or w.sign != lead.sign:
-                close_run(k)
-                run_start, run_x, lead, mixed_run = k, x, w, False
-            elif w.crossed != lead.crossed:
-                mixed_run = True
+                new_run(len(ids))
+                lead = w
+            elif c != lead.crossed and mixed is None:
+                mixed, mixed_x = len(starts) - 1, x
         else:
-            if k:
-                if prev_x > x:
-                    disorder.append(f"positions out of order: wave {alive[-1].id} at {prev_x} "
+            if ids:
+                if stack_x > x:
+                    disorder.append(f"positions out of order: wave {ids[-1]} at {stack_x} "
                                     f"after {w.id} at {x}")
-                close_run(k)
-                close_stack(k)
-            stack_start, stack_x, sign, expect = k, x, w.sign, level + w.sign
-            mixed_sign = False
-            unfilled = w.w_hat != expect
+                if bad:
+                    level = _close_bad_stack(waves, ids[stack_start:], stack_x, level, stacks)
+                else:
+                    level = expect - sign
+            stack_start = len(ids)
+            stack_x = x
+            sign = w.sign
+            expect = level + sign
+            bad = w.w_hat != expect
             expect += sign
-            run_start, run_x, lead, mixed_run = k, x, w, False
-        alive.append(w)
-        prev_x = x
-    if alive:
-        close_run(len(alive))
-        close_stack(len(alive))
+            new_run(stack_start)
+            lead = w
+        append(w.id)
+    if ids:
+        if bad:
+            level = _close_bad_stack(waves, ids[stack_start:], stack_x, level, stacks)
+        else:
+            level = expect - sign
 
     problems = disorder + stacks
     if level != state.w_base:
         problems.append(f"profile does not return to base: ends at {level}")
     problems += no_speed + no_death
-    if state.n_alive != len(alive):
-        problems.append(f"kept alive count {state.n_alive}, recounted {len(alive)}")
+    if state.n_alive != len(ids):
+        problems.append(f"kept alive count {state.n_alive}, recounted {len(ids)}")
     if state.per_crossed != per_crossed:
         problems.append(f"kept alive counts per crossed value {state.per_crossed}, "
                         f"recounted {per_crossed}")
     if state._fronts is not None:
-        if mixed_front is not None:
-            problems.append(mixed_front)
+        n = len(ids)
+        if mixed is not None:
+            end = starts[mixed + 1] if mixed + 1 < len(starts) else n
+            crossed = {waves[s - 1].crossed for s in ids[starts[mixed]:end]}
+            problems.append(f"mixed front at x={mixed_x}: crossed={crossed}")
         else:
             kept = [f.ids for f in state._fronts]
-            for k, (a, b) in enumerate(zip_longest(kept, runs)):
-                if a != b:
-                    problems.append(f"kept front {k} is {a}, regrouped {b}")
-                    break
-            n_joined = sum(len(ids) * (len(ids) - 1) // 2 for ids in runs)
+            sizes = list(map(len, kept))
+            starts.append(n)
+            if (list(chain.from_iterable(kept)) != ids
+                    or list(accumulate(sizes, initial=0)) != starts):
+                runs = [tuple(ids[a:b]) for a, b in pairwise(starts)]
+                k, a, b = next((k, a, b) for k, (a, b) in enumerate(zip_longest(kept, runs))
+                               if a != b)
+                problems.append(f"kept front {k} is {a}, regrouped {b}")
+                sizes = list(map(len, runs))
+            n_joined = (sum(map(mul, sizes, sizes)) - n) // 2
             if state._n_joined != n_joined:
                 problems.append(f"kept count of pairs on one front {state._n_joined}, "
                                 f"recounted {n_joined}")
     return problems
+
+
+def _close_bad_stack(waves: Sequence[WaveRecord], ids: list[int], x: float, before: int,
+                 stacks: list[str]) -> int:
+    """Append to ``stacks`` the problem of the stack of alive waves ``ids``
+    at ``x``, which opens at w level ``before`` and mixes signs or misses a
+    right state; return the w level after it (``before`` if it mixes signs)."""
+    sign = waves[ids[0] - 1].sign
+    if any(waves[s - 1].sign != sign for s in ids):
+        stacks.append(f"mixed-sign stack at x={x}")
+        return before
+    after = before + sign * len(ids)
+    hats = [waves[s - 1].w_hat for s in ids]
+    span = f"({before}, {after}]" if sign > 0 else f"[{after}, {before})"
+    stacks.append(f"stack at x={x}: right states {hats} do not fill {span}")
+    return after
 
 
 def effective_flux(state: FieldState, block: tuple[int, ...],

@@ -3,10 +3,12 @@
 A CLI run imports this module with ``tests`` on ``PYTHONPATH``.
 """
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from itertools import zip_longest
 from operator import itemgetter
+from pathlib import Path
 
 from triwave.envelopes import concave_envelope, convex_envelope
 from triwave.flux import FluxTable, PiecewiseAffineFlux
@@ -14,6 +16,24 @@ from triwave.history import PairHistory, m_value
 from triwave.replay import Replay, ReplayPair
 from triwave.wavefield import (BlockFluxes, EventKind, Front, StepFunction, _count_alive,
                                apply_event, position)
+
+
+def value_at(sf, x):
+    """The value of the step function ``sf`` at ``x``: the value right of
+    its last breakpoint at or left of ``x``, or its base left of them all."""
+    out = sf.base
+    for bx, val in zip(sf.positions, sf.values):
+        if bx <= x:
+            out = val
+        else:
+            break
+    return out
+
+
+def write_config(config, path):
+    """Write the scenario config ``config`` to ``path`` as the one-line JSON
+    document ``ScenarioConfig.from_json`` reads back."""
+    Path(path).write_text(json.dumps(vars(config)) + "\n")
 
 
 def entropic_speed(g, lo, hi, cell, sign):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from doubles import reference_effective_flux
+from doubles import reference_effective_flux, write_config
 from triwave import cli, flux
 from triwave.envelopes import rh_speed
 from triwave.flux import (
@@ -17,6 +17,7 @@ from triwave.flux import (
     build_effective_flux,
     derivative_bounds,
     flux_constants,
+    flux_table,
     interpolate,
     make_flux,
     validate_chords,
@@ -230,8 +231,8 @@ def test_a_non_finite_derivative_fails_fast(tmp_path, capsys):
     with pytest.raises(ValueError, match=re.escape(message)):
         flux_constants(selection)
     cfg = tmp_path / "cfg.json"
-    ScenarioConfig(flux=selection, w0={"jumps": [[1.0, 1], [2.0, 0]]},
-                   v0={"jumps": []}).to_json(cfg)
+    write_config(ScenarioConfig(flux=selection, w0={"jumps": [[1.0, 1], [2.0, 0]]},
+                                v0={"jumps": []}), cfg)
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -537,3 +538,25 @@ class TestFluxConstants:
         assert spec.d2_wv(0.5, 0.0) == pytest.approx(2 * 0.35 * 0.5)
         # and the mutated dict is a selection of its own
         assert flux_constants(selection)[1] == fresh_bounds(selection) != want
+
+
+class TestFluxTableMemo:
+    def test_one_table_per_flux_and_eps(self):
+        spec, _ = flux_constants(CUBIC)
+        table = flux_table(spec, 0.05)
+        assert flux_table(spec, 0.05) is table
+        assert (table.spec, table.eps) == (spec, 0.05)
+        assert flux_table(spec, 0.025) is not table
+        assert flux_table(make_flux("custom_poly", CUBIC["params"]), 0.05) is not table
+
+    def test_an_int_eps_is_its_own_key(self):
+        spec = make_flux("quadratic_coupled", {"box": [-4.0, 4.0, -0.5, 0.5]})
+        assert type(flux_table(spec, 1).eps) is int
+        assert type(flux_table(spec, 1.0).eps) is float
+
+    def test_the_oldest_table_goes_after_memo_size_more_keys(self):
+        spec = make_flux("quartic")
+        tables = [flux_table(spec, 0.01 + k * 1e-3) for k in range(flux._MEMO_SIZE + 1)]
+        # the newest _MEMO_SIZE keys are kept, newest first
+        assert all(flux_table(spec, t.eps) is t for t in reversed(tables[1:]))
+        assert flux_table(spec, tables[0].eps) is not tables[0]

@@ -6,14 +6,18 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import golden.regen as regen
+from doubles import write_config
 from golden.regen import GOLDEN, column_changes, golden_cases
-from triwave import cli, scenario
+from test_acceptance import ensemble_config
+from triwave import cli, scenario, wavefield
+from triwave.flux import flux_constants, flux_table
 from triwave.scenario import (
     ARTIFACTS,
     ScenarioConfig,
@@ -27,6 +31,7 @@ from triwave.wavefield import snapshot
 
 EPS = 0.05
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def assert_golden(out: Path, golden: Path) -> None:
@@ -75,7 +80,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = ScenarioConfig(seed=5, check_level="small_n", eps=0.1)
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        write_config(cfg, path)
         again = ScenarioConfig.from_json(path)
         assert again == cfg
 
@@ -433,13 +438,64 @@ class TestBatch:
         assert serial["checks"] == parallel["checks"]
 
 
+def run_alone(config: ScenarioConfig, out: Path) -> None:
+    """Run ``config`` into ``out`` through the CLI, in a fresh process whose
+    flux tables are empty."""
+    cfg_path = out.with_suffix(".json")
+    write_config(config, cfg_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "triwave.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestKeptFluxTable:
+    """The runs of a process share one ``FluxTable`` per flux and eps, and a
+    run on a table that other runs filled writes the bytes it writes alone."""
+
+    @pytest.mark.parametrize("flux", [
+        {"name": "quadratic_coupled", "params": {}},
+        {"name": "quartic", "params": {}},
+        {"name": "custom_poly", "params": {"coeffs": [[3, 0, 1.0], [2, 1, 0.4]]}},
+    ], ids=lambda flux: flux["name"])
+    def test_a_warm_table_writes_what_a_fresh_process_writes(self, tmp_path, monkeypatch, flux):
+        config = ensemble_config(3, flux)
+        run_alone(config, tmp_path / "alone")
+        flux_table.cache_clear()
+        for seed in (0, 1, 2):
+            run_scenario(replace(config, seed=seed))
+        run_scenario(config, out_dir=tmp_path / "after_others")
+        assert_golden(tmp_path / "after_others", tmp_path / "alone")
+        solved = []
+        real = wavefield.solve_scalar
+        monkeypatch.setattr(wavefield, "solve_scalar",
+                            lambda *args: solved.append(args) or real(*args))
+        run_scenario(config, out_dir=tmp_path / "again")
+        assert_golden(tmp_path / "again", tmp_path / "alone")
+        # the repeated run read every fan from the table the first one filled
+        assert solved == []
+        spec, _ = flux_constants(flux)
+        assert flux_table(spec, config.eps).fans
+
+    def test_a_seed_that_raises_leaves_the_next_its_bytes(self, tmp_path):
+        # seed 0 of these quartic data runs 89 events, so it raises part-way
+        # through, on a table it was the first to fill; seed 7 runs 46
+        config = replace(ensemble_config(0, {"name": "quartic", "params": {}}), event_guard=60)
+        flux_table.cache_clear()
+        summary = batch(config, seeds=[0, 7], out_dir=tmp_path / "batch")
+        assert summary["per_seed"] == {"0": False, "7": True}
+        assert summary["errors"]["0"] == "EventGuardExceeded: more than 60 events"
+        run_alone(replace(config, seed=7), tmp_path / "alone")
+        assert_golden(tmp_path / "batch" / "seed_7", tmp_path / "alone")
+
+
 class TestCli:
     def run_cli(self, *args):
         # the CLI imports triwave from this checkout's src, as the tests do
-        src = Path(__file__).resolve().parents[1] / "src"
         return subprocess.run(
             [sys.executable, "-m", "triwave.cli", *args],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
         )
 
     def test_run_command(self, tmp_path):
@@ -449,7 +505,7 @@ class TestCli:
             v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
         )
         cfg_path = tmp_path / "cfg.json"
-        cfg.to_json(cfg_path)
+        write_config(cfg, cfg_path)
         proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert "PASS" in proc.stdout
@@ -457,10 +513,10 @@ class TestCli:
 
     def test_seed_override_and_levels(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        ScenarioConfig(
+        write_config(ScenarioConfig(
             w0={"random": {"jumps": 3, "max_amplitude": 0.3, "max_waves": 12}},
             v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
-        ).to_json(cfg_path)
+        ), cfg_path)
         proc = self.run_cli("run", "--config", str(cfg_path), "--seed", "9",
                             "--check-level", "small_n")
         assert proc.returncode == 0, proc.stderr
@@ -468,11 +524,11 @@ class TestCli:
 
     def test_small_n_guard_is_a_clean_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        ScenarioConfig(
+        write_config(ScenarioConfig(
             check_level="small_n",
             w0={"random": {"jumps": 6, "max_amplitude": 0.4, "max_waves": 40}},
             v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
-        ).to_json(cfg_path)
+        ), cfg_path)
         proc = self.run_cli("run", "--config", str(cfg_path), "--seed", "3")
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "small_n" in proc.stderr
@@ -480,11 +536,11 @@ class TestCli:
 
     def test_batch_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        ScenarioConfig(
+        write_config(ScenarioConfig(
             check_level="fast",
             w0={"random": {"jumps": 3, "max_amplitude": 0.3, "max_waves": 12}},
             v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
-        ).to_json(cfg_path)
+        ), cfg_path)
         proc = self.run_cli("batch", "--config", str(cfg_path), "--seeds", "0..2",
                             "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
@@ -602,11 +658,11 @@ class TestCli:
         # a level-fast run whose final state breaks the enumeration: the CLI
         # runs with a collision search that corrupts the state after event 1
         cfg_path = tmp_path / "cfg.json"
-        ScenarioConfig(
+        write_config(ScenarioConfig(
             check_level="fast",
             w0={"jumps": [[7.0, -6], [9.0, 2], [10.0, 0]]},
             v0={"jumps": [[3.5, 1], [4.0, 0]]},
-        ).to_json(cfg_path)
+        ), cfg_path)
         code = ("import sys, doubles, triwave.simulator as sim; "
                 "sim.next_collision = doubles.CorruptAfterFirstEvent(sim.next_collision); "
                 "from triwave.cli import main; sys.exit(main(sys.argv[1:]))")

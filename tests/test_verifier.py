@@ -9,7 +9,8 @@ import pytest
 
 from doubles import PerPairReplay
 from test_acceptance import SMALL_N_CUBIC, SMALL_N_SEEDS, small_n_config
-from triwave.flux import FluxTable, derivative_bounds, flux_constants, make_flux
+from triwave import simulator
+from triwave.flux import FluxTable, derivative_bounds, flux_constants, flux_table, make_flux
 from triwave.history import PairHistory
 from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
@@ -396,6 +397,19 @@ class TestReplayMatchesPerPair:
     def test_cubic_datum(self, cubic_run):
         shared, per_pair = replays_agree(cubic_run[0])
         assert shared < per_pair
+
+    def test_the_replay_reads_its_own_table(self, monkeypatch):
+        # the simulator hands its table to assign_initial_speeds first
+        tables = []
+        real = simulator.assign_initial_speeds
+        monkeypatch.setattr(simulator, "assign_initial_speeds",
+                            lambda state, table: tables.append(table) or real(state, table))
+        traj, history = small_n_run(SMALL_N_SEEDS[0], SMALL_N_CUBIC)
+        assert tables == [history.table]
+        assert history.table is flux_table(traj.spec, traj.eps)
+        replay = Replay(traj)
+        assert replay.table is not history.table
+        assert Replay(traj).table is not replay.table
 
 
 class TestSmallNLemmasFail:

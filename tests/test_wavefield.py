@@ -11,6 +11,7 @@ from doubles import (
     reconstruct_profile,
     swap_end_positions,
     swap_kept_ids,
+    value_at,
     walk_block,
 )
 from golden.regen import golden_cases
@@ -72,9 +73,9 @@ class TestStepFunction:
 
     def test_value_and_tv(self):
         sf = StepFunction.from_jumps([(0.0, 3), (1.0, -1), (2.0, 0)])
-        assert sf.value_at(-0.5) == 0
-        assert sf.value_at(0.0) == 3
-        assert sf.value_at(1.5) == -1
+        assert value_at(sf, -0.5) == 0
+        assert value_at(sf, 0.0) == 3
+        assert value_at(sf, 1.5) == -1
         assert sf.tv_ticks() == 3 + 4 + 1
 
     def test_rejects_unordered_breakpoints(self):

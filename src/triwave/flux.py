@@ -90,6 +90,11 @@ class Box:
         at grid step eps."""
         return math.ceil(self.w_min / eps - 1e-9), math.floor(self.w_max / eps + 1e-9)
 
+    def v_ticks(self, eps: float) -> tuple[int, int]:
+        """The least and greatest tick k whose v = k * eps lies in [v_min,
+        v_max], up to rounding, as ``w_ticks``."""
+        return math.ceil(self.v_min / eps - 1e-9), math.floor(self.v_max / eps + 1e-9)
+
 
 @dataclass(frozen=True)
 class FluxSpec:
@@ -452,8 +457,8 @@ class FluxTable:
     - ``fans``: the scalar fan of the jump ``w_left -> w_right`` under
       f_eps(., v), per ``(w_left, w_right, v_tick)``, as the tuple of frozen
       ``FanFront`` that ``riemann.solve_scalar`` returns.  The solver imports
-      this module, so ``wavefield.speed_groups``, its one caller, fills the
-      dict; a jump whose solve raises is not stored;
+      this module, so ``wavefield.speed_groups``, the caller that keeps fans,
+      fills the dict; a jump whose solve raises is not stored;
     - :meth:`cell_increments`: the two quadrature increments of one cell
       under one v label, per ``(cell_tick, v_tick)``.
 

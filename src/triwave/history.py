@@ -22,9 +22,10 @@ functional.
 Budgets are exact integers.  A crossing of v-front h adds
 2 ||d3f/dw2dv|| |v_h| M to pi, with |v_h| = ticks_h * eps and M = count * eps
 (``m_value``), so every pi is ``K * P``: K = 2 ||d3f/dw2dv|| eps^2, and P is
-the integer sum of ticks_h * count over the pair's crossings.  Each pair
-stores its denominator d = |w_hat(s') - w_hat(s)| + 1 in ticks, fixed when
-the pair meets, but not P: P is read from per-wave potentials.
+the integer sum of ticks_h * count over the pair's crossings.  A divided
+pair maps to its partition record and nothing else: its denominator
+d = |w_hat(s') - w_hat(s)| + 1 in ticks is read from the two waves' right
+states (permanent, kept in ``hats``), and P from per-wave potentials.
 
 Partitions are shared: every pair divided at the same event sees the same
 classes, so one record per event serves them all, and every pair of a record
@@ -62,7 +63,10 @@ event.
 An event changes only the records that meet its colliding waves, and one
 pass carries them across it.  A divided pair lives in the record it divided
 at, and both its waves stay in that record's classes until they die, so a
-dead wave's pairs are found among its record's waves.  No stored pair lies
+dead wave's pairs are found among its record's waves.  A class is split
+again by the scalar fan ``riemann.solve_scalar`` builds for the Riemann
+problem it spans under the current effective flux, as the initial classes
+are.  No stored pair lies
 on one kept front, so only pairs across an event's two fronts meet again:
 joined, they leave the store; divided, they are an error.
 ``PairHistory.validate`` recounts T and every record's weights from the
@@ -79,14 +83,13 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import itemgetter, mul
 
-from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from .flux import DerivativeBounds, FluxSpec, flux_table
-from .wavefield import BlockFluxes, Event, EventKind, FieldState
+from .riemann import solve_scalar
+from .wavefield import BlockFluxes, Event, EventKind, FieldState, stack_range
 
 __all__ = [
     "FunctionalSnapshot",
     "PartitionRecord",
-    "PairRec",
     "PairHistory",
     "m_value",
 ]
@@ -133,16 +136,6 @@ class PartitionRecord:
         """Drop the potentials and weights of the dead waves ``ids``."""
         for s in ids:
             del self.A[s], self.B[s], self.up[s], self.dn[s]
-
-
-@dataclass(slots=True)
-class PairRec:
-    """History of one divided pair: its shared partition, and its denominator
-    d = |w_hat' - w_hat| + 1, fixed when the pair divides.  Its budget P
-    (pi = K * P) is ``PairHistory.budget``."""
-
-    record: PartitionRecord
-    d: int
 
 
 _first = itemgetter(0)
@@ -216,11 +209,14 @@ class PairHistory:
         self.eps = eps
         self.bounds = bounds
         self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P
-        # (s, s2), s < s2 -> the divided pair; joined pairs are never stored
-        self.pairs: dict[tuple[int, int], PairRec] = {}
+        # (s, s2), s < s2 -> the record of the divided pair; joined pairs
+        # are never stored
+        self.pairs: dict[tuple[int, int], PartitionRecord] = {}
         # live record -> the number of divided pairs sharing it
         self.records: dict[PartitionRecord, int] = {}
-        # L = lcm(1..d_max) and weights[d] = L // d; initialize sets them
+        # the waves' right states by id - 1, L = lcm(1..d_max) and
+        # weights[d] = L // d; initialize sets them
+        self.hats: list[int] = []
         self.L = 1
         self.weights = [0, 1]
         # sum of P * L / d over the divided pairs
@@ -228,18 +224,21 @@ class PairHistory:
 
     def budget(self, s: int, s2: int) -> int:
         """P of the divided pair (s, s2), s < s2: pi = K * P."""
-        rec = self.pairs[(s, s2)].record
+        rec = self.pairs[(s, s2)]
         return rec.A[s2] - rec.B[s]
 
-    def _set_pair(self, key: tuple[int, int], pair: PairRec) -> None:
-        """Store the divided ``pair`` of a fresh record (so P = 0) under
-        ``key``: in ``pairs``, its record's pair count and the weights of its
-        two waves."""
-        s, s2 = key
-        self.pairs[key] = pair
-        rec = pair.record
+    def _weight(self, s: int, s2: int) -> int:
+        """L / d of the pair (s, s2): d = |w_hat(s2) - w_hat(s)| + 1."""
+        hats = self.hats
+        return self.weights[abs(hats[s2 - 1] - hats[s - 1]) + 1]
+
+    def _set_pair(self, s: int, s2: int, rec: PartitionRecord) -> None:
+        """Store (s, s2), s < s2, as a divided pair of the fresh record
+        ``rec`` (so P = 0): in ``pairs``, its record's pair count and the
+        weights of its two waves."""
+        self.pairs[(s, s2)] = rec
         self.records[rec] = self.records.get(rec, 0) + 1
-        w = self.weights[pair.d]
+        w = self._weight(s, s2)
         rec.up[s2] += w
         rec.dn[s] += w
 
@@ -248,14 +247,13 @@ class PairHistory:
         its record's count (a record without pairs leaves the registry), and
         takes its L / d out of the weights of its waves and P * L / d out of
         ``T``."""
-        pair = self.pairs.pop((s, s2))
-        rec = pair.record
+        rec = self.pairs.pop((s, s2))
         left = self.records[rec] - 1
         if left:
             self.records[rec] = left
         else:
             del self.records[rec]
-        w = self.weights[pair.d]
+        w = self._weight(s, s2)
         rec.up[s2] -= w
         rec.dn[s] -= w
         P = rec.A[s2] - rec.B[s]
@@ -271,7 +269,7 @@ class PairHistory:
         the first kept value that differs from its recount, the first such
         pair and the first record that fails (empty = ok)."""
         problems = []
-        weights = self.weights
+        weights, hats = self.weights, self.hats
         # wave -> its kept front's index, for the fronts of two or more waves
         front_of = {s: k for k, f in enumerate(state.fronts()) if len(f.ids) > 1
                     for s in f.ids}
@@ -282,9 +280,9 @@ class PairHistory:
         # mostly come in a row
         recount: dict[PartitionRecord, list] = {}
         last = entry = None
-        for (s, s2), pair in self.pairs.items():
-            if pair.record is not last:
-                last = pair.record
+        for (s, s2), rec in self.pairs.items():
+            if rec is not last:
+                last = rec
                 entry = recount.get(last)
                 if entry is None:
                     entry = recount[last] = [dict.fromkeys(last.up, 0),
@@ -292,7 +290,7 @@ class PairHistory:
                 up, dn = entry[0], entry[1]
                 up_get, dn_get = up.get, dn.get
             entry[2] += 1
-            w = weights[pair.d]
+            w = weights[abs(hats[s2 - 1] - hats[s - 1]) + 1]
             up[s2] = up_get(s2, 0) + w
             dn[s] = dn_get(s, 0) + w
             k = front_get(s)
@@ -330,15 +328,15 @@ class PairHistory:
     # -- construction ------------------------------------------------------
 
     def initialize(self, state: FieldState, initial_groups) -> FunctionalSnapshot:
-        """Fix L from the waves' right states, and record the pair relations
-        created by the initial Riemann problems."""
-        hats = [w.w_hat for w in state.waves]
+        """Keep the waves' right states and fix L from them, and record the
+        pair relations created by the initial Riemann problems."""
+        self.hats = hats = [w.w_hat for w in state.waves]
         d_max = max(hats) - min(hats) + 1 if hats else 1
         self.L = math.lcm(*range(1, d_max + 1))
         self.weights = [0] + [self.L // d for d in range(1, d_max + 1)]
         for groups in initial_groups:
             ids = [s for members, _ in groups for s in members]
-            self._meet(ids, {s: speed for members, speed in groups for s in members}, state)
+            self._meet(ids, {s: speed for members, speed in groups for s in members})
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
@@ -356,7 +354,7 @@ class PairHistory:
             ids = sorted(event.post_speeds)
             if len({state.wave(s).sign for s in ids}) != 1:
                 raise ValueError("meeting waves of opposite sign survived one event")
-            self._meet(ids, event.post_speeds, state)
+            self._meet(ids, event.post_speeds)
 
         snap = self.snapshot(state, index=event.index,
                              sum_abs_dsigma=event.sum_abs_dsigma)
@@ -387,8 +385,7 @@ class PairHistory:
                 if d in rec.A:
                     for s in rec.A:     # the partners of d's pairs of rec
                         key = (d, s) if d < s else (s, d)
-                        pair = pairs.get(key)
-                        if pair is not None and pair.record is rec:
+                        if pairs.get(key) is rec:
                             self._drop(*key)
             if rec not in records:
                 continue
@@ -440,22 +437,15 @@ class PairHistory:
 
     def _split_class(self, members: tuple[int, ...], state: FieldState,
                      fluxes: BlockFluxes) -> list[tuple[int, ...]]:
-        """Split one class by the Riemann problem it spans under the current
-        effective flux; classes are runs of equal entropic speed."""
-        eff = fluxes.flux(members)
-        sign = state.wave(members[0]).sign
-        cells = [state.wave(s).cell() for s in members]
-        lo, hi = min(cells), max(cells) + 1
-        env = convex_envelope(eff, lo, hi) if sign > 0 else concave_envelope(eff, lo, hi)
-        slopes = [env.cell_slope(c) for c in cells]
-        out: list[tuple[int, ...]] = []
-        start = 0
-        for k in range(1, len(members)):
-            if abs(slopes[k] - slopes[k - 1]) > SLOPE_TOL:
-                out.append(members[start:k])
-                start = k
-        out.append(members[start:])
-        return out
+        """Split one class by the scalar fan of the Riemann problem it spans
+        under the current effective flux: one class per front of the fan, in
+        fan order, which is id order.  The effective flux is anchored to
+        slope 0 at its left node, so the fan's speeds are true speeds only up
+        to a constant, and only their grouping is read."""
+        w_left, w_right = stack_range(state, members)
+        by_cell = {state.wave(s).cell(): s for s in members}
+        return [tuple(sorted(by_cell[c] for c in f.cells))
+                for f in solve_scalar(w_left, w_right, fluxes.flux(members))]
 
     def _rejoin(self, event: Event) -> None:
         """Drop the stored pairs across the event's two fronts, once the dead
@@ -471,11 +461,11 @@ class PairHistory:
                     log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
                     self._drop(s, s2)
 
-    def _meet(self, ids: list[int], speeds: dict[int, float], state: FieldState) -> None:
+    def _meet(self, ids: list[int], speeds: dict[int, float]) -> None:
         """Pairs of ``ids`` meeting at one point: joined where the speeds
         agree, else divided and sharing one fresh partition whose classes are
         the runs of equal speed.  Every divided pair starts with P = 0 (its
-        record's potentials are 0) and the denominator of its right states."""
+        record's potentials are 0)."""
         runs = [[ids[0]]]
         for prev, s in zip(ids, ids[1:]):
             if speeds[s] == speeds[prev]:
@@ -485,14 +475,13 @@ class PairHistory:
         if len(runs) == 1:
             return
         record = PartitionRecord([tuple(run) for run in runs])
-        hats = [state.wave(s).w_hat for s in ids]
         end = 0
         for run in runs[:-1]:
             end += len(run)
-            for i in range(end - len(run), end):
-                s, hat = ids[i], hats[i]
-                for j in range(end, len(ids)):
-                    self._set_pair((s, ids[j]), PairRec(record, abs(hats[j] - hat) + 1))
+            above = ids[end:]
+            for s in run:
+                for s2 in above:
+                    self._set_pair(s, s2, record)
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
@@ -512,11 +501,11 @@ class PairHistory:
         n_never = 0
         for s in left:
             for s2 in right:
-                pair = self.pairs.get((s, s2))
-                if pair is None:
+                rec = self.pairs.get((s, s2))
+                if rec is None:
                     n_never += 1
                 else:
-                    sum_P += pair.record.A[s2] - pair.record.B[s]
+                    sum_P += rec.A[s2] - rec.B[s]
         sum_pi = self.K * sum_P
         lhs = (fluxes.rh_speed(left) - fluxes.rh_speed(right)) * size_l * size_r
         rhs = sum_pi * self.eps**2 + n_never * self.bounds.norm_d2_ww * (

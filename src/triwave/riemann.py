@@ -6,10 +6,14 @@ the flux f_eps(., v+): convex-envelope cell slopes for an upward jump, concave
 for a downward one, grouped into fronts of equal speed.
 
 ``solve_scalar`` builds that fan, the only place where an envelope becomes
-fronts.  Its one caller is ``wavefield.speed_groups``, which solves each
+fronts.  It has two callers.  ``wavefield.speed_groups`` solves each
 ``(w-, w+, v tick)`` once per ``flux.FluxTable`` and keeps the fan there:
 every stack that meets that jump, in this run or a later one at the same
-flux and eps, shares one tuple of frozen fronts.
+flux and eps, shares one tuple of frozen fronts; it also checks that every
+speed lies in (-1, 1).  ``history.PairHistory`` splits a partition class by
+the fan of the Riemann problem it spans under a block's effective flux,
+whose speeds are true speeds only up to a constant, so it reads only how the
+fan groups the cells.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ def solve_scalar(w_minus: int, w_plus: int,
     """Scalar fan of the jump w_minus -> w_plus (ticks) under the flux g.
 
     Hull segments whose slopes agree within SLOPE_TOL merge into one front
-    moving at the chord slope of the merged stretch.  A speed outside
-    (-1, 1) means the flux is not hyperbolic there and raises ValueError.
+    moving at the chord slope of the merged stretch.
     """
     if w_minus == w_plus:
         return ()
@@ -60,8 +63,6 @@ def solve_scalar(w_minus: int, w_plus: int,
 
     fronts: list[FanFront] = []
     for a, b, speed in segments:
-        if not -1.0 < speed < 1.0:
-            raise ValueError(f"second-family speed {speed} outside (-1, 1): hyperbolicity violated")
         if upward:
             fronts.append(FanFront(speed, a, b, tuple(range(a, b))))
         else:

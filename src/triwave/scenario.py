@@ -119,9 +119,13 @@ def _check_datum(name: str, part) -> None:
         ):
             raise ValueError(f"{name} jumps must be a list of [x, tick] pairs, x a number "
                              f"and tick an integer, got {jumps!r}")
+        seen = set()
         for x, _ in jumps:
             if not math.isfinite(x):
                 raise ValueError(f"{name} jump positions must be finite, got {x!r}")
+            if float(x) in seen:
+                raise ValueError(f"{name} jumps repeat x={float(x)}")
+            seen.add(float(x))
         return
     rand = part["random"]
     if not isinstance(rand, dict):
@@ -244,17 +248,18 @@ def _run_scenario(config: ScenarioConfig, target: Path | None) -> ScenarioResult
     unless it is None."""
     spec, bounds = flux_constants(config.flux)
     w0, v0 = build_initial_data(config, spec)
+    box, eps = spec.box, config.eps
+    for name, part, (lo, hi), (b_lo, b_hi) in (
+            ("w0", w0, box.w_ticks(eps), (box.w_min, box.w_max)),
+            ("v0", v0, box.v_ticks(eps), (box.v_min, box.v_max))):
+        outside = [tick for tick in (part.base, *part.values) if not lo <= tick <= hi]
+        if part.values and outside:
+            var = name[0]
+            raise ValueError(f"{name} takes tick {outside[0]} ({var} = {outside[0] * eps:g}), "
+                             f"outside the flux box: {var} in [{b_lo}, {b_hi}] is "
+                             f"ticks [{lo}, {hi}] at eps {eps}")
     w_ticks = (w0.base, *w0.values)
-    if w0.values:
-        lo, hi = spec.box.w_ticks(config.eps)
-        outside = [tick for tick in w_ticks if not lo <= tick <= hi]
-        if outside:
-            box = spec.box
-            raise ValueError(f"w0 takes tick {outside[0]} (w = {outside[0] * config.eps:g}), "
-                             f"outside the flux box: w in [{box.w_min}, {box.w_max}] is "
-                             f"ticks [{lo}, {hi}] at eps {config.eps}")
-    problems = validate_chords(spec, config.eps, min(w_ticks), max(w_ticks),
-                               (v0.base, *v0.values))
+    problems = validate_chords(spec, eps, min(w_ticks), max(w_ticks), (v0.base, *v0.values))
     if problems:
         raise ValueError(f"flux {spec.name} is not hyperbolic on the data: {problems[0]}")
     if config.check_level == "small_n":

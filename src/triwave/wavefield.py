@@ -136,7 +136,6 @@ class WaveRecord:
     speed: float | None
     crossed: int            # first-family fronts with index <= crossed are behind
     t_a: float = 0.0
-    death_time: float | None = None
 
     @property
     def alive(self) -> bool:
@@ -302,7 +301,6 @@ def apply_event(state: FieldState, event: Event) -> None:
         w = state.wave(s)
         w.x_a = None
         w.speed = None
-        w.death_time = t
         state.n_alive -= 1
         per_crossed[min(w.crossed, top)] -= 1
     for s, speed in event.post_speeds.items():
@@ -395,8 +393,8 @@ class FieldState:
         them about a third slower on CPython 3.11."""
         out = FieldState(
             eps=self.eps,
-            waves=[WaveRecord(w.id, w.sign, w.w_hat, w.x_a, w.speed, w.crossed, w.t_a,
-                              w.death_time) for w in self.waves],
+            waves=[WaveRecord(w.id, w.sign, w.w_hat, w.x_a, w.speed, w.crossed, w.t_a)
+                   for w in self.waves],
             v_fronts=[VFront(vf.id, vf.x_a, vf.v_left, vf.v_right, vf.t_a)
                       for vf in self.v_fronts],
             time=self.time,
@@ -489,7 +487,9 @@ def speed_groups(
     :func:`~triwave.riemann.solve_scalar` builds over [w(x-), w(x)] with the
     flux at ``v_tick``, ordered left to right (speeds strictly increasing).
     The fan of each ``(w_left, w_right, v_tick)`` is solved once and kept in
-    ``flux_table.fans``; a solve that raises stores nothing.
+    ``flux_table.fans``.  A speed outside (-1, 1) means the flux is not
+    hyperbolic there and raises ValueError; a solve that raises stores
+    nothing.
     """
     if not ids:
         return []
@@ -504,6 +504,10 @@ def speed_groups(
     fronts = flux_table.fans.get(key)
     if fronts is None:
         fronts = solve_scalar(w_left, w_right, flux_table.flux_for_v(v_tick))
+        for f in fronts:
+            if not -1.0 < f.speed < 1.0:
+                raise ValueError(f"second-family speed {f.speed} outside (-1, 1): "
+                                 "hyperbolicity violated")
         flux_table.fans[key] = fronts
     by_cell = {w.cell(): w.id for w in recs}
     return [(tuple(sorted(by_cell[c] for c in f.cells)), f.speed) for f in fronts]
@@ -570,7 +574,6 @@ def validate_enumeration(state: FieldState) -> list[str]:
     disorder: list[str] = []
     stacks: list[str] = []
     no_speed: list[str] = []
-    no_death: list[str] = []
     level = state.w_base
     # the open stack: where it starts in ids, its position and sign, the
     # right state its next wave must have, and whether it is bad (mixes
@@ -581,8 +584,6 @@ def validate_enumeration(state: FieldState) -> list[str]:
     append, new_run = ids.append, starts.append
     for w in waves:
         if w.x_a is None:
-            if w.death_time is None:
-                no_death.append(f"dead wave {w.id} without death time")
             continue
         if w.speed is None:
             no_speed.append(f"alive wave {w.id} without speed")
@@ -627,7 +628,7 @@ def validate_enumeration(state: FieldState) -> list[str]:
     problems = disorder + stacks
     if level != state.w_base:
         problems.append(f"profile does not return to base: ends at {level}")
-    problems += no_speed + no_death
+    problems += no_speed
     if state.n_alive != len(ids):
         problems.append(f"kept alive count {state.n_alive}, recounted {len(ids)}")
     if state.per_crossed != per_crossed:

@@ -10,7 +10,7 @@ from itertools import zip_longest
 from operator import itemgetter
 from pathlib import Path
 
-from triwave.envelopes import concave_envelope, convex_envelope
+from triwave.envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from triwave.flux import FluxTable, PiecewiseAffineFlux
 from triwave.history import PairHistory, m_value
 from triwave.replay import Replay, ReplayPair
@@ -47,6 +47,28 @@ def entropic_speed(g, lo, hi, cell, sign):
         raise ValueError(f"cell {cell} not inside [{lo}, {hi})")
     env = convex_envelope(g, lo, hi) if sign > 0 else concave_envelope(g, lo, hi)
     return env.cell_slope(cell)
+
+
+def envelope_split(members, state, fluxes):
+    """Split the class ``members`` (ascending ids, one sign) by the envelope
+    of its block's effective flux (``fluxes``, a ``BlockFluxes``) over the
+    cells it spans: cut between neighbours whose cell slopes differ by more
+    than SLOPE_TOL.  The oracle of ``PairHistory._split_class``, which reads
+    the same split from the scalar fan ``riemann.solve_scalar`` builds."""
+    eff = fluxes.flux(members)
+    sign = state.wave(members[0]).sign
+    cells = [state.wave(s).cell() for s in members]
+    lo, hi = min(cells), max(cells) + 1
+    env = convex_envelope(eff, lo, hi) if sign > 0 else concave_envelope(eff, lo, hi)
+    slopes = [env.cell_slope(c) for c in cells]
+    out = []
+    start = 0
+    for k in range(1, len(members)):
+        if abs(slopes[k] - slopes[k - 1]) > SLOPE_TOL:
+            out.append(members[start:k])
+            start = k
+    out.append(members[start:])
+    return out
 
 
 def reconstruct_profile(state):
@@ -117,7 +139,7 @@ class ReviveAfterFirstCancellation:
         event = self.real(cand, state, flux_table, index)
         if self.index is None and event.canceled:
             w = state.wave(event.canceled[0])
-            w.x_a, w.t_a, w.speed, w.death_time = event.x, event.time, 0.0, None
+            w.x_a, w.t_a, w.speed = event.x, event.time, 0.0
             self.index = index
         return event
 
@@ -140,11 +162,11 @@ def corrupt_history(at, what):
         def on_event(self, event, state):
             out = super().on_event(event, state)
             if (event.index == at or what == "weight" and event.index > at) and self.pairs:
-                (s, s2), pair = next(iter(self.pairs.items()))
+                (s, s2), rec = next(iter(self.pairs.items()))
                 if what == "potential":
-                    pair.record.A[s2] += 1
+                    rec.A[s2] += 1
                 elif what == "weight":
-                    pair.record.up[s2] += 1
+                    rec.up[s2] += 1
                 else:
                     self.T += 1
             return out
@@ -181,14 +203,17 @@ class PairWalkHistory(PairHistory):
         self.reached: list = []  # the records the last crossing reached
         self.events_checked = 0
 
-    def _set_pair(self, key, pair):
-        super()._set_pair(key, pair)
-        s, s2 = key
-        self.P[key] = 0
-        self.rows.setdefault(pair.record, {}).setdefault(s, {})[s2] = pair.d
+    def d(self, s, s2):
+        """The denominator of the pair (s, s2), from the waves' right states."""
+        return abs(self.hats[s2 - 1] - self.hats[s - 1]) + 1
+
+    def _set_pair(self, s, s2, rec):
+        super()._set_pair(s, s2, rec)
+        self.P[(s, s2)] = 0
+        self.rows.setdefault(rec, {}).setdefault(s, {})[s2] = self.d(s, s2)
 
     def _drop(self, s, s2):
-        rec, d = self.pairs[(s, s2)].record, self.pairs[(s, s2)].d
+        rec, d = self.pairs[(s, s2)], self.d(s, s2)
         super()._drop(s, s2)
         P = self.P.pop((s, s2))
         if P:
@@ -384,9 +409,6 @@ def multipass_validate_enumeration(state):
     for w in alive:
         if w.speed is None:
             problems.append(f"alive wave {w.id} without speed")
-    for w in state.waves:
-        if not w.alive and w.death_time is None:
-            problems.append(f"dead wave {w.id} without death time")
     n_alive, per_crossed = _count_alive(alive, state.v_fronts)
     if state.n_alive != n_alive:
         problems.append(f"kept alive count {state.n_alive}, recounted {n_alive}")

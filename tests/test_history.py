@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from doubles import PairWalkHistory, group_fronts
+from doubles import PairWalkHistory, envelope_split, group_fronts
 from golden.regen import golden_cases
+from test_acceptance import NON_CONVEX_SEEDS, NON_CONVEX_WIDE, ensemble_config
 from triwave import scenario
 from triwave.flux import FluxTable, derivative_bounds, make_flux
-from triwave.history import PairHistory, PairRec, PartitionRecord, m_value
+from triwave.history import PairHistory, PartitionRecord, m_value
 from triwave.replay import Replay, pair_weight
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
 from triwave.simulator import next_collision, resolve, run
@@ -84,6 +85,7 @@ def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
     assume(crossing)
     for w in state.waves:
         w.speed = float(w.id)      # each wave on a front of its own
+        w.w_hat = 1                # one right state: every pair's d is 1, and L is 1
     history = PairWalkHistory(spec=spec, eps=EPS, bounds=bounds)
     history.initialize(state, [])
     rec = PartitionRecord(list(classes))
@@ -91,7 +93,7 @@ def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
         for cj in classes[i + 1:]:
             for p in ci:
                 for p2 in cj:
-                    history._set_pair((p, p2), PairRec(rec, 1))
+                    history._set_pair(p, p2, rec)
     history.walk(Event(
         index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=crossing,
         post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
@@ -113,12 +115,13 @@ class LoopHistory(PairWalkHistory):
     def walk(self, event, state):
         lo, hi = event.colliding[0], event.colliding[-1]
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
-        for (s, s2), pair in self.pairs.items():
-            m = m_value(pair.record.classes, lo, hi, s, s2, self.eps)
+        for (s, s2), rec in self.pairs.items():
+            m = m_value(rec.classes, lo, hi, s, s2, self.eps)
             if m > 0.0:
                 amount = ticks * round(m / self.eps)
                 self.P[(s, s2)] += amount
-                self.S[pair.d] = self.S.get(pair.d, 0) + amount
+                d = self.d(s, s2)
+                self.S[d] = self.S.get(d, 0) + amount
                 self.increments += 1
 
     def on_event(self, event, state):
@@ -131,10 +134,10 @@ class FloatPiHistory(PairHistory):
     """The production history, checked after every event against oracles kept
     here: each divided pair's float pi, grown by ``2 ||d3f|| |v_h| m_value``
     at every crossing, summed by the float pair loop of Q, with the joined
-    pairs counted over the fronts ``group_fronts`` derives anew; every
-    pair's denominator, and ``T`` from the pairs' budgets, recounted; no
-    stored pair on one regrouped front; and the state's alive counts,
-    recounted from the waves."""
+    pairs counted over the fronts ``group_fronts`` derives anew; the kept
+    right states, and ``T`` from the pairs' budgets and the denominators of
+    the waves' right states, recounted; no stored pair on one regrouped
+    front; and the state's alive counts, recounted from the waves."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -152,8 +155,8 @@ class FloatPiHistory(PairHistory):
             # them before the pass
             lo, hi = event.colliding[0], event.colliding[-1]
             factor = 2.0 * self.bounds.norm_d3_wwv * event.v_strength
-            for key, pair in self.pairs.items():
-                m = m_value(pair.record.classes, lo, hi, *key, self.eps)
+            for key, rec in self.pairs.items():
+                m = m_value(rec.classes, lo, hi, *key, self.eps)
                 if m > 0.0:
                     self.pi[key] = self.pi.get(key, 0.0) + factor * m
         return super().on_event(event, state)
@@ -172,15 +175,16 @@ class FloatPiHistory(PairHistory):
         snap = super().snapshot(state, index, sum_abs_dsigma)
         want = self.float_q(state)
         assert math.isclose(snap.q_quadratic, want, rel_tol=1e-12), (index, snap.q_quadratic, want)
+        assert self.hats == [w.w_hat for w in state.waves], index
         T, denominators = 0, set()
         front_of = {s: k for k, ids in enumerate(group_fronts(state)) for s in ids}
-        for (s, s2), pair in self.pairs.items():
-            assert pair.d == abs(state.wave(s2).w_hat - state.wave(s).w_hat) + 1, (index, s, s2)
+        for s, s2 in self.pairs:
             assert front_of[s] != front_of[s2], (index, s, s2)
             P = self.budget(s, s2)
             if P:
-                T += P * (self.L // pair.d)
-                denominators.add(pair.d)
+                d = abs(state.wave(s2).w_hat - state.wave(s).w_hat) + 1
+                T += P * (self.L // d)
+                denominators.add(d)
         assert self.T == T, index
         top = max((vf.id for vf in state.v_fronts), default=0)
         per_crossed = [0] * (top + 1)
@@ -220,14 +224,14 @@ class TestPrefixPiMatchesLoop:
         ref = run(w0, v0, spec, eps, bounds=bounds, history=loop)
         assert traj.snapshots == ref.snapshots
         assert fast.pairs.keys() == loop.pairs.keys()
-        for key, pair in fast.pairs.items():
-            assert (fast.budget(*key), pair.d) == (loop.P[key], loop.pairs[key].d), key
+        for key in fast.pairs:
+            assert fast.budget(*key) == loop.P[key], key
         assert fast.T == loop.T
         assert loop.increments > 0
         # the registry counts exactly the stored pairs of each record
         grouped: dict = {}
-        for pair in fast.pairs.values():
-            grouped[pair.record] = grouped.get(pair.record, 0) + 1
+        for rec in fast.pairs.values():
+            grouped[rec] = grouped.get(rec, 0) + 1
         assert fast.records == grouped
 
     @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
@@ -241,15 +245,19 @@ class TestPrefixPiMatchesLoop:
 
 class TestRecordRegistry:
     @staticmethod
-    def state_and_record(classes=((1,), (2, 3))):
+    def state_and_record(classes=((1,), (2, 3)), hats=None):
         """A state of alive waves, ids 1 up to the last id of ``classes``, at
         one point, each with a speed of its own (so on a front of its own),
         with one v-front of 2 ticks to their right, and a record of
-        ``classes`` over them."""
+        ``classes`` over them.  Their right states are 1, 2, ..., so a pair
+        (s, s2) of them has d = s2 - s + 1, unless ``hats`` gives them.  The
+        waves of the jump back to 0 at x = 1 complete the state."""
         state = initial_enumeration(StepFunction.from_jumps([(0.0, classes[-1][-1]), (1.0, 0)]),
                                     StepFunction.from_jumps([(2.0, 2), (3.0, 0)]), EPS)
         for w in state.waves:
             w.speed = float(w.id)
+        for w, hat in zip(state.waves, hats or ()):
+            w.w_hat = hat
         rec = PartitionRecord(list(classes))
         return state, rec
 
@@ -279,10 +287,11 @@ class TestRecordRegistry:
                      left_ids=left, right_ids=right, canceled=canceled)
 
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
-        state, rec = self.state_and_record()
+        # right states 2, 1, 3: the pairs (1, 2) and (1, 3) both have d = 2
+        state, rec = self.state_and_record(hats=(2, 1, 3))
         history = self.history(state, PairWalkHistory, spec=spec, bounds=bounds)
         for key in ((1, 2), (1, 3)):
-            history._set_pair(key, PairRec(rec, 2))
+            history._set_pair(*key, rec)
         # a crossing of all three waves counts 1 + 2 for either pair
         self.cross(history, state, rec, (1, 2, 3))
         assert history.records == {rec: 2}
@@ -333,7 +342,7 @@ class TestRecordRegistry:
         history = self.history(state, spec=spec, bounds=bounds)
         for s in range(1, 5):
             for s2 in range(s + 1, 5):
-                history._set_pair((s, s2), PairRec(rec, s2 - s + 1))
+                history._set_pair(s, s2, rec)
         history._grow(rec, 2, 4, 2)
         assert [history.budget(1, s2) for s2 in (2, 3, 4)] == [2, 4, 6]
         assert history.budget(2, 3) == 4
@@ -354,7 +363,7 @@ class TestRecordRegistry:
         state, rec = self.state_and_record(((1,), (2, 3, 4)))
         history = self.history(state, spec=spec, bounds=bounds)
         for s2 in (2, 3, 4):
-            history._set_pair((1, s2), PairRec(rec, s2))
+            history._set_pair(1, s2, rec)
         splits = []
         monkeypatch.setattr(history, "_split_class",
                             lambda members, *args: splits.append(members) or [members])
@@ -367,7 +376,7 @@ class TestRecordRegistry:
     def test_pair_count_off_its_record_fails_validation(self, spec, bounds):
         state, rec = self.state_and_record()
         history = self.history(state, spec=spec, bounds=bounds)
-        history._set_pair((1, 2), PairRec(rec, 2))
+        history._set_pair(1, 2, rec)
         history.records[rec] += 1
         assert history.validate(state) == [
             "record over ids 1..3: kept pair count 2, recounted 1"]
@@ -377,17 +386,17 @@ class TestRecordRegistry:
         state.wave(3).speed = state.wave(2).speed     # waves 2 and 3 share a front
         assert [f.ids for f in state.fronts()][:2] == [(1,), (2, 3)]
         history = self.history(state, spec=spec, bounds=bounds)
-        history._set_pair((1, 2), PairRec(rec, 2))
+        history._set_pair(1, 2, rec)
         assert history.validate(state) == []
         # counted once as joined through n_joined and once as stored
-        history._set_pair((2, 3), PairRec(rec, 2))
+        history._set_pair(2, 3, rec)
         assert history.validate(state) == ["stored pair (2, 3) lies on one kept front"]
 
     def test_classes_out_of_id_order_or_stray_potentials_fail_validation(self, spec, bounds):
-        state, rec = self.state_and_record()
+        state, rec = self.state_and_record(hats=(2, 1, 3))
         history = self.history(state, spec=spec, bounds=bounds)
         for key in ((1, 2), (1, 3)):
-            history._set_pair(key, PairRec(rec, 2))
+            history._set_pair(*key, rec)
         assert history.validate(state) == []
         rec.classes.reverse()
         assert history.validate(state) == ["record over ids 1..3: classes out of id order"]
@@ -400,7 +409,7 @@ class TestRecordRegistry:
     def test_class_unclipped_over_a_dead_wave_fails_validation(self, spec, bounds):
         state, rec = self.state_and_record()
         history = self.history(state, spec=spec, bounds=bounds)
-        history._set_pair((1, 2), PairRec(rec, 2))
+        history._set_pair(1, 2, rec)
         assert history.validate(state) == []
         # wave 3 dies, but the record keeps its last class
         state.wave(3).x_a = None
@@ -414,7 +423,7 @@ class TestRecordRegistry:
         # a class (1, 2, 3) whose middle wave died: both its ends are alive
         state, rec = self.state_and_record(((1, 2, 3), (4,)))
         history = self.history(state, spec=spec, bounds=bounds)
-        history._set_pair((1, 4), PairRec(rec, 4))
+        history._set_pair(1, 4, rec)
         assert history.validate(state) == []
         state.wave(2).x_a = None
         assert history.validate(state) == [
@@ -513,9 +522,9 @@ class TestPiRecursion:
     def test_first_division_starts_at_zero(self, spec, bounds):
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         state, history, _ = self.drive(spec, bounds, w0, StepFunction((), (), 0), 0)
-        pair = history.pairs[(1, 2)]   # the rarefaction fan splits at t=0
+        rec = history.pairs[(1, 2)]   # the rarefaction fan splits at t=0
         assert history.budget(1, 2) == 0
-        assert pair.record.classes == [(1,), (2,)]
+        assert rec.classes == [(1,), (2,)]
         # the shock's pair is joined: not stored, and on one kept front
         assert (3, 4) not in history.pairs
         assert (3, 4) in [f.ids for f in state.fronts()]
@@ -641,17 +650,15 @@ class TestReplayAgreement:
             # the replayed final state equals the simulated one field for field
             final = steps[-1]
             assert final.state.time == traj.final_state.time
-            assert [(w.x_a, w.t_a, w.speed, w.crossed, w.death_time)
-                    for w in final.state.waves] == \
-                [(w.x_a, w.t_a, w.speed, w.crossed, w.death_time)
-                 for w in traj.final_state.waves]
+            assert [(w.x_a, w.t_a, w.speed, w.crossed) for w in final.state.waves] == \
+                [(w.x_a, w.t_a, w.speed, w.crossed) for w in traj.final_state.waves]
             assert [(vf.x_a, vf.t_a) for vf in final.state.v_fronts] == \
                 [(vf.x_a, vf.t_a) for vf in traj.final_state.v_fronts]
             # the production per-pair pi values agree with the replayed tables
-            for key, pair in history.pairs.items():
+            for key, rec in history.pairs.items():
                 assert final.pairs[key].status == "divided"
                 assert history.K * history.budget(*key) == pytest.approx(final.pairs[key].pi[key], abs=1e-12)
-                assert [list(c) for c in pair.record.classes] == final.pairs[key].classes
+                assert [list(c) for c in rec.classes] == final.pairs[key].classes
 
 
 class JoinedClassHistory(PairHistory):
@@ -795,6 +802,58 @@ class TestResplitMatchesFullPass:
     def test_cancellations_that_cut_classes_keep_the_full_pass_classes(self, seed):
         history = self.run_full_split(self.CUBIC, seed, 0.4, 0.3)
         assert history.cancellation_cuts > 0
+
+
+class EnvelopeSplitHistory(PairHistory):
+    """Asserts at every class split that the classes read from the scalar
+    fan are those of ``doubles.envelope_split``, which cuts between cells of
+    different envelope slopes; counts the splits and those that cut a
+    class apart."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = self.cuts = 0
+
+    def _split_class(self, members, state, fluxes):
+        out = super()._split_class(members, state, fluxes)
+        assert out == envelope_split(members, state, fluxes), (members, out)
+        self.calls += 1
+        self.cuts += len(out) > 1
+        return out
+
+
+def wide_leg(name):
+    """The configs of criterion 9's wide non-convex leg ``name``."""
+    flux, amplitude, _, _ = NON_CONVEX_WIDE[name]
+    return [ensemble_config(seed, flux, amplitude) for seed in NON_CONVEX_SEEDS]
+
+
+class TestFanSplitMatchesEnvelope:
+    # (configs, floor on the splits that cut a class apart): the wide
+    # non-convex legs of criterion 9 and the data of TestClassSplitting
+    LEGS = {
+        "cubic": (wide_leg("cubic"), 40),
+        "quartic_0.75": (wide_leg("quartic_0.75"), 1),
+        "class_splitting": ([ScenarioConfig(
+            flux=TestClassSplitting.FLUX, eps=0.05, seed=seed,
+            w0={"random": {"jumps": 6, "max_amplitude": 0.5}},
+            v0={"random": {"jumps": 6, "max_amplitude": 0.45}},
+        ) for seed in (2, 7, 9)], 3),
+    }
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_every_split_equals_the_envelope_split(self, leg):
+        configs, floor = self.LEGS[leg]
+        calls = cuts = 0
+        for cfg in configs:
+            spec = make_flux(cfg.flux["name"], cfg.flux["params"])
+            bounds = derivative_bounds(spec)
+            w0, v0 = build_initial_data(cfg, spec)
+            history = EnvelopeSplitHistory(spec=spec, eps=cfg.eps, bounds=bounds)
+            run(w0, v0, spec, cfg.eps, bounds=bounds, history=history)
+            calls += history.calls
+            cuts += history.cuts
+        assert cuts >= floor, (leg, calls, cuts)
 
 
 def load_workloads():

@@ -12,6 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from triwave.flux import FluxTable, derivative_bounds, make_flux
+from triwave.history import PairHistory
+from triwave.wavefield import StepFunction, assign_initial_speeds, initial_enumeration
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -42,3 +46,18 @@ def test_traced_name_resolves(module, attr):
 def test_fronts_hook_resolves():
     module, attr = tracing.FRONTS_HOOK
     assert callable(getattr(importlib.import_module(f"triwave.{module}"), attr))
+
+
+def test_on_event_probe_reads_the_pairs():
+    # the probe reads the history's ``pairs`` mapping after each event; were
+    # it gone, history.pairs_peak would read 0 and no name above would tell
+    spec = make_flux("quadratic_coupled")
+    history = PairHistory(spec=spec, eps=0.05, bounds=derivative_bounds(spec))
+    # the rarefaction at x = 0 divides its two waves at t = 0
+    state = initial_enumeration(StepFunction.from_jumps([(0.0, 2), (9.5, 0)]),
+                                StepFunction((), (), 0), 0.05)
+    history.initialize(state, assign_initial_speeds(state, FluxTable(spec, 0.05)))
+    assert isinstance(history.pairs, dict) and history.pairs
+    tracer = tracing.Tracer()
+    tracer._on_event_probe(lambda history: None)(history)
+    assert tracer.pairs_peak == len(history.pairs)

@@ -313,6 +313,21 @@ class TestRunScenario:
         doc["w0"] = {"jumps": [[0.0, 16 if tick > 0 else -16], [1.0, 0]]}
         assert run_scenario(ScenarioConfig(**doc)).passed
 
+    @pytest.mark.parametrize("tick", [20, -11])
+    def test_v0_outside_the_flux_box_fails_fast(self, tmp_path, capsys, tick):
+        # quadratic_coupled's box is |v| <= 0.5, ticks [-10, 10] at eps 0.05;
+        # the check comes before the initial speeds, which would read the
+        # flux at that v
+        doc = {**json.loads(DEMO.read_text()), "v0": {"jumps": [[0.0, tick], [1.0, 0]]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert (f"error: v0 takes tick {tick} (v = {tick * 0.05:g}), outside the flux box: "
+                f"v in [-0.5, 0.5] is ticks [-10, 10] at eps 0.05") in capsys.readouterr().err
+        # the box's edge is inside it
+        doc["v0"] = {"jumps": [[0.0, 10 if tick > 0 else -10], [1.0, 0]]}
+        assert run_scenario(ScenarioConfig(**doc)).passed
+
     def test_empty_datum_trivial_report(self, tmp_path):
         cfg = ScenarioConfig(w0={"jumps": []}, v0={"jumps": []})
         res = run_scenario(cfg, out_dir=tmp_path)
@@ -638,6 +653,9 @@ class TestCli:
         ("eps", math.inf, "eps must be finite, got inf"),
         ("w0", {"jumps": [[math.nan, 2], [2.0, 0]]}, "w0 jump positions must be finite, got nan"),
         ("v0", {"jumps": [[1.0, 2], [math.inf, 0]]}, "v0 jump positions must be finite, got inf"),
+        # a position given once as an int and once as a float is one position
+        ("w0", {"jumps": [[1, 2], [1.0, 3], [2.0, 0]]}, "w0 jumps repeat x=1.0"),
+        ("v0", {"jumps": [[1.0, 2], [2.5, 1], [2.5, 0]]}, "v0 jumps repeat x=2.5"),
         ("w0", {"random": {"jumps": 3, "max_amplitude": math.nan}},
          "w0 random spec: max_amplitude must be finite, got nan"),
         ("event_guard", 0, "event_guard must be at least 1, got 0"),

@@ -155,7 +155,7 @@ class TestResolve:
         assert event.cancellation == pytest.approx(2 * EPS)
         assert event.colliding == (1, 2) and event.post_speeds == {}
         assert state.alive_ids() == []
-        assert state.wave(1).death_time == event.time
+        assert state.wave(1).speed is None
 
     def test_partial_cancellation_of_merged_shock(self, spec, flux_table):
         # the lone negative wave first merges with the 2-wave shock

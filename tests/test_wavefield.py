@@ -62,7 +62,6 @@ def kill(state, ids):
     for s in ids:
         w = state.wave(s)
         w.x_a = w.speed = None
-        w.death_time = 1.0
 
 
 class TestStepFunction:
@@ -275,10 +274,12 @@ CORRUPTIONS = {
     # waves 5 and 6 move at one speed: only their signs tell the runs apart
     "mixed_sign_stack": (set_wave(5, x_a=3.0), "mixed-sign stack at x=3.0"),
     "unfilled_stack": (set_wave(4, w_hat=1), "stack at x=1.0: right states [1, 1] do not fill [0, 2)"),
-    "base": (set_wave(6, x_a=None, speed=None, death_time=0.0),
+    "base": (set_wave(6, x_a=None, speed=None),
              "profile does not return to base: ends at -1"),
     "no_speed": (set_wave(1, speed=None), "alive wave 1 without speed"),
-    "no_death_time": (set_wave(5, x_a=None, speed=None), "dead wave 5 without death time"),
+    # wave 5 killed behind the back of the kept counts and fronts
+    "killed_behind_the_back": (set_wave(5, x_a=None, speed=None),
+                               "stack at x=3.0: right states [0] do not fill (0, 1]"),
     "n_alive": (lambda state: setattr(state, "n_alive", 7), "kept alive count 7, recounted 6"),
     "per_crossed": (lambda state: state.per_crossed.__setitem__(0, 3),
                     "kept alive counts per crossed value [3, 2, 2], recounted [2, 2, 2]"),
@@ -492,7 +493,7 @@ def test_snapshot_is_json_ready(flux_table):
 
 def test_only_wavefield_moves_the_state():
     # apply_event is the one code path that moves a state across an event
-    moved = {"x_a", "t_a", "speed", "crossed", "death_time", "time"}
+    moved = {"x_a", "t_a", "speed", "crossed", "time"}
     pkg = Path(__file__).resolve().parents[1] / "src" / "triwave"
     writers = {
         path.stem

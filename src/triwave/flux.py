@@ -78,12 +78,6 @@ class Box:
     v_min: float
     v_max: float
 
-    def contains_w(self, w: float) -> bool:
-        return self.w_min - 1e-12 <= w <= self.w_max + 1e-12
-
-    def contains_v(self, v: float) -> bool:
-        return self.v_min - 1e-12 <= v <= self.v_max + 1e-12
-
     def w_ticks(self, eps: float) -> tuple[int, int]:
         """The least and greatest tick k whose w = k * eps lies in [w_min,
         w_max], up to rounding: the w nodes of every interpolant of the box
@@ -291,13 +285,16 @@ def interpolate(spec: FluxSpec, v: float, eps: float, lo: int, hi: int) -> Piece
     """Sample f(., v) at ticks [lo, hi]; the interpolation is affine in between.
 
     Node values equal spec.eval exactly at the nodes.  Raises if the range or
-    v falls outside the flux box.
+    v falls outside the flux box, read as ticks by ``Box.w_ticks`` and
+    ``Box.v_ticks``: the one rounding rule of the box on the grid.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
-    if not spec.box.contains_v(v):
+    v_lo, v_hi = spec.box.v_ticks(eps)
+    if not v_lo - 1e-9 <= v / eps <= v_hi + 1e-9:
         raise ValueError(f"v={v} outside box")
-    if not (spec.box.contains_w(lo * eps) and spec.box.contains_w(hi * eps)):
+    w_lo, w_hi = spec.box.w_ticks(eps)
+    if not (w_lo <= lo and hi <= w_hi):
         raise ValueError(f"range [{lo * eps}, {hi * eps}] outside box")
     values = tuple(float(spec.eval(i * eps, v)) for i in range(lo, hi + 1))
     return PiecewiseAffineFlux(eps=eps, base_index=lo, values=values)

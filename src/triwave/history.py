@@ -519,7 +519,7 @@ class PairHistory:
         """Q = sum over alive pairs of q * eps^2, from the counts alone:
         never-met pairs are all alive pairs but the joined ones (the pairs on
         one front, ``state.n_joined``) and the stored divided ones, and the
-        divided pairs enter through T (the ``pair_weight`` of pi = K * P is
+        divided pairs enter through T (the weight pi / (d eps) of pi = K * P is
         2 ||d3f/dw2dv|| eps P / d, and T / L is the sum of P / d, rounded
         once).  O(1)."""
         n = state.n_alive

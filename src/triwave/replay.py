@@ -14,10 +14,18 @@ classes and the same pi table, changed by the same events.  So they share one
 carries each distinct object across an event once and hands the result to
 every pair that held it.  The literal per-pair replay, one object per pair,
 is the test double ``tests/doubles.PerPairReplay``.
+
+``Replay.run`` streams the steps: each ``ReplayStep`` holds the replay's live
+pairs, divided index and state, valid until the next step is drawn, so a
+reader checks each step as it is made and nothing is copied.  A step visits
+only the pairs that can change: the divided ones, kept in ``divided``, which
+``_meet`` and ``_step`` update, and the pairs of the waves that died.
+``tests/doubles.recorded_steps`` copies each step, as a list of steps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
@@ -29,11 +37,6 @@ from .wavefield import BlockFluxes, Event, EventKind, FieldState, apply_event
 __all__ = ["ReplayPair", "ReplayStep", "Replay", "MAX_REPLAY_WAVES"]
 
 MAX_REPLAY_WAVES = 12
-
-
-def pair_weight(pi: float, w_hat: int, w_hat2: int, eps: float) -> float:
-    """q of a divided pair with right states ``w_hat``, ``w_hat2`` (ticks)."""
-    return pi / ((abs(w_hat2 - w_hat) + 1) * eps)
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,17 @@ class ReplayPair:
 
 @dataclass
 class ReplayStep:
-    """Snapshot of all reconstructed pairs right after one event."""
+    """All reconstructed pairs right after one event.
+
+    ``pairs``, ``divided`` and ``state`` are the replay's own, live: they
+    hold until the next step is drawn, and a reader must not edit them."""
 
     index: int
     time: float
     pairs: dict[tuple[int, int], ReplayPair]
+    divided: set[tuple[int, int]]                # the keys of the divided pairs
     state: FieldState                            # the replayed field state
+    fluxes: BlockFluxes                          # the block fluxes the step's splits read
     q_quadratic: float
 
 
@@ -76,50 +84,61 @@ class Replay:
         # the replay's own table: the oracle never reads the run's cached kernels
         self.table = FluxTable(traj.spec, traj.eps)
         self.state: FieldState = traj.initial_state.copy()
-        self.steps: list[ReplayStep] = []
         self.pairs: dict[tuple[int, int], ReplayPair] = {
             (a, b): ReplayPair(status="never")
             for a in range(1, n + 1)
             for b in range(a + 1, n + 1)
         }
+        self.divided: set[tuple[int, int]] = set()
         for groups in traj.initial_groups:
             ids = sorted(s for members, _ in groups for s in members)
             self._meet(ids, {s: sp for members, sp in groups for s in members})
-        self._record(index=0, time=0.0)
 
     # -- driving -------------------------------------------------------------
 
-    def run(self) -> list[ReplayStep]:
+    def run(self) -> Iterator[ReplayStep]:
+        """The initial step, then one step per event, each made as it is
+        drawn.  Call once: the steps advance the replay's own state."""
+        fluxes = BlockFluxes(self.state, self.table)
+        yield self._view(0, 0.0, fluxes)
         for event in self.traj.events:
-            self._step(event)
-        return self.steps
+            fluxes = self._step(event)
+            yield self._view(event.index, event.time, fluxes)
 
-    def _step(self, event: Event) -> None:
+    def _step(self, event: Event) -> BlockFluxes:
+        """Apply ``event`` and carry every pair history across it; return the
+        block fluxes its splits read."""
         state = self.state
         apply_event(state, event)
-        dead = set(event.canceled)
         meeting = event.post_speeds
         fluxes = BlockFluxes(state, self.table)
+        pairs, divided = self.pairs, self.divided
+        dead = set(event.canceled)
+        if dead:
+            gone = ReplayPair(status="dead")
+            n = len(state.waves)
+            for s in dead:
+                for t in range(1, n + 1):
+                    if t != s:
+                        key = (s, t) if s < t else (t, s)
+                        pairs[key] = gone
+                        divided.discard(key)
         # id of an input pair -> (that pair, its output): the pairs that share
         # a history share it after the event; the reference keeps the id taken
         carried: dict[int, tuple[ReplayPair, ReplayPair]] = {}
-        for key, pair in self.pairs.items():
+        for key in sorted(divided):
             s, s2 = key
-            if s in dead or s2 in dead:
-                self.pairs[key] = ReplayPair(status="dead")
-                continue
-            if pair.status != "divided":
-                continue
             if s in meeting and s2 in meeting:
                 if meeting[s] == meeting[s2]:
                     continue  # met again joined: _meet marks it so
                 raise ValueError(f"pair {key} met again while divided (event {event.index})")
+            pair = pairs[key]
             memo = carried.get(id(pair))
             if memo is None:
                 memo = carried[id(pair)] = (pair, self._carry(pair, event, dead, fluxes))
-            self.pairs[key] = memo[1]
-        self._meet(sorted(event.post_speeds), event.post_speeds)
-        self._record(index=event.index, time=event.time)
+            pairs[key] = memo[1]
+        self._meet(sorted(meeting), meeting)
+        return fluxes
 
     def _carry(self, pair: ReplayPair, event: Event, dead: set[int],
                fluxes: BlockFluxes) -> ReplayPair:
@@ -129,10 +148,18 @@ class Replay:
         classes, pi = pair.classes, pair.pi
         if event.kind == EventKind.TRANSVERSAL:
             factor = 2.0 * self.traj.bounds.norm_d3_wwv * event.v_strength
-            crossing = event.colliding
+            lo, hi = event.colliding[0], event.colliding[-1]
+            # m depends on the classes of the two waves only: one call per
+            # class pair, the same count and the same float as per entry
+            class_of = {p: k for k, cls in enumerate(classes) for p in cls}
+            m_of: dict[tuple[int, int], float] = {}
             pi = {}
             for pp, val in pair.pi.items():
-                m = m_value(classes, crossing[0], crossing[-1], pp[0], pp[1], self.traj.eps)
+                p, p2 = pp
+                ks = (class_of[p], class_of[p2])
+                m = m_of.get(ks)
+                if m is None:
+                    m = m_of[ks] = m_value(classes, lo, hi, p, p2, self.traj.eps)
                 pi[pp] = val + factor * m if m > 0.0 else val
         if dead:
             classes = [[p for p in c if p not in dead] for c in classes]
@@ -159,9 +186,15 @@ class Replay:
         group_of = {s: k for k, cls in enumerate(classes) for s in cls}
         table = {(a, b): 0.0 for i, a in enumerate(ids) for b in ids[i + 1:]}
         joined, divided = ReplayPair(status="joined"), ReplayPair("divided", classes, table)
+        pairs, index = self.pairs, self.divided
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                self.pairs[(a, b)] = joined if group_of[a] == group_of[b] else divided
+                if group_of[a] == group_of[b]:
+                    pairs[(a, b)] = joined
+                    index.discard((a, b))
+                else:
+                    pairs[(a, b)] = divided
+                    index.add((a, b))
 
     # -- partition refinement ----------------------------------------------------
 
@@ -193,28 +226,27 @@ class Replay:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _record(self, index: int, time: float) -> None:
-        self.steps.append(
-            ReplayStep(
-                index=index,
-                time=time,
-                pairs=dict(self.pairs),
-                state=self.state.copy(),
-                q_quadratic=self._q_quadratic(),
-            )
-        )
+    def _view(self, index: int, time: float, fluxes: BlockFluxes) -> ReplayStep:
+        """The replay as it stands after the event ``index``: live, no copy."""
+        return ReplayStep(index=index, time=time, pairs=self.pairs, divided=self.divided,
+                          state=self.state, fluxes=fluxes, q_quadratic=self._q_quadratic())
 
     def _q_quadratic(self) -> float:
-        state = self.state
+        """Q: eps^2 times a sum over the alive pairs in id order, to which a
+        never-met pair adds ||d2f/dw2|| and a divided pair with right states
+        w_hat, w_hat2 its weight pi / ((|w_hat2 - w_hat| + 1) eps)."""
         eps = self.traj.eps
-        alive = state.alive_ids()
+        never = self.traj.bounds.norm_d2_ww
+        pairs = self.pairs
+        alive = [w for w in self.state.waves if w.alive]
         q = 0.0
         for i, a in enumerate(alive):
+            s = a.id
             for b in alive[i + 1:]:
-                pair = self.pairs[(a, b)]
+                key = (s, b.id)
+                pair = pairs[key]
                 if pair.status == "never":
-                    q += self.traj.bounds.norm_d2_ww
+                    q += never
                 elif pair.status == "divided":
-                    q += pair_weight(pair.pi[(a, b)], state.wave(a).w_hat,
-                                     state.wave(b).w_hat, eps)
+                    q += pair.pi[key] / ((abs(b.w_hat - a.w_hat) + 1) * eps)
         return q * eps**2

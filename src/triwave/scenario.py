@@ -17,7 +17,6 @@ import math
 import numbers
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -384,6 +383,9 @@ def batch(config: ScenarioConfig, seeds: list[int], out_dir=None,
         for seed in seeds
     ]
     if workers > 1:
+        # imported here: concurrent.futures costs every run's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_child, jobs))
     else:

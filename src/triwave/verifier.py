@@ -34,20 +34,25 @@ pair's history with full pi tables:
   partition_restriction     count of outer partitions that do not restrict
                             to the waves of a nested inner pair is 0
   replay_pi_match           final K * P equals the replayed pi: worst pair
+
+The suite checks each replayed step as the replay makes it and keeps only the
+last one.  The log-2 kernel block is the same in every run: its checks are
+made, and their report text encoded, once per process, and ``write_report``
+splices that text where the block sits among the results.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-
 from .history import PairHistory
 from .replay import Replay
 from .simulator import Trajectory
-from .wavefield import BlockFluxes, Event, EventKind, position
+from .wavefield import Event, EventKind, position
 
 __all__ = [
     "CheckResult",
@@ -301,12 +306,27 @@ _LOG2_CASES = (
 )
 
 
+@functools.cache
+def _log2_block() -> tuple[CheckResult, ...]:
+    """The log-2 kernel checks: they read only ``_LOG2_CASES``, so one
+    process makes them once."""
+    return tuple(_check("log2_kernel", f"case:{k}", _kernel_integral(a, xi, b),
+                        LOG2 * (b - a) + 1e-6, a=a, xi=xi, b=b)
+                 for k, (a, xi, b) in enumerate(_LOG2_CASES))
+
+
+@functools.cache
+def _log2_text() -> str:
+    """The report text of ``_log2_block``: its entries of the ``checks``
+    list, without the brackets."""
+    return json.dumps([r.as_dict() for r in _log2_block()])[1:-1]
+
+
 def check_log2_kernel() -> list[CheckResult]:
     """Verify the kernel bound behind the weight estimates: the integral of
-    1/(w'-w) over [a, xi] x [xi, b] never exceeds log2 (b-a)."""
-    return [_check("log2_kernel", f"case:{k}", _kernel_integral(a, xi, b),
-                   LOG2 * (b - a) + 1e-6, a=a, xi=xi, b=b)
-            for k, (a, xi, b) in enumerate(_LOG2_CASES)]
+    1/(w'-w) over [a, xi] x [xi, b] never exceeds log2 (b-a).  The checks are
+    the same objects in every call."""
+    return list(_log2_block())
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +358,14 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
 
     Each per-step ``class_gap_lemma`` and ``outer_pair_pi_agreement`` entry
     and the ``replay_pi_match`` entry is the worst candidate: the first one
-    of least slack in iteration order.  The scan keeps only the running
-    least slack and its arguments and builds one ``CheckResult`` from them.
-    The block fluxes come from the replay's own ``FluxTable``, never from
-    the one the run's history filled.
+    of least slack in iteration order, divided pairs in key order.  The
+    scan keeps only the running least slack and its arguments and builds one
+    ``CheckResult`` from them.  The chord speeds come from the block fluxes
+    the replay's step built from its own ``FluxTable``, never from the one
+    the run's history filled.
+
+    Each step is checked as the replay draws it, and only the last one is
+    kept, for ``replay_pi_match``: nothing is copied.
 
     Pairs that share a history share one ``ReplayPair``.  The scan reads
     each distinct object once per step: it weighs the class-gap candidates
@@ -352,20 +376,19 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     as a step's first agreement candidate.  Each check reads the same as a
     scan of every candidate of every pair.
     """
-    replay = Replay(traj)
-    steps = replay.run()
     out: list[CheckResult] = []
     joined_violations = 0
     restrict_violations = 0
 
-    for step in steps:
+    for step in Replay(traj).run():
         scope = f"event:{step.index}"
         state = step.state
         # compare replayed Q against the production snapshot
         out.append(_equality("replay_q_quadratic", scope,
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
-        fluxes = BlockFluxes(state, replay.table)
-        divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
+        fluxes = step.fluxes
+        keys = sorted(step.divided)
+        divided = {k: step.pairs[k] for k in keys}
         # whether a class is joined, and its chord speed, whichever pair holds it
         class_of: dict[tuple[int, ...], tuple[bool, float]] = {}
         # per distinct ReplayPair, by id: its count of classes not joined and
@@ -411,7 +434,6 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         # the inner pairs (s, s2) of (p, p2) have p <= s < p2 and s2 <= p2
         agree_at = None    # (actual, expected, inner, outer) of the least slack
         agree_slack = 0.0
-        keys = sorted(divided)
         for outer_key in keys:
             p, p2 = outer_key
             outer = divided[outer_key]
@@ -453,7 +475,7 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
                                  inner=inner_key, outer=outer_key))
     out.append(_check("partition_classes_joined", "global", float(joined_violations), 0.0))
     out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
-    final = steps[-1]
+    final = step           # the last step: the replay's final pairs
     match_at = None        # (actual, expected, pair) of the least slack
     match_slack = 0.0
     for key in history.pairs:
@@ -522,12 +544,24 @@ def summarize(results: list[CheckResult]) -> dict:
 def write_report(results: list[CheckResult], summary: dict, fh) -> bool:
     """Serialize all checks plus their per-name min-slack ``summary`` (from
     ``summarize(results)``) to the text stream ``fh`` as one line of JSON;
-    True if all passed."""
+    True if all passed.
+
+    The text is ``json.dumps`` of the whole payload.  Where ``results`` hold
+    the log-2 block, the same objects in a row, its text is spliced in from
+    ``_log2_text`` instead of encoded again."""
     passed = all(r.passed for r in results)
-    payload = {
-        "passed": passed,
-        "summary": summary,
-        "checks": [r.as_dict() for r in results],
-    }
-    fh.write(json.dumps(payload) + "\n")
+    block = _log2_block()
+    at = next((k for k, r in enumerate(results) if r is block[0]), -1)
+    end = at + len(block)
+    if at < 0 or len(results) < end or any(r is not b for r, b in zip(results[at:end], block)):
+        payload = {"passed": passed, "summary": summary,
+                   "checks": [r.as_dict() for r in results]}
+        fh.write(json.dumps(payload) + "\n")
+        return passed
+    # the payload with an empty check list, up to its opening bracket
+    head = json.dumps({"passed": passed, "summary": summary, "checks": []})[:-2]
+    parts = [json.dumps([r.as_dict() for r in rs])[1:-1]
+             for rs in (results[:at], results[end:])]
+    checks = ", ".join(p for p in (parts[0], _log2_text(), parts[1]) if p)
+    fh.write(head + checks + "]}\n")
     return passed

@@ -6,6 +6,7 @@ A CLI run imports this module with ``tests`` on ``PYTHONPATH``.
 import json
 import math
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from itertools import zip_longest
 from operator import itemgetter
 from pathlib import Path
@@ -433,11 +434,29 @@ def multipass_validate_enumeration(state):
     return problems
 
 
+def pair_weight(pi, w_hat, w_hat2, eps):
+    """q of a divided pair with right states ``w_hat``, ``w_hat2`` (ticks)."""
+    return pi / ((abs(w_hat2 - w_hat) + 1) * eps)
+
+
+def recorded_steps(replay):
+    """The steps of ``replay.run()`` as a list, each with its own copy of the
+    pairs, the divided index and the state, as the replay's steps read when
+    they are drawn; block fluxes for each copy are built on use."""
+    out = []
+    for step in replay.run():
+        state = step.state.copy()
+        out.append(replace(step, pairs=dict(step.pairs), divided=set(step.divided),
+                           state=state, fluxes=BlockFluxes(state, replay.table)))
+    return out
+
+
 class PerPairReplay(Replay):
     """``Replay`` with one ``ReplayPair`` per pair: ``_meet`` gives each pair
-    divided at a meeting its own object, and ``_step`` rebuilds every
-    divided pair's classes and pi table on its own.  The oracle of the
-    shared replay, which carries each shared history once."""
+    divided at a meeting its own object, and ``_step`` walks every pair and
+    rebuilds every divided pair's classes and pi table on its own.  The
+    oracle of the shared replay, which carries each shared history once and
+    visits only the pairs that can change."""
 
     def _step(self, event):
         state = self.state
@@ -449,6 +468,7 @@ class PerPairReplay(Replay):
             s, s2 = key
             if s in dead or s2 in dead:
                 self.pairs[key] = ReplayPair(status="dead")
+                self.divided.discard(key)
                 continue
             if pair.status != "divided":
                 continue
@@ -475,7 +495,7 @@ class PerPairReplay(Replay):
             if new != pair:
                 self.pairs[key] = new
         self._meet(sorted(event.post_speeds), event.post_speeds)
-        self._record(index=event.index, time=event.time)
+        return fluxes
 
     def _meet(self, ids, speeds):
         if len(ids) < 2:
@@ -492,5 +512,7 @@ class PerPairReplay(Replay):
             for b in ids[i + 1:]:
                 if group_of[a] == group_of[b]:
                     self.pairs[(a, b)] = ReplayPair(status="joined")
+                    self.divided.discard((a, b))
                 else:
                     self.pairs[(a, b)] = ReplayPair("divided", classes, table)
+                    self.divided.add((a, b))

@@ -115,6 +115,21 @@ def test_interpolate_sin_deviation_bound():
     assert worst <= eps**2 / 8 * 1.0  # sup |sin''| = 1
 
 
+def test_interpolate_reads_the_box_by_its_ticks():
+    # w_max is 4e-10 ticks short of the node at tick 16, which Box.w_ticks
+    # rounds into the box; the table's interpolants reach that node
+    spec = make_flux("quadratic_coupled", {"box": [-0.8, 0.79999999998, -0.5, 0.5]})
+    assert spec.box.w_ticks(EPS) == (-16, 16)
+    table = FluxTable(spec, EPS)
+    assert table.flux_for_v(0).last_index == 16
+    assert table.flux_for_v(10).base_index == -16
+    # one tick past the rounded box is outside it
+    with pytest.raises(ValueError, match="outside box"):
+        interpolate(spec, 0.0, EPS, -16, 17)
+    with pytest.raises(ValueError, match="outside box"):
+        interpolate(spec, 11 * EPS, EPS, -16, 16)
+
+
 def test_interpolate_rejects_out_of_box(spec):
     with pytest.raises(ValueError):
         interpolate(spec, 0.0, EPS, -100, 100)

@@ -7,13 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from doubles import PairWalkHistory, envelope_split, group_fronts
+from doubles import PairWalkHistory, envelope_split, group_fronts, pair_weight, recorded_steps
 from golden.regen import golden_cases
 from test_acceptance import NON_CONVEX_SEEDS, NON_CONVEX_WIDE, ensemble_config
 from triwave import scenario
 from triwave.flux import FluxTable, derivative_bounds, make_flux
 from triwave.history import PairHistory, PartitionRecord, m_value
-from triwave.replay import Replay, pair_weight
+from triwave.replay import Replay
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
 from triwave.simulator import next_collision, resolve, run
 from triwave.wavefield import (
@@ -583,7 +583,7 @@ class TestPiFullTable:
     def test_zero_without_transversal_events(self, spec, bounds):
         w0 = StepFunction.from_jumps([(0.0, 2), (9.5, 0)])
         traj = run(w0, StepFunction((), (), 0), spec, EPS, bounds=bounds)
-        table = Replay(traj).run()[0].pairs[(1, 2)].pi
+        table = recorded_steps(Replay(traj))[0].pairs[(1, 2)].pi
         assert set(table) == {(1, 2)}
         assert table[(1, 2)] == 0.0
 
@@ -594,7 +594,7 @@ class TestPiFullTable:
         traj = run(w0, v0, spec, EPS, bounds=bounds, history=history)
         first_cross = next(ev for ev in traj.events
                            if ev.kind == EventKind.TRANSVERSAL and ev.colliding[0] in (1, 2))
-        step = Replay(traj).run()[first_cross.index]
+        step = recorded_steps(Replay(traj))[first_cross.index]
         assert step.index == first_cross.index
         table = step.pairs[(1, 2)].pi
         m = m_value([[1], [2]], first_cross.colliding[0], first_cross.colliding[-1], 1, 2, EPS)
@@ -643,7 +643,7 @@ class TestReplayAgreement:
             w0, v0 = build_initial_data(cfg, spec)
             history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
             traj = run(w0, v0, spec, EPS, bounds=bounds, history=history)
-            steps = Replay(traj).run()
+            steps = recorded_steps(Replay(traj))
             assert len(steps) == len(traj.snapshots)
             for step, snap in zip(steps, traj.snapshots):
                 assert step.q_quadratic == pytest.approx(snap.q_quadratic, abs=1e-12)

@@ -2,11 +2,14 @@
 
 A name that no longer resolves only shows up as a ``trace_missing`` entry of a
 traced benchmark run, and its layer silently reads 0.  These tests resolve
-every name the tracer hooks against the package.
+every name the tracer hooks against the package, and run the benchmark's own
+smoke run, which drives every workload through the hooks.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +19,8 @@ from triwave.flux import FluxTable, derivative_bounds, make_flux
 from triwave.history import PairHistory
 from triwave.wavefield import StepFunction, assign_initial_speeds, initial_enumeration
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -61,3 +65,15 @@ def test_on_event_probe_reads_the_pairs():
     tracer = tracing.Tracer()
     tracer._on_event_probe(lambda history: None)(history)
     assert tracer.pairs_peak == len(history.pairs)
+
+
+def test_the_benchmark_smoke_run_passes():
+    # every workload at a tiny size, untraced and traced, with its metric
+    # names and units checked against BENCHMARK.json: one line per run
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--smoke"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    workloads = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 * len(workloads), proc.stdout
+    assert all(line.endswith(" ok") for line in lines), proc.stdout

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import json
 import math
 import os
@@ -328,6 +329,27 @@ class TestRunScenario:
         doc["v0"] = {"jumps": [[0.0, 10 if tick > 0 else -10], [1.0, 0]]}
         assert run_scenario(ScenarioConfig(**doc)).passed
 
+    # a w edge 4e-10 ticks short of the node at tick 16: within the 1e-9
+    # ticks Box.w_ticks rounds away, so the node is in the box
+    NEAR_EDGE = {"name": "quadratic_coupled", "params": {"box": [-0.8, 0.79999999998, -0.5, 0.5]}}
+
+    def test_a_box_edge_just_short_of_a_node_runs_end_to_end(self, tmp_path):
+        doc = {**json.loads(DEMO.read_text()), "flux": self.NEAR_EDGE,
+               "w0": {"jumps": [[0.0, 16], [1.0, -16], [2.0, 0]]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_a_tick_past_a_box_edge_just_short_of_a_node_fails_fast(self, tmp_path, capsys):
+        doc = {**json.loads(DEMO.read_text()), "flux": self.NEAR_EDGE,
+               "w0": {"jumps": [[0.0, 17], [1.0, 0]]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert ("error: w0 takes tick 17 (w = 0.85), outside the flux box: "
+                "w in [-0.8, 0.79999999998] is ticks [-16, 16] at eps 0.05"
+                ) in capsys.readouterr().err
+
     def test_empty_datum_trivial_report(self, tmp_path):
         cfg = ScenarioConfig(w0={"jumps": []}, v0={"jumps": []})
         res = run_scenario(cfg, out_dir=tmp_path)
@@ -431,7 +453,8 @@ class TestBatch:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(scenario, "ProcessPoolExecutor", InlinePool)
+        # batch imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = ScenarioConfig(check_level="fast", w0={"jumps": [[1.0, 2], [3.0, 0]]},
                              v0={"jumps": []})
         summary = batch(cfg, seeds=[0, 1, 2], workers=5000)
@@ -776,6 +799,27 @@ def test_numpy_is_loaded_only_for_random_data(tmp_path):
     assert [line for line in proc.stdout.splitlines() if not line.startswith("seed=")] == [
         "import False", "fast False", "full False", "small_n False", "cli False",
         "random True True"]
+
+
+POOL_GUARD = """
+import sys
+import triwave
+from triwave.scenario import ScenarioConfig, run_scenario
+
+cfg = ScenarioConfig(w0={"jumps": [[1.0, 3], [2.0, -1], [3.0, 0]]},
+                     v0={"jumps": [[1.5, 2], [2.5, 0]]}, check_level="full")
+assert run_scenario(cfg).passed
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_the_process_pool_is_loaded_only_for_a_batch():
+    # only batch starts worker processes; importing concurrent.futures costs
+    # every run's start-up
+    proc = subprocess.run([sys.executable, "-c", POOL_GUARD], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_no_json_dump_in_the_package():

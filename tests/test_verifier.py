@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from doubles import PerPairReplay
+from doubles import PerPairReplay, recorded_steps
 from test_acceptance import SMALL_N_CUBIC, SMALL_N_SEEDS, small_n_config
 from triwave import simulator
 from triwave.flux import FluxTable, derivative_bounds, flux_constants, flux_table, make_flux
@@ -33,7 +33,7 @@ from triwave.verifier import (
     summarize,
     write_report,
 )
-from triwave.wavefield import BlockFluxes, EventKind, StepFunction, position
+from triwave.wavefield import BlockFluxes, EventKind, FieldState, StepFunction, position
 
 EPS = 0.05
 
@@ -87,6 +87,14 @@ class TestLog2Kernel:
             value, _ = integrate.quad(inner, a, xi, points=[xi - 1e-12], limit=200)
             assert r.lhs == pytest.approx(value, rel=1e-7)
             assert r.rhs == math.log(2) * (b - a) + 1e-6
+
+    def test_made_once_per_process(self):
+        # the same objects in every call, in a new list each time
+        first, again = check_log2_kernel(), check_log2_kernel()
+        assert first is not again
+        assert all(x is y for x, y in zip(first, again, strict=True))
+        assert [r.context for r in first] == [
+            {"a": a, "xi": xi, "b": b} for a, xi, b in _LOG2_CASES]
 
     @pytest.mark.parametrize("a,b", [(-1.0, 3.0), (-2.0, -1.8), (0.3, 1.0), (-0.7, 2.2)])
     def test_closed_form_midpoint_is_the_equality_case(self, a, b):
@@ -156,7 +164,7 @@ def per_candidate_lemmas(traj, history):
     """The small-N lemma suite as one ``CheckResult`` per candidate, keeping
     the first of least slack per step, on the per-pair replay: the oracle of
     ``check_small_n_lemmas``."""
-    steps = PerPairReplay(traj).run()
+    steps = recorded_steps(PerPairReplay(traj))
     table = FluxTable(traj.spec, traj.eps)
     out = []
     joined_violations = 0
@@ -261,14 +269,21 @@ def small_n_run(seed, flux=None):
     return traj, history
 
 
-def corrupt_replay(monkeypatch, corrupt):
-    """Hand ``check_small_n_lemmas`` the replayed steps after ``corrupt(steps)``."""
+def corrupt_replay(monkeypatch, at, corrupt):
+    """Hand ``check_small_n_lemmas`` step ``at`` of the replay (an event
+    index) after ``corrupt(step)``.  The step is live, so ``corrupt`` returns
+    a function that undoes its edit, and that runs before the replay
+    advances: no later step sees the edit.  The last step is never undone,
+    because the suite reads it again after the stream, so its corruption
+    need return none."""
     real = Replay.run
 
     def run_corrupted(self):
-        steps = real(self)
-        corrupt(steps)
-        return steps
+        for step in real(self):
+            undo = corrupt(step) if step.index == at else None
+            yield step
+            if undo is not None and step.index < len(self.traj.events):
+                undo()
 
     monkeypatch.setattr(Replay, "run", run_corrupted)
 
@@ -279,10 +294,15 @@ def divided_pairs(step):
 
 def replace_one(step, key, **changes):
     """Give pair ``key`` of ``step`` a changed copy of its ``ReplayPair``;
-    return the pairs that still hold the object it shared."""
+    return the pairs that still hold the object it shared, and a function
+    that gives ``key`` the object back."""
     pair = step.pairs[key]
     step.pairs[key] = replace(pair, **changes)
-    return [k for k, p in step.pairs.items() if p is pair]
+
+    def undo():
+        step.pairs[key] = pair
+
+    return [k for k, p in step.pairs.items() if p is pair], undo
 
 
 def only_failure(results, name):
@@ -314,13 +334,24 @@ class TestSmallNLemmas:
     def test_divided_pair_that_joins_again(self):
         res = run_scenario(REJOIN)
         assert res.passed
-        steps = Replay(res.trajectory).run()
+        steps = recorded_steps(Replay(res.trajectory))
         assert steps[3].pairs[(3, 5)].status == "divided"
         assert steps[4].pairs[(3, 5)].status == "joined"
         # the replay's own Q checks that the history let the pair go
         (at_join,) = [r for r in res.checks
                       if r.name == "replay_q_quadratic" and r.scope == "event:4"]
         assert at_join.passed
+
+    def test_the_replayed_steps_are_not_copied(self, monkeypatch):
+        # the suite reads each live step as the replay draws it: the replay's
+        # initial copy of the trajectory's state is the one copy
+        traj, history = small_n_run(SMALL_N_SEEDS[0], SMALL_N_CUBIC)
+        copies = []
+        real = FieldState.copy
+        monkeypatch.setattr(FieldState, "copy", lambda state: copies.append(state) or real(state))
+        results = check_small_n_lemmas(traj, history)
+        assert len(traj.events) > 1 and all(r.passed for r in results)
+        assert len(copies) <= 1
 
     def test_every_check_on_the_cubic_datum(self, cubic_run):
         results = check_small_n_lemmas(*cubic_run)
@@ -366,11 +397,14 @@ def replays_agree(traj):
     """Assert that at every step the shared replay and the per-pair one give
     each pair the same status, classes and pi, and the same Q; return the
     distinct divided objects of each, summed over the steps."""
-    shared, per_pair = Replay(traj).run(), PerPairReplay(traj).run()
+    shared = recorded_steps(Replay(traj))
+    per_pair = recorded_steps(PerPairReplay(traj))
     assert [s.index for s in shared] == [s.index for s in per_pair]
     for a, b in zip(shared, per_pair):
         assert a.q_quadratic == b.q_quadratic, a.index
         assert a.pairs.keys() == b.pairs.keys()
+        # the divided index holds the divided pairs, recounted
+        assert a.divided == set(divided_pairs(a)) == b.divided, a.index
         for key, pair in a.pairs.items():
             other = b.pairs[key]
             assert (pair.status, pair.classes, pair.pi) == \
@@ -427,11 +461,13 @@ class TestSmallNLemmasFail:
         # (2, 3) alone with its classes: no other pair reads its pi
         at, key = 3, (2, 3)
 
-        def corrupt(steps):
-            assert steps[at].pairs[key].classes == [[2], [3]]
-            assert replace_one(steps[at], key, pi={key: -10.0}) == []
+        def corrupt(step):
+            assert step.pairs[key].classes == [[2], [3]]
+            sharers, undo = replace_one(step, key, pi={key: -10.0})
+            assert sharers == []
+            return undo
 
-        corrupt_replay(monkeypatch, corrupt)
+        corrupt_replay(monkeypatch, at, corrupt)
         r = only_failure(check_small_n_lemmas(*cubic_run), "class_gap_lemma")
         assert r.scope == f"event:{at}"
         assert r.context == {"pair": key, "p": 2, "p2": 3}
@@ -440,13 +476,14 @@ class TestSmallNLemmasFail:
     def test_perturbed_outer_pi(self, cubic_run, monkeypatch):
         outer_key, entry = (2, 5), (3, 4)
 
-        def corrupt(steps):
-            outer = steps[self.STEP].pairs[outer_key]
+        def corrupt(step):
+            outer = step.pairs[outer_key]
             bumped = {**outer.pi, entry: outer.pi[entry] + 1.0}
-            assert replace_one(steps[self.STEP], outer_key, pi=bumped) == [
-                (2, 4), (3, 4), (3, 5), (4, 5)]
+            sharers, undo = replace_one(step, outer_key, pi=bumped)
+            assert sharers == [(2, 4), (3, 4), (3, 5), (4, 5)]
+            return undo
 
-        corrupt_replay(monkeypatch, corrupt)
+        corrupt_replay(monkeypatch, self.STEP, corrupt)
         r = only_failure(check_small_n_lemmas(*cubic_run), "outer_pair_pi_agreement")
         assert r.scope == f"event:{self.STEP}"
         assert r.context["outer"] == outer_key
@@ -458,13 +495,19 @@ class TestSmallNLemmasFail:
         moved = 3
         held = []
 
-        def corrupt(steps):
-            step = steps[self.STEP]
-            step.state.wave(moved).x_a += 1.0
+        def corrupt(step):
+            wave = step.state.wave(moved)
+            x_a = wave.x_a
+            wave.x_a += 1.0
             held.extend(c for pair in divided_pairs(step).values() for c in pair.classes
                         if moved in c and len(c) > 1)
 
-        corrupt_replay(monkeypatch, corrupt)
+            def undo():
+                wave.x_a = x_a
+
+            return undo
+
+        corrupt_replay(monkeypatch, self.STEP, corrupt)
         r = only_failure(check_small_n_lemmas(*cubic_run), "partition_classes_joined")
         # one violation per divided pair that holds the class of the moved wave
         assert held and r.lhs == float(len(held))
@@ -472,15 +515,16 @@ class TestSmallNLemmasFail:
     def test_nested_pair_with_other_classes(self, cubic_run, monkeypatch):
         inner_key = (3, 4)
 
-        def corrupt(steps):
-            inner = steps[self.STEP].pairs[inner_key]
+        def corrupt(step):
+            inner = step.pairs[inner_key]
             assert inner.classes == [[2, 3], [4], [5]]
-            assert sorted(divided_pairs(steps[self.STEP])) == [
+            assert sorted(divided_pairs(step)) == [
                 (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-            assert replace_one(steps[self.STEP], inner_key, classes=[[3], [4], [5]]) == [
-                (2, 4), (2, 5), (3, 5), (4, 5)]
+            sharers, undo = replace_one(step, inner_key, classes=[[3], [4], [5]])
+            assert sharers == [(2, 4), (2, 5), (3, 5), (4, 5)]
+            return undo
 
-        corrupt_replay(monkeypatch, corrupt)
+        corrupt_replay(monkeypatch, self.STEP, corrupt)
         r = only_failure(check_small_n_lemmas(*cubic_run), "partition_restriction")
         # the outer pairs (2, 4), (2, 5) and (3, 5) each hold the class [2, 3],
         # which the new classes cut; (3, 5) also has both ends in them but
@@ -490,7 +534,13 @@ class TestSmallNLemmasFail:
     def test_final_pair_dropped(self, cubic_run, monkeypatch):
         traj, history = cubic_run
         key = next(iter(history.pairs))
-        corrupt_replay(monkeypatch, lambda steps: steps[-1].pairs.pop(key))
+
+        def corrupt(step):
+            # the final step without the pair, in its divided index too
+            step.pairs.pop(key)
+            step.divided.discard(key)
+
+        corrupt_replay(monkeypatch, len(traj.events), corrupt)
         r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
         assert r.context == {"pair": key}
 
@@ -498,17 +548,50 @@ class TestSmallNLemmasFail:
         traj, history = cubic_run
         key = next(iter(history.pairs))
 
-        def corrupt(steps):
-            rep = steps[-1].pairs[key]
-            replace_one(steps[-1], key, pi={**rep.pi, key: rep.pi[key] + 1.0})
+        def corrupt(step):
+            rep = step.pairs[key]
+            replace_one(step, key, pi={**rep.pi, key: rep.pi[key] + 1.0})
 
-        corrupt_replay(monkeypatch, corrupt)
+        corrupt_replay(monkeypatch, len(traj.events), corrupt)
         r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
         assert r.context["pair"] == key
         assert r.lhs == pytest.approx(1.0)
 
 
 class TestReport:
+    @pytest.fixture(scope="class")
+    def fast_checks(self, spec, bounds):
+        traj, history = make_traj(spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (9.0, 0)])
+        return run_verifier(traj, "fast", history)
+
+    @pytest.mark.parametrize("where", [
+        "first", "middle", "last", "absent", "twice", "part", "alone", "equal_copies"])
+    def test_spliced_text_is_one_json_dumps(self, fast_checks, where):
+        block = check_log2_kernel()
+        k = len(fast_checks) // 2
+        bad = CheckResult("x", "global", 2.0, 1.0, -1.0, False, {"nan": math.nan})
+        results = {
+            "first": block + fast_checks,
+            "middle": fast_checks[:k] + block + [bad] + fast_checks[k:],
+            "last": fast_checks + block,
+            "absent": fast_checks,
+            "twice": block + fast_checks + block,
+            "part": fast_checks + block[:-1],
+            "alone": block,
+            # equal entries that are not the cached objects
+            "equal_copies": fast_checks + [replace(r) for r in block],
+        }[where]
+        if where == "equal_copies":
+            assert results[-len(block):] == block
+            assert all(x is not y for x, y in zip(results[-len(block):], block))
+        summary = summarize(results)
+        out = io.StringIO()
+        passed = write_report(results, summary, out)
+        assert passed is all(r.passed for r in results)
+        assert out.getvalue() == json.dumps(
+            {"passed": passed, "summary": summary,
+             "checks": [r.as_dict() for r in results]}) + "\n"
+
     def test_write_report_and_summary(self, spec, bounds):
         traj, history = make_traj(spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (9.0, 0)])
         results = run_verifier(traj, "full", history)

@@ -15,11 +15,12 @@ carries each distinct object across an event once and hands the result to
 every pair that held it.  The literal per-pair replay, one object per pair,
 is the test double ``tests/doubles.PerPairReplay``.
 
-``Replay.run`` streams the steps: each ``ReplayStep`` holds the replay's live
-pairs, divided index and state, valid until the next step is drawn, so a
+``Replay.run`` streams the steps: each ``ReplayStep`` is a view of the
+replay's live pairs and state, valid until the next step is drawn, so a
 reader checks each step as it is made and nothing is copied.  A step visits
 only the pairs that can change: the divided ones, kept in ``divided``, which
-``_meet`` and ``_step`` update, and the pairs of the waves that died.
+``_meet`` and ``_step`` update, and the pairs of the waves that died.  The
+view sorts the divided keys once, the one order its readers take them in.
 ``tests/doubles.recorded_steps`` copies each step, as a list of steps.
 """
 
@@ -58,15 +59,16 @@ class ReplayPair:
 
 @dataclass
 class ReplayStep:
-    """All reconstructed pairs right after one event.
+    """A view of all reconstructed pairs right after one event, not a copy.
 
-    ``pairs``, ``divided`` and ``state`` are the replay's own, live: they
-    hold until the next step is drawn, and a reader must not edit them."""
+    ``pairs`` and ``state`` are the replay's own, live: they hold until the
+    next step is drawn, and a reader must not edit them.  ``divided`` and
+    ``q_quadratic`` are the step's own, made when it is drawn."""
 
     index: int
     time: float
     pairs: dict[tuple[int, int], ReplayPair]
-    divided: set[tuple[int, int]]                # the keys of the divided pairs
+    divided: list[tuple[int, int]]               # the keys of the divided pairs, in key order
     state: FieldState                            # the replayed field state
     fluxes: BlockFluxes                          # the block fluxes the step's splits read
     q_quadratic: float
@@ -98,7 +100,11 @@ class Replay:
 
     def run(self) -> Iterator[ReplayStep]:
         """The initial step, then one step per event, each made as it is
-        drawn.  Call once: the steps advance the replay's own state."""
+        drawn.  Call once: the steps advance the replay's own state.
+
+        Each step is a view: read it before drawing the next.  Steps kept
+        past that, as ``list(run())`` keeps them, all show the final pairs
+        and state; ``tests/doubles.recorded_steps`` copies each one."""
         fluxes = BlockFluxes(self.state, self.table)
         yield self._view(0, 0.0, fluxes)
         for event in self.traj.events:
@@ -126,7 +132,8 @@ class Replay:
         # id of an input pair -> (that pair, its output): the pairs that share
         # a history share it after the event; the reference keeps the id taken
         carried: dict[int, tuple[ReplayPair, ReplayPair]] = {}
-        for key in sorted(divided):
+        # each distinct history is carried once, whatever the order
+        for key in divided:
             s, s2 = key
             if s in meeting and s2 in meeting:
                 if meeting[s] == meeting[s2]:
@@ -148,18 +155,10 @@ class Replay:
         classes, pi = pair.classes, pair.pi
         if event.kind == EventKind.TRANSVERSAL:
             factor = 2.0 * self.traj.bounds.norm_d3_wwv * event.v_strength
-            lo, hi = event.colliding[0], event.colliding[-1]
-            # m depends on the classes of the two waves only: one call per
-            # class pair, the same count and the same float as per entry
-            class_of = {p: k for k, cls in enumerate(classes) for p in cls}
-            m_of: dict[tuple[int, int], float] = {}
+            crossing = event.colliding
             pi = {}
             for pp, val in pair.pi.items():
-                p, p2 = pp
-                ks = (class_of[p], class_of[p2])
-                m = m_of.get(ks)
-                if m is None:
-                    m = m_of[ks] = m_value(classes, lo, hi, p, p2, self.traj.eps)
+                m = m_value(classes, crossing[0], crossing[-1], pp[0], pp[1], self.traj.eps)
                 pi[pp] = val + factor * m if m > 0.0 else val
         if dead:
             classes = [[p for p in c if p not in dead] for c in classes]
@@ -228,7 +227,7 @@ class Replay:
 
     def _view(self, index: int, time: float, fluxes: BlockFluxes) -> ReplayStep:
         """The replay as it stands after the event ``index``: live, no copy."""
-        return ReplayStep(index=index, time=time, pairs=self.pairs, divided=self.divided,
+        return ReplayStep(index=index, time=time, pairs=self.pairs, divided=sorted(self.divided),
                           state=self.state, fluxes=fluxes, q_quadratic=self._q_quadratic())
 
     def _q_quadratic(self) -> float:

@@ -358,9 +358,9 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
 
     Each per-step ``class_gap_lemma`` and ``outer_pair_pi_agreement`` entry
     and the ``replay_pi_match`` entry is the worst candidate: the first one
-    of least slack in iteration order, divided pairs in key order.  The
-    scan keeps only the running least slack and its arguments and builds one
-    ``CheckResult`` from them.  The chord speeds come from the block fluxes
+    of least slack in iteration order, divided pairs in the key order of
+    ``step.divided``.  The scan keeps only the running least slack and its
+    arguments and builds one ``CheckResult`` from them.  The chord speeds come from the block fluxes
     the replay's step built from its own ``FluxTable``, never from the one
     the run's history filled.
 
@@ -387,7 +387,7 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         out.append(_equality("replay_q_quadratic", scope,
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
         fluxes = step.fluxes
-        keys = sorted(step.divided)
+        keys = step.divided
         divided = {k: step.pairs[k] for k in keys}
         # whether a class is joined, and its chord speed, whichever pair holds it
         class_of: dict[tuple[int, ...], tuple[bool, float]] = {}
@@ -548,20 +548,19 @@ def write_report(results: list[CheckResult], summary: dict, fh) -> bool:
 
     The text is ``json.dumps`` of the whole payload.  Where ``results`` hold
     the log-2 block, the same objects in a row, its text is spliced in from
-    ``_log2_text`` instead of encoded again."""
+    ``_log2_text`` instead of encoded again; elsewhere the block's part is
+    empty."""
     passed = all(r.passed for r in results)
     block = _log2_block()
-    at = next((k for k, r in enumerate(results) if r is block[0]), -1)
+    at = next((k for k, r in enumerate(results) if r is block[0]), len(results))
     end = at + len(block)
-    if at < 0 or len(results) < end or any(r is not b for r, b in zip(results[at:end], block)):
-        payload = {"passed": passed, "summary": summary,
-                   "checks": [r.as_dict() for r in results]}
-        fh.write(json.dumps(payload) + "\n")
-        return passed
+    if len(results) < end or any(r is not b for r, b in zip(results[at:end], block)):
+        at = end = len(results)
+    spliced = _log2_text() if end > at else ""
     # the payload with an empty check list, up to its opening bracket
     head = json.dumps({"passed": passed, "summary": summary, "checks": []})[:-2]
     parts = [json.dumps([r.as_dict() for r in rs])[1:-1]
              for rs in (results[:at], results[end:])]
-    checks = ", ".join(p for p in (parts[0], _log2_text(), parts[1]) if p)
+    checks = ", ".join(p for p in (parts[0], spliced, parts[1]) if p)
     fh.write(head + checks + "]}\n")
     return passed

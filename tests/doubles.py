@@ -446,7 +446,7 @@ def recorded_steps(replay):
     out = []
     for step in replay.run():
         state = step.state.copy()
-        out.append(replace(step, pairs=dict(step.pairs), divided=set(step.divided),
+        out.append(replace(step, pairs=dict(step.pairs), divided=list(step.divided),
                            state=state, fluxes=BlockFluxes(state, replay.table)))
     return out
 

@@ -403,8 +403,8 @@ def replays_agree(traj):
     for a, b in zip(shared, per_pair):
         assert a.q_quadratic == b.q_quadratic, a.index
         assert a.pairs.keys() == b.pairs.keys()
-        # the divided index holds the divided pairs, recounted
-        assert a.divided == set(divided_pairs(a)) == b.divided, a.index
+        # the divided keys are the divided pairs, recounted, in key order
+        assert a.divided == sorted(divided_pairs(a)) == b.divided, a.index
         for key, pair in a.pairs.items():
             other = b.pairs[key]
             assert (pair.status, pair.classes, pair.pi) == \
@@ -431,6 +431,17 @@ class TestReplayMatchesPerPair:
     def test_cubic_datum(self, cubic_run):
         shared, per_pair = replays_agree(cubic_run[0])
         assert shared < per_pair
+
+    def test_kept_steps_are_views_of_the_last(self, cubic_run):
+        # steps kept past the next draw all read the final pairs and state;
+        # each keeps its own divided keys, and recorded_steps copies the rest
+        traj = cubic_run[0]
+        kept = list(Replay(traj).run())
+        recorded = recorded_steps(Replay(traj))
+        assert len(kept) == len(recorded) > 1
+        assert all(s.pairs is kept[-1].pairs and s.state is kept[-1].state for s in kept)
+        assert [s.divided for s in kept] == [s.divided for s in recorded]
+        assert recorded[0].pairs != recorded[-1].pairs
 
     def test_the_replay_reads_its_own_table(self, monkeypatch):
         # the simulator hands its table to assign_initial_speeds first
@@ -536,9 +547,9 @@ class TestSmallNLemmasFail:
         key = next(iter(history.pairs))
 
         def corrupt(step):
-            # the final step without the pair, in its divided index too
+            # the final step without the pair, in its divided keys too
             step.pairs.pop(key)
-            step.divided.discard(key)
+            step.divided.remove(key)
 
         corrupt_replay(monkeypatch, len(traj.events), corrupt)
         r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
@@ -565,7 +576,8 @@ class TestReport:
         return run_verifier(traj, "fast", history)
 
     @pytest.mark.parametrize("where", [
-        "first", "middle", "last", "absent", "twice", "part", "alone", "equal_copies"])
+        "first", "middle", "last", "absent", "twice", "part", "alone", "equal_copies",
+        "empty"])
     def test_spliced_text_is_one_json_dumps(self, fast_checks, where):
         block = check_log2_kernel()
         k = len(fast_checks) // 2
@@ -580,6 +592,7 @@ class TestReport:
             "alone": block,
             # equal entries that are not the cached objects
             "equal_copies": fast_checks + [replace(r) for r in block],
+            "empty": [],
         }[where]
         if where == "equal_copies":
             assert results[-len(block):] == block

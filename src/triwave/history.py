@@ -2,11 +2,11 @@
 
 A pair of waves that has shared a position at least once is either joined
 (same position and speed) or divided.  Joined pairs are exactly the pairs of
-waves on one front, so the state's kept fronts tell them: the history stores
-none of them, and reads their number as ``FieldState.n_joined``.  For every
-divided pair it stores a partition of the waves present at their last
-meeting into classes that have never been told apart since, and an
-accumulated budget ``pi`` that grows only at transversal crossings.
+waves on one front, so the state's kept fronts tell them, and the history
+reads their number as ``FieldState.n_joined``.  Every divided pair has a
+partition of the waves present at its last meeting into classes that have
+never been told apart since, and an accumulated budget ``pi`` that grows
+only at transversal crossings.
 
 The pair weight is
 
@@ -19,59 +19,59 @@ at interactions dominates the speed-change sum there; its increase at
 transversal crossings is controlled by the decay of the transversal Glimm
 functional.
 
+No pair is stored.  The pairs divided at one meeting share one partition
+record, made by ``_meet``: the meeting's waves have consecutive right states
+(``_meet`` checks it), so a wave's meeting rank is |w_hat - w_hat of rank 0|
+and d = |w_hat(s') - w_hat(s)| + 1 in ticks is the rank difference plus 1.
+The record keeps its meeting classes, the runs of equal speed, as cut points
+over the ranks.  Its divided pairs are the pairs of its alive waves in two
+meeting classes, less the set of those that met again joined, and it keeps
+their count; ``q_quadratic`` reads the total of the counts.  A pair's
+record is the latest live record that holds both its waves.
+
 Budgets are exact integers.  A crossing of v-front h adds
 2 ||d3f/dw2dv|| |v_h| M to pi, with |v_h| = ticks_h * eps and M = count * eps
 (``m_value``), so every pi is ``K * P``: K = 2 ||d3f/dw2dv|| eps^2, and P is
-the integer sum of ticks_h * count over the pair's crossings.  A divided
-pair maps to its partition record and nothing else: its denominator
-d = |w_hat(s') - w_hat(s)| + 1 in ticks is read from the two waves' right
-states (permanent, kept in ``hats``), and P from per-wave potentials.
-
-Partitions are shared: every pair divided at the same event sees the same
-classes, so one record per event serves them all, and every pair of a record
-comes from the one ``_meet`` that makes it, with P = 0.  A class is the tuple
-of its alive ids.  At a crossing the classes of a record that lie inside it
-form one run a..b, found by bisecting on their first and last ids, and the
-count of a pair (s, s') of the record is ``F(s') - G(s)``: F(w) is the number
-of waves in classes a..min(class(w), b), G(w) the number in classes
+the integer sum of ticks_h * count over the pair's crossings.  The record's
+current classes, tuples of alive ids that refine its meeting classes, give
+the counts.  At a crossing the classes of a record that lie inside it form
+one run a..b, found by bisecting on their first and last ids, and the count
+of a pair (s, s') of the record is ``F(s') - G(s)``: F(w) is the number of
+waves in classes a..min(class(w), b), G(w) the number in classes
 a..max(class(w), a) - 1, both 0 below class a.  So each wave w of a record
 keeps two integer potentials, ``A[w] += ticks * F(w)`` and
 ``B[w] += ticks * G(w)`` at every crossing, and
 
     P(s, s') = A[s'] - B[s].
 
-A crossing then costs O(waves of the record from class a on) instead of
-O(pairs it grows).
+Q needs the sum of P / d.  The history keeps it exact as one Python int,
+``T = sum P * (L / d)`` over the divided pairs, with L = lcm(1..d_max) and
+d_max = max w_hat - min w_hat + 1, set once in ``initialize`` (w_hat is
+permanent).  Each wave of a record keeps two integer weights: ``up[w]``, the
+sum of L / d over its divided partners below it, and ``dn[w]``, over those
+above.  ``_meet`` sets them from prefix sums of L / d over d, since the
+partners below a wave are the ranks below its meeting class.  A crossing
+adds ``ticks * sum_w (F(w) up[w] - G(w) dn[w])`` to T; when a wave dies, one
+pass over its record's waves takes its pairs' L / d out of its partners'
+weights and their P * L / d out of T, and a pair that meets again joined
+does the same for itself.  Then
 
-Q needs the sum of P / d, and d varies per pair.  The history keeps it exact
-as one Python int, ``T = sum P * (L / d)`` over the divided pairs, with
-``L = lcm(1..d_max)`` and d_max = max w_hat - min w_hat + 1, set once in
-``initialize`` (w_hat is permanent).  Each wave of a record keeps two integer
-weights: ``up[w]``, the sum of L / d over its partners below it in the
-record, and ``dn[w]``, the sum over its partners above.  A crossing adds
-``ticks * sum_w (F(w) up[w] - G(w) dn[w])`` to T; a divided pair that dies or
-meets again takes ``P * L / d`` out of T and ``L / d`` out of the weights of
-its two waves.  Then
-
-    Q = eps^2 (||d2f/dw2|| (n(n-1)/2 - joined pairs - stored pairs)
+    Q = eps^2 (||d2f/dw2|| (n(n-1)/2 - joined pairs - divided pairs)
                + 2 ||d3f/dw2dv|| eps T / L),
 
-n the alive count, the joined pairs those on one kept front, the stored
-pairs the divided ones, and T / L one correctly rounded division: O(1) per
-event.
+n the alive count and T / L one correctly rounded division: O(1) per event.
 
 An event changes only the records that meet its colliding waves, and one
-pass carries them across it.  A divided pair lives in the record it divided
-at, and both its waves stay in that record's classes until they die, so a
-dead wave's pairs are found among its record's waves.  A class is split
-again by the scalar fan ``riemann.solve_scalar`` builds for the Riemann
-problem it spans under the current effective flux, as the initial classes
-are.  No stored pair lies
-on one kept front, so only pairs across an event's two fronts meet again:
-joined, they leave the store; divided, they are an error.
-``PairHistory.validate`` recounts T and every record's weights from the
-stored pairs and reports a stored pair on one kept front, which would be
-counted twice.
+pass carries them across it.  A class is split again by the scalar fan
+``riemann.solve_scalar`` builds for the Riemann problem it spans under the
+current effective flux, as the initial classes are.  No divided pair lies on
+one kept front, so only pairs across an event's two fronts meet again:
+joined, they join their record's re-joined set; divided, they are an error.
+``PairHistory.validate`` recounts every record's weights and count, their
+total and T from the classes, the cut points and the re-joined sets, in
+O(runs of alive ranks) per wave, and reports a divided pair on one kept
+front, which would be counted twice.  ``pairs`` builds the map of every
+divided pair to its record on each read, for the oracles.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, groupby, product, repeat
 from operator import itemgetter, mul
 
 from .flux import DerivativeBounds, FluxSpec, flux_table
@@ -111,18 +111,28 @@ class FunctionalSnapshot:
 
 @dataclass(eq=False)
 class PartitionRecord:
-    """Shared partition for the pairs divided at one event: its classes, in
-    ascending id order, each the tuple of its alive waves in ascending id
-    order.  The waves present at that meeting, less those dead since, are
-    the classes' union.  A class that loses a wave is cut to the waves left.
-    Per wave of the classes it keeps the potentials ``A`` and ``B`` (so a
-    pair's budget is ``A[s2] - B[s]``) and the weights ``up`` and ``dn`` (the
-    sums of L / d over the wave's partners below and above it), all 0 when
-    the record is made.  Records compare and hash by identity, so they key
-    the registry.
+    """Shared partition for the pairs divided at one meeting: its classes,
+    in ascending id order, each the tuple of its alive waves in ascending id
+    order.  The waves present at the meeting, less those dead since, are the
+    classes' union; a class that loses a wave is cut to the waves left.  It
+    reads the waves' right states from ``hats``, the history's list, and
+    keeps ``hat0``, the right state of meeting rank 0, and its meeting
+    classes as ``cuts``: 0, the meeting ranks at which the second and later
+    ones start, and infinity (so the classes it is made with are the meeting
+    classes, over ranks 0, 1, ...).  It keeps ``rejoined``, its pairs that
+    met again joined, and ``count``, the number of its divided pairs.  Per
+    wave of the classes it keeps the potentials ``A`` and ``B`` (so a pair's
+    budget is ``A[s2] - B[s]``), 0 when the record is made, and the weights
+    ``up`` and ``dn`` (the sums of L / d over the wave's divided partners
+    below and above it), which ``PairHistory._meet`` sets.
     """
 
     classes: list[tuple[int, ...]]
+    hats: list[int] = field(repr=False)     # the waves' right states by id - 1
+    hat0: int = field(init=False)
+    cuts: list[float] = field(init=False)
+    rejoined: set[tuple[int, int]] = field(init=False, default_factory=set)
+    count: int = field(init=False, default=0)
     A: dict[int, int] = field(init=False)
     B: dict[int, int] = field(init=False)
     up: dict[int, int] = field(init=False)
@@ -130,12 +140,24 @@ class PartitionRecord:
 
     def __post_init__(self) -> None:
         ids = [s for cls in self.classes for s in cls]
+        self.hat0 = self.hats[ids[0] - 1]
+        self.cuts = [0, *accumulate(map(len, self.classes[:-1])), math.inf]
         self.A, self.B, self.up, self.dn = (dict.fromkeys(ids, 0) for _ in range(4))
 
-    def forget(self, ids) -> None:
-        """Drop the potentials and weights of the dead waves ``ids``."""
-        for s in ids:
-            del self.A[s], self.B[s], self.up[s], self.dn[s]
+    def rank(self, s: int) -> int:
+        """The meeting rank of wave ``s``."""
+        return abs(self.hats[s - 1] - self.hat0)
+
+    def meeting(self, s: int) -> tuple[float, float]:
+        """The meeting class of wave ``s``: its first rank and the one past
+        its last."""
+        k = bisect_right(self.cuts, self.rank(s))
+        return self.cuts[k - 1], self.cuts[k]
+
+    def divides(self, s: int, s2: int) -> bool:
+        """Whether its waves s < s2 are a divided pair: in two meeting
+        classes, and not met again joined since."""
+        return (s, s2) not in self.rejoined and self.meeting(s) != self.meeting(s2)
 
 
 _first = itemgetter(0)
@@ -160,7 +182,6 @@ def _record_problem(rec: PartitionRecord, waves: list) -> str | None:
     ids = {s for cls in rec.classes for s in cls}
     if not ids == rec.A.keys() == rec.B.keys() == rec.up.keys() == rec.dn.keys():
         return "potentials or weights not kept for exactly the waves of its classes"
-    return None
 
 
 def _weight_problem(name: str, kept: dict[int, int], recount: dict[int, int]) -> str | None:
@@ -209,120 +230,130 @@ class PairHistory:
         self.eps = eps
         self.bounds = bounds
         self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P
-        # (s, s2), s < s2 -> the record of the divided pair; joined pairs
-        # are never stored
-        self.pairs: dict[tuple[int, int], PartitionRecord] = {}
-        # live record -> the number of divided pairs sharing it
-        self.records: dict[PartitionRecord, int] = {}
-        # the waves' right states by id - 1, L = lcm(1..d_max) and
-        # weights[d] = L // d; initialize sets them
+        # the live records, those with divided pairs, in the order made
+        self.records: list[PartitionRecord] = []
+        self.n_divided = 0          # the sum of their counts
+        # the waves' right states by id - 1, L = lcm(1..d_max), weights[d] =
+        # L // d and cum[d] = the sum of weights[:d]; initialize sets them
         self.hats: list[int] = []
         self.L = 1
         self.weights = [0, 1]
+        self.cum = [0, 0, 1]
         # sum of P * L / d over the divided pairs
         self.T = 0
 
+    def _record_of(self, s: int, s2: int) -> PartitionRecord | None:
+        """The record of the divided pair (s, s2), s < s2, or None if the
+        pair is not divided: the latest live record that holds both waves,
+        if it divides them."""
+        for rec in reversed(self.records):
+            if s in rec.A and s2 in rec.A:
+                return rec if rec.divides(s, s2) else None
+        return None
+
+    @property
+    def pairs(self) -> dict[tuple[int, int], PartitionRecord]:
+        """Every divided pair (s, s2), s < s2, mapped to its record, by
+        record in the order made and then by key.  Built on each read, for
+        the oracles: no run reads it."""
+        out = {}
+        for rec in self.records:
+            ids = [*rec.A]
+            starts = [rec.meeting(s)[0] for s in ids]
+            for s, start in zip(ids, starts):       # the partners above s, by class
+                out.update(dict.fromkeys(zip(repeat(s), ids[bisect_right(starts, start):]), rec))
+            for key in rec.rejoined:
+                del out[key]
+        return out
+
     def budget(self, s: int, s2: int) -> int:
         """P of the divided pair (s, s2), s < s2: pi = K * P."""
-        rec = self.pairs[(s, s2)]
+        rec = self._record_of(s, s2)
+        if rec is None:
+            raise KeyError((s, s2))
         return rec.A[s2] - rec.B[s]
 
-    def _weight(self, s: int, s2: int) -> int:
-        """L / d of the pair (s, s2): d = |w_hat(s2) - w_hat(s)| + 1."""
-        hats = self.hats
-        return self.weights[abs(hats[s2 - 1] - hats[s - 1]) + 1]
+    def _part(self, rec: PartitionRecord, pairs: list[tuple[int, int]]) -> None:
+        """Take the divided pairs ``pairs`` out of ``rec``: each one's L / d
+        leaves the weights of its waves and its P * L / d leaves T.  A record
+        left without pairs is done, and leaves the live records."""
+        for s, s2 in pairs:
+            w = self.weights[abs(self.hats[s2 - 1] - self.hats[s - 1]) + 1]
+            rec.up[s2] -= w
+            rec.dn[s] -= w
+            self.T -= (rec.A[s2] - rec.B[s]) * w
+        rec.count -= len(pairs)
+        self.n_divided -= len(pairs)
+        if pairs and not rec.count:
+            self.records.remove(rec)
 
-    def _set_pair(self, s: int, s2: int, rec: PartitionRecord) -> None:
-        """Store (s, s2), s < s2, as a divided pair of the fresh record
-        ``rec`` (so P = 0): in ``pairs``, its record's pair count and the
-        weights of its two waves."""
-        self.pairs[(s, s2)] = rec
-        self.records[rec] = self.records.get(rec, 0) + 1
-        w = self._weight(s, s2)
-        rec.up[s2] += w
-        rec.dn[s] += w
-
-    def _drop(self, s: int, s2: int) -> None:
-        """Forget the divided pair (s, s2), s < s2: it leaves ``pairs`` and
-        its record's count (a record without pairs leaves the registry), and
-        takes its L / d out of the weights of its waves and P * L / d out of
-        ``T``."""
-        rec = self.pairs.pop((s, s2))
-        left = self.records[rec] - 1
-        if left:
-            self.records[rec] = left
-        else:
-            del self.records[rec]
-        w = self._weight(s, s2)
-        rec.up[s2] -= w
-        rec.dn[s] -= w
-        P = rec.A[s2] - rec.B[s]
-        if P:
-            self.T -= P * w
+    def _recount(self, rec: PartitionRecord) -> tuple[dict, dict, int]:
+        """The weights ``up`` and ``dn`` of the waves of ``rec`` and its
+        count of divided pairs, from its classes, cut points and re-joined
+        set.  Over a run of alive ranks a..b, the weights L / d of a wave of
+        rank r sum to ``cum[r - a + 2] - cum[r - b + 1]`` (below it) or
+        ``cum[b - r + 2] - cum[a - r + 1]`` (above it): O(runs) per wave."""
+        cum, weights, hats, cuts = self.cum, self.weights, self.hats, rec.cuts
+        ids = [s for cls in rec.classes for s in cls]
+        ranks = [abs(hats[s - 1] - rec.hat0) for s in ids]
+        # the runs of consecutive ranks, as (first, last); mostly there is one
+        gaps = [] if ranks[-1] - ranks[0] == len(ids) - 1 else [
+            i for i in range(1, len(ids)) if ranks[i] != ranks[i - 1] + 1]
+        runs = [(ranks[i], ranks[j - 1]) for i, j in zip([0, *gaps], [*gaps, len(ids)])]
+        up, dn, count = {}, {}, -len(rec.rejoined)
+        for s, r in zip(ids, ranks):
+            k = bisect_right(cuts, r)
+            start, end = cuts[k - 1], cuts[k]
+            u = v = 0
+            for a, b in runs:
+                if a < start:
+                    u += cum[r - a + 2] - cum[r - (b if b < start else start - 1) + 1]
+                if b >= end:
+                    v += cum[b - r + 2] - cum[(a if a > end else end) - r + 1]
+            up[s], dn[s] = u, v
+            count += len(ids) - bisect_left(ranks, end)     # the waves above its class
+        for s, s2 in rec.rejoined:     # a pair of waves it does not hold is off the recount
+            w = weights[abs(hats[s2 - 1] - hats[s - 1]) + 1]
+            up[s2] = up.get(s2, 0) - w
+            dn[s] = dn.get(s, 0) - w
+        return up, dn, count
 
     def validate(self, state: FieldState) -> list[str]:
-        """Recount from the stored pairs ``T``, every live record's weights
-        ``up`` and ``dn`` and its pair count; check that no stored pair has
-        both waves on one kept front (``q_quadratic`` counts those pairs as
-        joined through ``state.n_joined``), and check every live record for
-        what a crossing takes for granted (``_record_problem``).  Returns
-        the first kept value that differs from its recount, the first such
-        pair and the first record that fails (empty = ok)."""
-        problems = []
-        weights, hats = self.weights, self.hats
-        # wave -> its kept front's index, for the fronts of two or more waves
-        front_of = {s: k for k, f in enumerate(state.fronts()) if len(f.ids) > 1
-                    for s in f.ids}
-        front_get = front_of.get
-        on_front = None
-        # record -> the recounted up and dn of the waves it keeps them for,
-        # and its pair count; a record's pairs come from one _meet, so they
-        # mostly come in a row
-        recount: dict[PartitionRecord, list] = {}
-        last = entry = None
-        for (s, s2), rec in self.pairs.items():
-            if rec is not last:
-                last = rec
-                entry = recount.get(last)
-                if entry is None:
-                    entry = recount[last] = [dict.fromkeys(last.up, 0),
-                                             dict.fromkeys(last.dn, 0), 0]
-                up, dn = entry[0], entry[1]
-                up_get, dn_get = up.get, dn.get
-            entry[2] += 1
-            w = weights[abs(hats[s2 - 1] - hats[s - 1]) + 1]
-            up[s2] = up_get(s2, 0) + w
-            dn[s] = dn_get(s, 0) + w
-            k = front_get(s)
-            if k is not None and k == front_get(s2) and on_front is None:
-                on_front = (s, s2)
-        # the sum over the pairs of (A[s2] - B[s]) L / d, wave by wave
-        T = 0
-        for rec, (up, dn, _) in recount.items():
-            T += sum(map(mul, map(rec.A.get, up, repeat(0)), up.values()))
-            T -= sum(map(mul, map(rec.B.get, dn, repeat(0)), dn.values()))
-        if T != self.T:
-            problems.append(f"kept budget sum T = {self.T}, recounted {T}")
-        for rec in self.records:
-            up, dn, _ = recount.get(rec) or (dict.fromkeys(rec.up, 0),
-                                             dict.fromkeys(rec.dn, 0), 0)
-            problem = _weight_problem("up", rec.up, up) or _weight_problem("dn", rec.dn, dn)
-            if problem:
-                problems.append(f"{_span(rec)}: {problem}")
-                break
-        count = {rec: entry[2] for rec, entry in recount.items()}
-        if count != self.records:
-            rec = next(rec for rec in [*self.records, *count]
-                       if count.get(rec) != self.records.get(rec))
-            problems.append(f"{_span(rec)}: kept pair count {self.records.get(rec, 0)}, "
-                            f"recounted {count.get(rec, 0)}")
-        if on_front is not None:
-            problems.append(f"stored pair {on_front} lies on one kept front")
+        """Check every live record for what a crossing takes for granted
+        (``_record_problem``); then recount every record's weights ``up`` and
+        ``dn`` and its pair count (``_recount``), their total and ``T``, and
+        check that no divided pair has both waves on one kept front
+        (``q_quadratic`` counts those pairs as joined through
+        ``state.n_joined``).  Returns the first record that fails, or else
+        per record the first kept value that differs from its recount and the
+        first such pair, then T and the total (empty = ok)."""
+        problems, T, total = [], 0, 0
+        # wave -> its kept front, for the fronts of two or more waves
+        front_of = {s: f.ids for f in state.fronts() if len(f.ids) > 1 for s in f.ids}
         for rec in self.records:
             problem = _record_problem(rec, state.waves)
             if problem:
+                return [f"{_span(rec)}: {problem}"]
+            up, dn, count = self._recount(rec)
+            T += sum(map(mul, map(rec.A.get, up, repeat(0)), up.values()))
+            T -= sum(map(mul, map(rec.B.get, dn, repeat(0)), dn.values()))
+            total += count
+            problem = (_weight_problem("up", rec.up, up) or _weight_problem("dn", rec.dn, dn)
+                       or count != rec.count and f"kept pair count {rec.count}, recounted {count}")
+            if problem:
                 problems.append(f"{_span(rec)}: {problem}")
-                break
+            for f in sorted({front_of[s] for s in rec.A if s in front_of}):
+                ids = [s for s in f if s in rec.A]
+                # the meeting classes ascend with the ids; a front's waves lie
+                # in one but for re-joined pairs
+                if rec.meeting(ids[0]) != rec.meeting(ids[-1]):
+                    pair = next((key for key in combinations(ids, 2) if rec.divides(*key)), None)
+                    if pair:
+                        problems.append(f"divided pair {pair} lies on one kept front")
+        if T != self.T:
+            problems.append(f"kept budget sum T = {self.T}, recounted {T}")
+        if total != self.n_divided:
+            problems.append(f"kept divided pair total {self.n_divided}, recounted {total}")
         return problems
 
     # -- construction ------------------------------------------------------
@@ -334,9 +365,10 @@ class PairHistory:
         d_max = max(hats) - min(hats) + 1 if hats else 1
         self.L = math.lcm(*range(1, d_max + 1))
         self.weights = [0] + [self.L // d for d in range(1, d_max + 1)]
+        self.cum = [0, *accumulate(self.weights)]
         for groups in initial_groups:
             ids = [s for members, _ in groups for s in members]
-            self._meet(ids, {s: speed for members, speed in groups for s in members})
+            self._meet(ids, {s: speed for members, speed in groups for s in members}, 0)
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
@@ -348,46 +380,35 @@ class PairHistory:
             detail = self._interaction_detail(event, state)
         else:
             self._update_records(event, state)
-        if event.left_ids:
-            self._rejoin(event)
+        self._rejoin(event)     # a crossing has no two fronts: left_ids is empty
         if event.post_speeds:
             ids = sorted(event.post_speeds)
             if len({state.wave(s).sign for s in ids}) != 1:
                 raise ValueError("meeting waves of opposite sign survived one event")
-            self._meet(ids, event.post_speeds)
-
-        snap = self.snapshot(state, index=event.index,
-                             sum_abs_dsigma=event.sum_abs_dsigma)
-        return snap, detail
+            self._meet(ids, event.post_speeds, event.index)
+        return self.snapshot(state, index=event.index, sum_abs_dsigma=event.sum_abs_dsigma), detail
 
     def _update_records(self, event: Event, state: FieldState) -> None:
         """Carry the records across a crossing or a cancellation, in one pass
         over those that meet the span of ``event.colliding``, which holds
         every crossed or dead wave.  Per record, the pairs of its dead waves
-        leave (a record left without pairs is done), a crossing grows its
-        potentials (``_grow``), and the classes that meet the span are split
-        again by one rule.  A class changes only if the event crossed it (the
-        effective flux changes only on cells whose waves crossed the
-        first-family front) or killed one of its waves: then it is cut to its
-        alive waves, dropped if none is left, and split again if two or more
-        are.  A crossing kills no wave (``simulator.resolve``)."""
+        leave (``_bury``; a record left without pairs is done), a crossing
+        grows its potentials (``_grow``), and the classes that meet the span
+        are split again by one rule.  A class changes only if the event
+        crossed it (the effective flux changes only on cells whose waves
+        crossed the first-family front) or killed one of its waves: then it
+        is cut to its alive waves, dropped if none is left, and split again
+        if two or more are.  A crossing kills no wave
+        (``simulator.resolve``)."""
         first, last, dead = event.colliding[0], event.colliding[-1], event.canceled
         crossing = event.kind == EventKind.TRANSVERSAL
-        if crossing:
-            ticks = state.v_fronts[event.v_front_id - 1].strength_ticks
+        ticks = state.v_fronts[event.v_front_id - 1].strength_ticks if crossing else 0
         fluxes = BlockFluxes(state, self.table)
-        waves, pairs, records = state.waves, self.pairs, self.records
-        for rec in [*records]:      # a record that loses its last pair leaves
+        for rec in [*self.records]:      # a record that loses its last pair leaves
             classes = rec.classes
             if classes[-1][-1] < first or last < classes[0][0]:
                 continue
-            for d in dead:
-                if d in rec.A:
-                    for s in rec.A:     # the partners of d's pairs of rec
-                        key = (d, s) if d < s else (s, d)
-                        if pairs.get(key) is rec:
-                            self._drop(*key)
-            if rec not in records:
+            if dead and not self._bury(rec, dead):
                 continue
             if crossing:
                 self._grow(rec, first, last, ticks)
@@ -396,17 +417,27 @@ class PairHistory:
             hi = bisect_right(classes, last, key=_first)
             new_classes: list[tuple[int, ...]] = []
             for cls in classes[lo:hi]:
-                if not ((crossing and len(cls) > 1) or any(d in cls for d in dead)):
-                    new_classes.append(cls)
-                    continue
-                members = tuple(s for s in cls if waves[s - 1].alive)
-                if len(members) < len(cls):
-                    rec.forget(s for s in cls if not waves[s - 1].alive)
-                if len(members) > 1:
+                members = tuple(s for s in cls if s in rec.A)   # not buried
+                if len(members) > 1 and (crossing or len(members) < len(cls)):
                     new_classes.extend(self._split_class(members, state, fluxes))
                 elif members:
                     new_classes.append(members)
             classes[lo:hi] = new_classes
+
+    def _bury(self, rec: PartitionRecord, dead) -> bool:
+        """Take the divided pairs of the dead waves ``dead`` out of ``rec``,
+        one pass over its waves per dead wave (``_part``), and the dead waves
+        out of its waves and its re-joined set.  Returns whether the record
+        still has divided pairs."""
+        for d in dead:
+            if d in rec.A:
+                start, end = rec.meeting(d)
+                keys = ((s, d) if s < d else (d, s) for s in rec.A
+                        if not start <= rec.rank(s) < end)
+                self._part(rec, [key for key in keys if key not in rec.rejoined])
+                del rec.A[d], rec.B[d], rec.up[d], rec.dn[d]
+                rec.rejoined = {key for key in rec.rejoined if d not in key}
+        return rec.count > 0
 
     def _grow(self, rec: PartitionRecord, lo: int, hi: int, ticks: int) -> None:
         """Grow P by ticks * count for every pair of ``rec``, through the
@@ -448,40 +479,37 @@ class PairHistory:
                 for f in solve_scalar(w_left, w_right, fluxes.flux(members))]
 
     def _rejoin(self, event: Event) -> None:
-        """Drop the stored pairs across the event's two fronts, once the dead
-        waves' pairs have left: they meet again joined; one that meets again
-        divided raises."""
-        speeds, pairs = event.post_speeds, self.pairs
-        for s in event.left_ids:
-            for s2 in event.right_ids:
-                if (s, s2) in pairs:
-                    if speeds[s] != speeds[s2]:
-                        raise ValueError(f"pair ({s}, {s2}) met again while divided "
-                                         f"at event {event.index}")
-                    log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
-                    self._drop(s, s2)
+        """Take out the divided pairs across the event's two fronts, once the
+        dead waves' pairs have left: they meet again joined, and join their
+        record's re-joined set; one that meets again divided raises."""
+        for s, s2 in product(event.left_ids, event.right_ids):
+            rec = self._record_of(s, s2)
+            if rec is not None:
+                if event.post_speeds[s] != event.post_speeds[s2]:
+                    raise ValueError(f"pair ({s}, {s2}) met again while divided "
+                                     f"at event {event.index}")
+                log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
+                self._part(rec, [(s, s2)])
+                rec.rejoined.add((s, s2))
 
-    def _meet(self, ids: list[int], speeds: dict[int, float]) -> None:
-        """Pairs of ``ids`` meeting at one point: joined where the speeds
-        agree, else divided and sharing one fresh partition whose classes are
-        the runs of equal speed.  Every divided pair starts with P = 0 (its
-        record's potentials are 0)."""
-        runs = [[ids[0]]]
-        for prev, s in zip(ids, ids[1:]):
-            if speeds[s] == speeds[prev]:
-                runs[-1].append(s)
-            else:
-                runs.append([s])
+    def _meet(self, ids: list[int], speeds: dict[int, float], index: int) -> None:
+        """Pairs of ``ids`` meeting at one point at event ``index``: joined
+        where the speeds agree, else divided and sharing one fresh record
+        whose meeting classes are the runs of equal speed.  Every divided
+        pair starts with P = 0 (its record's potentials are 0).  Raises
+        unless the right states of the waves are consecutive ticks, which
+        the record's ranks and denominators read."""
+        runs = [tuple(run) for _, run in groupby(ids, speeds.__getitem__)]
         if len(runs) == 1:
             return
-        record = PartitionRecord([tuple(run) for run in runs])
-        end = 0
-        for run in runs[:-1]:
-            end += len(run)
-            above = ids[end:]
-            for s in run:
-                for s2 in above:
-                    self._set_pair(s, s2, record)
+        hats = [self.hats[s - 1] for s in ids]
+        if {b - a for a, b in zip(hats, hats[1:])} not in ({1}, {-1}):
+            raise ValueError(f"meeting waves {ids} at event {index} have right states "
+                             f"{hats}, not consecutive ticks")
+        rec = PartitionRecord(runs, self.hats)
+        rec.up, rec.dn, rec.count = self._recount(rec)
+        self.records.append(rec)
+        self.n_divided += rec.count
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
@@ -497,15 +525,9 @@ class PairHistory:
         fluxes.flux(left + right)  # raises unless both fronts lie in one block
         size_l = len(left) * self.eps
         size_r = len(right) * self.eps
-        sum_P = 0
-        n_never = 0
-        for s in left:
-            for s2 in right:
-                rec = self.pairs.get((s, s2))
-                if rec is None:
-                    n_never += 1
-                else:
-                    sum_P += rec.A[s2] - rec.B[s]
+        met = [(s, s2, self._record_of(s, s2)) for s, s2 in product(left, right)]
+        n_never = sum(rec is None for _, _, rec in met)
+        sum_P = sum(rec.A[s2] - rec.B[s] for s, s2, rec in met if rec is not None)
         sum_pi = self.K * sum_P
         lhs = (fluxes.rh_speed(left) - fluxes.rh_speed(right)) * size_l * size_r
         rhs = sum_pi * self.eps**2 + n_never * self.bounds.norm_d2_ww * (
@@ -518,12 +540,12 @@ class PairHistory:
     def q_quadratic(self, state: FieldState) -> float:
         """Q = sum over alive pairs of q * eps^2, from the counts alone:
         never-met pairs are all alive pairs but the joined ones (the pairs on
-        one front, ``state.n_joined``) and the stored divided ones, and the
+        one front, ``state.n_joined``) and the divided ones (``n_divided``), and the
         divided pairs enter through T (the weight pi / (d eps) of pi = K * P is
         2 ||d3f/dw2dv|| eps P / d, and T / L is the sum of P / d, rounded
         once).  O(1)."""
         n = state.n_alive
-        never = n * (n - 1) // 2 - state.n_joined - len(self.pairs)
+        never = n * (n - 1) // 2 - state.n_joined - self.n_divided
         divided = self.T / self.L
         b = self.bounds
         return self.eps**2 * (b.norm_d2_ww * never + 2.0 * b.norm_d3_wwv * self.eps * divided)

@@ -353,8 +353,8 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     - ``partition_restriction``, global: the number of nested divided pairs
       whose outer partition does not restrict to the inner pair's waves, or
       whose outer pair lies in those waves with other classes, is 0;
-    - ``replay_pi_match``, global: every divided pair of the final history
-      is divided in the final replayed step with the same pi, ``K * P``.
+    - ``replay_pi_match``, global: the final history and the final replayed
+      step divide the same pairs, each with the same pi, ``K * P``.
 
     Each per-step ``class_gap_lemma`` and ``outer_pair_pi_agreement`` entry
     and the ``replay_pi_match`` entry is the worst candidate: the first one
@@ -475,15 +475,17 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
                                  inner=inner_key, outer=outer_key))
     out.append(_check("partition_classes_joined", "global", float(joined_violations), 0.0))
     out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
-    final = step           # the last step: the replay's final pairs
+    # ``step`` is the last step, with the replay's final pairs
     match_at = None        # (actual, expected, pair) of the least slack
     match_slack = 0.0
-    for key in history.pairs:
-        rep = final.pairs.get(key)
-        if rep is None or rep.status != "divided":
-            out.append(_check("replay_pi_match", "global", 1.0, 0.0, pair=key))
-            return out
-        actual, expected = history.K * history.budget(*key), rep.pi[key]
+    pairs = history.pairs
+    # a pair divided on one side only, the least key first
+    unmatched = sorted(pairs.keys() ^ set(step.divided))
+    if unmatched:
+        out.append(_check("replay_pi_match", "global", 1.0, 0.0, pair=unmatched[0]))
+        return out
+    for key in pairs:
+        actual, expected = history.K * history.budget(*key), step.pairs[key].pi[key]
         slack = 0.0 - abs(actual - expected)
         if match_at is None or slack < match_slack:
             match_slack = slack

@@ -146,50 +146,66 @@ class ReviveAfterFirstCancellation:
 
 
 def corrupt_history(at, what):
-    """A ``PairHistory`` class whose ``on_event`` corrupts one kept value of
-    its first divided pair (s, s2) behind the history's back: ``what`` is
-    ``"potential"`` (1 more on A[s2], so the pair's budget moves and ``T``
-    does not), ``"weight"`` (1 more on up[s2]) or ``"T"`` (1 more on the
-    sum).  Only the recounts of ``validate`` can tell.
+    """A ``PairHistory`` class whose ``on_event`` corrupts one kept value
+    behind the history's back, for its first divided pair (s, s2) and its
+    record: ``what`` is ``"potential"`` (1 more on A[s2], so the pair's
+    budget moves and ``T`` does not), ``"weight"`` (1 more on up[s2]),
+    ``"T"`` (1 more on the sum), ``"cut"`` (the cut point that starts the
+    meeting class of s2 moves past s2, so s2 changes meeting class),
+    ``"rejoined"`` ((s, s2) slips into the record's re-joined set, so it is
+    no longer divided) or ``"count"`` (1 more on the record's count of
+    divided pairs).  Only the recounts of ``validate`` can tell.
 
-    A potential or ``T`` is corrupted once, after event ``at``: the gap it
-    opens between ``T`` and its recount lasts the run, since ``_drop`` takes
-    the corrupted budget out of ``T``.  A weight is corrupted after event
-    ``at`` and after every later event that leaves a divided pair: once
-    corrupted, it leaves the recounts with its record unless a crossing has
-    read it into ``T`` first."""
+    A weight is corrupted after event ``at`` and after every later event
+    that leaves a divided pair: once corrupted, it leaves the recounts with
+    its record unless a crossing has read it into ``T`` first.  Anything
+    else is corrupted once, after event ``at``: the gap it opens between the
+    kept value and its recount lasts the run, since the record takes the
+    corrupted value out with its pairs."""
 
     class CorruptHistory(PairHistory):
         def on_event(self, event, state):
             out = super().on_event(event, state)
-            if (event.index == at or what == "weight" and event.index > at) and self.pairs:
+            if (event.index == at or what == "weight" and event.index > at) and self.records:
                 (s, s2), rec = next(iter(self.pairs.items()))
                 if what == "potential":
                     rec.A[s2] += 1
                 elif what == "weight":
                     rec.up[s2] += 1
-                else:
+                elif what == "T":
                     self.T += 1
+                elif what == "cut":
+                    rec.cuts[rec.cuts.index(rec.meeting(s2)[0])] = rec.rank(s2) + 1
+                elif what == "rejoined":
+                    rec.rejoined.add((s, s2))
+                else:
+                    rec.count += 1
             return out
 
     return CorruptHistory
 
 
 class PairWalkHistory(PairHistory):
-    """The production history, with the per-pair walk of the budgets kept
-    beside it as the oracle of its potentials.
+    """The production history, with a per-pair walk of the budgets kept
+    beside it as the oracle of its potentials and of its implicit pairs.
 
-    The double keeps every divided pair's own P, a registry of the pairs of
-    each record in rows by lower id (rows and entries in ascending id order)
-    and ``S[d]``, the sum of P over the divided pairs with denominator d (no
-    zero sums).  At a crossing, running sums of the class sizes over the run
+    The double keeps its own set of the divided pairs, built from the events
+    and never read from the history: a meeting (``_meet``) divides the pairs
+    of waves of unequal speed, a cancellation (``_update_records``) takes out
+    the pairs of its dead waves, and a pair across an event's two fronts
+    that meets again at equal speeds (``_rejoin``) leaves.  For each pair it
+    keeps its own P and the record made at its meeting, and ``S[d]``, the sum
+    of P over the divided pairs with denominator d (no zero sums); per
+    record, its pairs in rows by lower id (rows and entries in ascending id
+    order).  At a crossing, running sums of the class sizes over the run
     a..b of classes inside the crossing give each pair's count, and the walk
     visits only the pairs with a nonzero count: those whose lower wave lies
     in a class up to b and upper wave in a class from a on.
 
-    After every event it asserts that the production ``T`` is exactly the
-    sum of S[d] * L / d; that ``q_quadratic`` equals Q read from ``S``, with
-    the sum of S[d] / d rounded once, over the lcm of the double's own
+    After every event it asserts that its pairs are those of ``pairs``, each
+    with its record; that the production ``T`` is exactly the sum of
+    S[d] * L / d; that ``q_quadratic`` equals Q read from ``S``, with the
+    sum of S[d] / d rounded once, over the lcm of the double's own
     denominators; and that each pair of every record a crossing reached
     (one with a class inside the crossing) has the P of the production
     ``budget``: only the potentials of those records change.  ``check_all``
@@ -198,6 +214,8 @@ class PairWalkHistory(PairHistory):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.P: dict = {}        # pair key -> P
+        self.owner: dict = {}    # pair key -> the record made at its meeting
+        self.partners: dict = {} # wave -> the waves it has a divided pair with
         self.S: dict = {}        # d -> sum of P over the divided pairs with denominator d
         self.rows: dict = {}     # record -> s -> s2 -> d
         self.visits = 0          # pair budgets the walk grew
@@ -208,14 +226,40 @@ class PairWalkHistory(PairHistory):
         """The denominator of the pair (s, s2), from the waves' right states."""
         return abs(self.hats[s2 - 1] - self.hats[s - 1]) + 1
 
-    def _set_pair(self, s, s2, rec):
-        super()._set_pair(s, s2, rec)
-        self.P[(s, s2)] = 0
-        self.rows.setdefault(rec, {}).setdefault(s, {})[s2] = self.d(s, s2)
+    def _meet(self, ids, speeds, index):
+        made = len(self.records)
+        super()._meet(ids, speeds, index)
+        divided = [(s, s2) for i, s in enumerate(ids) for s2 in ids[i + 1:]
+                   if speeds[s] != speeds[s2]]
+        if not divided:
+            assert len(self.records) == made, index
+            return
+        rec, = self.records[made:]
+        for s, s2 in divided:
+            assert (s, s2) not in self.P, (index, s, s2)
+            self.P[(s, s2)] = 0
+            self.owner[(s, s2)] = rec
+            self.partners.setdefault(s, set()).add(s2)
+            self.partners.setdefault(s2, set()).add(s)
+            self.rows.setdefault(rec, {}).setdefault(s, {})[s2] = self.d(s, s2)
 
-    def _drop(self, s, s2):
-        rec, d = self.pairs[(s, s2)], self.d(s, s2)
-        super()._drop(s, s2)
+    def _update_records(self, event, state):
+        super()._update_records(event, state)
+        for d in event.canceled:
+            for s in sorted(self.partners.get(d, ())):
+                self.part(*sorted((s, d)))
+
+    def _rejoin(self, event):
+        super()._rejoin(event)
+        for s in event.left_ids:
+            for s2 in event.right_ids:
+                if (s, s2) in self.P:
+                    assert event.post_speeds[s] == event.post_speeds[s2], event.index
+                    self.part(s, s2)
+
+    def part(self, s, s2):
+        """Forget the divided pair (s, s2), s < s2, and its P."""
+        rec, d = self.owner.pop((s, s2)), self.d(s, s2)
         P = self.P.pop((s, s2))
         if P:
             left = self.S[d] - P
@@ -223,6 +267,8 @@ class PairWalkHistory(PairHistory):
                 self.S[d] = left
             else:
                 del self.S[d]
+        self.partners[s].discard(s2)
+        self.partners[s2].discard(s)
         rows = self.rows[rec]
         del rows[s][s2]
         if not rows[s]:
@@ -277,7 +323,7 @@ class PairWalkHistory(PairHistory):
 
     def check_all(self, index=None):
         """Assert that every pair's P equals the production ``budget``."""
-        assert self.P.keys() == self.pairs.keys(), index
+        assert self.owner == self.pairs, index
         for rec in self.rows:
             self._check_record(rec, index)
 
@@ -296,6 +342,7 @@ class PairWalkHistory(PairHistory):
             if rec in self.rows:
                 self._check_record(rec, event.index)
         self.reached.clear()
+        assert self.owner == self.pairs, event.index
         assert self.T == sum(S * self.weights[d] for d, S in self.S.items()), event.index
         assert snap.q_quadratic == self.walk_q(state), (event.index, snap.q_quadratic)
         self.events_checked += 1

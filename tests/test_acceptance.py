@@ -257,7 +257,6 @@ class ClassCountingHistory(PairWalkHistory):
 
     wide_events = 0
     rejoins = 0
-    meeting = False
 
     def on_event(self, event, state):
         out = super().on_event(event, state)
@@ -266,16 +265,9 @@ class ClassCountingHistory(PairWalkHistory):
         return out
 
     def _rejoin(self, event):
-        self.meeting = True
-        try:
-            super()._rejoin(event)
-        finally:
-            self.meeting = False
-
-    def _drop(self, s, s2):
-        if self.meeting:
-            ClassCountingHistory.rejoins += 1
-        super()._drop(s, s2)
+        before = self.n_divided
+        super()._rejoin(event)
+        ClassCountingHistory.rejoins += before - self.n_divided
 
 
 def test_criterion_9_non_convex_and_custom_fluxes(monkeypatch):

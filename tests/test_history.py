@@ -77,7 +77,7 @@ def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
     ticks = 3
     state = initial_enumeration(StepFunction.from_jumps([(0.0, next_id - 1), (1.0, 0)]),
                                 StepFunction.from_jumps([(2.0, ticks), (3.0, 0)]), EPS)
-    alive = {s for cls in classes for s in cls}
+    alive = sorted(s for cls in classes for s in cls)
     for w in state.waves:
         if w.id not in alive:
             w.x_a = None
@@ -85,15 +85,14 @@ def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
     assume(crossing)
     for w in state.waves:
         w.speed = float(w.id)      # each wave on a front of its own
-        w.w_hat = 1                # one right state: every pair's d is 1, and L is 1
+        w.w_hat = 1
+    for rank, s in enumerate(alive):
+        state.wave(s).w_hat = rank + 1     # consecutive right states at the meeting
     history = PairWalkHistory(spec=spec, eps=EPS, bounds=bounds)
-    history.initialize(state, [])
-    rec = PartitionRecord(list(classes))
-    for i, ci in enumerate(classes):
-        for cj in classes[i + 1:]:
-            for p in ci:
-                for p2 in cj:
-                    history._set_pair(p, p2, rec)
+    # the classes meet at one point at speeds 0, 1, ...: one record
+    history.initialize(state, [[(cls, float(k)) for k, cls in enumerate(classes)]])
+    rec, = history.records
+    assert rec.classes == classes
     history.walk(Event(
         index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=crossing,
         post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
@@ -101,9 +100,12 @@ def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
     for p, p2 in history.pairs:
         m = m_value(classes, lo, hi, p, p2, EPS)
         assert history.budget(p, p2) == history.P[(p, p2)] == ticks * round(m / EPS), (p, p2)
-    total = sum(history.P.values())
-    assert history.S == ({1: total} if total else {})
-    assert history.T == total * history.L
+    S = {}
+    for key, P in history.P.items():
+        if P:
+            S[history.d(*key)] = S.get(history.d(*key), 0) + P
+    assert history.S == S
+    assert history.T == sum(total * (history.L // d) for d, total in S.items())
 
 
 class LoopHistory(PairWalkHistory):
@@ -136,7 +138,7 @@ class FloatPiHistory(PairHistory):
     at every crossing, summed by the float pair loop of Q, with the joined
     pairs counted over the fronts ``group_fronts`` derives anew; the kept
     right states, and ``T`` from the pairs' budgets and the denominators of
-    the waves' right states, recounted; no stored pair on one regrouped
+    the waves' right states, recounted; no divided pair on one regrouped
     front; and the state's alive counts, recounted from the waves."""
 
     def __init__(self, **kwargs):
@@ -144,10 +146,6 @@ class FloatPiHistory(PairHistory):
         self.pi: dict = {}          # pair key -> float pi, while the pair is divided
         self.snapshots_checked = 0
         self.denominators_peak = 0
-
-    def _drop(self, s, s2):
-        super()._drop(s, s2)
-        self.pi.pop((s, s2), None)
 
     def on_event(self, event, state):
         if event.kind == EventKind.TRANSVERSAL:
@@ -159,7 +157,11 @@ class FloatPiHistory(PairHistory):
                 m = m_value(rec.classes, lo, hi, *key, self.eps)
                 if m > 0.0:
                     self.pi[key] = self.pi.get(key, 0.0) + factor * m
-        return super().on_event(event, state)
+        out = super().on_event(event, state)
+        # a pair no longer divided forgets its pi
+        pairs = self.pairs
+        self.pi = {key: pi for key, pi in self.pi.items() if key in pairs}
+        return out
 
     def float_q(self, state):
         n = len(state.alive_ids())
@@ -228,11 +230,12 @@ class TestPrefixPiMatchesLoop:
             assert fast.budget(*key) == loop.P[key], key
         assert fast.T == loop.T
         assert loop.increments > 0
-        # the registry counts exactly the stored pairs of each record
+        # each live record counts exactly its divided pairs
         grouped: dict = {}
         for rec in fast.pairs.values():
             grouped[rec] = grouped.get(rec, 0) + 1
-        assert fast.records == grouped
+        assert {rec: rec.count for rec in fast.records} == grouped
+        assert fast.n_divided == len(fast.pairs)
 
     @pytest.mark.parametrize("flux,eps,seed,max_waves", CASES)
     def test_integer_q_matches_the_float_pair_loop(self, flux, eps, seed, max_waves):
@@ -245,28 +248,23 @@ class TestPrefixPiMatchesLoop:
 
 class TestRecordRegistry:
     @staticmethod
-    def state_and_record(classes=((1,), (2, 3)), hats=None):
+    def state_and_record(classes=((1,), (2, 3)), cls=PairHistory, **kwargs):
         """A state of alive waves, ids 1 up to the last id of ``classes``, at
         one point, each with a speed of its own (so on a front of its own),
-        with one v-front of 2 ticks to their right, and a record of
-        ``classes`` over them.  Their right states are 1, 2, ..., so a pair
-        (s, s2) of them has d = s2 - s + 1, unless ``hats`` gives them.  The
-        waves of the jump back to 0 at x = 1 complete the state."""
+        with one v-front of 2 ticks to their right, and a history of ``cls``
+        whose L fits their right states, where the classes met at one point,
+        at speeds 0, 1, ...: its one record.  Their right states are 1, 2,
+        ..., so a pair (s, s2) of them has d = s2 - s + 1.  The waves of the
+        jump back to 0 at x = 1 complete the state."""
         state = initial_enumeration(StepFunction.from_jumps([(0.0, classes[-1][-1]), (1.0, 0)]),
                                     StepFunction.from_jumps([(2.0, 2), (3.0, 0)]), EPS)
         for w in state.waves:
             w.speed = float(w.id)
-        for w, hat in zip(state.waves, hats or ()):
-            w.w_hat = hat
-        rec = PartitionRecord(list(classes))
-        return state, rec
-
-    @staticmethod
-    def history(state, cls=PairHistory, **kwargs):
-        """A history of ``cls`` whose L fits the right states of ``state``."""
         history = cls(eps=EPS, **kwargs)
-        history.initialize(state, [])
-        return history
+        history.initialize(state, [[(c, float(k)) for k, c in enumerate(classes)]])
+        rec, = history.records
+        assert rec.classes == list(classes)
+        return state, history, rec
 
     @staticmethod
     def cross(history, state, rec, colliding):
@@ -287,26 +285,24 @@ class TestRecordRegistry:
                      left_ids=left, right_ids=right, canceled=canceled)
 
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
-        # right states 2, 1, 3: the pairs (1, 2) and (1, 3) both have d = 2
-        state, rec = self.state_and_record(hats=(2, 1, 3))
-        history = self.history(state, PairWalkHistory, spec=spec, bounds=bounds)
-        for key in ((1, 2), (1, 3)):
-            history._set_pair(*key, rec)
+        # right states 1, 2, 3: the pairs (1, 2) and (1, 3) have d = 2 and 3
+        state, history, rec = self.state_and_record(cls=PairWalkHistory, spec=spec,
+                                                    bounds=bounds)
         # a crossing of all three waves counts 1 + 2 for either pair
         self.cross(history, state, rec, (1, 2, 3))
-        assert history.records == {rec: 2}
+        assert history.records == [rec] and rec.count == history.n_divided == 2
         assert history.budget(1, 2) == history.budget(1, 3) == 2 * 3
-        assert history.P == {(1, 2): 6, (1, 3): 6} and history.S == {2: 12}
-        w = history.weights[2]
-        assert (rec.up, rec.dn) == ({1: 0, 2: w, 3: w}, {1: 2 * w, 2: 0, 3: 0})
-        assert history.T == 12 * w and history.validate(state) == []
-        # a divided pair that meets again joined leaves pairs, its record's
-        # count, the weights and T
+        assert history.P == {(1, 2): 6, (1, 3): 6} and history.S == {2: 6, 3: 6}
+        w2, w3 = history.weights[2], history.weights[3]
+        assert (rec.up, rec.dn) == ({1: 0, 2: w2, 3: w3}, {1: w2 + w3, 2: 0, 3: 0})
+        assert history.T == 6 * w2 + 6 * w3 and history.validate(state) == []
+        # a divided pair that meets again joined leaves the pairs, its
+        # record's count, the weights and T, and joins the re-joined set
         history._rejoin(self.meet_again(7, (1,), (2,), {1: 0.5, 2: 0.5}))
-        assert list(history.pairs) == [(1, 3)]
-        assert history.records == {rec: 1} and history.S == {2: 6}
-        assert (rec.up, rec.dn) == ({1: 0, 2: 0, 3: w}, {1: w, 2: 0, 3: 0})
-        assert history.T == 6 * w and history.validate(state) == []
+        assert list(history.pairs) == [(1, 3)] and rec.rejoined == {(1, 2)}
+        assert history.records == [rec] and rec.count == 1 and history.S == {3: 6}
+        assert (rec.up, rec.dn) == ({1: 0, 2: 0, 3: w3}, {1: w3, 2: 0, 3: 0})
+        assert history.T == 6 * w3 and history.validate(state) == []
         # one that meets again divided is an error
         with pytest.raises(ValueError, match=r"pair \(1, 3\) met again while divided at event 8"):
             history._rejoin(self.meet_again(8, (1,), (3,), {1: 0.5, 3: 0.75}))
@@ -314,35 +310,32 @@ class TestRecordRegistry:
         # fails the recount
         rec.A[3] += 1
         assert history.validate(state) == [
-            f"kept budget sum T = {6 * w}, recounted {7 * w}"]
+            f"kept budget sum T = {6 * w3}, recounted {7 * w3}"]
         rec.A[3] -= 1
         rec.up[3] += 1
         assert history.validate(state) == [
-            f"record over ids 1..3: kept weight up[3] = {w + 1}, recounted {w}"]
+            f"record over ids 1..3: kept weight up[3] = {w3 + 1}, recounted {w3}"]
         rec.up[3] -= 1
         rec.dn[1] -= 1
         assert history.validate(state) == [
-            f"record over ids 1..3: kept weight dn[1] = {w - 1}, recounted {w}"]
+            f"record over ids 1..3: kept weight dn[1] = {w3 - 1}, recounted {w3}"]
         rec.dn[1] += 1
         history.T += 1
         assert history.validate(state) == [
-            f"kept budget sum T = {6 * w + 1}, recounted {6 * w}"]
+            f"kept budget sum T = {6 * w3 + 1}, recounted {6 * w3}"]
         history.T -= 1
         # a dead wave's pairs leave in the record pass of its cancellation
         state.wave(3).x_a = None
         history._update_records(self.meet_again(9, (2,), (3,), {}, canceled=(3,)), state)
-        assert history.pairs == history.records == history.S == {}
-        assert history.T == 0
+        assert history.pairs == history.S == {} and history.records == []
+        assert history.T == history.n_divided == 0
 
     def test_pair_that_rejoins_at_a_cancellation_leaves_exactly(self, spec, bounds):
         # four one-wave classes, budgets grown by a crossing of waves 2..4;
         # then wave 4 dies at a cancellation of the fronts (2,) and (3, 4),
         # where waves 2 and 3 meet again joined, on one front
-        state, rec = self.state_and_record(((1,), (2,), (3,), (4,)))
-        history = self.history(state, spec=spec, bounds=bounds)
-        for s in range(1, 5):
-            for s2 in range(s + 1, 5):
-                history._set_pair(s, s2, rec)
+        state, history, rec = self.state_and_record(((1,), (2,), (3,), (4,)),
+                                                    spec=spec, bounds=bounds)
         history._grow(rec, 2, 4, 2)
         assert [history.budget(1, s2) for s2 in (2, 3, 4)] == [2, 4, 6]
         assert history.budget(2, 3) == 4
@@ -352,7 +345,8 @@ class TestRecordRegistry:
         history.on_event(event, state)
         # the dead wave's pairs and the re-joined pair are gone, and with
         # them their weights and their budgets' share of T
-        assert set(history.pairs) == {(1, 2), (1, 3)} and history.records == {rec: 2}
+        assert set(history.pairs) == {(1, 2), (1, 3)}
+        assert history.records == [rec] and rec.count == 2 and rec.rejoined == {(2, 3)}
         w = history.weights
         assert history.T == 2 * w[2] + 4 * w[3]
         assert rec.classes == [(1,), (2,), (3,)] and history.validate(state) == []
@@ -360,43 +354,46 @@ class TestRecordRegistry:
     def test_record_left_without_pairs_is_not_refined(self, spec, bounds, monkeypatch):
         # waves 1 and 4 die: every pair of the record goes, so its class
         # (2, 3, 4), cut to (2, 3), is not split again for nothing
-        state, rec = self.state_and_record(((1,), (2, 3, 4)))
-        history = self.history(state, spec=spec, bounds=bounds)
-        for s2 in (2, 3, 4):
-            history._set_pair(1, s2, rec)
+        state, history, rec = self.state_and_record(((1,), (2, 3, 4)), spec=spec, bounds=bounds)
+        assert set(history.pairs) == {(1, 2), (1, 3), (1, 4)}
         splits = []
         monkeypatch.setattr(history, "_split_class",
                             lambda members, *args: splits.append(members) or [members])
         for s in (1, 4):
             state.wave(s).x_a = None
         history._update_records(self.meet_again(9, (1,), (2, 3, 4), {}, canceled=(1, 4)), state)
-        assert history.pairs == history.records == {} and history.T == 0
+        assert history.pairs == {} and history.records == [] and history.T == 0
         assert splits == []
 
     def test_pair_count_off_its_record_fails_validation(self, spec, bounds):
-        state, rec = self.state_and_record()
-        history = self.history(state, spec=spec, bounds=bounds)
-        history._set_pair(1, 2, rec)
-        history.records[rec] += 1
+        state, history, rec = self.state_and_record(spec=spec, bounds=bounds)
+        assert rec.count == 2
+        rec.count += 1
         assert history.validate(state) == [
-            "record over ids 1..3: kept pair count 2, recounted 1"]
+            "record over ids 1..3: kept pair count 3, recounted 2"]
+        rec.count -= 1
+        history.n_divided += 1
+        assert history.validate(state) == ["kept divided pair total 3, recounted 2"]
 
     def test_stored_pair_on_one_kept_front_fails_validation(self, spec, bounds):
-        state, rec = self.state_and_record()
-        state.wave(3).speed = state.wave(2).speed     # waves 2 and 3 share a front
+        # waves 2 and 3 share a front; the record of the meeting of (1,) and
+        # (2, 3) divides only the pairs (1, 2) and (1, 3)
+        state = initial_enumeration(StepFunction.from_jumps([(0.0, 3), (1.0, 0)]),
+                                    StepFunction.from_jumps([(2.0, 2), (3.0, 0)]), EPS)
+        for w in state.waves:
+            w.speed = float(w.id)
+        state.wave(3).speed = state.wave(2).speed
         assert [f.ids for f in state.fronts()][:2] == [(1,), (2, 3)]
-        history = self.history(state, spec=spec, bounds=bounds)
-        history._set_pair(1, 2, rec)
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history.initialize(state, [[((1,), 0.0), ((2, 3), 1.0)]])
         assert history.validate(state) == []
-        # counted once as joined through n_joined and once as stored
-        history._set_pair(2, 3, rec)
-        assert history.validate(state) == ["stored pair (2, 3) lies on one kept front"]
+        # a meeting that divides waves 2 and 3: the pair would be counted
+        # once as joined through n_joined and once as divided
+        history._meet([2, 3], {2: 0.0, 3: 1.0}, 1)
+        assert history.validate(state) == ["divided pair (2, 3) lies on one kept front"]
 
     def test_classes_out_of_id_order_or_stray_potentials_fail_validation(self, spec, bounds):
-        state, rec = self.state_and_record(hats=(2, 1, 3))
-        history = self.history(state, spec=spec, bounds=bounds)
-        for key in ((1, 2), (1, 3)):
-            history._set_pair(*key, rec)
+        state, history, rec = self.state_and_record(spec=spec, bounds=bounds)
         assert history.validate(state) == []
         rec.classes.reverse()
         assert history.validate(state) == ["record over ids 1..3: classes out of id order"]
@@ -407,27 +404,101 @@ class TestRecordRegistry:
                                            "not kept for exactly the waves of its classes"]
 
     def test_class_unclipped_over_a_dead_wave_fails_validation(self, spec, bounds):
-        state, rec = self.state_and_record()
-        history = self.history(state, spec=spec, bounds=bounds)
-        history._set_pair(1, 2, rec)
+        state, history, rec = self.state_and_record(spec=spec, bounds=bounds)
         assert history.validate(state) == []
         # wave 3 dies, but the record keeps its last class
         state.wave(3).x_a = None
         assert history.validate(state) == [
             "record over ids 1..3: class 2..3 holds dead wave 3"]
-        rec.classes[-1] = (2,)
-        rec.forget([3])
-        assert history.validate(state) == []
+        # the record pass of its cancellation cuts the class
+        history._update_records(self.meet_again(9, (2,), (3,), {}, canceled=(3,)), state)
+        assert rec.classes == [(1,), (2,)] and history.validate(state) == []
 
     def test_class_over_a_dead_middle_wave_fails_validation(self, spec, bounds):
         # a class (1, 2, 3) whose middle wave died: both its ends are alive
-        state, rec = self.state_and_record(((1, 2, 3), (4,)))
-        history = self.history(state, spec=spec, bounds=bounds)
-        history._set_pair(1, 4, rec)
+        state, history, rec = self.state_and_record(((1, 2, 3), (4,)), spec=spec, bounds=bounds)
         assert history.validate(state) == []
         state.wave(2).x_a = None
         assert history.validate(state) == [
             "record over ids 1..4: class 1..3 holds dead wave 2"]
+
+    @pytest.mark.parametrize("hats", [(1, 3), (2, 1, 3), (3, 4, 1)])
+    def test_meeting_of_right_states_not_consecutive_raises(self, spec, bounds, hats):
+        # a meeting built by hand: the waves 1.. of the right states ``hats``,
+        # each at a speed of its own
+        state = initial_enumeration(StepFunction.from_jumps([(0.0, 4), (1.0, 0)]),
+                                    StepFunction((), (), 0), EPS)
+        ids = list(range(1, len(hats) + 1))
+        for w in state.waves:
+            w.speed = float(w.id)
+        for s, hat in zip(ids, hats):
+            state.wave(s).w_hat = hat
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history.initialize(state, [])
+        with pytest.raises(ValueError, match=rf"meeting waves \[{', '.join(map(str, ids))}\] "
+                                             rf"at event 7 have right states "
+                                             rf"\[{', '.join(map(str, hats))}\], "
+                                             "not consecutive ticks"):
+            history._meet(ids, {s: float(s) for s in ids}, 7)
+        assert history.records == []
+        # joined waves make no record and need no ranks
+        history._meet(ids, dict.fromkeys(ids, 0.5), 8)
+        assert history.records == []
+
+    def test_meeting_of_descending_right_states_reads_its_ranks(self, spec, bounds):
+        # right states 4, 3, 2, 1 by id: ranks 0..3 from the right state of wave 1
+        state = initial_enumeration(StepFunction.from_jumps([(0.0, 4), (1.0, 0)]),
+                                    StepFunction((), (), 0), EPS)
+        for w in state.waves:
+            w.speed = float(w.id)
+        for s, hat in zip((1, 2, 3, 4), (4, 3, 2, 1)):
+            state.wave(s).w_hat = hat
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history.initialize(state, [[((1,), 0.0), ((2, 3), 0.5), ((4,), 1.0)]])
+        rec, = history.records
+        assert (rec.hat0, rec.cuts) == (4, [0, 1, 3, math.inf])
+        w = history.weights
+        assert rec.up == {1: 0, 2: w[2], 3: w[3], 4: w[4] + w[2] + w[3]}
+        assert rec.dn == {1: w[2] + w[3] + w[4], 2: w[3], 3: w[2], 4: 0}
+        assert set(history.pairs) == {(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}
+        assert rec.count == 5 and history.validate(state) == []
+
+
+# the meeting classes of one record, by size; the dead waves among its ranks;
+# the pairs re-joined, as indices into its divided pairs
+recount_layouts = st.tuples(st.lists(st.integers(1, 4), min_size=2, max_size=6),
+                            st.sets(st.integers(0, 23)), st.sets(st.integers(0, 80)))
+
+
+@given(recount_layouts)
+@settings(max_examples=200, deadline=None)
+def test_recount_equals_the_pair_sums(spec, bounds, layout):
+    # a record's weights and count, recounted in runs of alive ranks, against
+    # the sums over its divided pairs, with dead waves and re-joins anywhere
+    sizes, dead, rejoined = layout
+    n = sum(sizes)
+    state = initial_enumeration(StepFunction.from_jumps([(0.0, n), (1.0, 0)]),
+                                StepFunction((), (), 0), EPS)
+    for w in state.waves:
+        w.speed = float(w.id)
+    history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+    history.initialize(state, [])
+    speeds = {s: float(k) for k, size in enumerate(sizes)
+              for s in range(sum(sizes[:k]) + 1, sum(sizes[:k + 1]) + 1)}
+    history._meet(list(range(1, n + 1)), speeds, 1)
+    rec, = history.records
+    alive = [s for s in range(1, n + 1) if s - 1 not in dead]
+    assume(len({speeds[s] for s in alive}) > 1)
+    rec.classes = [c for c in ([s for s in cls if s in alive] for cls in rec.classes) if c]
+    divided = [(s, s2) for s in alive for s2 in alive if s < s2 and speeds[s] != speeds[s2]]
+    rec.rejoined = {divided[k] for k in rejoined if k < len(divided)}
+    up, dn = dict.fromkeys(alive, 0), dict.fromkeys(alive, 0)
+    for s, s2 in divided:
+        if (s, s2) not in rec.rejoined:
+            w = history.weights[s2 - s + 1]      # right states 1, 2, ..., n
+            up[s2] += w
+            dn[s] += w
+    assert history._recount(rec)[:3] == (up, dn, len(divided) - len(rec.rejoined))
 
 
 class TestQTrans:

@@ -422,12 +422,19 @@ class TestFrontOrdering:
         ("potential", r"kept budget sum T = -?\d+, recounted -?\d+"),
         ("weight", r"record over ids \d+\.\.\d+: kept weight up\[\d+\] = -?\d+, recounted -?\d+"),
         ("T", r"kept budget sum T = -?\d+, recounted -?\d+"),
+        ("cut", r"record over ids \d+\.\.\d+: kept (weight up\[\d+\] = -?|pair count )\d+, "
+                r"recounted -?\d+"),
+        ("rejoined", r"record over ids \d+\.\.\d+: kept (weight up\[\d+\] = -?|pair count )\d+, "
+                     r"recounted -?\d+"),
+        ("count", r"record over ids \d+\.\.\d+: kept pair count \d+, recounted \d+"),
     ])
     def test_run_rejects_a_budget_outside_its_sum(self, monkeypatch, level, when, corrupt,
                                                   problem):
         # the double adds 1 to a potential of one divided pair or to T after
         # event 2, or to a weight of one of its waves after event 2 and every
-        # later event; only the recounts can tell
+        # later event, or after event 2 moves a cut point of its record,
+        # slips the pair into the record's re-joined set or adds 1 to the
+        # record's pair count; only the recounts can tell
         monkeypatch.setattr(scenario, "PairHistory", corrupt_history(2, corrupt))
         cfg = ordering_config(*ORDERING_REPROS[0].values, level)
         with pytest.raises(ValueError, match=when + ".*" + problem):

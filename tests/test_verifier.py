@@ -224,13 +224,12 @@ def per_candidate_lemmas(traj, history):
     out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
     final = steps[-1]
     worst = None
-    for key in history.pairs:
-        rep = final.pairs.get(key)
-        if rep is None or rep.status != "divided":
-            worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
-            break
+    replayed = {k for k, p in final.pairs.items() if p.status == "divided"}
+    for key in sorted(replayed ^ history.pairs.keys())[:1]:
+        worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
+    for key in history.pairs if worst is None else ():
         cand = _equality("replay_pi_match", "global", history.K * history.budget(*key),
-                         rep.pi[key], pair=key)
+                         final.pairs[key].pi[key], pair=key)
         if worst is None or cand.slack < worst.slack:
             worst = cand
     if worst is not None:
@@ -554,6 +553,17 @@ class TestSmallNLemmasFail:
         corrupt_replay(monkeypatch, len(traj.events), corrupt)
         r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
         assert r.context == {"pair": key}
+
+    def test_final_pair_hidden_by_the_history(self, cubic_run, monkeypatch):
+        # the history loses a divided pair that the replay still divides
+        traj, history = cubic_run
+        key = next(iter(history.pairs))
+        pairs = type(history).pairs.fget
+        monkeypatch.setattr(type(history), "pairs",
+                            property(lambda h: {k: r for k, r in pairs(h).items() if k != key}))
+        assert key not in history.pairs
+        r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
+        assert r.context == {"pair": key} and (r.lhs, r.rhs) == (1.0, 0.0)
 
     def test_final_pi_perturbed(self, cubic_run, monkeypatch):
         traj, history = cubic_run

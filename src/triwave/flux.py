@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable
@@ -247,14 +248,13 @@ def _parse_box(raw) -> Box:
 
 
 def _finite(flux: str, what: str, raw) -> float:
-    """``raw`` as a float; raises unless it is a finite number."""
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"flux {flux}: {what} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
+    """``raw`` as a float; raises unless it is a finite number (a bool or a
+    string is not one)."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        raise ValueError(f"flux {flux}: {what} must be a number, got {raw!r}")
+    if not math.isfinite(raw):
         raise ValueError(f"flux {flux}: {what} must be finite, got {raw!r}")
-    return value
+    return float(raw)
 
 
 def make_flux(name: str, params: dict | None = None) -> FluxSpec:

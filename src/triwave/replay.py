@@ -8,26 +8,29 @@ the complete pi map.  It exists to let the lemma-level checks compare the
 shared incremental bookkeeping against a literal reading of the definitions
 on small runs.
 
+The replay keeps only what a check reads.  ``Replay.pairs`` maps each divided
+pair to its history, a ``ReplayPair``, and ``Replay.joined`` is the set of the
+alive pairs whose last meeting left them at one speed.  A pair that never met
+is in neither, and a pair with a dead wave is dropped from both.
+
 Pairs divided at one meeting have one history by definition: the same
 classes and the same pi table, changed by the same events.  So they share one
 ``ReplayPair``: ``_meet`` stores one object for all of them, and ``_step``
 carries each distinct object across an event once and hands the result to
-every pair that held it.  The literal per-pair replay, one object per pair,
-is the test double ``tests/doubles.PerPairReplay``.
+every pair that held it.  The literal per-pair replay, one object per pair
+and a status for every pair, is the test double
+``tests/doubles.PerPairReplay``.
 
-``Replay.run`` streams the steps: each ``ReplayStep`` is a view of the
-replay's live pairs and state, valid until the next step is drawn, so a
-reader checks each step as it is made and nothing is copied.  A step visits
-only the pairs that can change: the divided ones, kept in ``divided``, which
-``_meet`` and ``_step`` update, and the pairs of the waves that died.  The
-view sorts the divided keys once, the one order its readers take them in.
-``tests/doubles.recorded_steps`` copies each step, as a list of steps.
+``Replay.run`` moves the replay across one event at a time and yields the
+event's index and the block fluxes its splits read.  A reader checks
+``pairs``, ``state`` and ``q_quadratic()`` before it draws the next event;
+``tests/doubles.recorded_steps`` copies them after each one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from .flux import FluxTable
@@ -35,14 +38,14 @@ from .history import m_value
 from .simulator import Trajectory
 from .wavefield import BlockFluxes, Event, EventKind, FieldState, apply_event
 
-__all__ = ["ReplayPair", "ReplayStep", "Replay", "MAX_REPLAY_WAVES"]
+__all__ = ["ReplayPair", "Replay", "MAX_REPLAY_WAVES"]
 
 MAX_REPLAY_WAVES = 12
 
 
 @dataclass(frozen=True)
 class ReplayPair:
-    """One pair's reconstructed history at a fixed event time.
+    """One divided pair's reconstructed history at a fixed event time.
 
     Never edited in place: a step that changes a pair replaces it.  That is
     what lets the pairs divided at one meeting share one object, and steps
@@ -51,27 +54,8 @@ class ReplayPair:
     one pair.
     """
 
-    status: str                                  # "never", "joined", "divided", "dead"
-    # divided only: the alive waves of its last meeting, in classes
-    classes: list[list[int]] = field(default_factory=list)
-    pi: dict[tuple[int, int], float] = field(default_factory=dict)
-
-
-@dataclass
-class ReplayStep:
-    """A view of all reconstructed pairs right after one event, not a copy.
-
-    ``pairs`` and ``state`` are the replay's own, live: they hold until the
-    next step is drawn, and a reader must not edit them.  ``divided`` and
-    ``q_quadratic`` are the step's own, made when it is drawn."""
-
-    index: int
-    time: float
-    pairs: dict[tuple[int, int], ReplayPair]
-    divided: list[tuple[int, int]]               # the keys of the divided pairs, in key order
-    state: FieldState                            # the replayed field state
-    fluxes: BlockFluxes                          # the block fluxes the step's splits read
-    q_quadratic: float
+    classes: list[list[int]]                     # the alive waves of its last meeting
+    pi: dict[tuple[int, int], float]
 
 
 class Replay:
@@ -86,30 +70,21 @@ class Replay:
         # the replay's own table: the oracle never reads the run's cached kernels
         self.table = FluxTable(traj.spec, traj.eps)
         self.state: FieldState = traj.initial_state.copy()
-        self.pairs: dict[tuple[int, int], ReplayPair] = {
-            (a, b): ReplayPair(status="never")
-            for a in range(1, n + 1)
-            for b in range(a + 1, n + 1)
-        }
-        self.divided: set[tuple[int, int]] = set()
+        self.pairs: dict[tuple[int, int], ReplayPair] = {}
+        self.joined: set[tuple[int, int]] = set()
         for groups in traj.initial_groups:
             ids = sorted(s for members, _ in groups for s in members)
             self._meet(ids, {s: sp for members, sp in groups for s in members})
 
     # -- driving -------------------------------------------------------------
 
-    def run(self) -> Iterator[ReplayStep]:
-        """The initial step, then one step per event, each made as it is
-        drawn.  Call once: the steps advance the replay's own state.
-
-        Each step is a view: read it before drawing the next.  Steps kept
-        past that, as ``list(run())`` keeps them, all show the final pairs
-        and state; ``tests/doubles.recorded_steps`` copies each one."""
-        fluxes = BlockFluxes(self.state, self.table)
-        yield self._view(0, 0.0, fluxes)
+    def run(self) -> Iterator[tuple[int, BlockFluxes]]:
+        """Index 0 with the initial block fluxes, then each event's index and
+        block fluxes, the replay moved across the event as it is drawn.  Call
+        once: it advances the replay's own state."""
+        yield 0, BlockFluxes(self.state, self.table)
         for event in self.traj.events:
-            fluxes = self._step(event)
-            yield self._view(event.index, event.time, fluxes)
+            yield event.index, self._step(event)
 
     def _step(self, event: Event) -> BlockFluxes:
         """Apply ``event`` and carry every pair history across it; return the
@@ -118,32 +93,27 @@ class Replay:
         apply_event(state, event)
         meeting = event.post_speeds
         fluxes = BlockFluxes(state, self.table)
-        pairs, divided = self.pairs, self.divided
         dead = set(event.canceled)
         if dead:
-            gone = ReplayPair(status="dead")
-            n = len(state.waves)
-            for s in dead:
-                for t in range(1, n + 1):
-                    if t != s:
-                        key = (s, t) if s < t else (t, s)
-                        pairs[key] = gone
-                        divided.discard(key)
+            self.joined = {key for key in self.joined
+                           if key[0] not in dead and key[1] not in dead}
+        pairs: dict[tuple[int, int], ReplayPair] = {}
         # id of an input pair -> (that pair, its output): the pairs that share
         # a history share it after the event; the reference keeps the id taken
         carried: dict[int, tuple[ReplayPair, ReplayPair]] = {}
-        # each distinct history is carried once, whatever the order
-        for key in divided:
+        for key, pair in self.pairs.items():
             s, s2 = key
+            if s in dead or s2 in dead:
+                continue
             if s in meeting and s2 in meeting:
                 if meeting[s] == meeting[s2]:
-                    continue  # met again joined: _meet marks it so
+                    continue  # met again joined: _meet adds it to joined
                 raise ValueError(f"pair {key} met again while divided (event {event.index})")
-            pair = pairs[key]
             memo = carried.get(id(pair))
             if memo is None:
                 memo = carried[id(pair)] = (pair, self._carry(pair, event, dead, fluxes))
             pairs[key] = memo[1]
+        self.pairs = pairs
         self._meet(sorted(meeting), meeting)
         return fluxes
 
@@ -166,14 +136,14 @@ class Replay:
             pi = {pp: val for pp, val in pi.items()
                   if pp[0] not in dead and pp[1] not in dead}
         classes = [piece for cls in classes for piece in self._split(cls, fluxes, event)]
-        new = ReplayPair("divided", classes, pi)
+        new = ReplayPair(classes, pi)
         return pair if new == pair else new
 
     # -- meeting pairs ---------------------------------------------------------
 
     def _meet(self, ids: list[int], speeds: dict[int, float]) -> None:
-        """Pairs sharing the event position: joined or freshly divided, each
-        kind one object for all its pairs."""
+        """Pairs sharing the event position: joined, or freshly divided with
+        one object for all of them."""
         if len(ids) < 2:
             return
         classes: list[list[int]] = []
@@ -184,16 +154,15 @@ class Replay:
                 classes.append([s])
         group_of = {s: k for k, cls in enumerate(classes) for s in cls}
         table = {(a, b): 0.0 for i, a in enumerate(ids) for b in ids[i + 1:]}
-        joined, divided = ReplayPair(status="joined"), ReplayPair("divided", classes, table)
-        pairs, index = self.pairs, self.divided
+        divided = ReplayPair(classes, table)
+        pairs, joined = self.pairs, self.joined
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 if group_of[a] == group_of[b]:
-                    pairs[(a, b)] = joined
-                    index.discard((a, b))
+                    joined.add((a, b))
                 else:
                     pairs[(a, b)] = divided
-                    index.add((a, b))
+                    joined.discard((a, b))
 
     # -- partition refinement ----------------------------------------------------
 
@@ -223,29 +192,24 @@ class Replay:
                 out[-1].append(cur)
         return out
 
-    # -- bookkeeping -----------------------------------------------------------
+    # -- functionals -----------------------------------------------------------
 
-    def _view(self, index: int, time: float, fluxes: BlockFluxes) -> ReplayStep:
-        """The replay as it stands after the event ``index``: live, no copy."""
-        return ReplayStep(index=index, time=time, pairs=self.pairs, divided=sorted(self.divided),
-                          state=self.state, fluxes=fluxes, q_quadratic=self._q_quadratic())
-
-    def _q_quadratic(self) -> float:
+    def q_quadratic(self) -> float:
         """Q: eps^2 times a sum over the alive pairs in id order, to which a
         never-met pair adds ||d2f/dw2|| and a divided pair with right states
         w_hat, w_hat2 its weight pi / ((|w_hat2 - w_hat| + 1) eps)."""
         eps = self.traj.eps
         never = self.traj.bounds.norm_d2_ww
-        pairs = self.pairs
+        pairs, joined = self.pairs, self.joined
         alive = [w for w in self.state.waves if w.alive]
         q = 0.0
         for i, a in enumerate(alive):
             s = a.id
             for b in alive[i + 1:]:
                 key = (s, b.id)
-                pair = pairs[key]
-                if pair.status == "never":
-                    q += never
-                elif pair.status == "divided":
+                pair = pairs.get(key)
+                if pair is not None:
                     q += pair.pi[key] / ((abs(b.w_hat - a.w_hat) + 1) * eps)
+                elif key not in joined:
+                    q += never
         return q * eps**2

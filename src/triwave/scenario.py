@@ -70,6 +70,8 @@ class ScenarioConfig:
             raise ValueError(f"event_guard must be at least 1, got {self.event_guard}")
         if type(self.write_snapshots) is not bool:
             raise ValueError(f"write_snapshots must be true or false, got {self.write_snapshots!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
         _check_flux(self.flux)
         for name in ("w0", "v0"):
             _check_datum(name, getattr(self, name))

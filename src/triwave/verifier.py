@@ -35,10 +35,11 @@ pair's history with full pi tables:
                             to the waves of a nested inner pair is 0
   replay_pi_match           final K * P equals the replayed pi: worst pair
 
-The suite checks each replayed step as the replay makes it and keeps only the
-last one.  The log-2 kernel block is the same in every run: its checks are
-made, and their report text encoded, once per process, and ``write_report``
-splices that text where the block sits among the results.
+The suite checks the replay after each event as the replay moves across it,
+and reads the final pairs once the replay ends: nothing is copied.  The log-2
+kernel block is the same in every run: its checks are made, and their report
+text encoded, once per process, and ``write_report`` splices that text where
+the block sits among the results.
 """
 
 from __future__ import annotations
@@ -353,19 +354,20 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     - ``partition_restriction``, global: the number of nested divided pairs
       whose outer partition does not restrict to the inner pair's waves, or
       whose outer pair lies in those waves with other classes, is 0;
-    - ``replay_pi_match``, global: the final history and the final replayed
-      step divide the same pairs, each with the same pi, ``K * P``.
+    - ``replay_pi_match``, global: the final history and the final replay
+      divide the same pairs, each with the same pi, ``K * P``.
 
     Each per-step ``class_gap_lemma`` and ``outer_pair_pi_agreement`` entry
     and the ``replay_pi_match`` entry is the worst candidate: the first one
-    of least slack in iteration order, divided pairs in the key order of
-    ``step.divided``.  The scan keeps only the running least slack and its
-    arguments and builds one ``CheckResult`` from them.  The chord speeds come from the block fluxes
-    the replay's step built from its own ``FluxTable``, never from the one
-    the run's history filled.
+    of least slack in iteration order, divided pairs in key order.  The scan
+    keeps only the running least slack and its arguments and builds one
+    ``CheckResult`` from them.  The chord speeds come from the block fluxes
+    the replay built from its own ``FluxTable``, never from the one the
+    run's history filled.
 
-    Each step is checked as the replay draws it, and only the last one is
-    kept, for ``replay_pi_match``: nothing is copied.
+    After each event the scan reads the replay's own ``pairs``, ``state``
+    and ``q_quadratic()``, and sorts the divided keys once; after the last,
+    ``replay_pi_match`` reads the final ``pairs``.  Nothing is copied.
 
     Pairs that share a history share one ``ReplayPair``.  The scan reads
     each distinct object once per step: it weighs the class-gap candidates
@@ -380,15 +382,15 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
     joined_violations = 0
     restrict_violations = 0
 
-    for step in Replay(traj).run():
-        scope = f"event:{step.index}"
-        state = step.state
+    replay = Replay(traj)
+    for index, fluxes in replay.run():
+        scope = f"event:{index}"
+        state = replay.state
         # compare replayed Q against the production snapshot
         out.append(_equality("replay_q_quadratic", scope,
-                             step.q_quadratic, traj.snapshots[step.index].q_quadratic))
-        fluxes = step.fluxes
-        keys = step.divided
-        divided = {k: step.pairs[k] for k in keys}
+                             replay.q_quadratic(), traj.snapshots[index].q_quadratic))
+        divided = replay.pairs
+        keys = sorted(divided)
         # whether a class is joined, and its chord speed, whichever pair holds it
         class_of: dict[tuple[int, ...], tuple[bool, float]] = {}
         # per distinct ReplayPair, by id: its count of classes not joined and
@@ -396,7 +398,8 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
         read_of: dict[int, tuple[int, set[int]]] = {}
         gap_at = None      # (gap, pi + LEMMA_TOL, pair, p, p2) of the least slack
         gap_slack = 0.0
-        for key, pair in divided.items():
+        for key in keys:
+            pair = divided[key]
             read = read_of.get(id(pair))
             if read is not None:
                 # a shared history: its candidates were all weighed at the
@@ -475,17 +478,17 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
                                  inner=inner_key, outer=outer_key))
     out.append(_check("partition_classes_joined", "global", float(joined_violations), 0.0))
     out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
-    # ``step`` is the last step, with the replay's final pairs
+    # the replay holds its final pairs
     match_at = None        # (actual, expected, pair) of the least slack
     match_slack = 0.0
     pairs = history.pairs
     # a pair divided on one side only, the least key first
-    unmatched = sorted(pairs.keys() ^ set(step.divided))
+    unmatched = sorted(pairs.keys() ^ replay.pairs.keys())
     if unmatched:
         out.append(_check("replay_pi_match", "global", 1.0, 0.0, pair=unmatched[0]))
         return out
     for key in pairs:
-        actual, expected = history.K * history.budget(*key), step.pairs[key].pi[key]
+        actual, expected = history.K * history.budget(*key), replay.pairs[key].pi[key]
         slack = 0.0 - abs(actual - expected)
         if match_at is None or slack < match_slack:
             match_slack = slack

@@ -358,9 +358,6 @@ class FieldState:
     def wave(self, s: int) -> WaveRecord:
         return self.waves[s - 1]
 
-    def alive_ids(self) -> list[int]:
-        return [w.id for w in self.waves if w.alive]
-
     def tv_ticks(self) -> int:
         return self.n_alive
 

@@ -6,17 +6,17 @@ A CLI run imports this module with ``tests`` on ``PYTHONPATH``.
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
+from dataclasses import dataclass
 from itertools import zip_longest
 from operator import itemgetter
 from pathlib import Path
 
 from triwave.envelopes import SLOPE_TOL, concave_envelope, convex_envelope
 from triwave.flux import FluxTable, PiecewiseAffineFlux
-from triwave.history import PairHistory, m_value
+from triwave.history import PairHistory
 from triwave.replay import Replay, ReplayPair
-from triwave.wavefield import (BlockFluxes, EventKind, Front, StepFunction, _count_alive,
-                               apply_event, position)
+from triwave.wavefield import (BlockFluxes, EventKind, FieldState, Front, StepFunction,
+                               _count_alive, apply_event, position)
 
 
 def value_at(sf, x):
@@ -486,62 +486,62 @@ def pair_weight(pi, w_hat, w_hat2, eps):
     return pi / ((abs(w_hat2 - w_hat) + 1) * eps)
 
 
+@dataclass
+class RecordedStep:
+    """The replay right after one event, copied: the oracle's view of a step."""
+
+    index: int
+    pairs: dict                 # divided pair -> ReplayPair
+    joined: set                 # the alive pairs whose last meeting joined them
+    state: FieldState
+    q_quadratic: float
+
+
 def recorded_steps(replay):
-    """The steps of ``replay.run()`` as a list, each with its own copy of the
-    pairs, the divided index and the state, as the replay's steps read when
-    they are drawn; block fluxes for each copy are built on use."""
-    out = []
-    for step in replay.run():
-        state = step.state.copy()
-        out.append(replace(step, pairs=dict(step.pairs), divided=list(step.divided),
-                           state=state, fluxes=BlockFluxes(state, replay.table)))
-    return out
+    """The steps of ``replay.run()`` as a list of ``RecordedStep``, each with
+    its own copy of the replay's pairs, joined pairs and state as they read
+    right after the event."""
+    return [RecordedStep(index, dict(replay.pairs), set(replay.joined), replay.state.copy(),
+                         replay.q_quadratic())
+            for index, _ in replay.run()]
 
 
 class PerPairReplay(Replay):
-    """``Replay`` with one ``ReplayPair`` per pair: ``_meet`` gives each pair
-    divided at a meeting its own object, and ``_step`` walks every pair and
-    rebuilds every divided pair's classes and pi table on its own.  The
-    oracle of the shared replay, which carries each shared history once and
-    visits only the pairs that can change."""
+    """``Replay`` with one entry per pair: ``status`` holds every pair of the
+    run, ``"never"``, ``"joined"``, ``"divided"`` or ``"dead"``, and each
+    divided pair has a ``ReplayPair`` of its own.  ``_step`` walks every
+    pair and carries each divided one across the event on its own, with no
+    memo; ``q_quadratic`` reads the statuses.  The oracle of the shared
+    replay, which keeps only its divided and joined pairs, carries each
+    shared history once and visits only the divided pairs."""
+
+    def __init__(self, traj):
+        n = len(traj.initial_state.waves)
+        self.status = {(a, b): "never" for a in range(1, n + 1) for b in range(a + 1, n + 1)}
+        super().__init__(traj)
+
+    def with_status(self, status):
+        """The pairs of ``status``, as a set."""
+        return {key for key, st in self.status.items() if st == status}
 
     def _step(self, event):
-        state = self.state
-        apply_event(state, event)
+        apply_event(self.state, event)
         dead = set(event.canceled)
         meeting = event.post_speeds
-        fluxes = BlockFluxes(state, self.table)
-        for key, pair in self.pairs.items():
+        fluxes = BlockFluxes(self.state, self.table)
+        for key, status in self.status.items():
             s, s2 = key
             if s in dead or s2 in dead:
-                self.pairs[key] = ReplayPair(status="dead")
-                self.divided.discard(key)
-                continue
-            if pair.status != "divided":
-                continue
-            if s in meeting and s2 in meeting:
-                if meeting[s] == meeting[s2]:
-                    continue  # met again joined: _meet marks it so
-                raise ValueError(f"pair {key} met again while divided (event {event.index})")
-            classes, pi = pair.classes, pair.pi
-            if event.kind == EventKind.TRANSVERSAL:
-                factor = 2.0 * self.traj.bounds.norm_d3_wwv * event.v_strength
-                crossing = event.colliding
-                pi = {}
-                for pp, val in pair.pi.items():
-                    m = m_value(classes, crossing[0], crossing[-1], pp[0], pp[1],
-                                self.traj.eps)
-                    pi[pp] = val + factor * m if m > 0.0 else val
-            if dead:
-                classes = [[p for p in c if p not in dead] for c in classes]
-                classes = [c for c in classes if c]
-                pi = {pp: val for pp, val in pi.items()
-                      if pp[0] not in dead and pp[1] not in dead}
-            classes = [piece for cls in classes for piece in self._split(cls, fluxes, event)]
-            new = ReplayPair("divided", classes, pi)
-            if new != pair:
-                self.pairs[key] = new
-        self._meet(sorted(event.post_speeds), event.post_speeds)
+                self.status[key] = "dead"
+                self.pairs.pop(key, None)
+                self.joined.discard(key)
+            elif status == "divided":
+                if s in meeting and s2 in meeting:
+                    if meeting[s] == meeting[s2]:
+                        continue  # met again joined: _meet marks it so
+                    raise ValueError(f"pair {key} met again while divided (event {event.index})")
+                self.pairs[key] = self._carry(self.pairs[key], event, dead, fluxes)
+        self._meet(sorted(meeting), meeting)
         return fluxes
 
     def _meet(self, ids, speeds):
@@ -554,12 +554,33 @@ class PerPairReplay(Replay):
             else:
                 classes.append([s])
         group_of = {s: k for k, cls in enumerate(classes) for s in cls}
-        table = {(a, b): 0.0 for i, a in enumerate(ids) for b in ids[i + 1:]}
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 if group_of[a] == group_of[b]:
-                    self.pairs[(a, b)] = ReplayPair(status="joined")
-                    self.divided.discard((a, b))
+                    self.status[(a, b)] = "joined"
+                    self.pairs.pop((a, b), None)
+                    self.joined.add((a, b))
                 else:
-                    self.pairs[(a, b)] = ReplayPair("divided", classes, table)
-                    self.divided.add((a, b))
+                    self.status[(a, b)] = "divided"
+                    self.pairs[(a, b)] = ReplayPair(
+                        [list(c) for c in classes],
+                        {(p, p2): 0.0 for j, p in enumerate(ids) for p2 in ids[j + 1:]})
+                    self.joined.discard((a, b))
+
+    def q_quadratic(self):
+        eps = self.traj.eps
+        alive = [w for w in self.state.waves if w.alive]
+        q = 0.0
+        for i, a in enumerate(alive):
+            for b in alive[i + 1:]:
+                key = (a.id, b.id)
+                if self.status[key] == "never":
+                    q += self.traj.bounds.norm_d2_ww
+                elif self.status[key] == "divided":
+                    q += pair_weight(self.pairs[key].pi[key], a.w_hat, b.w_hat, eps)
+        return q * eps**2
+
+
+def alive_ids(state):
+    """The ids of the alive waves of ``state``, in ascending order."""
+    return [w.id for w in state.waves if w.alive]

@@ -213,12 +213,11 @@ def test_criterion_7_small_n_lemmas():
             names = [c.name for c in res.checks if c.name in lemma_names]
             n_checks += len(names)
             seen.update(names)
-            if flux and wide_class_seed is None and any(
-                len(cls) > 1 for step in Replay(res.trajectory).run()
-                for pair in step.pairs.values() if pair.status == "divided"
-                for cls in pair.classes
-            ):
-                wide_class_seed = seed
+            if flux and wide_class_seed is None:
+                replay = Replay(res.trajectory)
+                if any(len(cls) > 1 for _ in replay.run()
+                       for pair in replay.pairs.values() for cls in pair.classes):
+                    wide_class_seed = seed
     elapsed = time.perf_counter() - start
     # a lemma suite that stops emitting one of its checks fails here
     assert seen == lemma_names

@@ -457,6 +457,12 @@ def test_make_flux_unknown_name():
     ("quadratic_coupled", {"c": math.nan}, "flux quadratic_coupled: c must be finite, got nan"),
     ("quartic", {"c": -math.inf}, "flux quartic: c must be finite, got -inf"),
     ("quartic", {"c": None}, "flux quartic: c must be a number, got None"),
+    ("quadratic_coupled", {"c": True}, "flux quadratic_coupled: c must be a number, got True"),
+    ("quartic", {"c": "0.2"}, "flux quartic: c must be a number, got '0.2'"),
+    ("custom_poly", {"coeffs": [[2, 0, "0.5"]]},
+     "flux custom_poly: coefficient must be a number, got '0.5'"),
+    ("custom_poly", {"coeffs": [[2, 0, False]]},
+     "flux custom_poly: coefficient must be a number, got False"),
     ("custom_poly", {"coeffs": [[2, 0, 0.5], [2, 1, math.inf]]},
      "flux custom_poly: coefficient must be finite, got inf"),
     ("custom_poly", {"coeffs": [[2, 0]]},

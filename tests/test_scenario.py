@@ -684,6 +684,13 @@ class TestCli:
         ("event_guard", 0, "event_guard must be at least 1, got 0"),
         ("event_guard", -1, "event_guard must be at least 1, got -1"),
         ("write_snapshots", "yes", "write_snapshots must be true or false, got 'yes'"),
+        ("flux", {"name": "quadratic_coupled", "params": {"c": "0.2"}},
+         "flux quadratic_coupled: c must be a number, got '0.2'"),
+        ("flux", {"name": "quadratic_coupled", "params": {"c": True}},
+         "flux quadratic_coupled: c must be a number, got True"),
+        ("flux", {"name": "custom_poly", "params": {"coeffs": [[2, 0, "1.0"]]}},
+         "flux custom_poly: coefficient must be a number, got '1.0'"),
+        ("out_dir", 5, "out_dir must be a string or null, got 5"),
     ])
     def test_bad_value_is_a_clean_error(self, tmp_path, key, value, message):
         doc = json.loads(DEMO.read_text())
@@ -838,17 +845,32 @@ def test_no_json_dump_in_the_package():
 
 
 def test_lower_layer_imports_no_simulator():
-    # history and wavefield sit below the simulator in an acyclic module graph;
-    # an empty package object stands in for triwave/__init__.py, which imports
-    # every layer, so only the two modules and their own imports load
-    pkg = Path(__file__).resolve().parents[1] / "src" / "triwave"
-    code = ("import sys, types; "
-            "pkg = types.ModuleType('triwave'); "
-            f"pkg.__path__ = [{str(pkg)!r}]; "
-            "sys.modules['triwave'] = pkg; "
-            "import triwave.history, triwave.wavefield; "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('triwave.'))))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["triwave.envelopes", "triwave.flux", "triwave.history",
-                                   "triwave.riemann", "triwave.wavefield"]
+    # the modules form an acyclic graph in README's order: each imports,
+    # at module top level and never deferred into a function, only modules
+    # listed before it (the package namespace may import any of them)
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    listed = re.search(r"at the top of the file: (.*?)\.\s", readme, re.S).group(1)
+    order = re.findall(r"`(\w+)`", listed)
+    pkg = root / "src" / "triwave"
+    assert sorted(order) == sorted(p.stem for p in pkg.glob("*.py") if p.stem != "__init__")
+    rank = {name: k for k, name in enumerate(order)}
+    wrong = []
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("triwave"):
+                names = [node.module.removeprefix("triwave").lstrip(".")]
+            elif isinstance(node, ast.Import):
+                names = [a.name.removeprefix("triwave.") for a in node.names
+                         if a.name.startswith("triwave.")]
+            else:
+                continue
+            for name in names:
+                below = path.stem == "__init__" or rank.get(name, len(order)) < rank[path.stem]
+                if node not in top or not below:
+                    wrong.append((path.stem, node.lineno, name))
+    assert wrong == []

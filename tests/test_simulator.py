@@ -3,6 +3,7 @@ import pytest
 from doubles import (
     CorruptAfterFirstEvent,
     ReviveAfterFirstCancellation,
+    alive_ids,
     corrupt_history,
     group_fronts,
     swap_kept_ids,
@@ -154,7 +155,7 @@ class TestResolve:
         assert event.canceled == (1, 2)
         assert event.cancellation == pytest.approx(2 * EPS)
         assert event.colliding == (1, 2) and event.post_speeds == {}
-        assert state.alive_ids() == []
+        assert alive_ids(state) == []
         assert state.wave(1).speed is None
 
     def test_partial_cancellation_of_merged_shock(self, spec, flux_table):
@@ -196,7 +197,7 @@ class TestResolve:
         event = resolve(cand, state, flux_table, index=1)
         assert event.kind == EventKind.CANCELLATION
         assert event.canceled == (1, 2)
-        assert state.alive_ids() == []
+        assert alive_ids(state) == []
 
     def test_returned_fronts_are_not_edited_by_later_events(self, flux_table):
         state = prepared_state([(0.0, 4), (1.0, 2), (2.0, 0)], [], flux_table)

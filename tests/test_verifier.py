@@ -176,7 +176,7 @@ def per_candidate_lemmas(traj, history):
         out.append(_equality("replay_q_quadratic", scope,
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
         fluxes = BlockFluxes(state, table)
-        divided = {k: p for k, p in step.pairs.items() if p.status == "divided"}
+        divided = step.pairs
         worst_gap = None
         worst_agree = None
         for (s, s2), pair in divided.items():
@@ -224,8 +224,7 @@ def per_candidate_lemmas(traj, history):
     out.append(_check("partition_restriction", "global", float(restrict_violations), 0.0))
     final = steps[-1]
     worst = None
-    replayed = {k for k, p in final.pairs.items() if p.status == "divided"}
-    for key in sorted(replayed ^ history.pairs.keys())[:1]:
+    for key in sorted(final.pairs.keys() ^ history.pairs.keys())[:1]:
         worst = _check("replay_pi_match", "global", 1.0, 0.0, pair=key)
     for key in history.pairs if worst is None else ():
         cand = _equality("replay_pi_match", "global", history.K * history.budget(*key),
@@ -269,39 +268,42 @@ def small_n_run(seed, flux=None):
 
 
 def corrupt_replay(monkeypatch, at, corrupt):
-    """Hand ``check_small_n_lemmas`` step ``at`` of the replay (an event
-    index) after ``corrupt(step)``.  The step is live, so ``corrupt`` returns
-    a function that undoes its edit, and that runs before the replay
-    advances: no later step sees the edit.  The last step is never undone,
-    because the suite reads it again after the stream, so its corruption
-    need return none."""
+    """Hand ``check_small_n_lemmas`` the replay after event ``at`` (an event
+    index) after ``corrupt(replay)``, with its ``q_quadratic`` read before
+    the edit, so that only the lemma check the edit aims at can fail.
+    ``corrupt`` returns a function that undoes its edit, and that runs
+    before the replay advances: no later event sees the edit.  The last
+    event is never undone, because the suite reads the final pairs after
+    the stream, so its corruption need return none."""
     real = Replay.run
 
     def run_corrupted(self):
-        for step in real(self):
-            undo = corrupt(step) if step.index == at else None
-            yield step
-            if undo is not None and step.index < len(self.traj.events):
+        for index, fluxes in real(self):
+            if index != at:
+                yield index, fluxes
+                continue
+            q = self.q_quadratic()
+            undo = corrupt(self)
+            self.q_quadratic = lambda: q
+            yield index, fluxes
+            del self.q_quadratic
+            if undo is not None and index < len(self.traj.events):
                 undo()
 
     monkeypatch.setattr(Replay, "run", run_corrupted)
 
 
-def divided_pairs(step):
-    return {k: p for k, p in step.pairs.items() if p.status == "divided"}
-
-
-def replace_one(step, key, **changes):
-    """Give pair ``key`` of ``step`` a changed copy of its ``ReplayPair``;
+def replace_one(replay, key, **changes):
+    """Give pair ``key`` of ``replay`` a changed copy of its ``ReplayPair``;
     return the pairs that still hold the object it shared, and a function
     that gives ``key`` the object back."""
-    pair = step.pairs[key]
-    step.pairs[key] = replace(pair, **changes)
+    pair = replay.pairs[key]
+    replay.pairs[key] = replace(pair, **changes)
 
     def undo():
-        step.pairs[key] = pair
+        replay.pairs[key] = pair
 
-    return [k for k, p in step.pairs.items() if p is pair], undo
+    return [k for k, p in replay.pairs.items() if p is pair], undo
 
 
 def only_failure(results, name):
@@ -334,16 +336,16 @@ class TestSmallNLemmas:
         res = run_scenario(REJOIN)
         assert res.passed
         steps = recorded_steps(Replay(res.trajectory))
-        assert steps[3].pairs[(3, 5)].status == "divided"
-        assert steps[4].pairs[(3, 5)].status == "joined"
+        assert (3, 5) in steps[3].pairs and (3, 5) not in steps[3].joined
+        assert (3, 5) in steps[4].joined and (3, 5) not in steps[4].pairs
         # the replay's own Q checks that the history let the pair go
         (at_join,) = [r for r in res.checks
                       if r.name == "replay_q_quadratic" and r.scope == "event:4"]
         assert at_join.passed
 
     def test_the_replayed_steps_are_not_copied(self, monkeypatch):
-        # the suite reads each live step as the replay draws it: the replay's
-        # initial copy of the trajectory's state is the one copy
+        # the suite reads the replay after each event as it is drawn: the
+        # replay's initial copy of the trajectory's state is the one copy
         traj, history = small_n_run(SMALL_N_SEEDS[0], SMALL_N_CUBIC)
         copies = []
         real = FieldState.copy
@@ -386,29 +388,26 @@ class TestSmallNLemmasMatchOracle:
         assert check_small_n_lemmas(traj, history) == per_candidate_lemmas(traj, history)
 
 
-def distinct_divided(steps):
-    """Distinct divided ``ReplayPair`` objects, summed over the steps."""
-    return sum(len({id(p) for p in step.pairs.values() if p.status == "divided"})
-               for step in steps)
-
-
 def replays_agree(traj):
-    """Assert that at every step the shared replay and the per-pair one give
-    each pair the same status, classes and pi, and the same Q; return the
-    distinct divided objects of each, summed over the steps."""
-    shared = recorded_steps(Replay(traj))
-    per_pair = recorded_steps(PerPairReplay(traj))
-    assert [s.index for s in shared] == [s.index for s in per_pair]
-    for a, b in zip(shared, per_pair):
-        assert a.q_quadratic == b.q_quadratic, a.index
-        assert a.pairs.keys() == b.pairs.keys()
-        # the divided keys are the divided pairs, recounted, in key order
-        assert a.divided == sorted(divided_pairs(a)) == b.divided, a.index
-        for key, pair in a.pairs.items():
-            other = b.pairs[key]
-            assert (pair.status, pair.classes, pair.pi) == \
-                (other.status, other.classes, other.pi), (a.index, key)
-    return distinct_divided(shared), distinct_divided(per_pair)
+    """Assert that after every event the shared replay and the per-pair one
+    give the same Q and divide the same pairs, each with the same classes
+    and pi, and that the shared replay's divided and joined pairs are those
+    of the per-pair statuses: a pair never met or with a dead wave is in
+    neither.  Return the distinct divided objects of each, summed over the
+    events."""
+    shared, per_pair = Replay(traj), PerPairReplay(traj)
+    objects = [0, 0]
+    for (index, _), (other, _) in zip(shared.run(), per_pair.run(), strict=True):
+        assert index == other
+        assert shared.q_quadratic() == per_pair.q_quadratic(), index
+        assert set(shared.pairs) == per_pair.with_status("divided"), index
+        assert shared.joined == per_pair.with_status("joined"), index
+        for key, pair in shared.pairs.items():
+            twin = per_pair.pairs[key]
+            assert (pair.classes, pair.pi) == (twin.classes, twin.pi), (index, key)
+        objects[0] += len({id(p) for p in shared.pairs.values()})
+        objects[1] += len({id(p) for p in per_pair.pairs.values()})
+    return objects
 
 
 class TestReplayMatchesPerPair:
@@ -431,16 +430,31 @@ class TestReplayMatchesPerPair:
         shared, per_pair = replays_agree(cubic_run[0])
         assert shared < per_pair
 
-    def test_kept_steps_are_views_of_the_last(self, cubic_run):
-        # steps kept past the next draw all read the final pairs and state;
-        # each keeps its own divided keys, and recorded_steps copies the rest
+    def test_run_yields_each_event_of_the_live_replay(self, cubic_run):
+        # run yields each index and the block fluxes of the replay's own
+        # state; recorded_steps copies the replay after each event
         traj = cubic_run[0]
-        kept = list(Replay(traj).run())
+        replay = Replay(traj)
+        drawn = [(index, fluxes.state is replay.state) for index, fluxes in replay.run()]
         recorded = recorded_steps(Replay(traj))
-        assert len(kept) == len(recorded) > 1
-        assert all(s.pairs is kept[-1].pairs and s.state is kept[-1].state for s in kept)
-        assert [s.divided for s in kept] == [s.divided for s in recorded]
+        assert drawn == [(s.index, True) for s in recorded]
+        assert [s.index for s in recorded] == list(range(len(traj.events) + 1))
+        assert (recorded[-1].pairs, recorded[-1].joined) == (replay.pairs, replay.joined)
         assert recorded[0].pairs != recorded[-1].pairs
+
+    @pytest.mark.parametrize("replay_class", [Replay, PerPairReplay])
+    def test_a_divided_pair_that_meets_again_divided_raises(self, replay_class):
+        # REJOIN's event 4 joins (3, 5) and (4, 5) again; a faster wave 5
+        # would leave them divided at their second meeting
+        traj = run_scenario(REJOIN).trajectory
+        events = list(traj.events)
+        event = events[3]
+        assert event.index == 4 and {3, 4, 5} <= event.post_speeds.keys()
+        speeds = {**event.post_speeds, 5: event.post_speeds[5] + 0.001}
+        events[3] = replace(event, post_speeds=speeds)
+        replay = replay_class(replace(traj, events=events))
+        with pytest.raises(ValueError, match=r"pair \(3, 5\) met again while divided \(event 4\)"):
+            list(replay.run())
 
     def test_the_replay_reads_its_own_table(self, monkeypatch):
         # the simulator hands its table to assign_initial_speeds first
@@ -471,9 +485,9 @@ class TestSmallNLemmasFail:
         # (2, 3) alone with its classes: no other pair reads its pi
         at, key = 3, (2, 3)
 
-        def corrupt(step):
-            assert step.pairs[key].classes == [[2], [3]]
-            sharers, undo = replace_one(step, key, pi={key: -10.0})
+        def corrupt(replay):
+            assert replay.pairs[key].classes == [[2], [3]]
+            sharers, undo = replace_one(replay, key, pi={key: -10.0})
             assert sharers == []
             return undo
 
@@ -486,10 +500,10 @@ class TestSmallNLemmasFail:
     def test_perturbed_outer_pi(self, cubic_run, monkeypatch):
         outer_key, entry = (2, 5), (3, 4)
 
-        def corrupt(step):
-            outer = step.pairs[outer_key]
+        def corrupt(replay):
+            outer = replay.pairs[outer_key]
             bumped = {**outer.pi, entry: outer.pi[entry] + 1.0}
-            sharers, undo = replace_one(step, outer_key, pi=bumped)
+            sharers, undo = replace_one(replay, outer_key, pi=bumped)
             assert sharers == [(2, 4), (3, 4), (3, 5), (4, 5)]
             return undo
 
@@ -505,11 +519,11 @@ class TestSmallNLemmasFail:
         moved = 3
         held = []
 
-        def corrupt(step):
-            wave = step.state.wave(moved)
+        def corrupt(replay):
+            wave = replay.state.wave(moved)
             x_a = wave.x_a
             wave.x_a += 1.0
-            held.extend(c for pair in divided_pairs(step).values() for c in pair.classes
+            held.extend(c for pair in replay.pairs.values() for c in pair.classes
                         if moved in c and len(c) > 1)
 
             def undo():
@@ -525,12 +539,12 @@ class TestSmallNLemmasFail:
     def test_nested_pair_with_other_classes(self, cubic_run, monkeypatch):
         inner_key = (3, 4)
 
-        def corrupt(step):
-            inner = step.pairs[inner_key]
+        def corrupt(replay):
+            inner = replay.pairs[inner_key]
             assert inner.classes == [[2, 3], [4], [5]]
-            assert sorted(divided_pairs(step)) == [
+            assert sorted(replay.pairs) == [
                 (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-            sharers, undo = replace_one(step, inner_key, classes=[[3], [4], [5]])
+            sharers, undo = replace_one(replay, inner_key, classes=[[3], [4], [5]])
             assert sharers == [(2, 4), (2, 5), (3, 5), (4, 5)]
             return undo
 
@@ -545,10 +559,9 @@ class TestSmallNLemmasFail:
         traj, history = cubic_run
         key = next(iter(history.pairs))
 
-        def corrupt(step):
-            # the final step without the pair, in its divided keys too
-            step.pairs.pop(key)
-            step.divided.remove(key)
+        def corrupt(replay):
+            # the final replay without the pair
+            replay.pairs.pop(key)
 
         corrupt_replay(monkeypatch, len(traj.events), corrupt)
         r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")
@@ -569,9 +582,9 @@ class TestSmallNLemmasFail:
         traj, history = cubic_run
         key = next(iter(history.pairs))
 
-        def corrupt(step):
-            rep = step.pairs[key]
-            replace_one(step, key, pi={**rep.pi, key: rep.pi[key] + 1.0})
+        def corrupt(replay):
+            rep = replay.pairs[key]
+            replace_one(replay, key, pi={**rep.pi, key: rep.pi[key] + 1.0})
 
         corrupt_replay(monkeypatch, len(traj.events), corrupt)
         r = only_failure(check_small_n_lemmas(traj, history), "replay_pi_match")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from doubles import (
+    alive_ids,
     multipass_validate_enumeration,
     reconstruct_profile,
     swap_end_positions,
@@ -391,7 +392,7 @@ class TestBlockFluxes:
                 assert np.array_equal(fluxes.flux([s]).values, want.values)
                 assert fluxes.flux([s]) is fluxes.flux(blk)
             assert fluxes._block(blk[0]) == blk == walk_block(state, blk[0])
-            beyond = [s for s in state.alive_ids() if s > blk[-1]]
+            beyond = [s for s in alive_ids(state) if s > blk[-1]]
             if beyond:
                 with pytest.raises(ValueError, match="span two homogeneous blocks"):
                     fluxes.flux([blk[-1], beyond[0]])
@@ -422,7 +423,7 @@ def test_block_matches_the_id_walk_after_every_event(monkeypatch):
     def compare(cand, state, flux_table, index):
         event = real(cand, state, flux_table, index)
         fluxes, fronts = BlockFluxes(state, flux_table), state.fronts()
-        for s in state.alive_ids():
+        for s in alive_ids(state):
             blk = fluxes._block(s)
             assert blk == walk_block(state, s), (index, s)
             seen["multi_front_blocks"] += len(blk) > len(fronts[front_index(fronts, s)].ids)

@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .scenario import ScenarioConfig, batch, run_scenario
 from .verifier import CHECK_LEVELS
@@ -68,10 +69,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     config = ScenarioConfig.from_json(args.config)
+    # replace, not assign: the config checks the values it is given
     if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     if getattr(args, "check_level", None):
-        config.check_level = args.check_level
+        config = replace(config, check_level=args.check_level)
 
     if args.command == "run":
         result = run_scenario(config, out_dir=args.out)

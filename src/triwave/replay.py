@@ -11,7 +11,11 @@ on small runs.
 The replay keeps only what a check reads.  ``Replay.pairs`` maps each divided
 pair to its history, a ``ReplayPair``, and ``Replay.joined`` is the set of the
 alive pairs whose last meeting left them at one speed.  A pair that never met
-is in neither, and a pair with a dead wave is dropped from both.
+is in neither, and a pair with a dead wave is dropped from both.  So Q reads
+only these two and the replay's own waves: one weight per divided pair and,
+for the never-met pairs, their count, the alive pairs less the divided and
+the joined ones.  It costs O(divided pairs) and, summed by ``math.fsum``, has
+the same bits in whatever order ``pairs`` holds its entries.
 
 Pairs divided at one meeting have one history by definition: the same
 classes and the same pi table, changed by the same events.  So they share one
@@ -29,6 +33,7 @@ event's index and the block fluxes its splits read.  A reader checks
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -195,21 +200,18 @@ class Replay:
     # -- functionals -----------------------------------------------------------
 
     def q_quadratic(self) -> float:
-        """Q: eps^2 times a sum over the alive pairs in id order, to which a
-        never-met pair adds ||d2f/dw2|| and a divided pair with right states
-        w_hat, w_hat2 its weight pi / ((|w_hat2 - w_hat| + 1) eps)."""
+        """Q: eps^2 times the correctly rounded sum of one term per divided
+        pair with right states w_hat, w_hat2, its weight
+        pi / ((|w_hat2 - w_hat| + 1) eps), and one term for the never-met
+        pairs, their count times ||d2f/dw2||.  The never-met pairs are the
+        alive pairs of the replay's own waves that are in neither ``pairs``
+        nor ``joined``; ``math.fsum`` makes the result independent of the
+        order of ``pairs``."""
         eps = self.traj.eps
-        never = self.traj.bounds.norm_d2_ww
-        pairs, joined = self.pairs, self.joined
-        alive = [w for w in self.state.waves if w.alive]
-        q = 0.0
-        for i, a in enumerate(alive):
-            s = a.id
-            for b in alive[i + 1:]:
-                key = (s, b.id)
-                pair = pairs.get(key)
-                if pair is not None:
-                    q += pair.pi[key] / ((abs(b.w_hat - a.w_hat) + 1) * eps)
-                elif key not in joined:
-                    q += never
-        return q * eps**2
+        wave = self.state.wave
+        n = sum(w.alive for w in self.state.waves)
+        never = n * (n - 1) // 2 - len(self.pairs) - len(self.joined)
+        terms = [pair.pi[(s, s2)] / ((abs(wave(s2).w_hat - wave(s).w_hat) + 1) * eps)
+                 for (s, s2), pair in self.pairs.items()]
+        terms.append(never * self.traj.bounds.norm_d2_ww)
+        return eps**2 * math.fsum(terms)

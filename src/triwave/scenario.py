@@ -35,11 +35,17 @@ __all__ = [
     "run_scenario",
     "batch",
     "ARTIFACTS",
+    "MAX_BOX_TICKS",
 ]
 
 log = logging.getLogger("triwave.scenario")
 
 _RANDOM_KEYS = ("jumps", "max_amplitude", "max_waves", "max_fronts")
+
+# the most ticks the flux box may span on either axis at a run's eps: 78
+# times the 1280 w ticks of eps 0.00125 on the default box, and about 3.2 MB
+# per interpolant of the box
+MAX_BOX_TICKS = 100_000
 
 
 @dataclass
@@ -66,6 +72,8 @@ class ScenarioConfig:
         for name in ("seed", "event_guard"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.event_guard < 1:
             raise ValueError(f"event_guard must be at least 1, got {self.event_guard}")
         if type(self.write_snapshots) is not bool:
@@ -248,8 +256,18 @@ def _run_scenario(config: ScenarioConfig, target: Path | None) -> ScenarioResult
     """The run of ``run_scenario``, writing its artifacts into ``target``
     unless it is None."""
     spec, bounds = flux_constants(config.flux)
-    w0, v0 = build_initial_data(config, spec)
     box, eps = spec.box, config.eps
+    # the data builder and every interpolant of the box work over its ticks
+    for axis, ticks in (("w", box.w_ticks), ("v", box.v_ticks)):
+        try:
+            lo, hi = ticks(eps)
+            span = hi - lo
+        except OverflowError:  # at a subnormal eps, a box edge over eps is inf
+            span = math.inf
+        if span > MAX_BOX_TICKS:
+            raise ValueError(f"eps {eps} is too fine for the flux box: its {axis} axis spans "
+                             f"{span:.6g} ticks, more than MAX_BOX_TICKS = {MAX_BOX_TICKS}")
+    w0, v0 = build_initial_data(config, spec)
     for name, part, (lo, hi), (b_lo, b_hi) in (
             ("w0", w0, box.w_ticks(eps), (box.w_min, box.w_max)),
             ("v0", v0, box.v_ticks(eps), (box.v_min, box.v_max))):

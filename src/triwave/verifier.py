@@ -340,8 +340,9 @@ def check_small_n_lemmas(traj: Trajectory, history: PairHistory) -> list[CheckRe
 
     Emits six checks:
 
-    - ``replay_q_quadratic``, per step: the replayed quadratic functional
-      equals the production snapshot;
+    - ``replay_q_quadratic``, per step: the replayed quadratic functional,
+      one correctly rounded sum over the replay's divided pairs and its
+      count of never-met pairs, equals the production snapshot;
     - ``class_gap_lemma``, per step with a divided pair: for every divided
       pair, classes i < j and members p of i, p2 of j, the chord-speed gap
       sigma_i - sigma_j is at most pi(p, p2) + ``LEMMA_TOL``;

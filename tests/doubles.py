@@ -568,17 +568,14 @@ class PerPairReplay(Replay):
                     self.joined.discard((a, b))
 
     def q_quadratic(self):
+        """The replay's sum, read from the statuses: one weight per divided
+        pair and ``||d2f/dw2||`` per never-met one, summed by ``math.fsum``."""
         eps = self.traj.eps
-        alive = [w for w in self.state.waves if w.alive]
-        q = 0.0
-        for i, a in enumerate(alive):
-            for b in alive[i + 1:]:
-                key = (a.id, b.id)
-                if self.status[key] == "never":
-                    q += self.traj.bounds.norm_d2_ww
-                elif self.status[key] == "divided":
-                    q += pair_weight(self.pairs[key].pi[key], a.w_hat, b.w_hat, eps)
-        return q * eps**2
+        wave = self.state.wave
+        terms = [pair_weight(self.pairs[key].pi[key], wave(key[0]).w_hat, wave(key[1]).w_hat, eps)
+                 for key in self.with_status("divided")]
+        terms.append(len(self.with_status("never")) * self.traj.bounds.norm_d2_ww)
+        return eps**2 * math.fsum(terms)
 
 
 def alive_ids(state):

@@ -18,11 +18,13 @@ bytes, a JSON file in its parsed values:
   pair keys of the lemma checks' worst candidates.
 
 For each file it prints whether it changed and, per changed CSV column, the
-worst relative change.  Run it only in a change that alters these bytes
-on purpose, and copy what it prints into CHANGES.md (README, "Golden
-artifacts").  With ``--check`` it prints the same report, writes nothing and
-exits 1 if any file would change.  ``tests/test_scenario.py`` reads the same
-cases.
+worst relative change; per check name of a changed ``report.json``, how many
+of its entries changed and, per changed field (``lhs``, ``rhs``, ``slack``,
+each ``context`` entry), the worst relative change of its numbers.  Run it
+only in a change that alters these bytes on purpose, and copy what it prints
+into CHANGES.md (README, "Golden artifacts").  With ``--check`` it prints
+the same report, writes nothing and exits 1 if any file would change.
+``tests/test_scenario.py`` reads the same cases.
 """
 
 from __future__ import annotations
@@ -90,6 +92,11 @@ def same(name: str, old: bytes, new: bytes) -> bool:
     return old == new
 
 
+def relative(x: float, y: float) -> float:
+    """The relative change from ``x`` to ``y``; 0 when they are equal."""
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
 def column_changes(old: bytes, new: bytes) -> dict[str, float | str]:
     """Per column that differs: the worst relative change of its values, or a
     note when the two files do not line up row for row."""
@@ -107,10 +114,51 @@ def column_changes(old: bytes, new: bytes) -> dict[str, float | str]:
             except ValueError:
                 out[name] = "non-numeric change"
                 continue
-            rel = abs(x - y) / max(abs(x), abs(y))
             if not isinstance(out.get(name), str):
-                out[name] = max(out.get(name, 0.0), rel)
+                out[name] = max(out.get(name, 0.0), relative(x, y))
     return out
+
+
+def values_of(check: dict) -> dict[str, object]:
+    """The fields of a report entry that hold its values: ``passed``,
+    ``lhs``, ``rhs``, ``slack`` and each ``context`` entry."""
+    return {key: check[key] for key in ("passed", "lhs", "rhs", "slack")} | check["context"]
+
+
+def check_changes(old: bytes, new: bytes) -> dict[str, str]:
+    """Per check name whose entries differ: how many of them changed and,
+    per changed field, the worst relative change of its numbers, or a note
+    when the two reports do not line up entry for entry."""
+    checks_old, checks_new = json.loads(old)["checks"], json.loads(new)["checks"]
+    if [(c["name"], c["scope"]) for c in checks_old] != \
+            [(c["name"], c["scope"]) for c in checks_new]:
+        return {"*": f"{len(checks_old)} checks -> {len(checks_new)} checks, "
+                     f"or another name or scope"}
+    totals: dict[str, int] = {}
+    changed: dict[str, int] = {}
+    worst: dict[str, dict[str, float | str]] = {}
+    for a, b in zip(checks_old, checks_new):
+        name = a["name"]
+        totals[name] = totals.get(name, 0) + 1
+        if a == b:
+            continue
+        changed[name] = changed.get(name, 0) + 1
+        fields = worst.setdefault(name, {})
+        values_a, values_b = values_of(a), values_of(b)
+        for key in values_a.keys() | values_b.keys():
+            x, y = values_a.get(key), values_b.get(key)
+            if x == y or isinstance(fields.get(key), str):
+                continue
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+                fields[key] = max(fields.get(key, 0.0), relative(x, y))
+            else:
+                fields[key] = "non-numeric change"
+    if not changed:
+        return {"*": "parsed values differ outside the checks"}
+    return {name: f"{count} of {totals[name]} entries; " + ", ".join(
+                f"{key} {val:.3g} relative" if isinstance(val, float) else f"{key}: {val}"
+                for key, val in sorted(worst[name].items()))
+            for name, count in changed.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
                 if not old:
                     changes = {"*": "new file"}
                 elif name.endswith(".json"):
-                    changes = {"*": "parsed values differ"}
+                    changes = check_changes(old, new)
                 else:
                     changes = column_changes(old, new)
                 print(f"{label_of(path)}: {'would change' if check else 'rewritten'}; "

@@ -15,12 +15,13 @@ import pytest
 
 import golden.regen as regen
 from doubles import write_config
-from golden.regen import GOLDEN, column_changes, golden_cases
+from golden.regen import GOLDEN, check_changes, column_changes, golden_cases
 from test_acceptance import ensemble_config
 from triwave import cli, scenario, wavefield
 from triwave.flux import flux_constants, flux_table
 from triwave.scenario import (
     ARTIFACTS,
+    MAX_BOX_TICKS,
     ScenarioConfig,
     batch,
     build_initial_data,
@@ -245,6 +246,28 @@ class TestRunScenario:
         assert column_changes(old, new) == {"q_quadratic": pytest.approx(1e-9)}
         assert list(column_changes(old, old + b"2,3.0\r\n")) == ["*"]
 
+    def test_regen_reports_the_changed_checks(self):
+        def report(*checks):
+            return json.dumps({"passed": True, "summary": {}, "checks": [
+                {"name": name, "scope": f"event:{k}", "lhs": lhs, "rhs": 0.0,
+                 "slack": -lhs, "passed": True, "context": context}
+                for k, (name, lhs, context) in enumerate(checks)]}).encode()
+
+        old = report(("replay_q_quadratic", 1e-16, {"actual": 0.25}),
+                     ("replay_q_quadratic", 0.0, {"actual": 0.5}),
+                     ("class_gap_lemma", 0.0, {"pair": [2, 4]}))
+        new = report(("replay_q_quadratic", 0.0, {"actual": 0.2500000001}),
+                     ("replay_q_quadratic", 0.0, {"actual": 0.5}),
+                     ("class_gap_lemma", 0.0, {"pair": [2, 5]}))
+        assert check_changes(old, new) == {
+            "replay_q_quadratic": "1 of 2 entries; actual 4e-10 relative, lhs 1 relative, "
+                                  "slack 1 relative",
+            "class_gap_lemma": "1 of 1 entries; pair: non-numeric change",
+        }
+        assert list(check_changes(old, new.replace(b"event:2", b"event:3"))) == ["*"]
+        assert list(check_changes(old, old.replace(b'"passed": true, "summary"',
+                                                   b'"passed": false, "summary"'))) == ["*"]
+
     def test_regen_compares_a_report_by_its_parsed_values(self):
         report = b'{"passed": true, "summary": {"main_theorem": {"min_slack": 0.5}}}'
         assert regen.same("report.json", report, report.replace(b": ", b":"))
@@ -349,6 +372,48 @@ class TestRunScenario:
         assert ("error: w0 takes tick 17 (w = 0.85), outside the flux box: "
                 "w in [-0.8, 0.79999999998] is ticks [-16, 16] at eps 0.05"
                 ) in capsys.readouterr().err
+
+    def test_a_box_of_more_than_max_box_ticks_fails_fast(self, tmp_path, capsys):
+        # the default box spans 1.6 in w: 160,000 ticks at eps 1e-5, one
+        # tick of data or not; at eps 1.6e-5 it spans the cap and runs
+        doc = {"check_level": "fast", "eps": 1e-5, "w0": {"jumps": [[1.0, 1], [2.0, 0]]},
+               "v0": {"jumps": []}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: eps 1e-05 is too fine for the flux box: its w axis spans 160000 ticks, "
+            f"more than MAX_BOX_TICKS = {MAX_BOX_TICKS}\n")
+        assert MAX_BOX_TICKS == 100_000
+        # at the least subnormal eps the box spans more ticks than any float
+        cfg_path.write_text(json.dumps({**doc, "eps": 5e-324}))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert "its w axis spans inf ticks" in capsys.readouterr().err
+        assert run_scenario(ScenarioConfig(**{**doc, "eps": 1.6e-5})).passed
+
+    @pytest.mark.parametrize("data", [
+        {}, {"w0": {"jumps": [[1.0, 1], [2.0, 0]]}, "v0": {"jumps": []}},
+    ], ids=["random", "jumps"])
+    def test_an_eps_of_1e_300_fails_fast(self, tmp_path, data):
+        # without the cap the data builder or the interpolant of the box
+        # allocates per tick; the child's address space is capped at 1 GB so
+        # that such a run ends in a MemoryError, not on the host's memory
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"check_level": "fast", "eps": 1e-300, **data}))
+        code = ("import resource, sys, time; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                "from triwave.cli import main; "
+                "start = time.perf_counter(); code = main(sys.argv[1:]); "
+                "print(time.perf_counter() - start); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code, "run", "--config", str(cfg_path)],
+                              capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("error: eps 1e-300 is too fine for the flux box: its w axis "
+                               "spans 1.6e+300 ticks, more than MAX_BOX_TICKS = 100000\n")
+        assert float(proc.stdout) < 1.0
 
     def test_empty_datum_trivial_report(self, tmp_path):
         cfg = ScenarioConfig(w0={"jumps": []}, v0={"jumps": []})
@@ -560,6 +625,11 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "seed=9" in proc.stdout
 
+    def test_a_negative_seed_override_is_a_clean_error(self):
+        proc = self.run_cli("run", "--config", str(DEMO), "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
+
     def test_small_n_guard_is_a_clean_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(ScenarioConfig(
@@ -640,6 +710,7 @@ class TestCli:
         ("eps", "0.05", "eps must be a positive number, got '0.05'"),
         ("eps", True, "eps must be a positive number, got True"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
         ("event_guard", "10", "event_guard must be an integer, got '10'"),
         ("flux", {"name": "quartic", "params": {"k": 1}}, "flux quartic: unknown params k"),
         ("flux", {"name": "quadratic_coupled", "params": {"box": [-0.8, 0.8]}},

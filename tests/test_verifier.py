@@ -470,6 +470,40 @@ class TestReplayMatchesPerPair:
         assert Replay(traj).table is not replay.table
 
 
+def q_reads_the_same_reversed(traj):
+    """Assert that after every event the replay's Q has the same bits once
+    ``pairs`` and ``joined`` are rebuilt in reversed insertion order; the
+    replay goes on from the reversed ones.  Return the number of events
+    whose reversed ``pairs`` list its keys in another order."""
+    replay = Replay(traj)
+    reordered = 0
+    for index, _ in replay.run():
+        q = replay.q_quadratic()
+        keys = list(replay.pairs)
+        replay.pairs = dict(reversed(replay.pairs.items()))
+        replay.joined = set(reversed(list(replay.joined)))
+        assert replay.q_quadratic().hex() == q.hex(), index
+        reordered += list(replay.pairs) != keys
+    return reordered
+
+
+class TestQIsOrderFree:
+    """The replay's Q does not depend on the order in which ``pairs`` and
+    ``joined`` hold their entries, so a reader may visit the divided pairs
+    one shared history at a time."""
+
+    def test_rejoin_datum(self):
+        assert q_reads_the_same_reversed(run_scenario(REJOIN).trajectory) > 0
+
+    def test_cubic_datum(self, cubic_run):
+        assert q_reads_the_same_reversed(cubic_run[0]) > 0
+
+    @pytest.mark.parametrize("flux", [None, SMALL_N_CUBIC], ids=["quadratic", "cubic"])
+    def test_criterion_7_data(self, flux):
+        assert sum(q_reads_the_same_reversed(small_n_run(seed, flux)[0])
+                   for seed in SMALL_N_SEEDS) > 0
+
+
 class TestSmallNLemmasFail:
     """Each lemma check fails on a replay with one corrupted step, and names
     what was corrupted.  At step 1, a crossing, the pairs of waves 2 to 5

@@ -97,7 +97,7 @@ __all__ = [
 log = logging.getLogger("triwave.history")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FunctionalSnapshot:
     """Functional values right after event ``index`` (index 0 = initial data)."""
 
@@ -109,7 +109,7 @@ class FunctionalSnapshot:
     sum_abs_dsigma: float
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class PartitionRecord:
     """Shared partition for the pairs divided at one meeting: its classes,
     in ascending id order, each the tuple of its alive waves in ascending id
@@ -241,6 +241,8 @@ class PairHistory:
         self.cum = [0, 0, 1]
         # sum of P * L / d over the divided pairs
         self.T = 0
+        # (id, |v jump| * eps) per first-family front; initialize sets it
+        self.v_strengths: list[tuple[int, float]] = []
 
     def _record_of(self, s: int, s2: int) -> PartitionRecord | None:
         """The record of the divided pair (s, s2), s < s2, or None if the
@@ -359,9 +361,11 @@ class PairHistory:
     # -- construction ------------------------------------------------------
 
     def initialize(self, state: FieldState, initial_groups) -> FunctionalSnapshot:
-        """Keep the waves' right states and fix L from them, and record the
-        pair relations created by the initial Riemann problems."""
+        """Keep the waves' right states and the first-family strengths, fix
+        L from the right states, and record the pair relations created by
+        the initial Riemann problems."""
         self.hats = hats = [w.w_hat for w in state.waves]
+        self.v_strengths = [(vf.id, vf.strength_ticks * self.eps) for vf in state.v_fronts]
         d_max = max(hats) - min(hats) + 1 if hats else 1
         self.L = math.lcm(*range(1, d_max + 1))
         self.weights = [0] + [self.L // d for d in range(1, d_max + 1)]
@@ -556,10 +560,12 @@ class PairHistory:
 
         Read from the state's kept alive counts per ``crossed`` value in
         O(v-fronts): the waves ahead of front h are those with ``crossed < h``.
+        The strengths are the ones ``initialize`` kept: no event changes a
+        v jump.
         """
         ahead, eps, total = [0, *accumulate(state.per_crossed)], self.eps, 0.0
-        for vf in state.v_fronts:   # a loop: sum() rounds otherwise from Python 3.12
-            total += vf.strength_ticks * eps * ahead[vf.id] * eps
+        for h, strength in self.v_strengths:   # a loop: sum() rounds otherwise from Python 3.12
+            total += strength * ahead[h] * eps
         return total
 
     def snapshot(self, state: FieldState, index: int, sum_abs_dsigma: float) -> FunctionalSnapshot:

@@ -10,7 +10,6 @@ check fails.  Every JSON artifact is one line of JSON.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import logging
 import math
@@ -24,7 +23,8 @@ from .flux import FluxSpec, flux_constants, validate_chords
 from .history import PairHistory
 from .replay import MAX_REPLAY_WAVES
 from .simulator import Trajectory, run
-from .verifier import CHECK_LEVELS, CheckResult, run_verifier, summarize, write_report
+from .verifier import (CHECK_LEVELS, CheckResult, FloatTexts, run_verifier, summarize,
+                       write_report)
 from .wavefield import StepFunction, snapshot
 
 __all__ = [
@@ -301,9 +301,13 @@ def _run_scenario(config: ScenarioConfig, target: Path | None) -> ScenarioResult
 
     if target is not None:
         target.mkdir(parents=True, exist_ok=True)
-        _atomic_write(target / "events.csv", lambda fh: _write_events(fh, traj))
-        _atomic_write(target / "functionals.csv", lambda fh: _write_functionals(fh, traj))
-        _atomic_write(target / "report.json", lambda fh: write_report(checks, summary, fh))
+        # each float's text is made once for the three files
+        texts = FloatTexts()
+        _atomic_write(target / "events.csv", lambda fh: _write_events(fh, traj, texts))
+        _atomic_write(target / "functionals.csv",
+                      lambda fh: _write_functionals(fh, traj, texts))
+        _atomic_write(target / "report.json",
+                      lambda fh: write_report(checks, summary, fh, texts))
         # out_dir null: a replay of config.json never writes over this run
         resolved = {**vars(config), "out_dir": None}
         _atomic_write(target / "config.json", lambda fh: _write_json(fh, resolved))
@@ -338,33 +342,29 @@ def _write_json(fh, doc: dict) -> None:
     fh.write(json.dumps(doc) + "\n")
 
 
-def _write_events(fh, traj: Trajectory) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["j", "t", "x", "kind", "n_waves", "v_strength", "cancellation"])
-    for ev in traj.events:
-        writer.writerow([
-            ev.index,
-            repr(ev.time),
-            repr(ev.x),
-            ev.kind.value,
-            len(ev.post_speeds),
-            repr(ev.v_strength),
-            repr(ev.cancellation),
-        ])
+def _csv_text(x, texts: FloatTexts) -> str:
+    """The text ``csv.writer`` gives ``repr(x)``: a float's from ``texts``."""
+    return texts[x] if type(x) is float else repr(x)
 
 
-def _write_functionals(fh, traj: Trajectory) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["j", "t", "tv_w", "q_trans", "q_quadratic", "sum_abs_dsigma"])
-    for snap in traj.snapshots:
-        writer.writerow([
-            snap.index,
-            repr(snap.time),
-            repr(snap.tv_w),
-            repr(snap.q_trans),
-            repr(snap.q_quadratic),
-            repr(snap.sum_abs_dsigma),
-        ])
+def _write_events(fh, traj: Trajectory, texts: FloatTexts) -> None:
+    """events.csv, the bytes ``csv.writer`` writes for its rows."""
+    fh.write("j,t,x,kind,n_waves,v_strength,cancellation\r\n")
+    fh.write("".join([
+        f"{ev.index},{_csv_text(ev.time, texts)},{_csv_text(ev.x, texts)},{ev.kind.value},"
+        f"{len(ev.post_speeds)},{_csv_text(ev.v_strength, texts)},"
+        f"{_csv_text(ev.cancellation, texts)}\r\n"
+        for ev in traj.events]))
+
+
+def _write_functionals(fh, traj: Trajectory, texts: FloatTexts) -> None:
+    """functionals.csv, the bytes ``csv.writer`` writes for its rows."""
+    fh.write("j,t,tv_w,q_trans,q_quadratic,sum_abs_dsigma\r\n")
+    fh.write("".join([
+        f"{snap.index},{_csv_text(snap.time, texts)},{_csv_text(snap.tv_w, texts)},"
+        f"{_csv_text(snap.q_trans, texts)},{_csv_text(snap.q_quadratic, texts)},"
+        f"{_csv_text(snap.sum_abs_dsigma, texts)}\r\n"
+        for snap in traj.snapshots]))
 
 
 def _batch_child(args: tuple) -> tuple[int, bool, dict, str | None]:

@@ -67,7 +67,7 @@ class EventGuardExceeded(ValueError):
     """A run needed more events than its ``event_guard`` allows."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CollisionCandidate:
     time: float
     x: float

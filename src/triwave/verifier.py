@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import json
+import json.encoder
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -58,6 +59,7 @@ from .wavefield import Event, EventKind, position
 __all__ = [
     "CheckResult",
     "CHECK_LEVELS",
+    "FloatTexts",
     "REL_TOL",
     "check_transversal_speed",
     "check_cancellation",
@@ -79,7 +81,7 @@ LOG2 = math.log(2.0)
 LEMMA_TOL = 1e-9    # absolute slack on pi in the class-gap lemma
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckResult:
     name: str
     scope: str
@@ -320,7 +322,8 @@ def _log2_block() -> tuple[CheckResult, ...]:
 def _log2_text() -> str:
     """The report text of ``_log2_block``: its entries of the ``checks``
     list, without the brackets."""
-    return json.dumps([r.as_dict() for r in _log2_block()])[1:-1]
+    texts = FloatTexts()
+    return ", ".join([_entry(r, texts) for r in _log2_block()])
 
 
 def check_log2_kernel() -> list[CheckResult]:
@@ -547,26 +550,92 @@ def summarize(results: list[CheckResult]) -> dict:
     return summary
 
 
-def write_report(results: list[CheckResult], summary: dict, fh) -> bool:
+class FloatTexts(dict):
+    """One run's text of each float: ``texts[x]`` is ``float.__repr__(x)``,
+    made on the first lookup of the value and kept.  That is the text
+    ``csv.writer`` and ``json.dumps`` write for a finite float; JSON spells
+    NaN and the infinities otherwise (``_json``).
+
+    Look up floats only (``type(x) is float``): ``1 == 1.0`` and
+    ``True == 1``, so an int or a bool would find a float's text.  Neither
+    zero is kept, since ``0.0`` and ``-0.0`` are one key, and NaN is not,
+    since it equals nothing."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x)
+        if x and x == x:
+            self[x] = text
+        return text
+
+
+_encode_str = json.encoder.encode_basestring_ascii   # what json.dumps does to a str
+_isfinite = math.isfinite
+
+
+def _json(value, texts: FloatTexts) -> str:
+    """``json.dumps(value)``, its floats' texts read from ``texts``.  A value
+    of another type than float, str, int, bool, None, list, tuple or dict,
+    and a dict with a key that is not a str, goes to ``json.dumps`` whole."""
+    kind = type(value)
+    if kind is float:
+        if _isfinite(value):
+            return texts[value]
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([_json(v, texts) for v in value]) + "]"
+    if kind is dict:
+        try:
+            return "{" + ", ".join([f"{_encode_str(k)}: {_json(v, texts)}"
+                                    for k, v in value.items()]) + "}"
+        except TypeError:   # a key that is not a str, or a value JSON cannot encode
+            pass
+    return json.dumps(value)
+
+
+def _entry(r: CheckResult, texts: FloatTexts) -> str:
+    """``json.dumps(r.as_dict())``."""
+    return (f'{{"name": {_json(r.name, texts)}, "scope": {_json(r.scope, texts)}, '
+            f'"lhs": {_json(r.lhs, texts)}, "rhs": {_json(r.rhs, texts)}, '
+            f'"slack": {_json(r.slack, texts)}, "passed": {_json(r.passed, texts)}, '
+            f'"context": {_json(r.context, texts)}}}')
+
+
+def write_report(results: list[CheckResult], summary: dict, fh,
+                 texts: FloatTexts | None = None) -> bool:
     """Serialize all checks plus their per-name min-slack ``summary`` (from
     ``summarize(results)``) to the text stream ``fh`` as one line of JSON;
     True if all passed.
 
-    The text is ``json.dumps`` of the whole payload.  Where ``results`` hold
+    The text is the bytes of ``json.dumps`` of the whole payload, laid out
+    entry by entry, with each float's text read from ``texts``: the run's
+    memo, shared with its CSV writers, or a new one.  Where ``results`` hold
     the log-2 block, the same objects in a row, its text is spliced in from
-    ``_log2_text`` instead of encoded again; elsewhere the block's part is
-    empty."""
+    ``_log2_text`` instead of encoded again."""
+    if texts is None:
+        texts = FloatTexts()
     passed = all(r.passed for r in results)
     block = _log2_block()
     at = next((k for k, r in enumerate(results) if r is block[0]), len(results))
     end = at + len(block)
     if len(results) < end or any(r is not b for r, b in zip(results[at:end], block)):
         at = end = len(results)
-    spliced = _log2_text() if end > at else ""
     # the payload with an empty check list, up to its opening bracket
     head = json.dumps({"passed": passed, "summary": summary, "checks": []})[:-2]
-    parts = [json.dumps([r.as_dict() for r in rs])[1:-1]
-             for rs in (results[:at], results[end:])]
-    checks = ", ".join(p for p in (parts[0], spliced, parts[1]) if p)
-    fh.write(head + checks + "]}\n")
+    entries = [_entry(r, texts) for r in results[:at]]
+    if end > at:
+        entries.append(_log2_text())
+    entries += [_entry(r, texts) for r in results[end:]]
+    fh.write(head + ", ".join(entries) + "]}\n")
     return passed

@@ -125,7 +125,7 @@ class StepFunction:
         return self.values[-1] if self.values else self.base
 
 
-@dataclass
+@dataclass(slots=True)
 class WaveRecord:
     """One eps-sized wave: permanent id/sign/right state, mutable trajectory."""
 
@@ -146,7 +146,7 @@ class WaveRecord:
         return self.w_hat - 1 if self.sign > 0 else self.w_hat
 
 
-@dataclass
+@dataclass(slots=True)
 class VFront:
     """First-family front: carries the v jump leftward at speed -1.
 
@@ -167,7 +167,7 @@ class VFront:
         return abs(self.v_right - self.v_left)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Front:
     """Maximal contiguous run of alive waves sharing position, speed and sign.
 
@@ -200,6 +200,10 @@ def position(obj: WaveRecord | VFront | Front, t: float) -> float:
     """Position of an alive wave, a front or a v-front at time ``t``, from its
     anchor: ``x_a + speed (t - t_a)``."""
     return obj.x_a + obj.speed * (t - obj.t_a)
+
+
+def _first_id(front: Front) -> int:
+    return front.ids[0]
 
 
 def _last_id(front: Front) -> int:
@@ -253,7 +257,7 @@ class EventKind(str, Enum):
         return self in (EventKind.INTERACTION_POSITIVE, EventKind.INTERACTION_NEGATIVE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One resolved binary collision.  Its survivors are the keys of
     ``post_speeds``; at a crossing, which kills no wave, they are
@@ -315,8 +319,8 @@ def apply_event(state: FieldState, event: Event) -> None:
             w.crossed = event.v_front_id
     # replace the fronts that meet the colliding waves by the survivors, then
     # merge them with the neighbour on either side
-    lo = bisect_left(fronts, colliding[0], key=lambda f: f.ids[-1])
-    hi = bisect_right(fronts, colliding[-1], key=lambda f: f.ids[0])
+    lo = bisect_left(fronts, colliding[0], key=_last_id)
+    hi = bisect_right(fronts, colliding[-1], key=_first_id)
     a, b = max(lo - 1, 0), hi + 1
     site = [Front((s,), state.wave(s)) for s in sorted(event.post_speeds)]
     window = _merge_fronts(fronts[a:lo] + site + fronts[hi:b], state.waves, t)
@@ -383,11 +387,7 @@ class FieldState:
     def copy(self) -> "FieldState":
         """A deep copy of the waves and v-fronts.  Kept fronts are copied too,
         each led by the copy's own wave; a simulator rebuilds its queue on
-        first use.
-
-        Every field is read by name: ``vars(w)`` would give the live records
-        a materialised ``__dict__``, which makes every later attribute read on
-        them about a third slower on CPython 3.11."""
+        first use."""
         out = FieldState(
             eps=self.eps,
             waves=[WaveRecord(w.id, w.sign, w.w_hat, w.x_a, w.speed, w.crossed, w.t_a)

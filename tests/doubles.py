@@ -3,6 +3,7 @@
 A CLI run imports this module with ``tests`` on ``PYTHONPATH``.
 """
 
+import csv
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -581,3 +582,33 @@ class PerPairReplay(Replay):
 def alive_ids(state):
     """The ids of the alive waves of ``state``, in ascending order."""
     return [w.id for w in state.waves if w.alive]
+
+
+def csv_events(fh, traj):
+    """events.csv through ``csv.writer``, each float as its ``repr``: the
+    oracle of ``scenario._write_events``."""
+    writer = csv.writer(fh)
+    writer.writerow(["j", "t", "x", "kind", "n_waves", "v_strength", "cancellation"])
+    for ev in traj.events:
+        writer.writerow([ev.index, repr(ev.time), repr(ev.x), ev.kind.value,
+                         len(ev.post_speeds), repr(ev.v_strength), repr(ev.cancellation)])
+
+
+def csv_functionals(fh, traj):
+    """functionals.csv through ``csv.writer``, each float as its ``repr``:
+    the oracle of ``scenario._write_functionals``."""
+    writer = csv.writer(fh)
+    writer.writerow(["j", "t", "tv_w", "q_trans", "q_quadratic", "sum_abs_dsigma"])
+    for snap in traj.snapshots:
+        writer.writerow([snap.index, repr(snap.time), repr(snap.tv_w), repr(snap.q_trans),
+                         repr(snap.q_quadratic), repr(snap.sum_abs_dsigma)])
+
+
+def dumps_report(results, summary, fh):
+    """report.json as one ``json.dumps`` of the whole payload, every check
+    through ``as_dict``: the oracle of ``verifier.write_report``.  True if
+    all passed."""
+    passed = all(r.passed for r in results)
+    fh.write(json.dumps({"passed": passed, "summary": summary,
+                         "checks": [r.as_dict() for r in results]}) + "\n")
+    return passed

@@ -1,5 +1,7 @@
 import ast
 import concurrent.futures
+import importlib.util
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import golden.regen as regen
-from doubles import write_config
+from doubles import csv_events, csv_functionals, dumps_report, write_config
 from golden.regen import GOLDEN, check_changes, column_changes, golden_cases
 from test_acceptance import ensemble_config
 from triwave import cli, scenario, wavefield
@@ -41,6 +43,48 @@ def assert_golden(out: Path, golden: Path) -> None:
     in their bytes, ``report.json`` in its parsed check values."""
     for name in regen.NAMES:
         assert regen.same(name, (golden / name).read_bytes(), (out / name).read_bytes()), name
+
+
+def workload_cases() -> dict[str, ScenarioConfig]:
+    """The first case of each benchmark workload at seed 0, as the benchmark
+    runs it, from ``perfbench/workloads.py`` loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    out = {}
+    for name in module.WORKLOADS:
+        wl = module.build(name, 0)
+        case = wl.cases[0]
+        out[name] = ScenarioConfig(
+            flux=case.flux, eps=case.eps, w0={"jumps": [[x, v] for x, v in case.w0]},
+            v0={"jumps": [[x, v] for x, v in case.v0]}, check_level=wl.check_level)
+    return out
+
+
+WRITER_CASES = {str(path.relative_to(GOLDEN.parent)): config
+                for path, config in golden_cases().items()} | workload_cases()
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_artifacts_are_the_bytes_of_csv_writer_and_json_dumps(case, tmp_path):
+    # the writers lay their rows and entries out by hand, with one text per
+    # float per run; the oracles are csv.writer and one json.dumps
+    res = run_scenario(WRITER_CASES[case], out_dir=tmp_path)
+    oracles = {
+        "events.csv": lambda fh: csv_events(fh, res.trajectory),
+        "functionals.csv": lambda fh: csv_functionals(fh, res.trajectory),
+        "report.json": lambda fh: dumps_report(res.checks, res.summary, fh),
+    }
+    for name, oracle in oracles.items():
+        want = io.StringIO()
+        oracle(want)
+        assert (tmp_path / name).read_bytes() == want.getvalue().encode(), name
 
 
 class TestGenerateInitialData:

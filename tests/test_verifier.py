@@ -3,25 +3,31 @@ import json
 import math
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from doubles import PerPairReplay, recorded_steps
+from doubles import PerPairReplay, csv_events, csv_functionals, dumps_report, recorded_steps
 from test_acceptance import SMALL_N_CUBIC, SMALL_N_SEEDS, small_n_config
 from triwave import simulator
 from triwave.flux import FluxTable, derivative_bounds, flux_constants, flux_table, make_flux
-from triwave.history import PairHistory
+from triwave.history import FunctionalSnapshot, PairHistory
 from triwave.replay import Replay
-from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
+from triwave.scenario import (ScenarioConfig, _write_events, _write_functionals,
+                              build_initial_data, run_scenario)
 from triwave.simulator import run
 from triwave.verifier import (
     _LOG2_CASES,
     LEMMA_TOL,
     CheckResult,
+    LOG2,
+    FloatTexts,
     _check,
     _equality,
     _kernel_integral,
+    _log2_block,
+    _log2_text,
     check_interaction_decrease,
     check_log2_kernel,
     check_main_theorem,
@@ -33,7 +39,7 @@ from triwave.verifier import (
     summarize,
     write_report,
 )
-from triwave.wavefield import BlockFluxes, EventKind, FieldState, StepFunction, position
+from triwave.wavefield import BlockFluxes, Event, EventKind, FieldState, StepFunction, position
 
 EPS = 0.05
 
@@ -65,6 +71,19 @@ class TestLog2Kernel:
 
     def test_random_cases_all_pass(self):
         assert all(r.passed for r in check_log2_kernel())
+
+    def test_a_full_run_leaves_the_shared_block_as_made(self, tmp_path):
+        # CheckResult is not frozen: no run may edit the block every run
+        # shares, nor the report text spliced from it
+        run_scenario(ScenarioConfig(check_level="full", seed=3), out_dir=tmp_path)
+        fresh = tuple(_check("log2_kernel", f"case:{k}", _kernel_integral(a, xi, b),
+                             LOG2 * (b - a) + 1e-6, a=a, xi=xi, b=b)
+                      for k, (a, xi, b) in enumerate(_LOG2_CASES))
+        assert _log2_block() == fresh
+        assert _log2_text() == json.dumps([r.as_dict() for r in fresh])[1:-1]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [c for c in report["checks"] if c["name"] == "log2_kernel"] == \
+            [r.as_dict() for r in fresh]
 
     def test_cases_are_the_default_rng_0_draws(self):
         rng = np.random.default_rng(0)
@@ -634,11 +653,13 @@ class TestReport:
 
     @pytest.mark.parametrize("where", [
         "first", "middle", "last", "absent", "twice", "part", "alone", "equal_copies",
-        "empty"])
+        "empty", "negative_zero_first", "zero_first", "non_finite", "int_next_to_float",
+        "tuple_context", "strings"])
     def test_spliced_text_is_one_json_dumps(self, fast_checks, where):
         block = check_log2_kernel()
         k = len(fast_checks) // 2
         bad = CheckResult("x", "global", 2.0, 1.0, -1.0, False, {"nan": math.nan})
+        inf = math.inf
         results = {
             "first": block + fast_checks,
             "middle": fast_checks[:k] + block + [bad] + fast_checks[k:],
@@ -650,17 +671,67 @@ class TestReport:
             # equal entries that are not the cached objects
             "equal_copies": fast_checks + [replace(r) for r in block],
             "empty": [],
+            # 0.0 == -0.0: one run's memo must give each its own text
+            "negative_zero_first": [
+                CheckResult("z", "global", -0.0, 0.0, 0.0, True, {"a": -0.0, "b": 0.0}),
+                CheckResult("z", "event:1", 0.0, -0.0, -0.0, True, {"a": 0.0})],
+            "zero_first": [
+                CheckResult("z", "global", 0.0, -0.0, 0.0, True, {"a": 0.0, "b": -0.0}),
+                CheckResult("z", "event:1", -0.0, 0.0, -0.0, True, {"a": -0.0})],
+            # NaN and Infinity in JSON, where the CSV files write nan and inf
+            "non_finite": fast_checks[:k] + [
+                CheckResult("n", "global", math.nan, inf, -inf, False,
+                            {"x": math.nan, "y": inf, "z": -inf, "w": [inf, -inf]}),
+                CheckResult("n", "event:2", inf, inf, math.nan, False, {"x": -inf})],
+            # 1 == 1.0 == True: each keeps its own type's text
+            "int_next_to_float": [
+                CheckResult("i", "global", 1.0, 1, 0.0, True,
+                            {"f": 1.0, "i": 1, "b": True, "g": 1.0, "j": 1, "c": False}),
+                CheckResult("i", "event:1", 1, 1.0, 0, True,
+                            {"i": 1, "f": 1.0, "b": True, "n": None, "z": 0, "y": 0.0}),
+                CheckResult("i", "event:2", 2.0, 2.0, 0.0, 1, {"t": True, "one": 1.0})],
+            "tuple_context": fast_checks[:2] + [
+                CheckResult("t", "global", 0.5, 1.0, 0.5, True,
+                            {"pair": (3, 7), "nested": [(1, 2.5), {"k": -0.0}], "empty": ()})],
+            "strings": [
+                CheckResult('q"uo\\te ünï', "événement:1", 0.25, 0.5, 0.25, True,
+                            {"s": 'a"b\\c ☃\n\t', "clé": "\x00\u2028", "empty": ""})],
         }[where]
         if where == "equal_copies":
             assert results[-len(block):] == block
             assert all(x is not y for x, y in zip(results[-len(block):], block))
         summary = summarize(results)
-        out = io.StringIO()
+        out, want = io.StringIO(), io.StringIO()
         passed = write_report(results, summary, out)
-        assert passed is all(r.passed for r in results)
-        assert out.getvalue() == json.dumps(
-            {"passed": passed, "summary": summary,
-             "checks": [r.as_dict() for r in results]}) + "\n"
+        assert passed is dumps_report(results, summary, want)
+        assert out.getvalue() == want.getvalue()
+
+    def test_one_memo_is_shared_by_the_report_and_the_csv_files(self):
+        # the CSV files write repr: nan and inf where the report writes NaN
+        # and Infinity, with one memo filled in between
+        texts = FloatTexts()
+        traj = SimpleNamespace(events=[
+            Event(1, -0.0, math.nan, EventKind.TRANSVERSAL, (1,), {1: 0.5}, 0.0,
+                  v_front_id=1, v_strength=math.inf),
+            Event(2, 0.0, -math.inf, EventKind.CANCELLATION, (1, 2), {}, 1.0,
+                  canceled=(1, 2), cancellation=1),
+        ], snapshots=[
+            FunctionalSnapshot(0, 0.0, 1.0, math.nan, -0.0, 1),
+            FunctionalSnapshot(1, -0.0, 1, math.inf, 0.0, 2.5),
+        ])
+        results = [CheckResult("n", "global", math.inf, 1.0, -math.inf, False,
+                               {"x": math.nan, "y": -0.0, "z": 1})]
+        out, want = io.StringIO(), io.StringIO()
+        write_report(results, summarize(results), out, texts)
+        dumps_report(results, summarize(results), want)
+        assert out.getvalue() == want.getvalue()
+        for write, oracle in ((_write_events, csv_events),
+                              (_write_functionals, csv_functionals)):
+            out, want = io.StringIO(), io.StringIO()
+            write(out, traj, texts)
+            oracle(want, traj)
+            assert out.getvalue() == want.getvalue(), write.__name__
+        assert 0.0 not in texts and math.inf in texts
 
     def test_write_report_and_summary(self, spec, bounds):
         traj, history = make_traj(spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (9.0, 0)])

@@ -18,13 +18,20 @@ from doubles import (
 from golden.regen import golden_cases
 from test_acceptance import NON_CONVEX_WIDE, SMALL_N_SEEDS, ensemble_config, small_n_config
 from triwave import simulator
-from triwave.flux import FluxTable, make_flux
-from triwave.riemann import solve_scalar
+from triwave.envelopes import EnvelopeResult
+from triwave.flux import Box, DerivativeBounds, FluxSpec, FluxTable, PiecewiseAffineFlux, make_flux
+from triwave.history import FunctionalSnapshot, PartitionRecord
+from triwave.replay import ReplayPair
+from triwave.riemann import FanFront, solve_scalar
 from triwave.scenario import run_scenario
+from triwave.simulator import CollisionCandidate
+from triwave.verifier import CheckResult
 from triwave.wavefield import (
     BlockFluxes,
+    Event,
     EventKind,
     FieldState,
+    Front,
     assign_initial_speeds,
     front_index,
     StepFunction,
@@ -504,3 +511,30 @@ def test_only_wavefield_moves_the_state():
         and node.attr in moved
     }
     assert writers == {"wavefield"}
+
+
+def test_per_event_records_are_slotted_and_shared_ones_frozen():
+    # a run makes these per event or per check: slotted, and not frozen,
+    # since a frozen dataclass costs several times as much to build
+    wave = WaveRecord(1, 1, 1, 0.0, 0.5, 0)
+    vf = VFront(1, 2.0, 0, 1)
+    front = Front((1,), wave)
+    records = [
+        wave, vf, front,
+        Event(1, 0.5, 1.0, EventKind.TRANSVERSAL, (1,), {1: 0.5}, 0.0),
+        FunctionalSnapshot(0, 0.0, 0.05, 0.0, 0.0, 0.0),
+        PartitionRecord([(1,), (2,)], [1, 2]),
+        CollisionCandidate(0.5, 1.0, front, vf),
+        CheckResult("x", "global", 0.0, 1.0, 1.0, True),
+    ]
+    for obj in records:
+        cls = type(obj)
+        assert "__slots__" in vars(cls) and not hasattr(obj, "__dict__"), cls.__name__
+        assert not cls.__dataclass_params__.frozen, cls.__name__
+        name = fields(cls)[0].name
+        setattr(obj, name, getattr(obj, name))
+    assert vf.speed == -1.0     # a class attribute beside the slots
+    # a process-wide cache shares these: they stay frozen
+    for cls in (FanFront, PiecewiseAffineFlux, EnvelopeResult, FluxSpec, DerivativeBounds,
+                Box, StepFunction, ReplayPair):
+        assert cls.__dataclass_params__.frozen, cls.__name__

@@ -225,8 +225,10 @@ class PairHistory:
     """Incrementally maintained pair histories, partitions and functionals."""
 
     def __init__(self, spec: FluxSpec, eps: float, bounds: DerivativeBounds):
-        # the process's table of (spec, eps), for the block fluxes
+        # the process's table of (spec, eps), for the block fluxes, and this
+        # run's fluxes by their blocks' (cell, v tick) sequence
         self.table = flux_table(spec, eps)
+        self.flux_memo: dict = {}
         self.eps = eps
         self.bounds = bounds
         self.K = 2.0 * bounds.norm_d3_wwv * eps**2     # pi = K * P
@@ -407,7 +409,7 @@ class PairHistory:
         first, last, dead = event.colliding[0], event.colliding[-1], event.canceled
         crossing = event.kind == EventKind.TRANSVERSAL
         ticks = state.v_fronts[event.v_front_id - 1].strength_ticks if crossing else 0
-        fluxes = BlockFluxes(state, self.table)
+        fluxes = BlockFluxes(state, self.table, self.flux_memo)
         for rec in [*self.records]:      # a record that loses its last pair leaves
             classes = rec.classes
             if classes[-1][-1] < first or last < classes[0][0]:
@@ -524,7 +526,7 @@ class PairHistory:
         interaction it is unchanged from the previous event, so the post-event
         state provides it.
         """
-        fluxes = BlockFluxes(state, self.table)
+        fluxes = BlockFluxes(state, self.table, self.flux_memo)
         left, right = event.left_ids, event.right_ids
         fluxes.flux(left + right)  # raises unless both fronts lie in one block
         size_l = len(left) * self.eps

@@ -72,8 +72,10 @@ class Replay:
         if n > MAX_REPLAY_WAVES:
             raise ValueError(f"replay limited to {MAX_REPLAY_WAVES} initial waves, got {n}")
         self.traj = traj
-        # the replay's own table: the oracle never reads the run's cached kernels
+        # the replay's own table and block-flux memo: the oracle never reads
+        # the run's cached kernels
         self.table = FluxTable(traj.spec, traj.eps)
+        self.flux_memo: dict = {}
         self.state: FieldState = traj.initial_state.copy()
         self.pairs: dict[tuple[int, int], ReplayPair] = {}
         self.joined: set[tuple[int, int]] = set()
@@ -87,7 +89,7 @@ class Replay:
         """Index 0 with the initial block fluxes, then each event's index and
         block fluxes, the replay moved across the event as it is drawn.  Call
         once: it advances the replay's own state."""
-        yield 0, BlockFluxes(self.state, self.table)
+        yield 0, BlockFluxes(self.state, self.table, self.flux_memo)
         for event in self.traj.events:
             yield event.index, self._step(event)
 
@@ -97,7 +99,7 @@ class Replay:
         state = self.state
         apply_event(state, event)
         meeting = event.post_speeds
-        fluxes = BlockFluxes(state, self.table)
+        fluxes = BlockFluxes(state, self.table, self.flux_memo)
         dead = set(event.canceled)
         if dead:
             self.joined = {key for key in self.joined

@@ -343,8 +343,13 @@ def _write_json(fh, doc: dict) -> None:
 
 
 def _csv_text(x, texts: FloatTexts) -> str:
-    """The text ``csv.writer`` gives ``repr(x)``: a float's from ``texts``."""
-    return texts[x] if type(x) is float else repr(x)
+    """The text ``csv.writer`` gives ``repr(x)``: a nonzero float's from
+    ``texts``, a zero's from its sign."""
+    if type(x) is not float:
+        return repr(x)
+    if x:
+        return texts[x]
+    return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
 
 
 def _write_events(fh, traj: Trajectory, texts: FloatTexts) -> None:

@@ -114,22 +114,27 @@ def _objects(state: FieldState) -> list[Front | VFront]:
 
 def _meeting(l: Front, r: Front | VFront) -> tuple[float, float] | None:
     """(t, x) where the adjacent fronts ``l`` and ``r`` meet, from their
-    anchors alone; None when they never do."""
+    anchors alone; None when they never do.  A w-front is read through its
+    lead wave, whose anchor, speed and sign are the front's."""
+    a = l.lead
     if isinstance(r, VFront):
         # a w-front meets each v-front at most once; the crossing counter is exact
-        if l.lead.crossed >= r.id:
+        if a.crossed >= r.id:
             return None
-    elif l.speed <= r.speed:
-        # apart or diverging: only a zero-width pulse of opposite signs meets, at once
-        if l.sign == r.sign:
-            return None
-        t0 = max(l.t_a, r.t_a)
-        x = position(l, t0)
-        return (t0, x) if x == position(r, t0) else None
-    t0 = max(l.t_a, r.t_a)
-    x = position(l, t0)
-    tau = max((position(r, t0) - x) / (l.speed - r.speed), 0.0)
-    return t0 + tau, x + l.speed * tau
+        b = r
+    else:
+        b = r.lead
+        if a.speed <= b.speed:
+            # apart or diverging: only a zero-width pulse of opposite signs meets, at once
+            if a.sign == b.sign:
+                return None
+            t0 = max(a.t_a, b.t_a)
+            x = position(a, t0)
+            return (t0, x) if x == position(b, t0) else None
+    t0 = max(a.t_a, b.t_a)
+    x = position(a, t0)
+    tau = max((position(b, t0) - x) / (a.speed - b.speed), 0.0)
+    return t0 + tau, x + a.speed * tau
 
 
 class CollisionQueue:
@@ -169,7 +174,7 @@ class CollisionQueue:
         ``crossed + 1`` if it sits before the next front, else that front."""
         fronts, v_fronts = state.fronts(), state.v_fronts
         for f in self.site:
-            k = front_index(fronts, f.ids[0])
+            k = front_index(state, f.ids[0])
             if k is None or fronts[k] is not f:
                 continue     # replaced by a later event, whose site lists its successor
             nxt = fronts[k + 1] if k + 1 < len(fronts) else None
@@ -180,13 +185,13 @@ class CollisionQueue:
                 self._push(f, nxt)
         self.site.clear()
 
-    def _holds(self, item: tuple, fronts: list[Front]) -> bool:
+    def _holds(self, item: tuple, state: FieldState) -> bool:
         """Whether ``item`` is live; it forgets a live entry whose left
         front is no longer kept."""
         if self.live.get(item[2]) is not item:
             return False
-        k = front_index(fronts, item[2])
-        if k is not None and fronts[k] is item[4]:
+        k = front_index(state, item[2])
+        if k is not None and state.fronts()[k] is item[4]:
             return True
         del self.live[item[2]]
         return False
@@ -195,8 +200,8 @@ class CollisionQueue:
         """The winner of the earliest cluster: every live entry due within
         ``TIME_TOL`` of the earliest (a time before the state's counts as the
         state's), then the leftmost x, then the leftmost pair."""
-        heap, fronts = self.heap, state.fronts()
-        while heap and not self._holds(heap[0], fronts):
+        heap = self.heap
+        while heap and not self._holds(heap[0], state):
             heapq.heappop(heap)
         if not heap:
             return None
@@ -208,7 +213,7 @@ class CollisionQueue:
             if i >= len(heap) or heap[i][0] > limit:
                 continue
             item = heap[i]
-            if (best is None or item[1:3] < best[1:3]) and self._holds(item, fronts):
+            if (best is None or item[1:3] < best[1:3]) and self._holds(item, state):
                 best = item
             todo += (2 * i + 1, 2 * i + 2)
         t, x, _, _, left, right = best
@@ -247,7 +252,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
     left, right = cand.left, cand.right
     crossing = isinstance(right, VFront)
     fronts = state.fronts()
-    k = front_index(fronts, left.ids[0])
+    k = front_index(state, left.ids[0])
     if k is None or fronts[k] is not left:
         raise ValueError(f"colliding front {left.ids} is not a kept front")
     if not crossing and (k + 1 == len(fronts) or fronts[k + 1] is not right):
@@ -262,11 +267,12 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
                 raise ValueError(f"wave {s} crossing front {right.id} out of order")
         kind, v_tick = EventKind.TRANSVERSAL, right.v_right
     else:
-        if left.lead.crossed != right.lead.crossed:
+        a, b = left.lead, right.lead
+        if a.crossed != b.crossed:
             raise ValueError("colliding w-fronts have crossed different v-fronts")
-        v_tick = state.v_ticks[left.lead.crossed]
-        if left.sign == right.sign:
-            kind = EventKind.INTERACTION_POSITIVE if left.sign > 0 else EventKind.INTERACTION_NEGATIVE
+        v_tick = state.v_ticks[a.crossed]
+        if a.sign == b.sign:
+            kind = EventKind.INTERACTION_POSITIVE if a.sign > 0 else EventKind.INTERACTION_NEGATIVE
         else:
             # cancellation: opposite signs annihilate pairwise from the middle state
             kind = EventKind.CANCELLATION
@@ -354,6 +360,7 @@ def run(
     traj.snapshots.append(history.initialize(state, initial_groups))
 
     unchecked: Event | None = None   # last event of the group not yet validated
+    debug = log.isEnabledFor(logging.DEBUG)   # asked once: no event changes it
     while True:
         cand = next_collision(state)
         if unchecked is not None and (cand is None or cand.time > state.time + TIME_TOL):
@@ -366,7 +373,8 @@ def run(
         if index > event_guard:
             raise EventGuardExceeded(f"more than {event_guard} events")
         event = resolve(cand, state, table, index)
-        log.debug("event %d: %s at t=%.6g x=%.6g", index, event.kind.value, event.time, event.x)
+        if debug:
+            log.debug("event %d: %s at t=%.6g x=%.6g", index, event.kind.value, event.time, event.x)
         snap, detail = history.on_event(event, state)
         traj.events.append(event)
         traj.snapshots.append(snap)

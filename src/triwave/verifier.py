@@ -556,10 +556,12 @@ class FloatTexts(dict):
     ``csv.writer`` and ``json.dumps`` write for a finite float; JSON spells
     NaN and the infinities otherwise (``_json``).
 
-    Look up floats only (``type(x) is float``): ``1 == 1.0`` and
-    ``True == 1``, so an int or a bool would find a float's text.  Neither
-    zero is kept, since ``0.0`` and ``-0.0`` are one key, and NaN is not,
-    since it equals nothing."""
+    Look up nonzero floats only (``type(x) is float`` and ``x``):
+    ``1 == 1.0`` and ``True == 1``, so an int or a bool would find a
+    float's text, and ``0.0 == -0.0``, so one key cannot hold both zeros'
+    texts.  A writer spells a zero itself from its sign, with no lookup
+    and no Python-level call; a zero looked up anyway is not kept.  NaN is
+    not kept either, since it equals nothing."""
 
     __slots__ = ()
 
@@ -572,6 +574,7 @@ class FloatTexts(dict):
 
 _encode_str = json.encoder.encode_basestring_ascii   # what json.dumps does to a str
 _isfinite = math.isfinite
+_copysign = math.copysign
 
 
 def _json(value, texts: FloatTexts) -> str:
@@ -580,6 +583,8 @@ def _json(value, texts: FloatTexts) -> str:
     and a dict with a key that is not a str, goes to ``json.dumps`` whole."""
     kind = type(value)
     if kind is float:
+        if not value:     # a zero, spelled from its sign
+            return "-0.0" if _copysign(1.0, value) < 0 else "0.0"
         if _isfinite(value):
             return texts[value]
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"

@@ -25,12 +25,14 @@ it changed.  :func:`validate_enumeration` derives the same runs anew from
 each wave's own position and compares the two.  The state
 also keeps ``n_joined``, the pairs of waves on one front: the joined pairs
 of the pair history, which stores none of them.
-The kept fronts answer every question of adjacency: :func:`front_index`
-finds the front that holds a wave, and the fronts next to it in the list
-are its neighbours.  :class:`BlockFluxes` is the one lookup from a run of
-waves to the effective flux of its homogeneous block, a maximal run of kept
-fronts of one sign, built from the cell increments its ``FluxTable``
-keeps.
+Next to the fronts the state keeps the list of their last ids, which
+:func:`apply_event` splices with them.  The kept fronts answer every
+question of adjacency: :func:`front_index` finds the front that holds a
+wave by a plain bisection of the last ids, and the fronts next to it in
+the list are its neighbours.  :class:`BlockFluxes` is the one lookup from
+a run of waves to the effective flux of its homogeneous block, a maximal
+run of kept fronts of one sign, read from the memo of the run that asks
+or built from the cell increments its ``FluxTable`` keeps.
 
 A run of waves (the waves of an event, of a front, of a partition class or
 of a block) is the tuple of its alive ids in ascending order.
@@ -41,7 +43,7 @@ ticks; only positions, speeds and times are floats.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, pairwise, zip_longest
@@ -171,55 +173,53 @@ class VFront:
 class Front:
     """Maximal contiguous run of alive waves sharing position, speed and sign.
 
-    Only the ids and the lead wave are stored: anchor, speed, sign and
-    crossing count are read from the lead, whose anchor every wave of the
-    front shares.
+    Only the ids and the lead wave are stored: a reader takes anchor, speed,
+    sign and crossing count from the lead's slots, and the lead's anchor is
+    every wave's of the front.
     """
 
     ids: tuple[int, ...]
     lead: WaveRecord
 
-    @property
-    def x_a(self) -> float:
-        return self.lead.x_a
 
-    @property
-    def t_a(self) -> float:
-        return self.lead.t_a
-
-    @property
-    def speed(self) -> float:
-        return self.lead.speed
-
-    @property
-    def sign(self) -> int:
-        return self.lead.sign
-
-
-def position(obj: WaveRecord | VFront | Front, t: float) -> float:
-    """Position of an alive wave, a front or a v-front at time ``t``, from its
-    anchor: ``x_a + speed (t - t_a)``."""
+def position(obj: WaveRecord | VFront, t: float) -> float:
+    """Position of an alive wave or a v-front at time ``t``, from its anchor:
+    ``x_a + speed (t - t_a)``.  A front is where its lead wave is."""
     return obj.x_a + obj.speed * (t - obj.t_a)
 
 
-def _first_id(front: Front) -> int:
-    return front.ids[0]
-
-
-def _last_id(front: Front) -> int:
-    return front.ids[-1]
-
-
-def front_index(fronts: Sequence[Front], s: int) -> int | None:
-    """Index in the kept list ``fronts`` of the front whose ids span wave
-    ``s`` (for an alive wave, the front it is on), by bisection on last ids;
-    None if no kept front spans it.
+def front_index(state: FieldState, s: int) -> int | None:
+    """Index in ``state.fronts()`` of the front that wave ``s`` is on, by
+    bisection of the kept last ids; None if ``s`` is dead, even where a
+    front's ids span it, or no kept front spans it.
 
     An event replaces every front it changes by a new object, so a caller
     that holds a front tells whether it is still kept by identity:
     ``fronts[k] is front`` at the index of its first wave."""
-    k = bisect_left(fronts, s, key=_last_id)
-    return k if k < len(fronts) and fronts[k].ids[0] <= s else None
+    fronts = state.fronts()
+    k = bisect_left(state._last_ids, s)
+    if k < len(fronts) and fronts[k].ids[0] <= s and state.waves[s - 1].x_a is not None:
+        return k
+    return None
+
+
+def _fan_fronts(waves: Sequence[WaveRecord], ids: Iterable[int]) -> list[Front]:
+    """One front per run of the waves ``ids``, in id order, that share speed,
+    sign and crossing count: the survivors of an event, which share its
+    point, as fronts.  Two runs that differ in crossing count alone are left
+    for :func:`_merge_fronts` to find mixed."""
+    runs: list[list[int]] = []
+    leads: list[WaveRecord] = []
+    for s in sorted(ids):
+        w = waves[s - 1]
+        lead = leads[-1] if leads else None
+        if lead is not None and w.speed == lead.speed and w.sign == lead.sign \
+                and w.crossed == lead.crossed:
+            runs[-1].append(s)
+        else:
+            runs.append([s])
+            leads.append(w)
+    return [Front(tuple(run), lead) for run, lead in zip(runs, leads)]
 
 
 def _merge_fronts(fronts: Iterable[Front], waves: Sequence[WaveRecord], t: float) -> list[Front]:
@@ -287,12 +287,13 @@ def apply_event(state: FieldState, event: Event) -> None:
     ``n_alive`` and its ``per_crossed`` slot, and each crossing wave moves to
     the slot of the v-front it crossed.  The state's fronts (built here if it
     has none yet) are edited at the site: the fronts that met are replaced by
-    the survivors, which merge with a neighbour on either side where equal
-    and then share its anchor; the old list is left as it was, the pairs on
-    one front are recounted over the fronts replaced, and the collision
-    queue (if any) is told which fronts may have a new right-hand
-    neighbour."""
-    fronts = state.fronts()
+    the survivors, one front per run of equal speed, sign and crossing
+    count, which merge with a neighbour on either side where equal and then
+    share its anchor.  The fronts and their last ids are spliced into new
+    lists, and the old ones are left as they were; the pairs on one front
+    are recounted over the fronts replaced, and the collision queue (if
+    any) is told which fronts may have a new right-hand neighbour."""
+    fronts, last_ids = state.fronts(), state._last_ids
     t, x = event.time, event.x
     state.time = t
     colliding = event.colliding
@@ -319,12 +320,16 @@ def apply_event(state: FieldState, event: Event) -> None:
             w.crossed = event.v_front_id
     # replace the fronts that meet the colliding waves by the survivors, then
     # merge them with the neighbour on either side
-    lo = bisect_left(fronts, colliding[0], key=_last_id)
-    hi = bisect_right(fronts, colliding[-1], key=_first_id)
+    lo = bisect_left(last_ids, colliding[0])
+    hi = bisect_left(last_ids, colliding[-1], lo)     # past the last front they meet
+    if hi < len(fronts) and fronts[hi].ids[0] <= colliding[-1]:
+        hi += 1
     a, b = max(lo - 1, 0), hi + 1
-    site = [Front((s,), state.wave(s)) for s in sorted(event.post_speeds)]
-    window = _merge_fronts(fronts[a:lo] + site + fronts[hi:b], state.waves, t)
+    waves = state.waves
+    window = _merge_fronts(fronts[a:lo] + _fan_fronts(waves, event.post_speeds) + fronts[hi:b],
+                           waves, t)
     state._fronts = fronts[:a] + window + fronts[b:]
+    state._last_ids = last_ids[:a] + [f.ids[-1] for f in window] + last_ids[b:]
     state._n_joined += _count_joined(window) - _count_joined(fronts[a:b])
     if state._queue is not None:
         # a merge with the left neighbour also changes the pair left of it
@@ -342,6 +347,8 @@ class FieldState:
     per ``crossed`` value, capped at the top v-front id; and ``n_joined``,
     the pairs of waves on one front.  A new state (and so a copy) counts the
     first two from its waves, and ``n_joined`` when it builds its fronts.
+    With the fronts it keeps ``_last_ids``, the last id of each, which
+    :func:`front_index` bisects.
 
     ``_queue`` is the simulator's collision queue once it has built one;
     :func:`apply_event` appends the fronts it changes to its ``site`` list."""
@@ -355,6 +362,7 @@ class FieldState:
         self.v_fronts = v_fronts
         self.v_ticks = [v_base, *(vf.v_right for vf in v_fronts)]
         self._fronts: list[Front] | None = None   # kept by apply_event once built
+        self._last_ids: list[int] | None = None    # the kept fronts' last ids
         self._n_joined = 0                          # counted with the fronts
         self._queue = None                          # the simulator's, built on first use
         self.n_alive, self.per_crossed = _count_alive(waves, v_fronts)
@@ -374,6 +382,7 @@ class FieldState:
         if self._fronts is None:
             self._fronts = _merge_fronts((Front((w.id,), w) for w in self.waves if w.alive),
                                          self.waves, self.time)
+            self._last_ids = [f.ids[-1] for f in self._fronts]
             self._n_joined = _count_joined(self._fronts)
         return self._fronts
 
@@ -386,8 +395,8 @@ class FieldState:
 
     def copy(self) -> "FieldState":
         """A deep copy of the waves and v-fronts.  Kept fronts are copied too,
-        each led by the copy's own wave; a simulator rebuilds its queue on
-        first use."""
+        each led by the copy's own wave, and so are their last ids; a
+        simulator rebuilds its queue on first use."""
         out = FieldState(
             eps=self.eps,
             waves=[WaveRecord(w.id, w.sign, w.w_hat, w.x_a, w.speed, w.crossed, w.t_a)
@@ -401,6 +410,7 @@ class FieldState:
         if self._fronts is not None:
             waves = out.waves
             out._fronts = [Front(f.ids, waves[f.lead.id - 1]) for f in self._fronts]
+            out._last_ids = list(self._last_ids)
             out._n_joined = self._n_joined
         return out
 
@@ -514,10 +524,10 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
     """Solve every initial discontinuity and set the wave speeds in place.
 
     Returns the groups of each discontinuity, left to right, as produced by
-    :func:`speed_groups`.  Any kept fronts, and any collision queue, are
-    dropped.
+    :func:`speed_groups`.  Any kept fronts with their last ids, and any
+    collision queue, are dropped.
     """
-    state._fronts = None
+    state._fronts = state._last_ids = None
     state._queue = None
     out = []
     stack: list[int] = []
@@ -549,8 +559,9 @@ def validate_enumeration(state: FieldState) -> list[str]:
     the kept ``n_alive`` and ``per_crossed`` equal a recount; if the state
     keeps its fronts, they are the runs derived anew from each wave's own
     position (maximal runs of alive waves that share position, speed and
-    sign, none mixing crossing counts), and the kept
-    ``n_joined`` is the pairs those runs hold.
+    sign, none mixing crossing counts), the kept
+    ``n_joined`` is the pairs those runs hold, and the kept last ids are
+    those of the kept fronts.
 
     One loop over the waves computes each position once and, in the same
     step, tests the order, checks the open stack, counts the alive waves per
@@ -652,6 +663,11 @@ def validate_enumeration(state: FieldState) -> list[str]:
             if state._n_joined != n_joined:
                 problems.append(f"kept count of pairs on one front {state._n_joined}, "
                                 f"recounted {n_joined}")
+        last_ids = [f.ids[-1] for f in state._fronts]
+        if state._last_ids != last_ids:
+            k, a, b = next((k, a, b) for k, (a, b)
+                           in enumerate(zip_longest(state._last_ids, last_ids)) if a != b)
+            problems.append(f"kept last id {k} is {a}, recounted {b}")
     return problems
 
 
@@ -671,35 +687,52 @@ def _close_bad_stack(waves: Sequence[WaveRecord], ids: list[int], x: float, befo
     return after
 
 
-def effective_flux(state: FieldState, block: tuple[int, ...],
-                   table: FluxTable) -> PiecewiseAffineFlux:
+def effective_flux(state: FieldState, block: tuple[int, ...], table: FluxTable,
+                   memo: dict | None = None) -> PiecewiseAffineFlux:
     """Effective flux of one maximal homogeneous block of alive waves, given
     as the tuple of their ids.
 
     On each wave cell its second derivative is d2f/dw2(., v value of the
     wave); value and slope vanish at the leftmost node (the function is only
-    used through affine-invariant differences).
+    used through affine-invariant differences).  The flux is a pure function
+    of the block's (cell, v tick) sequence: ``memo``, if given, maps that
+    sequence, as a tuple, to the flux built for it, and is read before a
+    flux is built and filled after.
     """
     if not block:
         raise ValueError("empty block")
-    signs = {state.wave(s).sign for s in block}
-    if len(signs) != 1:
+    recs = [state.waves[s - 1] for s in block]
+    sign = recs[0].sign
+    if any(w.sign != sign for w in recs):
         raise ValueError("block is not homogeneous")
     v_ticks = state.v_ticks
-    cells = sorted((state.wave(s).cell(), v_ticks[state.wave(s).crossed]) for s in block)
-    return build_effective_flux(cells, table)
+    cells = sorted([(w.cell(), v_ticks[w.crossed]) for w in recs])
+    if memo is None:
+        return build_effective_flux(cells, table)
+    key = tuple(cells)
+    eff = memo.get(key)
+    if eff is None:
+        eff = memo[key] = build_effective_flux(cells, table)
+    return eff
 
 
 class BlockFluxes:
-    """The effective flux of each homogeneous block of one state, built once,
-    on first use, for the runs of waves that ask for it, from the cell
-    increments ``table`` keeps across states.  A block is a maximal run of
-    kept fronts of one sign, read from :meth:`FieldState.fronts`; the tuple
-    of its alive ids keys its flux."""
+    """The effective flux of each homogeneous block of one state, found once,
+    on first use, for the runs of waves that ask for it.  A block is a
+    maximal run of kept fronts of one sign, read from
+    :meth:`FieldState.fronts`; the tuple of its alive ids keys its flux.
 
-    def __init__(self, state: FieldState, table: FluxTable):
+    A flux is read from ``memo``, keyed by the block's (cell, v tick)
+    sequence, or else built from the cell increments ``table`` keeps across
+    states and stored there.  The pair history and the replay each pass the
+    memo they keep for one run, so a block an earlier state of the run
+    already had is not built again; without one, the instance keeps a memo
+    of its own."""
+
+    def __init__(self, state: FieldState, table: FluxTable, memo: dict | None = None):
         self.state = state
         self.table = table
+        self.memo = {} if memo is None else memo
         self._fluxes: dict[tuple[int, ...], PiecewiseAffineFlux] = {}
 
     def flux(self, members: Sequence[int]) -> PiecewiseAffineFlux:
@@ -710,7 +743,7 @@ class BlockFluxes:
             raise ValueError(f"waves {first}..{last} span two homogeneous blocks")
         eff = self._fluxes.get(blk)
         if eff is None:
-            eff = self._fluxes[blk] = effective_flux(self.state, blk, self.table)
+            eff = self._fluxes[blk] = effective_flux(self.state, blk, self.table, self.memo)
         return eff
 
     def _block(self, s: int) -> tuple[int, ...]:
@@ -718,14 +751,14 @@ class BlockFluxes:
         front that holds it and its neighbours in the front list, out to the
         first front of the other sign on either side."""
         fronts = self.state.fronts()
-        k = front_index(fronts, s)
+        k = front_index(self.state, s)
         if k is None:
             raise ValueError(f"wave {s} is on no kept front")
-        sign = fronts[k].sign
+        sign = fronts[k].lead.sign
         a = b = k
-        while a > 0 and fronts[a - 1].sign == sign:
+        while a > 0 and fronts[a - 1].lead.sign == sign:
             a -= 1
-        while b + 1 < len(fronts) and fronts[b + 1].sign == sign:
+        while b + 1 < len(fronts) and fronts[b + 1].lead.sign == sign:
             b += 1
         return tuple(t for f in fronts[a:b + 1] for t in f.ids)
 

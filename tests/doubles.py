@@ -17,7 +17,7 @@ from triwave.flux import FluxTable, PiecewiseAffineFlux
 from triwave.history import PairHistory
 from triwave.replay import Replay, ReplayPair
 from triwave.wavefield import (BlockFluxes, EventKind, FieldState, Front, StepFunction,
-                               _count_alive, apply_event, position)
+                               _count_alive, apply_event, front_index, position)
 
 
 def value_at(sf, x):
@@ -101,11 +101,13 @@ def swap_end_positions(state):
 
 def swap_kept_ids(state):
     """Swap the last id of the first kept front with the first id of the
-    second: anchors stay as they are, only the kept fronts go wrong."""
+    second: anchors stay as they are, only the kept fronts go wrong, and
+    the kept last ids follow them."""
     fronts = state.fronts()
     a, b = fronts[0], fronts[1]
     fronts[0] = Front(a.ids[:-1] + b.ids[:1], a.lead)
     fronts[1] = Front(a.ids[-1:] + b.ids[1:], b.lead)
+    state._last_ids[:2] = [fronts[0].ids[-1], fronts[1].ids[-1]]
 
 
 class CorruptAfterFirstEvent:
@@ -143,6 +145,29 @@ class ReviveAfterFirstCancellation:
             w = state.wave(event.canceled[0])
             w.x_a, w.t_a, w.speed = event.x, event.time, 0.0
             self.index = index
+        return event
+
+
+class FrontIndexAgainstScan:
+    """Stands in for ``simulator.resolve``: after each event it asks
+    ``wavefield.front_index`` for every wave and asserts the answer of
+    :func:`scan_front_index`, the index for an alive wave and None for a
+    dead one.  It counts the events and the alive and dead waves asked."""
+
+    def __init__(self, real):
+        self.real = real
+        self.seen = {"events": 0, "alive": 0, "dead": 0}
+
+    def __call__(self, cand, state, flux_table, index):
+        event = self.real(cand, state, flux_table, index)
+        for w in state.waves:
+            k = front_index(state, w.id)
+            if w.alive:
+                assert k is not None and k == scan_front_index(state, w.id), (index, w.id)
+            else:
+                assert k is None, (index, w.id)
+            self.seen["alive" if w.alive else "dead"] += 1
+        self.seen["events"] += 1
         return event
 
 
@@ -385,6 +410,13 @@ def walk_block(state, s):
     return (*reversed(sides[0]), s, *sides[1])
 
 
+def scan_front_index(state, s):
+    """The index of the kept front whose ids hold wave ``s``, found by a
+    linear scan of the kept fronts, or None if none holds it: the oracle of
+    ``wavefield.front_index``, which bisects the kept last ids."""
+    return next((k for k, f in enumerate(state.fronts()) if s in f.ids), None)
+
+
 def group_fronts(state):
     """The ids of every second-family front, derived anew from the waves: maximal
     runs of alive waves, in id order, that share position, speed and sign.
@@ -479,6 +511,11 @@ def multipass_validate_enumeration(state):
             if state._n_joined != n_joined:
                 problems.append(f"kept count of pairs on one front {state._n_joined}, "
                                 f"recounted {n_joined}")
+        last_ids = [f.ids[-1] for f in state._fronts]
+        for k, (a, b) in enumerate(zip_longest(state._last_ids, last_ids)):
+            if a != b:
+                problems.append(f"kept last id {k} is {a}, recounted {b}")
+                break
     return problems
 
 

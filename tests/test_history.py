@@ -733,6 +733,34 @@ class TestReplayAgreement:
                 assert [list(c) for c in rec.classes] == final.pairs[key].classes
 
 
+def test_history_and_replay_each_keep_one_memo_per_run(spec, bounds):
+    # a new history or replay starts with an empty block-flux memo; the
+    # replay's block fluxes read only its own, so no flux the replay reads
+    # is one the history's memo holds
+    history_fluxes = replay_fluxes = 0
+    for seed in range(8):
+        cfg = ScenarioConfig(
+            seed=seed,
+            w0={"random": {"jumps": 3, "max_amplitude": 0.25, "max_waves": 12}},
+            v0={"random": {"jumps": 2, "max_amplitude": 0.3}},
+        )
+        w0, v0 = build_initial_data(cfg, spec)
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        assert history.flux_memo == {}
+        traj = run(w0, v0, spec, EPS, bounds=bounds, history=history)
+        replay = Replay(traj)
+        assert replay.flux_memo == {}
+        for _, fluxes in replay.run():
+            assert fluxes.memo is replay.flux_memo
+            for s in alive_ids(replay.state):    # as the lemma checks read them
+                fluxes.flux([s])
+        ours = {id(eff) for eff in replay.flux_memo.values()}
+        assert not ours & {id(eff) for eff in history.flux_memo.values()}
+        history_fluxes += len(history.flux_memo)
+        replay_fluxes += len(ours)
+    assert history_fluxes > 5 and replay_fluxes > 50, (history_fluxes, replay_fluxes)
+
+
 class JoinedClassHistory(PairHistory):
     """Asserts after every event that each class of each live record is
     joined: its alive members share one position and one speed.  Also counts

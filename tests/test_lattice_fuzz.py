@@ -1,10 +1,16 @@
 """The exit status and counts line of ``tools/lattice_fuzz.py``, driven with a
-stubbed ``run_scenario`` so that no datum is simulated."""
+stubbed ``run_scenario`` so that no datum is simulated; and the kept fronts
+over the first lattice data the fuzz draws."""
 
 import importlib.util
+import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+
+from doubles import FrontIndexAgainstScan
+from triwave import simulator
 
 FUZZ = Path(__file__).resolve().parents[1] / "tools" / "lattice_fuzz.py"
 
@@ -56,3 +62,15 @@ def test_every_datum_passing_exits_0(monkeypatch, capsys):
     stub_outcomes(monkeypatch, [True, True])
     assert fuzz.main(["--n", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "passed 2, failed 0, raised 0 of 2"
+
+
+def test_front_index_matches_the_scan_on_lattice_data(monkeypatch):
+    # after every event of the first 40 data the fuzz draws, run at level
+    # fast (the level plays no part in the fronts), the bisection of the
+    # kept last ids finds the front of every alive wave and none for a dead one
+    check = FrontIndexAgainstScan(simulator.resolve)
+    monkeypatch.setattr(simulator, "resolve", check)
+    rng = random.Random(0)
+    for _ in range(40):
+        fuzz.run_scenario(replace(fuzz.draw_config(rng), check_level="fast"))
+    assert check.seen["events"] > 700 and check.seen["dead"] > 1000, check.seen

@@ -1,3 +1,9 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from doubles import (
@@ -7,6 +13,7 @@ from doubles import (
     corrupt_history,
     group_fronts,
     swap_kept_ids,
+    write_config,
 )
 from golden.regen import SCALAR_FAST_JUMPS
 from triwave import scenario, simulator
@@ -50,15 +57,17 @@ def prepared_state(w_jumps, v_jumps, flux_table):
 def brute_force_earliest(state):
     """All-pairs collision scan (the oracle for the adjacent-pair version)."""
     objs = _objects(state)
+    # a w-front moves as its lead wave
+    movers = [obj if isinstance(obj, VFront) else obj.lead for obj in objs]
     best = None
     for i in range(len(objs)):
         for j in range(i + 1, len(objs)):
-            l, r = objs[i], objs[j]
+            l, r = movers[i], movers[j]
             if isinstance(l, VFront):
                 continue
             gap = position(r, state.time) - position(l, state.time)
             if isinstance(r, VFront):
-                if state.wave(l.ids[0]).crossed >= r.id:
+                if l.crossed >= r.id:
                     continue
                 tau = gap / (l.speed + 1.0)
             else:
@@ -566,3 +575,45 @@ def test_site_merges_with_a_neighbour_arriving_at_the_same_point(flux_table, col
     cand = next_collision(state)
     assert (cand.time, cand.x, cand.left.ids, cand.right) == full_scan(state)
     assert cand.right is state.fronts()[1]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LOGGED = ScenarioConfig(w0={"jumps": SCALAR_FAST_JUMPS}, v0={"jumps": []}, check_level="fast")
+
+
+class TestEventLog:
+    """The run asks once whether the simulator's log is at DEBUG; at DEBUG
+    it still logs one ``event N:`` line per event, and otherwise none."""
+
+    @staticmethod
+    def event_lines(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "triwave.simulator" and r.getMessage().startswith("event ")]
+
+    def test_debug_logs_one_line_per_event(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="triwave.simulator")
+        events = run_scenario(LOGGED).trajectory.events
+        assert len(events) > 10
+        assert [line.split(":")[0] for line in self.event_lines(caplog)] == \
+            [f"event {ev.index}" for ev in events]
+
+    def test_warning_logs_no_event(self, caplog):
+        caplog.set_level(logging.WARNING, logger="triwave.simulator")
+        assert run_scenario(LOGGED).trajectory.events
+        assert self.event_lines(caplog) == []
+
+    def test_wavefront_log_debug_logs_one_line_per_event(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(LOGGED, cfg_path)
+        code = "import sys; from triwave.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", "--config", str(cfg_path), "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC), "WAVEFRONT_LOG": "debug"})
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "events.csv").read_text().splitlines()[1:]
+        lines = [line for line in proc.stderr.splitlines()
+                 if line.startswith("DEBUG triwave.simulator: event ")]
+        assert len(rows) > 10
+        assert [line.split(":")[1].strip() for line in lines] == \
+            [f"event {row.split(',')[0]}" for row in rows]

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from doubles import (
+    FrontIndexAgainstScan,
     alive_ids,
     multipass_validate_enumeration,
     reconstruct_profile,
+    reference_effective_flux,
     swap_end_positions,
     swap_kept_ids,
     value_at,
@@ -17,7 +19,7 @@ from doubles import (
 )
 from golden.regen import golden_cases
 from test_acceptance import NON_CONVEX_WIDE, SMALL_N_SEEDS, ensemble_config, small_n_config
-from triwave import simulator
+from triwave import simulator, wavefield
 from triwave.envelopes import EnvelopeResult
 from triwave.flux import Box, DerivativeBounds, FluxSpec, FluxTable, PiecewiseAffineFlux, make_flux
 from triwave.history import FunctionalSnapshot, PartitionRecord
@@ -300,6 +302,8 @@ CORRUPTIONS = {
     "kept_front": (swap_kept_ids, "kept front 0 is (2,), regrouped (1,)"),
     "n_joined": (lambda state: setattr(state, "_n_joined", 2),
                  "kept count of pairs on one front 2, recounted 1"),
+    # fronts (1,), (2,), (3, 4), (5,), (6,): one last id off
+    "last_ids": (lambda state: state._last_ids.__setitem__(2, 5), "kept last id 2 is 5, recounted 4"),
     # problems of several kinds, found in another order than they are listed
     "several": (lambda state: (set_wave(1, x_a=None, speed=None)(state),
                                set_wave(6, speed=None)(state)),
@@ -366,15 +370,44 @@ class TestEffectiveFlux:
 
 class TestBlockFluxes:
     def test_classes_of_one_block_share_its_flux(self, flux_table):
-        # one positive block of five waves (ids 1-5), then a negative one (6-7)
+        # one positive block of five waves (ids 1-5), then a negative one (6-10)
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         assign_initial_speeds(state, flux_table)
         fluxes = BlockFluxes(state, flux_table)
         assert fluxes.flux([1, 2]) is fluxes.flux([3, 4, 5])
-        assert fluxes.flux([6]) is not fluxes.flux([1])
         want = effective_flux(state, (1, 2, 3, 4, 5), flux_table)
         assert np.array_equal(fluxes.flux([4]).values, want.values)
+
+    def test_one_cell_sequence_is_one_flux_within_a_run(self, flux_table):
+        # within a run, one (cell, v tick) sequence maps to one flux object
+        # and different sequences to different objects.  Blocks 1-5 and 6-10
+        # of this datum both hold the cells 0-4 at v tick 0
+        w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
+        state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        assign_initial_speeds(state, flux_table)
+        memo = {}
+        fluxes = BlockFluxes(state, flux_table, memo)
+        assert fluxes.flux([6]) is fluxes.flux([1])
+        assert list(memo) == [tuple((c, 0) for c in range(5))]
+        # a later state of the run reads the same memo
+        assert BlockFluxes(state.copy(), flux_table, memo).flux([8, 9]) is fluxes.flux([1])
+        # signs + + - - - + + -: four blocks over four cell sequences
+        w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 1), (3.0, 0)])
+        other = initial_enumeration(w0, StepFunction((), (), 0), EPS)
+        assign_initial_speeds(other, flux_table)
+        others = BlockFluxes(other, flux_table, memo)
+        got = [others.flux(blk) for blk in blocks(other)] + [fluxes.flux([1])]
+        assert len({id(eff) for eff in got}) == len(memo) == 5
+        # the cells 0-1 at v tick 0, as block 1-2 above, then at v tick 2
+        w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 0)])
+        v0 = StepFunction.from_jumps([(0.5, 2), (1.5, 0)])
+        split = initial_enumeration(w0, v0, EPS)
+        assign_initial_speeds(split, flux_table)
+        fluxes = BlockFluxes(split, flux_table, memo)
+        assert fluxes.flux([1]) is others.flux([1, 2])
+        assert fluxes.flux([3]) is not fluxes.flux([1])
+        assert len(memo) == 6
 
     def test_rh_speed_is_the_chord_of_the_block_flux(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 3), (1.0, 0)])
@@ -420,6 +453,30 @@ class TestBlockFluxes:
             BlockFluxes(state, flux_table).flux([3])
 
 
+def test_a_memo_hit_is_the_reference_flux(monkeypatch):
+    # every flux a run's memo hands out again, in the history and in the
+    # replay, has the values of the block's cells integrated anew
+    real = wavefield.effective_flux
+    hits = []
+
+    def checked(state, block, table, memo=None):
+        cells = sorted((state.wave(s).cell(), state.v_ticks[state.wave(s).crossed])
+                       for s in block)
+        hit = memo is not None and tuple(cells) in memo
+        eff = real(state, block, table, memo)
+        if hit:
+            want = reference_effective_flux(cells, table.spec, table.eps)
+            assert (eff.base_index, eff.values) == (want.base_index, want.values), cells
+            hits.append(len(cells))
+        return eff
+
+    monkeypatch.setattr(wavefield, "effective_flux", checked)
+    configs = list(golden_cases().values()) + [small_n_config(seed) for seed in range(10)]
+    for cfg in configs:
+        run_scenario(cfg)
+    assert len(hits) > 50 and max(hits) > 5, (len(hits), max(hits, default=0))
+
+
 def test_block_matches_the_id_walk_after_every_event(monkeypatch):
     # the goldens, and criterion 9's legs that cancel waves and hold classes
     # of two or more: after every event, each alive wave's block read from
@@ -433,7 +490,7 @@ def test_block_matches_the_id_walk_after_every_event(monkeypatch):
         for s in alive_ids(state):
             blk = fluxes._block(s)
             assert blk == walk_block(state, s), (index, s)
-            seen["multi_front_blocks"] += len(blk) > len(fronts[front_index(fronts, s)].ids)
+            seen["multi_front_blocks"] += len(blk) > len(fronts[front_index(state, s)].ids)
         seen["events"] += 1
         seen["cancellations"] += event.kind == EventKind.CANCELLATION
         return event
@@ -447,6 +504,16 @@ def test_block_matches_the_id_walk_after_every_event(monkeypatch):
         run_scenario(replace(cfg, check_level="fast"))
     assert seen["events"] > 500 and seen["cancellations"] > 50, seen
     assert seen["multi_front_blocks"] > 1000, seen
+
+
+def test_front_index_matches_the_scan_after_every_event(monkeypatch):
+    # the goldens: after every event, the bisection of the kept last ids
+    # finds the front of every alive wave and no front for a dead one
+    check = FrontIndexAgainstScan(simulator.resolve)
+    monkeypatch.setattr(simulator, "resolve", check)
+    for cfg in golden_cases().values():
+        run_scenario(replace(cfg, check_level="fast"))
+    assert check.seen["events"] > 100 and check.seen["dead"] > 1000, check.seen
 
 
 def test_only_wavefield_reads_the_blocks():
@@ -480,12 +547,17 @@ def test_copy_keeps_the_fronts_led_by_its_own_waves(flux_table):
     w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
     state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
     assign_initial_speeds(state, flux_table)
-    assert state.copy()._fronts is None     # none kept yet: built on first use
+    assert state.copy()._fronts is state.copy()._last_ids is None   # built on first use
     fronts = state.fronts()
     copy = state.copy()
     assert [f.ids for f in copy._fronts] == [f.ids for f in fronts]
     assert all(f.lead is copy.wave(f.lead.id) for f in copy._fronts)
+    assert copy._last_ids == state._last_ids == [f.ids[-1] for f in fronts]
+    assert copy._last_ids is not state._last_ids
     assert copy.n_joined == state.n_joined and validate_enumeration(copy) == []
+    # new speeds drop the kept fronts and their last ids together
+    assign_initial_speeds(copy, flux_table)
+    assert copy._fronts is copy._last_ids is None
 
 
 def test_snapshot_is_json_ready(flux_table):

@@ -23,11 +23,12 @@ No pair is stored.  The pairs divided at one meeting share one partition
 record, made by ``_meet``: the meeting's waves have consecutive right states
 (``_meet`` checks it), so a wave's meeting rank is |w_hat - w_hat of rank 0|
 and d = |w_hat(s') - w_hat(s)| + 1 in ticks is the rank difference plus 1.
-The record keeps its meeting classes, the runs of equal speed, as cut points
-over the ranks.  Its divided pairs are the pairs of its alive waves in two
-meeting classes, less the set of those that met again joined, and it keeps
-their count; ``q_quadratic`` reads the total of the counts.  A pair's
-record is the latest live record that holds both its waves.
+The record keeps its meeting classes, the ids of the fronts of the fan that
+leaves the meeting, as cut points over the ranks.  Its divided pairs are the
+pairs of its alive waves in two meeting classes, less the set of those that
+met again joined, and it keeps their count; ``q_quadratic`` reads the total
+of the counts.  A pair's record is the latest live record that holds both
+its waves.
 
 Budgets are exact integers.  A crossing of v-front h adds
 2 ||d3f/dw2dv|| |v_h| M to pi, with |v_h| = ticks_h * eps and M = count * eps
@@ -79,8 +80,9 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, groupby, product, repeat
+from itertools import accumulate, combinations, product, repeat
 from operator import itemgetter, mul
 
 from .flux import DerivativeBounds, FluxSpec, flux_table
@@ -373,8 +375,7 @@ class PairHistory:
         self.weights = [0] + [self.L // d for d in range(1, d_max + 1)]
         self.cum = [0, *accumulate(self.weights)]
         for groups in initial_groups:
-            ids = [s for members, _ in groups for s in members]
-            self._meet(ids, {s: speed for members, speed in groups for s in members}, 0)
+            self._meet(groups, state, 0)
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
@@ -387,11 +388,8 @@ class PairHistory:
         else:
             self._update_records(event, state)
         self._rejoin(event)     # a crossing has no two fronts: left_ids is empty
-        if event.post_speeds:
-            ids = sorted(event.post_speeds)
-            if len({state.wave(s).sign for s in ids}) != 1:
-                raise ValueError("meeting waves of opposite sign survived one event")
-            self._meet(ids, event.post_speeds, event.index)
+        if event.fronts:
+            self._meet(event.fronts, state, event.index)
         return self.snapshot(state, index=event.index, sum_abs_dsigma=event.sum_abs_dsigma), detail
 
     def _update_records(self, event: Event, state: FieldState) -> None:
@@ -487,27 +485,38 @@ class PairHistory:
     def _rejoin(self, event: Event) -> None:
         """Take out the divided pairs across the event's two fronts, once the
         dead waves' pairs have left: they meet again joined, and join their
-        record's re-joined set; one that meets again divided raises."""
+        record's re-joined set.  Only an interaction leaves such a pair
+        alive, and ``simulator.resolve`` requires its survivors to form one
+        front; a pair that meets again in a fan of two or more fronts is
+        divided again, and raises."""
         for s, s2 in product(event.left_ids, event.right_ids):
             rec = self._record_of(s, s2)
             if rec is not None:
-                if event.post_speeds[s] != event.post_speeds[s2]:
+                if len(event.fronts) != 1:
                     raise ValueError(f"pair ({s}, {s2}) met again while divided "
                                      f"at event {event.index}")
                 log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
                 self._part(rec, [(s, s2)])
                 rec.rejoined.add((s, s2))
 
-    def _meet(self, ids: list[int], speeds: dict[int, float], index: int) -> None:
-        """Pairs of ``ids`` meeting at one point at event ``index``: joined
-        where the speeds agree, else divided and sharing one fresh record
-        whose meeting classes are the runs of equal speed.  Every divided
-        pair starts with P = 0 (its record's potentials are 0).  Raises
-        unless the right states of the waves are consecutive ticks, which
-        the record's ranks and denominators read."""
-        runs = [tuple(run) for _, run in groupby(ids, speeds.__getitem__)]
+    def _meet(self, fronts: Sequence[tuple[tuple[int, ...], float]], state: FieldState,
+              index: int) -> None:
+        """The waves of the fan ``fronts``, one ``(ids, speed)`` per front as
+        :func:`~triwave.wavefield.speed_groups` returns it, meeting at one
+        point at event ``index``: joined on one front, else divided and
+        sharing one fresh record whose meeting classes are the fronts' ids.
+        Every divided pair starts with P = 0 (its record's potentials are
+        0).  Raises if the waves have two signs, or if they are divided and
+        their right states are not consecutive ticks, which the record's
+        ranks and denominators read."""
+        runs = [ids for ids, _ in fronts]
+        waves = state.waves
+        sign = waves[runs[0][0] - 1].sign
+        if any(waves[s - 1].sign != sign for run in runs for s in run):
+            raise ValueError(f"meeting waves of opposite sign survived event {index}")
         if len(runs) == 1:
             return
+        ids = [s for run in runs for s in run]
         hats = [self.hats[s - 1] for s in ids]
         if {b - a for a, b in zip(hats, hats[1:])} not in ({1}, {-1}):
             raise ValueError(f"meeting waves {ids} at event {index} have right states "

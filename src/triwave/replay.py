@@ -10,7 +10,7 @@ on small runs.
 
 The replay keeps only what a check reads.  ``Replay.pairs`` maps each divided
 pair to its history, a ``ReplayPair``, and ``Replay.joined`` is the set of the
-alive pairs whose last meeting left them at one speed.  A pair that never met
+alive pairs whose last meeting left them on one front.  A pair that never met
 is in neither, and a pair with a dead wave is dropped from both.  So Q reads
 only these two and the replay's own waves: one weight per divided pair and,
 for the never-met pairs, their count, the alive pairs less the divided and
@@ -34,7 +34,7 @@ event's index and the block fluxes its splits read.  A reader checks
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
@@ -80,8 +80,7 @@ class Replay:
         self.pairs: dict[tuple[int, int], ReplayPair] = {}
         self.joined: set[tuple[int, int]] = set()
         for groups in traj.initial_groups:
-            ids = sorted(s for members, _ in groups for s in members)
-            self._meet(ids, {s: sp for members, sp in groups for s in members})
+            self._meet(groups)
 
     # -- driving -------------------------------------------------------------
 
@@ -98,7 +97,8 @@ class Replay:
         block fluxes its splits read."""
         state = self.state
         apply_event(state, event)
-        meeting = event.post_speeds
+        # survivor -> the index of its front in the event's fan
+        front_of = {s: k for k, (ids, _) in enumerate(event.fronts) for s in ids}
         fluxes = BlockFluxes(state, self.table, self.flux_memo)
         dead = set(event.canceled)
         if dead:
@@ -112,8 +112,8 @@ class Replay:
             s, s2 = key
             if s in dead or s2 in dead:
                 continue
-            if s in meeting and s2 in meeting:
-                if meeting[s] == meeting[s2]:
+            if s in front_of and s2 in front_of:
+                if front_of[s] == front_of[s2]:
                     continue  # met again joined: _meet adds it to joined
                 raise ValueError(f"pair {key} met again while divided (event {event.index})")
             memo = carried.get(id(pair))
@@ -121,7 +121,7 @@ class Replay:
                 memo = carried[id(pair)] = (pair, self._carry(pair, event, dead, fluxes))
             pairs[key] = memo[1]
         self.pairs = pairs
-        self._meet(sorted(meeting), meeting)
+        self._meet(event.fronts)
         return fluxes
 
     def _carry(self, pair: ReplayPair, event: Event, dead: set[int],
@@ -148,17 +148,14 @@ class Replay:
 
     # -- meeting pairs ---------------------------------------------------------
 
-    def _meet(self, ids: list[int], speeds: dict[int, float]) -> None:
-        """Pairs sharing the event position: joined, or freshly divided with
-        one object for all of them."""
+    def _meet(self, fronts: Sequence[tuple[tuple[int, ...], float]]) -> None:
+        """Pairs sharing the event position, whose waves leave it as the fan
+        ``fronts`` (one ``(ids, speed)`` per front): joined on one front, or
+        freshly divided with one object for all of them."""
+        classes = [list(ids) for ids, _ in fronts]
+        ids = [s for cls in classes for s in cls]
         if len(ids) < 2:
             return
-        classes: list[list[int]] = []
-        for s in ids:
-            if classes and speeds[s] == speeds[classes[-1][-1]]:
-                classes[-1].append(s)
-            else:
-                classes.append([s])
         group_of = {s: k for k, cls in enumerate(classes) for s in cls}
         table = {(a, b): 0.0 for i, a in enumerate(ids) for b in ids[i + 1:]}
         divided = ReplayPair(classes, table)

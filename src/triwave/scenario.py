@@ -357,7 +357,7 @@ def _write_events(fh, traj: Trajectory, texts: FloatTexts) -> None:
     fh.write("j,t,x,kind,n_waves,v_strength,cancellation\r\n")
     fh.write("".join([
         f"{ev.index},{_csv_text(ev.time, texts)},{_csv_text(ev.x, texts)},{ev.kind.value},"
-        f"{len(ev.post_speeds)},{_csv_text(ev.v_strength, texts)},"
+        f"{len(ev.colliding) - len(ev.canceled)},{_csv_text(ev.v_strength, texts)},"
         f"{_csv_text(ev.cancellation, texts)}\r\n"
         for ev in traj.events]))
 

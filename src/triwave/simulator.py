@@ -292,15 +292,15 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
     groups = speed_groups(state, survivors, flux_table, v_tick=v_tick)
     if kind.is_interaction and len(groups) != 1:
         raise ValueError(f"interaction at ({t_j}, {x_j}) did not merge into one front")
-    post = {s: speed for members, speed in groups for s in members}
     event = Event(
         index=index,
         time=t_j,
         x=x_j,
         kind=kind,
         colliding=colliding,
-        post_speeds=post,
-        sum_abs_dsigma=_dsigma(pre, post, state.eps),
+        fronts=tuple(groups),
+        sum_abs_dsigma=sum(abs(speed - pre[s])
+                           for members, speed in groups for s in members) * state.eps,
         left_ids=() if crossing else left.ids,
         right_ids=() if crossing else right.ids,
         v_front_id=right.id if crossing else None,
@@ -310,10 +310,6 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
     )
     apply_event(state, event)
     return event
-
-
-def _dsigma(pre: dict[int, float], post: dict[int, float], eps: float) -> float:
-    return sum(abs(post[s] - pre[s]) for s in post) * eps
 
 
 def run(

@@ -128,7 +128,7 @@ def _equality(name: str, scope: str, actual: float, expected: float, **context) 
 def check_transversal_speed(traj: Trajectory, event: Event) -> CheckResult:
     if event.kind != EventKind.TRANSVERSAL:
         raise ValueError("not a transversal event")
-    n = len(event.post_speeds) * traj.eps
+    n = len(event.colliding) * traj.eps
     rhs = traj.bounds.norm_d2_wv * event.v_strength * n
     return _check("transversal_speed", f"event:{event.index}",
                   event.sum_abs_dsigma, rhs, v_strength=event.v_strength)
@@ -161,7 +161,7 @@ def check_transversal_increase(traj: Trajectory, event: Event) -> CheckResult:
         raise ValueError("not a transversal event")
     before = traj.snapshots[event.index - 1].q_quadratic
     after = traj.snapshots[event.index].q_quadratic
-    n = len(event.post_speeds) * traj.eps
+    n = len(event.colliding) * traj.eps
     rhs = 6.0 * LOG2 * traj.bounds.norm_d3_wwv * event.v_strength * n * traj.tv_w0
     return _check("transversal_increase", f"event:{event.index}",
                   after - before, rhs, q_before=before, q_after=after)
@@ -186,7 +186,7 @@ def check_qtrans(traj: Trajectory) -> list[CheckResult]:
         after = traj.snapshots[event.index].q_trans
         out.append(_check("q_trans_monotone", f"event:{event.index}", after, before))
         if event.kind == EventKind.TRANSVERSAL:
-            expected = event.v_strength * len(event.post_speeds) * traj.eps
+            expected = event.v_strength * len(event.colliding) * traj.eps
             out.append(_equality("q_trans_drop", f"event:{event.index}",
                                  before - after, expected))
         elif event.kind.is_interaction:

@@ -7,9 +7,10 @@ speed (None once cancelled) and how many first-family fronts it has crossed,
 which tells the v value at its position: ``FieldState.v_ticks[crossed]``.
 First-family fronts all travel at speed -1 and are stored separately.  An
 ``Event`` records one resolved collision in terms of this enumeration: the
-ids of the waves that meet, in id order, and the speeds of the survivors
-after it.  :func:`apply_event` is the one place that moves a state across an
-event; the simulator and the replay both call it.
+ids of the waves that meet, in id order, and the fan of fronts its
+survivors leave it as, each with its speed.  :func:`apply_event` is the one
+place that moves a state across an event; the simulator and the replay both
+call it.
 
 Positions are anchored: every wave and first-family front keeps the position
 ``x_a`` it had at time ``t_a``, when an event last moved it, and
@@ -203,25 +204,6 @@ def front_index(state: FieldState, s: int) -> int | None:
     return None
 
 
-def _fan_fronts(waves: Sequence[WaveRecord], ids: Iterable[int]) -> list[Front]:
-    """One front per run of the waves ``ids``, in id order, that share speed,
-    sign and crossing count: the survivors of an event, which share its
-    point, as fronts.  Two runs that differ in crossing count alone are left
-    for :func:`_merge_fronts` to find mixed."""
-    runs: list[list[int]] = []
-    leads: list[WaveRecord] = []
-    for s in sorted(ids):
-        w = waves[s - 1]
-        lead = leads[-1] if leads else None
-        if lead is not None and w.speed == lead.speed and w.sign == lead.sign \
-                and w.crossed == lead.crossed:
-            runs[-1].append(s)
-        else:
-            runs.append([s])
-            leads.append(w)
-    return [Front(tuple(run), lead) for run, lead in zip(runs, leads)]
-
-
 def _merge_fronts(fronts: Iterable[Front], waves: Sequence[WaveRecord], t: float) -> list[Front]:
     """Join every two adjacent fronts that share position at time ``t``,
     speed and sign; the waves of a joined front take the anchor of its first
@@ -259,16 +241,17 @@ class EventKind(str, Enum):
 
 @dataclass(slots=True)
 class Event:
-    """One resolved binary collision.  Its survivors are the keys of
-    ``post_speeds``; at a crossing, which kills no wave, they are
-    ``colliding``."""
+    """One resolved binary collision.  ``fronts`` is the fan its survivors
+    leave it as, the list :func:`speed_groups` returns: one ``(ids, speed)``
+    per front, left to right (speeds strictly increasing), ids ascending.
+    At a crossing, which kills no wave, the survivors are ``colliding``."""
 
     index: int
     time: float
     x: float
     kind: EventKind
     colliding: tuple[int, ...]        # second-family waves arriving at (t, x): contiguous alive ids
-    post_speeds: dict[int, float]     # survivor -> its speed after the event
+    fronts: tuple[tuple[tuple[int, ...], float], ...]   # the fan that leaves: (ids, speed)
     sum_abs_dsigma: float             # sum over surviving waves of |speed change| * eps
     left_ids: tuple[int, ...] = ()    # the ids of the two colliding w-fronts (empty for transversal)
     right_ids: tuple[int, ...] = ()
@@ -287,12 +270,12 @@ def apply_event(state: FieldState, event: Event) -> None:
     ``n_alive`` and its ``per_crossed`` slot, and each crossing wave moves to
     the slot of the v-front it crossed.  The state's fronts (built here if it
     has none yet) are edited at the site: the fronts that met are replaced by
-    the survivors, one front per run of equal speed, sign and crossing
-    count, which merge with a neighbour on either side where equal and then
-    share its anchor.  The fronts and their last ids are spliced into new
-    lists, and the old ones are left as they were; the pairs on one front
-    are recounted over the fronts replaced, and the collision queue (if
-    any) is told which fronts may have a new right-hand neighbour."""
+    one front per front of the event's fan, led by its first wave, which
+    merge with a neighbour on either side where equal and then share its
+    anchor.  The fronts and their last ids are spliced into new lists, and
+    the old ones are left as they were; the pairs on one front are recounted
+    over the fronts replaced, and the collision queue (if any) is told which
+    fronts may have a new right-hand neighbour."""
     fronts, last_ids = state.fronts(), state._last_ids
     t, x = event.time, event.x
     state.time = t
@@ -308,12 +291,13 @@ def apply_event(state: FieldState, event: Event) -> None:
         w.speed = None
         state.n_alive -= 1
         per_crossed[min(w.crossed, top)] -= 1
-    for s, speed in event.post_speeds.items():
-        state.wave(s).speed = speed
+    for ids, speed in event.fronts:
+        for s in ids:
+            state.wave(s).speed = speed
     if event.v_front_id is not None:
         vf = state.v_fronts[event.v_front_id - 1]
         vf.x_a, vf.t_a = x, t
-        for s in event.post_speeds:
+        for s in colliding:
             w = state.wave(s)
             per_crossed[min(w.crossed, top)] -= 1
             per_crossed[event.v_front_id] += 1
@@ -326,8 +310,8 @@ def apply_event(state: FieldState, event: Event) -> None:
         hi += 1
     a, b = max(lo - 1, 0), hi + 1
     waves = state.waves
-    window = _merge_fronts(fronts[a:lo] + _fan_fronts(waves, event.post_speeds) + fronts[hi:b],
-                           waves, t)
+    fan = [Front(ids, waves[ids[0] - 1]) for ids, _ in event.fronts]
+    window = _merge_fronts(fronts[a:lo] + fan + fronts[hi:b], waves, t)
     state._fronts = fronts[:a] + window + fronts[b:]
     state._last_ids = last_ids[:a] + [f.ids[-1] for f in window] + last_ids[b:]
     state._n_joined += _count_joined(window) - _count_joined(fronts[a:b])
@@ -394,10 +378,9 @@ class FieldState:
         return self._n_joined
 
     def copy(self) -> "FieldState":
-        """A deep copy of the waves and v-fronts.  Kept fronts are copied too,
-        each led by the copy's own wave, and so are their last ids; a
-        simulator rebuilds its queue on first use."""
-        out = FieldState(
+        """A deep copy of the waves and v-fronts.  The copy builds its own
+        fronts on first use, and a simulator its own queue."""
+        return FieldState(
             eps=self.eps,
             waves=[WaveRecord(w.id, w.sign, w.w_hat, w.x_a, w.speed, w.crossed, w.t_a)
                    for w in self.waves],
@@ -407,12 +390,6 @@ class FieldState:
             w_base=self.w_base,
             v_base=self.v_ticks[0],
         )
-        if self._fronts is not None:
-            waves = out.waves
-            out._fronts = [Front(f.ids, waves[f.lead.id - 1]) for f in self._fronts]
-            out._last_ids = list(self._last_ids)
-            out._n_joined = self._n_joined
-        return out
 
 
 def _count_alive(waves: Sequence[WaveRecord], v_fronts: Sequence[VFront]) -> tuple[int, list[int]]:
@@ -688,16 +665,16 @@ def _close_bad_stack(waves: Sequence[WaveRecord], ids: list[int], x: float, befo
 
 
 def effective_flux(state: FieldState, block: tuple[int, ...], table: FluxTable,
-                   memo: dict | None = None) -> PiecewiseAffineFlux:
+                   memo: dict) -> PiecewiseAffineFlux:
     """Effective flux of one maximal homogeneous block of alive waves, given
     as the tuple of their ids.
 
     On each wave cell its second derivative is d2f/dw2(., v value of the
     wave); value and slope vanish at the leftmost node (the function is only
     used through affine-invariant differences).  The flux is a pure function
-    of the block's (cell, v tick) sequence: ``memo``, if given, maps that
-    sequence, as a tuple, to the flux built for it, and is read before a
-    flux is built and filled after.
+    of the block's (cell, v tick) sequence: ``memo`` maps that sequence, as
+    a tuple, to the flux built for it, and is read before a flux is built
+    and filled after.
     """
     if not block:
         raise ValueError("empty block")
@@ -707,8 +684,6 @@ def effective_flux(state: FieldState, block: tuple[int, ...], table: FluxTable,
         raise ValueError("block is not homogeneous")
     v_ticks = state.v_ticks
     cells = sorted([(w.cell(), v_ticks[w.crossed]) for w in recs])
-    if memo is None:
-        return build_effective_flux(cells, table)
     key = tuple(cells)
     eff = memo.get(key)
     if eff is None:
@@ -726,13 +701,12 @@ class BlockFluxes:
     sequence, or else built from the cell increments ``table`` keeps across
     states and stored there.  The pair history and the replay each pass the
     memo they keep for one run, so a block an earlier state of the run
-    already had is not built again; without one, the instance keeps a memo
-    of its own."""
+    already had is not built again."""
 
-    def __init__(self, state: FieldState, table: FluxTable, memo: dict | None = None):
+    def __init__(self, state: FieldState, table: FluxTable, memo: dict):
         self.state = state
         self.table = table
-        self.memo = {} if memo is None else memo
+        self.memo = memo
         self._fluxes: dict[tuple[int, ...], PiecewiseAffineFlux] = {}
 
     def flux(self, members: Sequence[int]) -> PiecewiseAffineFlux:

@@ -252,9 +252,11 @@ class PairWalkHistory(PairHistory):
         """The denominator of the pair (s, s2), from the waves' right states."""
         return abs(self.hats[s2 - 1] - self.hats[s - 1]) + 1
 
-    def _meet(self, ids, speeds, index):
+    def _meet(self, fronts, state, index):
         made = len(self.records)
-        super()._meet(ids, speeds, index)
+        super()._meet(fronts, state, index)
+        speeds = {s: speed for ids, speed in fronts for s in ids}
+        ids = sorted(speeds)
         divided = [(s, s2) for i, s in enumerate(ids) for s2 in ids[i + 1:]
                    if speeds[s] != speeds[s2]]
         if not divided:
@@ -277,10 +279,11 @@ class PairWalkHistory(PairHistory):
 
     def _rejoin(self, event):
         super()._rejoin(event)
+        speeds = {t: speed for ids, speed in event.fronts for t in ids}
         for s in event.left_ids:
             for s2 in event.right_ids:
                 if (s, s2) in self.P:
-                    assert event.post_speeds[s] == event.post_speeds[s2], event.index
+                    assert speeds[s] == speeds[s2], event.index
                     self.part(s, s2)
 
     def part(self, s, s2):
@@ -408,6 +411,23 @@ def walk_block(state, s):
                 found.append(t)
         sides.append(found)
     return (*reversed(sides[0]), s, *sides[1])
+
+
+def speed_runs(state, survivors):
+    """The runs of the sorted ``survivors`` that share speed, sign and
+    crossing count, read from each wave's own slots after the event: the
+    fronts the survivors of an event leave as, the oracle of
+    ``Event.fronts``."""
+    runs = []
+    for s in sorted(survivors):
+        w = state.wave(s)
+        if runs:
+            lead = state.wave(runs[-1][0])
+            if (w.speed, w.sign, w.crossed) == (lead.speed, lead.sign, lead.crossed):
+                runs[-1].append(s)
+                continue
+        runs.append([s])
+    return [tuple(run) for run in runs]
 
 
 def scan_front_index(state, s):
@@ -549,9 +569,11 @@ class PerPairReplay(Replay):
     run, ``"never"``, ``"joined"``, ``"divided"`` or ``"dead"``, and each
     divided pair has a ``ReplayPair`` of its own.  ``_step`` walks every
     pair and carries each divided one across the event on its own, with no
-    memo; ``q_quadratic`` reads the statuses.  The oracle of the shared
-    replay, which keeps only its divided and joined pairs, carries each
-    shared history once and visits only the divided pairs."""
+    memo of carried pairs and a fresh block-flux memo each step, so it
+    shares no flux with another step; ``q_quadratic`` reads the statuses.
+    The oracle of the shared replay, which keeps only its divided and joined
+    pairs, carries each shared history once and visits only the divided
+    pairs."""
 
     def __init__(self, traj):
         n = len(traj.initial_state.waves)
@@ -565,8 +587,8 @@ class PerPairReplay(Replay):
     def _step(self, event):
         apply_event(self.state, event)
         dead = set(event.canceled)
-        meeting = event.post_speeds
-        fluxes = BlockFluxes(self.state, self.table)
+        meeting = {s: speed for ids, speed in event.fronts for s in ids}
+        fluxes = BlockFluxes(self.state, self.table, {})
         for key, status in self.status.items():
             s, s2 = key
             if s in dead or s2 in dead:
@@ -579,10 +601,12 @@ class PerPairReplay(Replay):
                         continue  # met again joined: _meet marks it so
                     raise ValueError(f"pair {key} met again while divided (event {event.index})")
                 self.pairs[key] = self._carry(self.pairs[key], event, dead, fluxes)
-        self._meet(sorted(meeting), meeting)
+        self._meet(event.fronts)
         return fluxes
 
-    def _meet(self, ids, speeds):
+    def _meet(self, fronts):
+        speeds = {s: speed for members, speed in fronts for s in members}
+        ids = sorted(speeds)
         if len(ids) < 2:
             return
         classes = []
@@ -628,7 +652,8 @@ def csv_events(fh, traj):
     writer.writerow(["j", "t", "x", "kind", "n_waves", "v_strength", "cancellation"])
     for ev in traj.events:
         writer.writerow([ev.index, repr(ev.time), repr(ev.x), ev.kind.value,
-                         len(ev.post_speeds), repr(ev.v_strength), repr(ev.cancellation)])
+                         sum(len(ids) for ids, _ in ev.fronts), repr(ev.v_strength),
+                         repr(ev.cancellation)])
 
 
 def csv_functionals(fh, traj):

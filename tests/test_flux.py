@@ -292,7 +292,7 @@ def test_a_hand_built_flux_runs_end_to_end_on_plain_floats(sin, cos):
     floats = [*astuple(bounds), *table.flux_for_v(3).values,
               *table.cell_increments(2, -3),
               *build_effective_flux([(0, 1), (1, -2)], table).values,
-              *(x for ev in traj.events for x in (ev.time, ev.x, *ev.post_speeds.values())),
+              *(x for ev in traj.events for x in (ev.time, ev.x, *(sp for _, sp in ev.fronts))),
               *(snap.q_quadratic for snap in traj.snapshots)]
     assert {type(x) for x in floats} == {float}
 

@@ -96,7 +96,7 @@ def test_prefix_increment_equals_m_value(spec, bounds, layout, lo, width):
     assert rec.classes == classes
     history.walk(Event(
         index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=crossing,
-        post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
+        fronts=(), sum_abs_dsigma=0.0, v_front_id=1), state)
     history._grow(rec, crossing[0], crossing[-1], ticks)
     for p, p2 in history.pairs:
         m = m_value(classes, lo, hi, p, p2, EPS)
@@ -273,16 +273,16 @@ class TestRecordRegistry:
         over ``colliding``, walked by the double first."""
         history.walk(Event(
             index=1, time=0.0, x=0.0, kind=EventKind.TRANSVERSAL, colliding=colliding,
-            post_speeds={}, sum_abs_dsigma=0.0, v_front_id=1), state)
+            fronts=(), sum_abs_dsigma=0.0, v_front_id=1), state)
         history._grow(rec, colliding[0], colliding[-1], 2)
 
     @staticmethod
-    def meet_again(index, left, right, speeds, canceled=()):
+    def meet_again(index, left, right, fronts, canceled=()):
         """An event at which the fronts ``left`` and ``right`` meet and the
-        waves of ``speeds`` survive, with those speeds."""
+        survivors leave as the fan ``fronts``."""
         kind = EventKind.CANCELLATION if canceled else EventKind.INTERACTION_POSITIVE
         return Event(index=index, time=0.0, x=0.0, kind=kind, colliding=left + right,
-                     post_speeds=speeds, sum_abs_dsigma=0.0,
+                     fronts=fronts, sum_abs_dsigma=0.0,
                      left_ids=left, right_ids=right, canceled=canceled)
 
     def test_relinked_and_dead_pairs_leave_their_record(self, spec, bounds):
@@ -299,14 +299,14 @@ class TestRecordRegistry:
         assert history.T == 6 * w2 + 6 * w3 and history.validate(state) == []
         # a divided pair that meets again joined leaves the pairs, its
         # record's count, the weights and T, and joins the re-joined set
-        history._rejoin(self.meet_again(7, (1,), (2,), {1: 0.5, 2: 0.5}))
+        history._rejoin(self.meet_again(7, (1,), (2,), (((1, 2), 0.5),)))
         assert list(history.pairs) == [(1, 3)] and rec.rejoined == {(1, 2)}
         assert history.records == [rec] and rec.count == 1 and history.S == {3: 6}
         assert (rec.up, rec.dn) == ({1: 0, 2: 0, 3: w3}, {1: w3, 2: 0, 3: 0})
         assert history.T == 6 * w3 and history.validate(state) == []
         # one that meets again divided is an error
         with pytest.raises(ValueError, match=r"pair \(1, 3\) met again while divided at event 8"):
-            history._rejoin(self.meet_again(8, (1,), (3,), {1: 0.5, 3: 0.75}))
+            history._rejoin(self.meet_again(8, (1,), (3,), (((1,), 0.5), ((3,), 0.75))))
         # a potential, a weight or T changed behind the bookkeeping's back
         # fails the recount
         rec.A[3] += 1
@@ -327,7 +327,7 @@ class TestRecordRegistry:
         history.T -= 1
         # a dead wave's pairs leave in the record pass of its cancellation
         state.wave(3).x_a = None
-        history._update_records(self.meet_again(9, (2,), (3,), {}, canceled=(3,)), state)
+        history._update_records(self.meet_again(9, (2,), (3,), (), canceled=(3,)), state)
         assert history.pairs == history.S == {} and history.records == []
         assert history.T == history.n_divided == 0
 
@@ -340,7 +340,7 @@ class TestRecordRegistry:
         history._grow(rec, 2, 4, 2)
         assert [history.budget(1, s2) for s2 in (2, 3, 4)] == [2, 4, 6]
         assert history.budget(2, 3) == 4
-        event = self.meet_again(5, (2,), (3, 4), {2: 0.5, 3: 0.5}, canceled=(4,))
+        event = self.meet_again(5, (2,), (3, 4), (((2, 3), 0.5),), canceled=(4,))
         apply_event(state, event)
         assert (2, 3) in [f.ids for f in state.fronts()]
         history.on_event(event, state)
@@ -362,7 +362,7 @@ class TestRecordRegistry:
                             lambda members, *args: splits.append(members) or [members])
         for s in (1, 4):
             state.wave(s).x_a = None
-        history._update_records(self.meet_again(9, (1,), (2, 3, 4), {}, canceled=(1, 4)), state)
+        history._update_records(self.meet_again(9, (1,), (2, 3, 4), (), canceled=(1, 4)), state)
         assert history.pairs == {} and history.records == [] and history.T == 0
         assert splits == []
 
@@ -390,7 +390,7 @@ class TestRecordRegistry:
         assert history.validate(state) == []
         # a meeting that divides waves 2 and 3: the pair would be counted
         # once as joined through n_joined and once as divided
-        history._meet([2, 3], {2: 0.0, 3: 1.0}, 1)
+        history._meet([((2,), 0.0), ((3,), 1.0)], state, 1)
         assert history.validate(state) == ["divided pair (2, 3) lies on one kept front"]
 
     def test_classes_out_of_id_order_or_stray_potentials_fail_validation(self, spec, bounds):
@@ -412,7 +412,7 @@ class TestRecordRegistry:
         assert history.validate(state) == [
             "record over ids 1..3: class 2..3 holds dead wave 3"]
         # the record pass of its cancellation cuts the class
-        history._update_records(self.meet_again(9, (2,), (3,), {}, canceled=(3,)), state)
+        history._update_records(self.meet_again(9, (2,), (3,), (), canceled=(3,)), state)
         assert rec.classes == [(1,), (2,)] and history.validate(state) == []
 
     def test_class_over_a_dead_middle_wave_fails_validation(self, spec, bounds):
@@ -440,10 +440,24 @@ class TestRecordRegistry:
                                              rf"at event 7 have right states "
                                              rf"\[{', '.join(map(str, hats))}\], "
                                              "not consecutive ticks"):
-            history._meet(ids, {s: float(s) for s in ids}, 7)
+            history._meet([((s,), float(s)) for s in ids], state, 7)
         assert history.records == []
         # joined waves make no record and need no ranks
-        history._meet(ids, dict.fromkeys(ids, 0.5), 8)
+        history._meet([(tuple(ids), 0.5)], state, 8)
+        assert history.records == []
+
+    @pytest.mark.parametrize("fronts", [[((2, 3), 0.5)], [((2,), 0.0), ((3,), 0.5)]])
+    def test_meeting_waves_of_two_signs_raise(self, spec, bounds, fronts):
+        # waves 1, 2 go up and 3, 4 down: joined or divided, the meeting raises
+        state = initial_enumeration(StepFunction.from_jumps([(0.0, 2), (1.0, 1), (2.0, 0)]),
+                                    StepFunction((), (), 0), EPS)
+        assert [w.sign for w in state.waves] == [1, 1, -1, -1]
+        for w in state.waves:
+            w.speed = float(w.id)
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history.initialize(state, [])
+        with pytest.raises(ValueError, match="meeting waves of opposite sign survived event 5"):
+            history._meet(fronts, state, 5)
         assert history.records == []
 
     def test_meeting_of_descending_right_states_reads_its_ranks(self, spec, bounds):
@@ -484,9 +498,10 @@ def test_recount_equals_the_pair_sums(spec, bounds, layout):
         w.speed = float(w.id)
     history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
     history.initialize(state, [])
-    speeds = {s: float(k) for k, size in enumerate(sizes)
-              for s in range(sum(sizes[:k]) + 1, sum(sizes[:k + 1]) + 1)}
-    history._meet(list(range(1, n + 1)), speeds, 1)
+    fronts = [(tuple(range(sum(sizes[:k]) + 1, sum(sizes[:k + 1]) + 1)), float(k))
+              for k in range(len(sizes))]
+    speeds = {s: speed for ids, speed in fronts for s in ids}
+    history._meet(fronts, state, 1)
     rec, = history.records
     alive = [s for s in range(1, n + 1) if s - 1 not in dead]
     assume(len({speeds[s] for s in alive}) > 1)
@@ -817,7 +832,7 @@ def full_clip_and_split(history, records, event, state):
         return
     dead = set(event.canceled)
     touched = event.colliding if event.kind == EventKind.TRANSVERSAL else None
-    fluxes = BlockFluxes(state, history.table)
+    fluxes = BlockFluxes(state, history.table, {})
     for rec in records:
         lo, hi = rec.classes[0][0], rec.classes[-1][-1]
         if not any(lo <= d <= hi for d in dead) and (

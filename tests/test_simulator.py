@@ -149,7 +149,7 @@ class TestResolve:
         assert event.kind == EventKind.INTERACTION_NEGATIVE
         g = flux_table.flux_for_v(0)
         want = (g.value(4) - g.value(0)) / (4 * EPS)
-        assert set(event.post_speeds.values()) == {want}
+        assert event.fronts == (((5, 6, 7, 8), want),)
         assert len(state.fronts()) == len(shocks) - 1
 
     def test_total_annihilation(self, flux_table):
@@ -163,7 +163,7 @@ class TestResolve:
         assert event.kind == EventKind.CANCELLATION
         assert event.canceled == (1, 2)
         assert event.cancellation == pytest.approx(2 * EPS)
-        assert event.colliding == (1, 2) and event.post_speeds == {}
+        assert event.colliding == (1, 2) and event.fronts == ()
         assert alive_ids(state) == []
         assert state.wave(1).speed is None
 
@@ -178,7 +178,7 @@ class TestResolve:
         assert traj.events[1].cancellation == pytest.approx(2 * EPS)
         assert traj.events[1].canceled == (3, 4)
         assert traj.events[1].colliding == (3, 4, 5, 6)
-        assert sorted(traj.events[1].post_speeds) == [5, 6]
+        assert [ids for ids, _ in traj.events[1].fronts] == [(5, 6)]
 
     def test_transversal_respects_speed_bound(self, spec, flux_table, bounds):
         state = prepared_state([(0.0, 3), (1.0, 0)], [(2.0, 4), (9.0, 0)], flux_table)
@@ -187,9 +187,10 @@ class TestResolve:
         pre = {s: state.wave(s).speed for s in cand.left.ids}
         event = resolve(cand, state, flux_table, index=1)
         assert event.kind == EventKind.TRANSVERSAL
-        assert set(event.post_speeds) == set(pre)
-        for s, post in event.post_speeds.items():
-            assert abs(post - pre[s]) <= bounds.norm_d2_wv * event.v_strength
+        assert [s for ids, _ in event.fronts for s in ids] == sorted(pre)
+        for ids, post in event.fronts:
+            for s in ids:
+                assert abs(post - pre[s]) <= bounds.norm_d2_wv * event.v_strength
         # profile unchanged by re-speeding
         assert validate_enumeration(state) == []
 
@@ -335,7 +336,7 @@ class TestRun:
             if ev.kind == EventKind.TRANSVERSAL:
                 assert ev.canceled == ()
                 # same waves, same states: the w-profile is untouched
-                assert set(ev.post_speeds) == arriving[ev.index]
+                assert {s for ids, _ in ev.fronts for s in ids} == arriving[ev.index]
         # total variation only drops at cancellations
         for ev in traj.events:
             before = traj.snapshots[ev.index - 1].tv_w
@@ -566,7 +567,7 @@ def test_site_merges_with_a_neighbour_arriving_at_the_same_point(flux_table, col
     post = state.wave(neighbour).speed
     apply_event(state, Event(
         index=1, time=2.0, x=1.0, kind=EventKind.INTERACTION_POSITIVE,
-        colliding=(lo, hi), post_speeds={lo: post, hi: post},
+        colliding=(lo, hi), fronts=(((lo, hi), post),),
         sum_abs_dsigma=0.0, left_ids=(lo,), right_ids=(hi,)))
     assert [f.ids for f in state.fronts()] == group_fronts(state) == [(1,), (2, 3, 4), (5, 6, 7, 8)]
     assert len({(state.wave(s).x_a, state.wave(s).t_a) for s in (2, 3, 4)}) == 1

@@ -161,7 +161,7 @@ class TestInteractionChecks:
         assert len(drops) == 4
         for r, ev in zip(drops, traj.events):
             assert r.context["expected"] == pytest.approx(
-                ev.v_strength * len(ev.post_speeds) * EPS
+                ev.v_strength * len(ev.colliding) * EPS
             )
 
 
@@ -194,7 +194,7 @@ def per_candidate_lemmas(traj, history):
         state = step.state
         out.append(_equality("replay_q_quadratic", scope,
                              step.q_quadratic, traj.snapshots[step.index].q_quadratic))
-        fluxes = BlockFluxes(state, table)
+        fluxes = BlockFluxes(state, table, {})
         divided = step.pairs
         worst_gap = None
         worst_agree = None
@@ -468,9 +468,9 @@ class TestReplayMatchesPerPair:
         traj = run_scenario(REJOIN).trajectory
         events = list(traj.events)
         event = events[3]
-        assert event.index == 4 and {3, 4, 5} <= event.post_speeds.keys()
-        speeds = {**event.post_speeds, 5: event.post_speeds[5] + 0.001}
-        events[3] = replace(event, post_speeds=speeds)
+        (ids, speed), = event.fronts
+        assert event.index == 4 and ids == (3, 4, 5)
+        events[3] = replace(event, fronts=(((3, 4), speed), ((5,), speed + 0.001)))
         replay = replay_class(replace(traj, events=events))
         with pytest.raises(ValueError, match=r"pair \(3, 5\) met again while divided \(event 4\)"):
             list(replay.run())
@@ -711,9 +711,9 @@ class TestReport:
         # and Infinity, with one memo filled in between
         texts = FloatTexts()
         traj = SimpleNamespace(events=[
-            Event(1, -0.0, math.nan, EventKind.TRANSVERSAL, (1,), {1: 0.5}, 0.0,
+            Event(1, -0.0, math.nan, EventKind.TRANSVERSAL, (1,), (((1,), 0.5),), 0.0,
                   v_front_id=1, v_strength=math.inf),
-            Event(2, 0.0, -math.inf, EventKind.CANCELLATION, (1, 2), {}, 1.0,
+            Event(2, 0.0, -math.inf, EventKind.CANCELLATION, (1, 2), (), 1.0,
                   canceled=(1, 2), cancellation=1),
         ], snapshots=[
             FunctionalSnapshot(0, 0.0, 1.0, math.nan, -0.0, 1),

@@ -1,5 +1,6 @@
 import ast
 import json
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,13 +13,17 @@ from doubles import (
     multipass_validate_enumeration,
     reconstruct_profile,
     reference_effective_flux,
+    scan_front_index,
+    speed_runs,
     swap_end_positions,
     swap_kept_ids,
     value_at,
     walk_block,
 )
 from golden.regen import golden_cases
-from test_acceptance import NON_CONVEX_WIDE, SMALL_N_SEEDS, ensemble_config, small_n_config
+from test_acceptance import (NON_CONVEX_WIDE, SMALL_N_CUBIC, SMALL_N_SEEDS, ensemble_config,
+                             small_n_config)
+from test_verifier import REJOIN
 from triwave import simulator, wavefield
 from triwave.envelopes import EnvelopeResult
 from triwave.flux import Box, DerivativeBounds, FluxSpec, FluxTable, PiecewiseAffineFlux, make_flux
@@ -352,7 +357,7 @@ class TestEffectiveFlux:
         w0 = StepFunction.from_jumps([(0.0, 1), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         with pytest.raises(ValueError):
-            effective_flux(state, (1, 2), FluxTable(spec, EPS))
+            effective_flux(state, (1, 2), FluxTable(spec, EPS), {})
 
     def test_blocks_partition_alive_waves(self):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
@@ -362,7 +367,7 @@ class TestEffectiveFlux:
     def test_negative_block_flux(self, spec):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        eff = effective_flux(state, (3, 4, 5), FluxTable(spec, EPS))
+        eff = effective_flux(state, (3, 4, 5), FluxTable(spec, EPS), {})
         # cells of the negative waves: hats 1, 0, -1 -> cells [1,2), [0,1), [-1,0)
         assert eff.base_index == -1
         assert len(eff.values) == 4
@@ -374,9 +379,9 @@ class TestBlockFluxes:
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         assign_initial_speeds(state, flux_table)
-        fluxes = BlockFluxes(state, flux_table)
+        fluxes = BlockFluxes(state, flux_table, {})
         assert fluxes.flux([1, 2]) is fluxes.flux([3, 4, 5])
-        want = effective_flux(state, (1, 2, 3, 4, 5), flux_table)
+        want = effective_flux(state, (1, 2, 3, 4, 5), flux_table, {})
         assert np.array_equal(fluxes.flux([4]).values, want.values)
 
     def test_one_cell_sequence_is_one_flux_within_a_run(self, flux_table):
@@ -413,7 +418,7 @@ class TestBlockFluxes:
         w0 = StepFunction.from_jumps([(0.0, 3), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         assign_initial_speeds(state, flux_table)
-        fluxes = BlockFluxes(state, flux_table)
+        fluxes = BlockFluxes(state, flux_table, {})
         g = fluxes.flux([1, 2, 3])
         assert fluxes.rh_speed([1, 2, 3]) == (g.value(3) - g.value(0)) / (3 * EPS)
 
@@ -425,9 +430,9 @@ class TestBlockFluxes:
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         assign_initial_speeds(state, flux_table)
         kill(state, dead)    # before the fronts are first built, so they skip the dead
-        fluxes = BlockFluxes(state, flux_table)
+        fluxes = BlockFluxes(state, flux_table, {})
         for blk in blocks(state):
-            want = effective_flux(state, blk, flux_table)
+            want = effective_flux(state, blk, flux_table, {})
             for s in blk:
                 assert np.array_equal(fluxes.flux([s]).values, want.values)
                 assert fluxes.flux([s]) is fluxes.flux(blk)
@@ -442,7 +447,7 @@ class TestBlockFluxes:
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         assign_initial_speeds(state, flux_table)
         with pytest.raises(ValueError, match="span two homogeneous blocks"):
-            BlockFluxes(state, flux_table).flux([2, 3])
+            BlockFluxes(state, flux_table, {}).flux([2, 3])
 
     def test_a_dead_wave_has_no_block(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
@@ -450,7 +455,7 @@ class TestBlockFluxes:
         assign_initial_speeds(state, flux_table)
         kill(state, (2, 3))
         with pytest.raises(ValueError, match="wave 3 is on no kept front"):
-            BlockFluxes(state, flux_table).flux([3])
+            BlockFluxes(state, flux_table, {}).flux([3])
 
 
 def test_a_memo_hit_is_the_reference_flux(monkeypatch):
@@ -459,10 +464,10 @@ def test_a_memo_hit_is_the_reference_flux(monkeypatch):
     real = wavefield.effective_flux
     hits = []
 
-    def checked(state, block, table, memo=None):
+    def checked(state, block, table, memo):
         cells = sorted((state.wave(s).cell(), state.v_ticks[state.wave(s).crossed])
                        for s in block)
-        hit = memo is not None and tuple(cells) in memo
+        hit = tuple(cells) in memo
         eff = real(state, block, table, memo)
         if hit:
             want = reference_effective_flux(cells, table.spec, table.eps)
@@ -486,7 +491,7 @@ def test_block_matches_the_id_walk_after_every_event(monkeypatch):
 
     def compare(cand, state, flux_table, index):
         event = real(cand, state, flux_table, index)
-        fluxes, fronts = BlockFluxes(state, flux_table), state.fronts()
+        fluxes, fronts = BlockFluxes(state, flux_table, {}), state.fronts()
         for s in alive_ids(state):
             blk = fluxes._block(s)
             assert blk == walk_block(state, s), (index, s)
@@ -543,21 +548,20 @@ def test_copy_keeps_every_field_and_shares_no_record():
     assert (wave.x_a, vf.x_a) != (-1.0, -1.0)
 
 
-def test_copy_keeps_the_fronts_led_by_its_own_waves(flux_table):
+def test_copy_builds_the_fronts_led_by_its_own_waves(flux_table):
     w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 5), (2.0, 3), (3.0, 0)])
     state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
     assign_initial_speeds(state, flux_table)
-    assert state.copy()._fronts is state.copy()._last_ids is None   # built on first use
     fronts = state.fronts()
     copy = state.copy()
-    assert [f.ids for f in copy._fronts] == [f.ids for f in fronts]
-    assert all(f.lead is copy.wave(f.lead.id) for f in copy._fronts)
+    assert copy._fronts is copy._last_ids is None   # built on first use
+    assert [f.ids for f in copy.fronts()] == [f.ids for f in fronts]
+    assert all(f.lead is copy.wave(f.lead.id) for f in copy.fronts())
     assert copy._last_ids == state._last_ids == [f.ids[-1] for f in fronts]
-    assert copy._last_ids is not state._last_ids
     assert copy.n_joined == state.n_joined and validate_enumeration(copy) == []
     # new speeds drop the kept fronts and their last ids together
-    assign_initial_speeds(copy, flux_table)
-    assert copy._fronts is copy._last_ids is None
+    assign_initial_speeds(state, flux_table)
+    assert state._fronts is state._last_ids is None
 
 
 def test_snapshot_is_json_ready(flux_table):
@@ -593,7 +597,7 @@ def test_per_event_records_are_slotted_and_shared_ones_frozen():
     front = Front((1,), wave)
     records = [
         wave, vf, front,
-        Event(1, 0.5, 1.0, EventKind.TRANSVERSAL, (1,), {1: 0.5}, 0.0),
+        Event(1, 0.5, 1.0, EventKind.TRANSVERSAL, (1,), (((1,), 0.5),), 0.0),
         FunctionalSnapshot(0, 0.0, 0.05, 0.0, 0.0, 0.0),
         PartitionRecord([(1,), (2,)], [1, 2]),
         CollisionCandidate(0.5, 1.0, front, vf),
@@ -610,3 +614,34 @@ def test_per_event_records_are_slotted_and_shared_ones_frozen():
     for cls in (FanFront, PiecewiseAffineFlux, EnvelopeResult, FluxSpec, DerivativeBounds,
                 Box, StepFunction, ReplayPair):
         assert cls.__dataclass_params__.frozen, cls.__name__
+
+
+def test_an_event_carries_the_speed_runs_of_its_survivors(monkeypatch):
+    # after every event, the fan the event carries is the runs of equal
+    # speed, sign and crossing count over its sorted survivors, left to
+    # right at strictly increasing speed, and each of its fronts lies inside
+    # one kept front
+    seen = Counter()
+    real = simulator.resolve
+
+    def compare(cand, state, flux_table, index):
+        event = real(cand, state, flux_table, index)
+        survivors = set(event.colliding) - set(event.canceled)
+        assert [ids for ids, _ in event.fronts] == speed_runs(state, survivors), index
+        speeds = [speed for _, speed in event.fronts]
+        assert all(a < b for a, b in zip(speeds, speeds[1:])), index
+        kept = state.fronts()
+        for ids, _ in event.fronts:
+            k = scan_front_index(state, ids[0])
+            assert set(ids) <= set(kept[k].ids), (index, ids)
+        seen[event.kind, len(event.fronts) > 1] += 1
+        return event
+
+    monkeypatch.setattr(simulator, "resolve", compare)
+    quartic, amplitude, _, _ = NON_CONVEX_WIDE["quartic_0.75"]
+    configs = [*golden_cases().values(), REJOIN, small_n_config(SMALL_N_SEEDS[0], SMALL_N_CUBIC),
+               ensemble_config(0, quartic, amplitude)]
+    for cfg in configs:
+        run_scenario(replace(cfg, check_level="fast"))
+    assert seen[EventKind.CANCELLATION, True] > 0, seen
+    assert seen[EventKind.TRANSVERSAL, True] > 0, seen

@@ -1,4 +1,4 @@
-"""Convex/concave envelopes of piecewise affine functions on grid intervals.
+"""Piecewise affine functions on the grid and their convex/concave envelopes.
 
 The lower convex hull of the flux samples is the single computational kernel
 of the whole simulator: wave speeds are its cell slopes, shock intervals are
@@ -9,16 +9,16 @@ The hull is computed with an Andrew monotone chain over the grid nodes.
 Collinear nodes are kept as hull vertices, so a node touches the envelope if
 and only if it is a vertex; this makes contact exact.  Cells covered by
 one hull segment share the same slope float, which is what lets wavefronts be
-grouped by exact speed equality downstream.
+grouped by exact speed equality downstream.  Their input, a
+``PiecewiseAffineFlux``, is defined here and built by ``flux``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flux import PiecewiseAffineFlux
-
 __all__ = [
+    "PiecewiseAffineFlux",
     "EnvelopeResult",
     "convex_envelope",
     "concave_envelope",
@@ -28,6 +28,38 @@ __all__ = [
 
 # two cells count as divided when their envelope slopes differ by more than this
 SLOPE_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseAffineFlux:
+    """Samples of f(., v) at the nodes of eps*Z; affine in between.
+
+    ``base_index`` is the tick of the leftmost node, so node k of ``values``
+    sits at ``(base_index + k) * eps``.  ``values`` is a tuple of floats.
+    """
+
+    eps: float
+    base_index: int
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.values) < 2:
+            raise ValueError("piecewise affine flux needs at least 2 nodes")
+
+    @property
+    def last_index(self) -> int:
+        return self.base_index + len(self.values) - 1
+
+    def value(self, tick: int) -> float:
+        if not self.base_index <= tick <= self.last_index:
+            raise ValueError(f"node {tick} outside [{self.base_index}, {self.last_index}]")
+        return self.values[tick - self.base_index]
+
+    def node_slice(self, lo: int, hi: int) -> tuple[float, ...]:
+        """Node values on ticks [lo, hi], inclusive."""
+        if not (self.base_index <= lo < hi <= self.last_index):
+            raise ValueError(f"range [{lo}, {hi}] not within flux grid")
+        return self.values[lo - self.base_index : hi - self.base_index + 1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,14 +7,16 @@ module owns:
 
 - ``FluxSpec``: a smooth flux with its analytic partial derivatives and the
   rectangular (w, v) box it is trusted on;
-- ``PiecewiseAffineFlux``: node samples of f(., v) on eps*Z;
+- ``interpolate``: node samples of f(., v) on eps*Z, as a
+  ``PiecewiseAffineFlux`` (defined in ``envelopes``, its reader);
 - ``DerivativeBounds``: sampled sup norms of the second/third derivatives,
   used as the constants of every runtime inequality check;
 - ``flux_constants``: the checked ``FluxSpec`` of a flux selection and its
   ``DerivativeBounds``, computed once per selection in a process;
 - ``FluxTable``: the cache of one flux at one eps, keyed by integer ticks:
   the interpolants f_eps(., v), the scalar fans of the Riemann problems
-  solved so far, and the quadrature increments of each cell;
+  solved so far (:meth:`FluxTable.fan`), and the quadrature increments of
+  each cell;
 - ``flux_table``: the one ``FluxTable`` per (flux, eps) in a process, which
   the runs of a batch or an ensemble share;
 - ``build_effective_flux``: the effective flux of a block, a
@@ -35,6 +37,9 @@ import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable
+
+from .envelopes import PiecewiseAffineFlux
+from .riemann import FanFront, solve_scalar
 
 __all__ = [
     "Box",
@@ -125,38 +130,6 @@ class DerivativeBounds:
     norm_d2_ww: float
     norm_d2_wv: float
     norm_d3_wwv: float
-
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseAffineFlux:
-    """Samples of f(., v) at the nodes of eps*Z; affine in between.
-
-    ``base_index`` is the tick of the leftmost node, so node k of ``values``
-    sits at ``(base_index + k) * eps``.  ``values`` is a tuple of floats.
-    """
-
-    eps: float
-    base_index: int
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise ValueError("piecewise affine flux needs at least 2 nodes")
-
-    @property
-    def last_index(self) -> int:
-        return self.base_index + len(self.values) - 1
-
-    def value(self, tick: int) -> float:
-        if not self.base_index <= tick <= self.last_index:
-            raise ValueError(f"node {tick} outside [{self.base_index}, {self.last_index}]")
-        return self.values[tick - self.base_index]
-
-    def node_slice(self, lo: int, hi: int) -> tuple[float, ...]:
-        """Node values on ticks [lo, hi], inclusive."""
-        if not (self.base_index <= lo < hi <= self.last_index):
-            raise ValueError(f"range [{lo}, {hi}] not within flux grid")
-        return self.values[lo - self.base_index : hi - self.base_index + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +424,8 @@ class FluxTable:
     Three kernels are computed once per key and kept for the table's life:
 
     - :meth:`flux_for_v`: the interpolant f_eps(., v) over the box, per v tick;
-    - ``fans``: the scalar fan of the jump ``w_left -> w_right`` under
-      f_eps(., v), per ``(w_left, w_right, v_tick)``, as the tuple of frozen
-      ``FanFront`` that ``riemann.solve_scalar`` returns.  The solver imports
-      this module, so ``wavefield.speed_groups``, the caller that keeps fans,
-      fills the dict; a jump whose solve raises is not stored;
+    - :meth:`fan`: the scalar fan of the jump ``w_left -> w_right`` under
+      f_eps(., v), per ``(w_left, w_right, v_tick)``, kept in ``fans``;
     - :meth:`cell_increments`: the two quadrature increments of one cell
       under one v label, per ``(cell_tick, v_tick)``.
 
@@ -475,7 +445,7 @@ class FluxTable:
         if self.hi - self.lo < 1:
             raise ValueError("box too small for the grid step")
         self._interpolants: dict[int, PiecewiseAffineFlux] = {}
-        self.fans: dict[tuple[int, int, int], tuple] = {}
+        self.fans: dict[tuple[int, int, int], tuple[FanFront, ...]] = {}
         self._cells: dict[tuple[int, int], tuple[float, float]] = {}
 
     def flux_for_v(self, v_tick: int) -> PiecewiseAffineFlux:
@@ -483,6 +453,22 @@ class FluxTable:
         if got is None:
             got = interpolate(self.spec, v_tick * self.eps, self.eps, self.lo, self.hi)
             self._interpolants[v_tick] = got
+        return got
+
+    def fan(self, w_left: int, w_right: int, v_tick: int) -> tuple[FanFront, ...]:
+        """The scalar fan ``riemann.solve_scalar`` gives for the jump
+        ``w_left -> w_right`` under f_eps(., v_tick * eps), solved once per
+        key.  A speed outside (-1, 1) is not hyperbolic and raises
+        ``ValueError``; a solve that raises stores nothing."""
+        key = (w_left, w_right, v_tick)
+        got = self.fans.get(key)
+        if got is None:
+            got = solve_scalar(w_left, w_right, self.flux_for_v(v_tick))
+            for f in got:
+                if not -1.0 < f.speed < 1.0:
+                    raise ValueError(f"second-family speed {f.speed} outside (-1, 1): "
+                                     "hyperbolicity violated")
+            self.fans[key] = got
         return got
 
     def cell_increments(self, tick: int, v_tick: int) -> tuple[float, float]:

@@ -72,7 +72,8 @@ joined, they join their record's re-joined set; divided, they are an error.
 total and T from the classes, the cut points and the re-joined sets, in
 O(runs of alive ranks) per wave, and reports a divided pair on one kept
 front, which would be counted twice.  ``pairs`` builds the map of every
-divided pair to its record on each read, for the oracles.
+divided pair to its record on each read, for ``replay_pi_match`` at level
+``small_n`` and for the oracles.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from operator import itemgetter, mul
 
 from .flux import DerivativeBounds, FluxSpec, flux_table
 from .riemann import solve_scalar
-from .wavefield import BlockFluxes, Event, EventKind, FieldState, stack_range
+from .wavefield import BlockFluxes, Event, EventKind, FieldState, fan_runs, stack_range
 
 __all__ = [
     "FunctionalSnapshot",
@@ -261,7 +262,7 @@ class PairHistory:
     def pairs(self) -> dict[tuple[int, int], PartitionRecord]:
         """Every divided pair (s, s2), s < s2, mapped to its record, by
         record in the order made and then by key.  Built on each read, for
-        the oracles: no run reads it."""
+        ``replay_pi_match`` at level ``small_n`` and for the oracles."""
         out = {}
         for rec in self.records:
             ids = [*rec.A]
@@ -384,10 +385,10 @@ class PairHistory:
         """Advance all histories across one event; returns (snapshot, detail)."""
         detail = None
         if event.kind.is_interaction:
-            detail = self._interaction_detail(event, state)
+            detail = self._interaction_detail(event, state, *self._rejoin(event))
         else:
             self._update_records(event, state)
-        self._rejoin(event)     # a crossing has no two fronts: left_ids is empty
+            self._rejoin(event)     # a crossing has no two fronts: left_ids is empty
         if event.fronts:
             self._meet(event.fronts, state, event.index)
         return self.snapshot(state, index=event.index, sum_abs_dsigma=event.sum_abs_dsigma), detail
@@ -478,26 +479,30 @@ class PairHistory:
         slope 0 at its left node, so the fan's speeds are true speeds only up
         to a constant, and only their grouping is read."""
         w_left, w_right = stack_range(state, members)
-        by_cell = {state.wave(s).cell(): s for s in members}
-        return [tuple(sorted(by_cell[c] for c in f.cells))
-                for f in solve_scalar(w_left, w_right, fluxes.flux(members))]
+        return fan_runs(state, members, solve_scalar(w_left, w_right, fluxes.flux(members)))
 
-    def _rejoin(self, event: Event) -> None:
-        """Take out the divided pairs across the event's two fronts, once the
-        dead waves' pairs have left: they meet again joined, and join their
-        record's re-joined set.  Only an interaction leaves such a pair
-        alive, and ``simulator.resolve`` requires its survivors to form one
-        front; a pair that meets again in a fan of two or more fronts is
-        divided again, and raises."""
+    def _rejoin(self, event: Event) -> tuple[int, int]:
+        """Walk the pairs across the event's two fronts once, after the dead
+        waves' pairs have left; return how many have no record (at an
+        interaction, the never-met pairs) and the sum of P over the others.
+        Those meet again joined: each leaves its record and joins its
+        re-joined set.  Only an interaction leaves such a pair alive, and
+        ``simulator.resolve`` requires its fan to be one front; a pair that
+        meets again in a fan of two or more fronts raises."""
+        n_never = sum_P = 0
         for s, s2 in product(event.left_ids, event.right_ids):
             rec = self._record_of(s, s2)
-            if rec is not None:
-                if len(event.fronts) != 1:
-                    raise ValueError(f"pair ({s}, {s2}) met again while divided "
-                                     f"at event {event.index}")
-                log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
-                self._part(rec, [(s, s2)])
-                rec.rejoined.add((s, s2))
+            if rec is None:
+                n_never += 1
+                continue
+            if len(event.fronts) != 1:
+                raise ValueError(f"pair ({s}, {s2}) met again while divided "
+                                 f"at event {event.index}")
+            log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
+            sum_P += rec.A[s2] - rec.B[s]
+            self._part(rec, [(s, s2)])
+            rec.rejoined.add((s, s2))
+        return n_never, sum_P
 
     def _meet(self, fronts: Sequence[tuple[tuple[int, ...], float]], state: FieldState,
               index: int) -> None:
@@ -528,8 +533,10 @@ class PairHistory:
 
     # -- the interaction-side detail for the wavefront-decrease check -------
 
-    def _interaction_detail(self, event: Event, state: FieldState) -> dict:
-        """Both sides of the pre-event wavefront inequality at an interaction.
+    def _interaction_detail(self, event: Event, state: FieldState, n_never: int,
+                            sum_P: int) -> dict:
+        """Both sides of the pre-event wavefront inequality at an interaction,
+        from the counts ``_rejoin`` returns.
 
         Uses the effective flux of the block containing both fronts; at an
         interaction it is unchanged from the previous event, so the post-event
@@ -540,9 +547,6 @@ class PairHistory:
         fluxes.flux(left + right)  # raises unless both fronts lie in one block
         size_l = len(left) * self.eps
         size_r = len(right) * self.eps
-        met = [(s, s2, self._record_of(s, s2)) for s, s2 in product(left, right)]
-        n_never = sum(rec is None for _, _, rec in met)
-        sum_P = sum(rec.A[s2] - rec.B[s] for s, s2, rec in met if rec is not None)
         sum_pi = self.K * sum_P
         lhs = (fluxes.rh_speed(left) - fluxes.rh_speed(right)) * size_l * size_r
         rhs = sum_pi * self.eps**2 + n_never * self.bounds.norm_d2_ww * (

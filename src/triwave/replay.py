@@ -63,6 +63,11 @@ class ReplayPair:
     pi: dict[tuple[int, int], float]
 
 
+def _front_of(fronts: Sequence[tuple[tuple[int, ...], float]]) -> dict[int, int]:
+    """Each wave of the fan ``fronts`` mapped to the index of its front."""
+    return {s: k for k, (ids, _) in enumerate(fronts) for s in ids}
+
+
 class Replay:
     """Steps through a trajectory rebuilding every pair history from scratch,
     each shared history once."""
@@ -80,7 +85,7 @@ class Replay:
         self.pairs: dict[tuple[int, int], ReplayPair] = {}
         self.joined: set[tuple[int, int]] = set()
         for groups in traj.initial_groups:
-            self._meet(groups)
+            self._meet(groups, _front_of(groups))
 
     # -- driving -------------------------------------------------------------
 
@@ -97,8 +102,7 @@ class Replay:
         block fluxes its splits read."""
         state = self.state
         apply_event(state, event)
-        # survivor -> the index of its front in the event's fan
-        front_of = {s: k for k, (ids, _) in enumerate(event.fronts) for s in ids}
+        front_of = _front_of(event.fronts)
         fluxes = BlockFluxes(state, self.table, self.flux_memo)
         dead = set(event.canceled)
         if dead:
@@ -121,7 +125,7 @@ class Replay:
                 memo = carried[id(pair)] = (pair, self._carry(pair, event, dead, fluxes))
             pairs[key] = memo[1]
         self.pairs = pairs
-        self._meet(event.fronts)
+        self._meet(event.fronts, front_of)
         return fluxes
 
     def _carry(self, pair: ReplayPair, event: Event, dead: set[int],
@@ -148,21 +152,22 @@ class Replay:
 
     # -- meeting pairs ---------------------------------------------------------
 
-    def _meet(self, fronts: Sequence[tuple[tuple[int, ...], float]]) -> None:
+    def _meet(self, fronts: Sequence[tuple[tuple[int, ...], float]],
+              front_of: dict[int, int]) -> None:
         """Pairs sharing the event position, whose waves leave it as the fan
-        ``fronts`` (one ``(ids, speed)`` per front): joined on one front, or
-        freshly divided with one object for all of them."""
+        ``fronts`` (one ``(ids, speed)`` per front), with ``front_of`` its
+        map of wave to front index: joined on one front, or freshly divided
+        with one object for all of them."""
         classes = [list(ids) for ids, _ in fronts]
         ids = [s for cls in classes for s in cls]
         if len(ids) < 2:
             return
-        group_of = {s: k for k, cls in enumerate(classes) for s in cls}
         table = {(a, b): 0.0 for i, a in enumerate(ids) for b in ids[i + 1:]}
         divided = ReplayPair(classes, table)
         pairs, joined = self.pairs, self.joined
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                if group_of[a] == group_of[b]:
+                if front_of[a] == front_of[b]:
                     joined.add((a, b))
                 else:
                     pairs[(a, b)] = divided

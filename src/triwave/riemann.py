@@ -6,22 +6,17 @@ the flux f_eps(., v+): convex-envelope cell slopes for an upward jump, concave
 for a downward one, grouped into fronts of equal speed.
 
 ``solve_scalar`` builds that fan, the only place where an envelope becomes
-fronts.  It has two callers.  ``wavefield.speed_groups`` solves each
-``(w-, w+, v tick)`` once per ``flux.FluxTable`` and keeps the fan there:
-every stack that meets that jump, in this run or a later one at the same
-flux and eps, shares one tuple of frozen fronts; it also checks that every
-speed lies in (-1, 1).  ``history.PairHistory`` splits a partition class by
-the fan of the Riemann problem it spans under a block's effective flux,
-whose speeds are true speeds only up to a constant, so it reads only how the
-fan groups the cells.
+fronts.  ``flux.FluxTable.fan`` solves, checks and keeps each fan of
+f_eps(., v).  ``history.PairHistory`` splits a partition class by the fan of
+the Riemann problem it spans under a block's effective flux, whose speeds are
+true only up to a constant, so it reads only how the fan groups the cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .envelopes import SLOPE_TOL, concave_envelope, convex_envelope
-from .flux import PiecewiseAffineFlux
+from .envelopes import SLOPE_TOL, PiecewiseAffineFlux, concave_envelope, convex_envelope
 
 __all__ = ["FanFront", "solve_scalar"]
 

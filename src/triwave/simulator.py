@@ -11,12 +11,12 @@ the state (Holden–Risebro's front tracking).  A pair's meeting time and x
 come from the anchors of its two fronts alone (``wavefield.position``), so
 they do not depend on when they are computed.  The heap is built from a full
 scan of the fronts (:func:`_objects`) on the first search; after that each
-event hands it the fronts it changed, their pairs get fresh entries, and
-entries that no longer hold are dropped when they reach the top.
+event hands it the fronts it changed and their pairs get fresh entries.
 
-The kept front list is the one source of adjacency: the queue and
-:func:`resolve` find a front in it with :func:`~triwave.wavefield.front_index`,
-and a candidate's two w-fronts must be neighbours there.
+The kept front list is the one source of adjacency.  A queue entry holds
+while its left front is still kept (:func:`_kept`) and its right object is
+still that front's right-hand neighbour (:func:`_right_of`), and
+:func:`resolve` checks a candidate against the same list.
 
 Simultaneous collisions are resolved sequentially at the same time
 coordinate, leftmost first, so every resolved event is binary and the
@@ -137,21 +137,37 @@ def _meeting(l: Front, r: Front | VFront) -> tuple[float, float] | None:
     return t0 + tau, x + a.speed * tau
 
 
-class CollisionQueue:
-    """The meetings of adjacent fronts, earliest first.
+def _kept(state: FieldState, front: Front) -> int | None:
+    """The index of ``front`` in the kept front list; None once an event
+    has replaced it by another object."""
+    k = front_index(state, front.ids[0])
+    return k if k is not None and state.fronts()[k] is front else None
 
-    Each pair that meets has one live entry ``(t, x, lo, seq, left, right)``,
-    found in ``live`` by ``lo``, the first id of its left front.
+
+def _right_of(state: FieldState, k: int) -> Front | VFront | None:
+    """The right-hand neighbour of kept front ``k`` in :func:`_objects`
+    order: v-front ``crossed + 1`` if it sits before the next front, else
+    that front; None for the last front with no v-front ahead."""
+    fronts, v_fronts = state.fronts(), state.v_fronts
+    nxt = fronts[k + 1] if k + 1 < len(fronts) else None
+    c = fronts[k].lead.crossed
+    if c < len(v_fronts) and (nxt is None or nxt.lead.crossed > c):
+        return v_fronts[c]
+    return nxt
+
+
+class CollisionQueue:
+    """The meetings ``(t, x, lo, seq, left, right)`` of adjacent fronts,
+    earliest first; an entry that no longer holds is dropped at the top.
+
     :func:`~triwave.wavefield.apply_event` appends to ``site`` the fronts
-    whose right-hand neighbour may have changed; :meth:`repair` gives each
-    of them a fresh entry, or none.  An entry stays live while ``live``
-    holds it and its left front is still kept; the others are dropped when
-    they reach the top of the heap.
+    whose right-hand neighbour may have changed, and :meth:`repair` gives
+    each a fresh entry, or none.  So an unchanged pair may hold two entries,
+    equal in ``(t, x, lo)`` since a meeting is read from the anchors alone.
     """
 
     def __init__(self, objs: list[Front | VFront]):
         self.heap: list[tuple] = []
-        self.live: dict[int, tuple] = {}
         self.site: list[Front] = []
         self._seq = count()
         for l, r in zip(objs, objs[1:]):
@@ -160,44 +176,25 @@ class CollisionQueue:
 
     def _push(self, l: Front, r: Front | VFront | None) -> None:
         met = None if r is None else _meeting(l, r)
-        if met is None:
-            self.live.pop(l.ids[0], None)
-            return
-        item = (*met, l.ids[0], next(self._seq), l, r)
-        self.live[l.ids[0]] = item
-        heapq.heappush(self.heap, item)
+        if met is not None:
+            heapq.heappush(self.heap, (*met, l.ids[0], next(self._seq), l, r))
 
     def repair(self, state: FieldState) -> None:
-        """New entries for the pairs right of the fronts in ``site``.
-
-        The right-hand neighbour in :func:`_objects` order is v-front
-        ``crossed + 1`` if it sits before the next front, else that front."""
-        fronts, v_fronts = state.fronts(), state.v_fronts
+        """New entries for the pairs right of the fronts in ``site``."""
         for f in self.site:
-            k = front_index(state, f.ids[0])
-            if k is None or fronts[k] is not f:
-                continue     # replaced by a later event, whose site lists its successor
-            nxt = fronts[k + 1] if k + 1 < len(fronts) else None
-            c = f.lead.crossed
-            if c < len(v_fronts) and (nxt is None or nxt.lead.crossed > c):
-                self._push(f, v_fronts[c])
-            else:
-                self._push(f, nxt)
+            k = _kept(state, f)
+            if k is not None:   # else replaced by a later event, whose site lists its successor
+                self._push(f, _right_of(state, k))
         self.site.clear()
 
     def _holds(self, item: tuple, state: FieldState) -> bool:
-        """Whether ``item`` is live; it forgets a live entry whose left
-        front is no longer kept."""
-        if self.live.get(item[2]) is not item:
-            return False
-        k = front_index(state, item[2])
-        if k is not None and state.fronts()[k] is item[4]:
-            return True
-        del self.live[item[2]]
-        return False
+        """Whether ``item``'s left front is kept and its right object is
+        still that front's right-hand neighbour."""
+        k = _kept(state, item[4])
+        return k is not None and _right_of(state, k) is item[5]
 
     def earliest(self, state: FieldState) -> CollisionCandidate | None:
-        """The winner of the earliest cluster: every live entry due within
+        """The winner of the earliest cluster: every entry that holds due within
         ``TIME_TOL`` of the earliest (a time before the state's counts as the
         state's), then the leftmost x, then the leftmost pair."""
         heap = self.heap
@@ -252,14 +249,13 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
     left, right = cand.left, cand.right
     crossing = isinstance(right, VFront)
     fronts = state.fronts()
-    k = front_index(state, left.ids[0])
-    if k is None or fronts[k] is not left:
+    k = _kept(state, left)
+    if k is None:
         raise ValueError(f"colliding front {left.ids} is not a kept front")
     if not crossing and (k + 1 == len(fronts) or fronts[k + 1] is not right):
         raise ValueError(f"colliding fronts {left.ids} and {right.ids} are not neighbours "
                          f"in the kept front list")
     colliding = left.ids if crossing else left.ids + right.ids
-    pre = {s: state.wave(s).speed for s in colliding}
     survivors, canceled = colliding, []
     if crossing:
         for s in colliding:
@@ -292,6 +288,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
     groups = speed_groups(state, survivors, flux_table, v_tick=v_tick)
     if kind.is_interaction and len(groups) != 1:
         raise ValueError(f"interaction at ({t_j}, {x_j}) did not merge into one front")
+    # the survivors' slots hold their pre-event speeds until apply_event
     event = Event(
         index=index,
         time=t_j,
@@ -299,7 +296,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         kind=kind,
         colliding=colliding,
         fronts=tuple(groups),
-        sum_abs_dsigma=sum(abs(speed - pre[s])
+        sum_abs_dsigma=sum(abs(speed - state.wave(s).speed)
                            for members, speed in groups for s in members) * state.eps,
         left_ids=() if crossing else left.ids,
         right_ids=() if crossing else right.ids,

@@ -617,19 +617,16 @@ def _entry(r: CheckResult, texts: FloatTexts) -> str:
             f'"context": {_json(r.context, texts)}}}')
 
 
-def write_report(results: list[CheckResult], summary: dict, fh,
-                 texts: FloatTexts | None = None) -> bool:
+def write_report(results: list[CheckResult], summary: dict, fh, texts: FloatTexts) -> bool:
     """Serialize all checks plus their per-name min-slack ``summary`` (from
     ``summarize(results)``) to the text stream ``fh`` as one line of JSON;
     True if all passed.
 
     The text is the bytes of ``json.dumps`` of the whole payload, laid out
     entry by entry, with each float's text read from ``texts``: the run's
-    memo, shared with its CSV writers, or a new one.  Where ``results`` hold
+    memo, shared with its CSV writers.  Where ``results`` hold
     the log-2 block, the same objects in a row, its text is spliced in from
     ``_log2_text`` instead of encoded again."""
-    if texts is None:
-        texts = FloatTexts()
     passed = all(r.passed for r in results)
     block = _log2_block()
     at = next((k for k, r in enumerate(results) if r is block[0]), len(results))

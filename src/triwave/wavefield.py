@@ -47,13 +47,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, pairwise, zip_longest
-from operator import mul
+from itertools import accumulate, chain, groupby, pairwise, zip_longest
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
-from .envelopes import rh_speed
-from .flux import FluxTable, PiecewiseAffineFlux, build_effective_flux
-from .riemann import solve_scalar
+from .envelopes import PiecewiseAffineFlux, rh_speed
+from .flux import FluxTable, build_effective_flux
+from .riemann import FanFront
 
 __all__ = [
     "StepFunction",
@@ -69,6 +69,7 @@ __all__ = [
     "initial_enumeration",
     "assign_initial_speeds",
     "speed_groups",
+    "fan_runs",
     "stack_range",
     "validate_enumeration",
     "effective_flux",
@@ -468,33 +469,26 @@ def speed_groups(
     """Solve the Riemann problem of a stack of waves; group them by speed.
 
     Returns ``[(ids, speed), ...]``, one entry per front of the scalar fan
-    :func:`~triwave.riemann.solve_scalar` builds over [w(x-), w(x)] with the
+    ``flux_table.fan`` solves, checks and keeps for [w(x-), w(x)] with the
     flux at ``v_tick``, ordered left to right (speeds strictly increasing).
-    The fan of each ``(w_left, w_right, v_tick)`` is solved once and kept in
-    ``flux_table.fans``.  A speed outside (-1, 1) means the flux is not
-    hyperbolic there and raises ValueError; a solve that raises stores
-    nothing.
     """
     if not ids:
         return []
-    recs = [state.wave(s) for s in ids]
     if v_tick is None:
-        crossed = {w.crossed for w in recs}
+        crossed = {state.wave(s).crossed for s in ids}
         if len(crossed) != 1:
             raise ValueError("stack with non-uniform crossing count")
         v_tick = state.v_ticks[crossed.pop()]
-    w_left, w_right = stack_range(state, ids)
-    key = (w_left, w_right, v_tick)
-    fronts = flux_table.fans.get(key)
-    if fronts is None:
-        fronts = solve_scalar(w_left, w_right, flux_table.flux_for_v(v_tick))
-        for f in fronts:
-            if not -1.0 < f.speed < 1.0:
-                raise ValueError(f"second-family speed {f.speed} outside (-1, 1): "
-                                 "hyperbolicity violated")
-        flux_table.fans[key] = fronts
-    by_cell = {w.cell(): w.id for w in recs}
-    return [(tuple(sorted(by_cell[c] for c in f.cells)), f.speed) for f in fronts]
+    fan = flux_table.fan(*stack_range(state, ids), v_tick)
+    return list(zip(fan_runs(state, ids, fan), [f.speed for f in fan]))
+
+
+def fan_runs(state: FieldState, ids: Sequence[int],
+             fan: Sequence[FanFront]) -> list[tuple[int, ...]]:
+    """The run of waves of the stack ``ids`` on each front of ``fan``, the
+    fan of its jump: the waves whose cells the front holds."""
+    by_cell = {state.wave(s).cell(): s for s in ids}
+    return [tuple(sorted(by_cell[c] for c in f.cells)) for f in fan]
 
 
 def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
@@ -507,22 +501,12 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
     state._fronts = state._last_ids = None
     state._queue = None
     out = []
-    stack: list[int] = []
-
-    def flush() -> None:
-        groups = speed_groups(state, stack, flux_table)
+    for _, stack in groupby(state.waves, key=attrgetter("x_a")):
+        groups = speed_groups(state, [w.id for w in stack], flux_table)
         for members, speed in groups:
             for s in members:
                 state.wave(s).speed = speed
         out.append(groups)
-
-    for w in state.waves:
-        if stack and state.wave(stack[-1]).x_a != w.x_a:
-            flush()
-            stack = []
-        stack.append(w.id)
-    if stack:
-        flush()
     return out
 
 

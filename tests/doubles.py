@@ -278,13 +278,14 @@ class PairWalkHistory(PairHistory):
                 self.part(*sorted((s, d)))
 
     def _rejoin(self, event):
-        super()._rejoin(event)
+        out = super()._rejoin(event)
         speeds = {t: speed for ids, speed in event.fronts for t in ids}
         for s in event.left_ids:
             for s2 in event.right_ids:
                 if (s, s2) in self.P:
                     assert speeds[s] == speeds[s2], event.index
                     self.part(s, s2)
+        return out
 
     def part(self, s, s2):
         """Forget the divided pair (s, s2), s < s2, and its P."""
@@ -601,10 +602,11 @@ class PerPairReplay(Replay):
                         continue  # met again joined: _meet marks it so
                     raise ValueError(f"pair {key} met again while divided (event {event.index})")
                 self.pairs[key] = self._carry(self.pairs[key], event, dead, fluxes)
-        self._meet(event.fronts)
+        self._meet(event.fronts, None)
         return fluxes
 
-    def _meet(self, fronts):
+    def _meet(self, fronts, front_of):
+        # front_of is not read: the oracle groups the meeting's waves by speed
         speeds = {s: speed for members, speed in fronts for s in members}
         ids = sorted(speeds)
         if len(ids) < 2:

@@ -265,8 +265,9 @@ class ClassCountingHistory(PairWalkHistory):
 
     def _rejoin(self, event):
         before = self.n_divided
-        super()._rejoin(event)
+        out = super()._rejoin(event)
         ClassCountingHistory.rejoins += before - self.n_divided
+        return out
 
 
 def test_criterion_9_non_convex_and_custom_fluxes(monkeypatch):

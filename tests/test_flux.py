@@ -24,6 +24,7 @@ from triwave.flux import (
     validate_flux,
 )
 from triwave.history import PairHistory
+from triwave.riemann import solve_scalar
 from triwave.scenario import ScenarioConfig, run_scenario
 from triwave.simulator import run
 from triwave.verifier import run_verifier
@@ -581,3 +582,41 @@ class TestFluxTableMemo:
         # the newest _MEMO_SIZE keys are kept, newest first
         assert all(flux_table(spec, t.eps) is t for t in reversed(tables[1:]))
         assert flux_table(spec, tables[0].eps) is not tables[0]
+
+
+class TestFanMemo:
+    """``FluxTable.fan`` solves each (w_left, w_right, v tick) once per
+    table, and keeps no fan whose solve raises."""
+
+    def test_kept_fans_equal_a_fresh_solve(self, spec):
+        # upward and downward jumps over the lattice, each asked for twice
+        table = FluxTable(spec, EPS)
+        for v in (-6, 0, 5):
+            for w_minus in range(-8, 9, 2):
+                for w_plus in range(-9, 10, 3):
+                    if w_plus == w_minus:
+                        continue
+                    kept = table.fan(w_minus, w_plus, v)
+                    fresh = solve_scalar(w_minus, w_plus, FluxTable(spec, EPS).flux_for_v(v))
+                    assert kept == fresh
+                    assert table.fans[(w_minus, w_plus, v)] is kept
+                    assert table.fan(w_minus, w_plus, v) is kept
+        assert len(table.fans) == 3 * 9 * 7 - 3 * 3
+
+    def test_a_solve_that_raises_stores_nothing(self):
+        # f = w^2 has chord speed 1.25 and more on w in [0.6, 0.8]
+        table = FluxTable(make_flux("custom_poly", {"coeffs": [[2, 0, 1.0]]}), EPS)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside \\(-1, 1\\)"):
+                table.fan(12, 16, 0)
+            assert table.fans == {}
+
+    def test_fans_are_kept_per_table(self, spec):
+        # tables of different eps or flux share no entry
+        tables = [FluxTable(spec, EPS), FluxTable(spec, 2 * EPS),
+                  FluxTable(make_flux("quartic"), EPS)]
+        fans = [table.fan(0, 4, 0) for table in tables]
+        for table, fan in zip(tables, fans):
+            assert list(table.fans) == [(0, 4, 0)]
+            assert fan == solve_scalar(0, 4, table.flux_for_v(0))
+        assert len({tuple(f.speed for f in fan) for fan in fans}) == 3

@@ -11,6 +11,7 @@ from doubles import (PairWalkHistory, alive_ids, envelope_split, group_fronts, p
                      recorded_steps)
 from golden.regen import golden_cases
 from test_acceptance import NON_CONVEX_SEEDS, NON_CONVEX_WIDE, ensemble_config
+from test_verifier import REJOIN
 from triwave import scenario
 from triwave.flux import FluxTable, derivative_bounds, make_flux
 from triwave.history import PairHistory, PartitionRecord, m_value
@@ -1029,3 +1030,41 @@ class TestPotentialsMatchTheWalk:
         # the walk visits as many pairs as the production crossing did
         # before the potentials
         assert history.visits == visits
+
+
+class RecordLookupHistory(PairHistory):
+    """The production history, noting at each interaction how many
+    ``_record_of`` lookups ``on_event`` made, the pairs across its two
+    fronts, and the divided pairs that met again."""
+
+    seen: list = []
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.lookups = 0
+
+    def _record_of(self, s, s2):
+        self.lookups += 1
+        return super()._record_of(s, s2)
+
+    def on_event(self, event, state):
+        lookups, divided = self.lookups, self.n_divided
+        out = super().on_event(event, state)
+        if event.kind.is_interaction:
+            RecordLookupHistory.seen.append((self.lookups - lookups,
+                                             len(event.left_ids) * len(event.right_ids),
+                                             divided - self.n_divided))
+        return out
+
+
+def test_an_interaction_looks_up_each_cross_pair_once(monkeypatch):
+    # _rejoin reads every pair across the two fronts once, for the
+    # interaction detail and for the re-join alike
+    monkeypatch.setattr(scenario, "PairHistory", RecordLookupHistory)
+    monkeypatch.setattr(RecordLookupHistory, "seen", [])
+    for config in [*golden_cases().values(), REJOIN]:
+        run_scenario(config)
+    seen = RecordLookupHistory.seen
+    assert [lookups for lookups, _, _ in seen] == [pairs for _, pairs, _ in seen]
+    assert max(pairs for _, pairs, _ in seen) > 1
+    assert sum(rejoined for _, _, rejoined in seen) > 0, seen

@@ -19,7 +19,8 @@ import golden.regen as regen
 from doubles import csv_events, csv_functionals, dumps_report, write_config
 from golden.regen import GOLDEN, check_changes, column_changes, golden_cases
 from test_acceptance import ensemble_config
-from triwave import cli, scenario, wavefield
+from triwave import cli, scenario
+from triwave import flux as flux_module
 from triwave.flux import flux_constants, flux_table
 from triwave.scenario import (
     ARTIFACTS,
@@ -615,8 +616,8 @@ class TestKeptFluxTable:
         run_scenario(config, out_dir=tmp_path / "after_others")
         assert_golden(tmp_path / "after_others", tmp_path / "alone")
         solved = []
-        real = wavefield.solve_scalar
-        monkeypatch.setattr(wavefield, "solve_scalar",
+        real = flux_module.solve_scalar
+        monkeypatch.setattr(flux_module, "solve_scalar",
                             lambda *args: solved.append(args) or real(*args))
         run_scenario(config, out_dir=tmp_path / "again")
         assert_golden(tmp_path / "again", tmp_path / "alone")

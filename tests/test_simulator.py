@@ -1,5 +1,6 @@
 import logging
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from doubles import (
     write_config,
 )
 from golden.regen import SCALAR_FAST_JUMPS
+from test_lattice_fuzz import fuzz
 from triwave import scenario, simulator
 from triwave.flux import FluxTable, make_flux
 from triwave.scenario import ScenarioConfig, build_initial_data, run_scenario
@@ -537,10 +539,27 @@ def full_scan(state):
     return t, x, objs[i].ids, objs[i + 1]
 
 
+def fuzz_data(n):
+    """The first ``n`` data ``tools/lattice_fuzz.py`` draws, as test params:
+    their exactly simultaneous collisions are where the queue's duplicate
+    entries and its ``TIME_TOL`` clusters meet.  A datum whose w0 is 0
+    everywhere has no front to queue and is left out."""
+    rng = random.Random(0)
+    out = []
+    for k in range(n):
+        config = fuzz.draw_config(rng)
+        assert config.eps == EPS
+        w_jumps = [tuple(j) for j in config.w0["jumps"]]
+        if any(v for _, v in w_jumps):
+            out.append(pytest.param(config.flux, w_jumps, [tuple(j) for j in config.v0["jumps"]],
+                                    id=f"fuzz_{k}"))
+    return out
+
+
 @pytest.mark.parametrize("flux,w_jumps,v_jumps", KEPT_FRONT_DATA + [
     pytest.param({"name": "quadratic_coupled", "params": {"c": 0.1}},
                  [tuple(j) for j in SCALAR_FAST_JUMPS], [], id="single_tick_jumps"),
-])
+] + fuzz_data(40))
 def test_queue_matches_a_full_scan_after_every_event(flux, w_jumps, v_jumps):
     table = FluxTable(make_flux(flux["name"], flux["params"]), EPS)
     state = prepared_state(w_jumps, v_jumps, table)

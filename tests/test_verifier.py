@@ -702,7 +702,7 @@ class TestReport:
             assert all(x is not y for x, y in zip(results[-len(block):], block))
         summary = summarize(results)
         out, want = io.StringIO(), io.StringIO()
-        passed = write_report(results, summary, out)
+        passed = write_report(results, summary, out, FloatTexts())
         assert passed is dumps_report(results, summary, want)
         assert out.getvalue() == want.getvalue()
 
@@ -737,7 +737,7 @@ class TestReport:
         traj, history = make_traj(spec, bounds, [(0.0, 2), (9.5, 0)], [(5.0, 2), (9.0, 0)])
         results = run_verifier(traj, "full", history)
         out = io.StringIO()
-        assert write_report(results, summarize(results), out) is True
+        assert write_report(results, summarize(results), out, FloatTexts()) is True
         # one line of JSON that parses back to every check, floats exact
         assert out.getvalue().count("\n") == 1
         data = json.loads(out.getvalue())
@@ -754,7 +754,7 @@ class TestReport:
         bad = CheckResult(name="x", scope="global", lhs=2.0, rhs=1.0,
                           slack=-1.0, passed=False, context={})
         out = io.StringIO()
-        assert write_report([bad], summarize([bad]), out) is False
+        assert write_report([bad], summarize([bad]), out, FloatTexts()) is False
         data = json.loads(out.getvalue())
         assert data["passed"] is False
         assert data["summary"]["x"]["passed"] is False

@@ -29,7 +29,7 @@ from triwave.envelopes import EnvelopeResult
 from triwave.flux import Box, DerivativeBounds, FluxSpec, FluxTable, PiecewiseAffineFlux, make_flux
 from triwave.history import FunctionalSnapshot, PartitionRecord
 from triwave.replay import ReplayPair
-from triwave.riemann import FanFront, solve_scalar
+from triwave.riemann import FanFront
 from triwave.scenario import run_scenario
 from triwave.simulator import CollisionCandidate
 from triwave.verifier import CheckResult
@@ -194,45 +194,19 @@ def one_jump(w_minus, w_plus):
     return state, [w.id for w in state.waves if w.x_a == 1.0]
 
 
-class TestFanMemo:
-    def test_kept_fans_equal_a_fresh_solve(self, spec):
-        # upward and downward jumps over the lattice, each asked for twice
-        table = FluxTable(spec, EPS)
-        for v in (-6, 0, 5):
-            for w_minus in range(-8, 9, 2):
-                for w_plus in range(-9, 10, 3):
-                    if w_plus == w_minus:
-                        continue
-                    state, ids = one_jump(w_minus, w_plus)
-                    first = speed_groups(state, ids, table, v)
-                    fresh = solve_scalar(w_minus, w_plus, FluxTable(spec, EPS).flux_for_v(v))
-                    kept = table.fans[(w_minus, w_plus, v)]
-                    assert kept == fresh
-                    assert [speed for _, speed in first] == [f.speed for f in fresh]
-                    assert speed_groups(state, ids, table, v) == first
-                    assert table.fans[(w_minus, w_plus, v)] is kept
-        assert len(table.fans) == 3 * 9 * 7 - 3 * 3
-
-    def test_a_solve_that_raises_is_not_kept(self):
-        # f = w^2 has chord speed 1.25 and more on w in [0.6, 0.8]
-        table = FluxTable(make_flux("custom_poly", {"coeffs": [[2, 0, 1.0]]}), EPS)
-        state, ids = one_jump(12, 16)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="outside \\(-1, 1\\)"):
-                speed_groups(state, ids, table)
-            assert table.fans == {}
-
-    def test_fans_are_kept_per_table(self, spec):
-        # tables of different eps or flux share no entry
-        state, ids = one_jump(0, 4)
-        tables = [FluxTable(spec, EPS), FluxTable(spec, 2 * EPS),
-                  FluxTable(make_flux("quartic"), EPS)]
-        groups = [speed_groups(state, ids, table) for table in tables]
-        for table, got in zip(tables, groups):
-            assert list(table.fans) == [(0, 4, 0)]
-            assert [speed for _, speed in got] == [
-                f.speed for f in solve_scalar(0, 4, table.flux_for_v(0))]
-        assert len({tuple(speed for _, speed in got) for got in groups}) == 3
+def test_speed_groups_map_the_table_fan_onto_the_stack(spec):
+    # each group is one front of the table's fan: its speed, and the waves
+    # whose cells the front holds, in id order
+    table = FluxTable(spec, EPS)
+    for w_minus, w_plus in ((-3, 4), (5, -2)):
+        state, ids = one_jump(w_minus, w_plus)
+        groups = speed_groups(state, ids, table)
+        fan = table.fans[(w_minus, w_plus, 0)]
+        assert [speed for _, speed in groups] == [f.speed for f in fan]
+        for (members, _), f in zip(groups, fan):
+            assert list(members) == sorted(members)
+            assert sorted(state.wave(s).cell() for s in members) == sorted(f.cells)
+        assert sorted(s for members, _ in groups for s in members) == ids
 
 
 class TestValidateEnumeration:

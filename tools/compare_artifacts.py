@@ -6,16 +6,17 @@ Runs every case of every benchmark workload, as ``perfbench/workloads.py``
 builds it for each seed, once with the triwave of ``PARENT`` and once with
 the triwave of ``CHANGE``, each tree in a fresh process.  A tree is a
 checkout (its ``src`` holds ``triwave``) or a ``src`` directory itself.  The
-configs are the benchmark worker's: the case's flux, eps and jumps, seed 0,
-the workload's check level, snapshots written.  Every case writes its
-artifacts into ``DIR/parent`` or ``DIR/change`` under
-``<seed>/<workload>/<case>``; both are emptied first.
+configs are the ones the benchmark worker's ``make_configs`` builds for each
+workload, so the two cannot drift apart.  Every case writes its artifacts
+into ``DIR/parent`` or ``DIR/change`` under ``<seed>/<workload>/<case>``;
+both are emptied first.
 
 Prints the number of artifacts and exits 0 if the two sides hold the same
 files with the same bytes; else names the first file, in sorted order, that
 differs or is on one side only, and exits 1.  ``--smoke`` runs the workloads
-at the benchmark's smoke size.  ``perfbench/workloads.py`` is loaded by path
-from the checkout this script sits in, and nothing is written there.
+at the benchmark's smoke size.  ``perfbench/worker.py``, with the modules it
+imports, is loaded by path from the checkout this script sits in, and
+nothing is written there.
 """
 
 from __future__ import annotations
@@ -27,17 +28,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+WORKER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 SIDES = ("parent", "change")
 
 
-def load_workloads():
-    """perfbench/workloads.py as a module, loaded by path without writing bytecode."""
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS_PY)
+def load_worker():
+    """perfbench/worker.py as a module, loaded by path without writing
+    bytecode, for it and for the ``checks``, ``reference`` and
+    ``workloads`` modules it imports."""
+    spec = importlib.util.spec_from_file_location("worker", WORKER_PY)
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        sys.modules["workloads"] = module    # its dataclasses look their module up
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
@@ -60,16 +62,12 @@ def write(src: Path, seeds: list[int], smoke: bool, out: Path) -> None:
 
     if not Path(scenario.__file__).resolve().is_relative_to(src):
         raise ImportError(f"triwave imported from {scenario.__file__}, not from {src}")
-    workloads = load_workloads()
+    worker = load_worker()
+    workloads = worker.workloads
     for seed in seeds:
         for name in workloads.WORKLOADS:
             wl = workloads.build(name, seed, smoke=smoke)
-            for case in wl.cases:
-                config = scenario.ScenarioConfig(
-                    flux=case.flux, eps=case.eps,
-                    w0={"jumps": [[x, v] for x, v in case.w0]},
-                    v0={"jumps": [[x, v] for x, v in case.v0]},
-                    seed=0, check_level=wl.check_level, write_snapshots=True)
+            for case, config in zip(wl.cases, worker.make_configs(scenario, wl)):
                 scenario.run_scenario(config, out_dir=out / str(seed) / name / case.key)
 
 

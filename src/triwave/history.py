@@ -50,12 +50,11 @@ Q needs the sum of P / d.  The history keeps it exact as one Python int,
 d_max = max w_hat - min w_hat + 1, set once in ``initialize`` (w_hat is
 permanent).  Each wave of a record keeps two integer weights: ``up[w]``, the
 sum of L / d over its divided partners below it, and ``dn[w]``, over those
-above.  ``_meet`` sets them from prefix sums of L / d over d, since the
-partners below a wave are the ranks below its meeting class.  A crossing
-adds ``ticks * sum_w (F(w) up[w] - G(w) dn[w])`` to T; when a wave dies, one
-pass over its record's waves takes its pairs' L / d out of its partners'
-weights and their P * L / d out of T, and a pair that meets again joined
-does the same for itself.  Then
+above, which ``_meet`` takes from the recount that ``validate`` runs.  A
+crossing adds ``ticks * sum_w (F(w) up[w] - G(w) dn[w])`` to T; when a wave
+dies, one pass over its record's waves takes its pairs' L / d out of its
+partners' weights and their P * L / d out of T, and a pair that meets again
+joined does the same for itself.  Then
 
     Q = eps^2 (||d2f/dw2|| (n(n-1)/2 - joined pairs - divided pairs)
                + 2 ||d3f/dw2dv|| eps T / L),
@@ -66,14 +65,15 @@ An event changes only the records that meet its colliding waves, and one
 pass carries them across it.  A class is split again by the scalar fan
 ``riemann.solve_scalar`` builds for the Riemann problem it spans under the
 current effective flux, as the initial classes are.  No divided pair lies on
-one kept front, so only pairs across an event's two fronts meet again:
+one kept front, so only pairs across an interaction's two fronts meet again:
 joined, they join their record's re-joined set; divided, they are an error.
-``PairHistory.validate`` recounts every record's weights and count, their
-total and T from the classes, the cut points and the re-joined sets, in
-O(runs of alive ranks) per wave, and reports a divided pair on one kept
-front, which would be counted twice.  ``pairs`` builds the map of every
-divided pair to its record on each read, for ``replay_pi_match`` at level
-``small_n`` and for the oracles.
+``PairHistory.validate`` recounts each record at every call, from its
+classes, cut points and re-joined set, in one pass over its waves that
+checks what a crossing relies on and computes each wave's weights in
+O(runs of alive ranks) integer operations, mostly one, and the pair count
+and T; it also reports a divided pair on one kept front, which would be
+counted twice.  ``pairs`` builds the map of every divided pair to its record
+on each read, for ``replay_pi_match`` at level ``small_n`` and the oracles.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product, repeat
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .flux import DerivativeBounds, FluxSpec, flux_table
 from .riemann import solve_scalar
@@ -165,35 +165,6 @@ class PartitionRecord:
 
 _first = itemgetter(0)
 _last = itemgetter(-1)
-
-
-def _record_problem(rec: PartitionRecord, waves: list) -> str | None:
-    """What a crossing and a refinement take for granted of a live record
-    ``rec`` and it fails: its classes non-empty, their ids ascending across
-    the record, every wave of a class alive, and its potentials and weights
-    kept for exactly the waves of its classes.  None if it holds."""
-    prev = 0
-    for cls in rec.classes:
-        if not cls:
-            return "empty class"
-        for s in cls:
-            if s <= prev:
-                return "classes out of id order"
-            if not waves[s - 1].alive:
-                return f"class {cls[0]}..{cls[-1]} holds dead wave {s}"
-            prev = s
-    ids = {s for cls in rec.classes for s in cls}
-    if not ids == rec.A.keys() == rec.B.keys() == rec.up.keys() == rec.dn.keys():
-        return "potentials or weights not kept for exactly the waves of its classes"
-
-
-def _weight_problem(name: str, kept: dict[int, int], recount: dict[int, int]) -> str | None:
-    """The first wave whose kept weight ``name`` differs from its recount,
-    or None."""
-    if kept == recount:
-        return None
-    s = min(s for s in kept.keys() | recount.keys() if kept.get(s) != recount.get(s))
-    return f"kept weight {name}[{s}] = {kept.get(s)}, recounted {recount.get(s)}"
 
 
 def _span(rec: PartitionRecord) -> str:
@@ -294,69 +265,97 @@ class PairHistory:
         if pairs and not rec.count:
             self.records.remove(rec)
 
-    def _recount(self, rec: PartitionRecord) -> tuple[dict, dict, int]:
-        """The weights ``up`` and ``dn`` of the waves of ``rec`` and its
-        count of divided pairs, from its classes, cut points and re-joined
-        set.  Over a run of alive ranks a..b, the weights L / d of a wave of
-        rank r sum to ``cum[r - a + 2] - cum[r - b + 1]`` (below it) or
-        ``cum[b - r + 2] - cum[a - r + 1]`` (above it): O(runs) per wave."""
-        cum, weights, hats, cuts = self.cum, self.weights, self.hats, rec.cuts
-        ids = [s for cls in rec.classes for s in cls]
-        ranks = [abs(hats[s - 1] - rec.hat0) for s in ids]
-        # the runs of consecutive ranks, as (first, last); mostly there is one
-        gaps = [] if ranks[-1] - ranks[0] == len(ids) - 1 else [
-            i for i in range(1, len(ids)) if ranks[i] != ranks[i - 1] + 1]
-        runs = [(ranks[i], ranks[j - 1]) for i, j in zip([0, *gaps], [*gaps, len(ids)])]
-        up, dn, count = {}, {}, -len(rec.rejoined)
-        for s, r in zip(ids, ranks):
-            k = bisect_right(cuts, r)
-            start, end = cuts[k - 1], cuts[k]
-            u = v = 0
-            for a, b in runs:
-                if a < start:
-                    u += cum[r - a + 2] - cum[r - (b if b < start else start - 1) + 1]
-                if b >= end:
-                    v += cum[b - r + 2] - cum[(a if a > end else end) - r + 1]
-            up[s], dn[s] = u, v
-            count += len(ids) - bisect_left(ranks, end)     # the waves above its class
-        for s, s2 in rec.rejoined:     # a pair of waves it does not hold is off the recount
-            w = weights[abs(hats[s2 - 1] - hats[s - 1]) + 1]
-            up[s2] = up.get(s2, 0) - w
-            dn[s] = dn.get(s, 0) - w
-        return up, dn, count
+    def _recount(self, rec: PartitionRecord, state: FieldState) -> tuple[list, int, int, list]:
+        """Recount ``rec`` in one pass over its waves in class order; raise
+        ``ValueError`` unless its classes are non-empty, their ids ascend,
+        its waves are alive and keep potentials and weights, and no other
+        does.  The L / d of ranks a..b sum to cum[r - a + 2] - cum[r - b + 1]
+        below rank r, cum[b - r + 2] - cum[a - r + 1] above it.  Returns the
+        waves whose kept weights differ as (s, up, dn) by id (with those of
+        re-joined pairs off the record, None for a side with no pair), the
+        share of T, the pair count and the kept fronts on which two waves
+        next in class order lie in two meeting classes."""
+        cum, hats, hat0, cuts = self.cum, self.hats, rec.hat0, rec.cuts
+        A, B, up, dn, classes = rec.A, rec.B, rec.up, rec.dn, rec.classes
+        state.fronts()      # builds the kept fronts and their last ids if need be
+        waves, last_ids, n = state.waves, state._last_ids, sum(map(len, classes))
+        lo, hi, gaps, f = 0, n - 1, [], 0   # alive ranks lo..hi less the runs in gaps
+        if classes[0] and classes[-1]:
+            lo, hi = abs(hats[classes[0][0] - 1] - hat0), abs(hats[classes[-1][-1] - 1] - hat0)
+            f = bisect_left(last_ids, classes[0][0], 0, len(last_ids) - 1)
+        if hi - lo != n - 1:
+            ranks = [abs(hats[s - 1] - hat0) for cls in classes for s in cls]
+            gaps = [(p + 1, q - 1) for p, q in zip(ranks, ranks[1:]) if q > p + 1]
+        less: dict[int, list[int]] = {}     # wave -> L / d of its re-joined pairs below and above
+        for s, s2 in rec.rejoined:
+            for t, i in (s2, 0), (s, 1):
+                less.setdefault(t, [0, 0])[i] += self.weights[abs(hats[s2 - 1] - hats[s - 1]) + 1]
+        differ, shared, T, count, stray = [], [], 0, -len(rec.rejoined), False
+        prev = k = end = below = m = 0      # below: the waves of lower meeting classes
+        for cls in classes:
+            if not cls:
+                raise ValueError("empty class")
+            for s in cls:
+                if s <= prev or waves[s - 1].x_a is None:
+                    raise ValueError("classes out of id order" if s <= prev
+                                     else f"class {cls[0]}..{cls[-1]} holds dead wave {s}")
+                r = abs(hats[s - 1] - hat0)
+                if r >= end:        # s starts meeting class k (ranks ascend)
+                    k = k + 1 if r < cuts[k + 1] else bisect_right(cuts, r, k + 1)
+                    c0, end = cuts[k - 1], cuts[k]      # its alive ranks are c0..c1 - 1
+                    c0, c1 = c0 if c0 > lo else lo, end if end <= hi else hi + 1
+                    count, below, m = count + below * m, below + m, 0
+                    if prev:        # does the front of prev hold s too?
+                        while last_ids[f] < prev and f + 1 < len(last_ids):
+                            f += 1
+                        if s <= last_ids[f] and f not in shared:
+                            shared.append(f)
+                m += 1
+                u = cum[r - lo + 2] - cum[r - c0 + 2]
+                v = cum[hi - r + 2] - cum[c1 - r + 1]
+                if gaps:
+                    for a, b in gaps:
+                        u -= cum[r - a + 2] - cum[r - min(b, c0 - 1) + 1] if a < c0 else 0
+                        v -= cum[b - r + 2] - cum[max(a, c1) - r + 1] if b >= c1 else 0
+                if less and s in less:
+                    u, v = u - less[s][0], v - less.pop(s)[1]
+                try:
+                    if u != up[s] or v != dn[s]:
+                        differ.append((s, u, v))
+                    T += A[s] * u - B[s] * v
+                except KeyError:
+                    stray = True
+                prev = s
+        if stray or not n == len(A) == len(B) == len(up) == len(dn):
+            raise ValueError("potentials or weights not kept for exactly the waves of its classes")
+        differ += ((s, -du or None, -dv or None) for s, (du, dv) in less.items())
+        return sorted(differ) if less else differ, T, count + below * m, shared
 
     def validate(self, state: FieldState) -> list[str]:
-        """Check every live record for what a crossing takes for granted
-        (``_record_problem``); then recount every record's weights ``up`` and
-        ``dn`` and its pair count (``_recount``), their total and ``T``, and
-        check that no divided pair has both waves on one kept front
-        (``q_quadratic`` counts those pairs as joined through
-        ``state.n_joined``).  Returns the first record that fails, or else
-        per record the first kept value that differs from its recount and the
-        first such pair, then T and the total (empty = ok)."""
+        """Recount every live record from scratch (``_recount``), then T and
+        the total.  Returns the first record that breaks what a crossing takes
+        for granted, or else per record its first kept weight that differs
+        (``up``, then ``dn``, by id) or its count, and the first divided pair
+        on each kept front; then T and the total (empty = ok)."""
         problems, T, total = [], 0, 0
-        # wave -> its kept front, for the fronts of two or more waves
-        front_of = {s: f.ids for f in state.fronts() if len(f.ids) > 1 for s in f.ids}
         for rec in self.records:
-            problem = _record_problem(rec, state.waves)
-            if problem:
-                return [f"{_span(rec)}: {problem}"]
-            up, dn, count = self._recount(rec)
-            T += sum(map(mul, map(rec.A.get, up, repeat(0)), up.values()))
-            T -= sum(map(mul, map(rec.B.get, dn, repeat(0)), dn.values()))
-            total += count
-            problem = (_weight_problem("up", rec.up, up) or _weight_problem("dn", rec.dn, dn)
-                       or count != rec.count and f"kept pair count {rec.count}, recounted {count}")
-            if problem:
-                problems.append(f"{_span(rec)}: {problem}")
-            for f in sorted({front_of[s] for s in rec.A if s in front_of}):
-                ids = [s for s in f if s in rec.A]
-                # the meeting classes ascend with the ids; a front's waves lie
-                # in one but for re-joined pairs
-                if rec.meeting(ids[0]) != rec.meeting(ids[-1]):
-                    pair = next((key for key in combinations(ids, 2) if rec.divides(*key)), None)
-                    if pair:
-                        problems.append(f"divided pair {pair} lies on one kept front")
+            try:
+                differ, t, count, shared = self._recount(rec, state)
+            except ValueError as exc:
+                return [f"{_span(rec)}: {exc}"]
+            T, total = T + t, total + count
+            if differ or count != rec.count:
+                up, dn = rec.up, rec.dn
+                problems.append(f"{_span(rec)}: " + next(
+                    (f"kept weight up[{s}] = {up.get(s)}, recounted {u}"
+                     for s, u, _ in differ if u != up.get(s)),
+                    next((f"kept weight dn[{s}] = {dn.get(s)}, recounted {v}"
+                          for s, _, v in differ if v != dn.get(s)),
+                         f"kept pair count {rec.count}, recounted {count}")))
+            for f in shared:
+                ids = [s for s in state.fronts()[f].ids if s in rec.A]
+                problems += [f"divided pair {key} lies on one kept front"
+                             for key in combinations(ids, 2) if rec.divides(*key)][:1]
         if T != self.T:
             problems.append(f"kept budget sum T = {self.T}, recounted {T}")
         if total != self.n_divided:
@@ -388,7 +387,6 @@ class PairHistory:
             detail = self._interaction_detail(event, state, *self._rejoin(event))
         else:
             self._update_records(event, state)
-            self._rejoin(event)     # a crossing has no two fronts: left_ids is empty
         if event.fronts:
             self._meet(event.fronts, state, event.index)
         return self.snapshot(state, index=event.index, sum_abs_dsigma=event.sum_abs_dsigma), detail
@@ -482,13 +480,13 @@ class PairHistory:
         return fan_runs(state, members, solve_scalar(w_left, w_right, fluxes.flux(members)))
 
     def _rejoin(self, event: Event) -> tuple[int, int]:
-        """Walk the pairs across the event's two fronts once, after the dead
-        waves' pairs have left; return how many have no record (at an
-        interaction, the never-met pairs) and the sum of P over the others.
-        Those meet again joined: each leaves its record and joins its
-        re-joined set.  Only an interaction leaves such a pair alive, and
-        ``simulator.resolve`` requires its fan to be one front; a pair that
-        meets again in a fan of two or more fronts raises."""
+        """Walk the pairs across the two fronts of an interaction once; return
+        how many have no record (the never-met pairs) and the sum of P over
+        the others, which meet again joined: each leaves its record and joins
+        its re-joined set.  ``simulator.resolve`` requires the interaction's
+        fan to be one front; a pair that meets again in two or more raises.
+        At a cancellation every such pair has a dead wave (the survivors all
+        come from one front), whose pairs ``_bury`` has taken out."""
         n_never = sum_P = 0
         for s, s2 in product(event.left_ids, event.right_ids):
             rec = self._record_of(s, s2)
@@ -527,7 +525,9 @@ class PairHistory:
             raise ValueError(f"meeting waves {ids} at event {index} have right states "
                              f"{hats}, not consecutive ticks")
         rec = PartitionRecord(runs, self.hats)
-        rec.up, rec.dn, rec.count = self._recount(rec)
+        differ, _, rec.count, _ = self._recount(rec, state)
+        for s, u, v in differ:      # the weights of a fresh record are 0
+            rec.up[s], rec.dn[s] = u, v
         self.records.append(rec)
         self.n_divided += rec.count
 

@@ -45,7 +45,6 @@ from .wavefield import (
     initial_enumeration,
     position,
     speed_groups,
-    stack_range,
     validate_enumeration,
 )
 
@@ -257,9 +256,10 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
                          f"in the kept front list")
     colliding = left.ids if crossing else left.ids + right.ids
     survivors, canceled = colliding, []
+    waves = state.waves
     if crossing:
         for s in colliding:
-            if state.wave(s).crossed != right.id - 1:
+            if waves[s - 1].crossed != right.id - 1:
                 raise ValueError(f"wave {s} crossing front {right.id} out of order")
         kind, v_tick = EventKind.TRANSVERSAL, right.v_right
     else:
@@ -270,15 +270,18 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         if a.sign == b.sign:
             kind = EventKind.INTERACTION_POSITIVE if a.sign > 0 else EventKind.INTERACTION_NEGATIVE
         else:
-            # cancellation: opposite signs annihilate pairwise from the middle state
+            # cancellation: opposite signs annihilate pairwise from the middle
+            # state.  A front's waves fill its jump one tick each in id order,
+            # so its left state is its lead's right state less its sign, and
+            # its right state is its last wave's.
             kind = EventKind.CANCELLATION
-            w_a, w_lr = stack_range(state, left.ids)
-            w_rl, w_c = stack_range(state, right.ids)
+            w_a, w_lr = a.w_hat - a.sign, waves[left.ids[-1] - 1].w_hat
+            w_rl, w_c = b.w_hat - b.sign, waves[right.ids[-1] - 1].w_hat
             if w_lr != w_rl:
                 raise ValueError("cancellation fronts do not share the middle state")
             survivors = []
             for s in colliding:
-                w = state.wave(s)
+                w = waves[s - 1]
                 keep = (
                     w_a != w_c
                     and w.sign == (1 if w_c > w_a else -1)
@@ -296,7 +299,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         kind=kind,
         colliding=colliding,
         fronts=tuple(groups),
-        sum_abs_dsigma=sum(abs(speed - state.wave(s).speed)
+        sum_abs_dsigma=sum(abs(speed - waves[s - 1].speed)
                            for members, speed in groups for s in members) * state.eps,
         left_ids=() if crossing else left.ids,
         right_ids=() if crossing else right.ids,

@@ -280,26 +280,26 @@ def apply_event(state: FieldState, event: Event) -> None:
     fronts, last_ids = state.fronts(), state._last_ids
     t, x = event.time, event.x
     state.time = t
-    colliding = event.colliding
+    colliding, waves = event.colliding, state.waves
     for s in colliding:
-        w = state.wave(s)
+        w = waves[s - 1]
         w.x_a, w.t_a = x, t
     per_crossed = state.per_crossed
     top = len(per_crossed) - 1
     for s in event.canceled:
-        w = state.wave(s)
+        w = waves[s - 1]
         w.x_a = None
         w.speed = None
         state.n_alive -= 1
         per_crossed[min(w.crossed, top)] -= 1
     for ids, speed in event.fronts:
         for s in ids:
-            state.wave(s).speed = speed
+            waves[s - 1].speed = speed
     if event.v_front_id is not None:
         vf = state.v_fronts[event.v_front_id - 1]
         vf.x_a, vf.t_a = x, t
         for s in colliding:
-            w = state.wave(s)
+            w = waves[s - 1]
             per_crossed[min(w.crossed, top)] -= 1
             per_crossed[event.v_front_id] += 1
             w.crossed = event.v_front_id
@@ -310,7 +310,6 @@ def apply_event(state: FieldState, event: Event) -> None:
     if hi < len(fronts) and fronts[hi].ids[0] <= colliding[-1]:
         hi += 1
     a, b = max(lo - 1, 0), hi + 1
-    waves = state.waves
     fan = [Front(ids, waves[ids[0] - 1]) for ids, _ in event.fronts]
     window = _merge_fronts(fronts[a:lo] + fan + fronts[hi:b], waves, t)
     state._fronts = fronts[:a] + window + fronts[b:]
@@ -450,7 +449,8 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
 
 def stack_range(state: FieldState, ids: Sequence[int]) -> tuple[int, int]:
     """(w left state, w right state) in ticks for the stack of waves ``ids``."""
-    recs = [state.wave(s) for s in ids]
+    waves = state.waves
+    recs = [waves[s - 1] for s in ids]
     signs = {w.sign for w in recs}
     if len(signs) != 1:
         raise ValueError("mixed-sign stack")
@@ -475,7 +475,8 @@ def speed_groups(
     if not ids:
         return []
     if v_tick is None:
-        crossed = {state.wave(s).crossed for s in ids}
+        waves = state.waves
+        crossed = {waves[s - 1].crossed for s in ids}
         if len(crossed) != 1:
             raise ValueError("stack with non-uniform crossing count")
         v_tick = state.v_ticks[crossed.pop()]
@@ -487,7 +488,8 @@ def fan_runs(state: FieldState, ids: Sequence[int],
              fan: Sequence[FanFront]) -> list[tuple[int, ...]]:
     """The run of waves of the stack ``ids`` on each front of ``fan``, the
     fan of its jump: the waves whose cells the front holds."""
-    by_cell = {state.wave(s).cell(): s for s in ids}
+    waves = state.waves
+    by_cell = {waves[s - 1].cell(): s for s in ids}
     return [tuple(sorted(by_cell[c] for c in f.cells)) for f in fan]
 
 

@@ -8,7 +8,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from operator import itemgetter
 from pathlib import Path
 
@@ -209,6 +209,101 @@ def corrupt_history(at, what):
             return out
 
     return CorruptHistory
+
+
+def _record_problem(rec, waves):
+    """What a crossing and a refinement take for granted of a live record
+    ``rec`` and it fails: its classes non-empty, their ids ascending across
+    the record, every wave of a class alive, and its potentials and weights
+    kept for exactly the waves of its classes.  None if it holds."""
+    prev = 0
+    for cls in rec.classes:
+        if not cls:
+            return "empty class"
+        for s in cls:
+            if s <= prev:
+                return "classes out of id order"
+            if not waves[s - 1].alive:
+                return f"class {cls[0]}..{cls[-1]} holds dead wave {s}"
+            prev = s
+    ids = {s for cls in rec.classes for s in cls}
+    if not ids == rec.A.keys() == rec.B.keys() == rec.up.keys() == rec.dn.keys():
+        return "potentials or weights not kept for exactly the waves of its classes"
+
+
+def _weight_problem(name, kept, recount):
+    """The first wave whose kept weight ``name`` differs from its recount,
+    or None."""
+    if kept == recount:
+        return None
+    s = min(s for s in kept.keys() | recount.keys() if kept.get(s) != recount.get(s))
+    return f"kept weight {name}[{s}] = {kept.get(s)}, recounted {recount.get(s)}"
+
+
+def per_part_recount(history, rec):
+    """The weights ``up`` and ``dn`` of the waves of ``rec`` and its count of
+    divided pairs, from its classes, cut points and re-joined set, as dicts
+    by wave.  Over a run of alive ranks a..b, the weights L / d of a wave of
+    rank r sum to ``cum[r - a + 2] - cum[r - b + 1]`` (below it) or
+    ``cum[b - r + 2] - cum[a - r + 1]`` (above it)."""
+    cum, weights, hats, cuts = history.cum, history.weights, history.hats, rec.cuts
+    ids = [s for cls in rec.classes for s in cls]
+    ranks = [abs(hats[s - 1] - rec.hat0) for s in ids]
+    gaps = [] if ranks[-1] - ranks[0] == len(ids) - 1 else [
+        i for i in range(1, len(ids)) if ranks[i] != ranks[i - 1] + 1]
+    runs = [(ranks[i], ranks[j - 1]) for i, j in zip([0, *gaps], [*gaps, len(ids)])]
+    up, dn, count = {}, {}, -len(rec.rejoined)
+    for s, r in zip(ids, ranks):
+        k = bisect_right(cuts, r)
+        start, end = cuts[k - 1], cuts[k]
+        u = v = 0
+        for a, b in runs:
+            if a < start:
+                u += cum[r - a + 2] - cum[r - (b if b < start else start - 1) + 1]
+            if b >= end:
+                v += cum[b - r + 2] - cum[(a if a > end else end) - r + 1]
+        up[s], dn[s] = u, v
+        count += len(ids) - bisect_left(ranks, end)     # the waves above its class
+    for s, s2 in rec.rejoined:     # a pair of waves it does not hold is off the recount
+        w = weights[abs(hats[s2 - 1] - hats[s - 1]) + 1]
+        up[s2] = up.get(s2, 0) - w
+        dn[s] = dn.get(s, 0) - w
+    return up, dn, count
+
+
+def per_part_validate(history, state):
+    """``PairHistory.validate`` part by part, the oracle of its one pass:
+    every live record checked for what a crossing takes for granted, then
+    its weights and count recounted into dicts, their total and T, and the
+    divided pairs on one kept front looked up front by front.  The same
+    problems, in the same order."""
+    problems, T, total = [], 0, 0
+    front_of = {s: f.ids for f in state.fronts() if len(f.ids) > 1 for s in f.ids}
+    for rec in history.records:
+        ids = [s for cls in rec.classes for s in cls]
+        span = f"record over ids {min(ids)}..{max(ids)}"
+        problem = _record_problem(rec, state.waves)
+        if problem:
+            return [f"{span}: {problem}"]
+        up, dn, count = per_part_recount(history, rec)
+        T += sum(rec.A.get(s, 0) * u for s, u in up.items())
+        T -= sum(rec.B.get(s, 0) * v for s, v in dn.items())
+        total += count
+        problem = (_weight_problem("up", rec.up, up) or _weight_problem("dn", rec.dn, dn)
+                   or count != rec.count and f"kept pair count {rec.count}, recounted {count}")
+        if problem:
+            problems.append(f"{span}: {problem}")
+        for f in sorted({front_of[s] for s in rec.A if s in front_of}):
+            ids = [s for s in f if s in rec.A]
+            if rec.meeting(ids[0]) != rec.meeting(ids[-1]):
+                pair = next((key for key in combinations(ids, 2) if rec.divides(*key)), None)
+                if pair:
+                    problems.append(f"divided pair {pair} lies on one kept front")
+    if T != history.T:
+        problems.append(f"kept budget sum T = {history.T}, recounted {T}")
+    if total != history.n_divided:
+        problems.append(f"kept divided pair total {history.n_divided}, recounted {total}")
+    return problems
 
 
 class PairWalkHistory(PairHistory):

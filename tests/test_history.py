@@ -1,14 +1,17 @@
 import copy
 import importlib.util
 import math
+import random
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from doubles import (PairWalkHistory, alive_ids, envelope_split, group_fronts, pair_weight,
-                     recorded_steps)
+                     per_part_validate, recorded_steps)
 from golden.regen import golden_cases
 from test_acceptance import NON_CONVEX_SEEDS, NON_CONVEX_WIDE, ensemble_config
 from test_verifier import REJOIN
@@ -332,25 +335,25 @@ class TestRecordRegistry:
         assert history.pairs == history.S == {} and history.records == []
         assert history.T == history.n_divided == 0
 
-    def test_pair_that_rejoins_at_a_cancellation_leaves_exactly(self, spec, bounds):
+    def test_cancellation_takes_out_exactly_the_dead_waves_pairs(self, spec, bounds):
         # four one-wave classes, budgets grown by a crossing of waves 2..4;
-        # then wave 4 dies at a cancellation of the fronts (2,) and (3, 4),
-        # where waves 2 and 3 meet again joined, on one front
+        # then wave 4 dies at a cancellation of the fronts (3,) and (4,),
+        # whose survivor 3 comes from one front, as every survivor of a
+        # cancellation does: no pair across the two fronts outlives it
         state, history, rec = self.state_and_record(((1,), (2,), (3,), (4,)),
                                                     spec=spec, bounds=bounds)
         history._grow(rec, 2, 4, 2)
         assert [history.budget(1, s2) for s2 in (2, 3, 4)] == [2, 4, 6]
         assert history.budget(2, 3) == 4
-        event = self.meet_again(5, (2,), (3, 4), (((2, 3), 0.5),), canceled=(4,))
+        event = self.meet_again(5, (3,), (4,), (((3,), 0.5),), canceled=(4,))
         apply_event(state, event)
-        assert (2, 3) in [f.ids for f in state.fronts()]
         history.on_event(event, state)
-        # the dead wave's pairs and the re-joined pair are gone, and with
-        # them their weights and their budgets' share of T
-        assert set(history.pairs) == {(1, 2), (1, 3)}
-        assert history.records == [rec] and rec.count == 2 and rec.rejoined == {(2, 3)}
+        # the dead wave's pairs are gone, and with them their weights and
+        # their budgets' share of T
+        assert set(history.pairs) == {(1, 2), (1, 3), (2, 3)}
+        assert history.records == [rec] and rec.count == 3 and rec.rejoined == set()
         w = history.weights
-        assert history.T == 2 * w[2] + 4 * w[3]
+        assert history.T == 2 * w[2] + 4 * w[3] + 4 * w[2]
         assert rec.classes == [(1,), (2,), (3,)] and history.validate(state) == []
 
     def test_record_left_without_pairs_is_not_refined(self, spec, bounds, monkeypatch):
@@ -489,8 +492,9 @@ recount_layouts = st.tuples(st.lists(st.integers(1, 4), min_size=2, max_size=6),
 @given(recount_layouts)
 @settings(max_examples=200, deadline=None)
 def test_recount_equals_the_pair_sums(spec, bounds, layout):
-    # a record's weights and count, recounted in runs of alive ranks, against
-    # the sums over its divided pairs, with dead waves and re-joins anywhere
+    # a record's weights, count and share of T, recounted in one pass over
+    # its waves, against the sums over its divided pairs, with dead waves and
+    # re-joins anywhere: against kept weights of 0, every nonzero one differs
     sizes, dead, rejoined = layout
     n = sum(sizes)
     state = initial_enumeration(StepFunction.from_jumps([(0.0, n), (1.0, 0)]),
@@ -509,13 +513,19 @@ def test_recount_equals_the_pair_sums(spec, bounds, layout):
     rec.classes = [c for c in ([s for s in cls if s in alive] for cls in rec.classes) if c]
     divided = [(s, s2) for s in alive for s2 in alive if s < s2 and speeds[s] != speeds[s2]]
     rec.rejoined = {divided[k] for k in rejoined if k < len(divided)}
-    up, dn = dict.fromkeys(alive, 0), dict.fromkeys(alive, 0)
+    # potentials A[s] = s and B[s] = 2s, so a pair's P is s2 - 2s; weights 0
+    rec.A, rec.B = {s: s for s in alive}, {s: 2 * s for s in alive}
+    rec.up, rec.dn = dict.fromkeys(alive, 0), dict.fromkeys(alive, 0)
+    up, dn, T = dict.fromkeys(alive, 0), dict.fromkeys(alive, 0), 0
     for s, s2 in divided:
         if (s, s2) not in rec.rejoined:
             w = history.weights[s2 - s + 1]      # right states 1, 2, ..., n
             up[s2] += w
             dn[s] += w
-    assert history._recount(rec)[:3] == (up, dn, len(divided) - len(rec.rejoined))
+            T += (s2 - 2 * s) * w
+    differ, t, count, shared = history._recount(rec, state)
+    assert differ == [(s, up[s], dn[s]) for s in alive if up[s] or dn[s]]
+    assert (t, count, shared) == (T, len(divided) - len(rec.rejoined), [])
 
 
 class TestQTrans:
@@ -1033,9 +1043,9 @@ class TestPotentialsMatchTheWalk:
 
 
 class RecordLookupHistory(PairHistory):
-    """The production history, noting at each interaction how many
-    ``_record_of`` lookups ``on_event`` made, the pairs across its two
-    fronts, and the divided pairs that met again."""
+    """The production history, noting at each interaction and cancellation
+    its kind, how many ``_record_of`` lookups ``on_event`` made, the pairs
+    across its two fronts, and the divided pairs that met again."""
 
     seen: list = []
 
@@ -1050,21 +1060,132 @@ class RecordLookupHistory(PairHistory):
     def on_event(self, event, state):
         lookups, divided = self.lookups, self.n_divided
         out = super().on_event(event, state)
-        if event.kind.is_interaction:
-            RecordLookupHistory.seen.append((self.lookups - lookups,
+        if event.left_ids:
+            RecordLookupHistory.seen.append((event.kind, self.lookups - lookups,
                                              len(event.left_ids) * len(event.right_ids),
                                              divided - self.n_divided))
         return out
 
 
-def test_an_interaction_looks_up_each_cross_pair_once(monkeypatch):
+@pytest.fixture(scope="module")
+def lookups():
+    """What ``RecordLookupHistory`` saw over the four golden cases and the
+    re-join datum: (lookups, cross pairs, pairs that met again) per
+    interaction and per cancellation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "PairHistory", RecordLookupHistory)
+        mp.setattr(RecordLookupHistory, "seen", [])
+        for config in [*golden_cases().values(), REJOIN]:
+            run_scenario(config)
+        seen = RecordLookupHistory.seen
+    return {kind: [counts for k, *counts in seen if k.is_interaction == kind]
+            for kind in (True, False)}
+
+
+def test_an_interaction_looks_up_each_cross_pair_once(lookups):
     # _rejoin reads every pair across the two fronts once, for the
     # interaction detail and for the re-join alike
-    monkeypatch.setattr(scenario, "PairHistory", RecordLookupHistory)
-    monkeypatch.setattr(RecordLookupHistory, "seen", [])
-    for config in [*golden_cases().values(), REJOIN]:
-        run_scenario(config)
-    seen = RecordLookupHistory.seen
-    assert [lookups for lookups, _, _ in seen] == [pairs for _, pairs, _ in seen]
+    seen = lookups[True]
+    assert [n for n, _, _ in seen] == [pairs for _, pairs, _ in seen]
     assert max(pairs for _, pairs, _ in seen) > 1
     assert sum(rejoined for _, _, rejoined in seen) > 0, seen
+
+
+def test_a_cancellation_looks_up_no_pair(lookups):
+    # every pair across the two fronts of a cancellation has a dead wave,
+    # whose pairs the record pass took out: nothing is looked up
+    seen = lookups[False]
+    assert [n for n, _, _ in seen] == [0] * len(seen)
+    assert sum(pairs for _, pairs, _ in seen) > 100, seen
+
+
+def corrupt_one(history, state, rng):
+    """One seeded corruption of a live record of ``history`` behind its
+    back, or of a wave of that record in ``state``; returns its kind and the
+    call that undoes it."""
+    rec = rng.choice(history.records)
+    ids = [s for cls in rec.classes for s in cls]
+    s = rng.choice(ids)
+    kinds = ["A", "B", "up", "dn", "count", "dead wave", "re-joined", "re-joined outside"]
+    kind = rng.choice(kinds + ["class order"] * (len(rec.classes) > 1))
+    if kind in ("A", "B", "up", "dn"):
+        kept, delta = getattr(rec, kind), rng.choice((-1, 1))
+        kept[s] += delta
+        return kind, lambda: kept.__setitem__(s, kept[s] - delta)
+    if kind == "count":
+        rec.count += 1
+        return kind, lambda: setattr(rec, "count", rec.count - 1)
+    if kind == "class order":
+        k = rng.randrange(len(rec.classes) - 1)
+        classes = rec.classes
+        classes[k:k + 2] = classes[k + 1], classes[k]
+        return kind, lambda: classes.__setitem__(slice(k, k + 2), (classes[k + 1], classes[k]))
+    if kind == "dead wave":       # a wave of a class dies, and the record keeps it
+        w = state.waves[s - 1]
+        x_a, w.x_a = w.x_a, None
+        return kind, lambda: setattr(w, "x_a", x_a)
+    if kind == "re-joined":
+        others = [t for t in ids if t != s]
+    else:                         # with a wave the record does not hold
+        others = [t for t in range(1, len(state.waves) + 1) if t not in rec.A]
+    key = tuple(sorted((s, rng.choice(others or [s]))))
+    if key[0] == key[1] or key in rec.rejoined:
+        return kind, lambda: None
+    rec.rejoined.add(key)
+    return kind, lambda: rec.rejoined.discard(key)
+
+
+class OracleCheckHistory(PairHistory):
+    """The production history whose ``validate`` also runs the per-part
+    oracle, on the history as it is and after one seeded corruption (then
+    undone), and asserts equal problem lists, text and order alike.  Counts
+    the corruptions by kind and those that the recount reports."""
+
+    rng = random.Random(0)
+    kinds: Counter = Counter()
+    reported: Counter = Counter()
+
+    def validate(self, state):
+        out = super().validate(state)
+        assert out == per_part_validate(self, state)
+        if self.records:
+            kind, undo = corrupt_one(self, state, self.rng)
+            try:
+                problems = super().validate(state)
+                assert problems == per_part_validate(self, state), (kind, problems)
+            finally:
+                undo()
+            self.kinds[kind] += 1
+            self.reported[kind] += bool(problems)
+        return out
+
+
+def oracle_data():
+    """The four golden cases (``scalar_fast`` at level full, so that it too
+    is recounted at every group end) with the re-join datum, and the 24
+    data of the benchmark's ensemble round."""
+    goldens = [replace(c, check_level="full") if c.check_level == "fast" else c
+               for c in golden_cases().values()]
+    ensemble = [ScenarioConfig(flux=case.flux, eps=case.eps, check_level="full",
+                               w0={"jumps": [[x, v] for x, v in case.w0]},
+                               v0={"jumps": [[x, v] for x, v in case.v0]})
+                for case in load_workloads().build("ensemble", 0).cases]
+    return {"goldens": [*goldens, REJOIN], "ensemble": ensemble}
+
+
+@pytest.mark.parametrize("data,calls", [("goldens", 90), ("ensemble", 1800)])
+def test_recount_agrees_with_the_per_part_oracle(monkeypatch, data, calls):
+    # at every group end, the one-pass recount and the per-part oracle
+    # report the same problems, for the history as it is (none) and after a
+    # seeded single corruption of a potential, a weight, a pair count, the
+    # class order, a wave's life or the re-joined set
+    monkeypatch.setattr(scenario, "PairHistory", OracleCheckHistory)
+    monkeypatch.setattr(OracleCheckHistory, "rng", random.Random(36))
+    monkeypatch.setattr(OracleCheckHistory, "kinds", Counter())
+    monkeypatch.setattr(OracleCheckHistory, "reported", Counter())
+    for config in oracle_data()[data]:
+        assert run_scenario(config).passed
+    kinds, reported = OracleCheckHistory.kinds, OracleCheckHistory.reported
+    assert sum(kinds.values()) >= calls and len(kinds) == 9, kinds
+    # most corruptions show; a shifted potential whose weight is 0 does not
+    assert sum(reported.values()) > 0.8 * sum(kinds.values()), (kinds, reported)

@@ -49,19 +49,27 @@ def test_a_failing_or_raising_datum_exits_1(monkeypatch, capsys):
     assert fuzz.main(["--n", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "datum 2 raised RuntimeError: no collision"
-    assert lines[-1] == "passed 1, failed 1, raised 1 of 3"
+    assert lines[-1] == "passed 1, failed 1, raised 1, skipped 0 of 3"
 
 
 def test_a_failing_datum_alone_exits_1(monkeypatch, capsys):
     stub_outcomes(monkeypatch, [True, False])
     assert fuzz.main(["--n", "2"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "passed 1, failed 1, raised 0 of 2"
+    assert capsys.readouterr().out.splitlines()[-1] == "passed 1, failed 1, raised 0, skipped 0 of 2"
 
 
 def test_every_datum_passing_exits_0(monkeypatch, capsys):
     stub_outcomes(monkeypatch, [True, True])
     assert fuzz.main(["--n", "2"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "passed 2, failed 0, raised 0 of 2"
+    assert capsys.readouterr().out.splitlines()[-1] == "passed 2, failed 0, raised 0, skipped 0 of 2"
+
+
+def test_a_datum_with_no_wave_is_skipped_not_run(monkeypatch, capsys):
+    # datum 38 is the first whose w0 is 0 everywhere: it is not run (the
+    # stub has no outcome for it) and counts as skipped, not passed
+    stub_outcomes(monkeypatch, [True] * 38)
+    assert fuzz.main(["--n", "39"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "passed 38, failed 0, raised 0, skipped 1 of 39"
 
 
 def test_front_index_matches_the_scan_on_lattice_data(monkeypatch):

@@ -16,7 +16,7 @@ from doubles import (
     swap_kept_ids,
     write_config,
 )
-from golden.regen import SCALAR_FAST_JUMPS
+from golden.regen import SCALAR_FAST_JUMPS, golden_cases
 from test_lattice_fuzz import fuzz
 from triwave import scenario, simulator
 from triwave.flux import FluxTable, make_flux
@@ -40,6 +40,7 @@ from triwave.wavefield import (
     assign_initial_speeds,
     initial_enumeration,
     position,
+    stack_range,
     validate_enumeration,
 )
 
@@ -637,3 +638,32 @@ class TestEventLog:
         assert len(rows) > 10
         assert [line.split(":")[1].strip() for line in lines] == \
             [f"event {row.split(',')[0]}" for row in rows]
+
+
+def test_cancellation_survivors_fill_exactly_the_outer_states(monkeypatch):
+    # resolve reads a cancellation's outer states w_a and w_c off the end
+    # waves of its two fronts and solves one fan for its survivors: at every
+    # cancellation of the goldens, the survivors' right states are exactly
+    # (w_a, w_c] (or [w_c, w_a) downwards), with w_a and w_c taken here from
+    # every wave of each front
+    seen = []
+
+    def checked(cand, state, flux_table, index):
+        event = resolve(cand, state, flux_table, index)
+        if event.kind == EventKind.CANCELLATION:
+            w_a, w_m = stack_range(state, event.left_ids)
+            assert stack_range(state, event.right_ids)[0] == w_m
+            w_c = stack_range(state, event.right_ids)[1]
+            survivors = [s for ids, _ in event.fronts for s in ids]
+            step = 1 if w_c > w_a else -1
+            assert sorted(state.waves[s - 1].w_hat for s in survivors) == \
+                sorted(range(w_a + step, w_c + step, step)), index
+            if survivors:
+                assert stack_range(state, survivors) == (w_a, w_c), index
+            seen.append(len(survivors))
+        return event
+
+    monkeypatch.setattr(simulator, "resolve", checked)
+    for config in golden_cases().values():
+        assert run_scenario(config).passed
+    assert len(seen) > 40 and max(seen) > 1, seen

@@ -55,6 +55,7 @@ __all__ = [
     "FluxTable",
     "validate_flux",
     "validate_chords",
+    "finite",
 ]
 
 Real2 = Callable[[float, float], float]
@@ -208,10 +209,19 @@ def _custom_poly(coeffs: list, box: Box) -> FluxSpec:
 DEFAULT_BOX = Box(-0.8, 0.8, -0.5, 0.5)
 
 
+def finite(raw) -> bool:
+    """Whether the number ``raw`` is finite as a float, so not an int too
+    large for one (JSON reads ``10**400`` as one): the config checks' test."""
+    try:
+        return math.isfinite(raw)
+    except OverflowError:
+        return False
+
+
 def _parse_box(raw) -> Box:
     """``[w_min, w_max, v_min, v_max]`` from a config, checked before use."""
     if (not isinstance(raw, (list, tuple)) or len(raw) != 4
-            or any(isinstance(b, bool) or not isinstance(b, (int, float)) or not math.isfinite(b)
+            or any(isinstance(b, bool) or not isinstance(b, (int, float)) or not finite(b)
                    for b in raw)):
         raise ValueError(f"flux box must be 4 numbers [w_min, w_max, v_min, v_max], got {raw!r}")
     box = Box(*raw)
@@ -225,13 +235,14 @@ def _finite(flux: str, what: str, raw) -> float:
     string is not one)."""
     if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
         raise ValueError(f"flux {flux}: {what} must be a number, got {raw!r}")
-    if not math.isfinite(raw):
+    if not finite(raw):
         raise ValueError(f"flux {flux}: {what} must be finite, got {raw!r}")
     return float(raw)
 
 
 def make_flux(name: str, params: dict | None = None) -> FluxSpec:
-    """Build a flux from the registry: quadratic_coupled, quartic, custom_poly."""
+    """Build a flux from the registry: quadratic_coupled, quartic, custom_poly.
+    Its box, ``c`` and coefficients must be finite, its exponents whole, >= 0."""
     params = dict(params or {})
     box_raw = params.pop("box", None)
     box = _parse_box(box_raw) if box_raw is not None else DEFAULT_BOX

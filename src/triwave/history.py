@@ -475,9 +475,9 @@ class PairHistory:
         under the current effective flux: one class per front of the fan, in
         fan order, which is id order.  The effective flux is anchored to
         slope 0 at its left node, so the fan's speeds are true speeds only up
-        to a constant, and only their grouping is read."""
-        w_left, w_right = stack_range(state, members)
-        return fan_runs(state, members, solve_scalar(w_left, w_right, fluxes.flux(members)))
+        to a constant, and only its fronts' widths are read: they cut the
+        class into id slices (``wavefield.fan_runs``)."""
+        return fan_runs(members, solve_scalar(*stack_range(state, members), fluxes.flux(members)))
 
     def _rejoin(self, event: Event) -> tuple[int, int]:
         """Walk the pairs across the two fronts of an interaction once; return
@@ -579,7 +579,7 @@ class PairHistory:
         v jump.
         """
         ahead, eps, total = [0, *accumulate(state.per_crossed)], self.eps, 0.0
-        for h, strength in self.v_strengths:   # a loop: sum() rounds otherwise from Python 3.12
+        for h, strength in self.v_strengths:   # left to right, as simulator.left_sum adds
             total += strength * ahead[h] * eps
         return total
 

@@ -9,7 +9,8 @@ for a downward one, grouped into fronts of equal speed.
 fronts.  ``flux.FluxTable.fan`` solves, checks and keeps each fan of
 f_eps(., v).  ``history.PairHistory`` splits a partition class by the fan of
 the Riemann problem it spans under a block's effective flux, whose speeds are
-true only up to a constant, so it reads only how the fan groups the cells.
+true only up to a constant, so it reads only the fronts' widths, by which
+:func:`triwave.wavefield.fan_runs` cuts a run of waves.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ class FanFront:
     """One second-family front of a scalar fan."""
 
     speed: float
-    w_left: int       # ticks
+    w_left: int       # ticks; the front holds |w_right - w_left| waves
     w_right: int
-    cells: tuple[int, ...]   # left ticks of member cells, fan order
 
 
 def solve_scalar(w_minus: int, w_plus: int,
@@ -56,15 +56,9 @@ def solve_scalar(w_minus: int, w_plus: int,
         else:
             segments.append((a, b, slope))
 
-    fronts: list[FanFront] = []
-    for a, b, speed in segments:
-        if upward:
-            fronts.append(FanFront(speed, a, b, tuple(range(a, b))))
-        else:
-            fronts.append(FanFront(speed, b, a, tuple(range(b - 1, a - 1, -1))))
-    if not upward:
-        # concave slopes decrease in w; fan order is by increasing speed
-        fronts.reverse()
+    # concave slopes decrease in w; fan order is by increasing speed
+    fronts = ([FanFront(speed, a, b) for a, b, speed in segments] if upward
+              else [FanFront(speed, b, a) for a, b, speed in reversed(segments)])
     # telescoping consistency of the outgoing states
     state = w_minus
     for f in fronts:

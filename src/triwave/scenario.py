@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .flux import FluxSpec, flux_constants, validate_chords
+from .flux import FluxSpec, finite, flux_constants, validate_chords
 from .history import PairHistory
 from .replay import MAX_REPLAY_WAVES
 from .simulator import Trajectory, run
@@ -67,7 +67,7 @@ class ScenarioConfig:
             raise ValueError(f"check_level must be one of {CHECK_LEVELS}")
         if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float)) or not self.eps > 0:
             raise ValueError(f"eps must be a positive number, got {self.eps!r}")
-        if not math.isfinite(self.eps):
+        if not finite(self.eps):
             raise ValueError(f"eps must be finite, got {self.eps!r}")
         for name in ("seed", "event_guard"):
             if type(getattr(self, name)) is not int:
@@ -129,9 +129,10 @@ def _check_datum(name: str, part) -> None:
             raise ValueError(f"{name} jumps must be a list of [x, tick] pairs, x a number "
                              f"and tick an integer, got {jumps!r}")
         seen = set()
-        for x, _ in jumps:
-            if not math.isfinite(x):
-                raise ValueError(f"{name} jump positions must be finite, got {x!r}")
+        for x, tick in jumps:
+            for what, value in (("positions", x), ("ticks", tick)):
+                if not finite(value):
+                    raise ValueError(f"{name} jump {what} must be finite, got {value!r}")
             if float(x) in seen:
                 raise ValueError(f"{name} jumps repeat x={float(x)}")
             seen.add(float(x))
@@ -146,7 +147,7 @@ def _check_datum(name: str, part) -> None:
     for key, value in rand.items():
         if key == "max_amplitude" and not _is_number(value):
             raise ValueError(f"{name} random spec: {key} must be a number, got {value!r}")
-        if key == "max_amplitude" and not math.isfinite(value):
+        if key == "max_amplitude" and not finite(value):
             raise ValueError(f"{name} random spec: {key} must be finite, got {value!r}")
         if key != "max_amplitude" and not _is_int(value):
             raise ValueError(f"{name} random spec: {key} must be an integer, got {value!r}")
@@ -254,7 +255,9 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
 
 def _run_scenario(config: ScenarioConfig, target: Path | None) -> ScenarioResult:
     """The run of ``run_scenario``, writing its artifacts into ``target``
-    unless it is None."""
+    unless it is None.  It first refuses an eps too fine for the box, data
+    outside the box's ticks (which ``FluxTable`` interpolates) and a flux
+    with a chord outside (-1, 1) on the data."""
     spec, bounds = flux_constants(config.flux)
     box, eps = spec.box, config.eps
     # the data builder and every interpolant of the box work over its ticks
@@ -353,7 +356,7 @@ def _csv_text(x, texts: FloatTexts) -> str:
 
 
 def _write_events(fh, traj: Trajectory, texts: FloatTexts) -> None:
-    """events.csv, the bytes ``csv.writer`` writes for its rows."""
+    """events.csv, the bytes ``csv.writer`` writes for its rows; ``n_waves`` counts survivors."""
     fh.write("j,t,x,kind,n_waves,v_strength,cancellation\r\n")
     fh.write("".join([
         f"{ev.index},{_csv_text(ev.time, texts)},{_csv_text(ev.x, texts)},{ev.kind.value},"

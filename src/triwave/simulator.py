@@ -13,10 +13,8 @@ they do not depend on when they are computed.  The heap is built from a full
 scan of the fronts (:func:`_objects`) on the first search; after that each
 event hands it the fronts it changed and their pairs get fresh entries.
 
-The kept front list is the one source of adjacency.  A queue entry holds
-while its left front is still kept (:func:`_kept`) and its right object is
-still that front's right-hand neighbour (:func:`_right_of`), and
-:func:`resolve` checks a candidate against the same list.
+The kept front list is the one source of adjacency: a queue entry
+(:meth:`CollisionQueue._holds`) and a candidate of :func:`resolve` are checked against it.
 
 Simultaneous collisions are resolved sequentially at the same time
 coordinate, leftmost first, so every resolved event is binary and the
@@ -28,7 +26,9 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import count
+from operator import add
 
 from .flux import DerivativeBounds, FluxSpec, FluxTable, derivative_bounds, flux_table
 from .history import PairHistory
@@ -60,6 +60,13 @@ __all__ = [
 log = logging.getLogger("triwave.simulator")
 
 TIME_TOL = 1e-10      # candidates within this of the earliest are one cluster
+
+
+def left_sum(terms) -> float:
+    """``sum(terms)`` added left to right, as before Python 3.12, whose
+    ``sum`` compensates float rounding: so no artifact depends on the
+    Python version.  An empty sum is the int 0, as ``sum``'s."""
+    return reduce(add, terms, 0)
 
 
 class EventGuardExceeded(ValueError):
@@ -255,7 +262,7 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         raise ValueError(f"colliding fronts {left.ids} and {right.ids} are not neighbours "
                          f"in the kept front list")
     colliding = left.ids if crossing else left.ids + right.ids
-    survivors, canceled = colliding, []
+    survivors, canceled = colliding, ()
     waves = state.waves
     if crossing:
         for s in colliding:
@@ -271,24 +278,15 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
             kind = EventKind.INTERACTION_POSITIVE if a.sign > 0 else EventKind.INTERACTION_NEGATIVE
         else:
             # cancellation: opposite signs annihilate pairwise from the middle
-            # state.  A front's waves fill its jump one tick each in id order,
-            # so its left state is its lead's right state less its sign, and
-            # its right state is its last wave's.
+            # state the fronts share; each is a run (wavefield docstring), so
+            # the larger keeps its waves farthest from the middle
             kind = EventKind.CANCELLATION
-            w_a, w_lr = a.w_hat - a.sign, waves[left.ids[-1] - 1].w_hat
-            w_rl, w_c = b.w_hat - b.sign, waves[right.ids[-1] - 1].w_hat
-            if w_lr != w_rl:
+            if waves[left.ids[-1] - 1].w_hat != b.w_hat - b.sign:
                 raise ValueError("cancellation fronts do not share the middle state")
-            survivors = []
-            for s in colliding:
-                w = waves[s - 1]
-                keep = (
-                    w_a != w_c
-                    and w.sign == (1 if w_c > w_a else -1)
-                    and (w_a + 1 <= w.w_hat <= w_c if w_c > w_a else w_c <= w.w_hat <= w_a - 1)
-                )
-                (survivors if keep else canceled).append(s)
-    groups = speed_groups(state, survivors, flux_table, v_tick=v_tick)
+            n_l, n = len(left.ids), min(len(left.ids), len(right.ids))
+            survivors = left.ids[:n_l - n] + right.ids[n:]
+            canceled = left.ids[n_l - n:] + right.ids[:n]
+    groups = speed_groups(state, survivors, flux_table, v_tick)
     if kind.is_interaction and len(groups) != 1:
         raise ValueError(f"interaction at ({t_j}, {x_j}) did not merge into one front")
     # the survivors' slots hold their pre-event speeds until apply_event
@@ -299,13 +297,13 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
         kind=kind,
         colliding=colliding,
         fronts=tuple(groups),
-        sum_abs_dsigma=sum(abs(speed - waves[s - 1].speed)
-                           for members, speed in groups for s in members) * state.eps,
+        sum_abs_dsigma=left_sum(abs(speed - waves[s - 1].speed)
+                                for members, speed in groups for s in members) * state.eps,
         left_ids=() if crossing else left.ids,
         right_ids=() if crossing else right.ids,
         v_front_id=right.id if crossing else None,
         v_strength=right.strength_ticks * state.eps if crossing else 0.0,
-        canceled=tuple(canceled),
+        canceled=canceled,
         cancellation=len(canceled) * state.eps,
     )
     apply_event(state, event)

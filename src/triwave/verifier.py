@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 from .history import PairHistory
 from .replay import Replay
-from .simulator import Trajectory
+from .simulator import Trajectory, left_sum
 from .wavefield import Event, EventKind, position
 
 __all__ = [
@@ -200,7 +200,7 @@ def check_qtrans(traj: Trajectory) -> list[CheckResult]:
 
 
 def check_main_theorem(traj: Trajectory) -> CheckResult:
-    lhs = sum(ev.sum_abs_dsigma for ev in traj.events)
+    lhs = left_sum(ev.sum_abs_dsigma for ev in traj.events)
     b = traj.bounds
     rhs = (3.0 * b.norm_d2_ww + 12.0 * LOG2 * b.norm_d3_wwv * traj.tv_v0) * traj.tv_w0**2
     rhs += b.norm_d2_wv * traj.tv_w0 * traj.tv_v0
@@ -227,10 +227,10 @@ def check_q_quadratic_global(traj: Trajectory) -> list[CheckResult]:
 
 def check_aggregates(traj: Trajectory) -> list[CheckResult]:
     b = traj.bounds
-    trans = sum(ev.sum_abs_dsigma for ev in traj.events
-                if ev.kind == EventKind.TRANSVERSAL)
-    canc = sum(ev.sum_abs_dsigma for ev in traj.events
-               if ev.kind == EventKind.CANCELLATION)
+    trans = left_sum(ev.sum_abs_dsigma for ev in traj.events
+                     if ev.kind == EventKind.TRANSVERSAL)
+    canc = left_sum(ev.sum_abs_dsigma for ev in traj.events
+                    if ev.kind == EventKind.CANCELLATION)
     return [
         _check("aggregate_transversal", "global", trans,
                b.norm_d2_wv * traj.tv_w0 * traj.tv_v0),

@@ -4,13 +4,12 @@ Every elementary jump of size eps in the transported field w is a *wave* with
 a permanent 1-based id, a permanent sign and a permanent right state ``w_hat``
 (stored as an integer tick).  The field state tracks, per wave, its anchor and
 speed (None once cancelled) and how many first-family fronts it has crossed,
-which tells the v value at its position: ``FieldState.v_ticks[crossed]``.
+its one encoding of the v value at its position: ``FieldState.v_ticks[crossed]``.
 First-family fronts all travel at speed -1 and are stored separately.  An
 ``Event`` records one resolved collision in terms of this enumeration: the
 ids of the waves that meet, in id order, and the fan of fronts its
 survivors leave it as, each with its speed.  :func:`apply_event` is the one
-place that moves a state across an event; the simulator and the replay both
-call it.
+place that moves a state across an event.
 
 Positions are anchored: every wave and first-family front keeps the position
 ``x_a`` it had at time ``t_a``, when an event last moved it, and
@@ -18,25 +17,23 @@ Positions are anchored: every wave and first-family front keeps the position
 only the objects at its site, never the others.  The waves of one front share
 one anchor, so they stay at one position exactly.
 
-The second-family fronts are kept on the state across events.  The first call
-of :meth:`FieldState.fronts` builds them from one-wave fronts by the merge
-rule; after that :func:`apply_event` edits them around the event site only,
-and tells the simulator's collision queue (if the state has one) which fronts
-it changed.  :func:`validate_enumeration` derives the same runs anew from
-each wave's own position and compares the two.  The state
-also keeps ``n_joined``, the pairs of waves on one front: the joined pairs
-of the pair history, which stores none of them.
-Next to the fronts the state keeps the list of their last ids, which
-:func:`apply_event` splices with them.  The kept fronts answer every
-question of adjacency: :func:`front_index` finds the front that holds a
-wave by a plain bisection of the last ids, and the fronts next to it in
-the list are its neighbours.  :class:`BlockFluxes` is the one lookup from
-a run of waves to the effective flux of its homogeneous block, a maximal
-run of kept fronts of one sign, read from the memo of the run that asks
-or built from the cell increments its ``FluxTable`` keeps.
+The state keeps its second-family fronts and their last ids across events:
+:meth:`FieldState.fronts` builds them once, :func:`apply_event` edits them
+at each event site and :func:`validate_enumeration` derives them anew and
+compares.  They answer every question of adjacency (:func:`front_index`)
+and define the homogeneous blocks, maximal runs of kept fronts of one sign,
+whose effective fluxes :class:`BlockFluxes` looks up.
 
 A run of waves (the waves of an event, of a front, of a partition class or
-of a block) is the tuple of its alive ids in ascending order.
+of a block) is the tuple of its alive ids in ascending order.  The event
+path reads one rule: a run of one sign that fills a jump (a stack, a front,
+a class, a front of a fan) is an id slice whose right states step by one
+tick in the direction of its sign; :func:`validate_enumeration` checks it
+for every stack and ``PairHistory._meet`` for every meeting.  So a run's
+two states are read off its end waves (:func:`stack_range`), its cells run
+from its first wave's to its last's, and the fan of its jump cuts it into
+slices of the fronts' widths (:func:`fan_runs`): no wave is looked up by
+its cell or its right state.
 
 State arithmetic is exact: w values, right states and v values are integer
 ticks; only positions, speeds and times are floats.
@@ -448,49 +445,39 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
 
 
 def stack_range(state: FieldState, ids: Sequence[int]) -> tuple[int, int]:
-    """(w left state, w right state) in ticks for the stack of waves ``ids``."""
+    """(w left state, w right state) in ticks of the stack ``ids``, read off
+    its end waves by the rule of the module docstring; mixed signs raise."""
     waves = state.waves
-    recs = [waves[s - 1] for s in ids]
-    signs = {w.sign for w in recs}
-    if len(signs) != 1:
+    first = waves[ids[0] - 1]
+    sign = first.sign
+    if any(waves[s - 1].sign != sign for s in ids):
         raise ValueError("mixed-sign stack")
-    hats = [w.w_hat for w in recs]
-    if signs.pop() > 0:
-        return min(hats) - 1, max(hats)
-    return max(hats) + 1, min(hats)
+    return first.w_hat - sign, waves[ids[-1] - 1].w_hat
 
 
-def speed_groups(
-    state: FieldState,
-    ids: Sequence[int],
-    flux_table: FluxTable,
-    v_tick: int | None = None,
-) -> list[tuple[tuple[int, ...], float]]:
-    """Solve the Riemann problem of a stack of waves; group them by speed.
-
-    Returns ``[(ids, speed), ...]``, one entry per front of the scalar fan
-    ``flux_table.fan`` solves, checks and keeps for [w(x-), w(x)] with the
-    flux at ``v_tick``, ordered left to right (speeds strictly increasing).
-    """
+def speed_groups(state: FieldState, ids: Sequence[int], flux_table: FluxTable,
+                 v_tick: int) -> list[tuple[tuple[int, ...], float]]:
+    """The fan ``flux_table.fan`` solves, checks and keeps for the stack
+    ``ids`` at ``v_tick``, as ``[(ids, speed), ...]``: one entry per front,
+    left to right (speeds strictly increasing)."""
     if not ids:
         return []
-    if v_tick is None:
-        waves = state.waves
-        crossed = {waves[s - 1].crossed for s in ids}
-        if len(crossed) != 1:
-            raise ValueError("stack with non-uniform crossing count")
-        v_tick = state.v_ticks[crossed.pop()]
     fan = flux_table.fan(*stack_range(state, ids), v_tick)
-    return list(zip(fan_runs(state, ids, fan), [f.speed for f in fan]))
+    return list(zip(fan_runs(ids, fan), [f.speed for f in fan]))
 
 
-def fan_runs(state: FieldState, ids: Sequence[int],
-             fan: Sequence[FanFront]) -> list[tuple[int, ...]]:
-    """The run of waves of the stack ``ids`` on each front of ``fan``, the
-    fan of its jump: the waves whose cells the front holds."""
-    waves = state.waves
-    by_cell = {waves[s - 1].cell(): s for s in ids}
-    return [tuple(sorted(by_cell[c] for c in f.cells)) for f in fan]
+def fan_runs(ids: Sequence[int], fan: Sequence[FanFront]) -> list[tuple[int, ...]]:
+    """The stack ``ids`` cut into slices, one per front of ``fan``, the fan
+    of its jump, as wide as the front (the rule of the module docstring).
+    Raises ``ValueError`` unless the widths add up to the stack's size."""
+    runs, a = [], 0
+    for f in fan:
+        b = a + abs(f.w_right - f.w_left)
+        runs.append(tuple(ids[a:b]))
+        a = b
+    if a != len(ids):
+        raise ValueError(f"a fan {a} waves wide cuts a stack of {len(ids)}")
+    return runs
 
 
 def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
@@ -504,7 +491,9 @@ def assign_initial_speeds(state: FieldState, flux_table: FluxTable):
     state._queue = None
     out = []
     for _, stack in groupby(state.waves, key=attrgetter("x_a")):
-        groups = speed_groups(state, [w.id for w in stack], flux_table)
+        stack = list(stack)     # one jump of w0, so one crossing count
+        groups = speed_groups(state, [w.id for w in stack], flux_table,
+                              state.v_ticks[stack[0].crossed])
         for members, speed in groups:
             for s in members:
                 state.wave(s).speed = speed
@@ -669,7 +658,8 @@ def effective_flux(state: FieldState, block: tuple[int, ...], table: FluxTable,
     if any(w.sign != sign for w in recs):
         raise ValueError("block is not homogeneous")
     v_ticks = state.v_ticks
-    cells = sorted([(w.cell(), v_ticks[w.crossed]) for w in recs])
+    # ascending cells: id order, reversed for a falling (negative) run
+    cells = [(w.cell(), v_ticks[w.crossed]) for w in recs][::sign]
     key = tuple(cells)
     eff = memo.get(key)
     if eff is None:
@@ -723,9 +713,11 @@ class BlockFluxes:
         return tuple(t for f in fronts[a:b + 1] for t in f.ids)
 
     def rh_speed(self, members: Sequence[int]) -> float:
-        """Chord speed of the run ``members`` under its block's effective flux."""
-        cells = [self.state.wave(s).cell() for s in members]
-        return rh_speed(self.flux(members), min(cells), max(cells) + 1)
+        """Chord speed of the run ``members`` under its block's effective
+        flux, across the cells from its first wave's to its last's."""
+        waves = self.state.waves
+        a, b = waves[members[0] - 1].cell(), waves[members[-1] - 1].cell()
+        return rh_speed(self.flux(members), min(a, b), max(a, b) + 1)
 
 
 def snapshot(state: FieldState) -> dict:

@@ -526,6 +526,55 @@ def speed_runs(state, survivors):
     return [tuple(run) for run in runs]
 
 
+def fan_cells(front):
+    """The left ticks of the cells the fan front ``front`` spans."""
+    return range(min(front.w_left, front.w_right), max(front.w_left, front.w_right))
+
+
+def by_cell_runs(state, ids, fan):
+    """The waves of the stack ``ids`` on each front of ``fan``, the fan of
+    its jump, found by the cell each wave sits on: a map from cell to wave,
+    then the front's cells looked up and sorted.  The oracle of
+    ``wavefield.fan_runs``, which cuts ``ids`` by the fronts' widths."""
+    by_cell = {state.wave(s).cell(): s for s in ids}
+    return [tuple(sorted(by_cell[c] for c in fan_cells(f))) for f in fan]
+
+
+def minmax_stack_range(state, ids):
+    """(w left state, w right state) of the stack ``ids`` from the least and
+    the greatest right state of all its waves.  The oracle of
+    ``wavefield.stack_range``, which reads its end waves."""
+    recs = [state.wave(s) for s in ids]
+    signs = {w.sign for w in recs}
+    if len(signs) != 1:
+        raise ValueError("mixed-sign stack")
+    hats = [w.w_hat for w in recs]
+    if signs.pop() > 0:
+        return min(hats) - 1, max(hats)
+    return max(hats) + 1, min(hats)
+
+
+def kept_by_state(state, left_ids, right_ids):
+    """(survivors, canceled) of a cancellation of the fronts ``left_ids``
+    and ``right_ids``, each wave tested on its own: it survives if it has
+    the sign of the jump from the left front's left state w_a to the right
+    front's right state w_c and its right state lies in (w_a, w_c] (or
+    [w_c, w_a) downwards).  The oracle of the id slices
+    ``simulator.resolve`` takes."""
+    a = state.wave(left_ids[0])
+    w_a, w_c = a.w_hat - a.sign, state.wave(right_ids[-1]).w_hat
+    survivors, canceled = [], []
+    for s in left_ids + right_ids:
+        w = state.wave(s)
+        keep = (
+            w_a != w_c
+            and w.sign == (1 if w_c > w_a else -1)
+            and (w_a + 1 <= w.w_hat <= w_c if w_c > w_a else w_c <= w.w_hat <= w_a - 1)
+        )
+        (survivors if keep else canceled).append(s)
+    return tuple(survivors), tuple(canceled)
+
+
 def scan_front_index(state, s):
     """The index of the kept front whose ids hold wave ``s``, found by a
     linear scan of the kept fronts, or None if none holds it: the oracle of
@@ -633,6 +682,21 @@ def multipass_validate_enumeration(state):
                 problems.append(f"kept last id {k} is {a}, recounted {b}")
                 break
     return problems
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 and later compute it: exact over ints, and
+    over floats Neumaier's compensated summation, which can round otherwise
+    than adding left to right."""
+    items = list(iterable)
+    if not any(isinstance(x, float) for x in (start, *items)):
+        return sum(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c
 
 
 def pair_weight(pi, w_hat, w_hat2, eps):

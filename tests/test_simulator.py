@@ -13,6 +13,7 @@ from doubles import (
     alive_ids,
     corrupt_history,
     group_fronts,
+    minmax_stack_range,
     swap_kept_ids,
     write_config,
 )
@@ -641,19 +642,19 @@ class TestEventLog:
 
 
 def test_cancellation_survivors_fill_exactly_the_outer_states(monkeypatch):
-    # resolve reads a cancellation's outer states w_a and w_c off the end
-    # waves of its two fronts and solves one fan for its survivors: at every
-    # cancellation of the goldens, the survivors' right states are exactly
-    # (w_a, w_c] (or [w_c, w_a) downwards), with w_a and w_c taken here from
-    # every wave of each front
+    # resolve takes a cancellation's survivors as an id slice of the larger
+    # of its two fronts and solves one fan for them: at every cancellation
+    # of the goldens, the survivors' right states are exactly (w_a, w_c]
+    # (or [w_c, w_a) downwards), with w_a and w_c taken here from every
+    # wave of each front, and their stack range read off their end waves
     seen = []
 
     def checked(cand, state, flux_table, index):
         event = resolve(cand, state, flux_table, index)
         if event.kind == EventKind.CANCELLATION:
-            w_a, w_m = stack_range(state, event.left_ids)
-            assert stack_range(state, event.right_ids)[0] == w_m
-            w_c = stack_range(state, event.right_ids)[1]
+            w_a, w_m = minmax_stack_range(state, event.left_ids)
+            assert minmax_stack_range(state, event.right_ids)[0] == w_m
+            w_c = minmax_stack_range(state, event.right_ids)[1]
             survivors = [s for ids, _ in event.fronts for s in ids]
             step = 1 if w_c > w_a else -1
             assert sorted(state.waves[s - 1].w_hat for s in survivors) == \

@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,6 +11,10 @@ import pytest
 from doubles import (
     FrontIndexAgainstScan,
     alive_ids,
+    by_cell_runs,
+    fan_cells,
+    kept_by_state,
+    minmax_stack_range,
     multipass_validate_enumeration,
     reconstruct_profile,
     reference_effective_flux,
@@ -23,13 +28,14 @@ from doubles import (
 from golden.regen import golden_cases
 from test_acceptance import (NON_CONVEX_WIDE, SMALL_N_CUBIC, SMALL_N_SEEDS, ensemble_config,
                              small_n_config)
+from test_lattice_fuzz import fuzz
 from test_verifier import REJOIN
-from triwave import simulator, wavefield
+from triwave import history, simulator, wavefield
 from triwave.envelopes import EnvelopeResult
 from triwave.flux import Box, DerivativeBounds, FluxSpec, FluxTable, PiecewiseAffineFlux, make_flux
 from triwave.history import FunctionalSnapshot, PartitionRecord
 from triwave.replay import ReplayPair
-from triwave.riemann import FanFront
+from triwave.riemann import FanFront, solve_scalar
 from triwave.scenario import run_scenario
 from triwave.simulator import CollisionCandidate
 from triwave.verifier import CheckResult
@@ -43,6 +49,7 @@ from triwave.wavefield import (
     front_index,
     StepFunction,
     effective_flux,
+    fan_runs,
     initial_enumeration,
     snapshot,
     speed_groups,
@@ -154,7 +161,7 @@ class TestAssignSpeeds:
     def test_single_wave_chord(self, spec, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 1), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        speeds = speeds_of(speed_groups(state, [1], flux_table))
+        speeds = speeds_of(speed_groups(state, [1], flux_table, 0))
         g = flux_table.flux_for_v(0)
         assert speeds[1] == (g.value(1) - g.value(0)) / EPS
 
@@ -163,7 +170,7 @@ class TestAssignSpeeds:
         w0 = StepFunction.from_jumps([(0.0, 4), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         shock_ids = [5, 6, 7, 8]
-        groups = speed_groups(state, shock_ids, flux_table)
+        groups = speed_groups(state, shock_ids, flux_table, 0)
         assert len(groups) == 1
         speeds = speeds_of(groups)
         g = flux_table.flux_for_v(0)
@@ -173,7 +180,7 @@ class TestAssignSpeeds:
     def test_upward_jump_of_convex_flux_fans_out(self, flux_table):
         w0 = StepFunction.from_jumps([(0.0, 3), (9.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        speeds = speeds_of(speed_groups(state, [1, 2, 3], flux_table))
+        speeds = speeds_of(speed_groups(state, [1, 2, 3], flux_table, 0))
         g = flux_table.flux_for_v(0)
         cells = [(g.value(k + 1) - g.value(k)) / EPS for k in range(3)]
         assert [speeds[s] for s in (1, 2, 3)] == pytest.approx(cells, abs=1e-15)
@@ -183,7 +190,7 @@ class TestAssignSpeeds:
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, 1), (2.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         with pytest.raises(ValueError):
-            speed_groups(state, [1, 2, 3], flux_table)
+            speed_groups(state, [1, 2, 3], flux_table, 0)
 
 
 def one_jump(w_minus, w_plus):
@@ -195,18 +202,32 @@ def one_jump(w_minus, w_plus):
 
 
 def test_speed_groups_map_the_table_fan_onto_the_stack(spec):
-    # each group is one front of the table's fan: its speed, and the waves
-    # whose cells the front holds, in id order
+    # each group is one front of the table's fan: its speed, and as many
+    # waves as the front is wide, in id order, whose cells the front spans
     table = FluxTable(spec, EPS)
     for w_minus, w_plus in ((-3, 4), (5, -2)):
         state, ids = one_jump(w_minus, w_plus)
-        groups = speed_groups(state, ids, table)
+        groups = speed_groups(state, ids, table, 0)
         fan = table.fans[(w_minus, w_plus, 0)]
         assert [speed for _, speed in groups] == [f.speed for f in fan]
         for (members, _), f in zip(groups, fan):
             assert list(members) == sorted(members)
-            assert sorted(state.wave(s).cell() for s in members) == sorted(f.cells)
-        assert sorted(s for members, _ in groups for s in members) == ids
+            assert len(members) == abs(f.w_right - f.w_left)
+            assert sorted(state.wave(s).cell() for s in members) == list(fan_cells(f))
+        assert [s for members, _ in groups for s in members] == ids
+
+
+@pytest.mark.parametrize("widths", [(1, 2), (1, 1, 1, 2), (5,), ()])
+def test_a_fan_whose_widths_miss_the_stack_size_raises(widths):
+    # a stack of four waves and an upward fan of fronts of these widths
+    fan, w = [], 0
+    for width in widths:
+        fan.append(FanFront(0.1 * len(fan), w, w + width))
+        w += width
+    with pytest.raises(ValueError, match=f"a fan {sum(widths)} waves wide cuts a stack of 4"):
+        fan_runs((5, 6, 7, 8), fan)
+    downward = [FanFront(0.1, 0, -2), FanFront(0.2, -2, -4)]
+    assert fan_runs((5, 6, 7, 8), downward) == [(5, 6), (7, 8)]
 
 
 class TestValidateEnumeration:
@@ -619,3 +640,74 @@ def test_an_event_carries_the_speed_runs_of_its_survivors(monkeypatch):
         run_scenario(replace(cfg, check_level="fast"))
     assert seen[EventKind.CANCELLATION, True] > 0, seen
     assert seen[EventKind.TRANSVERSAL, True] > 0, seen
+
+
+def test_the_slices_are_the_lookups_they_replace(monkeypatch):
+    # after every event of the goldens, the re-join datum, three non-convex
+    # data and the first 40 lattice-fuzz data: each stack's two states read
+    # off its end waves are the least and greatest of all its right states,
+    # each fan cut by its widths is the grouping by cell, a cancellation's
+    # id slices are the waves the per-wave keep test keeps and cancels, a
+    # block's cells in id order (reversed if negative) are sorted, and a
+    # run's chord spans the cells of all its waves
+    seen = Counter()
+    real_groups, real_resolve = wavefield.speed_groups, simulator.resolve
+    real_split = history.PairHistory._split_class
+    real_build, real_rh = wavefield.build_effective_flux, BlockFluxes.rh_speed
+
+    def groups(state, ids, table, v_tick):
+        out = real_groups(state, ids, table, v_tick)
+        if ids:
+            w_range = minmax_stack_range(state, ids)
+            assert wavefield.stack_range(state, ids) == w_range
+            assert [m for m, _ in out] == by_cell_runs(state, ids, table.fan(*w_range, v_tick))
+            seen["fans", len(out) > 1] += 1
+        return out
+
+    def split(self, members, state, fluxes):
+        out = real_split(self, members, state, fluxes)
+        fan = solve_scalar(*minmax_stack_range(state, members), fluxes.flux(members))
+        assert out == by_cell_runs(state, members, fan)
+        seen["splits", len(out) > 1] += 1
+        return out
+
+    def resolve(cand, state, table, index):
+        event = real_resolve(cand, state, table, index)
+        if event.kind == EventKind.CANCELLATION:
+            survivors = tuple(s for ids, _ in event.fronts for s in ids)
+            assert (survivors, event.canceled) == kept_by_state(state, event.left_ids,
+                                                                event.right_ids), index
+            seen["cancellations", bool(survivors)] += 1
+        return event
+
+    def build(cells, table):
+        assert cells == sorted(cells)
+        return real_build(cells, table)
+
+    def rh(self, members):
+        cells = [self.state.wave(s).cell() for s in members]
+        got = real_rh(self, members)
+        assert got == wavefield.rh_speed(self.flux(members), min(cells), max(cells) + 1)
+        seen["chords"] += 1
+        return got
+
+    for module in (wavefield, simulator):
+        monkeypatch.setattr(module, "speed_groups", groups)
+    monkeypatch.setattr(simulator, "resolve", resolve)
+    monkeypatch.setattr(history.PairHistory, "_split_class", split)
+    monkeypatch.setattr(wavefield, "build_effective_flux", build)
+    monkeypatch.setattr(BlockFluxes, "rh_speed", rh)
+    cubic, cubic_amplitude, _, _ = NON_CONVEX_WIDE["cubic"]
+    quartic, quartic_amplitude, _, _ = NON_CONVEX_WIDE["quartic_0.75"]
+    configs = [*golden_cases().values(), REJOIN, small_n_config(SMALL_N_SEEDS[0], SMALL_N_CUBIC),
+               ensemble_config(0, quartic, quartic_amplitude),
+               ensemble_config(0, cubic, cubic_amplitude)]
+    rng = random.Random(0)     # the fuzz's own stream
+    configs += [fuzz.draw_config(rng) for _ in range(40)]
+    for cfg in configs:
+        # the check level plays no part in the event path; small_n reads
+        # the chords of the lemma suite
+        level = "small_n" if cfg.check_level == "small_n" else "fast"
+        run_scenario(replace(cfg, check_level=level))
+    assert seen["fans", True] > 50 and seen["splits", True] > 3, seen
+    assert seen["cancellations", True] > 100 and seen["chords"] > 100, seen

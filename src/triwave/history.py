@@ -21,8 +21,9 @@ functional.
 
 No pair is stored.  The pairs divided at one meeting share one partition
 record, made by ``_meet``: the meeting's waves have consecutive right states
-(``_meet`` checks it), so a wave's meeting rank is |w_hat - w_hat of rank 0|
-and d = |w_hat(s') - w_hat(s)| + 1 in ticks is the rank difference plus 1.
+(``wavefield.stack_range`` checks it), so a wave's meeting rank is
+|w_hat - w_hat of rank 0| and d = |w_hat(s') - w_hat(s)| + 1 in ticks is the
+rank difference plus 1.
 The record keeps its meeting classes, the ids of the fronts of the fan that
 leaves the meeting, as cut points over the ranks.  Its divided pairs are the
 pairs of its alive waves in two meeting classes, less the set of those that
@@ -65,8 +66,9 @@ An event changes only the records that meet its colliding waves, and one
 pass carries them across it.  A class is split again by the scalar fan
 ``riemann.solve_scalar`` builds for the Riemann problem it spans under the
 current effective flux, as the initial classes are.  No divided pair lies on
-one kept front, so only pairs across an interaction's two fronts meet again:
-joined, they join their record's re-joined set; divided, they are an error.
+one kept front, so only pairs across an interaction's two fronts meet again,
+all joined, since the interaction leaves one front (``simulator.resolve``):
+they join their record's re-joined set.
 ``PairHistory.validate`` recounts each record at every call, from its
 classes, cut points and re-joined set, in one pass over its waves that
 checks what a crossing relies on and computes each wave's weights in
@@ -375,7 +377,7 @@ class PairHistory:
         self.weights = [0] + [self.L // d for d in range(1, d_max + 1)]
         self.cum = [0, *accumulate(self.weights)]
         for groups in initial_groups:
-            self._meet(groups, state, 0)
+            self._meet(groups, state)
         return self.snapshot(state, index=0, sum_abs_dsigma=0.0)
 
     # -- event update ------------------------------------------------------
@@ -388,7 +390,7 @@ class PairHistory:
         else:
             self._update_records(event, state)
         if event.fronts:
-            self._meet(event.fronts, state, event.index)
+            self._meet(event.fronts, state)
         return self.snapshot(state, index=event.index, sum_abs_dsigma=event.sum_abs_dsigma), detail
 
     def _update_records(self, event: Event, state: FieldState) -> None:
@@ -476,16 +478,17 @@ class PairHistory:
         fan order, which is id order.  The effective flux is anchored to
         slope 0 at its left node, so the fan's speeds are true speeds only up
         to a constant, and only its fronts' widths are read: they cut the
-        class into id slices (``wavefield.fan_runs``)."""
+        class into id slices (``wavefield.fan_runs``), after
+        ``wavefield.stack_range`` has checked the class's stack rule."""
         return fan_runs(members, solve_scalar(*stack_range(state, members), fluxes.flux(members)))
 
     def _rejoin(self, event: Event) -> tuple[int, int]:
         """Walk the pairs across the two fronts of an interaction once; return
         how many have no record (the never-met pairs) and the sum of P over
         the others, which meet again joined: each leaves its record and joins
-        its re-joined set.  ``simulator.resolve`` requires the interaction's
-        fan to be one front; a pair that meets again in two or more raises.
-        At a cancellation every such pair has a dead wave (the survivors all
+        its re-joined set: ``simulator.resolve`` lets an interaction leave
+        only one front, so every pair across it meets again joined.  At a
+        cancellation every such pair has a dead wave (the survivors all
         come from one front), whose pairs ``_bury`` has taken out."""
         n_never = sum_P = 0
         for s, s2 in product(event.left_ids, event.right_ids):
@@ -493,38 +496,24 @@ class PairHistory:
             if rec is None:
                 n_never += 1
                 continue
-            if len(event.fronts) != 1:
-                raise ValueError(f"pair ({s}, {s2}) met again while divided "
-                                 f"at event {event.index}")
             log.debug("pair (%d, %d) re-joined at event %d", s, s2, event.index)
             sum_P += rec.A[s2] - rec.B[s]
             self._part(rec, [(s, s2)])
             rec.rejoined.add((s, s2))
         return n_never, sum_P
 
-    def _meet(self, fronts: Sequence[tuple[tuple[int, ...], float]], state: FieldState,
-              index: int) -> None:
+    def _meet(self, fronts: Sequence[tuple[tuple[int, ...], float]], state: FieldState) -> None:
         """The waves of the fan ``fronts``, one ``(ids, speed)`` per front as
         :func:`~triwave.wavefield.speed_groups` returns it, meeting at one
-        point at event ``index``: joined on one front, else divided and
-        sharing one fresh record whose meeting classes are the fronts' ids.
-        Every divided pair starts with P = 0 (its record's potentials are
-        0).  Raises if the waves have two signs, or if they are divided and
-        their right states are not consecutive ticks, which the record's
-        ranks and denominators read."""
-        runs = [ids for ids, _ in fronts]
-        waves = state.waves
-        sign = waves[runs[0][0] - 1].sign
-        if any(waves[s - 1].sign != sign for run in runs for s in run):
-            raise ValueError(f"meeting waves of opposite sign survived event {index}")
-        if len(runs) == 1:
+        point: joined on one front, else divided and sharing one fresh record
+        whose meeting classes are the fronts' ids.  Every divided pair starts
+        with P = 0 (its record's potentials are 0).  The fan is
+        ``speed_groups``' cut of a stack that ``wavefield.stack_range`` has
+        checked, so its right states are consecutive ticks, which the
+        record's ranks and denominators read."""
+        if len(fronts) == 1:
             return
-        ids = [s for run in runs for s in run]
-        hats = [self.hats[s - 1] for s in ids]
-        if {b - a for a, b in zip(hats, hats[1:])} not in ({1}, {-1}):
-            raise ValueError(f"meeting waves {ids} at event {index} have right states "
-                             f"{hats}, not consecutive ticks")
-        rec = PartitionRecord(runs, self.hats)
+        rec = PartitionRecord([ids for ids, _ in fronts], self.hats)
         differ, _, rec.count, _ = self._recount(rec, state)
         for s, u, v in differ:      # the weights of a fresh record are 0
             rec.up[s], rec.dn[s] = u, v
@@ -540,11 +529,11 @@ class PairHistory:
 
         Uses the effective flux of the block containing both fronts; at an
         interaction it is unchanged from the previous event, so the post-event
-        state provides it.
+        state provides it.  Both fronts lie in that block, as the one front
+        ``simulator.resolve`` lets the interaction leave.
         """
         fluxes = BlockFluxes(state, self.table, self.flux_memo)
         left, right = event.left_ids, event.right_ids
-        fluxes.flux(left + right)  # raises unless both fronts lie in one block
         size_l = len(left) * self.eps
         size_r = len(right) * self.eps
         sum_pi = self.K * sum_P

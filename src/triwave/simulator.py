@@ -246,8 +246,10 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
 
     The candidate's fronts must be neighbours in the kept front list: its
     left front is kept, and the right one is the next kept front, or at a
-    crossing the v-front each wave of the left front crosses next.  Their
-    waves, in id order, are the event's ``colliding`` tuple."""
+    crossing the v-front its lead wave crosses next (a kept front never
+    mixes crossing counts).  Their waves, in id order, are the event's
+    ``colliding`` tuple.  The pair history takes the event's shape for
+    granted."""
     if cand.time < state.time - TIME_TOL:
         raise ValueError(f"stale event: t={cand.time} but state is at {state.time}")
     t_j = max(cand.time, state.time)
@@ -265,9 +267,9 @@ def resolve(cand: CollisionCandidate, state: FieldState, flux_table: FluxTable,
     survivors, canceled = colliding, ()
     waves = state.waves
     if crossing:
-        for s in colliding:
-            if waves[s - 1].crossed != right.id - 1:
-                raise ValueError(f"wave {s} crossing front {right.id} out of order")
+        if left.lead.crossed != right.id - 1:
+            raise ValueError(f"front {left.ids} crossing front {right.id} out of order: "
+                             f"it has crossed {left.lead.crossed}")
         kind, v_tick = EventKind.TRANSVERSAL, right.v_right
     else:
         a, b = left.lead, right.lead

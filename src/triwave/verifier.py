@@ -126,8 +126,7 @@ def _equality(name: str, scope: str, actual: float, expected: float, **context) 
 
 
 def check_transversal_speed(traj: Trajectory, event: Event) -> CheckResult:
-    if event.kind != EventKind.TRANSVERSAL:
-        raise ValueError("not a transversal event")
+    """The speed-change bound of the transversal ``event``."""
     n = len(event.colliding) * traj.eps
     rhs = traj.bounds.norm_d2_wv * event.v_strength * n
     return _check("transversal_speed", f"event:{event.index}",
@@ -135,16 +134,14 @@ def check_transversal_speed(traj: Trajectory, event: Event) -> CheckResult:
 
 
 def check_cancellation(traj: Trajectory, event: Event) -> CheckResult:
-    if event.kind != EventKind.CANCELLATION:
-        raise ValueError("not a cancellation event")
+    """The speed-change bound of the cancellation ``event``."""
     rhs = traj.bounds.norm_d2_ww * traj.tv_w0 * event.cancellation
     return _check("cancellation_bound", f"event:{event.index}",
                   event.sum_abs_dsigma, rhs, cancellation=event.cancellation)
 
 
 def check_interaction_decrease(traj: Trajectory, event: Event) -> list[CheckResult]:
-    if not event.kind.is_interaction:
-        raise ValueError("not an interaction event")
+    """The decrease of Q, and its bound, at the interaction ``event``."""
     before = traj.snapshots[event.index - 1].q_quadratic
     after = traj.snapshots[event.index].q_quadratic
     return [
@@ -157,8 +154,7 @@ def check_interaction_decrease(traj: Trajectory, event: Event) -> list[CheckResu
 
 
 def check_transversal_increase(traj: Trajectory, event: Event) -> CheckResult:
-    if event.kind != EventKind.TRANSVERSAL:
-        raise ValueError("not a transversal event")
+    """The bound on the increase of Q at the transversal ``event``."""
     before = traj.snapshots[event.index - 1].q_quadratic
     after = traj.snapshots[event.index].q_quadratic
     n = len(event.colliding) * traj.eps
@@ -168,8 +164,7 @@ def check_transversal_increase(traj: Trajectory, event: Event) -> CheckResult:
 
 
 def check_wavefront_decrease(traj: Trajectory, event: Event) -> CheckResult:
-    if not event.kind.is_interaction:
-        raise ValueError("not an interaction event")
+    """The wavefront inequality at the interaction ``event``."""
     detail = traj.interaction_details[event.index]
     return _check("wavefront_decrease", f"event:{event.index}",
                   detail["lhs"], detail["rhs"],

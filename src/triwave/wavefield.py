@@ -28,12 +28,22 @@ A run of waves (the waves of an event, of a front, of a partition class or
 of a block) is the tuple of its alive ids in ascending order.  The event
 path reads one rule: a run of one sign that fills a jump (a stack, a front,
 a class, a front of a fan) is an id slice whose right states step by one
-tick in the direction of its sign; :func:`validate_enumeration` checks it
-for every stack and ``PairHistory._meet`` for every meeting.  So a run's
-two states are read off its end waves (:func:`stack_range`), its cells run
-from its first wave's to its last's, and the fan of its jump cuts it into
-slices of the fronts' widths (:func:`fan_runs`): no wave is looked up by
-its cell or its right state.
+tick in the direction of its sign.  So a run's two states are read off its
+end waves (:func:`stack_range`), its cells run from its first wave's to its
+last's, and the fan of its jump cuts it into slices of the fronts' widths
+(:func:`fan_runs`): no wave is looked up by its cell or its right state.
+
+Each invariant of the event path has one owner, and the code after it takes
+it for granted:
+- the rule above: :func:`stack_range`, for each initial jump and each event's
+  survivors (through :func:`speed_groups`) and each class a history splits;
+- a fan as wide as its stack: :func:`fan_runs`;
+- a fan's states telescope: ``riemann.solve_scalar``, by construction;
+- the shape of an event (neighbour fronts, the v-front a crossing's lead
+  wave crosses next, a cancellation's middle state, an interaction's one
+  front): ``simulator.resolve``;
+- one crossing count per kept front: :func:`_merge_fronts`;
+- one sign per block: :meth:`BlockFluxes._block`.
 
 State arithmetic is exact: w values, right states and v values are integer
 ticks; only positions, speeds and times are floats.
@@ -446,13 +456,22 @@ def initial_enumeration(w0: StepFunction, v0: StepFunction, eps: float) -> Field
 
 def stack_range(state: FieldState, ids: Sequence[int]) -> tuple[int, int]:
     """(w left state, w right state) in ticks of the stack ``ids``, read off
-    its end waves by the rule of the module docstring; mixed signs raise."""
+    its end waves.  Checks the rule of the module docstring in one walk:
+    one sign ("mixed-sign stack" raises ``ValueError``), and right states
+    that step by one tick in id order (a wave off the step raises
+    ``ValueError`` naming the state it should have)."""
     waves = state.waves
     first = waves[ids[0] - 1]
-    sign = first.sign
-    if any(waves[s - 1].sign != sign for s in ids):
-        raise ValueError("mixed-sign stack")
-    return first.w_hat - sign, waves[ids[-1] - 1].w_hat
+    sign, hat = first.sign, first.w_hat
+    for s in ids:
+        w = waves[s - 1]
+        if w.sign != sign:
+            raise ValueError("mixed-sign stack")
+        if w.w_hat != hat:
+            raise ValueError(f"wave {s} of the stack {ids[0]}..{ids[-1]} has right state "
+                             f"{w.w_hat}, not {hat}")
+        hat += sign
+    return first.w_hat - sign, hat - sign
 
 
 def speed_groups(state: FieldState, ids: Sequence[int], flux_table: FluxTable,
@@ -642,7 +661,8 @@ def _close_bad_stack(waves: Sequence[WaveRecord], ids: list[int], x: float, befo
 def effective_flux(state: FieldState, block: tuple[int, ...], table: FluxTable,
                    memo: dict) -> PiecewiseAffineFlux:
     """Effective flux of one maximal homogeneous block of alive waves, given
-    as the tuple of their ids.
+    as the tuple of their ids: one sign, as :meth:`BlockFluxes._block`
+    builds it, which this takes for granted.
 
     On each wave cell its second derivative is d2f/dw2(., v value of the
     wave); value and slope vanish at the leftmost node (the function is only
@@ -655,8 +675,6 @@ def effective_flux(state: FieldState, block: tuple[int, ...], table: FluxTable,
         raise ValueError("empty block")
     recs = [state.waves[s - 1] for s in block]
     sign = recs[0].sign
-    if any(w.sign != sign for w in recs):
-        raise ValueError("block is not homogeneous")
     v_ticks = state.v_ticks
     # ascending cells: id order, reversed for a falling (negative) run
     cells = [(w.cell(), v_ticks[w.crossed]) for w in recs][::sign]

@@ -347,19 +347,19 @@ class PairWalkHistory(PairHistory):
         """The denominator of the pair (s, s2), from the waves' right states."""
         return abs(self.hats[s2 - 1] - self.hats[s - 1]) + 1
 
-    def _meet(self, fronts, state, index):
+    def _meet(self, fronts, state):
         made = len(self.records)
-        super()._meet(fronts, state, index)
+        super()._meet(fronts, state)
         speeds = {s: speed for ids, speed in fronts for s in ids}
         ids = sorted(speeds)
         divided = [(s, s2) for i, s in enumerate(ids) for s2 in ids[i + 1:]
                    if speeds[s] != speeds[s2]]
         if not divided:
-            assert len(self.records) == made, index
+            assert len(self.records) == made
             return
         rec, = self.records[made:]
         for s, s2 in divided:
-            assert (s, s2) not in self.P, (index, s, s2)
+            assert (s, s2) not in self.P, (s, s2)
             self.P[(s, s2)] = 0
             self.owner[(s, s2)] = rec
             self.partners.setdefault(s, set()).add(s2)
@@ -552,6 +552,26 @@ def minmax_stack_range(state, ids):
     if signs.pop() > 0:
         return min(hats) - 1, max(hats)
     return max(hats) + 1, min(hats)
+
+
+def meeting_problem(state, fronts):
+    """The first problem of the fan ``fronts`` (``(ids, speed)`` per front)
+    by the two checks ``PairHistory._meet`` once made of every fan it took:
+    its waves have one sign and, if it has two or more fronts, right states
+    that are consecutive ticks in id order.  None if it passes them.  The
+    oracle of ``wavefield.stack_range``, which checks the stack a fan cuts."""
+    runs = [ids for ids, _ in fronts]
+    if not runs:
+        return None
+    waves = state.waves
+    sign = waves[runs[0][0] - 1].sign
+    if any(waves[s - 1].sign != sign for run in runs for s in run):
+        return "meeting waves of opposite sign"
+    ids = [s for run in runs for s in run]
+    hats = [waves[s - 1].w_hat for s in ids]
+    if len(runs) > 1 and {b - a for a, b in zip(hats, hats[1:])} not in ({1}, {-1}):
+        return f"meeting waves {ids} have right states {hats}, not consecutive ticks"
+    return None
 
 
 def kept_by_state(state, left_ids, right_ids):

@@ -308,9 +308,6 @@ class TestRecordRegistry:
         assert history.records == [rec] and rec.count == 1 and history.S == {3: 6}
         assert (rec.up, rec.dn) == ({1: 0, 2: 0, 3: w3}, {1: w3, 2: 0, 3: 0})
         assert history.T == 6 * w3 and history.validate(state) == []
-        # one that meets again divided is an error
-        with pytest.raises(ValueError, match=r"pair \(1, 3\) met again while divided at event 8"):
-            history._rejoin(self.meet_again(8, (1,), (3,), (((1,), 0.5), ((3,), 0.75))))
         # a potential, a weight or T changed behind the bookkeeping's back
         # fails the recount
         rec.A[3] += 1
@@ -394,7 +391,7 @@ class TestRecordRegistry:
         assert history.validate(state) == []
         # a meeting that divides waves 2 and 3: the pair would be counted
         # once as joined through n_joined and once as divided
-        history._meet([((2,), 0.0), ((3,), 1.0)], state, 1)
+        history._meet([((2,), 0.0), ((3,), 1.0)], state)
         assert history.validate(state) == ["divided pair (2, 3) lies on one kept front"]
 
     def test_classes_out_of_id_order_or_stray_potentials_fail_validation(self, spec, bounds):
@@ -426,43 +423,6 @@ class TestRecordRegistry:
         state.wave(2).x_a = None
         assert history.validate(state) == [
             "record over ids 1..4: class 1..3 holds dead wave 2"]
-
-    @pytest.mark.parametrize("hats", [(1, 3), (2, 1, 3), (3, 4, 1)])
-    def test_meeting_of_right_states_not_consecutive_raises(self, spec, bounds, hats):
-        # a meeting built by hand: the waves 1.. of the right states ``hats``,
-        # each at a speed of its own
-        state = initial_enumeration(StepFunction.from_jumps([(0.0, 4), (1.0, 0)]),
-                                    StepFunction((), (), 0), EPS)
-        ids = list(range(1, len(hats) + 1))
-        for w in state.waves:
-            w.speed = float(w.id)
-        for s, hat in zip(ids, hats):
-            state.wave(s).w_hat = hat
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
-        history.initialize(state, [])
-        with pytest.raises(ValueError, match=rf"meeting waves \[{', '.join(map(str, ids))}\] "
-                                             rf"at event 7 have right states "
-                                             rf"\[{', '.join(map(str, hats))}\], "
-                                             "not consecutive ticks"):
-            history._meet([((s,), float(s)) for s in ids], state, 7)
-        assert history.records == []
-        # joined waves make no record and need no ranks
-        history._meet([(tuple(ids), 0.5)], state, 8)
-        assert history.records == []
-
-    @pytest.mark.parametrize("fronts", [[((2, 3), 0.5)], [((2,), 0.0), ((3,), 0.5)]])
-    def test_meeting_waves_of_two_signs_raise(self, spec, bounds, fronts):
-        # waves 1, 2 go up and 3, 4 down: joined or divided, the meeting raises
-        state = initial_enumeration(StepFunction.from_jumps([(0.0, 2), (1.0, 1), (2.0, 0)]),
-                                    StepFunction((), (), 0), EPS)
-        assert [w.sign for w in state.waves] == [1, 1, -1, -1]
-        for w in state.waves:
-            w.speed = float(w.id)
-        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
-        history.initialize(state, [])
-        with pytest.raises(ValueError, match="meeting waves of opposite sign survived event 5"):
-            history._meet(fronts, state, 5)
-        assert history.records == []
 
     def test_meeting_of_descending_right_states_reads_its_ranks(self, spec, bounds):
         # right states 4, 3, 2, 1 by id: ranks 0..3 from the right state of wave 1
@@ -506,7 +466,7 @@ def test_recount_equals_the_pair_sums(spec, bounds, layout):
     fronts = [(tuple(range(sum(sizes[:k]) + 1, sum(sizes[:k + 1]) + 1)), float(k))
               for k in range(len(sizes))]
     speeds = {s: speed for ids, speed in fronts for s in ids}
-    history._meet(fronts, state, 1)
+    history._meet(fronts, state)
     rec, = history.records
     alive = [s for s in range(1, n + 1) if s - 1 not in dead]
     assume(len({speeds[s] for s in alive}) > 1)

@@ -255,6 +255,36 @@ class TestResolve:
             resolve(CollisionCandidate(0.5, 1.5, left, right), state, flux_table, index=1)
         assert state.fronts() is fronts and state.time == 0.0
 
+    def test_interaction_that_leaves_two_fronts_rejected(self, flux_table):
+        # two rising one-wave fronts, whose stack 0 -> 2 the convex flux
+        # fans out: an interaction must leave one front, and is refused
+        # before anything moves
+        state = prepared_state([(0.0, 1), (1.0, 2), (2.0, 0)], [], flux_table)
+        fronts = state.fronts()
+        assert [f.ids for f in fronts[:2]] == [(1,), (2,)]
+        with pytest.raises(ValueError,
+                           match=r"interaction at \(0.5, 1.5\) did not merge into one front"):
+            resolve(CollisionCandidate(0.5, 1.5, fronts[0], fronts[1]), state, flux_table, index=1)
+        assert state.fronts() is fronts and state.time == 0.0
+
+    def test_crossing_front_out_of_order_rejected(self, flux_table):
+        # a shock of waves 1, 2 left of two v-fronts: the v-front it crosses
+        # next is read off its lead wave, and v-front 2 is not it
+        state = prepared_state([(0.0, -2), (1.0, 0)], [(2.0, 4), (9.0, 0)], flux_table)
+        fronts = state.fronts()
+        assert fronts[0].ids == (1, 2) and fronts[0].lead.crossed == 0
+        with pytest.raises(ValueError, match=r"front \(1, 2\) crossing front 2 out of order: "
+                                             r"it has crossed 0"):
+            resolve(CollisionCandidate(0.5, 1.5, fronts[0], state.v_fronts[1]), state,
+                    flux_table, index=1)
+        assert state.fronts() is fronts and state.time == 0.0
+        # the lead speaks for every wave: no kept front mixes crossing counts,
+        # since building one raises
+        state.wave(2).crossed = 1
+        state._fronts = None
+        with pytest.raises(ValueError, match=r"mixed front at x=0.0: crossed=\{0, 1\}"):
+            state.fronts()
+
     def test_crossing_of_a_front_that_is_not_kept_rejected(self, flux_table):
         state = prepared_state([(0.0, 3), (1.0, 0)], [(2.0, 4), (9.0, 0)], flux_table)
         cand = next_collision(state)
@@ -382,6 +412,28 @@ ORDERING_REPROS = [
                  id="mixed_front"),
 ]
 
+# The four data of ``tools/lattice_fuzz.py --n 3000`` that raise just after a
+# cancellation, as (flux, w0, v0): the same defect as colliding_not_contiguous.
+FUZZ_REPROS = [
+    pytest.param(flux, w_jumps, v_jumps, id=f"fuzz_{k}", marks=pytest.mark.xfail(
+        strict=True, raises=ValueError, reason=f"after event {event} {pair}"))
+    for k, flux, w_jumps, v_jumps, event, pair in [
+        (1129, "quadratic_coupled",
+         [(0.0, -3), (1.0, 6), (2.5, -2), (6.0, -3), (6.5, -5), (8.0, 0)], [(6.5, 0), (9.0, 0)],
+         14, "wave 20 at -2.500000000000002 sits after wave 27 at -2.5000000000000053"),
+        (1357, "quadratic_coupled",
+         [(0.0, -1), (0.5, 1), (1.5, -5), (2.0, -1), (4.0, -2), (6.0, 0)], [(4.5, 0), (6.0, 0)],
+         5, "wave 2 at -0.2500000000000001 sits after wave 5 at -0.2500000000000002"),
+        (1957, "quadratic_coupled",
+         [(3.0, -4), (3.5, 3), (5.5, -8), (7.5, 3), (8.5, -7), (9.5, 0)],
+         [(0.0, -2), (3.0, 1), (4.0, 3), (4.5, 0)],
+         35, "wave 39 at 4.499999999999995 sits after wave 48 at 4.499999999999992"),
+        (1990, "quartic",
+         [(1.0, 7), (2.0, 6), (5.0, -2), (8.0, 7), (9.5, 0)], [(0.0, 4), (4.5, 0)],
+         14, "wave 20 at 2.732976040353089 sits after wave 31 at 2.732976040353088"),
+    ]
+]
+
 # Lattice data (flux, w0, v0) from a seeded fuzz at eps 0.05 that raised while
 # the collision search sorted fronts by float position (the first six) or
 # grouped two waves of opposite sign into one front (the last).
@@ -476,7 +528,7 @@ class TestFrontOrdering:
     def test_runs_at_full_and_passes(self, w_jumps, v_jumps):
         assert run_scenario(ordering_config(w_jumps, v_jumps, "full")).passed
 
-    @pytest.mark.parametrize("flux,w_jumps,v_jumps", LATTICE_DATA)
+    @pytest.mark.parametrize("flux,w_jumps,v_jumps", LATTICE_DATA + FUZZ_REPROS)
     def test_lattice_datum_runs_at_full_and_passes(self, flux, w_jumps, v_jumps):
         assert run_scenario(ordering_config(w_jumps, v_jumps, "full", flux)).passed
 

@@ -14,6 +14,7 @@ from doubles import (
     by_cell_runs,
     fan_cells,
     kept_by_state,
+    meeting_problem,
     minmax_stack_range,
     multipass_validate_enumeration,
     reconstruct_profile,
@@ -33,7 +34,7 @@ from test_verifier import REJOIN
 from triwave import history, simulator, wavefield
 from triwave.envelopes import EnvelopeResult
 from triwave.flux import Box, DerivativeBounds, FluxSpec, FluxTable, PiecewiseAffineFlux, make_flux
-from triwave.history import FunctionalSnapshot, PartitionRecord
+from triwave.history import FunctionalSnapshot, PairHistory, PartitionRecord
 from triwave.replay import ReplayPair
 from triwave.riemann import FanFront, solve_scalar
 from triwave.scenario import run_scenario
@@ -53,6 +54,7 @@ from triwave.wavefield import (
     initial_enumeration,
     snapshot,
     speed_groups,
+    stack_range,
     validate_enumeration,
     VFront,
     WaveRecord,
@@ -191,6 +193,43 @@ class TestAssignSpeeds:
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
         with pytest.raises(ValueError):
             speed_groups(state, [1, 2, 3], flux_table, 0)
+
+
+class TestStackRange:
+    """``stack_range`` owns the stack rule for every stack the event path
+    reads, so the fans the pair history meets are cut from checked stacks."""
+
+    @pytest.mark.parametrize("hats,wave,want", [
+        ((1, 3), 2, 2), ((2, 1, 3), 2, 3), ((3, 4, 1), 3, 5),
+        ((2, 1), 2, 3),     # a step against the sign of the stack
+    ])
+    def test_right_states_not_consecutive_raise(self, spec, bounds, hats, wave, want):
+        # a stack built by hand: the rising waves 1.. of the right states ``hats``
+        state = initial_enumeration(StepFunction.from_jumps([(0.0, 4), (1.0, 0)]),
+                                    StepFunction((), (), 0), EPS)
+        ids = tuple(range(1, len(hats) + 1))
+        for s, hat in zip(ids, hats):
+            state.wave(s).w_hat = hat
+        with pytest.raises(ValueError, match=rf"wave {wave} of the stack 1\.\.{len(ids)} has "
+                                             rf"right state {hats[wave - 1]}, not {want}"):
+            stack_range(state, ids)
+        # joined waves make no record and need no ranks
+        for w in state.waves:
+            w.speed = float(w.id)
+        history = PairHistory(spec=spec, eps=EPS, bounds=bounds)
+        history.initialize(state, [])
+        history._meet([(ids, 0.5)], state)
+        assert history.records == []
+
+    @pytest.mark.parametrize("ids", [(2, 3), (1, 2, 3, 4)])
+    def test_waves_of_two_signs_raise(self, flux_table, ids):
+        # waves 1, 2 go up and 3, 4 down: a stack over both raises before
+        # its fan is solved, so no meeting sees two signs
+        state = initial_enumeration(StepFunction.from_jumps([(0.0, 2), (1.0, 1), (2.0, 0)]),
+                                    StepFunction((), (), 0), EPS)
+        assert [w.sign for w in state.waves] == [1, 1, -1, -1]
+        with pytest.raises(ValueError, match="mixed-sign stack"):
+            speed_groups(state, ids, flux_table, 0)
 
 
 def one_jump(w_minus, w_plus):
@@ -348,11 +387,16 @@ class TestOnePassMatchesMultipass:
 
 
 class TestEffectiveFlux:
-    def test_requires_homogeneous_block(self, spec):
+    def test_requires_homogeneous_block(self, flux_table):
+        # effective_flux takes its block's one sign from BlockFluxes, which
+        # builds one-sign blocks and refuses a run over two of them
         w0 = StepFunction.from_jumps([(0.0, 1), (1.0, 0)])
         state = initial_enumeration(w0, StepFunction((), (), 0), EPS)
-        with pytest.raises(ValueError):
-            effective_flux(state, (1, 2), FluxTable(spec, EPS), {})
+        assign_initial_speeds(state, flux_table)
+        fluxes = BlockFluxes(state, flux_table, {})
+        assert [fluxes._block(s) for s in (1, 2)] == [(1,), (2,)]
+        with pytest.raises(ValueError, match="span two homogeneous blocks"):
+            fluxes.flux((1, 2))
 
     def test_blocks_partition_alive_waves(self):
         w0 = StepFunction.from_jumps([(0.0, 2), (1.0, -1), (2.0, 0)])
@@ -647,9 +691,10 @@ def test_the_slices_are_the_lookups_they_replace(monkeypatch):
     # data and the first 40 lattice-fuzz data: each stack's two states read
     # off its end waves are the least and greatest of all its right states,
     # each fan cut by its widths is the grouping by cell, a cancellation's
-    # id slices are the waves the per-wave keep test keeps and cancels, a
-    # block's cells in id order (reversed if negative) are sorted, and a
-    # run's chord spans the cells of all its waves
+    # id slices are the waves the per-wave keep test keeps and cancels, every
+    # event's fan passes the sign and consecutive-tick checks the pair
+    # history's meeting once made, a block's cells in id order (reversed if
+    # negative) are sorted, and a run's chord spans the cells of all its waves
     seen = Counter()
     real_groups, real_resolve = wavefield.speed_groups, simulator.resolve
     real_split = history.PairHistory._split_class
@@ -673,6 +718,8 @@ def test_the_slices_are_the_lookups_they_replace(monkeypatch):
 
     def resolve(cand, state, table, index):
         event = real_resolve(cand, state, table, index)
+        assert meeting_problem(state, event.fronts) is None, index
+        seen["meetings", len(event.fronts) > 1] += 1
         if event.kind == EventKind.CANCELLATION:
             survivors = tuple(s for ids, _ in event.fronts for s in ids)
             assert (survivors, event.canceled) == kept_by_state(state, event.left_ids,
@@ -710,4 +757,5 @@ def test_the_slices_are_the_lookups_they_replace(monkeypatch):
         level = "small_n" if cfg.check_level == "small_n" else "fast"
         run_scenario(replace(cfg, check_level=level))
     assert seen["fans", True] > 50 and seen["splits", True] > 3, seen
+    assert seen["meetings", True] > 10, seen
     assert seen["cancellations", True] > 100 and seen["chords"] > 100, seen
